@@ -58,8 +58,6 @@ def _add_poset_flags(p: argparse.ArgumentParser):
     p.add_argument("lattice", nargs="?", default="-", help="lattice file (default stdin)")
     p.add_argument("--dot", action="store_true", help="shorthand for --format dot")
     p.add_argument("--format", choices=("text", "dot"), default="text")
-    p.add_argument("--threads", type=int, default=None, metavar="N",
-                   help="fan closure work out over N threads")
     p.add_argument("-o", "--output", default=None)
 
 
@@ -138,7 +136,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_enumerate(args, boolean_only: bool) -> int:
     L = _load_lattice(args.lattice)
-    poset = enumerate_subalgebras(L, boolean_only=boolean_only, threads=args.threads)
+    poset = enumerate_subalgebras(L, boolean_only=boolean_only)
     if args.dot or args.format == "dot":
         _write(fileio.poset_to_dot(poset), args.output)
     else:

@@ -62,11 +62,12 @@ class Unsupported(OmlkitError):
 
 
 class FrameCap(OmlkitError):
-    """An orthogonality frame is too large for subset enumeration."""
+    """An orthogonality frame has too many points or orthoclosed sets for a
+    lattice of at most 64 elements."""
 
 
 class Inconsistent(OmlkitError):
-    """A Boolean lift reached a state its input contract rules out (bug signal)."""
+    """A computation reached a state its input contract rules out (bug signal)."""
 
 
 class GlueConflict(OmlkitError):

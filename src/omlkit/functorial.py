@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SizeCap
+from .errors import Inconsistent, NotAMorphism, SizeCap
 from .lattice_core import (
     FiniteOrtholattice,
     Morphism,
@@ -113,7 +113,7 @@ def enumerate_homs(L: FiniteOrtholattice, M: FiniteOrtholattice) -> list[Morphis
         if pos == n:
             try:
                 results.append(morphism(L, M, tuple(mapping)))
-            except Exception:
+            except NotAMorphism:
                 pass
             return
         a = order[pos]
@@ -182,11 +182,13 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
         swap = {p: q, q: p}
         g = morphism(f.source, f.target,
                      tuple(swap.get(v, v) for v in f.mapping))
-        assert g.mapping != f.mapping
+        if g.mapping == f.mapping:
+            raise Inconsistent("swapping a four-element block's atoms left f unchanged")
         sub_m = enumerate_subalgebras(f.target)
         sub_l = enumerate_subalgebras(f.source)
-        assert preimage_functor(f, sub_m, sub_l).mapping == \
-            preimage_functor(g, sub_m, sub_l).mapping
+        if preimage_functor(f, sub_m, sub_l).mapping != \
+                preimage_functor(g, sub_m, sub_l).mapping:
+            raise Inconsistent("the four-block witness has a different preimage map")
         return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
     sub_m = enumerate_subalgebras(f.target)
     sub_l = enumerate_subalgebras(f.source)

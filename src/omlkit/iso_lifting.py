@@ -18,6 +18,8 @@ from typing import Optional, Sequence
 from .errors import (
     BlockMismatch,
     GlueConflict,
+    NoLeastElement,
+    NotAMorphism,
     NotAnIso,
     RestrictionMismatch,
     Unsupported,
@@ -144,7 +146,9 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     for xmask, ymask in four_blocks:
         p, q = [e for e in bits(xmask) if e != 0 and e != L.n - 1]
         c, d = [e for e in bits(ymask) if e != 0 and e != M.n - 1]
-        assert global_map[p] == -1 and global_map[q] == -1
+        if global_map[p] != -1 or global_map[q] != -1:
+            raise GlueConflict(
+                f"four-element block {{0,{p},{q},{L.n - 1}}} overlaps a larger block")
         choice_pairs.append(((p, q), ((c, d), (d, c))))
     if not canonical_only and len(choice_pairs) > MAX_FOUR_BLOCK_CHOICES:
         raise Unsupported(
@@ -158,10 +162,12 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         candidate = list(global_map)
         for ((p, q), options), pick in zip(choice_pairs, combo):
             candidate[p], candidate[q] = options[pick]
-        assert -1 not in candidate
+        if -1 in candidate:
+            raise GlueConflict(
+                f"blockwise lifts leave element {candidate.index(-1)} unassigned")
         try:
             f = morphism(L, M, candidate)
-        except Exception as exc:
+        except NotAMorphism as exc:
             raise GlueConflict(f"glued map is not a homomorphism: {exc}") from exc
         if f.kind != "iso":
             raise GlueConflict("glued map is not an isomorphism")
@@ -182,7 +188,8 @@ def recognize_boolean_node(sub_l: SubalgebraPoset, x: int) -> bool:
     """
     interval, _ = sub_l.interval_below(x)
     bottom = interval.bottom()
-    assert bottom is not None
+    if bottom is None:
+        raise NoLeastElement(f"the interval below node {x} has no least element")
     a = len(tuple(bits(interval.cover_up[bottom])))
     if (a + 1) & a:
         return False  # atom count + 1 must be a power of two
@@ -214,10 +221,11 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
 
     bsub_l = enumerate_subalgebras(L, boolean_only=True)
     bsub_m = enumerate_subalgebras(M, boolean_only=True)
-    assert [sub_l.nodes[i].members for i in bool_l] == \
-        [n.members for n in bsub_l.nodes]
-    assert [sub_m.nodes[i].members for i in bool_m] == \
-        [n.members for n in bsub_m.nodes]
+    for side, sub_x, bool_x, bsub_x in (("source", sub_l, bool_l, bsub_l),
+                                        ("target", sub_m, bool_m, bsub_m)):
+        if [sub_x.nodes[i].members for i in bool_x] != [n.members for n in bsub_x.nodes]:
+            raise RestrictionMismatch(
+                f"recognized Boolean nodes of the {side} differ from its enumerated BSub")
     restricted = tuple(
         bsub_m.node_index(sub_m.nodes[phi[i]].members) for i in bool_l)
     out = lift_bsub_iso(L, M, restricted, bsub_l, bsub_m,

@@ -21,6 +21,7 @@ import networkx as nx
 from .errors import (
     BadOrthocomplement,
     FlavorError,
+    Inconsistent,
     MalformedInput,
     NoBoundedLattice,
     NotAMorphism,
@@ -228,31 +229,65 @@ class FiniteOrtholattice:
         row = self._meet[a]
         return self._join[row[b]][row[self.ortho[b]]] == a
 
+    @cached_property
+    def commuting(self) -> tuple[int, ...]:
+        """commuting[a] is the bit set of elements that commute with a."""
+        if self.flavor != ORTHOMODULAR:
+            raise FlavorError("commutation is only defined on orthomodular lattices")
+        out = [0] * self.n
+        for a in range(self.n):
+            for b in range(a, self.n):
+                if self._commutes(a, b):
+                    out[a] |= 1 << b
+                    out[b] |= 1 << a
+        return tuple(out)
+
     def closure_mask(self, mask: int) -> int:
         """Close ``mask`` under complement, meet and join, plus the bounds."""
-        mask |= 1 | 1 << (self.n - 1)
-        members = list(bits(mask))
-        meet, join, ortho = self._meet, self._join, self.ortho
-        i = 0
+        return self._extend(0, (), tuple(bits(mask | 1 | 1 << (self.n - 1))))[0]
+
+    def _extend(self, mask: int, members: Sequence[int], new: Sequence[int],
+                floor: int = 0) -> Optional[tuple[int, list[int]]]:
+        """Close ``mask`` plus ``new`` under complement and meet.
+
+        ``mask`` must already be closed, with ``members`` listing its
+        elements.  Semi-naive: each new element is combined only with the
+        elements listed before it, so pairs of old members are never
+        revisited.  Joins come for free, since a v b = (a' ^ b')' in an
+        ortholattice.  Returns the closed mask and its member list, or None
+        as soon as an element below ``floor`` outside ``mask`` appears (the
+        Close-by-One canonicity test).
+        """
+        meet, ortho = self._meet, self.ortho
+        for v in new:
+            # cheap early exit: a complement below floor is added first thing
+            o = ortho[v]
+            if o < floor and not mask >> o & 1:
+                return None
+        members = list(members)
+        have = set(members)
+        i = len(members)
+        for v in new:
+            if v not in have:
+                if v < floor:
+                    return None
+                have.add(v)
+                members.append(v)
+                mask |= 1 << v
         while i < len(members):
-            e = members[i]
+            x = members[i]
+            fresh = set(map(meet[x].__getitem__, members[:i]))
+            fresh.add(ortho[x])
+            fresh -= have
+            if fresh:
+                if min(fresh) < floor:
+                    return None
+                have |= fresh
+                members.extend(fresh)
+                for v in fresh:
+                    mask |= 1 << v
             i += 1
-            o = ortho[e]
-            if not mask >> o & 1:
-                mask |= 1 << o
-                members.append(o)
-            me, je = meet[e], join[e]
-            for k in range(i):
-                m = members[k]
-                v = me[m]
-                if not mask >> v & 1:
-                    mask |= 1 << v
-                    members.append(v)
-                v = je[m]
-                if not mask >> v & 1:
-                    mask |= 1 << v
-                    members.append(v)
-        return mask
+        return mask, members
 
     def generated_subalgebra(self, seed: Iterable[int] = ()) -> "SubalgebraSet":
         """Least subalgebra containing ``seed`` (and always 0 and n-1)."""
@@ -306,13 +341,13 @@ class FiniteOrtholattice:
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
         for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if self._commutes(a, b):
-                    g.add_edge(a, b)
+            g.add_edges_from((a, b) for b in bits(self.commuting[a]) if b > a)
         out = []
         for clique in nx.find_cliques(g):
             mask = mask_of(clique)
-            assert self.closure_mask(mask) == mask and self.is_boolean(mask)
+            if self.closure_mask(mask) != mask or not self.is_boolean(mask):
+                raise Inconsistent(f"maximal commuting set {sorted(clique)} "
+                                   "is not a Boolean subalgebra")
             out.append(SubalgebraSet(self, mask))
         out.sort(key=lambda s: s.members)
         return out
@@ -726,7 +761,9 @@ def validate(size: int, leq: Iterable[tuple[int, int]], ortho: Sequence[int],
     """
     if size < 1:
         raise MalformedInput("size must be positive")
-    rows = [0] * size
+    if size > MAX_ELEMENTS:
+        raise SizeCap(f"{size} elements exceed the bit-set cap of {MAX_ELEMENTS}")
+    pairs = []
     for pair in leq:
         try:
             i, j = pair
@@ -734,6 +771,11 @@ def validate(size: int, leq: Iterable[tuple[int, int]], ortho: Sequence[int],
             raise MalformedInput(f"bad relation pair {pair!r}") from None
         if not (0 <= i < size and 0 <= j < size):
             raise MalformedInput(f"pair {pair!r} out of range")
+        pairs.append((i, j))
+    if size > len(pairs):
+        raise NotAPartialOrder(f"{len(pairs)} pairs cannot be reflexive on {size} elements")
+    rows = [0] * size
+    for i, j in pairs:
         rows[i] |= 1 << j
     return FiniteOrtholattice(rows, ortho, name)
 

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FrameCap, MalformedInput, NoLeastElement
-from .lattice_core import FiniteOrtholattice, ORTHOMODULAR, bits
-from .subalgebra_posets import AbstractPoset
+from .lattice_core import MAX_ELEMENTS, FiniteOrtholattice, ORTHOMODULAR, bits
+from .subalgebra_posets import AbstractPoset, close_by_one, inclusion_rows
 
-FRAME_CAP = 20
+MAX_FRAME_POINTS = MAX_ELEMENTS - 2
 
 
 @dataclass(frozen=True)
@@ -104,34 +104,45 @@ def build_frame(P: AbstractPoset, u: tuple[int, ...], v: tuple[int, ...]) -> Ort
 def orthoclosed_lattice(frame: OrthoFrame, name: Optional[str] = None) -> FiniteOrtholattice:
     """The ortholattice of subsets S with S = S-perp-perp, ordered by inclusion.
 
-    Subsets are enumerated exhaustively, so the frame is capped at 20
-    points.  The orthocomplement of a closed set is its perp; the result is
+    The closed sets are listed by Close-by-One over the perp-perp closure,
+    using perp(S + e) = perp(S) & perp[e], so the work grows with the number
+    of closed sets rather than with 2^points.  A frame built from a genuine
+    Boolean-subalgebra poset has one point per atom of the lattice, and a
+    lattice of at most 64 elements has at most 62 atoms, so frames above 62
+    points, or with more than 64 orthoclosed sets, raise FrameCap.
+    The orthocomplement of a closed set is its perp; the result is
     validated from scratch, which also determines its flavor.
     """
-    if frame.size > FRAME_CAP:
-        raise FrameCap(f"frame has {frame.size} points; cap is {FRAME_CAP}")
+    if frame.size > MAX_FRAME_POINTS:
+        raise FrameCap(f"frame has {frame.size} points; at most {MAX_FRAME_POINTS} "
+                       f"fit a lattice of {MAX_ELEMENTS} elements")
     universe = (1 << frame.size) - 1
+    perp = frame.perp
 
     def perp_of(s: int) -> int:
         out = universe
         for p in bits(s):
-            out &= frame.perp[p]
+            out &= perp[p]
         return out
 
-    closed = [s for s in range(universe + 1) if perp_of(perp_of(s)) == s]
+    def extend(s: int, s_perp: int, e: int):
+        t_perp = s_perp & perp[e]
+        t = perp_of(t_perp)
+        if t & ~s & (1 << e) - 1:
+            return None
+        return t, t_perp
+
+    bottom = perp_of(universe)
+    closed = close_by_one(frame.size, bottom, universe, extend, MAX_ELEMENTS)
+    if len(closed) > MAX_ELEMENTS:
+        raise FrameCap(f"frame has more than {MAX_ELEMENTS} orthoclosed sets "
+                       f"(stopped at {len(closed)}, {frame.size} points)")
     closed.sort()
     if len(closed) < 2:
         raise MalformedInput("orthoclosed family is trivial; not a lattice")
     index = {s: i for i, s in enumerate(closed)}
-    up = [0] * len(closed)
-    for i, s in enumerate(closed):
-        row = 0
-        for j, t in enumerate(closed):
-            if not s & ~t:
-                row |= 1 << j
-        up[i] = row
     ortho = [index[perp_of(s)] for s in closed]
-    return FiniteOrtholattice(up, ortho, name)
+    return FiniteOrtholattice(inclusion_rows(closed), ortho, name)
 
 
 def reconstruct(P: AbstractPoset, name: Optional[str] = None) -> FiniteOrtholattice:

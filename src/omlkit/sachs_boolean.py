@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from sympy.utilities.iterables import multiset_partitions
 
-from .errors import Inconsistent, MalformedInput, NotBoolean
+from .errors import Inconsistent, MalformedInput, NotAMorphism, NotBoolean
 from .lattice_core import (
     FiniteOrtholattice,
     Morphism,
@@ -316,7 +316,7 @@ def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
             mapping[b] = C.ortho[mapping[bo]]
     try:
         f = morphism(B, C, mapping)
-    except Exception as exc:
+    except NotAMorphism as exc:
         raise Inconsistent(f"lifted map is not an isomorphism: {exc}") from exc
     if f.kind != "iso":
         raise Inconsistent("lifted map is not bijective")

@@ -1,16 +1,16 @@
 """Enumeration of subalgebra families and the order theory they live in.
 
 Sub(L) is the family of all subalgebras of a finite ortholattice, BSub(L)
-the family of Boolean ones, both ordered by inclusion.  Enumeration is
-breadth-first closure extension from {0,1}; posets come out with nodes
-sorted ascending by bit-set value so identical inputs give identical
-output, byte for byte.
+the family of Boolean ones, both ordered by inclusion.  Enumeration is a
+depth-first Close-by-One search from {0,1} that lists each subalgebra once
+and closes each new set incrementally from its parent; posets come out
+with nodes sorted ascending by bit-set value so identical inputs give
+identical output, byte for byte.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
@@ -63,7 +63,6 @@ class AbstractPoset:
         """Build from an explicit full relation given as (lower, upper) pairs."""
         if size < 1:
             raise MalformedInput("poset needs at least one node")
-        rows = [0] * size
         seen = set()
         for p in pairs:
             try:
@@ -75,6 +74,11 @@ class AbstractPoset:
             if (i, j) in seen:
                 raise MalformedInput(f"duplicate pair {p!r}")
             seen.add((i, j))
+        # a reflexive relation has a pair per node; checked before allocating
+        if size > len(seen):
+            raise NotAPartialOrder(f"{len(seen)} pairs cannot be reflexive on {size} nodes")
+        rows = [0] * size
+        for i, j in seen:
             rows[i] |= 1 << j
         return cls(rows)
 
@@ -209,7 +213,8 @@ class SubalgebraPoset(AbstractPoset):
         self.nodes = tuple(nodes)
         self.flavor = flavor
         self._index = {s.members: i for i, s in enumerate(self.nodes)}
-        assert self.nodes[0].members == 1 | 1 << (owner.n - 1)
+        if not self.nodes or self.nodes[0].members != 1 | 1 << (owner.n - 1):
+            raise MalformedInput("the first node must be the trivial subalgebra {0, n-1}")
 
     def node_index(self, members) -> int:
         mask = members.members if isinstance(members, SubalgebraSet) else members
@@ -234,55 +239,93 @@ def _node_cap(cap: Optional[int]) -> int:
         raise MalformedInput(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
+def close_by_one(size: int, bottom: int, state, extend, cap: int) -> list[int]:
+    """Every closed set of a closure system on 0..size-1, each exactly once.
+
+    Kuznetsov's Close-by-One, depth first: from a closed set s reached by
+    adding element e, try each element above e that is not in s.
+    ``extend(s, state, e)`` returns the closure of s plus e with its state,
+    or None when that closure adds an element below e (it is then reached
+    from another parent) or the caller rejects it; a rejected set's whole
+    subtree is skipped, which is sound for families closed under taking
+    closed subsets, such as Boolean subalgebras.  ``bottom`` is the least
+    closed set.  Stops once more than ``cap`` sets are found, returning them
+    unsorted; the caller decides what the overflow means.
+    """
+    found = []
+    stack = [(bottom, state, 0)]
+    while stack:
+        s, state, first = stack.pop()
+        found.append(s)
+        if len(found) > cap:
+            break
+        for e in range(first, size):
+            if not s >> e & 1:
+                child = extend(s, state, e)
+                if child is not None:
+                    stack.append((*child, e + 1))
+    return found
+
+
+def inclusion_rows(masks: Sequence[int]) -> list[int]:
+    """up rows of the inclusion order on ``masks``: bit j of row i is set
+    when masks[i] is a subset of masks[j]."""
+    everything = (1 << len(masks)) - 1
+    containing = {}
+    for i, m in enumerate(masks):
+        for e in bits(m):
+            containing[e] = containing.get(e, 0) | 1 << i
+    rows = []
+    for m in masks:
+        row = everything
+        for e in bits(m):
+            row &= containing[e]
+        rows.append(row)
+    return rows
+
+
 def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
-                          cap: Optional[int] = None,
-                          threads: Optional[int] = None) -> SubalgebraPoset:
+                          cap: Optional[int] = None) -> SubalgebraPoset:
     """Enumerate Sub(L) (or BSub(L) with ``boolean_only``) as a poset.
 
-    Frontier extension: each known subalgebra is extended by one new element
-    and closed; the visited set is keyed by bit-set value.  This reaches
-    every (Boolean) subalgebra because any target is approachable through a
-    chain of one-element extensions inside itself.  ``cap`` bounds the node
-    count (default 100000, or the OMLKIT_NODE_CAP environment variable);
-    going past it raises ExplosionCap.
+    Close-by-One over the subalgebra closure, with each closure built
+    incrementally from its already closed parent.  For BSub of an
+    orthomodular L an element is added only if it commutes with every
+    element already present: by Foulis-Holland the result is then Boolean,
+    and every Boolean subalgebra is reached that way.  For other
+    ortholattices each closure is tested with ``is_boolean``.  ``cap``
+    bounds the node count (default 100000, or the OMLKIT_NODE_CAP
+    environment variable); going past it raises ExplosionCap.
     """
     cap = _node_cap(cap)
     bottom = L.closure_mask(0)
-    seen = {bottom}
-    if boolean_only and not L.is_boolean(bottom):
-        raise MalformedInput("the least subalgebra is not Boolean")
-    frontier = [bottom]
-    pool = ThreadPoolExecutor(max_workers=threads) if threads and threads > 1 else None
-    try:
-        while frontier:
-            tasks = [s | 1 << e
-                     for s in frontier
-                     for e in range(L.n) if not s >> e & 1]
-            closed = pool.map(L.closure_mask, tasks) if pool \
-                else map(L.closure_mask, tasks)
-            frontier = []
-            for t in closed:
-                if t in seen:
-                    continue
-                if boolean_only and not L.is_boolean(t):
-                    continue
-                seen.add(t)
-                frontier.append(t)
-                if len(seen) > cap:
-                    raise ExplosionCap(f"more than {cap} subalgebras; raise the cap")
-    finally:
-        if pool:
-            pool.shutdown()
-    masks = sorted(seen)
-    rows = [0] * len(masks)
-    for i, mi in enumerate(masks):
-        row = 0
-        for j, mj in enumerate(masks):
-            if not mi & ~mj:
-                row |= 1 << j
-        rows[i] = row
+    extend_closed = L._extend
+
+    if not boolean_only:
+        def extend(s, members, e):
+            return extend_closed(s, members, (e,), e)
+    elif L.is_orthomodular:
+        commuting = L.commuting
+
+        def extend(s, members, e):
+            if s & ~commuting[e]:
+                return None
+            return extend_closed(s, members, (e,), e)
+    else:
+        def extend(s, members, e):
+            child = extend_closed(s, members, (e,), e)
+            if child is None or not L.is_boolean(child[0]):
+                return None
+            return child
+
+    masks = close_by_one(L.n, bottom, list(bits(bottom)), extend, cap)
+    if len(masks) > cap:
+        raise ExplosionCap(
+            f"more than {cap} subalgebras (stopped at {len(masks)} nodes); "
+            f"raise the cap with {NODE_CAP_ENV}")
+    masks.sort()
     nodes = [SubalgebraSet(L, m) for m in masks]
-    return SubalgebraPoset(rows, L, nodes, BSUB if boolean_only else SUB)
+    return SubalgebraPoset(inclusion_rows(masks), L, nodes, BSUB if boolean_only else SUB)
 
 
 def sub(L: FiniteOrtholattice, **kw) -> SubalgebraPoset:

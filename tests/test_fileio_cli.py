@@ -7,6 +7,8 @@ import pytest
 
 from omlkit import (
     MalformedInput,
+    NotAPartialOrder,
+    SizeCap,
     benzene,
     boolean_algebra,
     bsub,
@@ -17,6 +19,7 @@ from omlkit import (
 )
 from omlkit import fileio
 from omlkit.cli import main
+from omlkit.lattice_core import validate
 
 
 # -- formats -----------------------------------------------------------------
@@ -220,7 +223,25 @@ def test_cli_env_node_cap(tmp_path, capsys, monkeypatch):
     lat.write_text(fileio.dump_lattice(boolean_algebra(4)))
     monkeypatch.setenv("OMLKIT_NODE_CAP", "3")
     code, _, err = run_cli(capsys, "sub", str(lat))
-    assert code == 1 and "subalgebras" in err
+    assert code == 1 and "more than 3 subalgebras (stopped at 4 nodes)" in err
+    assert "OMLKIT_NODE_CAP" in err
+
+
+def test_cli_reconstruct_rejects_huge_size_without_allocating(tmp_path, capsys):
+    # the declared size is checked against the pairs before anything is allocated
+    path = tmp_path / "huge.json"
+    path.write_text('{"size": 1000000000, "leq": []}')
+    code, out, err = run_cli(capsys, "reconstruct", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "reflexive" in err
+
+
+def test_lattice_validate_checks_size_before_allocating():
+    with pytest.raises(SizeCap):
+        validate(1000000000, [], [])
+    with pytest.raises(NotAPartialOrder):
+        validate(3, [(0, 0), (1, 1)], [2, 1, 0])
 
 
 def test_cli_selftest(capsys):

@@ -107,12 +107,22 @@ def test_orthoclosed_lattice_examples():
     assert find_isomorphism(out, catalog("example22")) is not None
 
 
+def _frame(size, perp):
+    return OrthoFrame(size, tuple(perp), tuple(f"p{i}" for i in range(size)))
+
+
 def test_orthoclosed_lattice_trivial_and_cap():
     with pytest.raises(MalformedInput):
         orthoclosed_lattice(OrthoFrame(0, (), ()))
-    big = OrthoFrame(21, (0,) * 21, tuple(f"p{i}" for i in range(21)))
-    with pytest.raises(FrameCap):
-        orthoclosed_lattice(big)
+    # no orthogonality: only the empty set and the full point set are closed
+    two = orthoclosed_lattice(_frame(21, (0,) * 21))
+    assert two.up == (0b11, 0b10) and two.ortho == (1, 0)
+    # every pair orthogonal: all 128 subsets are closed, past the 64-element cap
+    complete = _frame(7, [0b1111111 & ~(1 << i) for i in range(7)])
+    with pytest.raises(FrameCap, match=r"more than 64 orthoclosed sets \(stopped at 65, 7 points\)"):
+        orthoclosed_lattice(complete)
+    with pytest.raises(FrameCap, match=r"63 points; at most 62"):
+        orthoclosed_lattice(_frame(63, (0,) * 63))
 
 
 def test_orthoclosed_output_is_canonical():

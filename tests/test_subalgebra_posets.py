@@ -9,6 +9,8 @@ from omlkit import (
     MalformedInput,
     NoLeastElement,
     NotAPartialOrder,
+    SubalgebraPoset,
+    SubalgebraSet,
     Unsupported,
     benzene,
     boolean_algebra,
@@ -204,25 +206,26 @@ def test_poset_iso_cap():
 
 
 def test_explosion_cap():
-    with pytest.raises(ExplosionCap):
+    # the message names the cap, the nodes reached and the override variable
+    with pytest.raises(ExplosionCap, match=r"more than 3 subalgebras \(stopped at 4 nodes\)"
+                                           r".*OMLKIT_NODE_CAP"):
         enumerate_subalgebras(boolean_algebra(4), cap=3)
 
 
 def test_node_cap_env(monkeypatch):
     monkeypatch.setenv("OMLKIT_NODE_CAP", "2")
-    with pytest.raises(ExplosionCap):
+    with pytest.raises(ExplosionCap, match=r"more than 2 subalgebras \(stopped at 3 nodes\)"):
         enumerate_subalgebras(boolean_algebra(3))
     monkeypatch.setenv("OMLKIT_NODE_CAP", "junk")
     with pytest.raises(MalformedInput):
         enumerate_subalgebras(boolean_algebra(3))
 
 
-def test_threaded_enumeration_is_canonical():
-    L = catalog("hsum(2^3,2^3)")
-    plain = enumerate_subalgebras(L)
-    threaded = enumerate_subalgebras(L, threads=4)
-    assert [n.members for n in plain.nodes] == [n.members for n in threaded.nodes]
-    assert plain.up == threaded.up
+def test_subalgebra_poset_needs_the_trivial_subalgebra_first():
+    L = boolean_algebra(2)
+    nodes = [SubalgebraSet(L, 0b1111), SubalgebraSet(L, 0b1001)]
+    with pytest.raises(MalformedInput, match="trivial subalgebra"):
+        SubalgebraPoset([0b01, 0b11], L, nodes, "sub")
 
 
 def test_abstract_poset_validation():
