@@ -70,16 +70,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verbs.add_parser("validate", help="validate a lattice file, report its flavor")
     p.add_argument("lattice", nargs="?", default="-")
+    p.set_defaults(func=_cmd_validate)
 
     p = verbs.add_parser("catalog", help="emit a named catalog lattice")
     p.add_argument("name")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=_cmd_catalog)
 
-    _add_poset_flags(verbs.add_parser("sub", help="enumerate all subalgebras"))
-    _add_poset_flags(verbs.add_parser("bsub", help="enumerate Boolean subalgebras"))
+    for verb, blurb, boolean_only in (("sub", "enumerate all subalgebras", False),
+                                      ("bsub", "enumerate Boolean subalgebras", True)):
+        p = verbs.add_parser(verb, help=blurb)
+        _add_poset_flags(p)
+        p.set_defaults(func=_cmd_enumerate, boolean_only=boolean_only)
 
     p = verbs.add_parser("blocks", help="list the maximal Boolean subalgebras")
     p.add_argument("lattice", nargs="?", default="-")
+    p.set_defaults(func=_cmd_blocks)
 
     p = verbs.add_parser("reconstruct",
                          help="rebuild a lattice from a Boolean-subalgebra poset file")
@@ -87,10 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", action="store_true",
                    help="also print the intermediate orthogonality frame")
     p.add_argument("-o", "--output", default=None)
+    p.set_defaults(func=_cmd_reconstruct)
 
-    for verb, blurb in (("lift-bsub", "lift a Boolean-subalgebra poset isomorphism"),
-                        ("lift-sub", "lift a full subalgebra lattice isomorphism")):
+    for verb, blurb, boolean_only in (
+            ("lift-bsub", "lift a Boolean-subalgebra poset isomorphism", True),
+            ("lift-sub", "lift a full subalgebra lattice isomorphism", False)):
         p = verbs.add_parser(verb, help=blurb)
+        p.set_defaults(func=_cmd_lift, boolean_only=boolean_only)
         p.add_argument("source")
         p.add_argument("target")
         p.add_argument("iso", help="node map file: pairs of subalgebra element lists")
@@ -104,19 +113,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = verbs.add_parser("check-sachs",
                          help="order tests vs direct definitions on a Boolean lattice")
     p.add_argument("lattice", nargs="?", default="-")
+    p.set_defaults(func=_cmd_check_sachs)
 
     p = verbs.add_parser("check-determination",
                          help="compare two lattices through their subalgebra posets")
     p.add_argument("source")
     p.add_argument("target")
+    p.set_defaults(func=_cmd_check_determination)
 
     p = verbs.add_parser("classify-hom",
                          help="how much a homomorphism's preimage map determines it")
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("morphism")
+    p.set_defaults(func=_cmd_classify_hom)
 
-    verbs.add_parser("selftest", help="run the full acceptance suite")
+    p = verbs.add_parser("selftest", help="run the full acceptance suite")
+    p.set_defaults(func=_cmd_selftest)
     return parser
 
 
@@ -134,9 +147,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
-def _cmd_enumerate(args, boolean_only: bool) -> int:
+def _cmd_enumerate(args) -> int:
     L = _load_lattice(args.lattice)
-    poset = enumerate_subalgebras(L, boolean_only=boolean_only)
+    poset = enumerate_subalgebras(L, boolean_only=args.boolean_only)
     if args.dot or args.format == "dot":
         _write(fileio.poset_to_dot(poset), args.output)
     else:
@@ -168,13 +181,13 @@ def _cmd_reconstruct(args) -> int:
     return 0
 
 
-def _cmd_lift(args, boolean_only: bool) -> int:
+def _cmd_lift(args) -> int:
     L = _load_lattice(args.source)
     M = _load_lattice(args.target)
-    sub_l = enumerate_subalgebras(L, boolean_only=boolean_only)
-    sub_m = enumerate_subalgebras(M, boolean_only=boolean_only)
+    sub_l = enumerate_subalgebras(L, boolean_only=args.boolean_only)
+    sub_m = enumerate_subalgebras(M, boolean_only=args.boolean_only)
     phi = fileio.parse_node_map(_read(args.iso), sub_l, sub_m)
-    lift = lift_bsub_iso if boolean_only else lift_sub_iso
+    lift = lift_bsub_iso if args.boolean_only else lift_sub_iso
     result = lift(L, M, phi, sub_l, sub_m, canonical_only=args.canonical)
     if args.canonical:
         _write(fileio.dump_morphism(result[0]), args.output)
@@ -220,6 +233,10 @@ def _cmd_classify_hom(args) -> int:
     return 0
 
 
+def _cmd_selftest(args) -> int:
+    return 0 if selftest.run(sys.stdout) else 1
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -227,37 +244,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.verb == "validate":
-            return _cmd_validate(args)
-        if args.verb == "catalog":
-            return _cmd_catalog(args)
-        if args.verb == "sub":
-            return _cmd_enumerate(args, boolean_only=False)
-        if args.verb == "bsub":
-            return _cmd_enumerate(args, boolean_only=True)
-        if args.verb == "blocks":
-            return _cmd_blocks(args)
-        if args.verb == "reconstruct":
-            return _cmd_reconstruct(args)
-        if args.verb == "lift-bsub":
-            return _cmd_lift(args, boolean_only=True)
-        if args.verb == "lift-sub":
-            return _cmd_lift(args, boolean_only=False)
-        if args.verb == "check-sachs":
-            return _cmd_check_sachs(args)
-        if args.verb == "check-determination":
-            return _cmd_check_determination(args)
-        if args.verb == "classify-hom":
-            return _cmd_classify_hom(args)
-        if args.verb == "selftest":
-            return 0 if selftest.run(sys.stdout) else 1
+        return args.func(args)
     except OmlkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled verb {args.verb!r}")
 
 
 def run():

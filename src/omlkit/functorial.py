@@ -19,6 +19,7 @@ from .lattice_core import (
     FiniteOrtholattice,
     Morphism,
     SubalgebraSet,
+    _backtrack,
     boolean_algebra,
     mask_of,
     morphism,
@@ -88,51 +89,30 @@ def enumerate_homs(L: FiniteOrtholattice, M: FiniteOrtholattice) -> list[Morphis
     mapping = [-1] * n
     mapping[0] = 0
     mapping[n - 1] = M.n - 1
-    results: list[Morphism] = []
 
     def consistent(a: int, v: int) -> bool:
-        for c in range(n):
-            w = mapping[c]
+        up_m, ua, da, uv = M.up, L.up[a], L.down[a], M.up[v]
+        meet_a, join_a, meet_v, join_v = L._meet[a], L._join[a], M._meet[v], M._join[v]
+        for c, w in enumerate(mapping):
             if w < 0:
                 continue
-            if L.up[a] >> c & 1 and not M.up[v] >> w & 1:
+            if ua >> c & 1 and not uv >> w & 1 or da >> c & 1 and not up_m[w] >> v & 1:
                 return False
-            if L.up[c] >> a & 1 and not M.up[w] >> v & 1:
+            fm = mapping[meet_a[c]]
+            if fm >= 0 and meet_v[w] != fm:
                 return False
-            fm = mapping[L.meet(a, c)]
-            if fm >= 0 and M.meet(v, w) != fm:
-                return False
-            fj = mapping[L.join(a, c)]
-            if fj >= 0 and M.join(v, w) != fj:
+            fj = mapping[join_a[c]]
+            if fj >= 0 and join_v[w] != fj:
                 return False
         return True
 
-    def search(pos: int):
-        while pos < n and mapping[order[pos]] >= 0:
-            pos += 1
-        if pos == n:
-            try:
-                results.append(morphism(L, M, tuple(mapping)))
-            except NotAMorphism:
-                pass
-            return
-        a = order[pos]
-        ao = L.ortho[a]
-        for v in range(M.n):
-            if not consistent(a, v):
-                continue
-            vo = M.ortho[v]
-            mapping[a] = v
-            if mapping[ao] < 0:
-                if consistent(ao, vo):
-                    mapping[ao] = vo
-                    search(pos + 1)
-                    mapping[ao] = -1
-            elif mapping[ao] == vo:
-                search(pos + 1)
-            mapping[a] = -1
-
-    search(0)
+    results = []
+    for found in _backtrack(order, [range(M.n)] * n, consistent, mapping,
+                            (L.ortho, M.ortho), injective=False):
+        try:
+            results.append(morphism(L, M, tuple(found)))
+        except NotAMorphism:
+            pass
     results.sort(key=lambda f: f.mapping)
     return results
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-import networkx as nx
-
 from .errors import (
     BadOrthocomplement,
     FlavorError,
@@ -69,25 +67,7 @@ class FiniteOrtholattice:
         if n > MAX_ELEMENTS:
             raise SizeCap(f"{n} elements exceed the bit-set cap of {MAX_ELEMENTS}")
         universe = (1 << n) - 1
-        for i, row in enumerate(up):
-            if row & ~universe:
-                raise MalformedInput(f"row {i} mentions elements outside 0..{n - 1}")
-
-        for i in range(n):
-            if not up[i] >> i & 1:
-                raise NotAPartialOrder(f"relation is not reflexive at {i}")
-        for i in range(n):
-            for j in bits(up[i]):
-                if j != i and up[j] >> i & 1:
-                    raise NotAPartialOrder(f"antisymmetry fails on {i}, {j}")
-                if up[j] & ~up[i]:
-                    raise NotAPartialOrder(f"transitivity fails above {i} <= {j}")
-
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        down = tuple(down)
+        down = _order_down(up)
         if up[0] != universe:
             raise NoBoundedLattice("element 0 is not the least element")
         if down[n - 1] != universe:
@@ -97,13 +77,11 @@ class FiniteOrtholattice:
         join = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                common = down[a] & down[b]
-                g = _unique_bound(down, common)
+                g = _unique_bound(down, down[a] & down[b])
                 if g is None:
                     raise NoBoundedLattice(f"elements {a} and {b} have no meet")
                 meet[a][b] = meet[b][a] = g
-                common = up[a] & up[b]
-                g = _unique_bound(up, common)
+                g = _unique_bound(up, up[a] & up[b])
                 if g is None:
                     raise NoBoundedLattice(f"elements {a} and {b} have no join")
                 join[a][b] = join[b][a] = g
@@ -177,39 +155,20 @@ class FiniteOrtholattice:
     @cached_property
     def cover_up(self) -> tuple[int, ...]:
         """cover_up[a] is the bit set of elements covering a."""
-        out = []
-        for a in range(self.n):
-            cov = 0
-            for b in bits(self.up[a] & ~(1 << a)):
-                if self.up[a] & self.down[b] == (1 << a) | (1 << b):
-                    cov |= 1 << b
-            out.append(cov)
-        return tuple(out)
+        return _covers(self.up, self.down)
 
     @cached_property
     def cover_down(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for a in range(self.n):
-            for b in bits(self.cover_up[a]):
-                out[b] |= 1 << a
-        return tuple(out)
+        return _transpose(self.cover_up)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of a longest chain from 0 up to each element."""
-        h = [0] * self.n
-        for e in sorted(range(self.n), key=lambda x: self.down[x].bit_count()):
-            below = self.cover_down[e]
-            h[e] = 1 + max((h[b] for b in bits(below)), default=-1)
-        return tuple(h)
+        return _heights(self.down, self.cover_down)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
-        h = [0] * self.n
-        for e in sorted(range(self.n), key=lambda x: self.up[x].bit_count()):
-            above = self.cover_up[e]
-            h[e] = 1 + max((h[b] for b in bits(above)), default=-1)
-        return tuple(h)
+        return _heights(self.up, self.cover_up)
 
     def atoms(self) -> tuple[int, ...]:
         return tuple(bits(self.cover_up[0]))
@@ -334,23 +293,78 @@ class FiniteOrtholattice:
 
         A block of an orthomodular lattice is exactly a maximal set of
         pairwise commuting elements, so this reduces to maximal-clique
-        enumeration on the commutation graph.
+        enumeration on the commutation graph: Bron-Kerbosch with pivoting
+        (Bron & Kerbosch 1973; Tomita et al. 2006) over bit sets.
         """
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("blocks are defined for orthomodular lattices")
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        for a in range(self.n):
-            g.add_edges_from((a, b) for b in bits(self.commuting[a]) if b > a)
+        nbr = [row & ~(1 << a) for a, row in enumerate(self.commuting)]
         out = []
-        for clique in nx.find_cliques(g):
-            mask = mask_of(clique)
-            if self.closure_mask(mask) != mask or not self.is_boolean(mask):
-                raise Inconsistent(f"maximal commuting set {sorted(clique)} "
-                                   "is not a Boolean subalgebra")
-            out.append(SubalgebraSet(self, mask))
+
+        def expand(clique: int, cand: int, done: int):
+            if not cand | done:
+                if self.closure_mask(clique) != clique or not self.is_boolean(clique):
+                    raise Inconsistent(f"maximal commuting set {list(bits(clique))} "
+                                       "is not a Boolean subalgebra")
+                out.append(SubalgebraSet(self, clique))
+                return
+            pivot = max(bits(cand | done), key=lambda u: (cand & nbr[u]).bit_count())
+            for v in bits(cand & ~nbr[pivot]):
+                expand(clique | 1 << v, cand & nbr[v], done & nbr[v])
+                cand &= ~(1 << v)
+                done |= 1 << v
+
+        expand(0, self.universe, 0)
         out.sort(key=lambda s: s.members)
         return out
+
+
+# -- order core, shared with AbstractPoset ---------------------------------
+
+def _order_down(up: Sequence[int]) -> tuple[int, ...]:
+    """Check that the ``up`` rows are a partial order; return its ``down`` rows."""
+    n = len(up)
+    universe = (1 << n) - 1
+    for i, row in enumerate(up):
+        if row & ~universe:
+            raise MalformedInput(f"row {i} mentions elements outside 0..{n - 1}")
+        if not row >> i & 1:
+            raise NotAPartialOrder(f"relation is not reflexive at {i}")
+    for i in range(n):
+        for j in bits(up[i]):
+            if j != i and up[j] >> i & 1:
+                raise NotAPartialOrder(f"antisymmetry fails on {i}, {j}")
+            if up[j] & ~up[i]:
+                raise NotAPartialOrder(f"transitivity fails above {i} <= {j}")
+    return _transpose(up)
+
+
+def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def _covers(up: Sequence[int], down: Sequence[int]) -> tuple[int, ...]:
+    """Bit b of row a is set when b covers a."""
+    out = []
+    for a, row in enumerate(up):
+        cov = 0
+        for b in bits(row & ~(1 << a)):
+            if row & down[b] == (1 << a) | (1 << b):
+                cov |= 1 << b
+        out.append(cov)
+    return tuple(out)
+
+
+def _heights(down: Sequence[int], cover_down: Sequence[int]) -> tuple[int, ...]:
+    """Length of a longest chain ending at each element (0 for minimal ones)."""
+    h = [0] * len(down)
+    for x in sorted(range(len(down)), key=lambda v: down[v].bit_count()):
+        h[x] = 1 + max((h[y] for y in bits(cover_down[x])), default=-1)
+    return tuple(h)
 
 
 def _unique_bound(cones: Sequence[int], common: int) -> Optional[int]:
@@ -359,6 +373,26 @@ def _unique_bound(cones: Sequence[int], common: int) -> Optional[int]:
         if cones[x] == common:
             return x
     return None
+
+
+def _induced(rows: Sequence[int], mask: int) -> list[int]:
+    """The order induced on ``mask``, renumbered 0..k-1 in ascending order."""
+    local = {g: 1 << i for i, g in enumerate(bits(mask))}
+    out = []
+    for g in local:
+        row = 0
+        for h in bits(rows[g] & mask):
+            row |= local[h]
+        out.append(row)
+    return out
+
+
+def _permuted(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
+    """Rows of the same order with element i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = mask_of(perm[j] for j in bits(row))
+    return out
 
 
 @dataclass(frozen=True)
@@ -492,70 +526,99 @@ def isomorphisms(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Iterator[Morph
     for the complement).  Deterministic: elements are processed in a fixed
     order and candidates tried ascending.
     """
-    n = L.n
-    if n != M.n or L.flavor != M.flavor:
+    if L.n != M.n or L.flavor != M.flavor:
         return
-    sig_l = _iso_signatures(L)
-    sig_m = _iso_signatures(M)
-    if sorted(sig_l) != sorted(sig_m):
-        return
-    candidates = [[b for b in range(n) if sig_m[b] == sig_l[a]] for a in range(n)]
-    order = sorted(range(n), key=lambda a: (len(candidates[a]), a))
-    mapping = [-1] * n
-    used = [False] * n
+    for mapping in _order_isos(L, M, _iso_signatures(L), _iso_signatures(M),
+                               (L.ortho, M.ortho)):
+        yield morphism(L, M, tuple(mapping))
 
-    def consistent(a: int, b: int) -> bool:
-        for c in range(n):
-            d = mapping[c]
-            if d < 0:
-                continue
-            if bool(L.up[a] >> c & 1) != bool(M.up[b] >> d & 1):
-                return False
-            if bool(L.up[c] >> a & 1) != bool(M.up[d] >> b & 1):
+
+def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterator[list[int]]:
+    """Bijections between two orders (``up``/``down`` rows) that preserve
+    and reflect it and map each element to one with an equal signature.
+
+    Elements with the fewest candidates go first.  Yields the live mapping.
+    """
+    if sorted(sig_src) != sorted(sig_tgt):
+        return iter(())
+    n = len(sig_src)
+    candidates = [[y for y in range(n) if sig_tgt[y] == sig_src[x]] for x in range(n)]
+    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
+    mapping = [-1] * n
+    up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
+
+    def consistent(x: int, y: int) -> bool:
+        ux, dx, uy, dy = up_s[x], down_s[x], up_t[y], down_t[y]
+        for c, d in enumerate(mapping):
+            if d >= 0 and (ux >> c & 1 != uy >> d & 1 or dx >> c & 1 != dy >> d & 1):
                 return False
         return True
 
-    def place(a: int, b: int) -> bool:
-        if not consistent(a, b):
+    return _backtrack(order, candidates, consistent, mapping, partner)
+
+
+def _backtrack(order: Sequence[int], candidates: Sequence[Iterable[int]], consistent,
+               mapping: list[int], partner=None, injective: bool = True) -> Iterator[list[int]]:
+    """Every completion of ``mapping`` (-1 marks an unmapped element).
+
+    The one backtracking search behind the isomorphism and homomorphism
+    enumerators.  It takes the next unmapped element a in ``order`` and
+    tries each b of ``candidates[a]`` in turn, keeping a -> b when
+    ``consistent(a, b)`` holds for the assignments made so far (and b is
+    unused, if ``injective``).  ``partner = (src, tgt)`` forces
+    src[a] -> tgt[b] along with a -> b, checked the same way; the
+    orthocomplements on both sides are the partners.  Iterative, so the
+    depth is not bounded by the recursion limit.  Yields the live
+    ``mapping`` list at each complete assignment.
+    """
+    used = {v for v in mapping if v >= 0}
+
+    def place(a: int, b: int, placed: list[int]) -> bool:
+        if injective and b in used or not consistent(a, b):
             return False
         mapping[a] = b
-        used[b] = True
-        return True
+        used.add(b)
+        placed.append(a)
+        if partner is None:
+            return True
+        ao, bo = partner[0][a], partner[1][b]
+        if mapping[ao] < 0:
+            return place(ao, bo, placed)
+        return mapping[ao] == bo
 
-    def unplace(a: int):
-        used[mapping[a]] = False
-        mapping[a] = -1
+    def undo(placed: list[int]):
+        while placed:
+            a = placed.pop()
+            used.discard(mapping[a])
+            mapping[a] = -1
 
-    def search(pos: int):
-        while pos < n and mapping[order[pos]] >= 0:
+    def next_free(pos: int) -> int:
+        while pos < len(order) and mapping[order[pos]] >= 0:
             pos += 1
-        if pos == n:
-            yield morphism(L, M, tuple(mapping))
-            return
-        a = order[pos]
-        ao = L.ortho[a]
-        for b in candidates[a]:
-            if used[b]:
-                continue
-            if not place(a, b):
-                continue
-            bo = M.ortho[b]
-            forced = False
-            if mapping[ao] < 0:
-                if not used[bo] and place(ao, bo):
-                    forced = True
-                else:
-                    unplace(a)
-                    continue
-            elif mapping[ao] != bo:
-                unplace(a)
-                continue
-            yield from search(pos + 1)
-            if forced:
-                unplace(ao)
-            unplace(a)
+        return pos
 
-    yield from search(0)
+    pos = next_free(0)
+    if pos == len(order):
+        yield mapping
+        return
+    # one frame per element being tried: its position in ``order``, the
+    # candidates left, and the elements its current choice has placed
+    stack = [(pos, iter(candidates[order[pos]]), [])]
+    while stack:
+        pos, tries, placed = stack[-1]
+        undo(placed)
+        for b in tries:
+            if place(order[pos], b, placed):
+                break
+            undo(placed)
+        else:
+            stack.pop()
+            continue
+        nxt = next_free(pos + 1)
+        if nxt == len(order):
+            yield mapping
+        else:
+            stack.append((nxt, iter(candidates[order[nxt]]), []))
 
 
 def find_isomorphism(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Optional[Morphism]:
@@ -788,15 +851,10 @@ def relabel(L: FiniteOrtholattice, perm: Sequence[int],
         raise MalformedInput("relabeling is not a permutation")
     if perm[0] != 0 or perm[L.n - 1] != L.n - 1:
         raise MalformedInput("relabeling must fix the bounds 0 and n-1")
-    up = [0] * L.n
     ortho = [0] * L.n
     for i in range(L.n):
-        row = 0
-        for j in bits(L.up[i]):
-            row |= 1 << perm[j]
-        up[perm[i]] = row
         ortho[perm[i]] = perm[L.ortho[i]]
-    return FiniteOrtholattice(up, ortho, name)
+    return FiniteOrtholattice(_permuted(L.up, perm), ortho, name)
 
 
 def sublattice(L: FiniteOrtholattice, members) -> tuple[FiniteOrtholattice, tuple[int, ...]]:
@@ -810,14 +868,6 @@ def sublattice(L: FiniteOrtholattice, members) -> tuple[FiniteOrtholattice, tupl
     if L.closure_mask(mask) != mask:
         raise MalformedInput("element set is not a closed subalgebra")
     backmap = tuple(bits(mask))
-    local = {g: i for i, g in enumerate(backmap)}
-    k = len(backmap)
-    up = [0] * k
-    ortho = [0] * k
-    for i, g in enumerate(backmap):
-        row = 0
-        for h in bits(L.up[g] & mask):
-            row |= 1 << local[h]
-        up[i] = row
-        ortho[i] = local[L.ortho[g]]
-    return FiniteOrtholattice(up, ortho), backmap
+    # the local index of an element is the number of members below it
+    ortho = [(mask & (1 << L.ortho[g]) - 1).bit_count() for g in backmap]
+    return FiniteOrtholattice(_induced(L.up, mask), ortho), backmap

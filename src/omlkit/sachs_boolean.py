@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from sympy.utilities.iterables import multiset_partitions
-
 from .errors import Inconsistent, MalformedInput, NotAMorphism, NotBoolean
 from .lattice_core import (
     FiniteOrtholattice,
@@ -226,9 +224,13 @@ def partition_lattice(n: int) -> tuple[AbstractPoset, tuple[Partition, ...]]:
     """
     if n < 1:
         raise MalformedInput("partition lattice needs n >= 1")
-    parts = sorted(
-        (Partition.of(blocks) for blocks in multiset_partitions(list(range(1, n + 1)))),
-        key=lambda p: p.blocks)
+    # restricted growth (Knuth, TAOCP 4A, 7.2.1.5): element i joins one of
+    # the blocks so far or opens a new one, so blocks stay in canonical order
+    blockings = [()]
+    for i in range(1, n + 1):
+        blockings = [b[:k] + (b[k] + (i,),) + b[k + 1:] if k < len(b) else b + ((i,),)
+                     for b in blockings for k in range(len(b) + 1)]
+    parts = sorted((Partition(b) for b in blockings), key=lambda p: p.blocks)
     rows = []
     for p in parts:
         row = 0

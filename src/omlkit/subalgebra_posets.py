@@ -22,7 +22,19 @@ from .errors import (
     NotAPartialOrder,
     Unsupported,
 )
-from .lattice_core import FiniteOrtholattice, SubalgebraSet, bits
+from .lattice_core import (
+    FiniteOrtholattice,
+    SubalgebraSet,
+    _covers,
+    _heights,
+    _induced,
+    _order_down,
+    _order_isos,
+    _permuted,
+    _transpose,
+    _unique_bound,
+    bits,
+)
 
 DEFAULT_NODE_CAP = 100000
 NODE_CAP_ENV = "OMLKIT_NODE_CAP"
@@ -36,27 +48,9 @@ class AbstractPoset:
     """A bare finite partial order on 0..size-1, rows as bit sets."""
 
     def __init__(self, up: Sequence[int]):
-        up = tuple(up)
-        n = len(up)
-        universe = (1 << n) - 1
-        for i, row in enumerate(up):
-            if row & ~universe:
-                raise MalformedInput(f"row {i} mentions nodes outside 0..{n - 1}")
-            if not row >> i & 1:
-                raise NotAPartialOrder(f"relation is not reflexive at {i}")
-        for i in range(n):
-            for j in bits(up[i]):
-                if j != i and up[j] >> i & 1:
-                    raise NotAPartialOrder(f"antisymmetry fails on {i}, {j}")
-                if up[j] & ~up[i]:
-                    raise NotAPartialOrder(f"transitivity fails above {i} <= {j}")
-        down = [0] * n
-        for i in range(n):
-            for j in bits(up[i]):
-                down[j] |= 1 << i
-        self.size = n
-        self.up = up
-        self.down = tuple(down)
+        self.up = tuple(up)
+        self.size = len(self.up)
+        self.down = _order_down(self.up)
 
     @classmethod
     def from_pairs(cls, size: int, pairs) -> "AbstractPoset":
@@ -96,44 +90,22 @@ class AbstractPoset:
 
     @cached_property
     def cover_up(self) -> tuple[int, ...]:
-        out = []
-        for x in range(self.size):
-            cov = 0
-            for y in bits(self.up[x] & ~(1 << x)):
-                if self.up[x] & self.down[y] == (1 << x) | (1 << y):
-                    cov |= 1 << y
-            out.append(cov)
-        return tuple(out)
+        return _covers(self.up, self.down)
 
     @cached_property
     def cover_down(self) -> tuple[int, ...]:
-        out = [0] * self.size
-        for x in range(self.size):
-            for y in bits(self.cover_up[x]):
-                out[y] |= 1 << x
-        return tuple(out)
+        return _transpose(self.cover_up)
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
         """Longest chain length ending at each node (0 for minimal nodes)."""
-        h = [0] * self.size
-        for x in sorted(range(self.size), key=lambda v: self.down[v].bit_count()):
-            h[x] = 1 + max((h[y] for y in bits(self.cover_down[x])), default=-1)
-        return tuple(h)
+        return _heights(self.down, self.cover_down)
 
     def bottom(self) -> Optional[int]:
-        universe = (1 << self.size) - 1
-        for x in range(self.size):
-            if self.up[x] == universe:
-                return x
-        return None
+        return _unique_bound(self.up, (1 << self.size) - 1)
 
     def top(self) -> Optional[int]:
-        universe = (1 << self.size) - 1
-        for x in range(self.size):
-            if self.down[x] == universe:
-                return x
-        return None
+        return _unique_bound(self.down, (1 << self.size) - 1)
 
     def atoms(self) -> tuple[int, ...]:
         b = self.bottom()
@@ -148,18 +120,10 @@ class AbstractPoset:
         return tuple(bits(self.cover_up[x]))
 
     def join(self, x: int, y: int) -> Optional[int]:
-        common = self.up[x] & self.up[y]
-        for z in bits(common):
-            if self.up[z] == common:
-                return z
-        return None
+        return _unique_bound(self.up, self.up[x] & self.up[y])
 
     def meet(self, x: int, y: int) -> Optional[int]:
-        common = self.down[x] & self.down[y]
-        for z in bits(common):
-            if self.down[z] == common:
-                return z
-        return None
+        return _unique_bound(self.down, self.down[x] & self.down[y])
 
     def height(self, x: int) -> int:
         """One less than the size of a maximal chain from the bottom to x."""
@@ -173,15 +137,7 @@ class AbstractPoset:
         Returns (poset, support) where support[i] is the original node of
         relabeled node i.
         """
-        support = tuple(bits(self.down[x]))
-        local = {g: i for i, g in enumerate(support)}
-        rows = []
-        for g in support:
-            row = 0
-            for h in bits(self.up[g] & self.down[x]):
-                row |= 1 << local[h]
-            rows.append(row)
-        return AbstractPoset(rows), support
+        return AbstractPoset(_induced(self.up, self.down[x])), tuple(bits(self.down[x]))
 
     def dual(self) -> "AbstractPoset":
         return AbstractPoset(self.down)
@@ -190,13 +146,7 @@ class AbstractPoset:
         perm = tuple(perm)
         if sorted(perm) != list(range(self.size)):
             raise MalformedInput("relabeling is not a permutation")
-        rows = [0] * self.size
-        for i in range(self.size):
-            row = 0
-            for j in bits(self.up[i]):
-                row |= 1 << perm[j]
-            rows[perm[i]] = row
-        return AbstractPoset(rows)
+        return AbstractPoset(_permuted(self.up, perm))
 
     def as_abstract(self) -> "AbstractPoset":
         """A plain copy with any subalgebra decoration dropped."""
@@ -379,44 +329,10 @@ def poset_isomorphisms(P: AbstractPoset, Q: AbstractPoset) -> Iterator[tuple[int
     """
     if max(P.size, Q.size) > POSET_ISO_CAP:
         raise Unsupported(f"poset isomorphism search capped at {POSET_ISO_CAP} nodes")
-    n = P.size
-    if n != Q.size:
+    if P.size != Q.size:
         return
-    sig_p = _poset_signatures(P)
-    sig_q = _poset_signatures(Q)
-    if sorted(sig_p) != sorted(sig_q):
-        return
-    candidates = [[y for y in range(n) if sig_q[y] == sig_p[x]] for x in range(n)]
-    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def search(pos: int):
-        if pos == n:
-            yield tuple(mapping)
-            return
-        x = order[pos]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            ok = True
-            for c in range(n):
-                d = mapping[c]
-                if d < 0:
-                    continue
-                if bool(P.up[x] >> c & 1) != bool(Q.up[y] >> d & 1) or \
-                   bool(P.up[c] >> x & 1) != bool(Q.up[d] >> y & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[x] = y
-            used[y] = True
-            yield from search(pos + 1)
-            mapping[x] = -1
-            used[y] = False
-
-    yield from search(0)
+    for mapping in _order_isos(P, Q, _poset_signatures(P), _poset_signatures(Q)):
+        yield tuple(mapping)
 
 
 def poset_isomorphic(P: AbstractPoset, Q: AbstractPoset) -> Optional[tuple[int, ...]]:

@@ -1,4 +1,4 @@
-"""Earlier enumeration algorithms, kept as test oracles for Close-by-One.
+"""Earlier algorithms, kept as test oracles for their replacements.
 
 ``frontier_subalgebras`` is the breadth-first frontier search that listed
 Sub(L) and BSub(L) before Close-by-One: extend every known subalgebra by
@@ -6,9 +6,15 @@ each missing element, close from scratch, dedup by bit set.
 ``subset_scan_orthoclosed`` is the exhaustive 2^points scan for the
 orthoclosed sets of a frame.  Both are slow and obviously complete, which
 is what an oracle should be.
+
+``legacy_isomorphisms``, ``legacy_poset_isomorphisms`` and
+``legacy_enumerate_homs`` are the three hand-written backtracking searches
+that one shared search replaced; the new ones must yield the same maps in
+the same order.
 """
 
-from omlkit.lattice_core import bits
+from omlkit.errors import NotAMorphism
+from omlkit.lattice_core import bits, morphism
 
 
 def _close_from_scratch(L, mask):
@@ -85,3 +91,190 @@ def subset_scan_orthoclosed(frame):
         up.append(row)
     ortho = tuple(index[perp_of(s)] for s in closed)
     return closed, tuple(up), ortho
+
+
+def _iso_signatures(L):
+    sig = []
+    for a in range(L.n):
+        o = L.ortho[a]
+        sig.append((
+            L.down[a].bit_count(), L.up[a].bit_count(),
+            L.heights[a], L.depths[a],
+            L.cover_up[a].bit_count(), L.cover_down[a].bit_count(),
+            L.down[o].bit_count(), L.cover_up[o].bit_count(),
+        ))
+    return sig
+
+
+def legacy_isomorphisms(L, M):
+    """All isomorphisms L -> M, as the old lattice search listed them."""
+    n = L.n
+    if n != M.n or L.flavor != M.flavor:
+        return
+    sig_l = _iso_signatures(L)
+    sig_m = _iso_signatures(M)
+    if sorted(sig_l) != sorted(sig_m):
+        return
+    candidates = [[b for b in range(n) if sig_m[b] == sig_l[a]] for a in range(n)]
+    order = sorted(range(n), key=lambda a: (len(candidates[a]), a))
+    mapping = [-1] * n
+    used = [False] * n
+
+    def consistent(a, b):
+        for c in range(n):
+            d = mapping[c]
+            if d < 0:
+                continue
+            if bool(L.up[a] >> c & 1) != bool(M.up[b] >> d & 1):
+                return False
+            if bool(L.up[c] >> a & 1) != bool(M.up[d] >> b & 1):
+                return False
+        return True
+
+    def place(a, b):
+        if not consistent(a, b):
+            return False
+        mapping[a] = b
+        used[b] = True
+        return True
+
+    def unplace(a):
+        used[mapping[a]] = False
+        mapping[a] = -1
+
+    def search(pos):
+        while pos < n and mapping[order[pos]] >= 0:
+            pos += 1
+        if pos == n:
+            yield morphism(L, M, tuple(mapping))
+            return
+        a = order[pos]
+        ao = L.ortho[a]
+        for b in candidates[a]:
+            if used[b]:
+                continue
+            if not place(a, b):
+                continue
+            bo = M.ortho[b]
+            forced = False
+            if mapping[ao] < 0:
+                if not used[bo] and place(ao, bo):
+                    forced = True
+                else:
+                    unplace(a)
+                    continue
+            elif mapping[ao] != bo:
+                unplace(a)
+                continue
+            yield from search(pos + 1)
+            if forced:
+                unplace(ao)
+            unplace(a)
+
+    yield from search(0)
+
+
+def _poset_signatures(P):
+    return [(
+        P.down[x].bit_count(), P.up[x].bit_count(),
+        P.heights[x],
+        P.cover_up[x].bit_count(), P.cover_down[x].bit_count(),
+    ) for x in range(P.size)]
+
+
+def legacy_poset_isomorphisms(P, Q):
+    """All order isomorphisms P -> Q, as the old poset search listed them."""
+    n = P.size
+    if n != Q.size:
+        return
+    sig_p = _poset_signatures(P)
+    sig_q = _poset_signatures(Q)
+    if sorted(sig_p) != sorted(sig_q):
+        return
+    candidates = [[y for y in range(n) if sig_q[y] == sig_p[x]] for x in range(n)]
+    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
+    mapping = [-1] * n
+    used = [False] * n
+
+    def search(pos):
+        if pos == n:
+            yield tuple(mapping)
+            return
+        x = order[pos]
+        for y in candidates[x]:
+            if used[y]:
+                continue
+            ok = True
+            for c in range(n):
+                d = mapping[c]
+                if d < 0:
+                    continue
+                if bool(P.up[x] >> c & 1) != bool(Q.up[y] >> d & 1) or \
+                   bool(P.up[c] >> x & 1) != bool(Q.up[d] >> y & 1):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[x] = y
+            used[y] = True
+            yield from search(pos + 1)
+            mapping[x] = -1
+            used[y] = False
+
+    yield from search(0)
+
+
+def legacy_enumerate_homs(L, M):
+    """All homomorphisms L -> M sorted by mapping, as the old search found them."""
+    n = L.n
+    order = sorted(range(n), key=lambda a: (L.down[a].bit_count(), a))
+    mapping = [-1] * n
+    mapping[0] = 0
+    mapping[n - 1] = M.n - 1
+    results = []
+
+    def consistent(a, v):
+        for c in range(n):
+            w = mapping[c]
+            if w < 0:
+                continue
+            if L.up[a] >> c & 1 and not M.up[v] >> w & 1:
+                return False
+            if L.up[c] >> a & 1 and not M.up[w] >> v & 1:
+                return False
+            fm = mapping[L.meet(a, c)]
+            if fm >= 0 and M.meet(v, w) != fm:
+                return False
+            fj = mapping[L.join(a, c)]
+            if fj >= 0 and M.join(v, w) != fj:
+                return False
+        return True
+
+    def search(pos):
+        while pos < n and mapping[order[pos]] >= 0:
+            pos += 1
+        if pos == n:
+            try:
+                results.append(morphism(L, M, tuple(mapping)))
+            except NotAMorphism:
+                pass
+            return
+        a = order[pos]
+        ao = L.ortho[a]
+        for v in range(M.n):
+            if not consistent(a, v):
+                continue
+            vo = M.ortho[v]
+            mapping[a] = v
+            if mapping[ao] < 0:
+                if consistent(ao, vo):
+                    mapping[ao] = vo
+                    search(pos + 1)
+                    mapping[ao] = -1
+            elif mapping[ao] == vo:
+                search(pos + 1)
+            mapping[a] = -1
+
+    search(0)
+    results.sort(key=lambda f: f.mapping)
+    return results

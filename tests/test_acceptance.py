@@ -4,6 +4,9 @@ Each criterion prints its own PASS line (visible with `pytest -s` or through
 `omlkit selftest`, which runs the identical checks).
 """
 
+import subprocess
+import sys
+
 import pytest
 
 from omlkit import selftest
@@ -23,3 +26,18 @@ def test_selftest_runner_is_green():
     text = stream.getvalue()
     assert text.count("PASS") == len(selftest.CHECKS)
     assert "FAIL" not in text
+
+
+def test_selftest_still_fails_under_python_O(subprocess_env):
+    # -O strips assert statements; a broken reconstruction must still FAIL
+    code = ("import sys\n"
+            "from omlkit import catalog, selftest\n"
+            "selftest.reconstruct = lambda poset, name=None: catalog('2^2')\n"
+            "print('debug', __debug__)\n"
+            "print('result', selftest.run(sys.stdout))\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=subprocess_env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "debug False" in out
+    assert "FAIL reconstruction-round-trip: 2^3: size 4 != 8" in out
+    assert "PASS two-block-bsub-shape" in out
+    assert out.rstrip().endswith("result False")

@@ -1,7 +1,10 @@
 """File formats round-trip byte for byte; CLI verbs compose and exit right."""
 
+import argparse
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -18,7 +21,7 @@ from omlkit import (
     sub,
 )
 from omlkit import fileio
-from omlkit.cli import main
+from omlkit.cli import build_parser, main
 from omlkit.lattice_core import validate
 
 
@@ -248,3 +251,34 @@ def test_cli_selftest(capsys):
     code, out, _ = run_cli(capsys, "selftest")
     assert code == 0
     assert out.count("PASS") == 10 and "FAIL" not in out
+
+
+def test_every_verb_resolves_to_a_handler():
+    parser = build_parser()
+    verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(verbs.choices) == 12
+    for name, verb in verbs.choices.items():
+        assert callable(verb.get_default("func")), name
+
+
+def test_cli_runs_on_the_standard_library_alone(tmp_path, subprocess_env):
+    # the child refuses every import outside the standard library and omlkit
+    code = ("import sys\n"
+            "class StdlibOnly:\n"
+            "    def find_spec(name, path=None, target=None):\n"
+            "        top = name.partition('.')[0]\n"
+            "        if top != 'omlkit' and top not in sys.stdlib_module_names:\n"
+            "            raise ImportError(f'{name} is not in the standard library')\n"
+            "sys.meta_path.insert(0, StdlibOnly)\n"
+            "from omlkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    path = tmp_path / "mo2.json"
+    path.write_text(fileio.dump_lattice(mo(2)))
+    for argv, expected in ((["selftest"], None),
+                           (["sub", str(path)], fileio.dump_poset(sub(mo(2)))),
+                           (["blocks", str(path)], "{0,1,2,5}\n{0,3,4,5}\n")):
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=subprocess_env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        if expected is not None:
+            assert result.stdout == expected

@@ -1,6 +1,7 @@
 """Core lattice validation, operations, and the brute-force iso oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from omlkit import (
     automorphisms,
     benzene,
     boolean_algebra,
+    bsub,
     catalog,
     example22,
     find_isomorphism,
@@ -225,6 +227,26 @@ def test_blocks_cover_and_are_closed():
 def test_blocks_need_orthomodular():
     with pytest.raises(FlavorError):
         benzene().blocks()
+
+
+BLOCK_ORACLE_LATTICES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
+                         "MO2x2", "example22", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)",
+                         "hsum(2^5,2^5)"]
+
+
+@pytest.mark.parametrize("name", BLOCK_ORACLE_LATTICES)
+def test_blocks_are_the_maximal_bsub_nodes(name):
+    # BSub comes from Close-by-One, independently of the clique search
+    base = catalog(name)
+    for seed in (None, 1, 2, 3):
+        L = base
+        if seed is not None:
+            inner = list(range(1, base.n - 1))
+            random.Random(seed).shuffle(inner)
+            L = relabel(base, [0, *inner, base.n - 1])
+        p = bsub(L)
+        maximal = sorted(p.nodes[x].members for x in p.maximal_elements())
+        assert [b.members for b in L.blocks()] == maximal
 
 
 def test_find_isomorphism_examples():

@@ -3,7 +3,6 @@
 import itertools
 
 import pytest
-import sympy
 
 from omlkit import (
     MalformedInput,
@@ -141,14 +140,44 @@ def test_partition_map_is_order_reversing():
             assert finer == (x.members & ~y.members == 0)
 
 
+# Bell numbers (OEIS A000110) and Stirling numbers of the second kind
+# S(n, k) for k = 1..n (OEIS A008277)
+BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203}
+STIRLING2 = {
+    1: (1,),
+    2: (1, 1),
+    3: (1, 3, 1),
+    4: (1, 7, 6, 1),
+    5: (1, 15, 25, 10, 1),
+    6: (1, 31, 90, 65, 15, 1),
+}
+
+
 def test_partition_lattice_sizes():
-    for k in (1, 2, 3, 4, 5):
+    for k in (1, 2, 3, 4, 5, 6):
         lattice, parts = partition_lattice(k)
-        assert lattice.size == len(parts) == int(sympy.bell(k))
+        assert lattice.size == len(parts) == BELL[k]
     lattice, parts = partition_lattice(3)
     assert str(parts[0]) == "1|2|3"          # singletons at the bottom
     assert lattice.bottom() == 0
     assert str(parts[lattice.top()]) == "123"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partition_lattice_rank_profile_is_stirling(n):
+    lattice, parts = partition_lattice(n)
+    assert len(set(parts)) == len(parts)
+    for p in parts:
+        members = [i for blk in p.blocks for i in blk]
+        assert sorted(members) == list(range(1, n + 1))
+        assert p == Partition.of(p.blocks)
+    # a partition with k blocks sits at height n - k, finest at the bottom
+    assert [lattice.heights[i] for i in range(lattice.size)] == [n - len(p) for p in parts]
+    by_blocks = [sum(1 for p in parts if len(p) == k) for k in range(1, n + 1)]
+    assert tuple(by_blocks) == STIRLING2[n]
+    for i, p in enumerate(parts):
+        for j, q in enumerate(parts):
+            assert lattice.leq(i, j) == p.refines(q)
 
 
 def test_sub_dually_isomorphic_to_partition_lattice():
