@@ -86,6 +86,7 @@ from .reconstruction import (
 from .iso_lifting import (
     DeterminationReport,
     PosetIso,
+    boolean_nodes,
     induced_node_map,
     lift_bsub_iso,
     lift_sub_iso,

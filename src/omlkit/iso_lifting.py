@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -178,24 +179,88 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     return out
 
 
+@lru_cache(maxsize=None)
+def _stirling_row(k: int) -> tuple[int, ...]:
+    """(S(k,1), ..., S(k,k)), Stirling numbers of the second kind."""
+    row = (1,)  # S(0,0)
+    for n in range(1, k + 1):
+        prev = row + (0,)
+        row = tuple(j * prev[j] + (prev[j - 1] if j else 0) for j in range(n + 1))
+    return row[1:]
+
+
+@lru_cache(maxsize=None)
+def _partition_dual(k: int) -> AbstractPoset:
+    """The dual of the partition lattice on k points, the shape of Sub(2^k)."""
+    return sachs_boolean.partition_lattice(k)[0].dual()
+
+
+def _boolean_rank(sub_l: SubalgebraPoset, x: int) -> Optional[int]:
+    """The k for which the interval below x could be Sub(2^k), else None.
+
+    Reads necessary invariants of the dual partition lattice off sub_l's own
+    rows, without building the interval: it has 2^(k-1) - 1 atoms,
+    Bell(k) nodes, its top at height k-1, and S(k, h+1) nodes at each
+    height h.  Heights in sub_l are heights in the interval, since the
+    interval is a down-set with a least element.
+    """
+    dx = sub_l.down[x]
+    bottom = next((y for y in bits(dx) if sub_l.up[y] & dx == dx), None)
+    if bottom is None:
+        raise NoLeastElement(f"the interval below node {x} has no least element")
+    a = (sub_l.cover_up[bottom] & dx).bit_count()
+    if (a + 1) & a:
+        return None  # atom count + 1 must be a power of two
+    k = (a + 1).bit_length()
+    heights = sub_l.heights
+    stirling = _stirling_row(k)
+    if heights[x] != k - 1 or dx.bit_count() != sum(stirling):
+        return None
+    profile = [0] * k
+    for y in bits(dx):
+        profile[heights[y]] += 1
+    return k if tuple(profile) == stirling else None
+
+
 def recognize_boolean_node(sub_l: SubalgebraPoset, x: int) -> bool:
     """Order-theoretic Boolean recognition inside a full subalgebra lattice.
 
-    The interval below a Boolean node is the subalgebra lattice of a Boolean
-    algebra, hence dual to a partition lattice; the candidate atom count
-    comes from counting interval atoms (a Boolean algebra with 2^k elements
-    has 2^(k-1) - 1 atoms in its subalgebra lattice).
+    The interval below a Boolean node with 2^k elements is the subalgebra
+    lattice of 2^k, dual to the partition lattice on k points; k comes from
+    the interval's atom count (2^(k-1) - 1 of them).  Nodes failing the
+    cheap invariants of ``_boolean_rank`` (atom count, Bell(k) nodes,
+    height k-1, Stirling rank profile) are rejected from sub_l's rows
+    alone; only the survivors get their interval built and searched for an
+    isomorphism to the dual partition lattice, which is built once per k.
+    The invariants only filter: the search decides.
     """
+    k = _boolean_rank(sub_l, x)
+    if k is None:
+        return False
     interval, _ = sub_l.interval_below(x)
-    bottom = interval.bottom()
-    if bottom is None:
-        raise NoLeastElement(f"the interval below node {x} has no least element")
-    a = len(tuple(bits(interval.cover_up[bottom])))
-    if (a + 1) & a:
-        return False  # atom count + 1 must be a power of two
-    k = (a + 1).bit_length()
-    lattice, _ = sachs_boolean.partition_lattice(k)
-    return poset_isomorphic(interval, lattice.dual()) is not None
+    return poset_isomorphic(interval, _partition_dual(k)) is not None
+
+
+def boolean_nodes(sub_l: SubalgebraPoset) -> list[int]:
+    """The nodes ``recognize_boolean_node`` accepts, ascending.
+
+    Walks the nodes bottom-up, in a linear extension (fewest nodes below
+    first).  Acceptance is closed downward, as every interval below a node
+    of the dual partition lattice is again one (in Sub(L): every subalgebra
+    of a Boolean algebra is Boolean), so a node with a rejected node below
+    it is rejected untested.  The recognizer runs only on nodes that also
+    pass the invariants of ``_boolean_rank``.
+    """
+    down = sub_l.down
+    rejected = 0
+    found = []
+    for x in sorted(range(sub_l.size), key=lambda v: down[v].bit_count()):
+        if (down[x] & rejected or _boolean_rank(sub_l, x) is None
+                or not recognize_boolean_node(sub_l, x)):
+            rejected |= 1 << x
+        else:
+            found.append(x)
+    return sorted(found)
 
 
 def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
@@ -204,20 +269,20 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
                  canonical_only: bool = False) -> list[Morphism]:
     """Lift a Sub(L) -> Sub(M) lattice isomorphism to lattice isomorphisms.
 
-    Boolean nodes are recognized order-theoretically on both sides; the map
-    must restrict to a bijection between them (else RestrictionMismatch),
-    and the restriction is lifted.  Every returned morphism realizes phi on
-    all subalgebras, Boolean or not.
+    Boolean nodes are recognized order-theoretically on both sides with
+    ``boolean_nodes`` (a bottom-up walk).  Each recognized set is
+    cross-checked against the enumerated BSub, and the map must restrict to
+    a bijection between them; either failure raises RestrictionMismatch.
+    The restriction is lifted.  Every returned morphism realizes phi on all
+    subalgebras, Boolean or not.
     """
     if sub_l is None:
         sub_l = enumerate_subalgebras(L)
     if sub_m is None:
         sub_m = enumerate_subalgebras(M)
     phi = check_order_iso(_as_mapping(phi), sub_l, sub_m)
-    bool_l = [i for i in range(sub_l.size) if recognize_boolean_node(sub_l, i)]
-    bool_m = [i for i in range(sub_m.size) if recognize_boolean_node(sub_m, i)]
-    if sorted(phi[i] for i in bool_l) != bool_m:
-        raise RestrictionMismatch("recognized Boolean nodes do not correspond")
+    bool_l = boolean_nodes(sub_l)
+    bool_m = boolean_nodes(sub_m)
 
     bsub_l = enumerate_subalgebras(L, boolean_only=True)
     bsub_m = enumerate_subalgebras(M, boolean_only=True)
@@ -226,6 +291,8 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         if [sub_x.nodes[i].members for i in bool_x] != [n.members for n in bsub_x.nodes]:
             raise RestrictionMismatch(
                 f"recognized Boolean nodes of the {side} differ from its enumerated BSub")
+    if sorted(phi[i] for i in bool_l) != bool_m:
+        raise RestrictionMismatch("recognized Boolean nodes do not correspond")
     restricted = tuple(
         bsub_m.node_index(sub_m.nodes[phi[i]].members) for i in bool_l)
     out = lift_bsub_iso(L, M, restricted, bsub_l, bsub_m,

@@ -140,6 +140,11 @@ class FiniteOrtholattice:
     def is_orthomodular(self) -> bool:
         return self.flavor == ORTHOMODULAR
 
+    @cached_property
+    def is_boolean_algebra(self) -> bool:
+        """Whether the whole lattice is a Boolean algebra (checked once)."""
+        return self.flavor == ORTHOMODULAR and self.is_boolean(self.universe)
+
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
 

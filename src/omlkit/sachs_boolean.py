@@ -18,7 +18,6 @@ from .errors import Inconsistent, MalformedInput, NotAMorphism, NotBoolean
 from .lattice_core import (
     FiniteOrtholattice,
     Morphism,
-    ORTHOMODULAR,
     SubalgebraSet,
     bits,
     morphism,
@@ -32,7 +31,7 @@ from .subalgebra_posets import (
 
 
 def is_boolean_algebra(L: FiniteOrtholattice) -> bool:
-    return L.flavor == ORTHOMODULAR and L.is_boolean(L.universe)
+    return L.is_boolean_algebra
 
 
 def _require_boolean(B: FiniteOrtholattice):

@@ -11,10 +11,16 @@ is what an oracle should be.
 ``legacy_enumerate_homs`` are the three hand-written backtracking searches
 that one shared search replaced; the new ones must yield the same maps in
 the same order.
+
+``legacy_recognize_boolean_node`` is the Boolean-node recognizer that built
+the interval and a fresh partition lattice for every node, with no cheap
+invariants in front of the isomorphism search.
 """
 
-from omlkit.errors import NotAMorphism
+from omlkit import sachs_boolean
+from omlkit.errors import NoLeastElement, NotAMorphism
 from omlkit.lattice_core import bits, morphism
+from omlkit.subalgebra_posets import poset_isomorphic
 
 
 def _close_from_scratch(L, mask):
@@ -278,3 +284,23 @@ def legacy_enumerate_homs(L, M):
     search(0)
     results.sort(key=lambda f: f.mapping)
     return results
+
+
+def legacy_recognize_boolean_node(sub_l, x):
+    """Order-theoretic Boolean recognition inside a full subalgebra lattice.
+
+    The interval below a Boolean node is the subalgebra lattice of a Boolean
+    algebra, hence dual to a partition lattice; the candidate atom count
+    comes from counting interval atoms (a Boolean algebra with 2^k elements
+    has 2^(k-1) - 1 atoms in its subalgebra lattice).
+    """
+    interval, _ = sub_l.interval_below(x)
+    bottom = interval.bottom()
+    if bottom is None:
+        raise NoLeastElement(f"the interval below node {x} has no least element")
+    a = len(tuple(bits(interval.cover_up[bottom])))
+    if (a + 1) & a:
+        return False  # atom count + 1 must be a power of two
+    k = (a + 1).bit_length()
+    lattice, _ = sachs_boolean.partition_lattice(k)
+    return poset_isomorphic(interval, lattice.dual()) is not None

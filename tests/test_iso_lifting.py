@@ -1,18 +1,26 @@
 """Lifting poset isomorphisms to lattice isomorphisms, and determination."""
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from omlkit import (
     NotAnIso,
+    RestrictionMismatch,
     automorphisms,
     boolean_algebra,
+    boolean_nodes,
     bsub,
     catalog,
+    horizontal_sum,
     induced_node_map,
     lift_boolean_iso,
     lift_bsub_iso,
     lift_sub_iso,
     mo,
+    morphism,
+    partition_lattice,
     poset_iso,
     poset_isomorphic,
     recognize_boolean_node,
@@ -21,7 +29,12 @@ from omlkit import (
     sublattice,
     verify_determination,
 )
+from omlkit import iso_lifting
+from omlkit.iso_lifting import _boolean_rank
 from omlkit.lattice_core import bits
+from omlkit.subalgebra_posets import AbstractPoset
+
+from legacy_oracles import legacy_recognize_boolean_node
 
 NO_FOUR_BLOCKS = ["2^3", "MO2x2", "example22", "hsum(2^3,2^3)"]
 
@@ -158,12 +171,83 @@ def test_recognize_boolean_node_examples():
     assert recognize_boolean_node(s3, s3.top())            # 3 atoms, dual to P_3
 
 
+RECOGNITION_CASES = [
+    "2^1", "2^2", "2^3", "2^4", "MO1", "MO2", "MO3", "MO4", "MO2x2", "example22",
+    "benzene", "hsum(2^3,2^3)", "hsum(2^4,2^4)", "hsum(2^3,2^3,2^3)", "hsum(2^4,2^2)",
+    "hsum(2^2,2^2,2^2,2^2,2^2,2^2)",
+]
+
+
+def _relabelings(L, count, seed):
+    """L as given, then ``count`` seeded relabelings of its inner elements."""
+    yield L
+    rng = random.Random(f"{L.name}/{seed}")
+    for _ in range(count):
+        inner = list(range(1, L.n - 1))
+        rng.shuffle(inner)
+        yield relabel(L, (0, *inner, L.n - 1))
+
+
 def test_recognize_boolean_node_matches_is_boolean():
-    for name in ("2^3", "MO2", "MO3", "MO2x2", "example22", "hsum(2^3,2^3)"):
-        L = catalog(name)
-        s = sub(L)
-        for i in range(s.size):
-            assert recognize_boolean_node(s, i) == L.is_boolean(s.nodes[i].members)
+    # the bottom-up walk, the per-node recognizer and the recognizer it
+    # replaced all find exactly the Boolean nodes
+    for name in RECOGNITION_CASES:
+        for L in _relabelings(catalog(name), 3, seed=5):
+            s = sub(L)
+            truth = [i for i in range(s.size) if L.is_boolean(s.nodes[i].members)]
+            assert boolean_nodes(s) == truth
+            assert [i for i in range(s.size) if recognize_boolean_node(s, i)] == truth
+            assert [i for i in range(s.size) if legacy_recognize_boolean_node(s, i)] == truth
+
+
+def _poset_from_covers(size, covers):
+    """The order generated by (lower, upper) cover pairs, as up rows."""
+    up = [1 << i for i in range(size)]
+    for _ in range(size):
+        for lo, hi in covers:
+            up[lo] |= up[hi]
+    return AbstractPoset(up)
+
+
+def test_invariants_filter_and_search_decides():
+    # bottom 0; atoms A..D = 1..4 and X, Y, Z = 5..7; rank-2 nodes 8..13; top 14.
+    # As in the dual of the partition lattice on four points, each rank-2 node
+    # covers two of A..D (each pair once) and one of X, Y, Z (each twice), so
+    # the rank profile (1, 7, 6, 1) and every node's cone sizes and cover
+    # degrees match.  Unlike there, the two rank-2 nodes over X share a point
+    # of A..D (AB and AC), so the posets are not isomorphic.
+    rank2 = [(1, 2, 5), (1, 3, 5), (3, 4, 6), (2, 4, 6), (1, 4, 7), (2, 3, 7)]
+    covers = [(0, a) for a in range(1, 8)] + [(x, 14) for x in range(8, 14)]
+    covers += [(a, 8 + j) for j, trio in enumerate(rank2) for a in trio]
+    fake = _poset_from_covers(15, covers)
+    assert [sum(1 for y in range(15) if fake.heights[y] == h) for h in range(4)] == [1, 7, 6, 1]
+    assert _boolean_rank(fake, 14) == 4
+    assert not recognize_boolean_node(fake, 14)
+    assert not legacy_recognize_boolean_node(fake, 14)
+    assert boolean_nodes(fake) == [y for y in range(15) if y != 14]
+
+    genuine = partition_lattice(4)[0].dual()
+    top = genuine.top()
+    assert _boolean_rank(genuine, top) == 4
+    assert recognize_boolean_node(genuine, top)
+    assert boolean_nodes(genuine) == list(range(genuine.size))
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_recognition_is_cross_checked_against_bsub(monkeypatch, side):
+    L = catalog("hsum(2^3,2^3)")
+    sub_l, sub_m = sub(L), sub(L)
+    victim = sub_l if side == "source" else sub_m
+    block = victim.node_index(L.blocks()[0].members)
+    real = iso_lifting.recognize_boolean_node
+
+    def flipped(poset, x):
+        answer = real(poset, x)
+        return not answer if poset is victim and x == block else answer
+
+    monkeypatch.setattr(iso_lifting, "recognize_boolean_node", flipped)
+    with pytest.raises(RestrictionMismatch, match=side):
+        lift_sub_iso(L, L, tuple(range(sub_l.size)), sub_l, sub_m)
 
 
 def test_lift_sub_identity_examples():
@@ -222,3 +306,69 @@ def test_verify_determination_reports():
     assert not r.both_orthomodular and r.consistent
     assert "outside OML hypothesis" in r.note
     assert any("note" in line for line in r.lines())
+
+
+# -- generated horizontal sums ------------------------------------------------
+
+BELL = (1, 1, 2, 5, 15)
+MAX_SUB_NODES = 225
+
+
+def _fits(atom_counts):
+    size, nodes = 2, 1
+    for k in atom_counts:
+        size += 2 ** k - 2
+        nodes *= BELL[k]
+    return size <= 64 and nodes <= MAX_SUB_NODES
+
+
+def _relabeled(L, inner):
+    perm = (0, *inner, L.n - 1)
+    return L, morphism(L, relabel(L, perm), perm)
+
+
+@st.composite
+def relabeled_hsums(draw):
+    """(L, psi): a horizontal sum of 2^1..2^4 and a relabeling psi: L -> M."""
+    atom_counts = []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(1, 4))
+        if _fits(atom_counts + [k]):
+            atom_counts.append(k)
+    # a 2^1 summand glues nothing on; with no larger summand L is 2^1 itself
+    summands = [boolean_algebra(k) for k in atom_counts if k > 1]
+    L = horizontal_sum(summands) if summands else boolean_algebra(1)
+    return _relabeled(L, draw(st.permutations(range(1, L.n - 1))))
+
+
+# seven four-element blocks take the canonical path
+SEVEN_FOURS = horizontal_sum([boolean_algebra(2)] * 7)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(relabeled_hsums())
+@example(_relabeled(SEVEN_FOURS, random.Random(7).sample(range(1, 15), 14)))
+def test_generated_hsums_recognize_and_lift(case):
+    L, psi = case
+    M = psi.target
+    sub_l, sub_m = sub(L), sub(M)
+    for X, s in ((L, sub_l), (M, sub_m)):
+        assert boolean_nodes(s) == [i for i in range(s.size) if X.is_boolean(s.nodes[i].members)]
+
+    four_blocks = sum(1 for blk in L.blocks() if len(blk) == 4)
+    canonical = four_blocks > 6
+    phi = induced_node_map(psi, sub_l, sub_m)
+    lifts = lift_sub_iso(L, M, phi, sub_l, sub_m, canonical_only=canonical)
+    if canonical:
+        assert len(lifts) == 1
+        # the canonical lift agrees with psi off the four-element blocks
+        loose = 0
+        for blk in L.blocks():
+            if len(blk) == 4:
+                loose |= blk.members & ~(1 | 1 << (L.n - 1))
+        assert all(lifts[0].mapping[e] == psi.mapping[e]
+                   for e in range(L.n) if not loose >> e & 1)
+    else:
+        assert len(lifts) == 2 ** four_blocks
+        assert psi.mapping in {f.mapping for f in lifts}

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from omlkit import (
+    FiniteOrtholattice,
     MalformedInput,
     NotAnIso,
     NotBoolean,
@@ -36,11 +37,40 @@ def test_is_boolean_algebra():
 
 
 def test_operations_reject_non_boolean():
-    m = mo(2)
-    with pytest.raises(NotBoolean):
-        dual_decomposition(m, m.subalgebra([0, 1, 2, 5]))
-    with pytest.raises(NotBoolean):
-        subalgebra_to_partition(m, m.subalgebra([0, 1, 2, 5]))
+    # on the first call and on repeated ones, though Booleanness is cached
+    for name in ("MO2", "MO2x2", "benzene", "hsum(2^2,2^2)"):
+        L = catalog(name)
+        bottom = L.generated_subalgebra()
+        s = sub(L)
+        calls = [
+            lambda: dual_decomposition(L, bottom),
+            lambda: principal_element(L, bottom),
+            lambda: subalgebra_to_partition(L, bottom),
+            lambda: partition_to_subalgebra(L, Partition.of([[1]])),
+            lambda: lift_boolean_iso(L, L, tuple(range(s.size)), s, s),
+        ]
+        for _ in range(2):
+            for call in calls:
+                with pytest.raises(NotBoolean):
+                    call()
+
+
+def test_booleanness_is_checked_once_per_lattice(monkeypatch):
+    B = boolean_algebra(5)
+    s = sub(B)
+    real = FiniteOrtholattice.is_boolean
+    calls = []
+
+    def counting(self, mask):
+        if self is B:
+            calls.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(FiniteOrtholattice, "is_boolean", counting)
+    assert s.size == 52
+    for node in s.nodes:
+        dual_decomposition(B, node)
+    assert len(calls) <= 1
 
 
 def test_dual_decomposition_examples():
