@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import Inconsistent, NotAMorphism, SizeCap
 from .lattice_core import (
@@ -20,8 +20,8 @@ from .lattice_core import (
     Morphism,
     SubalgebraSet,
     _backtrack,
+    bits,
     boolean_algebra,
-    mask_of,
     morphism,
     sublattice,
 )
@@ -59,6 +59,18 @@ def image_subalgebra(f: Morphism) -> SubalgebraSet:
     return f.target.subalgebra(f.image_mask())
 
 
+def _preimage_masks(f: Morphism, sub_m: SubalgebraPoset) -> Iterator[int]:
+    """f^{-1}[x] for each node x of sub_m in order: an OR of fibres f^{-1}[v]."""
+    fibre = [0] * f.target.n
+    for a, v in enumerate(f.mapping):
+        fibre[v] |= 1 << a
+    for node in sub_m.nodes:
+        pre = 0
+        for v in bits(node.members):
+            pre |= fibre[v]
+        yield pre
+
+
 def preimage_functor(f: Morphism,
                      sub_m: Optional[SubalgebraPoset] = None,
                      sub_l: Optional[SubalgebraPoset] = None) -> PreimageMap:
@@ -67,11 +79,7 @@ def preimage_functor(f: Morphism,
         sub_m = enumerate_subalgebras(f.target)
     if sub_l is None:
         sub_l = enumerate_subalgebras(f.source)
-    out = []
-    for node in sub_m.nodes:
-        pre = mask_of(a for a in range(f.source.n) if node.members >> f.mapping[a] & 1)
-        out.append(sub_l.node_index(pre))
-    return PreimageMap(sub_m, sub_l, tuple(out))
+    return PreimageMap(sub_m, sub_l, tuple(map(sub_l.node_index, _preimage_masks(f, sub_m))))
 
 
 def enumerate_homs(L: FiniteOrtholattice, M: FiniteOrtholattice) -> list[Morphism]:
@@ -156,6 +164,8 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
         return RecoveryReport(RecoveryKind.TWO_ELEMENT_IMAGE, 2, None, None)
     im_lattice, im_map = sublattice(f.target, im.members)
     four = [blk for blk in im_lattice.blocks() if len(blk) == 4]
+    sub_m = enumerate_subalgebras(f.target)
+    target = list(_preimage_masks(f, sub_m))
     if four:
         p, q = [im_map[e] for e in four[0].elements
                 if e != 0 and e != im_lattice.n - 1]
@@ -164,17 +174,12 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
                      tuple(swap.get(v, v) for v in f.mapping))
         if g.mapping == f.mapping:
             raise Inconsistent("swapping a four-element block's atoms left f unchanged")
-        sub_m = enumerate_subalgebras(f.target)
-        sub_l = enumerate_subalgebras(f.source)
-        if preimage_functor(f, sub_m, sub_l).mapping != \
-                preimage_functor(g, sub_m, sub_l).mapping:
+        if list(_preimage_masks(g, sub_m)) != target:
             raise Inconsistent("the four-block witness has a different preimage map")
         return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
-    sub_m = enumerate_subalgebras(f.target)
-    sub_l = enumerate_subalgebras(f.source)
-    target_map = preimage_functor(f, sub_m, sub_l).mapping
+    # a candidate is dropped at its first node with a different preimage
     matches = sum(1 for g in enumerate_homs(f.source, f.target)
-                  if preimage_functor(g, sub_m, sub_l).mapping == target_map)
+                  if all(map(int.__eq__, _preimage_masks(g, sub_m), target)))
     return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)
 
 

@@ -22,6 +22,7 @@ from .errors import (
     NoLeastElement,
     NotAMorphism,
     NotAnIso,
+    NotBoolean,
     RestrictionMismatch,
     Unsupported,
 )
@@ -32,10 +33,10 @@ from .lattice_core import (
     bits,
     find_isomorphism,
     morphism,
-    sublattice,
 )
-from .sachs_boolean import lift_boolean_iso
+from .sachs_boolean import _pd_lift
 from .subalgebra_posets import (
+    BSUB,
     AbstractPoset,
     SubalgebraPoset,
     check_order_iso,
@@ -88,9 +89,11 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     has exactly one.  ``canonical_only`` keeps just the first combination.
     The full list is refused above 6 four-element blocks.
 
-    Blocks larger than four elements are lifted through their subalgebra
-    lattices and glued; a disagreement on a shared element (impossible for
-    genuine inputs) raises GlueConflict.
+    Blocks larger than four elements are lifted on L's and M's own rows
+    through their principal dual subalgebras and glued; a disagreement on a
+    shared element (impossible for genuine inputs) raises GlueConflict.  A
+    block is tested for Booleanness (NotBoolean) unless its poset is a BSub
+    enumerated on that lattice.
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -120,28 +123,14 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
                 raise BlockMismatch("four-element block mapped to a larger block")
             four_blocks.append((xmask, ymask))
             continue
-        bx, bmap = sublattice(L, xmask)
-        cy, cmap = sublattice(M, ymask)
-        cinv = {g: i for i, g in enumerate(cmap)}
-        sub_bx = enumerate_subalgebras(bx)
-        sub_cy = enumerate_subalgebras(cy)
-        psi_nodes = []
-        for node in sub_bx.nodes:
-            gmask = 0
-            for e in bits(node.members):
-                gmask |= 1 << bmap[e]
-            hmask = bsub_m.nodes[phi[bsub_l.node_index(gmask)]].members
-            local = 0
-            for h in bits(hmask):
-                local |= 1 << cinv[h]
-            psi_nodes.append(sub_cy.node_index(local))
-        fx = lift_boolean_iso(bx, cy, psi_nodes, sub_bx, sub_cy)[0]
-        for e_local, e_global in enumerate(bmap):
-            value = cmap[fx.mapping[e_local]]
-            if global_map[e_global] not in (-1, value):
-                raise GlueConflict(
-                    f"blockwise lifts disagree on element {e_global}")
-            global_map[e_global] = value
+        for X, poset, mask in ((L, bsub_l, xmask), (M, bsub_m, ymask)):
+            if not (poset.flavor == BSUB and poset.owner is X) and not X.is_boolean(mask):
+                raise NotBoolean("operation needs a Boolean algebra")
+        images = _pd_lift(L, M, xmask, ymask, phi, bsub_l, bsub_m)
+        for e, value in zip(bits(xmask), images):
+            if global_map[e] not in (-1, value):
+                raise GlueConflict(f"blockwise lifts disagree on element {e}")
+            global_map[e] = value
 
     choice_pairs = []
     for xmask, ymask in four_blocks:

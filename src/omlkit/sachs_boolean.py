@@ -63,16 +63,21 @@ def dual_decomposition(B: FiniteOrtholattice, x) -> Optional[DualDecomposition]:
     """
     _require_boolean(B)
     mask = _as_mask(B, x)
-    ideal = 0
-    for a in bits(mask):
-        if not B.down[a] & ~mask:
-            ideal |= 1 << a
-    filt = 0
-    for a in bits(ideal):
-        filt |= 1 << B.ortho[a]
+    ideal, filt = _dual_parts(B, B.universe, mask)
     if ideal | filt != mask:
         return None
     return DualDecomposition(SubalgebraSet(B, mask), ideal, filt)
+
+
+def _dual_parts(B: FiniteOrtholattice, Y: int, mask: int) -> tuple[int, int]:
+    """(I, I') for a subalgebra ``mask`` of the Boolean subalgebra Y of B:
+    I = {a : [0,a] within Y lies in mask}, I' its complements (bit sets)."""
+    ideal = filt = 0
+    for a in bits(mask):
+        if not B.down[a] & Y & ~mask:
+            ideal |= 1 << a
+            filt |= 1 << B.ortho[a]
+    return ideal, filt
 
 
 def pd_mask(B: FiniteOrtholattice, a: int) -> int:
@@ -242,6 +247,30 @@ def partition_lattice(n: int) -> tuple[AbstractPoset, tuple[Partition, ...]]:
 
 # -- lifting a subalgebra-lattice isomorphism --------------------------------
 
+def _pd_lift(L: FiniteOrtholattice, M: FiniteOrtholattice, X: int, Y: int,
+             phi: Sequence[int], src: SubalgebraPoset,
+             tgt: SubalgebraPoset) -> list[int]:
+    """f(b) for each b of X ascending, f lifting phi: src -> tgt from the
+    Boolean subalgebra X of L onto Y of M (bit sets, over four elements), on
+    L's and M's own rows: each b but the top and X's coatoms names the p.d.
+    node pd_mask(L, b) & X, whose image's ideal f(b) generates."""
+    top = L.n - 1
+    image = {}
+    for b in bits(X):
+        if b == top or L.up[b] & X == 1 << b | 1 << top:  # the top or a coatom
+            continue
+        target = tgt.nodes[phi[src.node_index(pd_mask(L, b) & X)]].members
+        ideal, filt = _dual_parts(M, Y, target)
+        if ideal | filt != target:
+            raise Inconsistent("image of a principal dual node is not dual")
+        c = next((e for e in bits(ideal) if M.down[e] & Y == ideal), None)
+        if c is None:
+            raise Inconsistent("image of a principal dual node is not principal")
+        image[b] = c
+    # the top's and the coatoms' complements, 0 and the atoms, are all lifted
+    return [image[b] if b in image else M.ortho[image[L.ortho[b]]] for b in bits(X)]
+
+
 def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
                      phi: Sequence[int],
                      sub_b: Optional[SubalgebraPoset] = None,
@@ -256,7 +285,7 @@ def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
     The unique lift is read off the principal dual subalgebras: an element b
     that is neither a coatom nor the top determines the node [0,b] u [b',1],
     whose image node is principal dual again and names f(b); coatoms and the
-    top follow by complement.
+    top follow by complement (``_pd_lift`` with X the whole algebra).
     """
     _require_boolean(B)
     _require_boolean(C)
@@ -291,30 +320,7 @@ def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
             out.append(f)
         return out
 
-    coatoms = set(B.coatoms())
-    mapping: list[Optional[int]] = [None] * B.n
-    for b in range(B.n):
-        if b == B.n - 1 or b in coatoms:
-            continue
-        node = sub_b.node_index(pd_mask(B, b))
-        image = sub_c.nodes[phi[node]].members
-        dd = dual_decomposition(C, image)
-        if dd is None:
-            raise Inconsistent("image of a principal dual node is not dual")
-        c = None
-        for e in bits(dd.ideal):
-            if C.down[e] == dd.ideal:
-                c = e
-                break
-        if c is None:
-            raise Inconsistent("image of a principal dual node is not principal")
-        mapping[b] = c
-    for b in range(B.n):
-        if mapping[b] is None:
-            bo = B.ortho[b]
-            if mapping[bo] is None:
-                raise Inconsistent("complement of a coatom escaped the lift domain")
-            mapping[b] = C.ortho[mapping[bo]]
+    mapping = _pd_lift(B, C, B.universe, C.universe, phi, sub_b, sub_c)
     try:
         f = morphism(B, C, mapping)
     except NotAMorphism as exc:

@@ -159,6 +159,19 @@ class SubalgebraPoset(AbstractPoset):
     def __init__(self, up, owner: FiniteOrtholattice,
                  nodes: Sequence[SubalgebraSet], flavor: str):
         super().__init__(up)
+        self._attach(owner, nodes, flavor)
+
+    @classmethod
+    def _enumerated(cls, up: Sequence[int], owner: FiniteOrtholattice,
+                    nodes: Sequence[SubalgebraSet], flavor: str) -> "SubalgebraPoset":
+        """The poset ``enumerate_subalgebras`` built, without validating the
+        order: the inclusion order of distinct sets is always a partial order."""
+        self = cls.__new__(cls)
+        self.up, self.size, self.down = tuple(up), len(up), _transpose(up)
+        self._attach(owner, nodes, flavor)
+        return self
+
+    def _attach(self, owner: FiniteOrtholattice, nodes: Sequence[SubalgebraSet], flavor: str):
         self.owner = owner
         self.nodes = tuple(nodes)
         self.flavor = flavor
@@ -275,7 +288,8 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
             f"raise the cap with {NODE_CAP_ENV}")
     masks.sort()
     nodes = [SubalgebraSet(L, m) for m in masks]
-    return SubalgebraPoset(inclusion_rows(masks), L, nodes, BSUB if boolean_only else SUB)
+    return SubalgebraPoset._enumerated(inclusion_rows(masks), L, nodes,
+                                       BSUB if boolean_only else SUB)
 
 
 def sub(L: FiniteOrtholattice, **kw) -> SubalgebraPoset:

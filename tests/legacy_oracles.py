@@ -15,12 +15,38 @@ the same order.
 ``legacy_recognize_boolean_node`` is the Boolean-node recognizer that built
 the interval and a fresh partition lattice for every node, with no cheap
 invariants in front of the isomorphism search.
+
+``legacy_lift_bsub_iso`` and ``legacy_lift_boolean_iso`` lift each block of
+more than four elements through a standalone copy (``sublattice``), its
+own Sub enumeration and a Boolean check, where the library now reads the
+principal duals off the ambient rows.  ``legacy_preimage_functor`` scans
+every source element for every node, and ``legacy_classify_recovery``
+counts matches through it.
 """
 
+import itertools
+
 from omlkit import sachs_boolean
-from omlkit.errors import NoLeastElement, NotAMorphism
-from omlkit.lattice_core import bits, morphism
-from omlkit.subalgebra_posets import poset_isomorphic
+from omlkit.errors import (
+    BlockMismatch,
+    GlueConflict,
+    Inconsistent,
+    NoLeastElement,
+    NotAMorphism,
+    NotAnIso,
+    Unsupported,
+)
+from omlkit.functorial import (
+    PreimageMap,
+    RecoveryKind,
+    RecoveryReport,
+    enumerate_homs,
+    image_subalgebra,
+)
+from omlkit.iso_lifting import MAX_FOUR_BLOCK_CHOICES
+from omlkit.lattice_core import ORTHOMODULAR, bits, mask_of, morphism, sublattice
+from omlkit.sachs_boolean import _require_boolean, dual_decomposition, pd_mask
+from omlkit.subalgebra_posets import check_order_iso, enumerate_subalgebras, poset_isomorphic
 
 
 def _close_from_scratch(L, mask):
@@ -304,3 +330,203 @@ def legacy_recognize_boolean_node(sub_l, x):
     k = (a + 1).bit_length()
     lattice, _ = sachs_boolean.partition_lattice(k)
     return poset_isomorphic(interval, lattice.dual()) is not None
+
+
+def legacy_lift_bsub_iso(L, M, phi, bsub_l=None, bsub_m=None, canonical_only=False):
+    """Lift a BSub(L) -> BSub(M) node map, each block through a standalone copy."""
+    if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
+        raise NotAnIso("lifting is defined between orthomodular lattices")
+    if bsub_l is None:
+        bsub_l = enumerate_subalgebras(L, boolean_only=True)
+    if bsub_m is None:
+        bsub_m = enumerate_subalgebras(M, boolean_only=True)
+    phi = check_order_iso(getattr(phi, "mapping", phi), bsub_l, bsub_m)
+
+    maximal_l = bsub_l.maximal_elements()
+    maximal_m = set(bsub_m.maximal_elements())
+    if {phi[x] for x in maximal_l} != maximal_m:
+        raise BlockMismatch("node map does not match up the maximal nodes")
+
+    global_map = [-1] * L.n
+    global_map[0] = 0
+    global_map[L.n - 1] = M.n - 1
+    four_blocks = []
+    for x in maximal_l:
+        xmask = bsub_l.nodes[x].members
+        ymask = bsub_m.nodes[phi[x]].members
+        size = xmask.bit_count()
+        if size == 2:
+            continue
+        if size == 4:
+            if ymask.bit_count() != 4:
+                raise BlockMismatch("four-element block mapped to a larger block")
+            four_blocks.append((xmask, ymask))
+            continue
+        bx, bmap = sublattice(L, xmask)
+        cy, cmap = sublattice(M, ymask)
+        cinv = {g: i for i, g in enumerate(cmap)}
+        sub_bx = enumerate_subalgebras(bx)
+        sub_cy = enumerate_subalgebras(cy)
+        psi_nodes = []
+        for node in sub_bx.nodes:
+            gmask = 0
+            for e in bits(node.members):
+                gmask |= 1 << bmap[e]
+            hmask = bsub_m.nodes[phi[bsub_l.node_index(gmask)]].members
+            local = 0
+            for h in bits(hmask):
+                local |= 1 << cinv[h]
+            psi_nodes.append(sub_cy.node_index(local))
+        fx = legacy_lift_boolean_iso(bx, cy, psi_nodes, sub_bx, sub_cy)[0]
+        for e_local, e_global in enumerate(bmap):
+            value = cmap[fx.mapping[e_local]]
+            if global_map[e_global] not in (-1, value):
+                raise GlueConflict(
+                    f"blockwise lifts disagree on element {e_global}")
+            global_map[e_global] = value
+
+    choice_pairs = []
+    for xmask, ymask in four_blocks:
+        p, q = [e for e in bits(xmask) if e != 0 and e != L.n - 1]
+        c, d = [e for e in bits(ymask) if e != 0 and e != M.n - 1]
+        if global_map[p] != -1 or global_map[q] != -1:
+            raise GlueConflict(
+                f"four-element block {{0,{p},{q},{L.n - 1}}} overlaps a larger block")
+        choice_pairs.append(((p, q), ((c, d), (d, c))))
+    if not canonical_only and len(choice_pairs) > MAX_FOUR_BLOCK_CHOICES:
+        raise Unsupported(
+            f"{len(choice_pairs)} four-element blocks; request the canonical lift")
+
+    combos = itertools.product(*(range(2) for _ in choice_pairs))
+    if canonical_only:
+        combos = [tuple(0 for _ in choice_pairs)]
+    out = []
+    for combo in combos:
+        candidate = list(global_map)
+        for ((p, q), options), pick in zip(choice_pairs, combo):
+            candidate[p], candidate[q] = options[pick]
+        if -1 in candidate:
+            raise GlueConflict(
+                f"blockwise lifts leave element {candidate.index(-1)} unassigned")
+        try:
+            f = morphism(L, M, candidate)
+        except NotAMorphism as exc:
+            raise GlueConflict(f"glued map is not a homomorphism: {exc}") from exc
+        if f.kind != "iso":
+            raise GlueConflict("glued map is not an isomorphism")
+        for i, node in enumerate(bsub_l.nodes):
+            if f.apply_mask(node.members) != bsub_m.nodes[phi[i]].members:
+                raise GlueConflict("glued map does not realize the node map")
+        out.append(f)
+    return out
+
+
+def legacy_lift_boolean_iso(B, C, phi, sub_b=None, sub_c=None):
+    """Lift a Sub(B) -> Sub(C) node map through dual decompositions in C."""
+    _require_boolean(B)
+    _require_boolean(C)
+    if sub_b is None:
+        sub_b = enumerate_subalgebras(B)
+    if sub_c is None:
+        sub_c = enumerate_subalgebras(C)
+    phi = check_order_iso(phi, sub_b, sub_c)
+    if B.n != C.n:
+        raise Inconsistent("isomorphic subalgebra lattices of different-size algebras")
+
+    def check_node_images(f):
+        for i, node in enumerate(sub_b.nodes):
+            if f.apply_mask(node.members) != sub_c.nodes[phi[i]].members:
+                raise Inconsistent("lift does not realize the node map")
+
+    if B.n == 2:
+        f = morphism(B, C, (0, 1))
+        check_node_images(f)
+        return [f]
+
+    if B.n == 4:
+        p, q = B.atoms()
+        c, d = C.atoms()
+        out = []
+        for cc, dd in ((c, d), (d, c)):
+            m = [0] * 4
+            m[p], m[q] = cc, dd
+            m[3] = 3
+            f = morphism(B, C, m)
+            check_node_images(f)
+            out.append(f)
+        return out
+
+    coatoms = set(B.coatoms())
+    mapping = [None] * B.n
+    for b in range(B.n):
+        if b == B.n - 1 or b in coatoms:
+            continue
+        node = sub_b.node_index(pd_mask(B, b))
+        image = sub_c.nodes[phi[node]].members
+        dd = dual_decomposition(C, image)
+        if dd is None:
+            raise Inconsistent("image of a principal dual node is not dual")
+        c = None
+        for e in bits(dd.ideal):
+            if C.down[e] == dd.ideal:
+                c = e
+                break
+        if c is None:
+            raise Inconsistent("image of a principal dual node is not principal")
+        mapping[b] = c
+    for b in range(B.n):
+        if mapping[b] is None:
+            bo = B.ortho[b]
+            if mapping[bo] is None:
+                raise Inconsistent("complement of a coatom escaped the lift domain")
+            mapping[b] = C.ortho[mapping[bo]]
+    try:
+        f = morphism(B, C, mapping)
+    except NotAMorphism as exc:
+        raise Inconsistent(f"lifted map is not an isomorphism: {exc}") from exc
+    if f.kind != "iso":
+        raise Inconsistent("lifted map is not bijective")
+    check_node_images(f)
+    return [f]
+
+
+def legacy_preimage_functor(f, sub_m=None, sub_l=None):
+    """The preimage node map, scanning all source elements for every node."""
+    if sub_m is None:
+        sub_m = enumerate_subalgebras(f.target)
+    if sub_l is None:
+        sub_l = enumerate_subalgebras(f.source)
+    out = []
+    for node in sub_m.nodes:
+        pre = mask_of(a for a in range(f.source.n) if node.members >> f.mapping[a] & 1)
+        out.append(sub_l.node_index(pre))
+    return PreimageMap(sub_m, sub_l, tuple(out))
+
+
+def legacy_classify_recovery(f):
+    """The recovery trichotomy, counting full preimage maps of every hom."""
+    im = image_subalgebra(f)
+    if len(im) == 2:
+        return RecoveryReport(RecoveryKind.TWO_ELEMENT_IMAGE, 2, None, None)
+    im_lattice, im_map = sublattice(f.target, im.members)
+    four = [blk for blk in im_lattice.blocks() if len(blk) == 4]
+    if four:
+        p, q = [im_map[e] for e in four[0].elements
+                if e != 0 and e != im_lattice.n - 1]
+        swap = {p: q, q: p}
+        g = morphism(f.source, f.target,
+                     tuple(swap.get(v, v) for v in f.mapping))
+        if g.mapping == f.mapping:
+            raise Inconsistent("swapping a four-element block's atoms left f unchanged")
+        sub_m = enumerate_subalgebras(f.target)
+        sub_l = enumerate_subalgebras(f.source)
+        if legacy_preimage_functor(f, sub_m, sub_l).mapping != \
+                legacy_preimage_functor(g, sub_m, sub_l).mapping:
+            raise Inconsistent("the four-block witness has a different preimage map")
+        return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
+    sub_m = enumerate_subalgebras(f.target)
+    sub_l = enumerate_subalgebras(f.source)
+    target_map = legacy_preimage_functor(f, sub_m, sub_l).mapping
+    matches = sum(1 for g in enumerate_homs(f.source, f.target)
+                  if legacy_preimage_functor(g, sub_m, sub_l).mapping == target_map)
+    return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)

@@ -1,14 +1,17 @@
 """Preimage maps, homomorphism enumeration, and the recovery trichotomy."""
 
 import itertools
+import random
 
 import pytest
 
 from omlkit import (
     AbstractPoset,
+    MalformedInput,
     RecoveryKind,
     SizeCap,
     boolean_algebra,
+    bsub,
     catalog,
     classify_recovery,
     compose,
@@ -22,6 +25,8 @@ from omlkit import (
     sub,
     unrealized_meet_preserving_map,
 )
+
+from legacy_oracles import legacy_classify_recovery, legacy_preimage_functor
 
 
 def boolean_hom_oracle(src_atoms, tgt_atoms):
@@ -112,6 +117,47 @@ def test_image_is_least_node_with_full_preimage():
         least = min(full, key=lambda x: s3.nodes[x].members.bit_count())
         assert all(s3.leq(least, x) for x in full)
         assert s3.nodes[least].members == image_subalgebra(f).members
+
+
+# the source/target pairs the tests above run enumerate_homs on, plus 2^3 -> 2^4
+HOM_PAIRS = [("2^2", "2^2"), ("2^3", "2^1"), ("MO2", "2^1"), ("2^3", "2^3"), ("2^3", "2^2"),
+             ("MO2", "MO2"), ("example22", "example22"), ("2^3", "2^4")]
+
+
+@pytest.mark.parametrize("pair", HOM_PAIRS, ids="->".join)
+def test_fibre_preimages_match_the_element_scan(pair):
+    L, M = catalog(pair[0]), catalog(pair[1])
+    sub_l, sub_m = sub(L), sub(M)
+    for f in enumerate_homs(L, M):
+        assert preimage_functor(f, sub_m, sub_l).mapping == \
+            legacy_preimage_functor(f, sub_m, sub_l).mapping
+        assert preimage_functor(f).mapping == legacy_preimage_functor(f).mapping
+        assert classify_recovery(f) == legacy_classify_recovery(f)
+
+
+def _boolean_embedding(m, n, rng):
+    """S -> g^-1(S) for a random surjection g from n atoms onto m."""
+    g = list(range(m)) + [rng.randrange(m) for _ in range(n - m)]
+    rng.shuffle(g)
+    mapping = [sum(1 << c for c in range(n) if s >> g[c] & 1) for s in range(1 << m)]
+    return morphism(boolean_algebra(m), boolean_algebra(n), mapping)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_recovery_reports_match_on_embeddings_into_2_5(seed):
+    f = _boolean_embedding(3, 5, random.Random(seed))
+    assert f.kind == "embedding"
+    report = classify_recovery(f)
+    assert report == legacy_classify_recovery(f)
+    assert report.kind == RecoveryKind.DETERMINED and report.unique
+
+
+def test_missing_preimage_is_malformed_input():
+    # the preimage of the top of Sub(L) is L itself, not a node of BSub(L)
+    L = catalog("example22")
+    f = identity_morphism(L)
+    with pytest.raises(MalformedInput):
+        preimage_functor(f, sub(L), bsub(L))
 
 
 def test_classify_recovery_two_element_image():

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from omlkit import (
     NotAnIso,
+    NotBoolean,
     RestrictionMismatch,
     automorphisms,
     boolean_algebra,
@@ -23,6 +24,7 @@ from omlkit import (
     partition_lattice,
     poset_iso,
     poset_isomorphic,
+    product,
     recognize_boolean_node,
     relabel,
     sub,
@@ -34,7 +36,11 @@ from omlkit.iso_lifting import _boolean_rank
 from omlkit.lattice_core import bits
 from omlkit.subalgebra_posets import AbstractPoset
 
-from legacy_oracles import legacy_recognize_boolean_node
+from legacy_oracles import (
+    legacy_lift_boolean_iso,
+    legacy_lift_bsub_iso,
+    legacy_recognize_boolean_node,
+)
 
 NO_FOUR_BLOCKS = ["2^3", "MO2x2", "example22", "hsum(2^3,2^3)"]
 
@@ -131,6 +137,78 @@ def test_lift_requires_orthomodular():
         lift_bsub_iso(hexagon, hexagon, tuple(range(p.size)), p, p)
 
 
+@pytest.mark.parametrize("name", ["example22", "hsum(2^3,2^3)", "MO2x2"])
+def test_lift_of_a_sub_poset_still_needs_boolean_blocks(name):
+    # a Sub poset is not trusted as BSub: its non-Boolean top node is tested
+    L = catalog(name)
+    s = sub(L)
+    for canonical in (False, True):
+        with pytest.raises(NotBoolean):
+            lift_bsub_iso(L, L, tuple(range(s.size)), s, s, canonical_only=canonical)
+
+
+def test_lift_of_sub_of_a_boolean_algebra():
+    B = boolean_algebra(3)
+    s = sub(B)
+    assert [f.mapping for f in lift_bsub_iso(B, B, tuple(range(s.size)), s, s)] == \
+        [tuple(range(8))]
+
+
+LIFT_CASES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO2x2",
+              "example22", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)", "hsum(2^4,2^4)"]
+
+
+def _lattice(name):
+    # MO2 x 2^2 has 16-element blocks in which an element that is not a
+    # coatom, such as (1, 0), has elements of other blocks below it
+    if name == "MO2x2^2":
+        return product(mo(2), boolean_algebra(2), name=name)
+    return catalog(name)
+
+
+def _same_lifts(L, M, phi, bl, bm):
+    for canonical in (False, True):
+        new = [f.mapping for f in lift_bsub_iso(L, M, phi, bl, bm, canonical_only=canonical)]
+        old = [f.mapping for f in legacy_lift_bsub_iso(L, M, phi, bl, bm,
+                                                       canonical_only=canonical)]
+        assert new == old
+
+
+@pytest.mark.parametrize("name", LIFT_CASES + ["MO2x2^2", "hsum(2^5,2^5)"])
+def test_lift_bsub_matches_the_sublattice_lift(name):
+    L = _lattice(name)
+    count = 1 if name == "hsum(2^5,2^5)" else 3
+    bl = bsub(L)
+    for psi in _relabeling_morphisms(L, count, seed=11):
+        M = psi.target
+        bm = bl if M is L else bsub(M)
+        _same_lifts(L, M, induced_node_map(psi, bl, bm), bl, bm)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_boolean_lifts_match_on_every_automorphism(k):
+    B = boolean_algebra(k)
+    s = sub(B)
+    for psi in automorphisms(B):
+        phi = induced_node_map(psi, s, s)
+        _same_lifts(B, B, phi, s, s)
+        new = [f.mapping for f in lift_boolean_iso(B, B, phi, s, s)]
+        assert new == [f.mapping for f in legacy_lift_boolean_iso(B, B, phi, s, s)]
+        assert psi.mapping in new
+
+
+def test_boolean_lift_matches_on_a_relabeled_2_5():
+    B = boolean_algebra(5)
+    psi = list(_relabeling_morphisms(B, 1, seed=3))[1]
+    C = psi.target
+    sb, sc = sub(B), sub(C)
+    phi = induced_node_map(psi, sb, sc)
+    _same_lifts(B, C, phi, sb, sc)
+    new = [f.mapping for f in lift_boolean_iso(B, C, phi, sb, sc)]
+    assert new == [f.mapping for f in legacy_lift_boolean_iso(B, C, phi, sb, sc)]
+    assert new == [psi.mapping]
+
+
 def test_blockwise_lifts_agree_on_overlaps():
     # recompute the per-block lifts independently and compare on intersections
     L = catalog("example22")
@@ -178,14 +256,20 @@ RECOGNITION_CASES = [
 ]
 
 
-def _relabelings(L, count, seed):
-    """L as given, then ``count`` seeded relabelings of its inner elements."""
-    yield L
+def _relabeling_morphisms(L, count, seed):
+    """The identity of L, then ``count`` seeded relabelings psi: L -> M of its
+    inner elements."""
+    yield morphism(L, L, range(L.n))
     rng = random.Random(f"{L.name}/{seed}")
     for _ in range(count):
         inner = list(range(1, L.n - 1))
         rng.shuffle(inner)
-        yield relabel(L, (0, *inner, L.n - 1))
+        yield _relabeled(L, inner)[1]
+
+
+def _relabelings(L, count, seed):
+    """L as given, then ``count`` seeded relabelings of its inner elements."""
+    return [psi.target for psi in _relabeling_morphisms(L, count, seed)]
 
 
 def test_recognize_boolean_node_matches_is_boolean():

@@ -21,7 +21,7 @@ from omlkit import (
     poset_isomorphic,
     sub,
 )
-from omlkit.lattice_core import mask_of
+from omlkit.lattice_core import _order_down, mask_of
 
 SMALL = ["2^2", "2^3", "MO2", "MO3", "benzene", "example22"]
 
@@ -234,6 +234,26 @@ def test_subalgebra_poset_needs_the_trivial_subalgebra_first():
     nodes = [SubalgebraSet(L, 0b1111), SubalgebraSet(L, 0b1001)]
     with pytest.raises(MalformedInput, match="trivial subalgebra"):
         SubalgebraPoset([0b01, 0b11], L, nodes, "sub")
+
+
+@pytest.mark.parametrize("name", ["2^4", "MO3", "MO2x2", "example22", "benzene",
+                                  "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)", "hsum(2^4,2^4)"])
+def test_enumerated_posets_equal_their_validated_copies(name):
+    # enumerate_subalgebras skips re-validating the inclusion order it built
+    L = catalog(name)
+    for boolean_only in (False, True):
+        poset = enumerate_subalgebras(L, boolean_only=boolean_only)
+        checked = AbstractPoset(poset.up)
+        assert poset.down == _order_down(poset.up) == checked.down
+        assert poset.cover_up == checked.cover_up
+        assert poset.heights == checked.heights
+
+
+def test_public_subalgebra_poset_still_validates_the_order():
+    L = boolean_algebra(2)
+    nodes = [SubalgebraSet(L, 0b1001), SubalgebraSet(L, 0b1111), SubalgebraSet(L, 0b1111)]
+    with pytest.raises(NotAPartialOrder, match="transitivity"):
+        SubalgebraPoset([0b011, 0b110, 0b100], L, nodes, "sub")  # 0 <= 1 <= 2, not 0 <= 2
 
 
 def test_abstract_poset_validation():
