@@ -177,7 +177,6 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
         if list(_preimage_masks(g, sub_m)) != target:
             raise Inconsistent("the four-block witness has a different preimage map")
         return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
-    # a candidate is dropped at its first node with a different preimage
     matches = sum(1 for g in enumerate_homs(f.source, f.target)
                   if all(map(int.__eq__, _preimage_masks(g, sub_m), target)))
     return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)

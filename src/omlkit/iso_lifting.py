@@ -34,9 +34,7 @@ from .lattice_core import (
     find_isomorphism,
     morphism,
 )
-from .sachs_boolean import _pd_lift
 from .subalgebra_posets import (
-    BSUB,
     AbstractPoset,
     SubalgebraPoset,
     check_order_iso,
@@ -92,8 +90,8 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     Blocks larger than four elements are lifted on L's and M's own rows
     through their principal dual subalgebras and glued; a disagreement on a
     shared element (impossible for genuine inputs) raises GlueConflict.  A
-    block is tested for Booleanness (NotBoolean) unless its poset is a BSub
-    enumerated on that lattice.
+    block whose elements do not pairwise commute is not Boolean (by
+    Foulis-Holland) and raises NotBoolean.
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -123,10 +121,10 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
                 raise BlockMismatch("four-element block mapped to a larger block")
             four_blocks.append((xmask, ymask))
             continue
-        for X, poset, mask in ((L, bsub_l, xmask), (M, bsub_m, ymask)):
-            if not (poset.flavor == BSUB and poset.owner is X) and not X.is_boolean(mask):
+        for X, mask in ((L, xmask), (M, ymask)):
+            if any(mask & ~X.commuting[e] for e in bits(mask)):
                 raise NotBoolean("operation needs a Boolean algebra")
-        images = _pd_lift(L, M, xmask, ymask, phi, bsub_l, bsub_m)
+        images = sachs_boolean._pd_lift(L, M, xmask, ymask, phi, bsub_l, bsub_m)
         for e, value in zip(bits(xmask), images):
             if global_map[e] not in (-1, value):
                 raise GlueConflict(f"blockwise lifts disagree on element {e}")

@@ -267,7 +267,9 @@ def _pd_lift(L: FiniteOrtholattice, M: FiniteOrtholattice, X: int, Y: int,
         if c is None:
             raise Inconsistent("image of a principal dual node is not principal")
         image[b] = c
-    # the top's and the coatoms' complements, 0 and the atoms, are all lifted
+    # in a Boolean X the top's and the coatoms' complements, 0 and the atoms, are lifted
+    if any(L.ortho[b] not in image for b in bits(X) if b not in image):
+        raise Inconsistent("complement of a coatom escaped the lift domain")
     return [image[b] if b in image else M.ortho[image[L.ortho[b]]] for b in bits(X)]
 
 

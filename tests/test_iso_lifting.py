@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from omlkit import (
+    Inconsistent,
     NotAnIso,
     NotBoolean,
     RestrictionMismatch,
@@ -33,8 +34,8 @@ from omlkit import (
 )
 from omlkit import iso_lifting
 from omlkit.iso_lifting import _boolean_rank
-from omlkit.lattice_core import bits
-from omlkit.subalgebra_posets import AbstractPoset
+from omlkit.lattice_core import SubalgebraSet, bits
+from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset
 
 from legacy_oracles import (
     legacy_lift_boolean_iso,
@@ -137,14 +138,25 @@ def test_lift_requires_orthomodular():
         lift_bsub_iso(hexagon, hexagon, tuple(range(p.size)), p, p)
 
 
-@pytest.mark.parametrize("name", ["example22", "hsum(2^3,2^3)", "MO2x2"])
+@pytest.mark.parametrize("name", ["MO2", "example22", "hsum(2^3,2^3)", "MO2x2"])
 def test_lift_of_a_sub_poset_still_needs_boolean_blocks(name):
-    # a Sub poset is not trusted as BSub: its non-Boolean top node is tested
+    # the non-Boolean top node is caught whatever flavor the poset is labeled
     L = catalog(name)
     s = sub(L)
-    for canonical in (False, True):
-        with pytest.raises(NotBoolean):
-            lift_bsub_iso(L, L, tuple(range(s.size)), s, s, canonical_only=canonical)
+    for poset in (s, SubalgebraPoset(s.up, L, s.nodes, BSUB)):
+        for canonical in (False, True):
+            with pytest.raises(NotBoolean):
+                lift_bsub_iso(L, L, tuple(range(s.size)), poset, poset,
+                              canonical_only=canonical)
+
+
+def test_lift_of_a_block_that_is_not_closed():
+    # {0, atoms, 1} of 2^3 commutes pairwise but holds no complement of its atoms
+    B = boolean_algebra(3)
+    nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, 1 | 0b10110 | 1 << 7)]
+    poset = SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
+    with pytest.raises(Inconsistent, match="escaped the lift domain"):
+        lift_bsub_iso(B, B, (0, 1), poset, poset)
 
 
 def test_lift_of_sub_of_a_boolean_algebra():
