@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import Inconsistent, NotAMorphism, SizeCap
 from .lattice_core import (
@@ -90,8 +90,21 @@ def enumerate_homs(L: FiniteOrtholattice, M: FiniteOrtholattice) -> list[Morphis
     already-assigned elements; complete assignments are revalidated.  Only
     for small inputs: |L| * |M| is capped at 256.
     """
+    _check_hom_cap(L, M)
+    return _homs(L, M, [range(M.n)] * L.n)
+
+
+def _check_hom_cap(L: FiniteOrtholattice, M: FiniteOrtholattice):
     if L.n * M.n > HOM_SEARCH_CAP:
         raise SizeCap(f"hom search capped at |L|*|M| <= {HOM_SEARCH_CAP}")
+
+
+def _homs(L: FiniteOrtholattice, M: FiniteOrtholattice,
+          candidates: Sequence[Iterable[int]]) -> list[Morphism]:
+    """The homomorphisms f: L -> M with f(a) in ``candidates[a]`` for every
+    a, sorted by mapping.  The bounds are pinned, and a complement is forced
+    without consulting its own list, so the lists must be closed under
+    complement: v in candidates[a] exactly when v' is in candidates[a']."""
     n = L.n
     order = sorted(range(n), key=lambda a: (L.down[a].bit_count(), a))
     mapping = [-1] * n
@@ -115,7 +128,7 @@ def enumerate_homs(L: FiniteOrtholattice, M: FiniteOrtholattice) -> list[Morphis
         return True
 
     results = []
-    for found in _backtrack(order, [range(M.n)] * n, consistent, mapping,
+    for found in _backtrack(order, candidates, consistent, mapping,
                             (L.ortho, M.ortho), injective=False):
         try:
             results.append(morphism(L, M, tuple(found)))
@@ -157,7 +170,10 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
     with a four-element block: swapping that block's atom pair after f gives
     a different homomorphism with the same preimage map; the witness is
     constructed.  Otherwise f is the unique homomorphism with its preimage
-    map, verified against the full enumeration.
+    map.  That is checked by a search over the homomorphisms g with the
+    same preimage map only: g^{-1}[x] = f^{-1}[x] for every node x of
+    Sub(M) exactly when each g(a) lies in the same nodes as f(a), so each
+    g(a) is drawn from the elements whose node set equals that of f(a).
     """
     im = image_subalgebra(f)
     if len(im) == 2:
@@ -165,7 +181,6 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
     im_lattice, im_map = sublattice(f.target, im.members)
     four = [blk for blk in im_lattice.blocks() if len(blk) == 4]
     sub_m = enumerate_subalgebras(f.target)
-    target = list(_preimage_masks(f, sub_m))
     if four:
         p, q = [im_map[e] for e in four[0].elements
                 if e != 0 and e != im_lattice.n - 1]
@@ -174,11 +189,20 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
                      tuple(swap.get(v, v) for v in f.mapping))
         if g.mapping == f.mapping:
             raise Inconsistent("swapping a four-element block's atoms left f unchanged")
-        if list(_preimage_masks(g, sub_m)) != target:
+        if list(_preimage_masks(g, sub_m)) != list(_preimage_masks(f, sub_m)):
             raise Inconsistent("the four-block witness has a different preimage map")
         return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
-    matches = sum(1 for g in enumerate_homs(f.source, f.target)
-                  if all(map(int.__eq__, _preimage_masks(g, sub_m), target)))
+    _check_hom_cap(f.source, f.target)
+    # nodes_with[v]: the nodes of Sub(M) containing v; a subalgebra holds v
+    # exactly when it holds v', so the candidate lists are closed under
+    # complement as _homs needs
+    nodes_with = [0] * f.target.n
+    for i, node in enumerate(sub_m.nodes):
+        for v in bits(node.members):
+            nodes_with[v] |= 1 << i
+    candidates = [[v for v, key in enumerate(nodes_with) if key == nodes_with[w]]
+                  for w in f.mapping]
+    matches = len(_homs(f.source, f.target, candidates))
     return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)
 
 

@@ -176,12 +176,6 @@ def _stirling_row(k: int) -> tuple[int, ...]:
     return row[1:]
 
 
-@lru_cache(maxsize=None)
-def _partition_dual(k: int) -> AbstractPoset:
-    """The dual of the partition lattice on k points, the shape of Sub(2^k)."""
-    return sachs_boolean.partition_lattice(k)[0].dual()
-
-
 def _boolean_rank(sub_l: SubalgebraPoset, x: int) -> Optional[int]:
     """The k for which the interval below x could be Sub(2^k), else None.
 
@@ -209,23 +203,93 @@ def _boolean_rank(sub_l: SubalgebraPoset, x: int) -> Optional[int]:
     return k if tuple(profile) == stirling else None
 
 
+def _is_equivalence(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
+    """Whether ``pairs`` is the set of pairs {i, j} related by some
+    equivalence relation on 0..k-1: union-find, then the classes must hold
+    exactly that many pairs."""
+    root = list(range(k))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in pairs:
+        root[find(i)] = find(j)
+    size = [0] * k
+    for i in range(k):
+        size[find(i)] += 1
+    return sum(s * (s - 1) // 2 for s in size) == len(pairs)
+
+
+def _sachs_certificate(sub_l: AbstractPoset, x: int, k: int) -> bool:
+    """Whether the interval below x, which has Bell(k) nodes, is isomorphic
+    to the dual of the partition lattice on k points, read off sub_l's rows
+    with no search.
+
+    In that dual (Sachs: Sub(2^k)), the coatoms are the C(k,2) partitions
+    merging one pair {i, j}, and a node lies below such a coatom exactly
+    when its partition puts i and j together.  The k "points" are the
+    two-block partitions {i | rest}: the atoms with C(k-1,2) coatoms above
+    them (any other atom has fewer), and the coatom for {i, j} is above
+    every point but i and j.  So the certificate is: k points; every
+    coatom misses exactly two of them, each of the C(k,2) pairs once; the
+    coatoms above each node are the pairs of an equivalence relation;
+    nodes with the same coatoms are the same node; and y <= z exactly when
+    every coatom above z is above y.  The node map to partitions is then
+    an order embedding, and onto since there are Bell(k) nodes.
+    """
+    if k <= 2:
+        return True  # one node, or a two-node chain: nothing else fits
+    up, down = sub_l.up, sub_l.down
+    dx = down[x]
+    coat = sub_l.cover_down[x]
+    if coat.bit_count() != k * (k - 1) // 2:
+        return False
+    heights = sub_l.heights
+    points = [y for y in bits(dx)
+              if heights[y] == 1 and (up[y] & coat).bit_count() == (k - 1) * (k - 2) // 2]
+    if len(points) != k:
+        return False
+    pair_of = {}
+    for c in bits(coat):
+        missed = tuple(i for i, p in enumerate(points) if not down[c] >> p & 1)
+        if len(missed) != 2:
+            return False
+        pair_of[c] = missed
+    if len(set(pair_of.values())) != len(pair_of):
+        return False
+    below = {c: down[c] & dx for c in pair_of}
+    seen = set()
+    for y in bits(dx):
+        above = up[y] & coat
+        if above in seen or not _is_equivalence(k, [pair_of[c] for c in bits(above)]):
+            return False
+        seen.add(above)
+        # y <= z must hold exactly for the z below no coatom outside ``above``
+        outside = 0
+        for c in bits(coat & ~above):
+            outside |= below[c]
+        if up[y] & dx != dx & ~outside:
+            return False
+    return True
+
+
 def recognize_boolean_node(sub_l: SubalgebraPoset, x: int) -> bool:
     """Order-theoretic Boolean recognition inside a full subalgebra lattice.
 
     The interval below a Boolean node with 2^k elements is the subalgebra
-    lattice of 2^k, dual to the partition lattice on k points; k comes from
-    the interval's atom count (2^(k-1) - 1 of them).  Nodes failing the
-    cheap invariants of ``_boolean_rank`` (atom count, Bell(k) nodes,
-    height k-1, Stirling rank profile) are rejected from sub_l's rows
-    alone; only the survivors get their interval built and searched for an
-    isomorphism to the dual partition lattice, which is built once per k.
-    The invariants only filter: the search decides.
+    lattice of 2^k, dual to the partition lattice on k points (Sachs); k
+    comes from the interval's atom count (2^(k-1) - 1 of them).  Nodes
+    failing the cheap invariants of ``_boolean_rank`` (atom count, Bell(k)
+    nodes, height k-1, Stirling rank profile) are rejected first; the rest
+    get ``_sachs_certificate``, which reads an explicit isomorphism to the
+    dual partition lattice off sub_l's rows.  Together they decide: there
+    is no search and no interval or partition lattice is built.
     """
     k = _boolean_rank(sub_l, x)
-    if k is None:
-        return False
-    interval, _ = sub_l.interval_below(x)
-    return poset_isomorphic(interval, _partition_dual(k)) is not None
+    return k is not None and _sachs_certificate(sub_l, x, k)
 
 
 def boolean_nodes(sub_l: SubalgebraPoset) -> list[int]:
@@ -235,15 +299,14 @@ def boolean_nodes(sub_l: SubalgebraPoset) -> list[int]:
     first).  Acceptance is closed downward, as every interval below a node
     of the dual partition lattice is again one (in Sub(L): every subalgebra
     of a Boolean algebra is Boolean), so a node with a rejected node below
-    it is rejected untested.  The recognizer runs only on nodes that also
-    pass the invariants of ``_boolean_rank``.
+    it is rejected untested.  Every other node is decided by one
+    ``recognize_boolean_node`` call.
     """
     down = sub_l.down
     rejected = 0
     found = []
     for x in sorted(range(sub_l.size), key=lambda v: down[v].bit_count()):
-        if (down[x] & rejected or _boolean_rank(sub_l, x) is None
-                or not recognize_boolean_node(sub_l, x)):
+        if down[x] & rejected or not recognize_boolean_node(sub_l, x):
             rejected |= 1 << x
         else:
             found.append(x)

@@ -73,15 +73,18 @@ class FiniteOrtholattice:
         if down[n - 1] != universe:
             raise NoBoundedLattice(f"element {n - 1} is not the greatest element")
 
+        # rows are distinct, so meet(a, b) is the element whose down row is
+        # down[a] & down[b], if there is one; joins likewise on up rows
+        below, above = _row_index(down), _row_index(up)
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                g = _unique_bound(down, down[a] & down[b])
+                g = below.get(down[a] & down[b])
                 if g is None:
                     raise NoBoundedLattice(f"elements {a} and {b} have no meet")
                 meet[a][b] = meet[b][a] = g
-                g = _unique_bound(up, up[a] & up[b])
+                g = above.get(up[a] & up[b])
                 if g is None:
                     raise NoBoundedLattice(f"elements {a} and {b} have no join")
                 join[a][b] = join[b][a] = g
@@ -372,12 +375,14 @@ def _heights(down: Sequence[int], cover_down: Sequence[int]) -> tuple[int, ...]:
     return tuple(h)
 
 
-def _unique_bound(cones: Sequence[int], common: int) -> Optional[int]:
-    # the bound, if any, is the x in `common` whose cone is exactly `common`
-    for x in bits(common):
-        if cones[x] == common:
-            return x
-    return None
+def _row_index(rows: Sequence[int]) -> dict[int, int]:
+    """{row: element} for the distinct rows of a partial order.
+
+    The least upper bound of a set, if any, is the element whose ``up`` row
+    is the intersection of the set's ``up`` rows; greatest lower bounds
+    likewise on ``down`` rows.
+    """
+    return {row: x for x, row in enumerate(rows)}
 
 
 def _induced(rows: Sequence[int], mask: int) -> list[int]:

@@ -31,8 +31,8 @@ from .lattice_core import (
     _order_down,
     _order_isos,
     _permuted,
+    _row_index,
     _transpose,
-    _unique_bound,
     bits,
 )
 
@@ -101,11 +101,19 @@ class AbstractPoset:
         """Longest chain length ending at each node (0 for minimal nodes)."""
         return _heights(self.down, self.cover_down)
 
+    @cached_property
+    def _above(self) -> dict[int, int]:
+        return _row_index(self.up)
+
+    @cached_property
+    def _below(self) -> dict[int, int]:
+        return _row_index(self.down)
+
     def bottom(self) -> Optional[int]:
-        return _unique_bound(self.up, (1 << self.size) - 1)
+        return self._above.get((1 << self.size) - 1)
 
     def top(self) -> Optional[int]:
-        return _unique_bound(self.down, (1 << self.size) - 1)
+        return self._below.get((1 << self.size) - 1)
 
     def atoms(self) -> tuple[int, ...]:
         b = self.bottom()
@@ -120,10 +128,10 @@ class AbstractPoset:
         return tuple(bits(self.cover_up[x]))
 
     def join(self, x: int, y: int) -> Optional[int]:
-        return _unique_bound(self.up, self.up[x] & self.up[y])
+        return self._above.get(self.up[x] & self.up[y])
 
     def meet(self, x: int, y: int) -> Optional[int]:
-        return _unique_bound(self.down, self.down[x] & self.down[y])
+        return self._below.get(self.down[x] & self.down[y])
 
     def height(self, x: int) -> int:
         """One less than the size of a maximal chain from the bottom to x."""

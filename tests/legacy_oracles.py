@@ -12,6 +12,11 @@ is what an oracle should be.
 that one shared search replaced; the new ones must yield the same maps in
 the same order.
 
+``legacy_unique_bound`` found a meet or join by scanning the common lower
+(upper) cone for the element whose cone it is; the library now looks the
+cone up in a ``{row: element}`` index.  ``legacy_bound_tables`` builds a
+lattice's meet and join tables that way, pair by pair in the old order.
+
 ``legacy_recognize_boolean_node`` is the Boolean-node recognizer that built
 the interval and a fresh partition lattice for every node, with no cheap
 invariants in front of the isomorphism search.
@@ -31,6 +36,7 @@ from omlkit.errors import (
     BlockMismatch,
     GlueConflict,
     Inconsistent,
+    NoBoundedLattice,
     NoLeastElement,
     NotAMorphism,
     NotAnIso,
@@ -74,6 +80,33 @@ def _close_from_scratch(L, mask):
                 mask |= 1 << v
                 members.append(v)
     return mask
+
+
+def legacy_unique_bound(cones, common):
+    # the bound, if any, is the x in `common` whose cone is exactly `common`
+    for x in bits(common):
+        if cones[x] == common:
+            return x
+    return None
+
+
+def legacy_bound_tables(up, down):
+    """(meet, join) tables of the order, as the lattice constructor scanned
+    them; raises NoBoundedLattice naming the first pair without a bound."""
+    n = len(up)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            g = legacy_unique_bound(down, down[a] & down[b])
+            if g is None:
+                raise NoBoundedLattice(f"elements {a} and {b} have no meet")
+            meet[a][b] = meet[b][a] = g
+            g = legacy_unique_bound(up, up[a] & up[b])
+            if g is None:
+                raise NoBoundedLattice(f"elements {a} and {b} have no join")
+            join[a][b] = join[b][a] = g
+    return meet, join
 
 
 def frontier_subalgebras(L, boolean_only=False):

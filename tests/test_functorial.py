@@ -152,6 +152,30 @@ def test_recovery_reports_match_on_embeddings_into_2_5(seed):
     assert report.kind == RecoveryKind.DETERMINED and report.unique
 
 
+# pairs whose homomorphisms reach every branch of the trichotomy, the
+# Determined one on 2^3 -> 2^4, 2^3 -> MO2x2, MO2x2 and two-block automorphisms
+RECOVERY_PAIRS = [("2^3", "2^4"), ("MO2", "MO3"), ("example22", "example22"),
+                  ("2^3", "MO2x2"), ("MO2x2", "MO2x2"), ("hsum(2^3,2^3)", "hsum(2^3,2^3)")]
+
+
+def test_recovery_reports_match_the_full_enumeration():
+    kinds = set()
+    for a, b in RECOVERY_PAIRS:
+        for f in enumerate_homs(catalog(a), catalog(b)):
+            report = classify_recovery(f)
+            assert report == legacy_classify_recovery(f)
+            kinds.add(report.kind)
+    assert kinds == set(RecoveryKind)
+
+
+def test_recovery_keeps_the_hom_search_cap():
+    # 2^5 -> 2^5 is past the cap: the Determined branch refuses it as before
+    f = identity_morphism(boolean_algebra(5))
+    for classify in (classify_recovery, legacy_classify_recovery):
+        with pytest.raises(SizeCap, match=r"hom search capped at \|L\|\*\|M\| <= 256"):
+            classify(f)
+
+
 def test_missing_preimage_is_malformed_input():
     # the preimage of the top of Sub(L) is L itself, not a node of BSub(L)
     L = catalog("example22")

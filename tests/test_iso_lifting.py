@@ -33,8 +33,9 @@ from omlkit import (
     verify_determination,
 )
 from omlkit import iso_lifting
-from omlkit.iso_lifting import _boolean_rank
-from omlkit.lattice_core import SubalgebraSet, bits
+from omlkit.errors import NoLeastElement
+from omlkit.iso_lifting import _boolean_rank, _is_equivalence, _sachs_certificate
+from omlkit.lattice_core import SubalgebraSet, _induced, bits
 from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset
 
 from legacy_oracles import (
@@ -305,7 +306,7 @@ def _poset_from_covers(size, covers):
     return AbstractPoset(up)
 
 
-def test_invariants_filter_and_search_decides():
+def test_invariants_filter_and_certificate_decides():
     # bottom 0; atoms A..D = 1..4 and X, Y, Z = 5..7; rank-2 nodes 8..13; top 14.
     # As in the dual of the partition lattice on four points, each rank-2 node
     # covers two of A..D (each pair once) and one of X, Y, Z (each twice), so
@@ -318,6 +319,7 @@ def test_invariants_filter_and_search_decides():
     fake = _poset_from_covers(15, covers)
     assert [sum(1 for y in range(15) if fake.heights[y] == h) for h in range(4)] == [1, 7, 6, 1]
     assert _boolean_rank(fake, 14) == 4
+    assert not _sachs_certificate(fake, 14, 4)    # X is below the coatoms for CD, BD only
     assert not recognize_boolean_node(fake, 14)
     assert not legacy_recognize_boolean_node(fake, 14)
     assert boolean_nodes(fake) == [y for y in range(15) if y != 14]
@@ -325,8 +327,98 @@ def test_invariants_filter_and_search_decides():
     genuine = partition_lattice(4)[0].dual()
     top = genuine.top()
     assert _boolean_rank(genuine, top) == 4
+    assert _sachs_certificate(genuine, top, 4)
     assert recognize_boolean_node(genuine, top)
     assert boolean_nodes(genuine) == list(range(genuine.size))
+
+
+def test_certificate_rejects_the_dual_partition_lattice_without_a_coatom():
+    # the missing pair: only five of the six pairs of points label a coatom
+    genuine = partition_lattice(4)[0].dual()
+    for c in bits(genuine.cover_down[genuine.top()]):
+        lame = AbstractPoset(_induced(genuine.up, (1 << genuine.size) - 1 & ~(1 << c)))
+        top = lame.top()
+        assert not _sachs_certificate(lame, top, 4)
+        assert not recognize_boolean_node(lame, top)
+        assert not legacy_recognize_boolean_node(lame, top)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_certificate_rejects_the_dual_partition_lattice_without_a_cover(k):
+    # dropping a cover y < z keeps a partial order (nothing lies between);
+    # every such order with y above the bottom is refused.  From k = 5 on,
+    # an atom can lose a cover to a node that is no coatom: every coatom
+    # set stays as it was, and only the order check sees the difference.
+    genuine = partition_lattice(k)[0].dual()
+    top, bottom = genuine.top(), genuine.bottom()
+    passed_rank = 0
+    for y in range(genuine.size):
+        for z in bits(genuine.cover_up[y]):
+            up = list(genuine.up)
+            up[y] &= ~(1 << z)
+            lame = AbstractPoset(up)
+            if y == bottom:
+                with pytest.raises(NoLeastElement):
+                    recognize_boolean_node(lame, top)
+                continue
+            passed_rank += _boolean_rank(lame, top) == k
+            assert not _sachs_certificate(lame, top, k)
+            assert not recognize_boolean_node(lame, top)
+            if k == 4:
+                assert not legacy_recognize_boolean_node(lame, top)
+    assert passed_rank  # some of these pass every invariant: the certificate decides
+
+
+def test_equivalence_pair_sets():
+    assert _is_equivalence(4, [])
+    assert _is_equivalence(4, [(0, 1), (2, 3)])
+    assert _is_equivalence(4, [(0, 1), (0, 2), (1, 2)])
+    assert not _is_equivalence(4, [(0, 1), (0, 2)])             # 1 ~ 2 missing
+    assert not _is_equivalence(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert _is_equivalence(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+
+
+@pytest.mark.parametrize("name", RECOGNITION_CASES + ["hsum(2^4,2^4,2^3)"])
+def test_certificate_matches_the_search_on_relabeled_sub_posets(name):
+    # node orders shuffled, so neither the walk nor the points follow
+    # the enumeration order; hsum(2^4,2^4,2^3) has 1,125 nodes
+    s = sub(catalog(name))
+    rng = random.Random(name)
+    for _ in range(1 if s.size > 500 else 3):
+        perm = list(range(s.size))
+        rng.shuffle(perm)
+        P = s.relabel(perm)
+        truth = [x for x in range(P.size) if legacy_recognize_boolean_node(P, x)]
+        assert [x for x in range(P.size) if recognize_boolean_node(P, x)] == truth
+        assert boolean_nodes(P) == truth == sorted(perm[i] for i in boolean_nodes(s))
+
+
+def test_boolean_nodes_of_sub_2_6_are_all_its_nodes():
+    s = sub(boolean_algebra(6))
+    assert s.size == 203
+    assert boolean_nodes(s) == list(range(203))
+    perm = list(range(203))
+    random.Random(6).shuffle(perm)
+    assert boolean_nodes(s.relabel(perm)) == list(range(203))
+
+
+def _atom_permutation(k, sigma):
+    """The automorphism of 2^k that permutes its atoms by sigma."""
+    B = boolean_algebra(k)
+    return morphism(B, B, [sum(1 << sigma[j] for j in bits(e)) for e in range(B.n)])
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_lift_sub_iso_on_2_5_and_2_6(k):
+    B = boolean_algebra(k)
+    s = sub(B)
+    assert [f.mapping for f in lift_sub_iso(B, B, tuple(range(s.size)), s, s)] == \
+        [tuple(range(B.n))]
+    sigma = list(range(k))
+    random.Random(k).shuffle(sigma)
+    psi = _atom_permutation(k, sigma)
+    lifted = lift_sub_iso(B, B, induced_node_map(psi, s, s), s, s)
+    assert [f.mapping for f in lifted] == [psi.mapping]
 
 
 @pytest.mark.parametrize("side", ["source", "target"])

@@ -30,7 +30,10 @@ from omlkit import (
     relabel,
     sublattice,
 )
-from omlkit.lattice_core import FiniteOrtholattice, bits, mask_of
+from omlkit.lattice_core import FiniteOrtholattice, _transpose, bits, mask_of
+from omlkit.subalgebra_posets import AbstractPoset
+
+from legacy_oracles import legacy_bound_tables, legacy_unique_bound
 
 CATALOG_OMLS = ["2^2", "2^3", "2^4", "MO2", "MO3", "MO4",
                 "MO2x2", "example22", "hsum(2^3,2^3)"]
@@ -122,6 +125,77 @@ def test_meet_join_match_hand_table_on_mo2():
             assert L.join(a, b) == brute_lub(MO2_LEQ, 6, a, b)
     assert L.join(1, 3) == 5  # distinct atom pairs join at the top
     assert L.ocomp(0) == 5
+
+
+TABLE_LATTICES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO2x2",
+                  "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
+
+
+@pytest.mark.parametrize("name", TABLE_LATTICES)
+def test_bound_tables_match_the_cone_scan(name):
+    L = catalog(name)
+    for M in (L, relabel(L, [0] + random.Random(name).sample(range(1, L.n - 1), L.n - 2)
+                         + [L.n - 1])):
+        meet, join = legacy_bound_tables(M.up, M.down)
+        assert M._meet == tuple(map(tuple, meet))
+        assert M._join == tuple(map(tuple, join))
+
+
+def _random_order(rng, n, bounded):
+    """A random partial order on 0..n-1 as up rows, on three levels: i < j
+    with probability 0.6 when j is on a higher level, closed transitively.
+    With ``bounded``, 0 and n-1 become its least and greatest elements."""
+    level = sorted(rng.randrange(3) for _ in range(n))
+    up = [1 << i for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if level[i] < level[j] and rng.random() < 0.6:
+                up[i] |= up[j]
+    if bounded:
+        up = [row | 1 << (n - 1) for row in up]
+        up[0] = (1 << n) - 1
+    return up
+
+
+def test_a_non_lattice_fails_on_the_same_first_pair():
+    rng = random.Random(11)
+    non_lattices = lattices = 0
+    for _ in range(400):
+        n = rng.randrange(4, 10)
+        up = _random_order(rng, n, bounded=True)
+        ortho = list(range(n))[::-1]
+        try:
+            meet, join = legacy_bound_tables(up, _transpose(up))
+        except NoBoundedLattice as exc:
+            non_lattices += 1
+            with pytest.raises(NoBoundedLattice) as got:
+                FiniteOrtholattice(up, ortho)
+            assert str(got.value) == str(exc)
+            continue
+        try:
+            L = FiniteOrtholattice(up, ortho)
+        except BadOrthocomplement:
+            continue
+        lattices += 1
+        assert L._meet == tuple(map(tuple, meet)) and L._join == tuple(map(tuple, join))
+    assert non_lattices > 50 and lattices > 50
+    with pytest.raises(NoBoundedLattice, match="^elements 1 and 2 have no join$"):
+        FiniteOrtholattice(full_relation(6, [(1, 3), (1, 4), (2, 3), (2, 4)]), range(6)[::-1])
+
+
+def test_poset_bounds_match_the_cone_scan():
+    # posets share the row index: joins, meets and bounds, None where absent
+    rng = random.Random(12)
+    for _ in range(150):
+        n = rng.randrange(1, 9)
+        P = AbstractPoset(_random_order(rng, n, bounded=rng.random() < 0.3))
+        everything = (1 << n) - 1
+        assert P.bottom() == legacy_unique_bound(P.up, everything)
+        assert P.top() == legacy_unique_bound(P.down, everything)
+        for x in range(n):
+            for y in range(n):
+                assert P.join(x, y) == legacy_unique_bound(P.up, P.up[x] & P.up[y])
+                assert P.meet(x, y) == legacy_unique_bound(P.down, P.down[x] & P.down[y])
 
 
 def test_meet_of_distinct_atoms_is_zero():
