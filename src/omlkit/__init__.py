@@ -68,7 +68,6 @@ from .sachs_boolean import (
     dual_decomposition,
     dual_order_test,
     is_boolean_algebra,
-    lift_boolean_iso,
     partition_lattice,
     partition_to_subalgebra,
     pd_mask,
@@ -88,6 +87,7 @@ from .iso_lifting import (
     PosetIso,
     boolean_nodes,
     induced_node_map,
+    lift_boolean_iso,
     lift_bsub_iso,
     lift_sub_iso,
     poset_iso,

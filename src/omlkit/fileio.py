@@ -167,7 +167,7 @@ def parse_node_map(text: str, source: SubalgebraPoset,
     def label_mask(label, poset) -> int:
         if not isinstance(label, list) or not all(
                 isinstance(e, int) and not isinstance(e, bool) and
-                0 <= e < poset.owner.n for e in label):
+                0 <= e < poset.owner.n for e in label) or len(set(label)) != len(label):
             raise MalformedInput(f"bad subalgebra label {label!r}")
         return sum(1 << e for e in label)
 

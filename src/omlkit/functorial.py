@@ -90,13 +90,9 @@ def enumerate_homs(L: FiniteOrtholattice, M: FiniteOrtholattice) -> list[Morphis
     already-assigned elements; complete assignments are revalidated.  Only
     for small inputs: |L| * |M| is capped at 256.
     """
-    _check_hom_cap(L, M)
-    return _homs(L, M, [range(M.n)] * L.n)
-
-
-def _check_hom_cap(L: FiniteOrtholattice, M: FiniteOrtholattice):
     if L.n * M.n > HOM_SEARCH_CAP:
         raise SizeCap(f"hom search capped at |L|*|M| <= {HOM_SEARCH_CAP}")
+    return _homs(L, M, [range(M.n)] * L.n)
 
 
 def _homs(L: FiniteOrtholattice, M: FiniteOrtholattice,
@@ -174,6 +170,8 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
     same preimage map only: g^{-1}[x] = f^{-1}[x] for every node x of
     Sub(M) exactly when each g(a) lies in the same nodes as f(a), so each
     g(a) is drawn from the elements whose node set equals that of f(a).
+    Those are at most f(a) and f(a)', so the search needs no |L|*|M| cap;
+    Sub(M) is bounded by the enumeration's node cap.
     """
     im = image_subalgebra(f)
     if len(im) == 2:
@@ -192,7 +190,6 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
         if list(_preimage_masks(g, sub_m)) != list(_preimage_masks(f, sub_m)):
             raise Inconsistent("the four-block witness has a different preimage map")
         return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
-    _check_hom_cap(f.source, f.target)
     # nodes_with[v]: the nodes of Sub(M) containing v; a subalgebra holds v
     # exactly when it holds v', so the candidate lists are closed under
     # complement as _homs needs

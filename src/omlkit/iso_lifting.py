@@ -166,6 +166,26 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     return out
 
 
+def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
+                     phi: Sequence[int],
+                     sub_b: Optional[SubalgebraPoset] = None,
+                     sub_c: Optional[SubalgebraPoset] = None) -> list[Morphism]:
+    """Lift a Sub(B) -> Sub(C) order isomorphism to element isomorphisms.
+
+    ``phi`` maps node indices of the canonical Sub(B) enumeration to node
+    indices of Sub(C).  Returns every isomorphism f: B -> C with
+    f[x] = phi(x) for all nodes x: exactly two when |B| = 4 (the two ways
+    to match the atom pairs), exactly one otherwise.  Raises NotBoolean
+    first when B or C is not a Boolean algebra.
+
+    This is the one-block case of ``lift_bsub_iso``: for a Boolean B,
+    BSub(B) = Sub(B) with the same node order, and B is its only block.
+    """
+    sachs_boolean._require_boolean(B)
+    sachs_boolean._require_boolean(C)
+    return lift_bsub_iso(B, C, phi, sub_b, sub_c)
+
+
 @lru_cache(maxsize=None)
 def _stirling_row(k: int) -> tuple[int, ...]:
     """(S(k,1), ..., S(k,k)), Stirling numbers of the second kind."""

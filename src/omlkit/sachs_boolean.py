@@ -14,20 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import Inconsistent, MalformedInput, NotAMorphism, NotBoolean
-from .lattice_core import (
-    FiniteOrtholattice,
-    Morphism,
-    SubalgebraSet,
-    bits,
-    morphism,
-)
-from .subalgebra_posets import (
-    AbstractPoset,
-    SubalgebraPoset,
-    check_order_iso,
-    enumerate_subalgebras,
-)
+from .errors import Inconsistent, MalformedInput, NotBoolean
+from .lattice_core import FiniteOrtholattice, SubalgebraSet, bits
+from .subalgebra_posets import AbstractPoset, SubalgebraPoset
 
 
 def is_boolean_algebra(L: FiniteOrtholattice) -> bool:
@@ -271,63 +260,3 @@ def _pd_lift(L: FiniteOrtholattice, M: FiniteOrtholattice, X: int, Y: int,
     if any(L.ortho[b] not in image for b in bits(X) if b not in image):
         raise Inconsistent("complement of a coatom escaped the lift domain")
     return [image[b] if b in image else M.ortho[image[L.ortho[b]]] for b in bits(X)]
-
-
-def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
-                     phi: Sequence[int],
-                     sub_b: Optional[SubalgebraPoset] = None,
-                     sub_c: Optional[SubalgebraPoset] = None) -> list[Morphism]:
-    """Lift a Sub(B) -> Sub(C) order isomorphism to element isomorphisms.
-
-    ``phi`` maps node indices of the canonical Sub(B) enumeration to node
-    indices of Sub(C).  Returns every isomorphism f: B -> C with
-    f[x] = phi(x) for all nodes x: exactly two when |B| = 4 (the two ways
-    to match the atom pairs), exactly one otherwise.
-
-    The unique lift is read off the principal dual subalgebras: an element b
-    that is neither a coatom nor the top determines the node [0,b] u [b',1],
-    whose image node is principal dual again and names f(b); coatoms and the
-    top follow by complement (``_pd_lift`` with X the whole algebra).
-    """
-    _require_boolean(B)
-    _require_boolean(C)
-    if sub_b is None:
-        sub_b = enumerate_subalgebras(B)
-    if sub_c is None:
-        sub_c = enumerate_subalgebras(C)
-    phi = check_order_iso(phi, sub_b, sub_c)
-    if B.n != C.n:
-        raise Inconsistent("isomorphic subalgebra lattices of different-size algebras")
-
-    def check_node_images(f: Morphism):
-        for i, node in enumerate(sub_b.nodes):
-            if f.apply_mask(node.members) != sub_c.nodes[phi[i]].members:
-                raise Inconsistent("lift does not realize the node map")
-
-    if B.n == 2:
-        f = morphism(B, C, (0, 1))
-        check_node_images(f)
-        return [f]
-
-    if B.n == 4:
-        p, q = B.atoms()
-        c, d = C.atoms()
-        out = []
-        for cc, dd in ((c, d), (d, c)):
-            m = [0] * 4
-            m[p], m[q] = cc, dd
-            m[3] = 3
-            f = morphism(B, C, m)
-            check_node_images(f)
-            out.append(f)
-        return out
-
-    mapping = _pd_lift(B, C, B.universe, C.universe, phi, sub_b, sub_c)
-    try:
-        f = morphism(B, C, mapping)
-    except NotAMorphism as exc:
-        raise Inconsistent(f"lifted map is not an isomorphism: {exc}") from exc
-    if f.kind != "iso":
-        raise Inconsistent("lifted map is not bijective")
-    check_node_images(f)
-    return [f]

@@ -19,7 +19,7 @@ from .functorial import (
     preimage_functor,
     unrealized_meet_preserving_map,
 )
-from .iso_lifting import induced_node_map, lift_bsub_iso
+from .iso_lifting import induced_node_map, lift_boolean_iso, lift_bsub_iso
 from .lattice_core import (
     ORTHOMODULAR,
     automorphisms,
@@ -126,7 +126,6 @@ def check_dual_extension_symmetry() -> str:
 
 
 def check_boolean_lift() -> str:
-    from .sachs_boolean import lift_boolean_iso
     B = boolean_algebra(3)
     s = sub(B)
     poset_autos = set(poset_automorphisms(s))

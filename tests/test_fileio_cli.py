@@ -82,6 +82,10 @@ def test_node_map_round_trip():
         fileio.parse_node_map('{"pairs": [[[0,-5],[0,5]]]}', p, p)
     with pytest.raises(MalformedInput):
         fileio.parse_node_map('{"pairs": [[[0,3],[0,5]]]}', p, p)  # not a node
+    # 0 + 0 + 0 would carry into bit 1 and read as the node {0,1,2,5}
+    repeated = '{"pairs": [[[0,5],[0,5]], [[0,0,0,2,5],[0,1,2,5]], [[0,3,4,5],[0,3,4,5]]]}'
+    with pytest.raises(MalformedInput, match=r"bad subalgebra label \[0, 0, 0, 2, 5\]"):
+        fileio.parse_node_map(repeated, p, p)
 
 
 def test_dot_export():

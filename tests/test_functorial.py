@@ -10,6 +10,7 @@ from omlkit import (
     MalformedInput,
     RecoveryKind,
     SizeCap,
+    automorphisms,
     boolean_algebra,
     bsub,
     catalog,
@@ -168,12 +169,24 @@ def test_recovery_reports_match_the_full_enumeration():
     assert kinds == set(RecoveryKind)
 
 
-def test_recovery_keeps_the_hom_search_cap():
-    # 2^5 -> 2^5 is past the cap: the Determined branch refuses it as before
-    f = identity_morphism(boolean_algebra(5))
-    for classify in (classify_recovery, legacy_classify_recovery):
-        with pytest.raises(SizeCap, match=r"hom search capped at \|L\|\*\|M\| <= 256"):
-            classify(f)
+def test_recovery_answers_past_the_hom_search_cap():
+    # |L|*|M| > 256: the full hom enumeration (and the old recovery check
+    # built on it) is capped, the candidate-restricted search is not
+    for name in ("2^5", "hsum(2^4,2^4)"):
+        L = catalog(name)
+        f = identity_morphism(L)
+        for capped in (lambda: enumerate_homs(L, L), lambda: legacy_classify_recovery(f)):
+            with pytest.raises(SizeCap, match=r"hom search capped at \|L\|\*\|M\| <= 256"):
+                capped()
+        report = classify_recovery(f)
+        assert report.kind == RecoveryKind.DETERMINED and report.unique
+        # brute force: a g with the identity's preimage map sends only 0 and 1
+        # into the node {0,1}, so it is injective, hence an automorphism; only
+        # the identity among the automorphisms may induce that preimage map
+        s = sub(L)
+        same = preimage_functor(f, s, s).mapping
+        assert [g.mapping for g in automorphisms(L)
+                if preimage_functor(g, s, s).mapping == same] == [f.mapping]
 
 
 def test_missing_preimage_is_malformed_input():

@@ -207,6 +207,7 @@ def test_boolean_lifts_match_on_every_automorphism(k):
         _same_lifts(B, B, phi, s, s)
         new = [f.mapping for f in lift_boolean_iso(B, B, phi, s, s)]
         assert new == [f.mapping for f in legacy_lift_boolean_iso(B, B, phi, s, s)]
+        assert new == [f.mapping for f in lift_boolean_iso(B, B, phi)]  # posets omitted
         assert psi.mapping in new
 
 

@@ -48,10 +48,12 @@ def test_operations_reject_non_boolean():
             lambda: subalgebra_to_partition(L, bottom),
             lambda: partition_to_subalgebra(L, Partition.of([[1]])),
             lambda: lift_boolean_iso(L, L, tuple(range(s.size)), s, s),
+            # a non-Boolean target alone, caught before the node map is read
+            lambda: lift_boolean_iso(boolean_algebra(2), L, (0, 1)),
         ]
         for _ in range(2):
             for call in calls:
-                with pytest.raises(NotBoolean):
+                with pytest.raises(NotBoolean, match="^operation needs a Boolean algebra$"):
                     call()
 
 
