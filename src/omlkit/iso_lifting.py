@@ -75,6 +75,26 @@ def _as_mapping(phi) -> Sequence[int]:
     return phi.mapping if isinstance(phi, PosetIso) else phi
 
 
+def _realization_test(phi: Sequence[int], P: SubalgebraPoset, Q: SubalgebraPoset):
+    """A test of f[y] = phi(y) for every node y of P, for bijections f.
+
+    As phi is a bijection too, that holds exactly when phi maps the nodes
+    containing e onto those containing f(e), for every element e.  Those
+    are the up rows of the nodes {0, e, e', 1} and {0, f(e), f(e)', 1}, and
+    phi is an order isomorphism, so it must map the one node to the other.
+    Hand-built posets without these nodes are checked node by node.
+    """
+    def element_nodes(R: SubalgebraPoset) -> list[Optional[int]]:
+        top = 1 << (R.owner.n - 1)
+        return [R._index.get(1 | 1 << e | 1 << o | top) for e, o in enumerate(R.owner.ortho)]
+
+    x, y = element_nodes(P), element_nodes(Q)
+    if None in x or None in y:
+        return lambda f: all(f.apply_mask(node.members) == Q.nodes[phi[i]].members
+                             for i, node in enumerate(P.nodes))
+    return lambda f: all(phi[x[e]] == y[v] for e, v in enumerate(f.mapping))
+
+
 def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
                   bsub_l: Optional[SubalgebraPoset] = None,
                   bsub_m: Optional[SubalgebraPoset] = None,
@@ -142,6 +162,7 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         raise Unsupported(
             f"{len(choice_pairs)} four-element blocks; request the canonical lift")
 
+    realizes = _realization_test(phi, bsub_l, bsub_m)
     combos = itertools.product(*(range(2) for _ in choice_pairs))
     if canonical_only:
         combos = [tuple(0 for _ in choice_pairs)]
@@ -159,9 +180,8 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
             raise GlueConflict(f"glued map is not a homomorphism: {exc}") from exc
         if f.kind != "iso":
             raise GlueConflict("glued map is not an isomorphism")
-        for i, node in enumerate(bsub_l.nodes):
-            if f.apply_mask(node.members) != bsub_m.nodes[phi[i]].members:
-                raise GlueConflict("glued map does not realize the node map")
+        if not realizes(f):
+            raise GlueConflict("glued map does not realize the node map")
         out.append(f)
     return out
 
@@ -367,10 +387,10 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         bsub_m.node_index(sub_m.nodes[phi[i]].members) for i in bool_l)
     out = lift_bsub_iso(L, M, restricted, bsub_l, bsub_m,
                         canonical_only=canonical_only)
+    realizes = _realization_test(phi, sub_l, sub_m)
     for f in out:
-        for i, node in enumerate(sub_l.nodes):
-            if f.apply_mask(node.members) != sub_m.nodes[phi[i]].members:
-                raise GlueConflict("lift does not realize the full node map")
+        if not realizes(f):
+            raise GlueConflict("lift does not realize the full node map")
     return out
 
 

@@ -214,30 +214,26 @@ class FiniteOrtholattice:
         return self._extend(0, (), tuple(bits(mask | 1 | 1 << (self.n - 1))))[0]
 
     def _extend(self, mask: int, members: Sequence[int], new: Sequence[int],
-                floor: int = 0) -> Optional[tuple[int, list[int]]]:
+                floor: int = 0) -> tuple[int, list[int]] | int:
         """Close ``mask`` plus ``new`` under complement and meet.
 
         ``mask`` must already be closed, with ``members`` listing its
         elements.  Semi-naive: each new element is combined only with the
         elements listed before it, so pairs of old members are never
         revisited.  Joins come for free, since a v b = (a' ^ b')' in an
-        ortholattice.  Returns the closed mask and its member list, or None
-        as soon as an element below ``floor`` outside ``mask`` appears (the
-        Close-by-One canonicity test).
+        ortholattice.  Returns the closed mask and its member list or, as
+        soon as an element below ``floor`` outside ``mask`` appears, that
+        element (the Close-by-One canonicity test fails, and the element
+        witnesses it).
         """
         meet, ortho = self._meet, self.ortho
-        for v in new:
-            # cheap early exit: a complement below floor is added first thing
-            o = ortho[v]
-            if o < floor and not mask >> o & 1:
-                return None
         members = list(members)
         have = set(members)
         i = len(members)
         for v in new:
             if v not in have:
                 if v < floor:
-                    return None
+                    return v
                 have.add(v)
                 members.append(v)
                 mask |= 1 << v
@@ -248,7 +244,7 @@ class FiniteOrtholattice:
             fresh -= have
             if fresh:
                 if min(fresh) < floor:
-                    return None
+                    return min(fresh)
                 have |= fresh
                 members.extend(fresh)
                 for v in fresh:

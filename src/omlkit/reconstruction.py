@@ -128,12 +128,13 @@ def orthoclosed_lattice(frame: OrthoFrame, name: Optional[str] = None) -> Finite
     def extend(s: int, s_perp: int, e: int):
         t_perp = s_perp & perp[e]
         t = perp_of(t_perp)
-        if t & ~s & (1 << e) - 1:
-            return None
+        added_below = t & ~s & (1 << e) - 1
+        if added_below:
+            return (added_below & -added_below).bit_length() - 1
         return t, t_perp
 
     bottom = perp_of(universe)
-    closed = close_by_one(frame.size, bottom, universe, extend, MAX_ELEMENTS)
+    closed = close_by_one(range(frame.size), bottom, universe, extend, MAX_ELEMENTS)
     if len(closed) > MAX_ELEMENTS:
         raise FrameCap(f"frame has more than {MAX_ELEMENTS} orthoclosed sets "
                        f"(stopped at {len(closed)}, {frame.size} points)")
@@ -142,7 +143,7 @@ def orthoclosed_lattice(frame: OrthoFrame, name: Optional[str] = None) -> Finite
         raise MalformedInput("orthoclosed family is trivial; not a lattice")
     index = {s: i for i, s in enumerate(closed)}
     ortho = [index[perp_of(s)] for s in closed]
-    return FiniteOrtholattice(inclusion_rows(closed), ortho, name)
+    return FiniteOrtholattice(inclusion_rows(closed)[0], ortho, name)
 
 
 def reconstruct(P: AbstractPoset, name: Optional[str] = None) -> FiniteOrtholattice:

@@ -11,7 +11,9 @@ identical output, byte for byte.
 from __future__ import annotations
 
 import os
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress
+from operator import and_
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -170,12 +172,12 @@ class SubalgebraPoset(AbstractPoset):
         self._attach(owner, nodes, flavor)
 
     @classmethod
-    def _enumerated(cls, up: Sequence[int], owner: FiniteOrtholattice,
+    def _enumerated(cls, up: Sequence[int], down: Sequence[int], owner: FiniteOrtholattice,
                     nodes: Sequence[SubalgebraSet], flavor: str) -> "SubalgebraPoset":
         """The poset ``enumerate_subalgebras`` built, without validating the
         order: the inclusion order of distinct sets is always a partial order."""
         self = cls.__new__(cls)
-        self.up, self.size, self.down = tuple(up), len(up), _transpose(up)
+        self.up, self.size, self.down = tuple(up), len(up), tuple(down)
         self._attach(owner, nodes, flavor)
         return self
 
@@ -210,49 +212,60 @@ def _node_cap(cap: Optional[int]) -> int:
         raise MalformedInput(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def close_by_one(size: int, bottom: int, state, extend, cap: int) -> list[int]:
-    """Every closed set of a closure system on 0..size-1, each exactly once.
+def close_by_one(candidates: Sequence[int], bottom: int, state, extend,
+                 cap: int) -> list[int]:
+    """Every closed set of a closure system, each exactly once.
 
-    Kuznetsov's Close-by-One, depth first: from a closed set s reached by
-    adding element e, try each element above e that is not in s.
-    ``extend(s, state, e)`` returns the closure of s plus e with its state,
-    or None when that closure adds an element below e (it is then reached
-    from another parent) or the caller rejects it; a rejected set's whole
-    subtree is skipped, which is sound for families closed under taking
-    closed subsets, such as Boolean subalgebras.  ``bottom`` is the least
-    closed set.  Stops once more than ``cap`` sets are found, returning them
-    unsorted; the caller decides what the overflow means.
+    Kuznetsov's Close-by-One, depth first from the least closed set
+    ``bottom``: from a closed set s reached by adding element e, try each of
+    the ascending ``candidates`` above e not in s (elements never added
+    canonically may be left out).  ``extend(s, state, e)`` returns the
+    closure of s plus e with its state; or, if that closure adds an element
+    w below e (it is reached from another parent), w; or None if the caller
+    rejects it, which skips its subtree (sound for families closed under
+    closed subsets, such as Boolean subalgebras).  As in Outrata and
+    Vychodil's Fast Close-by-One, children inherit the witnesses: w is in
+    the closure of any closed s' above s plus e, so a child missing w fails
+    at e untried.  Stops once more than ``cap`` sets are found, returning
+    them unsorted.
     """
+    after = {e: tuple(candidates[i + 1:]) for i, e in enumerate(candidates)}
     found = []
-    stack = [(bottom, state, 0)]
+    stack = [(bottom, state, tuple(candidates), {})]
     while stack:
-        s, state, first = stack.pop()
+        s, state, todo, inherited = stack.pop()
         found.append(s)
         if len(found) > cap:
             break
-        for e in range(first, size):
+        witnesses = {}
+        for e in todo:
             if not s >> e & 1:
-                child = extend(s, state, e)
-                if child is not None:
-                    stack.append((*child, e + 1))
+                w = inherited.get(e)
+                child = w if w is not None and not s >> w & 1 else extend(s, state, e)
+                if child.__class__ is tuple:
+                    stack.append((*child, after[e], witnesses))
+                elif child is not None:
+                    witnesses[e] = child
     return found
 
 
-def inclusion_rows(masks: Sequence[int]) -> list[int]:
-    """up rows of the inclusion order on ``masks``: bit j of row i is set
-    when masks[i] is a subset of masks[j]."""
+def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Up and down rows of the inclusion order on ``masks``, in one pass.
+
+    The masks' fixed-width binary strings are transposed once into columns,
+    the nodes containing each element.  A node's up row is the AND of its
+    members' columns, its down row the AND of the other columns' complements.
+    """
     everything = (1 << len(masks)) - 1
-    containing = {}
-    for i, m in enumerate(masks):
-        for e in bits(m):
-            containing[e] = containing.get(e, 0) | 1 << i
-    rows = []
-    for m in masks:
-        row = everything
-        for e in bits(m):
-            row &= containing[e]
-        rows.append(row)
-    return rows
+    width = f"0{max(masks).bit_length()}b"
+    digits = [format(m, width).encode() for m in masks]
+    containing = [int(bytes(col), 2) for col in zip(*reversed(digits))]
+    missing = [everything ^ col for col in containing]
+    # each node's digits, as itertools.compress selectors of its ones or zeros
+    ones, zeros = bytes.maketrans(b"01", b"\0\1"), bytes.maketrans(b"01", b"\1\0")
+    up = [reduce(and_, compress(containing, d.translate(ones)), everything) for d in digits]
+    down = [reduce(and_, compress(missing, d.translate(zeros)), everything) for d in digits]
+    return up, down
 
 
 def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
@@ -285,18 +298,20 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     else:
         def extend(s, members, e):
             child = extend_closed(s, members, (e,), e)
-            if child is None or not L.is_boolean(child[0]):
+            if child.__class__ is tuple and not L.is_boolean(child[0]):
                 return None
             return child
 
-    masks = close_by_one(L.n, bottom, list(bits(bottom)), extend, cap)
+    # an element above its complement drags that smaller complement in
+    candidates = [e for e in range(L.n) if L.ortho[e] > e]
+    masks = close_by_one(candidates, bottom, list(bits(bottom)), extend, cap)
     if len(masks) > cap:
         raise ExplosionCap(
             f"more than {cap} subalgebras (stopped at {len(masks)} nodes); "
             f"raise the cap with {NODE_CAP_ENV}")
     masks.sort()
     nodes = [SubalgebraSet(L, m) for m in masks]
-    return SubalgebraPoset._enumerated(inclusion_rows(masks), L, nodes,
+    return SubalgebraPoset._enumerated(*inclusion_rows(masks), L, nodes,
                                        BSUB if boolean_only else SUB)
 
 

@@ -21,6 +21,13 @@ lattice's meet and join tables that way, pair by pair in the old order.
 the interval and a fresh partition lattice for every node, with no cheap
 invariants in front of the isomorphism search.
 
+``legacy_close_by_one``, ``legacy_inclusion_rows`` and ``legacy_transpose``
+are the enumerator and the inclusion rows before failed closures left
+witnesses: every element above the last one added was tried and closed,
+and the down rows were a second pass over the up rows.
+``legacy_enumerate_subalgebras`` and ``legacy_orthoclosed`` drive them as
+``enumerate_subalgebras`` and ``orthoclosed_lattice`` did.
+
 ``legacy_lift_bsub_iso`` and ``legacy_lift_boolean_iso`` lift each block of
 more than four elements through a standalone copy (``sublattice``), its
 own Sub enumeration and a Boolean check, where the library now reads the
@@ -133,6 +140,99 @@ def frontier_subalgebras(L, boolean_only=False):
                 row |= 1 << j
         rows.append(row)
     return masks, tuple(rows)
+
+
+def legacy_close_by_one(size, bottom, state, extend, cap):
+    found = []
+    stack = [(bottom, state, 0)]
+    while stack:
+        s, state, first = stack.pop()
+        found.append(s)
+        if len(found) > cap:
+            break
+        for e in range(first, size):
+            if not s >> e & 1:
+                child = extend(s, state, e)
+                if child is not None:
+                    stack.append((*child, e + 1))
+    return found
+
+
+def legacy_inclusion_rows(masks):
+    everything = (1 << len(masks)) - 1
+    containing = {}
+    for i, m in enumerate(masks):
+        for e in bits(m):
+            containing[e] = containing.get(e, 0) | 1 << i
+    rows = []
+    for m in masks:
+        row = everything
+        for e in bits(m):
+            row &= containing[e]
+        rows.append(row)
+    return rows
+
+
+def legacy_transpose(rows):
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def legacy_enumerate_subalgebras(L, boolean_only=False, cap=100000):
+    """(sorted node masks, up rows, down rows) of Sub(L) or BSub(L), or the
+    unsorted masks found once more than ``cap`` were."""
+
+    def closed(s, members, e):
+        # L._extend now returns a witness where it returned None
+        child = L._extend(s, members, (e,), e)
+        return child if isinstance(child, tuple) else None
+
+    if not boolean_only:
+        extend = closed
+    elif L.is_orthomodular:
+        def extend(s, members, e):
+            return None if s & ~L.commuting[e] else closed(s, members, e)
+    else:
+        def extend(s, members, e):
+            child = closed(s, members, e)
+            return None if child is None or not L.is_boolean(child[0]) else child
+
+    bottom = L.closure_mask(0)
+    masks = legacy_close_by_one(L.n, bottom, list(bits(bottom)), extend, cap)
+    if len(masks) > cap:
+        return masks
+    masks.sort()
+    up = legacy_inclusion_rows(masks)
+    return masks, tuple(up), legacy_transpose(up)
+
+
+def legacy_orthoclosed(frame, cap=64):
+    """(sorted closed sets, up rows, ortho table) of a frame's orthoclosed
+    sets, or the unsorted sets found once more than ``cap`` were."""
+    universe = (1 << frame.size) - 1
+
+    def perp_of(s):
+        out = universe
+        for p in bits(s):
+            out &= frame.perp[p]
+        return out
+
+    def extend(s, s_perp, e):
+        t_perp = s_perp & frame.perp[e]
+        t = perp_of(t_perp)
+        if t & ~s & (1 << e) - 1:
+            return None
+        return t, t_perp
+
+    closed = legacy_close_by_one(frame.size, perp_of(universe), universe, extend, cap)
+    if len(closed) > cap:
+        return closed
+    closed.sort()
+    index = {s: i for i, s in enumerate(closed)}
+    return closed, tuple(legacy_inclusion_rows(closed)), tuple(index[perp_of(s)] for s in closed)
 
 
 def subset_scan_orthoclosed(frame):

@@ -32,10 +32,15 @@ from omlkit import (
     sublattice,
     verify_determination,
 )
-from omlkit import iso_lifting
+from omlkit import iso_lifting, sachs_boolean
 from omlkit.errors import NoLeastElement
-from omlkit.iso_lifting import _boolean_rank, _is_equivalence, _sachs_certificate
-from omlkit.lattice_core import SubalgebraSet, _induced, bits
+from omlkit.iso_lifting import (
+    _boolean_rank,
+    _is_equivalence,
+    _realization_test,
+    _sachs_certificate,
+)
+from omlkit.lattice_core import Morphism, SubalgebraSet, _induced, bits
 from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset
 
 from legacy_oracles import (
@@ -158,6 +163,71 @@ def test_lift_of_a_block_that_is_not_closed():
     poset = SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
     with pytest.raises(Inconsistent, match="escaped the lift domain"):
         lift_bsub_iso(B, B, (0, 1), poset, poset)
+
+
+def _realizes_node_by_node(f, phi, P, Q):
+    return all(f.apply_mask(node.members) == Q.nodes[phi[i]].members
+               for i, node in enumerate(P.nodes))
+
+
+def _bijections(L, rng):
+    """Automorphisms, each also with two inner elements swapped, and random
+    bijections fixing the bounds."""
+    out = []
+    for g in automorphisms(L)[:6]:
+        out.append(g.mapping)
+        a, b = rng.sample(range(1, L.n - 1), 2)
+        swapped = list(g.mapping)
+        swapped[a], swapped[b] = swapped[b], swapped[a]
+        out.append(tuple(swapped))
+    for _ in range(4):
+        inner = list(range(1, L.n - 1))
+        rng.shuffle(inner)
+        out.append((0, *inner, L.n - 1))
+    return out
+
+
+@pytest.mark.parametrize("name", ["2^4", "MO3", "MO2x2", "example22", "hsum(2^3,2^3)"])
+def test_realization_test_matches_the_node_by_node_check(name):
+    L = catalog(name)
+    rng = random.Random(name)
+    for P in (sub(L), bsub(L)):
+        for psi in automorphisms(L)[:4]:
+            phi = induced_node_map(psi, P, P)
+            realizes = _realization_test(phi, P, P)
+            verdicts = []
+            for mapping in _bijections(L, rng):
+                f = Morphism(L, L, mapping, "iso")
+                verdicts.append(realizes(f))
+                assert verdicts[-1] == _realizes_node_by_node(f, phi, P, P)
+            assert True in verdicts and False in verdicts
+
+
+def test_realization_test_on_a_poset_without_element_nodes():
+    # nodes {0, 7} and 2^3 itself: no {0, e, e', 1} to read a row from
+    B = boolean_algebra(3)
+    nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, B.universe)]
+    poset = SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
+    realizes = _realization_test((0, 1), poset, poset)
+    for mapping in [tuple(range(8)), (0, 2, 1, 3, 4, 5, 6, 7), (3, 1, 2, 0, 4, 5, 6, 7)]:
+        f = Morphism(B, B, mapping, "iso")
+        assert realizes(f) == _realizes_node_by_node(f, (0, 1), poset, poset) \
+            == (mapping[0] == 0)
+
+
+def test_lift_through_a_poset_without_element_nodes():
+    # the trivial node, 2^4 and the principal duals the block lift reads:
+    # no node {0, b, b', 1} for the six elements b of height 2
+    B = boolean_algebra(4)
+    masks = sorted({1 | 1 << 15, B.universe} | {
+        sachs_boolean.pd_mask(B, b) for b in range(15) if b not in B.coatoms()})
+    nodes = [SubalgebraSet(B, m) for m in masks]
+    up = [sum(1 << j for j, n in enumerate(masks) if not m & ~n) for m in masks]
+    poset = SubalgebraPoset(up, B, nodes, BSUB)
+    assert poset.size == 12
+    for psi in automorphisms(B)[::5]:
+        phi = induced_node_map(psi, poset, poset)
+        assert [f.mapping for f in lift_bsub_iso(B, B, phi, poset, poset)] == [psi.mapping]
 
 
 def test_lift_of_sub_of_a_boolean_algebra():
