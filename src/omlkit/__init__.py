@@ -84,13 +84,11 @@ from .reconstruction import (
 )
 from .iso_lifting import (
     DeterminationReport,
-    PosetIso,
     boolean_nodes,
     induced_node_map,
     lift_boolean_iso,
     lift_bsub_iso,
     lift_sub_iso,
-    poset_iso,
     recognize_boolean_node,
     verify_determination,
 )

@@ -56,8 +56,7 @@ def _flavor_text(L) -> str:
 
 def _add_poset_flags(p: argparse.ArgumentParser):
     p.add_argument("lattice", nargs="?", default="-", help="lattice file (default stdin)")
-    p.add_argument("--dot", action="store_true", help="shorthand for --format dot")
-    p.add_argument("--format", choices=("text", "dot"), default="text")
+    p.add_argument("--dot", action="store_true", help="emit Graphviz dot instead of JSON")
     p.add_argument("-o", "--output", default=None)
 
 
@@ -103,11 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("source")
         p.add_argument("target")
         p.add_argument("iso", help="node map file: pairs of subalgebra element lists")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--all", action="store_true", default=True,
-                           help="emit every consistent lift (default)")
-        group.add_argument("--canonical", action="store_true",
-                           help="emit only the canonical lift")
+        p.add_argument("--canonical", action="store_true",
+                       help="emit only the canonical lift (default: every consistent lift)")
         p.add_argument("-o", "--output", default=None)
 
     p = verbs.add_parser("check-sachs",
@@ -150,7 +146,7 @@ def _cmd_catalog(args) -> int:
 def _cmd_enumerate(args) -> int:
     L = _load_lattice(args.lattice)
     poset = enumerate_subalgebras(L, boolean_only=args.boolean_only)
-    if args.dot or args.format == "dot":
+    if args.dot:
         _write(fileio.poset_to_dot(poset), args.output)
     else:
         _write(fileio.dump_poset(poset), args.output)

@@ -46,33 +46,11 @@ from . import sachs_boolean
 MAX_FOUR_BLOCK_CHOICES = 6
 
 
-@dataclass(frozen=True)
-class PosetIso:
-    """A checked order isomorphism between two posets, as a node map."""
-
-    source: AbstractPoset
-    target: AbstractPoset
-    mapping: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-
-def poset_iso(source: AbstractPoset, target: AbstractPoset,
-              mapping: Sequence[int]) -> PosetIso:
-    """Validate ``mapping`` as an order isomorphism; raises NotAnIso."""
-    return PosetIso(source, target, check_order_iso(mapping, source, target))
-
-
 def induced_node_map(psi: Morphism, source_poset: SubalgebraPoset,
                      target_poset: SubalgebraPoset) -> tuple[int, ...]:
     """The node map x -> psi[x] a lattice isomorphism induces on subalgebra posets."""
     return tuple(target_poset.node_index(psi.apply_mask(node.members))
                  for node in source_poset.nodes)
-
-
-def _as_mapping(phi) -> Sequence[int]:
-    return phi.mapping if isinstance(phi, PosetIso) else phi
 
 
 def _realization_test(phi: Sequence[int], P: SubalgebraPoset, Q: SubalgebraPoset):
@@ -119,7 +97,7 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         bsub_l = enumerate_subalgebras(L, boolean_only=True)
     if bsub_m is None:
         bsub_m = enumerate_subalgebras(M, boolean_only=True)
-    phi = check_order_iso(_as_mapping(phi), bsub_l, bsub_m)
+    phi = check_order_iso(phi, bsub_l, bsub_m)
 
     maximal_l = bsub_l.maximal_elements()
     maximal_m = set(bsub_m.maximal_elements())
@@ -370,7 +348,7 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         sub_l = enumerate_subalgebras(L)
     if sub_m is None:
         sub_m = enumerate_subalgebras(M)
-    phi = check_order_iso(_as_mapping(phi), sub_l, sub_m)
+    phi = check_order_iso(phi, sub_l, sub_m)
     bool_l = boolean_nodes(sub_l)
     bool_m = boolean_nodes(sub_m)
 

@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import (
     BadOrthocomplement,
     FlavorError,
-    Inconsistent,
     MalformedInput,
     NoBoundedLattice,
     NotAMorphism,
@@ -145,8 +144,10 @@ class FiniteOrtholattice:
 
     @cached_property
     def is_boolean_algebra(self) -> bool:
-        """Whether the whole lattice is a Boolean algebra (checked once)."""
-        return self.flavor == ORTHOMODULAR and self.is_boolean(self.universe)
+        """Whether the whole lattice is a Boolean algebra (checked once): by
+        Foulis-Holland, an orthomodular lattice whose elements all commute."""
+        return self.flavor == ORTHOMODULAR and all(
+            row == self.universe for row in self.commuting)
 
     def leq(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
@@ -295,32 +296,16 @@ class FiniteOrtholattice:
     def blocks(self) -> list["SubalgebraSet"]:
         """All maximal Boolean subalgebras, ascending by bit-set value.
 
-        A block of an orthomodular lattice is exactly a maximal set of
-        pairwise commuting elements, so this reduces to maximal-clique
-        enumeration on the commutation graph: Bron-Kerbosch with pivoting
-        (Bron & Kerbosch 1973; Tomita et al. 2006) over bit sets.
+        These are the maximal nodes of BSub(L), read off its enumeration, so
+        the enumerator's node cap applies (100000 nodes, or the
+        OMLKIT_NODE_CAP environment variable): past it, ExplosionCap.
         """
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("blocks are defined for orthomodular lattices")
-        nbr = [row & ~(1 << a) for a, row in enumerate(self.commuting)]
-        out = []
+        from .subalgebra_posets import bsub
 
-        def expand(clique: int, cand: int, done: int):
-            if not cand | done:
-                if self.closure_mask(clique) != clique or not self.is_boolean(clique):
-                    raise Inconsistent(f"maximal commuting set {list(bits(clique))} "
-                                       "is not a Boolean subalgebra")
-                out.append(SubalgebraSet(self, clique))
-                return
-            pivot = max(bits(cand | done), key=lambda u: (cand & nbr[u]).bit_count())
-            for v in bits(cand & ~nbr[pivot]):
-                expand(clique | 1 << v, cand & nbr[v], done & nbr[v])
-                cand &= ~(1 << v)
-                done |= 1 << v
-
-        expand(0, self.universe, 0)
-        out.sort(key=lambda s: s.members)
-        return out
+        p = bsub(self)
+        return [p.nodes[x] for x in p.maximal_elements()]
 
 
 # -- order core, shared with AbstractPoset ---------------------------------
@@ -482,19 +467,9 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
                 raise NotAMorphism(f"mapping does not preserve join({a},{b})")
     kind = HOM
     if len(set(mapping)) == n:
-        kind = EMBEDDING
-        if n == m:
-            inv = [0] * n
-            for a, v in enumerate(mapping):
-                inv[v] = a
-            # bijective: confirm the inverse is a homomorphism too
-            ok = all(inv[target.ortho[v]] == source.ortho[inv[v]] for v in range(m))
-            ok = ok and all(
-                inv[target._meet[v][w]] == source._meet[inv[v]][inv[w]]
-                for v in range(m) for w in range(v, m))
-            if not ok:
-                raise NotAMorphism("bijective map whose inverse is not a homomorphism")
-            kind = ISO
+        # an injective lattice homomorphism reflects order: f(a) <= f(b)
+        # gives f(a ^ b) = f(a), so a ^ b = a; a bijective one is an iso
+        kind = ISO if n == m else EMBEDDING
     return Morphism(source, target, mapping, kind)
 
 

@@ -331,22 +331,19 @@ def check_order_iso(mapping, source: AbstractPoset, target: AbstractPoset) -> tu
     """Validate a node map as an order isomorphism; raises NotAnIso.
 
     Returns the map as a tuple.  Order preservation is checked in both
-    directions since callers hand in arbitrary data.
+    directions since callers hand in arbitrary data: source's rows, renamed
+    along the map, must equal target's.
     """
     mapping = tuple(mapping)
     if len(mapping) != source.size or sorted(mapping) != list(range(target.size)):
         raise NotAnIso("node map is not a bijection between the posets")
-    for i in range(source.size):
-        for j in bits(source.up[i]):
-            if not target.up[mapping[i]] >> mapping[j] & 1:
-                raise NotAnIso(f"node map does not preserve node order at {i} <= {j}")
-    inv = [0] * target.size
+    renamed = _permuted(source.up, mapping)
     for i, v in enumerate(mapping):
-        inv[v] = i
-    for i in range(target.size):
-        for j in bits(target.up[i]):
-            if not source.up[inv[i]] >> inv[j] & 1:
-                raise NotAnIso("node map does not reflect node order")
+        if renamed[v] & ~target.up[v]:
+            j = next(j for j in bits(source.up[i]) if not target.up[v] >> mapping[j] & 1)
+            raise NotAnIso(f"node map does not preserve node order at {i} <= {j}")
+    if renamed != list(target.up):
+        raise NotAnIso("node map does not reflect node order")
     return mapping
 
 

@@ -28,6 +28,11 @@ and the down rows were a second pass over the up rows.
 ``legacy_enumerate_subalgebras`` and ``legacy_orthoclosed`` drive them as
 ``enumerate_subalgebras`` and ``orthoclosed_lattice`` did.
 
+``legacy_blocks`` is the Bron-Kerbosch clique search (with pivoting) on
+the commutation graph that ``FiniteOrtholattice.blocks`` ran before it read
+the blocks off BSub(L) as its maximal nodes; each maximal clique was
+re-checked to be a closed Boolean subalgebra.
+
 ``legacy_lift_bsub_iso`` and ``legacy_lift_boolean_iso`` lift each block of
 more than four elements through a standalone copy (``sublattice``), its
 own Sub enumeration and a Boolean check, where the library now reads the
@@ -41,6 +46,7 @@ import itertools
 from omlkit import sachs_boolean
 from omlkit.errors import (
     BlockMismatch,
+    FlavorError,
     GlueConflict,
     Inconsistent,
     NoBoundedLattice,
@@ -57,7 +63,14 @@ from omlkit.functorial import (
     image_subalgebra,
 )
 from omlkit.iso_lifting import MAX_FOUR_BLOCK_CHOICES
-from omlkit.lattice_core import ORTHOMODULAR, bits, mask_of, morphism, sublattice
+from omlkit.lattice_core import (
+    ORTHOMODULAR,
+    SubalgebraSet,
+    bits,
+    mask_of,
+    morphism,
+    sublattice,
+)
 from omlkit.sachs_boolean import _require_boolean, dual_decomposition, pd_mask
 from omlkit.subalgebra_posets import check_order_iso, enumerate_subalgebras, poset_isomorphic
 
@@ -642,7 +655,7 @@ def legacy_classify_recovery(f):
     if len(im) == 2:
         return RecoveryReport(RecoveryKind.TWO_ELEMENT_IMAGE, 2, None, None)
     im_lattice, im_map = sublattice(f.target, im.members)
-    four = [blk for blk in im_lattice.blocks() if len(blk) == 4]
+    four = [blk for blk in legacy_blocks(im_lattice) if len(blk) == 4]
     if four:
         p, q = [im_map[e] for e in four[0].elements
                 if e != 0 and e != im_lattice.n - 1]
@@ -663,3 +676,34 @@ def legacy_classify_recovery(f):
     matches = sum(1 for g in enumerate_homs(f.source, f.target)
                   if legacy_preimage_functor(g, sub_m, sub_l).mapping == target_map)
     return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)
+
+
+def legacy_blocks(L):
+    """All maximal Boolean subalgebras, ascending by bit-set value.
+
+    A block of an orthomodular lattice is exactly a maximal set of
+    pairwise commuting elements, so this reduces to maximal-clique
+    enumeration on the commutation graph: Bron-Kerbosch with pivoting
+    (Bron & Kerbosch 1973; Tomita et al. 2006) over bit sets.
+    """
+    if L.flavor != ORTHOMODULAR:
+        raise FlavorError("blocks are defined for orthomodular lattices")
+    nbr = [row & ~(1 << a) for a, row in enumerate(L.commuting)]
+    out = []
+
+    def expand(clique: int, cand: int, done: int):
+        if not cand | done:
+            if L.closure_mask(clique) != clique or not L.is_boolean(clique):
+                raise Inconsistent(f"maximal commuting set {list(bits(clique))} "
+                                   "is not a Boolean subalgebra")
+            out.append(SubalgebraSet(L, clique))
+            return
+        pivot = max(bits(cand | done), key=lambda u: (cand & nbr[u]).bit_count())
+        for v in bits(cand & ~nbr[pivot]):
+            expand(clique | 1 << v, cand & nbr[v], done & nbr[v])
+            cand &= ~(1 << v)
+            done |= 1 << v
+
+    expand(0, L.universe, 0)
+    out.sort(key=lambda s: s.members)
+    return out

@@ -133,6 +133,16 @@ def test_cli_blocks(tmp_path, capsys):
     assert out == "{0,1,2,3,6,7,8,11}\n{0,3,4,5,8,9,10,11}\n"
 
 
+def test_cli_blocks_under_the_node_cap(tmp_path, capsys, monkeypatch):
+    # blocks are BSub's maximal nodes, so the enumerator's cap applies
+    path = tmp_path / "ex22.json"
+    path.write_text(fileio.dump_lattice(catalog("example22")))
+    monkeypatch.setenv("OMLKIT_NODE_CAP", "3")
+    assert run_cli(capsys, "blocks", str(path)) == (
+        1, "", "error: more than 3 subalgebras (stopped at 4 nodes); "
+               "raise the cap with OMLKIT_NODE_CAP\n")
+
+
 def test_cli_reconstruct_round_trip(tmp_path, capsys):
     poset_path = tmp_path / "bsub_mo2.json"
     poset_path.write_text(fileio.dump_poset(bsub(mo(2))))
@@ -217,6 +227,9 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
 def test_cli_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+    # --dot is the one way to ask for dot, and listing every lift is the default
+    assert main(["sub", "--format", "dot"]) == 2
+    assert main(["lift-sub", "L", "M", "iso", "--all"]) == 2
 
 
 def test_cli_output_is_deterministic(tmp_path, capsys):

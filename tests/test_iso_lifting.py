@@ -23,7 +23,6 @@ from omlkit import (
     mo,
     morphism,
     partition_lattice,
-    poset_iso,
     poset_isomorphic,
     product,
     recognize_boolean_node,
@@ -41,7 +40,7 @@ from omlkit.iso_lifting import (
     _sachs_certificate,
 )
 from omlkit.lattice_core import Morphism, SubalgebraSet, _induced, bits
-from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset
+from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset, check_order_iso
 
 from legacy_oracles import (
     legacy_lift_boolean_iso,
@@ -131,10 +130,14 @@ def test_lift_between_relabeled_copies():
 def test_lift_rejects_bad_node_maps():
     L = mo(2)
     p = bsub(L)
-    with pytest.raises(NotAnIso):
+    with pytest.raises(NotAnIso, match="not a bijection"):
         lift_bsub_iso(L, L, (0, 0, 1), p, p)
-    with pytest.raises(NotAnIso):
+    with pytest.raises(NotAnIso, match=r"does not preserve node order at 0 <= 1$"):
         lift_bsub_iso(L, L, (1, 0, 2), p, p)  # moves the bottom
+    # a bijection from a 2-antichain onto a 2-chain preserves order, not back
+    antichain, chain = AbstractPoset([0b01, 0b10]), AbstractPoset([0b11, 0b10])
+    with pytest.raises(NotAnIso, match="does not reflect node order"):
+        check_order_iso((0, 1), antichain, chain)
 
 
 def test_lift_requires_orthomodular():
@@ -536,16 +539,6 @@ def test_lift_sub_block_swap():
         for blk in L.blocks():
             img = result[0].apply_mask(blk.members)
             assert L.is_boolean(img)
-
-
-def test_poset_iso_type():
-    p = bsub(mo(2))
-    iso = poset_iso(p, p, (0, 2, 1))
-    assert iso(1) == 2
-    with pytest.raises(NotAnIso):
-        poset_iso(p, p, (0, 1, 1))
-    result = lift_bsub_iso(mo(2), mo(2), iso, p, p)
-    assert len(result) == 4
 
 
 def test_verify_determination_reports():

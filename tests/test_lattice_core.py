@@ -20,20 +20,26 @@ from omlkit import (
     boolean_algebra,
     bsub,
     catalog,
+    classify_recovery,
     example22,
     find_isomorphism,
     horizontal_sum,
     identity_morphism,
+    lift_bsub_iso,
+    lift_sub_iso,
     mo,
     morphism,
     product,
     relabel,
+    sub,
     sublattice,
 )
+from omlkit import fileio
+from omlkit.cli import main
 from omlkit.lattice_core import FiniteOrtholattice, _transpose, bits, mask_of
 from omlkit.subalgebra_posets import AbstractPoset
 
-from legacy_oracles import legacy_bound_tables, legacy_unique_bound
+from legacy_oracles import legacy_blocks, legacy_bound_tables, legacy_unique_bound
 
 CATALOG_OMLS = ["2^2", "2^3", "2^4", "MO2", "MO3", "MO4",
                 "MO2x2", "example22", "hsum(2^3,2^3)"]
@@ -303,24 +309,73 @@ def test_blocks_need_orthomodular():
         benzene().blocks()
 
 
-BLOCK_ORACLE_LATTICES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
-                         "MO2x2", "example22", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)",
-                         "hsum(2^5,2^5)"]
+BLOCK_ORACLE_LATTICES = ["2^1", "2^2", "2^3", "2^4", "2^5", "2^6", "MO1", "MO2", "MO3", "MO4",
+                         "MO31", "MO2x2", "MO2x2^2", "example22", "hsum(2^3,2^3)",
+                         "hsum(2^2,2^3,2^4)", "hsum(2^5,2^5)"]
+
+
+def _oracle_lattice(name):
+    # past the catalog: 2^6 and MO31 have 64 elements, and the 16-element
+    # blocks of MO2 x 2^2 share more than the bounds
+    if name == "2^6":
+        return boolean_algebra(6)
+    if name == "MO31":
+        return mo(31)
+    if name == "MO2x2^2":
+        return product(mo(2), boolean_algebra(2), name=name)
+    return catalog(name)
 
 
 @pytest.mark.parametrize("name", BLOCK_ORACLE_LATTICES)
 def test_blocks_are_the_maximal_bsub_nodes(name):
-    # BSub comes from Close-by-One, independently of the clique search
-    base = catalog(name)
+    # blocks() reads BSub(L)'s maximal nodes; the clique search it replaced
+    # finds maximal sets of commuting elements on its own
+    base = _oracle_lattice(name)
     for seed in (None, 1, 2, 3):
         L = base
         if seed is not None:
             inner = list(range(1, base.n - 1))
             random.Random(seed).shuffle(inner)
             L = relabel(base, [0, *inner, base.n - 1])
-        p = bsub(L)
-        maximal = sorted(p.nodes[x].members for x in p.maximal_elements())
-        assert [b.members for b in L.blocks()] == maximal
+        assert [b.members for b in L.blocks()] == [b.members for b in legacy_blocks(L)]
+
+
+class _CubicCheckCalled(Exception):
+    pass
+
+
+def _boolean_answers(name, tmp_path, capsys):
+    L = catalog(name)
+    p, s = bsub(L), sub(L)
+    path = tmp_path / "L.json"
+    path.write_text(fileio.dump_lattice(L))
+    capsys.readouterr()
+    code = main(["check-sachs", str(path)])
+    printed = capsys.readouterr()
+    return (
+        [b.members for b in L.blocks()],
+        L.is_boolean_algebra,
+        [node.members for node in p.nodes],
+        [f.mapping for f in lift_bsub_iso(L, L, tuple(range(p.size)), p, p)],
+        [f.mapping for f in lift_sub_iso(L, L, tuple(range(s.size)), s, s)],
+        classify_recovery(identity_morphism(L)).lines(),
+        (code, printed.out, printed.err),
+    )
+
+
+def test_oml_paths_never_run_the_cubic_boolean_check(monkeypatch, tmp_path, capsys):
+    # by Foulis-Holland, pairwise commutation decides Booleanness on an OML
+    expected = {name: _boolean_answers(name, tmp_path, capsys) for name in CATALOG_OMLS}
+
+    def refuse(self, s):
+        raise _CubicCheckCalled(f"is_boolean called on {self!r}")
+
+    monkeypatch.setattr(FiniteOrtholattice, "is_boolean", refuse)
+    for name in CATALOG_OMLS:
+        assert _boolean_answers(name, tmp_path, capsys) == expected[name]
+    # BSub of a lattice that is not orthomodular still tests each closure
+    with pytest.raises(_CubicCheckCalled):
+        bsub(benzene())
 
 
 def test_find_isomorphism_examples():
@@ -407,6 +462,40 @@ def test_morphism_validation():
     assert f.kind == "hom"
     g = morphism(two, B, (0, 3))
     assert g.kind == "embedding"
+
+
+def _bounds_fixing_bijections(L, count):
+    inner = list(range(1, L.n - 1))
+    if count is None:
+        perms = itertools.permutations(inner)
+    else:
+        rng = random.Random(count)
+        sampled = (rng.sample(inner, len(inner)) for _ in range(count))
+        perms = itertools.chain((a.mapping[1:-1] for a in automorphisms(L)), sampled)
+    return [(0, *p, L.n - 1) for p in perms]
+
+
+@pytest.mark.parametrize("name,count", [("2^2", None), ("MO2", None), ("2^3", None),
+                                        ("MO2x2", 2000), ("example22", 2000)])
+def test_a_bijective_morphism_is_an_iso(name, count):
+    # f(a) <= f(b) gives f(a ^ b) = f(a) ^ f(b) = f(a), so a ^ b = a: the
+    # inverse of a bijective homomorphism is one too, and needs no check
+    L = catalog(name)
+    accepted = set()
+    for f in _bounds_fixing_bijections(L, count):
+        inverse = [0] * L.n
+        for a, v in enumerate(f):
+            inverse[v] = a
+        kinds = []
+        for mapping in (f, inverse):
+            try:
+                kinds.append(morphism(L, L, mapping).kind)
+            except NotAMorphism:
+                kinds.append(None)
+        assert kinds[0] == kinds[1] in (None, "iso")
+        if kinds[0]:
+            accepted.add(f)
+    assert accepted == {a.mapping for a in automorphisms(L)}
 
 
 def test_sublattice_of_a_block():

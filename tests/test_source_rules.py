@@ -1,9 +1,11 @@
 """Checks that guard correctness must survive ``python -O`` and must not be
-swallowed.
+swallowed, and imports that nothing uses.
 
 A bare ``assert`` vanishes under -O, and ``except Exception`` (or a bare
 ``except``) turns a failed check into whatever its handler does.  Every
-module of the package is parsed and scanned for both.
+module of the package is parsed and scanned for both.  An imported name
+that its module never mentions is what a deletion leaves behind; the
+package's ``__init__`` re-exports names and is exempt.
 """
 
 import ast
@@ -29,6 +31,22 @@ def _violations(source: str, name: str) -> list[str]:
     return out
 
 
+def _unused_imports(source: str, name: str) -> list[str]:
+    tree = ast.parse(source, filename=name)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                local = alias.asname or alias.name.partition(".")[0]
+                imported.setdefault(local, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name}:{line}: {local} imported, never used"
+            for local, line in sorted(imported.items(), key=lambda kv: kv[1])
+            if local not in used]
+
+
 def test_the_package_has_modules():
     assert {p.name for p in MODULES} >= {"__init__.py", "lattice_core.py", "cli.py"}
 
@@ -49,3 +67,24 @@ def test_the_scan_finds_each_kind():
     assert _violations(source, "m.py") == [
         "m.py:1: assert", "m.py:4: broad except", "m.py:8: broad except",
         "m.py:12: broad except"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert _unused_imports(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_the_unused_import_scan_finds_what_a_deletion_leaves():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import re as regex\n"
+        "from x import a, b\n"
+        "def f() -> a:\n"
+        "    from y import c\n"
+        "    return os.sep\n"
+    )
+    assert _unused_imports(source, "m.py") == [
+        "m.py:3: regex imported, never used", "m.py:4: b imported, never used",
+        "m.py:6: c imported, never used"]

@@ -133,14 +133,6 @@ def test_every_node_is_generated_by_its_atoms():
             assert L.closure_mask(seed) == p.nodes[x].members
 
 
-def test_maximal_bsub_nodes_are_the_blocks():
-    for name in ("MO2", "MO3", "example22", "MO2x2", "hsum(2^3,2^3)"):
-        L = catalog(name)
-        p = bsub(L)
-        enumerated = sorted(p.nodes[x].members for x in p.maximal_elements())
-        assert enumerated == [b.members for b in L.blocks()]
-
-
 def test_commutation_matches_atom_joins():
     for name in ("MO2", "example22", "2^3"):
         L = catalog(name)
