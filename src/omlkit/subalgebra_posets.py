@@ -207,9 +207,12 @@ def _node_cap(cap: Optional[int]) -> int:
     if raw is None:
         return DEFAULT_NODE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise MalformedInput(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise MalformedInput(f"{NODE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 def close_by_one(candidates: Sequence[int], bottom: int, state, extend,

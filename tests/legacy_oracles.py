@@ -38,7 +38,10 @@ more than four elements through a standalone copy (``sublattice``), its
 own Sub enumeration and a Boolean check, where the library now reads the
 principal duals off the ambient rows.  ``legacy_preimage_functor`` scans
 every source element for every node, and ``legacy_classify_recovery``
-counts matches through it.
+counts matches through it.  ``legacy_pinned_classify_recovery`` enumerated
+Sub(M) to read which nodes hold each element, and searched only the
+homomorphisms sending each a to an element in the same nodes as f(a); the
+library now takes those to be f(a) and f(a)' without enumerating Sub(M).
 """
 
 import itertools
@@ -59,6 +62,8 @@ from omlkit.functorial import (
     PreimageMap,
     RecoveryKind,
     RecoveryReport,
+    _homs,
+    _preimage_masks,
     enumerate_homs,
     image_subalgebra,
 )
@@ -675,6 +680,50 @@ def legacy_classify_recovery(f):
     target_map = legacy_preimage_functor(f, sub_m, sub_l).mapping
     matches = sum(1 for g in enumerate_homs(f.source, f.target)
                   if legacy_preimage_functor(g, sub_m, sub_l).mapping == target_map)
+    return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)
+
+
+def legacy_pinned_classify_recovery(f):
+    """Trichotomy for recovering f from its preimage map.
+
+    Two-element image: nothing beyond the image is recoverable.  An image
+    with a four-element block: swapping that block's atom pair after f gives
+    a different homomorphism with the same preimage map; the witness is
+    constructed.  Otherwise f is the unique homomorphism with its preimage
+    map.  That is checked by a search over the homomorphisms g with the
+    same preimage map only: g^{-1}[x] = f^{-1}[x] for every node x of
+    Sub(M) exactly when each g(a) lies in the same nodes as f(a), so each
+    g(a) is drawn from the elements whose node set equals that of f(a).
+    Those are at most f(a) and f(a)', so the search needs no |L|*|M| cap;
+    Sub(M) is bounded by the enumeration's node cap.
+    """
+    im = image_subalgebra(f)
+    if len(im) == 2:
+        return RecoveryReport(RecoveryKind.TWO_ELEMENT_IMAGE, 2, None, None)
+    im_lattice, im_map = sublattice(f.target, im.members)
+    four = [blk for blk in im_lattice.blocks() if len(blk) == 4]
+    sub_m = enumerate_subalgebras(f.target)
+    if four:
+        p, q = [im_map[e] for e in four[0].elements
+                if e != 0 and e != im_lattice.n - 1]
+        swap = {p: q, q: p}
+        g = morphism(f.source, f.target,
+                     tuple(swap.get(v, v) for v in f.mapping))
+        if g.mapping == f.mapping:
+            raise Inconsistent("swapping a four-element block's atoms left f unchanged")
+        if list(_preimage_masks(g, sub_m)) != list(_preimage_masks(f, sub_m)):
+            raise Inconsistent("the four-block witness has a different preimage map")
+        return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
+    # nodes_with[v]: the nodes of Sub(M) containing v; a subalgebra holds v
+    # exactly when it holds v', so the candidate lists are closed under
+    # complement as _homs needs
+    nodes_with = [0] * f.target.n
+    for i, node in enumerate(sub_m.nodes):
+        for v in bits(node.members):
+            nodes_with[v] |= 1 << i
+    candidates = [[v for v, key in enumerate(nodes_with) if key == nodes_with[w]]
+                  for w in f.mapping]
+    matches = len(_homs(f.source, f.target, candidates))
     return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)
 
 

@@ -216,6 +216,22 @@ def test_cli_classify_hom(tmp_path, capsys):
     assert "witness with equal preimage map" in out
 
 
+
+@pytest.mark.parametrize("L, expected", [
+    (catalog("hsum(" + ",".join(["2^3"] * 10) + ")"),
+     "classification: Determined\nimage size: 62\nunique among all homomorphisms: yes\n"),
+    (mo(31),
+     "classification: FourBlockImage\nimage size: 64\n"
+     f"witness with equal preimage map: {[0, 2, 1, *range(3, 64)]}\n"),
+], ids=["hsum-of-ten-2^3", "MO31"])
+def test_cli_classify_hom_past_the_node_cap(tmp_path, capsys, L, expected):
+    # Sub(L) has more than 100000 nodes, and the recovery check reads none of them
+    lat = tmp_path / "lattice.json"
+    lat.write_text(fileio.dump_lattice(L))
+    mor = tmp_path / "id.json"
+    mor.write_text(fileio.dump_morphism(identity_morphism(L)))
+    assert run_cli(capsys, "classify-hom", str(lat), str(lat), str(mor)) == (0, expected, "")
+
 def test_cli_domain_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "catalog", "no-such-thing")
     assert code == 1

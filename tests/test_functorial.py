@@ -7,8 +7,11 @@ import pytest
 
 from omlkit import (
     AbstractPoset,
+    FlavorError,
     MalformedInput,
+    OmlkitError,
     RecoveryKind,
+    RecoveryReport,
     SizeCap,
     automorphisms,
     boolean_algebra,
@@ -23,11 +26,16 @@ from omlkit import (
     morphism,
     poset_isomorphic,
     preimage_functor,
+    relabel,
     sub,
     unrealized_meet_preserving_map,
 )
 
-from legacy_oracles import legacy_classify_recovery, legacy_preimage_functor
+from legacy_oracles import (
+    legacy_classify_recovery,
+    legacy_pinned_classify_recovery,
+    legacy_preimage_functor,
+)
 
 
 def boolean_hom_oracle(src_atoms, tgt_atoms):
@@ -153,20 +161,78 @@ def test_recovery_reports_match_on_embeddings_into_2_5(seed):
     assert report.kind == RecoveryKind.DETERMINED and report.unique
 
 
+def _recovery(classify, f):
+    """classify(f), or the class and message of the OmlkitError it raises."""
+    try:
+        return classify(f)
+    except OmlkitError as exc:
+        return type(exc), str(exc)
+
+
 # pairs whose homomorphisms reach every branch of the trichotomy, the
-# Determined one on 2^3 -> 2^4, 2^3 -> MO2x2, MO2x2 and two-block automorphisms
+# Determined one on 2^3 -> 2^4, 2^3 -> MO2x2, MO2x2 and two-block automorphisms;
+# the benzene pairs reach the two-element and four-block branches with a
+# non-orthomodular target, and the FlavorError of a non-orthomodular image
 RECOVERY_PAIRS = [("2^3", "2^4"), ("MO2", "MO3"), ("example22", "example22"),
-                  ("2^3", "MO2x2"), ("MO2x2", "MO2x2"), ("hsum(2^3,2^3)", "hsum(2^3,2^3)")]
+                  ("2^3", "MO2x2"), ("MO2x2", "MO2x2"), ("hsum(2^3,2^3)", "hsum(2^3,2^3)"),
+                  ("2^2", "benzene"), ("benzene", "benzene")]
+
+
+def _recovery_pair_homs():
+    return [f for a, b in RECOVERY_PAIRS for f in enumerate_homs(catalog(a), catalog(b))]
 
 
 def test_recovery_reports_match_the_full_enumeration():
-    kinds = set()
-    for a, b in RECOVERY_PAIRS:
-        for f in enumerate_homs(catalog(a), catalog(b)):
-            report = classify_recovery(f)
-            assert report == legacy_classify_recovery(f)
-            kinds.add(report.kind)
-    assert kinds == set(RecoveryKind)
+    outcomes = set()
+    for f in _recovery_pair_homs():
+        outcome = _recovery(classify_recovery, f)
+        assert outcome == _recovery(legacy_classify_recovery, f)
+        outcomes.add(outcome.kind if isinstance(outcome, RecoveryReport) else outcome)
+    assert outcomes == {*RecoveryKind,
+                        (FlavorError, "blocks are defined for orthomodular lattices")}
+
+
+def _relabeled_hom(f, seed):
+    """f between copies of its source and target whose inner elements are
+    renamed by seeded shuffles."""
+    rng = random.Random(seed)
+    perms = []
+    for L in (f.source, f.target):
+        inner = list(range(1, L.n - 1))
+        rng.shuffle(inner)
+        perms.append([0, *inner, L.n - 1])
+    p, q = perms
+    mapping = [0] * f.source.n
+    for a, v in enumerate(f.mapping):
+        mapping[p[a]] = q[v]
+    return morphism(relabel(f.source, p), relabel(f.target, q), mapping)
+
+
+def _pinned_homs():
+    """Identities and seeded Boolean embeddings, most past the 256 hom-search
+    cap, each as given and under two relabelings."""
+    lattices = [catalog(name) for name in
+                ("2^5", "hsum(2^4,2^4)", "hsum(2^5,2^5)", "MO4", "example22")]
+    homs = [identity_morphism(L) for L in (*lattices, boolean_algebra(6))]
+    homs += [_boolean_embedding(3, n, random.Random(n)) for n in (5, 6)]
+    return [g for f in homs for g in (f, _relabeled_hom(f, 1), _relabeled_hom(f, 2))]
+
+
+def test_recovery_reports_match_the_sub_m_pinned_search():
+    # the search that read each g(a)'s candidates off the enumerated Sub(M)
+    for f in _pinned_homs():
+        assert classify_recovery(f) == legacy_pinned_classify_recovery(f)
+
+
+def test_recovery_never_enumerates_sub_m(monkeypatch):
+    homs = _recovery_pair_homs() + _pinned_homs()
+    expected = [_recovery(classify_recovery, f) for f in homs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify_recovery enumerated a subalgebra poset")
+
+    monkeypatch.setattr("omlkit.functorial.enumerate_subalgebras", refuse)
+    assert [_recovery(classify_recovery, f) for f in homs] == expected
 
 
 def test_recovery_answers_past_the_hom_search_cap():

@@ -219,6 +219,12 @@ def test_node_cap_env(monkeypatch):
     monkeypatch.setenv("OMLKIT_NODE_CAP", "junk")
     with pytest.raises(MalformedInput):
         enumerate_subalgebras(boolean_algebra(3))
+    # a cap below one node could only end in a meaningless ExplosionCap
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("OMLKIT_NODE_CAP", raw)
+        with pytest.raises(MalformedInput, match=rf"OMLKIT_NODE_CAP must be a positive "
+                                                 rf"integer, got '{raw}'"):
+            enumerate_subalgebras(boolean_algebra(3))
 
 
 def test_subalgebra_poset_needs_the_trivial_subalgebra_first():
