@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import Inconsistent, NotAMorphism, SizeCap
+from .errors import FlavorError, NotAMorphism, SizeCap
 from .lattice_core import (
     FiniteOrtholattice,
     Morphism,
@@ -23,7 +23,6 @@ from .lattice_core import (
     bits,
     boolean_algebra,
     morphism,
-    sublattice,
 )
 from .subalgebra_posets import SubalgebraPoset, enumerate_subalgebras
 
@@ -178,20 +177,19 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
     im = image_subalgebra(f)
     if len(im) == 2:
         return RecoveryReport(RecoveryKind.TWO_ELEMENT_IMAGE, 2, None, None)
-    im_lattice, im_map = sublattice(f.target, im.members)
-    four = [blk for blk in im_lattice.blocks() if len(blk) == 4]
-    ortho = f.target.ortho
-    if four:
-        p, q = [im_map[e] for e in four[0].elements
-                if e != 0 and e != im_lattice.n - 1]
-        swap = {p: q, q: p}
-        g = morphism(f.source, f.target,
-                     tuple(swap.get(v, v) for v in f.mapping))
-        if g.mapping == f.mapping:
-            raise Inconsistent("swapping a four-element block's atoms left f unchanged")
-        if any(w not in (v, ortho[v]) for v, w in zip(f.mapping, g.mapping)):
-            raise Inconsistent("the four-block witness has a different preimage map")
-        return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
+    M, mask = f.target, im.members
+    if not M._orthomodular_on(mask):
+        raise FlavorError("blocks are defined for orthomodular lattices")
+    # the image's four-element blocks are its atom-coatom pairs {0, p, q, 1}
+    # (see lift_bsub_iso); the least has the least q.  Swapping p and q after
+    # f gives a homomorphism g != f with each g(a) equal to f(a) or f(a)'
+    ortho, top = M.ortho, 1 << (M.n - 1)
+    for q in bits(mask):
+        p = ortho[q]
+        if p < q and M.down[q] & mask == 1 | 1 << q and M.up[q] & mask == 1 << q | top:
+            swap = {p: q, q: p}
+            g = morphism(f.source, M, tuple(swap.get(v, v) for v in f.mapping))
+            return RecoveryReport(RecoveryKind.FOUR_BLOCK_IMAGE, len(im), g, None)
     candidates = [sorted({w, ortho[w]}) for w in f.mapping]
     matches = len(_homs(f.source, f.target, candidates))
     return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)

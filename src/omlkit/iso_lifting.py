@@ -89,7 +89,8 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     through their principal dual subalgebras and glued; a disagreement on a
     shared element (impossible for genuine inputs) raises GlueConflict.  A
     block whose elements do not pairwise commute is not Boolean (by
-    Foulis-Holland) and raises NotBoolean.
+    Foulis-Holland) and raises NotBoolean.  Only the first lift is checked;
+    the others differ from it by automorphisms of L (see below).
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -117,7 +118,9 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         if size == 4:
             if ymask.bit_count() != 4:
                 raise BlockMismatch("four-element block mapped to a larger block")
-            four_blocks.append((xmask, ymask))
+            p, q = [e for e in bits(xmask) if e != 0 and e != L.n - 1]
+            global_map[p], global_map[q] = [e for e in bits(ymask) if e != 0 and e != M.n - 1]
+            four_blocks.append((p, q, xmask))
             continue
         for X, mask in ((L, xmask), (M, ymask)):
             if any(mask & ~X.commuting[e] for e in bits(mask)):
@@ -128,39 +131,41 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
                 raise GlueConflict(f"blockwise lifts disagree on element {e}")
             global_map[e] = value
 
-    choice_pairs = []
-    for xmask, ymask in four_blocks:
-        p, q = [e for e in bits(xmask) if e != 0 and e != L.n - 1]
-        c, d = [e for e in bits(ymask) if e != 0 and e != M.n - 1]
-        if global_map[p] != -1 or global_map[q] != -1:
+    # {0, p, p', 1} is a block of an orthomodular L exactly when p is an atom
+    # and a coatom.  Everything below or above p commutes with p, so a block,
+    # being maximal, has nothing strictly between p and 0 or 1.  Conversely,
+    # if p and p' are atoms and coatoms and b commutes with p, then b =
+    # (b ^ p) v (b ^ p') is 0, p, p' or 1.  Swapping p and p' is then an
+    # automorphism of L that fixes every subalgebra.  So once commuting[p] is
+    # the block, the lowest-to-lowest glued map f is the one map to check, and
+    # the other lifts are f after the swaps.
+    for p, q, xmask in four_blocks:
+        if L.commuting[p] != xmask:
             raise GlueConflict(
                 f"four-element block {{0,{p},{q},{L.n - 1}}} overlaps a larger block")
-        choice_pairs.append(((p, q), ((c, d), (d, c))))
-    if not canonical_only and len(choice_pairs) > MAX_FOUR_BLOCK_CHOICES:
+    if not canonical_only and len(four_blocks) > MAX_FOUR_BLOCK_CHOICES:
         raise Unsupported(
-            f"{len(choice_pairs)} four-element blocks; request the canonical lift")
-
-    realizes = _realization_test(phi, bsub_l, bsub_m)
-    combos = itertools.product(*(range(2) for _ in choice_pairs))
+            f"{len(four_blocks)} four-element blocks; request the canonical lift")
+    if -1 in global_map:
+        raise GlueConflict(
+            f"blockwise lifts leave element {global_map.index(-1)} unassigned")
+    try:
+        f = morphism(L, M, global_map)
+    except NotAMorphism as exc:
+        raise GlueConflict(f"glued map is not a homomorphism: {exc}") from exc
+    if f.kind != "iso":
+        raise GlueConflict("glued map is not an isomorphism")
+    if not _realization_test(phi, bsub_l, bsub_m)(f):
+        raise GlueConflict("glued map does not realize the node map")
     if canonical_only:
-        combos = [tuple(0 for _ in choice_pairs)]
+        return [f]
     out = []
-    for combo in combos:
-        candidate = list(global_map)
-        for ((p, q), options), pick in zip(choice_pairs, combo):
-            candidate[p], candidate[q] = options[pick]
-        if -1 in candidate:
-            raise GlueConflict(
-                f"blockwise lifts leave element {candidate.index(-1)} unassigned")
-        try:
-            f = morphism(L, M, candidate)
-        except NotAMorphism as exc:
-            raise GlueConflict(f"glued map is not a homomorphism: {exc}") from exc
-        if f.kind != "iso":
-            raise GlueConflict("glued map is not an isomorphism")
-        if not realizes(f):
-            raise GlueConflict("glued map does not realize the node map")
-        out.append(f)
+    for combo in itertools.product((False, True), repeat=len(four_blocks)):
+        mapping = list(f.mapping)
+        for (p, q, _), swap in zip(four_blocks, combo):
+            if swap:
+                mapping[p], mapping[q] = mapping[q], mapping[p]
+        out.append(Morphism(L, M, tuple(mapping), f.kind))
     return out
 
 
@@ -363,13 +368,10 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         raise RestrictionMismatch("recognized Boolean nodes do not correspond")
     restricted = tuple(
         bsub_m.node_index(sub_m.nodes[phi[i]].members) for i in bool_l)
-    out = lift_bsub_iso(L, M, restricted, bsub_l, bsub_m,
-                        canonical_only=canonical_only)
-    realizes = _realization_test(phi, sub_l, sub_m)
-    for f in out:
-        if not realizes(f):
-            raise GlueConflict("lift does not realize the full node map")
-    return out
+    # the Boolean nodes are BSub's in the same order, so the lift's test on
+    # the element nodes {0, e, e', 1} is also _realization_test(phi, sub_l, sub_m)
+    return lift_bsub_iso(L, M, restricted, bsub_l, bsub_m,
+                         canonical_only=canonical_only)
 
 
 @dataclass(frozen=True)

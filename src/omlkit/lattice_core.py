@@ -109,17 +109,7 @@ class FiniteOrtholattice:
         self.name = name
         self._meet = tuple(tuple(row) for row in meet)
         self._join = tuple(tuple(row) for row in join)
-
-        omod = True
-        for a in range(n):
-            ao = ortho[a]
-            for b in bits(up[a]):
-                if join[a][meet[ao][b]] != b:
-                    omod = False
-                    break
-            if not omod:
-                break
-        self.flavor = ORTHOMODULAR if omod else ORTHOLATTICE
+        self.flavor = ORTHOMODULAR if self._orthomodular_on(universe) else ORTHOLATTICE
 
     # -- basic queries ----------------------------------------------------
 
@@ -164,7 +154,7 @@ class FiniteOrtholattice:
     @cached_property
     def cover_up(self) -> tuple[int, ...]:
         """cover_up[a] is the bit set of elements covering a."""
-        return _covers(self.up, self.down)
+        return _covers(self.up)
 
     @cached_property
     def cover_down(self) -> tuple[int, ...]:
@@ -192,6 +182,16 @@ class FiniteOrtholattice:
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("commutation is only defined on orthomodular lattices")
         return self._commutes(a, b)
+
+    def _orthomodular_on(self, mask: int) -> bool:
+        """Whether a <= b implies b = a v (a' ^ b) for a, b in ``mask``."""
+        up, meet, join, ortho = self.up, self._meet, self._join, self.ortho
+        for a in bits(mask):
+            row, co_row = join[a], meet[ortho[a]]
+            for b in bits(up[a] & mask):
+                if row[co_row[b]] != b:
+                    return False
+        return True
 
     def _commutes(self, a: int, b: int) -> bool:
         row = self._meet[a]
@@ -270,11 +270,10 @@ class FiniteOrtholattice:
         return SubalgebraSet(self, mask)
 
     def is_boolean(self, s) -> bool:
-        """Whether the closed set ``s`` is a Boolean subalgebra.
-
-        Checks the pairwise commutation identity and distributivity on all
-        triples; the bounds are skipped since they satisfy both trivially.
-        """
+        """Whether the closed set ``s`` is a Boolean subalgebra: whether its
+        elements pairwise commute, a = (a ^ b) v (a ^ b'), bounds skipped.
+        For a <= b, b commuting with a reads b = a v (a' ^ b), so s is then
+        orthomodular, and Boolean by Foulis-Holland."""
         mask = s.members if isinstance(s, SubalgebraSet) else s
         els = [e for e in bits(mask) if e != 0 and e != self.n - 1]
         meet, join, ortho = self._meet, self._join, self.ortho
@@ -283,14 +282,6 @@ class FiniteOrtholattice:
             for b in els:
                 if join[row[b]][row[ortho[b]]] != a:
                     return False
-        for a in els:
-            row = meet[a]
-            for b in els:
-                ab = row[b]
-                jb = join[b]
-                for c in els:
-                    if row[jb[c]] != join[ab][row[c]]:
-                        return False
         return True
 
     def blocks(self) -> list["SubalgebraSet"]:
@@ -336,14 +327,17 @@ def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _covers(up: Sequence[int], down: Sequence[int]) -> tuple[int, ...]:
-    """Bit b of row a is set when b covers a."""
+def _covers(up: Sequence[int]) -> tuple[int, ...]:
+    """Bit b of row a is set when b covers a: the strict up-set of a minus
+    the strict up-sets of its members.  A member already removed lies above
+    one still kept, so its up-set is gone too and it need not be walked."""
     out = []
     for a, row in enumerate(up):
-        cov = 0
-        for b in bits(row & ~(1 << a)):
-            if row & down[b] == (1 << a) | (1 << b):
-                cov |= 1 << b
+        cov = rest = row ^ 1 << a
+        while rest:
+            low = rest & -rest
+            cov &= ~up[low.bit_length() - 1] | low
+            rest &= cov ^ low
         out.append(cov)
     return tuple(out)
 

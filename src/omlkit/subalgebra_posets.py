@@ -92,7 +92,7 @@ class AbstractPoset:
 
     @cached_property
     def cover_up(self) -> tuple[int, ...]:
-        return _covers(self.up, self.down)
+        return _covers(self.up)
 
     @cached_property
     def cover_down(self) -> tuple[int, ...]:

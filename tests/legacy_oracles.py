@@ -28,6 +28,13 @@ and the down rows were a second pass over the up rows.
 ``legacy_enumerate_subalgebras`` and ``legacy_orthoclosed`` drive them as
 ``enumerate_subalgebras`` and ``orthoclosed_lattice`` did.
 
+``legacy_is_boolean`` tested a closed set for Boolean-ness with the
+pairwise commutation identity and then distributivity on every triple; the
+library now stops after the first, which implies the second.
+``legacy_covers`` found the covers of a by testing every b above it for an
+element strictly between.  The oracles that take Boolean-ness as given call
+``legacy_is_boolean``.
+
 ``legacy_blocks`` is the Bron-Kerbosch clique search (with pivoting) on
 the commutation graph that ``FiniteOrtholattice.blocks`` ran before it read
 the blocks off BSub(L) as its maximal nodes; each maximal clique was
@@ -145,7 +152,7 @@ def frontier_subalgebras(L, boolean_only=False):
         for t in (_close_from_scratch(L, m) for m in tasks):
             if t in seen:
                 continue
-            if boolean_only and not L.is_boolean(t):
+            if boolean_only and not legacy_is_boolean(L, t):
                 continue
             seen.add(t)
             frontier.append(t)
@@ -216,7 +223,7 @@ def legacy_enumerate_subalgebras(L, boolean_only=False, cap=100000):
     else:
         def extend(s, members, e):
             child = closed(s, members, e)
-            return None if child is None or not L.is_boolean(child[0]) else child
+            return None if child is None or not legacy_is_boolean(L, child[0]) else child
 
     bottom = L.closure_mask(0)
     masks = legacy_close_by_one(L.n, bottom, list(bits(bottom)), extend, cap)
@@ -727,6 +734,39 @@ def legacy_pinned_classify_recovery(f):
     return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)
 
 
+def legacy_is_boolean(L, mask):
+    """Whether the closed set ``mask`` is a Boolean subalgebra: pairwise
+    commutation, then distributivity on all triples (bounds skipped)."""
+    els = [e for e in bits(mask) if e != 0 and e != L.n - 1]
+    meet, join, ortho = L._meet, L._join, L.ortho
+    for a in els:
+        row = meet[a]
+        for b in els:
+            if join[row[b]][row[ortho[b]]] != a:
+                return False
+    for a in els:
+        row = meet[a]
+        for b in els:
+            ab = row[b]
+            jb = join[b]
+            for c in els:
+                if row[jb[c]] != join[ab][row[c]]:
+                    return False
+    return True
+
+
+def legacy_covers(up, down):
+    """Bit b of row a is set when b covers a."""
+    out = []
+    for a, row in enumerate(up):
+        cov = 0
+        for b in bits(row & ~(1 << a)):
+            if row & down[b] == (1 << a) | (1 << b):
+                cov |= 1 << b
+        out.append(cov)
+    return tuple(out)
+
+
 def legacy_blocks(L):
     """All maximal Boolean subalgebras, ascending by bit-set value.
 
@@ -742,7 +782,7 @@ def legacy_blocks(L):
 
     def expand(clique: int, cand: int, done: int):
         if not cand | done:
-            if L.closure_mask(clique) != clique or not L.is_boolean(clique):
+            if L.closure_mask(clique) != clique or not legacy_is_boolean(L, clique):
                 raise Inconsistent(f"maximal commuting set {list(bits(clique))} "
                                    "is not a Boolean subalgebra")
             out.append(SubalgebraSet(L, clique))

@@ -7,6 +7,7 @@ import pytest
 
 from omlkit import (
     AbstractPoset,
+    FiniteOrtholattice,
     FlavorError,
     MalformedInput,
     OmlkitError,
@@ -210,9 +211,12 @@ def _relabeled_hom(f, seed):
 
 def _pinned_homs():
     """Identities and seeded Boolean embeddings, most past the 256 hom-search
-    cap, each as given and under two relabelings."""
+    cap, each as given and under two relabelings.  MO10 and hsum(2^2,2^2,2^3)
+    have several four-element blocks, so the relabelings pin which one the
+    witness swaps."""
     lattices = [catalog(name) for name in
-                ("2^5", "hsum(2^4,2^4)", "hsum(2^5,2^5)", "MO4", "example22")]
+                ("2^5", "hsum(2^4,2^4)", "hsum(2^5,2^5)", "MO4", "example22",
+                 "hsum(2^2,2^2,2^3)")] + [mo(10)]
     homs = [identity_morphism(L) for L in (*lattices, boolean_algebra(6))]
     homs += [_boolean_embedding(3, n, random.Random(n)) for n in (5, 6)]
     return [g for f in homs for g in (f, _relabeled_hom(f, 1), _relabeled_hom(f, 2))]
@@ -232,7 +236,17 @@ def test_recovery_never_enumerates_sub_m(monkeypatch):
         raise AssertionError("classify_recovery enumerated a subalgebra poset")
 
     monkeypatch.setattr("omlkit.functorial.enumerate_subalgebras", refuse)
+    monkeypatch.setattr(FiniteOrtholattice, "blocks", refuse)
     assert [_recovery(classify_recovery, f) for f in homs] == expected
+
+
+def test_four_block_witness_swaps_the_least_block():
+    # MO3 with atom pairs {1, 6}, {2, 3}, {4, 5}: the least block by bit set,
+    # {0, 2, 3, 7}, has the least larger element, not the least smaller one
+    M = relabel(mo(3), (0, 1, 6, 2, 3, 4, 5, 7))
+    report = classify_recovery(identity_morphism(M))
+    assert report == legacy_classify_recovery(identity_morphism(M))
+    assert report.witness.mapping == (0, 1, 3, 2, 4, 5, 6, 7)
 
 
 def test_recovery_answers_past_the_hom_search_cap():

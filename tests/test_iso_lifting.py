@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from omlkit import (
+    GlueConflict,
     Inconsistent,
     NotAnIso,
     NotBoolean,
@@ -15,6 +16,7 @@ from omlkit import (
     boolean_nodes,
     bsub,
     catalog,
+    find_isomorphism,
     horizontal_sum,
     induced_node_map,
     lift_boolean_iso,
@@ -43,6 +45,7 @@ from omlkit.lattice_core import Morphism, SubalgebraSet, _induced, bits
 from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset, check_order_iso
 
 from legacy_oracles import (
+    legacy_covers,
     legacy_lift_boolean_iso,
     legacy_lift_bsub_iso,
     legacy_recognize_boolean_node,
@@ -168,6 +171,18 @@ def test_lift_of_a_block_that_is_not_closed():
         lift_bsub_iso(B, B, (0, 1), poset, poset)
 
 
+def test_lift_of_four_element_nodes_that_are_not_blocks():
+    # BSub(MO3)'s shape on 2^3: {0, a, a', 1} for each atom a, though each a
+    # commutes with all of 2^3; swapping a and a' is then no automorphism
+    B = boolean_algebra(3)
+    masks = [1 | 1 << 7] + sorted(1 | 1 << a | 1 << (7 - a) | 1 << 7 for a in (1, 2, 4))
+    poset = SubalgebraPoset([0b1111, 0b10, 0b100, 0b1000], B,
+                            [SubalgebraSet(B, m) for m in masks], BSUB)
+    for canonical in (False, True):
+        with pytest.raises(GlueConflict, match=r"^four-element block \{0,3,4,7\} overlaps"):
+            lift_bsub_iso(B, B, (0, 1, 2, 3), poset, poset, canonical_only=canonical)
+
+
 def _realizes_node_by_node(f, phi, P, Q):
     return all(f.apply_mask(node.members) == Q.nodes[phi[i]].members
                for i, node in enumerate(P.nodes))
@@ -240,8 +255,9 @@ def test_lift_of_sub_of_a_boolean_algebra():
         [tuple(range(8))]
 
 
-LIFT_CASES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO2x2",
-              "example22", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)", "hsum(2^4,2^4)"]
+LIFT_CASES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO6", "MO2x2",
+              "example22", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)", "hsum(2^4,2^4)",
+              "hsum(2^2,2^2,2^3)"]
 
 
 def _lattice(name):
@@ -249,7 +265,70 @@ def _lattice(name):
     # coatom, such as (1, 0), has elements of other blocks below it
     if name == "MO2x2^2":
         return product(mo(2), boolean_algebra(2), name=name)
+    if name.startswith("MO") and name[2:].isdigit():
+        return mo(int(name[2:]))  # the catalog stops at MO4
     return catalog(name)
+
+
+@pytest.mark.parametrize("name", LIFT_CASES)
+def test_cover_rows_match_legacy_covers(name):
+    L = _lattice(name)
+    for P in (L, sub(L), bsub(L)):
+        assert P.cover_up == legacy_covers(P.up, P.down)
+
+
+def _automorphisms(L, count):
+    """The identity of L and ``count`` seeded automorphisms: an isomorphism
+    onto a relabeled copy, composed with the relabeling's inverse."""
+    out = [tuple(range(L.n))]
+    rng = random.Random(L.name)
+    for _ in range(count):
+        perm = [0, *rng.sample(range(1, L.n - 1), L.n - 2), L.n - 1]
+        back = {v: a for a, v in enumerate(perm)}
+        g = find_isomorphism(L, relabel(L, perm))
+        out.append(tuple(back[v] for v in g.mapping))
+    return [morphism(L, L, mapping) for mapping in out]
+
+
+@pytest.mark.parametrize("name", ["MO2", "MO3", "MO4", "MO5", "MO6", "hsum(2^2,2^2,2^3)"])
+def test_every_lift_is_a_realizing_iso(name):
+    # only the first lift is checked inside; the others are it after swaps
+    # of four-element blocks' atom pairs, which the proof says are free
+    L = _lattice(name)
+    four_blocks = sum(1 for blk in L.blocks() if len(blk) == 4)
+    for P, lift in ((bsub(L), lift_bsub_iso), (sub(L), lift_sub_iso)):
+        for psi in _automorphisms(L, 4):
+            phi = induced_node_map(psi, P, P)
+            lifts = lift(L, L, phi, P, P)
+            assert len({f.mapping for f in lifts}) == len(lifts) == 2 ** four_blocks
+            assert psi.mapping in {f.mapping for f in lifts}
+            for f in lifts:
+                assert morphism(L, L, f.mapping).kind == "iso"
+                assert _realizes_node_by_node(f, phi, P, P)
+
+
+def test_one_glued_map_is_checked(monkeypatch):
+    # MO6 has six four-element blocks: 64 lifts from one morphism() check,
+    # and lift_sub_iso leaves the realization test to lift_bsub_iso
+    L = mo(6)
+    bl, sl = bsub(L), sub(L)
+    calls = {"morphism": 0, "_realization_test": 0}
+
+    def counted(name):
+        real = getattr(iso_lifting, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(iso_lifting, name, counted(name))
+    assert len(lift_bsub_iso(L, L, tuple(range(bl.size)), bl, bl)) == 64
+    assert calls == {"morphism": 1, "_realization_test": 1}
+    calls.update(morphism=0, _realization_test=0)
+    assert len(lift_sub_iso(L, L, tuple(range(sl.size)), sl, sl)) == 64
+    assert calls == {"morphism": 1, "_realization_test": 1}
 
 
 def _same_lifts(L, M, phi, bl, bm):

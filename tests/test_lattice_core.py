@@ -36,10 +36,16 @@ from omlkit import (
 )
 from omlkit import fileio
 from omlkit.cli import main
-from omlkit.lattice_core import FiniteOrtholattice, _transpose, bits, mask_of
+from omlkit.lattice_core import FiniteOrtholattice, _covers, _transpose, bits, mask_of
 from omlkit.subalgebra_posets import AbstractPoset
 
-from legacy_oracles import legacy_blocks, legacy_bound_tables, legacy_unique_bound
+from legacy_oracles import (
+    legacy_blocks,
+    legacy_bound_tables,
+    legacy_covers,
+    legacy_is_boolean,
+    legacy_unique_bound,
+)
 
 CATALOG_OMLS = ["2^2", "2^3", "2^4", "MO2", "MO3", "MO4",
                 "MO2x2", "example22", "hsum(2^3,2^3)"]
@@ -147,11 +153,12 @@ def test_bound_tables_match_the_cone_scan(name):
         assert M._join == tuple(map(tuple, join))
 
 
-def _random_order(rng, n, bounded):
-    """A random partial order on 0..n-1 as up rows, on three levels: i < j
-    with probability 0.6 when j is on a higher level, closed transitively.
-    With ``bounded``, 0 and n-1 become its least and greatest elements."""
-    level = sorted(rng.randrange(3) for _ in range(n))
+def _random_order(rng, n, bounded, levels=3):
+    """A random partial order on 0..n-1 as up rows, on ``levels`` levels:
+    i < j with probability 0.6 when j is on a higher level, closed
+    transitively.  With ``bounded``, 0 and n-1 become its least and greatest
+    elements."""
+    level = sorted(rng.randrange(levels) for _ in range(n))
     up = [1 << i for i in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
@@ -202,6 +209,14 @@ def test_poset_bounds_match_the_cone_scan():
             for y in range(n):
                 assert P.join(x, y) == legacy_unique_bound(P.up, P.up[x] & P.up[y])
                 assert P.meet(x, y) == legacy_unique_bound(P.down, P.down[x] & P.down[y])
+
+
+def test_covers_match_legacy_covers_on_random_posets():
+    rng = random.Random(13)
+    for _ in range(300):
+        n = rng.randrange(1, 14)
+        up = _random_order(rng, n, bounded=rng.random() < 0.5, levels=rng.randrange(1, 7))
+        assert _covers(up) == legacy_covers(up, _transpose(up))
 
 
 def test_meet_of_distinct_atoms_is_zero():
@@ -278,6 +293,26 @@ def test_is_boolean_examples():
     assert L.is_boolean(mask_of((0, 1, 2, 3, 6, 7, 8, 11)))
     m = mo(2)
     assert not m.is_boolean(m.universe)
+
+
+@pytest.mark.parametrize("name", CATALOG_OMLS + ["benzene", "benzene x 2^2"])
+def test_is_boolean_matches_the_distributivity_check(name):
+    # pairwise commutation alone decides, as the triple loop it dropped
+    # agrees on every subalgebra, orthomodular or not, relabeled or not
+    if name == "benzene x 2^2":
+        L = product(benzene(), boolean_algebra(2), name=name)
+    else:
+        L = catalog(name)
+    verdicts = set()
+    for seed in (None, 1, 2):
+        M = L
+        if seed is not None:
+            inner = random.Random(f"{name}/{seed}").sample(range(1, L.n - 1), L.n - 2)
+            M = relabel(L, [0, *inner, L.n - 1])
+        for node in sub(M).nodes:
+            verdicts.add(M.is_boolean(node.members))
+            assert M.is_boolean(node.members) == legacy_is_boolean(M, node.members)
+    assert (False in verdicts) == (not L.is_boolean_algebra)
 
 
 def test_blocks_examples():

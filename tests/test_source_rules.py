@@ -1,11 +1,13 @@
 """Checks that guard correctness must survive ``python -O`` and must not be
-swallowed, and imports that nothing uses.
+swallowed, and code that nothing uses.
 
 A bare ``assert`` vanishes under -O, and ``except Exception`` (or a bare
 ``except``) turns a failed check into whatever its handler does.  Every
 module of the package is parsed and scanned for both.  An imported name
 that its module never mentions is what a deletion leaves behind; the
-package's ``__init__`` re-exports names and is exempt.
+package's ``__init__`` re-exports names and is exempt.  So is a
+module-level private function or constant that no module of the package
+mentions outside its own definition.
 """
 
 import ast
@@ -88,3 +90,62 @@ def test_the_unused_import_scan_finds_what_a_deletion_leaves():
     assert _unused_imports(source, "m.py") == [
         "m.py:3: regex imported, never used", "m.py:4: b imported, never used",
         "m.py:6: c imported, never used"]
+
+
+def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and constants (one leading underscore)
+    that no module in ``sources`` mentions, as a name or an attribute,
+    outside their own definition."""
+    trees = {name: ast.parse(source, filename=name) for name, source in sources.items()}
+    mentions = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentions.append((name, node, node.id))
+            elif isinstance(node, ast.Attribute):
+                mentions.append((name, node, node.attr))
+    out = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = set(map(id, ast.walk(node)))
+            for private in defined:
+                if private.startswith("_") and not private.startswith("__") and not any(
+                        word == private and not (where == name and id(m) in inside)
+                        for where, m, word in mentions):
+                    out.append(f"{name}:{node.lineno}: {private} is never used")
+    return out
+
+
+def test_no_unreferenced_private_name():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _unreferenced_private_names(sources) == []
+
+
+def test_the_private_name_scan_finds_what_a_deletion_leaves():
+    sources = {
+        "m.py": (
+            "_CAP = 3\n"
+            "_LIMIT: int = 4\n"
+            "__version__ = '1'\n"
+            "def _walk(n):\n"
+            "    return _walk(n - 1) if n else _CAP\n"
+            "def _helper():\n"
+            "    return 1\n"
+            "def public():\n"
+            "    return m2._shared\n"
+        ),
+        "n.py": (
+            "from m import _helper\n"
+            "def _shared():\n"
+            "    return _helper()\n"
+        ),
+    }
+    assert _unreferenced_private_names(sources) == [
+        "m.py:2: _LIMIT is never used", "m.py:4: _walk is never used"]
