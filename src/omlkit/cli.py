@@ -12,28 +12,24 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from . import fileio, selftest
-from .errors import OmlkitError
-from .functorial import classify_recovery
-from .iso_lifting import lift_bsub_iso, lift_sub_iso, verify_determination
+from . import fileio
+from .errors import MalformedInput, OmlkitError
 from .lattice_core import ORTHOMODULAR, catalog
-from .reconstruction import build_frame, classify_atoms, reconstruct
-from .sachs_boolean import (
-    dual_decomposition,
-    dual_order_test,
-    partition_to_subalgebra,
-    pd_order_test,
-    principal_element,
-    subalgebra_to_partition,
-)
 from .subalgebra_posets import enumerate_subalgebras
+
+# The layers above the core (reconstruction, lifting, the Sachs duality, the
+# preimage functor) and the selftest are imported inside the verbs that run
+# them, so a process pays only for what its verb uses.
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise MalformedInput(f"{'stdin' if path == '-' else path}: not UTF-8 text") from None
 
 
 def _write(text: str, path: Optional[str]):
@@ -161,6 +157,8 @@ def _cmd_blocks(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .reconstruction import build_frame, classify_atoms, reconstruct
+
     poset, _ = fileio.parse_poset(_read(args.poset))
     lines = []
     if args.frame:
@@ -178,6 +176,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from .iso_lifting import lift_bsub_iso, lift_sub_iso
+
     L = _load_lattice(args.source)
     M = _load_lattice(args.target)
     sub_l = enumerate_subalgebras(L, boolean_only=args.boolean_only)
@@ -193,6 +193,15 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_check_sachs(args) -> int:
+    from .sachs_boolean import (
+        dual_decomposition,
+        dual_order_test,
+        partition_to_subalgebra,
+        pd_order_test,
+        principal_element,
+        subalgebra_to_partition,
+    )
+
     L = _load_lattice(args.lattice)
     s = enumerate_subalgebras(L)
     dual_ok = pd_ok = 0
@@ -214,6 +223,8 @@ def _cmd_check_sachs(args) -> int:
 
 
 def _cmd_check_determination(args) -> int:
+    from .iso_lifting import verify_determination
+
     report = verify_determination(_load_lattice(args.source), _load_lattice(args.target))
     for line in report.lines():
         print(line)
@@ -221,6 +232,8 @@ def _cmd_check_determination(args) -> int:
 
 
 def _cmd_classify_hom(args) -> int:
+    from .functorial import classify_recovery
+
     L = _load_lattice(args.source)
     M = _load_lattice(args.target)
     f = fileio.parse_morphism(_read(args.morphism), L, M)
@@ -230,6 +243,8 @@ def _cmd_classify_hom(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
+
     return 0 if selftest.run(sys.stdout) else 1
 
 

@@ -36,6 +36,8 @@ def _loads(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedInput("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise MalformedInput("top-level value must be an object")
     return obj

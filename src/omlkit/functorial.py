@@ -11,7 +11,6 @@ image, unique otherwise.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FlavorError, NotAMorphism, SizeCap
@@ -19,6 +18,7 @@ from .lattice_core import (
     FiniteOrtholattice,
     Morphism,
     SubalgebraSet,
+    _Record,
     _backtrack,
     bits,
     boolean_algebra,
@@ -29,13 +29,15 @@ from .subalgebra_posets import SubalgebraPoset, enumerate_subalgebras
 HOM_SEARCH_CAP = 256
 
 
-@dataclass(frozen=True)
-class PreimageMap:
+class PreimageMap(_Record):
     """The node map x -> f^{-1}[x] from Sub(target) to Sub(source)."""
 
-    source_poset: SubalgebraPoset   # Sub(M) for f: L -> M
-    target_poset: SubalgebraPoset   # Sub(L)
-    mapping: tuple[int, ...]
+    __slots__ = ("source_poset", "target_poset", "mapping")
+
+    def __init__(self, source_poset: SubalgebraPoset,   # Sub(M) for f: L -> M
+                 target_poset: SubalgebraPoset,         # Sub(L)
+                 mapping: tuple[int, ...]):
+        super().__init__(source_poset, target_poset, mapping)
 
     def __call__(self, i: int) -> int:
         return self.mapping[i]
@@ -139,14 +141,15 @@ class RecoveryKind(enum.Enum):
     DETERMINED = "Determined"
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
+class RecoveryReport(_Record):
     """How much the preimage map of a homomorphism determines it."""
 
-    kind: RecoveryKind
-    image_size: int
-    witness: Optional[Morphism]   # a g != f with the same preimage map
-    unique: Optional[bool]        # set on the Determined branch
+    __slots__ = ("kind", "image_size", "witness", "unique")
+
+    def __init__(self, kind: RecoveryKind, image_size: int,
+                 witness: Optional[Morphism],   # a g != f with the same preimage map
+                 unique: Optional[bool]):       # set on the Determined branch
+        super().__init__(kind, image_size, witness, unique)
 
     def lines(self) -> list[str]:
         out = [f"classification: {self.kind.value}",
@@ -195,15 +198,14 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
     return RecoveryReport(RecoveryKind.DETERMINED, len(im), None, matches == 1)
 
 
-@dataclass(frozen=True)
-class MeetMapReport:
+class MeetMapReport(_Record):
     """A meet-preserving self-map of Sub(2^3) no homomorphism induces."""
 
-    poset: SubalgebraPoset
-    mapping: tuple[int, ...]
-    meets_preserved: bool
-    realized_by_hom: bool
-    hom_count: int
+    __slots__ = ("poset", "mapping", "meets_preserved", "realized_by_hom", "hom_count")
+
+    def __init__(self, poset: SubalgebraPoset, mapping: tuple[int, ...],
+                 meets_preserved: bool, realized_by_hom: bool, hom_count: int):
+        super().__init__(poset, mapping, meets_preserved, realized_by_hom, hom_count)
 
     def lines(self) -> list[str]:
         return [

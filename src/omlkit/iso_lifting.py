@@ -12,7 +12,6 @@ theoretically.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -30,6 +29,7 @@ from .lattice_core import (
     FiniteOrtholattice,
     Morphism,
     ORTHOMODULAR,
+    _Record,
     bits,
     find_isomorphism,
     morphism,
@@ -374,16 +374,17 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
                          canonical_only=canonical_only)
 
 
-@dataclass(frozen=True)
-class DeterminationReport:
+class DeterminationReport(_Record):
     """Outcome of comparing two lattices through their Boolean-subalgebra posets."""
 
-    posets_isomorphic: bool
-    lattices_isomorphic: bool
-    both_orthomodular: bool
-    lifted_count: Optional[int]
-    consistent: bool
-    note: str
+    __slots__ = ("posets_isomorphic", "lattices_isomorphic", "both_orthomodular",
+                 "lifted_count", "consistent", "note")
+
+    def __init__(self, posets_isomorphic: bool, lattices_isomorphic: bool,
+                 both_orthomodular: bool, lifted_count: Optional[int],
+                 consistent: bool, note: str):
+        super().__init__(posets_isomorphic, lattices_isomorphic, both_orthomodular,
+                         lifted_count, consistent, note)
 
     def lines(self) -> list[str]:
         yn = {True: "yes", False: "no"}

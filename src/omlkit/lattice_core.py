@@ -12,7 +12,6 @@ pure functions of their inputs, so instances are safe to share freely.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -380,12 +379,55 @@ def _permuted(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SubalgebraSet:
+class _Record:
+    """Value semantics for a slotted class, as a frozen dataclass has them.
+
+    A subclass names its fields in ``__slots__``, in ``__init__`` order, and
+    sets them with ``object.__setattr__``.  Equal fields mean equal objects
+    with equal hashes; assigning or deleting a field raises AttributeError.
+    Unlike ``dataclasses``, nothing is generated at class creation.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}"
+                         for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class SubalgebraSet(_Record):
     """A closed subset of a fixed lattice, stored as a bit set of elements."""
 
-    owner: FiniteOrtholattice
-    members: int
+    __slots__ = ("owner", "members")
+
+    def __init__(self, owner: FiniteOrtholattice, members: int):
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "members", members)
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -411,14 +453,17 @@ EMBEDDING = "embedding"
 ISO = "iso"
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Record):
     """A validated structure map; kind is 'hom', 'embedding' or 'iso'."""
 
-    source: FiniteOrtholattice
-    target: FiniteOrtholattice
-    mapping: tuple[int, ...]
-    kind: str
+    __slots__ = ("source", "target", "mapping", "kind")
+
+    def __init__(self, source: FiniteOrtholattice, target: FiniteOrtholattice,
+                 mapping: tuple[int, ...], kind: str):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "kind", kind)
 
     def __call__(self, a: int) -> int:
         return self.mapping[a]

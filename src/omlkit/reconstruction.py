@@ -11,18 +11,16 @@ raises MalformedInput instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FrameCap, MalformedInput, NoLeastElement
-from .lattice_core import MAX_ELEMENTS, FiniteOrtholattice, ORTHOMODULAR, bits
+from .lattice_core import MAX_ELEMENTS, FiniteOrtholattice, ORTHOMODULAR, _Record, bits
 from .subalgebra_posets import AbstractPoset, close_by_one, inclusion_rows
 
 MAX_FRAME_POINTS = MAX_ELEMENTS - 2
 
 
-@dataclass(frozen=True)
-class OrthoFrame:
+class OrthoFrame(_Record):
     """A point set with a symmetric irreflexive orthogonality relation.
 
     ``perp[i]`` is the bit set of points orthogonal to point i; ``labels``
@@ -30,11 +28,10 @@ class OrthoFrame:
     from poset atoms).
     """
 
-    size: int
-    perp: tuple[int, ...]
-    labels: tuple[str, ...]
+    __slots__ = ("size", "perp", "labels")
 
-    def __post_init__(self):
+    def __init__(self, size: int, perp: tuple[int, ...], labels: tuple[str, ...]):
+        super().__init__(size, perp, labels)
         if len(self.perp) != self.size or len(self.labels) != self.size:
             raise MalformedInput("frame rows and labels must match the point count")
         universe = (1 << self.size) - 1

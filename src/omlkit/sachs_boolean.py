@@ -11,11 +11,10 @@ partition lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import Inconsistent, MalformedInput, NotBoolean
-from .lattice_core import FiniteOrtholattice, SubalgebraSet, bits
+from .lattice_core import FiniteOrtholattice, SubalgebraSet, _Record, bits
 from .subalgebra_posets import AbstractPoset, SubalgebraPoset
 
 
@@ -35,13 +34,13 @@ def _as_mask(B: FiniteOrtholattice, x) -> int:
     return mask
 
 
-@dataclass(frozen=True)
-class DualDecomposition:
+class DualDecomposition(_Record):
     """A subalgebra split as ideal plus complementary filter (bit sets)."""
 
-    subalgebra: SubalgebraSet
-    ideal: int
-    filter: int
+    __slots__ = ("subalgebra", "ideal", "filter")
+
+    def __init__(self, subalgebra: SubalgebraSet, ideal: int, filter: int):
+        super().__init__(subalgebra, ideal, filter)
 
 
 def dual_decomposition(B: FiniteOrtholattice, x) -> Optional[DualDecomposition]:
@@ -124,21 +123,21 @@ def pd_order_test(sub_b: SubalgebraPoset, x: int) -> bool:
 
 # -- partitions --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Record):
     """A partition of {1..n}: disjoint sorted blocks, sorted by least member."""
 
-    blocks: tuple[tuple[int, ...], ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
+    def __init__(self, blocks: tuple[tuple[int, ...], ...]):
+        super().__init__(blocks)
         seen = set()
-        for blk in self.blocks:
+        for blk in blocks:
             if not blk or list(blk) != sorted(blk):
                 raise MalformedInput("partition blocks must be nonempty and sorted")
             if seen & set(blk):
                 raise MalformedInput("partition blocks overlap")
             seen.update(blk)
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b[0]):
+        if list(blocks) != sorted(blocks, key=lambda b: b[0]):
             raise MalformedInput("partition blocks must be sorted by least member")
 
     @classmethod

@@ -240,6 +240,27 @@ def test_cli_domain_error_exit_code(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_rejects_files_that_are_not_utf8(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe\x00{")
+    lat = tmp_path / "b2.json"
+    lat.write_text(fileio.dump_lattice(boolean_algebra(2)))
+    # a lattice file, a poset file and a node-map file
+    for argv in (["validate", str(bad)], ["reconstruct", str(bad)],
+                 ["lift-bsub", str(lat), str(lat), str(bad)]):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {bad}: not UTF-8 text\n")
+
+
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
+    deep = "[" * 200000
+    with pytest.raises(MalformedInput, match="nested too deeply"):
+        fileio.parse_lattice(deep)
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    assert run_cli(capsys, "validate", str(path)) == (
+        1, "", "error: not valid JSON: nested too deeply\n")
+
+
 def test_cli_usage_error_exit_code(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
