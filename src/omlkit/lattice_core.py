@@ -198,19 +198,30 @@ class FiniteOrtholattice:
 
     @cached_property
     def commuting(self) -> tuple[int, ...]:
-        """commuting[a] is the bit set of elements that commute with a."""
+        """commuting[a] is the bit set of elements that commute with a.
+
+        a C b reads a = (a ^ b) v (a ^ b'), symmetric in b and b', and C is
+        symmetric, so a and a' share a row.  Comparable and orthogonal elements
+        commute (a <= b gives a v (a ^ b') = a), so the cones of a and a' are
+        set untested, and each other pair {b, b'} is tested once.
+        """
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("commutation is only defined on orthomodular lattices")
-        out = [0] * self.n
-        for a in range(self.n):
-            for b in range(a, self.n):
-                if self._commutes(a, b):
-                    out[a] |= 1 << b
-                    out[b] |= 1 << a
-        return tuple(out)
+        up, down, ortho, meet, join = self.up, self.down, self.ortho, self._meet, self._join
+        out = [up[a] | down[a] | up[o] | down[o] for a, o in enumerate(ortho)]
+        for a, (o, row) in enumerate(zip(ortho, meet)):
+            # the pairs below a were tested from their side
+            for b in bits(self.universe & ~out[a] & -(2 << a) if a < o else 0):
+                c = ortho[b]
+                if b < c and join[row[b]][row[c]] == a:
+                    out[a] |= 1 << b | 1 << c
+                    out[b] |= 1 << a | 1 << o
+        return tuple(out[min(a, o)] for a, o in enumerate(ortho))
 
     def closure_mask(self, mask: int) -> int:
         """Close ``mask`` under complement, meet and join, plus the bounds."""
+        if mask & ~self.universe:
+            raise MalformedInput(f"element set mentions elements outside 0..{self.n - 1}")
         return self._extend(0, (), tuple(bits(mask | 1 | 1 << (self.n - 1))))[0]
 
     def _extend(self, mask: int, members: Sequence[int], new: Sequence[int],
@@ -375,7 +386,12 @@ def _permuted(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
     """Rows of the same order with element i renamed perm[i]."""
     out = [0] * len(rows)
     for i, row in enumerate(rows):
-        out[perm[i]] = mask_of(perm[j] for j in bits(row))
+        renamed = 0
+        while row:
+            low = row & -row
+            renamed |= 1 << perm[low.bit_length() - 1]
+            row ^= low
+        out[perm[i]] = renamed
     return out
 
 

@@ -271,6 +271,38 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     return up, down
 
 
+def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
+    """``close_by_one``'s extension of the Boolean subalgebra s, with atoms
+    ``atoms``, by an element e that commutes with all of s.
+
+    By Foulis-Holland each atom a splits into a ^ e and a ^ e', and the
+    nonzero parts are the atoms of the closure, whose elements are their
+    joins.  A new atom below e is returned as the witness as soon as it
+    appears; otherwise the joins are formed by doubling and checked.
+    """
+    meet_e, meet_o, join = L._meet[e], L._meet[L.ortho[e]], L._join
+    parts = []
+    for a in atoms:
+        t, u = meet_e[a], meet_o[a]
+        if not (t and u):
+            parts.append(a)
+        elif t < e or u < e:
+            return min(t, u)
+        else:
+            parts += (t, u)
+    members = [0]
+    for t in parts:
+        row = join[t]
+        members += [row[x] for x in members]
+    mask = 0
+    for x in members:
+        mask |= 1 << x
+    new_below = mask & ~s & (1 << e) - 1
+    if new_below:
+        return new_below.bit_length() - 1
+    return mask, parts
+
+
 def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
                           cap: Optional[int] = None) -> SubalgebraPoset:
     """Enumerate Sub(L) (or BSub(L) with ``boolean_only``) as a poset.
@@ -279,13 +311,16 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     incrementally from its already closed parent.  For BSub of an
     orthomodular L an element is added only if it commutes with every
     element already present: by Foulis-Holland the result is then Boolean,
-    and every Boolean subalgebra is reached that way.  For other
+    and every Boolean subalgebra is reached that way.  Such a node is kept
+    as its atoms: e commutes with each atom a, so a = (a ^ e) v (a ^ e'),
+    and the nonzero parts are the child's atoms (``_split_closure``).  For other
     ortholattices each closure is tested with ``is_boolean``.  ``cap``
     bounds the node count (default 100000, or the OMLKIT_NODE_CAP
     environment variable); going past it raises ExplosionCap.
     """
     cap = _node_cap(cap)
     bottom = L.closure_mask(0)
+    state = list(bits(bottom))
     extend_closed = L._extend
 
     if not boolean_only:
@@ -293,11 +328,12 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
             return extend_closed(s, members, (e,), e)
     elif L.is_orthomodular:
         commuting = L.commuting
+        state = [L.n - 1]
 
-        def extend(s, members, e):
+        def extend(s, atoms, e):
             if s & ~commuting[e]:
                 return None
-            return extend_closed(s, members, (e,), e)
+            return _split_closure(L, s, atoms, e)
     else:
         def extend(s, members, e):
             child = extend_closed(s, members, (e,), e)
@@ -307,7 +343,7 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
 
     # an element above its complement drags that smaller complement in
     candidates = [e for e in range(L.n) if L.ortho[e] > e]
-    masks = close_by_one(candidates, bottom, list(bits(bottom)), extend, cap)
+    masks = close_by_one(candidates, bottom, state, extend, cap)
     if len(masks) > cap:
         raise ExplosionCap(
             f"more than {cap} subalgebras (stopped at {len(masks)} nodes); "

@@ -21,6 +21,13 @@ lattice's meet and join tables that way, pair by pair in the old order.
 the interval and a fresh partition lattice for every node, with no cheap
 invariants in front of the isomorphism search.
 
+``legacy_commuting`` tests every pair of elements for commutation, where
+the library sets the cones of a and a' untested and tests each pair
+{b, b'} once for the pair {a, a'}.  ``legacy_bsub_close_by_one`` is the
+BSub search as it was before its nodes carried their atoms: each child
+closed by the semi-naive meet closure ``L._extend``.
+``legacy_permuted`` renamed each row through ``mask_of`` over ``bits``.
+
 ``legacy_close_by_one``, ``legacy_inclusion_rows`` and ``legacy_transpose``
 are the enumerator and the inclusion rows before failed closures left
 witnesses: every element above the last one added was tried and closed,
@@ -84,7 +91,12 @@ from omlkit.lattice_core import (
     sublattice,
 )
 from omlkit.sachs_boolean import _require_boolean, dual_decomposition, pd_mask
-from omlkit.subalgebra_posets import check_order_iso, enumerate_subalgebras, poset_isomorphic
+from omlkit.subalgebra_posets import (
+    check_order_iso,
+    close_by_one,
+    enumerate_subalgebras,
+    poset_isomorphic,
+)
 
 
 def _close_from_scratch(L, mask):
@@ -167,6 +179,41 @@ def frontier_subalgebras(L, boolean_only=False):
     return masks, tuple(rows)
 
 
+def legacy_commuting(L):
+    """commuting[a] is the bit set of elements b with a = (a ^ b) v (a ^ b')."""
+    if L.flavor != ORTHOMODULAR:
+        raise FlavorError("commutation is only defined on orthomodular lattices")
+    meet, join, ortho = L._meet, L._join, L.ortho
+    out = [0] * L.n
+    for a in range(L.n):
+        for b in range(a, L.n):
+            if join[meet[a][b]][meet[a][ortho[b]]] == a:
+                out[a] |= 1 << b
+                out[b] |= 1 << a
+    return tuple(out)
+
+
+def legacy_bsub_close_by_one(L, cap=100000):
+    """The BSub(L) masks of an orthomodular L in the order Close-by-One
+    finds them, unsorted, each child closed with ``L._extend``."""
+    commuting = legacy_commuting(L)
+
+    def extend(s, members, e):
+        return None if s & ~commuting[e] else L._extend(s, members, (e,), e)
+
+    candidates = [e for e in range(L.n) if L.ortho[e] > e]
+    bottom = L.closure_mask(0)
+    return close_by_one(candidates, bottom, list(bits(bottom)), extend, cap)
+
+
+def legacy_permuted(rows, perm):
+    """Rows of the same order with element i renamed perm[i]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        out[perm[i]] = mask_of(perm[j] for j in bits(row))
+    return out
+
+
 def legacy_close_by_one(size, bottom, state, extend, cap):
     found = []
     stack = [(bottom, state, 0)]
@@ -218,8 +265,10 @@ def legacy_enumerate_subalgebras(L, boolean_only=False, cap=100000):
     if not boolean_only:
         extend = closed
     elif L.is_orthomodular:
+        commuting = legacy_commuting(L)
+
         def extend(s, members, e):
-            return None if s & ~L.commuting[e] else closed(s, members, e)
+            return None if s & ~commuting[e] else closed(s, members, e)
     else:
         def extend(s, members, e):
             child = closed(s, members, e)
@@ -777,7 +826,7 @@ def legacy_blocks(L):
     """
     if L.flavor != ORTHOMODULAR:
         raise FlavorError("blocks are defined for orthomodular lattices")
-    nbr = [row & ~(1 << a) for a, row in enumerate(L.commuting)]
+    nbr = [row & ~(1 << a) for a, row in enumerate(legacy_commuting(L))]
     out = []
 
     def expand(clique: int, cand: int, done: int):

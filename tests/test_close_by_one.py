@@ -4,7 +4,11 @@ The oracles in ``legacy_oracles`` are the algorithms Close-by-One replaced,
 and Close-by-One itself as it was before failed closures left witnesses;
 the enumerator must reproduce their node masks, inclusion rows and
 orthocomplement tables exactly, on catalog lattices and under relabeling,
-and must close at most half as many sets as the plain Close-by-One.
+and must close at most half as many sets as the plain Close-by-One.  BSub
+of an orthomodular lattice closes on atoms: each such closure must be the
+closure operator's or leave a valid witness, the search must find its nodes
+in the order the meet closure did, and the commutation rows it filters by
+must match the pairwise test.
 """
 
 import random
@@ -12,7 +16,9 @@ import random
 import pytest
 from legacy_oracles import (
     frontier_subalgebras,
+    legacy_bsub_close_by_one,
     legacy_close_by_one,
+    legacy_commuting,
     legacy_enumerate_subalgebras,
     legacy_orthoclosed,
     subset_scan_orthoclosed,
@@ -36,8 +42,9 @@ from omlkit import (
     reconstruct,
     relabel,
 )
+from omlkit import subalgebra_posets
 from omlkit.lattice_core import bits
-from omlkit.subalgebra_posets import close_by_one
+from omlkit.subalgebra_posets import _split_closure, close_by_one
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
            "MO2x2", "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
@@ -45,10 +52,13 @@ SEEDS = (1, 2, 3)
 
 
 def _lattice(name):
-    # the catalog stops at 2^5 and MO4
-    beyond = {"2^6": lambda: boolean_algebra(6), "MO8": lambda: mo(8),
+    # the catalog stops at 2^5 and MO4; in the products blocks share atoms
+    beyond = {"2^6": lambda: boolean_algebra(6), "MO8": lambda: mo(8), "MO10": lambda: mo(10),
               "hsum(2^4,2^4,2^3)": lambda: horizontal_sum(
-                  [boolean_algebra(4), boolean_algebra(4), boolean_algebra(3)])}
+                  [boolean_algebra(4), boolean_algebra(4), boolean_algebra(3)]),
+              "MO2x2^2": lambda: product(mo(2), boolean_algebra(2)),
+              "MO2xMO2": lambda: product(mo(2), mo(2)),
+              "example22x2^1": lambda: product(catalog("example22"), boolean_algebra(1))}
     return beyond[name]() if name in beyond else catalog(name)
 
 
@@ -130,6 +140,74 @@ def test_bsub_of_a_non_orthomodular_lattice_meets_witnesses_and_rejections():
     assert poset.up == up and poset.down == down
 
 
+OMLS = [name for name in CATALOG if name != "benzene"]
+
+
+@pytest.mark.parametrize("name", OMLS + ["MO2x2^2", "2^6", "MO10", "hsum(2^5,2^5)"])
+def test_commuting_rows_match_the_pairwise_test(name):
+    L = _lattice(name)
+    assert L.commuting == legacy_commuting(L)
+    for seed in SEEDS:
+        M = _inner_relabeling(L, seed)
+        assert M.commuting == legacy_commuting(M)
+
+
+@pytest.mark.parametrize("name", ["MO2x2^2", "MO2xMO2", "example22x2^1", "MO10",
+                                  "2^6", "hsum(2^5,2^5)"])
+def test_bsub_matches_legacy_where_blocks_share_atoms(name):
+    L = _lattice(name)
+    _assert_matches_legacy(L, True)
+    for seed in SEEDS[:2]:
+        _assert_matches_legacy(_inner_relabeling(L, seed), True)
+
+
+@pytest.mark.parametrize("name", OMLS + ["MO2x2^2", "MO2xMO2", "example22x2^1", "2^6"])
+def test_atom_splitting_finds_nodes_in_the_order_of_the_meet_closure(name, monkeypatch):
+    # witnesses only skip closures that fail, so the depth-first order of
+    # the nodes found is the same whichever closure runs
+    found = []
+
+    def recorded(*args):
+        masks = close_by_one(*args)
+        found.append(list(masks))
+        return masks
+
+    monkeypatch.setattr(subalgebra_posets, "close_by_one", recorded)
+    base = _lattice(name)
+    for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
+        enumerate_subalgebras(L, boolean_only=True)
+        assert found.pop() == legacy_bsub_close_by_one(L)
+
+
+def _atoms(L, s):
+    return sorted(a for a in bits(s) if a and s & L.down[a] == 1 | 1 << a)
+
+
+@pytest.mark.parametrize("name", ["2^4", "MO3", "MO2x2", "example22", "hsum(2^2,2^3,2^4)",
+                                  "MO2x2^2", "MO2xMO2"])
+def test_split_closure_is_the_closure_or_a_witness(name):
+    # for every BSub node s and every e commuting with s: the closure of
+    # s + e with its atoms if it adds nothing below e, else such an element
+    base = _lattice(name)
+    outcomes = set()
+    for L in (base, _inner_relabeling(base, 1)):
+        commuting = legacy_commuting(L)
+        for s in legacy_enumerate_subalgebras(L, True)[0]:
+            atoms = _atoms(L, s)
+            for e in bits(L.universe & ~s):
+                if s & ~commuting[e]:
+                    continue
+                closed = L.closure_mask(s | 1 << e)
+                got = _split_closure(L, s, atoms, e)
+                outcomes.add(got.__class__)
+                if got.__class__ is tuple:
+                    assert not closed & ~s & (1 << e) - 1
+                    assert got[0] == closed and sorted(got[1]) == _atoms(L, closed)
+                else:
+                    assert got < e and not s >> got & 1 and closed >> got & 1
+    assert outcomes == {tuple, int}
+
+
 def test_cap_stops_at_the_same_count_as_legacy_close_by_one():
     L = boolean_algebra(4)
     for boolean_only in (False, True):
@@ -159,16 +237,30 @@ PRUNED = [("hsum(2^4,2^4)", False), ("2^6", True)]
 
 
 @pytest.mark.parametrize("name, boolean_only", PRUNED, ids=["sub", "bsub"])
-def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only):
+def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, monkeypatch):
     L = _lattice(name)
+    split_calls = []
+
+    def split(L, s, atoms, e):
+        split_calls.append((e,))
+        return _split_closure(L, s, atoms, e)
+
+    monkeypatch.setattr(subalgebra_posets, "_split_closure", split)
     poset, calls = _counting_extend(
         L, lambda: enumerate_subalgebras(L, boolean_only=boolean_only))
     (masks, _, _), legacy_calls = _counting_extend(
         L, lambda: legacy_enumerate_subalgebras(L, boolean_only))
     assert [node.members for node in poset.nodes] == masks
+    assert calls[0] == (0, L.n - 1)
+    if boolean_only:
+        # past the bottom, an orthomodular L's BSub nodes close on their
+        # atoms, never through L._extend
+        assert calls == [(0, L.n - 1)] and split_calls
+        calls += split_calls
+    else:
+        assert not split_calls
     assert len(calls) <= len(legacy_calls) // 2
     # past the closure of the bottom, no element above its complement is tried
-    assert calls[0] == (0, L.n - 1)
     assert all(L.ortho[e] > e for e, in calls[1:])
 
 

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -36,7 +38,14 @@ from omlkit import (
 )
 from omlkit import fileio
 from omlkit.cli import main
-from omlkit.lattice_core import FiniteOrtholattice, _covers, _transpose, bits, mask_of
+from omlkit.lattice_core import (
+    FiniteOrtholattice,
+    _covers,
+    _permuted,
+    _transpose,
+    bits,
+    mask_of,
+)
 from omlkit.subalgebra_posets import AbstractPoset
 
 from legacy_oracles import (
@@ -44,6 +53,7 @@ from legacy_oracles import (
     legacy_bound_tables,
     legacy_covers,
     legacy_is_boolean,
+    legacy_permuted,
     legacy_unique_bound,
 )
 
@@ -217,6 +227,42 @@ def test_covers_match_legacy_covers_on_random_posets():
         n = rng.randrange(1, 14)
         up = _random_order(rng, n, bounded=rng.random() < 0.5, levels=rng.randrange(1, 7))
         assert _covers(up) == legacy_covers(up, _transpose(up))
+
+
+def test_permuted_matches_legacy_permuted_on_random_posets():
+    rng = random.Random(14)
+    for _ in range(300):
+        n = rng.randrange(1, 14)
+        up = _random_order(rng, n, bounded=rng.random() < 0.5, levels=rng.randrange(1, 7))
+        perm = rng.sample(range(n), n)
+        assert _permuted(up, perm) == legacy_permuted(up, perm)
+
+
+# a negative mask once closed forever, growing until memory ran out, so
+# the calls run in a child interpreter with a deadline and a capped heap
+OUT_OF_RANGE_MASKS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+import omlkit
+from omlkit import sachs_boolean
+L, B = omlkit.mo(2), omlkit.boolean_algebra(2)
+for call in (lambda: L.subalgebra(-1), lambda: omlkit.sublattice(L, -1),
+             lambda: sachs_boolean.dual_decomposition(B, -1),
+             lambda: L.subalgebra(1 << 6), lambda: L.closure_mask(-1 << 7 | 5)):
+    try:
+        call()
+    except omlkit.MalformedInput as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_masks_outside_the_universe_are_malformed_input(subprocess_env):
+    out = subprocess.run([sys.executable, "-c", OUT_OF_RANGE_MASKS], env=subprocess_env,
+                         capture_output=True, text=True, timeout=30)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stdout.splitlines() == [
+        f"MalformedInput element set mentions elements outside 0..{top}"
+        for top in (5, 5, 3, 5, 5)]
 
 
 def test_meet_of_distinct_atoms_is_zero():
