@@ -274,7 +274,9 @@ class FiniteOrtholattice:
 
     def subalgebra(self, members) -> "SubalgebraSet":
         """Wrap an element set as a SubalgebraSet, insisting it is closed."""
-        mask = members if isinstance(members, int) else mask_of(members)
+        mask = members if isinstance(members, int) else mask_of(
+            # a negative element has no bit: give it one outside the universe
+            self.n if e < 0 else e for e in members)
         if self.closure_mask(mask) != mask:
             raise MalformedInput("element set is not a closed subalgebra")
         return SubalgebraSet(self, mask)

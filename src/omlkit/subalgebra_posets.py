@@ -2,10 +2,10 @@
 
 Sub(L) is the family of all subalgebras of a finite ortholattice, BSub(L)
 the family of Boolean ones, both ordered by inclusion.  Enumeration is a
-depth-first Close-by-One search from {0,1} that lists each subalgebra once
-and closes each new set incrementally from its parent; posets come out
-with nodes sorted ascending by bit-set value so identical inputs give
-identical output, byte for byte.
+depth-first Close-by-One search from {0,1} (for Sub, one per horizontal
+summand) that lists each subalgebra once and closes each new set
+incrementally from its parent; posets come out with nodes sorted ascending
+by bit-set value so identical inputs give identical output, byte for byte.
 """
 
 from __future__ import annotations
@@ -303,6 +303,37 @@ def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
     return mask, parts
 
 
+def _summands(L: FiniteOrtholattice) -> list[int]:
+    """The inner elements of L split into its horizontal summands, as masks.
+
+    The summands are the classes of x ~ y where x ^ y != 0 or y = x'.  In a
+    finite lattice x ^ y != 0 exactly when an atom lies below both.  If
+    atoms a and b lie below some x < 1, an atom c below (a v b)' is
+    orthogonal to both; and x ~ x' links the atoms below x to those below
+    x', which are orthogonal to them.  So a summand is the union of the up
+    rows of a component of the orthogonality graph on atoms, and each atom
+    is read once.
+    """
+    up, down, ortho = L.up, L.down, L.ortho
+    inner = L.universe ^ 1 ^ 1 << L.n - 1
+    left = L.cover_up[0] & inner
+    out = []
+    while left:
+        part, todo = 0, left & -left
+        while todo:
+            left ^= todo
+            reach = 0
+            while todo:
+                low = todo & -todo
+                a = low.bit_length() - 1
+                part |= up[a]
+                reach |= down[ortho[a]]
+                todo ^= low
+            todo = reach & left
+        out.append(part & inner)
+    return out
+
+
 def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
                           cap: Optional[int] = None) -> SubalgebraPoset:
     """Enumerate Sub(L) (or BSub(L) with ``boolean_only``) as a poset.
@@ -314,9 +345,21 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     and every Boolean subalgebra is reached that way.  Such a node is kept
     as its atoms: e commutes with each atom a, so a = (a ^ e) v (a ^ e'),
     and the nonzero parts are the child's atoms (``_split_closure``).  For other
-    ortholattices each closure is tested with ``is_boolean``.  ``cap``
-    bounds the node count (default 100000, or the OMLKIT_NODE_CAP
-    environment variable); going past it raises ExplosionCap.
+    ortholattices each closure is tested with ``is_boolean``.
+
+    Sub(L) is the product of its horizontal summands' Sub, so the search
+    runs once per summand (``_summands``) and the node masks are the ORs of
+    one node of each.  A summand is closed under ' by definition; across
+    summands x ^ y = 0 and x v y = (x' ^ y')' = 1; and a meet of two
+    elements of a summand is 0 or lies below both, so in the summand.  So
+    a union of subalgebras, one of each summand, is a subalgebra, and every
+    subalgebra is such a union.  This holds in any ortholattice.  A
+    four-element block {0, a, a', 1} is a 2^2 summand, and MO_k is k of
+    them; a connected L is one summand and gets one search.
+
+    ``cap`` bounds the node count (default 100000, or the OMLKIT_NODE_CAP
+    environment variable); going past it raises ExplosionCap, and no list
+    of more than cap + 1 masks is built on the way.
     """
     cap = _node_cap(cap)
     bottom = L.closure_mask(0)
@@ -343,11 +386,19 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
 
     # an element above its complement drags that smaller complement in
     candidates = [e for e in range(L.n) if L.ortho[e] > e]
-    masks = close_by_one(candidates, bottom, state, extend, cap)
-    if len(masks) > cap:
-        raise ExplosionCap(
-            f"more than {cap} subalgebras (stopped at {len(masks)} nodes); "
-            f"raise the cap with {NODE_CAP_ENV}")
+    # a Boolean subalgebra lies in one summand: BSub is no product
+    masks = [bottom]
+    for part in [L.universe] if boolean_only else _summands(L):
+        # the product so far times this summand's count stays within cap
+        budget = cap // len(masks)
+        found = close_by_one([e for e in candidates if part >> e & 1],
+                             bottom, state, extend, budget)
+        if len(found) > budget:
+            raise ExplosionCap(
+                f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
+                f"raise the cap with {NODE_CAP_ENV}")
+        # every mask holds the bottom, so the first summand's are the product
+        masks = found if len(masks) == 1 else [m | f for m in masks for f in found]
     masks.sort()
     nodes = [SubalgebraSet(L, m) for m in masks]
     return SubalgebraPoset._enumerated(*inclusion_rows(masks), L, nodes,

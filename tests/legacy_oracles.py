@@ -56,6 +56,11 @@ counts matches through it.  ``legacy_pinned_classify_recovery`` enumerated
 Sub(M) to read which nodes hold each element, and searched only the
 homomorphisms sending each a to an element in the same nodes as f(a); the
 library now takes those to be f(a) and f(a)' without enumerating Sub(M).
+
+``legacy_summands`` splits the inner elements into horizontal summands as
+the connected components of x ~ y (x ^ y != 0 or y = x'), testing every
+pair on the meet table, where the library walks the orthogonality graph on
+atoms.
 """
 
 import itertools
@@ -204,6 +209,24 @@ def legacy_bsub_close_by_one(L, cap=100000):
     candidates = [e for e in range(L.n) if L.ortho[e] > e]
     bottom = L.closure_mask(0)
     return close_by_one(candidates, bottom, list(bits(bottom)), extend, cap)
+
+
+def legacy_summands(L):
+    """The horizontal summands of L as masks of inner elements, ascending."""
+    inner = range(1, L.n - 1)
+    out, left = [], set(inner)
+    while left:
+        part = {min(left)}
+        todo = list(part)
+        while todo:
+            x = todo.pop()
+            for y in inner:
+                if y not in part and (L.meet(x, y) != 0 or y == L.ortho[x]):
+                    part.add(y)
+                    todo.append(y)
+        left -= part
+        out.append(mask_of(part))
+    return sorted(out)
 
 
 def legacy_permuted(rows, perm):

@@ -8,7 +8,9 @@ and must close at most half as many sets as the plain Close-by-One.  BSub
 of an orthomodular lattice closes on atoms: each such closure must be the
 closure operator's or leave a valid witness, the search must find its nodes
 in the order the meet closure did, and the commutation rows it filters by
-must match the pairwise test.
+must match the pairwise test.  Sub of a horizontal sum is the product of its
+summands' Sub: the summands must be the components of the pairwise
+relation, and the cap must stop the product with the legacy text.
 """
 
 import random
@@ -21,6 +23,7 @@ from legacy_oracles import (
     legacy_commuting,
     legacy_enumerate_subalgebras,
     legacy_orthoclosed,
+    legacy_summands,
     subset_scan_orthoclosed,
 )
 
@@ -41,10 +44,11 @@ from omlkit import (
     product,
     reconstruct,
     relabel,
+    sub,
 )
 from omlkit import subalgebra_posets
 from omlkit.lattice_core import bits
-from omlkit.subalgebra_posets import _split_closure, close_by_one
+from omlkit.subalgebra_posets import _split_closure, _summands, close_by_one
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
            "MO2x2", "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
@@ -58,7 +62,9 @@ def _lattice(name):
                   [boolean_algebra(4), boolean_algebra(4), boolean_algebra(3)]),
               "MO2x2^2": lambda: product(mo(2), boolean_algebra(2)),
               "MO2xMO2": lambda: product(mo(2), mo(2)),
-              "example22x2^1": lambda: product(catalog("example22"), boolean_algebra(1))}
+              "example22x2^1": lambda: product(catalog("example22"), boolean_algebra(1)),
+              "hsum(benzene,2^2,benzene)": lambda: horizontal_sum(
+                  [catalog("benzene"), boolean_algebra(2), catalog("benzene")])}
     return beyond[name]() if name in beyond else catalog(name)
 
 
@@ -208,6 +214,61 @@ def test_split_closure_is_the_closure_or_a_witness(name):
     assert outcomes == {tuple, int}
 
 
+# beyond the catalog, whose Sub test_enumeration_matches_legacy_close_by_one
+# checks: many summands, a non-orthomodular sum, and connected products
+SUMMED = ["MO8", "hsum(2^4,2^4,2^2)", "hsum(benzene,2^2,benzene)", "MO2x2^2", "example22x2^1"]
+
+
+@pytest.mark.parametrize("name", CATALOG + SUMMED)
+def test_summands_are_the_components_of_the_pairwise_relation(name):
+    L = _lattice(name)
+    for M in (L, *(_inner_relabeling(L, seed) for seed in SEEDS)):
+        assert sorted(_summands(M)) == legacy_summands(M)
+
+
+@pytest.mark.parametrize("name", SUMMED)
+def test_sub_as_a_product_of_summands_matches_legacy_close_by_one(name):
+    L = _lattice(name)
+    _assert_matches_legacy(L, False)
+    for seed in SEEDS:
+        _assert_matches_legacy(_inner_relabeling(L, seed), False)
+
+
+@pytest.mark.parametrize("name, cap, searches", [("MO8", 100, 7), ("hsum(2^5,2^2)", 40, 1)],
+                         ids=["product-over", "summand-over"])
+def test_cap_on_a_product_stops_with_the_legacy_text(name, cap, searches, monkeypatch):
+    # MO8 has 2^8 subalgebras but each summand only 2; Sub(2^5) alone has 52
+    L = _lattice(name)
+    assert len(legacy_enumerate_subalgebras(L, False, cap=cap)) == cap + 1
+    text = (f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
+            "raise the cap with OMLKIT_NODE_CAP")
+    runs = []
+
+    def recorded(candidates, bottom, state, extend, budget):
+        masks = close_by_one(candidates, bottom, state, extend, budget)
+        runs.append((budget, len(masks)))
+        return masks
+
+    monkeypatch.setattr(subalgebra_posets, "close_by_one", recorded)
+    for kw in ({"cap": cap}, {}):
+        if not kw:
+            monkeypatch.setenv("OMLKIT_NODE_CAP", str(cap))
+        runs.clear()
+        with pytest.raises(ExplosionCap) as exc:
+            sub(L, **kw)
+        assert str(exc.value) == text
+        # the searches stop at the first summand that takes the product past
+        # the cap, and none lists more than cap + 1 masks
+        assert len(runs) == searches
+        done = 1
+        for budget, count in runs[:-1]:
+            assert count <= budget
+            done *= count
+        budget, count = runs[-1]
+        assert done <= cap and count == budget + 1 and done * count > cap
+        assert all(count <= cap + 1 for _, count in runs)
+
+
 def test_cap_stops_at_the_same_count_as_legacy_close_by_one():
     L = boolean_algebra(4)
     for boolean_only in (False, True):
@@ -262,6 +323,16 @@ def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, 
     assert len(calls) <= len(legacy_calls) // 2
     # past the closure of the bottom, no element above its complement is tried
     assert all(L.ortho[e] > e for e, in calls[1:])
+
+
+def test_a_horizontal_sum_closes_once_per_summand():
+    # past the bottom, Sub(hsum(2^4,2^4)) makes just the closures of two
+    # searches of Sub(2^4); one search over the whole sum closes mixed sets
+    L, B = _lattice("hsum(2^4,2^4)"), boolean_algebra(4)
+    _, calls = _counting_extend(L, lambda: sub(L))
+    _, one = _counting_extend(B, lambda: sub(B))
+    assert calls[0] == (0, L.n - 1) and one[0] == (0, B.n - 1)
+    assert len(calls) - 1 == 2 * (len(one) - 1)
 
 
 @pytest.mark.parametrize("name, boolean_only", PRUNED, ids=["sub", "bsub"])

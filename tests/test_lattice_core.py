@@ -10,6 +10,7 @@ import pytest
 from omlkit import (
     BadOrthocomplement,
     FlavorError,
+    MalformedInput,
     NoBoundedLattice,
     NotAMorphism,
     NotAPartialOrder,
@@ -263,6 +264,15 @@ def test_masks_outside_the_universe_are_malformed_input(subprocess_env):
     assert out.stdout.splitlines() == [
         f"MalformedInput element set mentions elements outside 0..{top}"
         for top in (5, 5, 3, 5, 5)]
+
+
+def test_negative_members_are_malformed_input():
+    # a negative element has no bit; it is reported as a mask is
+    L = mo(2)
+    for members in ([-1], [0, -3, 5], (e for e in (0, -1)), [9]):
+        with pytest.raises(MalformedInput) as exc:
+            L.subalgebra(members)
+        assert str(exc.value) == "element set mentions elements outside 0..5"
 
 
 def test_meet_of_distinct_atoms_is_zero():
