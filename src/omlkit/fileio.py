@@ -3,7 +3,8 @@
 Everything is JSON with sorted keys and two-space indentation, so emitting
 the same object twice gives byte-identical text.  Parsers are strict: out
 of range indices, duplicate pairs, or a relation that is not already the
-full reflexive-transitive one are rejected rather than repaired.
+full reflexive-transitive one are rejected rather than repaired.  The pair
+rule lives in the order core (``validate``, ``AbstractPoset.from_pairs``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from typing import Optional, Sequence
 
 from .errors import MalformedInput
-from .lattice_core import FiniteOrtholattice, Morphism, bits, morphism, validate
+from .lattice_core import FiniteOrtholattice, Morphism, _is_int, bits, morphism, validate
 from .subalgebra_posets import AbstractPoset, SubalgebraPoset
 
 
@@ -45,29 +46,16 @@ def _loads(text: str) -> dict:
 
 def _int_field(obj: dict, key: str) -> int:
     v = obj.get(key)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise MalformedInput(f"field {key!r} must be an integer")
     return v
 
 
-def _pairs_field(obj: dict, key: str, size: int) -> list[tuple[int, int]]:
+def _pairs_field(obj: dict, key: str) -> list:
     raw = obj.get(key)
     if not isinstance(raw, list):
         raise MalformedInput(f"field {key!r} must be a list of pairs")
-    pairs = []
-    seen = set()
-    for item in raw:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)):
-            raise MalformedInput(f"bad relation pair {item!r}")
-        i, j = item
-        if not (0 <= i < size and 0 <= j < size):
-            raise MalformedInput(f"pair {item!r} out of range")
-        if (i, j) in seen:
-            raise MalformedInput(f"duplicate pair {item!r}")
-        seen.add((i, j))
-        pairs.append((i, j))
-    return pairs
+    return raw
 
 
 # -- lattices ----------------------------------------------------------------
@@ -75,7 +63,7 @@ def _pairs_field(obj: dict, key: str, size: int) -> list[tuple[int, int]]:
 def dump_lattice(L: FiniteOrtholattice) -> str:
     obj = {
         "size": L.n,
-        "leq": sorted((i, j) for i in range(L.n) for j in bits(L.up[i])),
+        "leq": L.pairs(),
         "ortho": list(L.ortho),
     }
     if L.name:
@@ -88,11 +76,10 @@ def parse_lattice(text: str) -> FiniteOrtholattice:
     size = _int_field(obj, "size")
     if size < 1:
         raise MalformedInput("size must be positive")
-    pairs = _pairs_field(obj, "leq", size)
+    pairs = _pairs_field(obj, "leq")
     ortho = obj.get("ortho")
     if (not isinstance(ortho, list) or len(ortho) != size
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in ortho)
-            or not all(0 <= v < size for v in ortho)):
+            or not all(_is_int(v) and 0 <= v < size for v in ortho)):
         raise MalformedInput("field 'ortho' must be a length-n list of element indices")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
@@ -103,7 +90,7 @@ def parse_lattice(text: str) -> FiniteOrtholattice:
 # -- posets ------------------------------------------------------------------
 
 def dump_poset(P: AbstractPoset) -> str:
-    obj = {"size": P.size, "leq": sorted(P.pairs())}
+    obj = {"size": P.size, "leq": P.pairs()}
     if isinstance(P, SubalgebraPoset):
         obj["labels"] = [list(lbl) for lbl in P.labels()]
     return _dumps(obj)
@@ -112,7 +99,7 @@ def dump_poset(P: AbstractPoset) -> str:
 def parse_poset(text: str) -> tuple[AbstractPoset, Optional[list[tuple[int, ...]]]]:
     obj = _loads(text)
     size = _int_field(obj, "size")
-    pairs = _pairs_field(obj, "leq", size)
+    pairs = _pairs_field(obj, "leq")
     poset = AbstractPoset.from_pairs(size, pairs)
     labels = obj.get("labels")
     if labels is not None:
@@ -142,8 +129,7 @@ def parse_morphism(text: str, source: FiniteOrtholattice,
                    target: FiniteOrtholattice) -> Morphism:
     obj = _loads(text)
     raw = obj.get("map")
-    if not isinstance(raw, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in raw):
+    if not isinstance(raw, list) or not all(map(_is_int, raw)):
         raise MalformedInput("field 'map' must be a list of element indices")
     f = morphism(source, target, raw)
     kind = obj.get("kind")
@@ -167,9 +153,9 @@ def parse_node_map(text: str, source: SubalgebraPoset,
     if not isinstance(raw, list):
         raise MalformedInput("field 'pairs' must be a list of label pairs")
     def label_mask(label, poset) -> int:
-        if not isinstance(label, list) or not all(
-                isinstance(e, int) and not isinstance(e, bool) and
-                0 <= e < poset.owner.n for e in label) or len(set(label)) != len(label):
+        if not (isinstance(label, list)
+                and all(_is_int(e) and 0 <= e < poset.owner.n for e in label)
+                and len(set(label)) == len(label)):
             raise MalformedInput(f"bad subalgebra label {label!r}")
         return sum(1 << e for e in label)
 
@@ -185,7 +171,7 @@ def parse_node_map(text: str, source: SubalgebraPoset,
         mapping[i] = v
     if -1 in mapping:
         raise MalformedInput("node map must cover every source node")
-    if sorted(mapping) != list(range(target.size)):
+    if not target._is_permutation(mapping):
         raise MalformedInput("node map is not a bijection")
     return tuple(mapping)
 

@@ -47,7 +47,101 @@ def mask_of(elements: Iterable[int]) -> int:
     return mask
 
 
-class FiniteOrtholattice:
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer and not a bool (JSON's true is no index)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+class _Order:
+    """A finite partial order on 0..size-1, the core of lattices and posets:
+    ``up[i]`` and ``down[i]`` are the bit sets of the points above and below
+    i.  The constructor checks the partial-order axioms."""
+
+    def __init__(self, up: Sequence[int]):
+        self.up = tuple(up)
+        self.size = len(self.up)
+        self.down = _order_down(self.up)
+
+    @staticmethod
+    def _read_pairs(size: int, pairs: Iterable, noun: str) -> list[int]:
+        """The ``up`` rows of the (lower, upper) ``pairs`` on 0..size-1: two
+        integers in range each, none twice, and at least one per point (as
+        reflexivity needs), which is checked before any row is allocated."""
+        seen = set()
+        for pair in pairs:
+            try:
+                i, j = pair
+            except (TypeError, ValueError):
+                raise MalformedInput(f"bad relation pair {pair!r}") from None
+            if not (_is_int(i) and _is_int(j)):
+                raise MalformedInput(f"bad relation pair {pair!r}")
+            if not (0 <= i < size and 0 <= j < size):
+                raise MalformedInput(f"pair {pair!r} out of range")
+            if (i, j) in seen:
+                raise MalformedInput(f"duplicate pair {pair!r}")
+            seen.add((i, j))
+        if size > len(seen):
+            raise NotAPartialOrder(f"{len(seen)} pairs cannot be reflexive on {size} {noun}")
+        rows = [0] * size
+        for i, j in seen:
+            rows[i] |= 1 << j
+        return rows
+
+    def _is_permutation(self, perm: Sequence) -> bool:
+        """Whether ``perm`` lists each point 0..size-1 once, as integers."""
+        return (len(perm) == self.size
+                and all(map(_is_int, perm))
+                and sorted(perm) == list(range(self.size)))
+
+    def __len__(self):
+        return self.size
+
+    def leq(self, a: int, b: int) -> bool:
+        return bool(self.up[a] >> b & 1)
+
+    def pairs(self) -> list[tuple[int, int]]:
+        """The (lower, upper) pairs of the order, ascending."""
+        return [(i, j) for i in range(self.size) for j in bits(self.up[i])]
+
+    @cached_property
+    def cover_up(self) -> tuple[int, ...]:
+        """cover_up[a] is the bit set of the points covering a."""
+        return _covers(self.up)
+
+    @cached_property
+    def cover_down(self) -> tuple[int, ...]:
+        return _transpose(self.cover_up)
+
+    @cached_property
+    def heights(self) -> tuple[int, ...]:
+        """Length of a longest chain up to each point (0 for minimal ones)."""
+        return _heights(self.down, self.cover_down)
+
+    @cached_property
+    def depths(self) -> tuple[int, ...]:
+        return _heights(self.up, self.cover_up)
+
+    @cached_property
+    def _above(self) -> dict[int, int]:
+        """{up row: point}.  The least upper bound of a set, if any, is the
+        point whose up row is the AND of the set's up rows."""
+        return {row: x for x, row in enumerate(self.up)}
+
+    @cached_property
+    def _below(self) -> dict[int, int]:
+        """{down row: point}, for greatest lower bounds likewise."""
+        return {row: x for x, row in enumerate(self.down)}
+
+    def _order_signatures(self) -> list[tuple]:
+        """Per point: cone sizes, height and cover degrees (order invariants)."""
+        return [(
+            self.down[x].bit_count(), self.up[x].bit_count(),
+            self.heights[x],
+            self.cover_up[x].bit_count(), self.cover_down[x].bit_count(),
+        ) for x in range(self.size)]
+
+
+class FiniteOrtholattice(_Order):
     """A validated finite ortholattice, possibly orthomodular.
 
     ``up[i]`` is the bit set of elements j with i <= j.  The constructor
@@ -64,8 +158,9 @@ class FiniteOrtholattice:
             raise NoBoundedLattice("a bounded lattice needs at least 2 elements")
         if n > MAX_ELEMENTS:
             raise SizeCap(f"{n} elements exceed the bit-set cap of {MAX_ELEMENTS}")
+        super().__init__(up)
         universe = (1 << n) - 1
-        down = _order_down(up)
+        down = self.down
         if up[0] != universe:
             raise NoBoundedLattice("element 0 is not the least element")
         if down[n - 1] != universe:
@@ -73,7 +168,7 @@ class FiniteOrtholattice:
 
         # rows are distinct, so meet(a, b) is the element whose down row is
         # down[a] & down[b], if there is one; joins likewise on up rows
-        below, above = _row_index(down), _row_index(up)
+        below, above = self._below, self._above
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for a in range(n):
@@ -88,7 +183,7 @@ class FiniteOrtholattice:
                 join[a][b] = join[b][a] = g
 
         ortho = tuple(ortho)
-        if len(ortho) != n or sorted(ortho) != list(range(n)):
+        if not self._is_permutation(ortho):
             raise BadOrthocomplement("ortho is not a permutation of the elements")
         for a in range(n):
             if ortho[ortho[a]] != a:
@@ -102,8 +197,6 @@ class FiniteOrtholattice:
                 raise BadOrthocomplement(f"element {a} and its image are not complements")
 
         self.n = n
-        self.up = up
-        self.down = down
         self.ortho = ortho
         self.name = name
         self._meet = tuple(tuple(row) for row in meet)
@@ -115,9 +208,6 @@ class FiniteOrtholattice:
     def __repr__(self):
         tag = self.name or f"{self.n} elements"
         return f"<FiniteOrtholattice {tag}: {self.flavor}>"
-
-    def __len__(self):
-        return self.n
 
     @property
     def universe(self) -> int:
@@ -138,9 +228,6 @@ class FiniteOrtholattice:
         return self.flavor == ORTHOMODULAR and all(
             row == self.universe for row in self.commuting)
 
-    def leq(self, a: int, b: int) -> bool:
-        return bool(self.up[a] >> b & 1)
-
     def meet(self, a: int, b: int) -> int:
         return self._meet[a][b]
 
@@ -149,24 +236,6 @@ class FiniteOrtholattice:
 
     def ocomp(self, a: int) -> int:
         return self.ortho[a]
-
-    @cached_property
-    def cover_up(self) -> tuple[int, ...]:
-        """cover_up[a] is the bit set of elements covering a."""
-        return _covers(self.up)
-
-    @cached_property
-    def cover_down(self) -> tuple[int, ...]:
-        return _transpose(self.cover_up)
-
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        """Length of a longest chain from 0 up to each element."""
-        return _heights(self.down, self.cover_down)
-
-    @cached_property
-    def depths(self) -> tuple[int, ...]:
-        return _heights(self.up, self.cover_up)
 
     def atoms(self) -> tuple[int, ...]:
         return tuple(bits(self.cover_up[0]))
@@ -311,7 +380,7 @@ class FiniteOrtholattice:
         return [p.nodes[x] for x in p.maximal_elements()]
 
 
-# -- order core, shared with AbstractPoset ---------------------------------
+# -- order core helpers ----------------------------------------------------
 
 def _order_down(up: Sequence[int]) -> tuple[int, ...]:
     """Check that the ``up`` rows are a partial order; return its ``down`` rows."""
@@ -360,16 +429,6 @@ def _heights(down: Sequence[int], cover_down: Sequence[int]) -> tuple[int, ...]:
     for x in sorted(range(len(down)), key=lambda v: down[v].bit_count()):
         h[x] = 1 + max((h[y] for y in bits(cover_down[x])), default=-1)
     return tuple(h)
-
-
-def _row_index(rows: Sequence[int]) -> dict[int, int]:
-    """{row: element} for the distinct rows of a partial order.
-
-    The least upper bound of a set, if any, is the element whose ``up`` row
-    is the intersection of the set's ``up`` rows; greatest lower bounds
-    likewise on ``down`` rows.
-    """
-    return {row: x for x, row in enumerate(rows)}
 
 
 def _induced(rows: Sequence[int], mask: int) -> list[int]:
@@ -544,16 +603,9 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 # -- isomorphism search (verification oracle) ------------------------------
 
 def _iso_signatures(L: FiniteOrtholattice) -> list[tuple]:
-    sig = []
-    for a in range(L.n):
-        o = L.ortho[a]
-        sig.append((
-            L.down[a].bit_count(), L.up[a].bit_count(),
-            L.heights[a], L.depths[a],
-            L.cover_up[a].bit_count(), L.cover_down[a].bit_count(),
-            L.down[o].bit_count(), L.cover_up[o].bit_count(),
-        ))
-    return sig
+    """Order signatures plus depth and the complement's down cone and covers."""
+    return [sig + (L.depths[a], L.down[o].bit_count(), L.cover_up[o].bit_count())
+            for a, (sig, o) in enumerate(zip(L._order_signatures(), L.ortho))]
 
 
 def isomorphisms(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Iterator[Morphism]:
@@ -858,34 +910,22 @@ def validate(size: int, leq: Iterable[tuple[int, int]], ortho: Sequence[int],
     """Validate raw order data given as (lower, upper) pairs.
 
     The pairs must spell out the full reflexive-transitive relation; nothing
-    is closed or repaired here.
+    is closed or repaired here.  The pair rule (two integer indices in
+    range, no pair twice, at least one pair per element) is the order
+    core's, shared with ``AbstractPoset.from_pairs`` and the file parsers.
     """
     if size < 1:
         raise MalformedInput("size must be positive")
     if size > MAX_ELEMENTS:
         raise SizeCap(f"{size} elements exceed the bit-set cap of {MAX_ELEMENTS}")
-    pairs = []
-    for pair in leq:
-        try:
-            i, j = pair
-        except (TypeError, ValueError):
-            raise MalformedInput(f"bad relation pair {pair!r}") from None
-        if not (0 <= i < size and 0 <= j < size):
-            raise MalformedInput(f"pair {pair!r} out of range")
-        pairs.append((i, j))
-    if size > len(pairs):
-        raise NotAPartialOrder(f"{len(pairs)} pairs cannot be reflexive on {size} elements")
-    rows = [0] * size
-    for i, j in pairs:
-        rows[i] |= 1 << j
-    return FiniteOrtholattice(rows, ortho, name)
+    return FiniteOrtholattice(_Order._read_pairs(size, leq, "elements"), ortho, name)
 
 
 def relabel(L: FiniteOrtholattice, perm: Sequence[int],
             name: Optional[str] = None) -> FiniteOrtholattice:
     """Copy of L with element i renamed perm[i]; bounds must stay pinned."""
     perm = tuple(perm)
-    if sorted(perm) != list(range(L.n)):
+    if not L._is_permutation(perm):
         raise MalformedInput("relabeling is not a permutation")
     if perm[0] != 0 or perm[L.n - 1] != L.n - 1:
         raise MalformedInput("relabeling must fix the bounds 0 and n-1")

@@ -11,7 +11,7 @@ by bit-set value so identical inputs give identical output, byte for byte.
 from __future__ import annotations
 
 import os
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress
 from operator import and_
 from typing import Iterator, Optional, Sequence
@@ -21,20 +21,15 @@ from .errors import (
     MalformedInput,
     NoLeastElement,
     NotAnIso,
-    NotAPartialOrder,
     Unsupported,
 )
 from .lattice_core import (
     FiniteOrtholattice,
     SubalgebraSet,
-    _covers,
-    _heights,
     _induced,
-    _order_down,
+    _Order,
     _order_isos,
     _permuted,
-    _row_index,
-    _transpose,
     bits,
 )
 
@@ -46,70 +41,23 @@ SUB = "sub"
 BSUB = "bsub"
 
 
-class AbstractPoset:
+class AbstractPoset(_Order):
     """A bare finite partial order on 0..size-1, rows as bit sets."""
 
     def __init__(self, up: Sequence[int]):
-        self.up = tuple(up)
-        self.size = len(self.up)
-        self.down = _order_down(self.up)
+        """Check that the ``up`` rows are a partial order.  Defined here, not
+        only on the base, so that poset validation is timed as its own layer."""
+        super().__init__(up)
 
     @classmethod
     def from_pairs(cls, size: int, pairs) -> "AbstractPoset":
         """Build from an explicit full relation given as (lower, upper) pairs."""
         if size < 1:
             raise MalformedInput("poset needs at least one node")
-        seen = set()
-        for p in pairs:
-            try:
-                i, j = p
-            except (TypeError, ValueError):
-                raise MalformedInput(f"bad relation pair {p!r}") from None
-            if not (0 <= i < size and 0 <= j < size):
-                raise MalformedInput(f"pair {p!r} out of range")
-            if (i, j) in seen:
-                raise MalformedInput(f"duplicate pair {p!r}")
-            seen.add((i, j))
-        # a reflexive relation has a pair per node; checked before allocating
-        if size > len(seen):
-            raise NotAPartialOrder(f"{len(seen)} pairs cannot be reflexive on {size} nodes")
-        rows = [0] * size
-        for i, j in seen:
-            rows[i] |= 1 << j
-        return cls(rows)
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i in range(self.size) for j in bits(self.up[i])]
-
-    def __len__(self):
-        return self.size
+        return cls(cls._read_pairs(size, pairs, "nodes"))
 
     def __repr__(self):
         return f"<{type(self).__name__} on {self.size} nodes>"
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.up[x] >> y & 1)
-
-    @cached_property
-    def cover_up(self) -> tuple[int, ...]:
-        return _covers(self.up)
-
-    @cached_property
-    def cover_down(self) -> tuple[int, ...]:
-        return _transpose(self.cover_up)
-
-    @cached_property
-    def heights(self) -> tuple[int, ...]:
-        """Longest chain length ending at each node (0 for minimal nodes)."""
-        return _heights(self.down, self.cover_down)
-
-    @cached_property
-    def _above(self) -> dict[int, int]:
-        return _row_index(self.up)
-
-    @cached_property
-    def _below(self) -> dict[int, int]:
-        return _row_index(self.down)
 
     def bottom(self) -> Optional[int]:
         return self._above.get((1 << self.size) - 1)
@@ -154,7 +102,7 @@ class AbstractPoset:
 
     def relabel(self, perm: Sequence[int]) -> "AbstractPoset":
         perm = tuple(perm)
-        if sorted(perm) != list(range(self.size)):
+        if not self._is_permutation(perm):
             raise MalformedInput("relabeling is not a permutation")
         return AbstractPoset(_permuted(self.up, perm))
 
@@ -425,7 +373,7 @@ def check_order_iso(mapping, source: AbstractPoset, target: AbstractPoset) -> tu
     along the map, must equal target's.
     """
     mapping = tuple(mapping)
-    if len(mapping) != source.size or sorted(mapping) != list(range(target.size)):
+    if len(mapping) != source.size or not target._is_permutation(mapping):
         raise NotAnIso("node map is not a bijection between the posets")
     renamed = _permuted(source.up, mapping)
     for i, v in enumerate(mapping):
@@ -435,14 +383,6 @@ def check_order_iso(mapping, source: AbstractPoset, target: AbstractPoset) -> tu
     if renamed != list(target.up):
         raise NotAnIso("node map does not reflect node order")
     return mapping
-
-
-def _poset_signatures(P: AbstractPoset) -> list[tuple]:
-    return [(
-        P.down[x].bit_count(), P.up[x].bit_count(),
-        P.heights[x],
-        P.cover_up[x].bit_count(), P.cover_down[x].bit_count(),
-    ) for x in range(P.size)]
 
 
 def poset_isomorphisms(P: AbstractPoset, Q: AbstractPoset) -> Iterator[tuple[int, ...]]:
@@ -455,7 +395,7 @@ def poset_isomorphisms(P: AbstractPoset, Q: AbstractPoset) -> Iterator[tuple[int
         raise Unsupported(f"poset isomorphism search capped at {POSET_ISO_CAP} nodes")
     if P.size != Q.size:
         return
-    for mapping in _order_isos(P, Q, _poset_signatures(P), _poset_signatures(Q)):
+    for mapping in _order_isos(P, Q, P._order_signatures(), Q._order_signatures()):
         yield tuple(mapping)
 
 

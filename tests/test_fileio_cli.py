@@ -53,6 +53,45 @@ def test_lattice_parser_rejections():
         fileio.parse_lattice("not json")
 
 
+# the pair rule is the order core's; the files see its texts unchanged
+@pytest.mark.parametrize("item, text", [
+    ([0, 5], "pair [0, 5] out of range"),
+    ([0, 0], "duplicate pair [0, 0]"),
+    ([0], "bad relation pair [0]"),
+    ([0, 1, 1], "bad relation pair [0, 1, 1]"),
+    ([0, 0.5], "bad relation pair [0, 0.5]"),
+    ([True, 1], "bad relation pair [True, 1]"),
+    (7, "bad relation pair 7"),
+    ("01", "bad relation pair '01'"),
+    ({"0": 1}, "bad relation pair {'0': 1}"),
+])
+def test_pair_error_texts(item, text):
+    leq = [[0, 0], [0, 1], [1, 1], item]
+    for parse, obj in ((fileio.parse_lattice, {"size": 2, "leq": leq, "ortho": [1, 0]}),
+                       (fileio.parse_poset, {"size": 2, "leq": leq})):
+        with pytest.raises(MalformedInput) as exc:
+            parse(json.dumps(obj))
+        assert str(exc.value) == text
+
+
+def test_reflexive_count_texts():
+    with pytest.raises(NotAPartialOrder) as exc:
+        fileio.parse_lattice('{"size": 3, "leq": [[0, 0], [1, 1]], "ortho": [2, 1, 0]}')
+    assert str(exc.value) == "2 pairs cannot be reflexive on 3 elements"
+    with pytest.raises(NotAPartialOrder) as exc:
+        fileio.parse_poset('{"size": 3, "leq": [[0, 0], [1, 1]]}')
+    assert str(exc.value) == "2 pairs cannot be reflexive on 3 nodes"
+
+
+def test_cli_pair_error_lines(tmp_path, capsys):
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text('{"size": 2, "leq": [[0, 0], [0, 1], [1, 1], [0, 5]], "ortho": [1, 0]}')
+    poset = tmp_path / "poset.json"
+    poset.write_text('{"size": 2, "leq": [[0, 0], [0, 0], [1, 1]]}')
+    assert run_cli(capsys, "validate", str(lattice)) == (1, "", "error: pair [0, 5] out of range\n")
+    assert run_cli(capsys, "reconstruct", str(poset)) == (1, "", "error: duplicate pair [0, 0]\n")
+
+
 def test_poset_round_trip():
     p = bsub(catalog("example22"))
     text = fileio.dump_poset(p)

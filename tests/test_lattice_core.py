@@ -13,6 +13,7 @@ from omlkit import (
     MalformedInput,
     NoBoundedLattice,
     NotAMorphism,
+    NotAnIso,
     NotAPartialOrder,
     ORTHOLATTICE,
     ORTHOMODULAR,
@@ -46,8 +47,9 @@ from omlkit.lattice_core import (
     _transpose,
     bits,
     mask_of,
+    validate,
 )
-from omlkit.subalgebra_posets import AbstractPoset
+from omlkit.subalgebra_posets import AbstractPoset, check_order_iso
 
 from legacy_oracles import (
     legacy_blocks,
@@ -603,3 +605,45 @@ def test_sublattice_of_a_block():
 def test_size_cap():
     with pytest.raises(SizeCap):
         horizontal_sum([boolean_algebra(5)] * 3)
+
+
+# -- the order core: one pair reader, one permutation check ------------------
+
+CHAIN_PAIRS = [(0, 0), (0, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("pair, text", [
+    ((0.5, 1), "bad relation pair (0.5, 1)"),
+    ((True, 1), "bad relation pair (True, 1)"),
+    ((0, "1"), "bad relation pair (0, '1')"),
+    ((0, 0), "duplicate pair (0, 0)"),
+])
+def test_lattices_and_posets_read_pairs_alike(pair, text):
+    pairs = CHAIN_PAIRS + [pair]
+    with pytest.raises(MalformedInput) as lattice:
+        validate(2, pairs, [1, 0])
+    with pytest.raises(MalformedInput) as poset:
+        AbstractPoset.from_pairs(2, pairs)
+    assert str(lattice.value) == str(poset.value) == text
+
+
+@pytest.mark.parametrize("perm", [
+    [0, "a", 2, 3, 4, 5], [0, 2.0, 1, 3, 4, 5], [0, True, 2, 3, 4, 5]])
+def test_relabel_rejects_a_list_of_non_indices(perm):
+    with pytest.raises(MalformedInput, match="^relabeling is not a permutation$"):
+        relabel(catalog("MO2"), perm)
+
+
+def test_poset_relabel_and_node_maps_reject_non_indices():
+    chain = AbstractPoset([0b11, 0b10])
+    with pytest.raises(MalformedInput, match="^relabeling is not a permutation$"):
+        chain.relabel([1.0, 0])
+    with pytest.raises(NotAnIso, match="^node map is not a bijection between the posets$"):
+        check_order_iso([0, "a"], chain, chain)
+    assert chain.relabel([0, 1]).up == chain.up
+    assert check_order_iso([0, 1], chain, chain) == (0, 1)
+
+
+def test_an_ortho_of_non_indices_is_no_permutation():
+    with pytest.raises(BadOrthocomplement, match="^ortho is not a permutation of the elements$"):
+        FiniteOrtholattice([0b11, 0b10], [1.0, 0])

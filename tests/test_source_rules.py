@@ -7,7 +7,8 @@ module of the package is parsed and scanned for both.  An imported name
 that its module never mentions is what a deletion leaves behind; the
 package's ``__init__`` re-exports names and is exempt.  So is a
 module-level private function or constant that no module of the package
-mentions outside its own definition.
+mentions outside its own definition.  Lattices and posets share one order
+core, so each of its methods is defined once in the package.
 """
 
 import ast
@@ -149,3 +150,38 @@ def test_the_private_name_scan_finds_what_a_deletion_leaves():
     }
     assert _unreferenced_private_names(sources) == [
         "m.py:2: _LIMIT is never used", "m.py:4: _walk is never used"]
+
+
+ORDER_CORE = ("leq", "pairs", "cover_up", "cover_down", "heights", "depths")
+
+
+def _definitions(sources: dict[str, str], names) -> dict[str, list[str]]:
+    """Where each of ``names`` is defined as a function or method."""
+    out = {name: [] for name in names}
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in out:
+                out[node.name].append(f"{name}:{node.lineno}")
+    return out
+
+
+def test_the_order_core_is_defined_once():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    found = _definitions(sources, ORDER_CORE)
+    assert {name: where for name, where in found.items() if len(where) != 1} == {}
+
+
+def test_the_definition_scan_finds_a_second_copy():
+    sources = {
+        "m.py": "class A:\n    def leq(self, a, b):\n        return a <= b\n",
+        "n.py": (
+            "class B:\n"
+            "    @property\n"
+            "    def pairs(self):\n"
+            "        return []\n"
+            "def leq(a, b):\n"
+            "    return a <= b\n"
+        ),
+    }
+    assert _definitions(sources, ("leq", "pairs", "heights")) == {
+        "leq": ["m.py:2", "n.py:5"], "pairs": ["n.py:3"], "heights": []}
