@@ -289,6 +289,8 @@ class FiniteOrtholattice(_Order):
 
     def closure_mask(self, mask: int) -> int:
         """Close ``mask`` under complement, meet and join, plus the bounds."""
+        if not _is_int(mask):
+            raise MalformedInput(f"element set must be an integer bit set, got {mask!r}")
         if mask & ~self.universe:
             raise MalformedInput(f"element set mentions elements outside 0..{self.n - 1}")
         return self._extend(0, (), tuple(bits(mask | 1 | 1 << (self.n - 1))))[0]
@@ -336,16 +338,18 @@ class FiniteOrtholattice(_Order):
         """Least subalgebra containing ``seed`` (and always 0 and n-1)."""
         mask = 0
         for e in seed:
-            if not 0 <= e < self.n:
-                raise MalformedInput(f"element {e} out of range")
+            if not (_is_int(e) and 0 <= e < self.n):
+                raise MalformedInput(f"element {e!r} out of range")
             mask |= 1 << e
         return SubalgebraSet(self, self.closure_mask(mask))
 
     def subalgebra(self, members) -> "SubalgebraSet":
         """Wrap an element set as a SubalgebraSet, insisting it is closed."""
-        mask = members if isinstance(members, int) else mask_of(
-            # a negative element has no bit: give it one outside the universe
-            self.n if e < 0 else e for e in members)
+        mask = members
+        if isinstance(members, Iterable):
+            # a negative or non-integer element has no bit: give it one
+            # outside the universe (closure_mask rejects a non-integer mask)
+            mask = mask_of(self.n if not _is_int(e) or e < 0 else e for e in members)
         if self.closure_mask(mask) != mask:
             raise MalformedInput("element set is not a closed subalgebra")
         return SubalgebraSet(self, mask)
@@ -567,7 +571,7 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
     """
     mapping = tuple(mapping)
     n, m = source.n, target.n
-    if len(mapping) != n or any(not 0 <= v < m for v in mapping):
+    if len(mapping) != n or not all(_is_int(v) and 0 <= v < m for v in mapping):
         raise NotAMorphism("mapping is not a total map into the target")
     if mapping[0] != 0 or mapping[n - 1] != m - 1:
         raise NotAMorphism("mapping does not preserve the bounds")

@@ -10,7 +10,10 @@ closure operator's or leave a valid witness, the search must find its nodes
 in the order the meet closure did, and the commutation rows it filters by
 must match the pairwise test.  Sub of a horizontal sum is the product of its
 summands' Sub: the summands must be the components of the pairwise
-relation, and the cap must stop the product with the legacy text.
+relation, and the cap must stop the product with the legacy text.  Its
+rows are composed from the summands' rows: they must equal the transpose of
+the multiplied-out masks, and no product above the cut-off may be
+transposed whole.
 """
 
 import random
@@ -48,7 +51,13 @@ from omlkit import (
 )
 from omlkit import subalgebra_posets
 from omlkit.lattice_core import bits
-from omlkit.subalgebra_posets import _split_closure, _summands, close_by_one
+from omlkit.subalgebra_posets import (
+    _COMPOSE_ABOVE,
+    _split_closure,
+    _summands,
+    close_by_one,
+    inclusion_rows,
+)
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
            "MO2x2", "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
@@ -60,6 +69,10 @@ def _lattice(name):
     beyond = {"2^6": lambda: boolean_algebra(6), "MO8": lambda: mo(8), "MO10": lambda: mo(10),
               "hsum(2^4,2^4,2^3)": lambda: horizontal_sum(
                   [boolean_algebra(4), boolean_algebra(4), boolean_algebra(3)]),
+              "hsum(2^4,2^4,2^4)": lambda: horizontal_sum([boolean_algebra(4)] * 3),
+              "hsum(2^3,2^3,2^3,2^3,2^3)": lambda: horizontal_sum([boolean_algebra(3)] * 5),
+              "hsum(2^3,2^3,2^3,2^3,2^2,2^2,2^2)": lambda: horizontal_sum(
+                  [boolean_algebra(3)] * 4 + [boolean_algebra(2)] * 3),
               "MO2x2^2": lambda: product(mo(2), boolean_algebra(2)),
               "MO2xMO2": lambda: product(mo(2), mo(2)),
               "example22x2^1": lambda: product(catalog("example22"), boolean_algebra(1)),
@@ -267,6 +280,64 @@ def test_cap_on_a_product_stops_with_the_legacy_text(name, cap, searches, monkey
         budget, count = runs[-1]
         assert done <= cap and count == budget + 1 and done * count > cap
         assert all(count <= cap + 1 for _, count in runs)
+
+
+def _searched(monkeypatch):
+    """Each close_by_one result as it was found, and each inclusion_rows input."""
+    found, transposed = [], []
+
+    def searched(*args):
+        masks = close_by_one(*args)
+        found.append((masks, list(masks)))
+        return masks
+
+    def transpose(masks):
+        transposed.append(masks)
+        return inclusion_rows(masks)
+
+    monkeypatch.setattr(subalgebra_posets, "close_by_one", searched)
+    monkeypatch.setattr(subalgebra_posets, "inclusion_rows", transpose)
+    return found, transposed
+
+
+COMPOSED = ["hsum(2^5,2^5)", "hsum(2^4,2^4,2^4)", "hsum(2^3,2^3,2^3,2^3,2^3)",
+            "hsum(2^3,2^3,2^3,2^3,2^2,2^2,2^2)", "MO8", "MO10"]
+
+
+@pytest.mark.parametrize("name", ["2^1", "MO1", "2^2"] + SUMMED + COMPOSED)
+def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monkeypatch):
+    found, transposed = _searched(monkeypatch)
+    base = _lattice(name)
+    for L in (_inner_relabeling(base, seed) for seed in SEEDS):
+        found.clear()
+        transposed.clear()
+        poset = sub(L)
+        masks = [L.closure_mask(0)]
+        for _, part in found:
+            masks = [m | f for m in masks for f in part]
+        masks.sort()
+        assert [node.members for node in poset.nodes] == masks
+        assert (list(poset.up), list(poset.down)) == inclusion_rows(masks)
+        largest = max([len(part) for _, part in found], default=1)
+        if len(masks) > _COMPOSE_ABOVE:
+            # only groups up to the cut-off, or one summand, are transposed
+            assert max(map(len, transposed)) <= max(_COMPOSE_ABOVE, largest) < len(masks)
+        else:
+            assert list(map(len, transposed)) == [len(masks)]
+
+
+@pytest.mark.parametrize("name", ["2^5", "example22", "MO2x2^2", "example22x2^1"])
+def test_a_connected_lattice_transposes_the_search_result_itself(name, monkeypatch):
+    # one summand: the list close_by_one returns is sorted in place and
+    # transposed, with no product, copy or composition on the way
+    found, transposed = _searched(monkeypatch)
+    for boolean_only in (False, True):
+        found.clear()
+        transposed.clear()
+        enumerate_subalgebras(_lattice(name), boolean_only=boolean_only)
+        [(masks, as_found)] = found
+        assert transposed == [masks] and transposed[0] is masks
+        assert masks == sorted(as_found)
 
 
 def test_cap_stops_at_the_same_count_as_legacy_close_by_one():

@@ -277,6 +277,34 @@ def test_negative_members_are_malformed_input():
         assert str(exc.value) == "element set mentions elements outside 0..5"
 
 
+@pytest.mark.parametrize("entry", [1.0, "a", True, None])
+def test_a_map_entry_that_is_no_integer_is_not_a_morphism(entry):
+    # a bool or float indexed the tables like an int, or raised a TypeError
+    L = mo(2)
+    with pytest.raises(NotAMorphism, match="not a total map"):
+        morphism(L, L, [0, entry, 2, 3, 4, 5])
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda L: L.generated_subalgebra([0.5]), "element 0.5 out of range"),
+    (lambda L: L.generated_subalgebra(["a"]), "element 'a' out of range"),
+    (lambda L: L.generated_subalgebra([True]), "element True out of range"),
+    (lambda L: L.subalgebra([0, 2.0, 5]), "element set mentions elements outside 0..5"),
+    (lambda L: L.subalgebra(2.0), "element set must be an integer bit set, got 2.0"),
+    (lambda L: L.subalgebra(True), "element set must be an integer bit set, got True"),
+    (lambda L: L.closure_mask(0.5), "element set must be an integer bit set, got 0.5"),
+    (lambda L: sub(L).interval_below(1.5), "node 1.5 out of range"),
+    (lambda L: sub(L).interval_below(-1), "node -1 out of range"),
+    (lambda L: sub(L).interval_below(4), "node 4 out of range"),
+], ids=["generated-float", "generated-str", "generated-bool", "subalgebra-float",
+        "subalgebra-float-mask", "subalgebra-bool-mask", "closure-float",
+        "interval-float", "interval-negative", "interval-past-end"])
+def test_elements_and_nodes_that_are_no_valid_index_are_malformed_input(call, text):
+    with pytest.raises(MalformedInput) as exc:
+        call(mo(2))
+    assert str(exc.value) == text
+
+
 def test_meet_of_distinct_atoms_is_zero():
     B = boolean_algebra(3)
     a1, a2, _ = B.atoms()
