@@ -162,11 +162,7 @@ def _cmd_reconstruct(args) -> int:
     poset, _ = fileio.parse_poset(_read(args.poset))
     lines = []
     if args.frame:
-        if poset.size > 1:
-            u, v = classify_atoms(poset)
-            lines.extend(fileio.frame_lines(build_frame(poset, u, v)))
-        else:
-            lines.append("frame: 0 points")
+        lines = fileio.frame_lines(build_frame(poset, *classify_atoms(poset)))
     out = reconstruct(poset)
     if lines:
         # the frame is informational; the output target gets a clean document

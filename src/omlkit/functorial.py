@@ -47,10 +47,10 @@ class PreimageMap(_Record):
         P, Q = self.source_poset, self.target_poset
         if self.mapping[P.top()] != Q.top():
             return False
+        f = self.mapping
         for x in range(P.size):
             for y in range(x, P.size):
-                m = P.meet(x, y)
-                if Q.meet(self.mapping[x], self.mapping[y]) != self.mapping[m]:
+                if Q._meet(f[x], f[y]) != f[P._meet(x, y)]:
                     return False
         return True
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import (
@@ -90,7 +91,9 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     shared element (impossible for genuine inputs) raises GlueConflict.  A
     block whose elements do not pairwise commute is not Boolean (by
     Foulis-Holland) and raises NotBoolean.  Only the first lift is checked;
-    the others differ from it by automorphisms of L (see below).
+    the others differ from it by automorphisms of L (see below).  The
+    maximal nodes need no check of their own: phi is an order isomorphism,
+    so it maps BSub(L)'s maximal nodes onto BSub(M)'s.
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -100,16 +103,11 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         bsub_m = enumerate_subalgebras(M, boolean_only=True)
     phi = check_order_iso(phi, bsub_l, bsub_m)
 
-    maximal_l = bsub_l.maximal_elements()
-    maximal_m = set(bsub_m.maximal_elements())
-    if {phi[x] for x in maximal_l} != maximal_m:
-        raise BlockMismatch("node map does not match up the maximal nodes")
-
     global_map = [-1] * L.n
     global_map[0] = 0
     global_map[L.n - 1] = M.n - 1
     four_blocks = []
-    for x in maximal_l:
+    for x in bsub_l.maximal_elements():
         xmask = bsub_l.nodes[x].members
         ymask = bsub_m.nodes[phi[x]].members
         size = xmask.bit_count()
@@ -190,13 +188,10 @@ def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
 
 
 @lru_cache(maxsize=None)
-def _stirling_row(k: int) -> tuple[int, ...]:
-    """(S(k,1), ..., S(k,k)), Stirling numbers of the second kind."""
-    row = (1,)  # S(0,0)
-    for n in range(1, k + 1):
-        prev = row + (0,)
-        row = tuple(j * prev[j] + (prev[j - 1] if j else 0) for j in range(n + 1))
-    return row[1:]
+def _bell(k: int) -> int:
+    """Bell(k), the number of partitions of k points: B(k) = sum of
+    C(k-1, i) B(i) over i < k, choosing the block of the last point."""
+    return 1 if k == 0 else sum(comb(k - 1, i) * _bell(i) for i in range(k))
 
 
 def _boolean_rank(sub_l: SubalgebraPoset, x: int) -> Optional[int]:
@@ -204,9 +199,11 @@ def _boolean_rank(sub_l: SubalgebraPoset, x: int) -> Optional[int]:
 
     Reads necessary invariants of the dual partition lattice off sub_l's own
     rows, without building the interval: it has 2^(k-1) - 1 atoms,
-    Bell(k) nodes, its top at height k-1, and S(k, h+1) nodes at each
-    height h.  Heights in sub_l are heights in the interval, since the
-    interval is a down-set with a least element.
+    Bell(k) nodes and its top at height k-1.  Heights in sub_l are heights
+    in the interval, since the interval is a down-set with a least element.
+    These are cheap rejections only: ``_sachs_certificate`` decides every
+    interval of Bell(k) nodes, so a finer invariant (such as the rank
+    profile) could not reject a node it accepts.
     """
     dx = sub_l.down[x]
     bottom = next((y for y in bits(dx) if sub_l.up[y] & dx == dx), None)
@@ -216,34 +213,22 @@ def _boolean_rank(sub_l: SubalgebraPoset, x: int) -> Optional[int]:
     if (a + 1) & a:
         return None  # atom count + 1 must be a power of two
     k = (a + 1).bit_length()
-    heights = sub_l.heights
-    stirling = _stirling_row(k)
-    if heights[x] != k - 1 or dx.bit_count() != sum(stirling):
-        return None
-    profile = [0] * k
-    for y in bits(dx):
-        profile[heights[y]] += 1
-    return k if tuple(profile) == stirling else None
+    return k if sub_l.heights[x] == k - 1 and dx.bit_count() == _bell(k) else None
 
 
 def _is_equivalence(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
     """Whether ``pairs`` is the set of pairs {i, j} related by some
-    equivalence relation on 0..k-1: union-find, then the classes must hold
-    exactly that many pairs."""
-    root = list(range(k))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
+    equivalence relation on 0..k-1, for distinct pairs with i < j (as
+    ``_sachs_certificate`` hands in; repeated, reversed or self-pairs are
+    not refused here).  With row[i] holding i and its partners, that holds
+    exactly when row[j] == row[i] for every j in row[i]: the relation is
+    then reflexive, symmetric and transitive, and row[i] is the class of
+    i."""
+    row = [1 << i for i in range(k)]
     for i, j in pairs:
-        root[find(i)] = find(j)
-    size = [0] * k
-    for i in range(k):
-        size[find(i)] += 1
-    return sum(s * (s - 1) // 2 for s in size) == len(pairs)
+        row[i] |= 1 << j
+        row[j] |= 1 << i
+    return all(row[j] == r for r in row for j in bits(r))
 
 
 def _sachs_certificate(sub_l: AbstractPoset, x: int, k: int) -> bool:
@@ -306,7 +291,7 @@ def recognize_boolean_node(sub_l: SubalgebraPoset, x: int) -> bool:
     lattice of 2^k, dual to the partition lattice on k points (Sachs); k
     comes from the interval's atom count (2^(k-1) - 1 of them).  Nodes
     failing the cheap invariants of ``_boolean_rank`` (atom count, Bell(k)
-    nodes, height k-1, Stirling rank profile) are rejected first; the rest
+    nodes, height k-1) are rejected first; the rest
     get ``_sachs_certificate``, which reads an explicit isomorphism to the
     dual partition lattice off sub_l's rows.  Together they decide: there
     is no search and no interval or partition lattice is built.
@@ -344,10 +329,11 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
 
     Boolean nodes are recognized order-theoretically on both sides with
     ``boolean_nodes`` (a bottom-up walk).  Each recognized set is
-    cross-checked against the enumerated BSub, and the map must restrict to
-    a bijection between them; either failure raises RestrictionMismatch.
-    The restriction is lifted.  Every returned morphism realizes phi on all
-    subalgebras, Boolean or not.
+    cross-checked against the enumerated BSub; a mismatch raises
+    RestrictionMismatch.  ``boolean_nodes`` reads only the order, so the
+    order isomorphism phi maps one side's recognized nodes onto the
+    other's, and the restriction is lifted.  Every returned morphism
+    realizes phi on all subalgebras, Boolean or not.
     """
     if sub_l is None:
         sub_l = enumerate_subalgebras(L)
@@ -364,8 +350,6 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         if [sub_x.nodes[i].members for i in bool_x] != [n.members for n in bsub_x.nodes]:
             raise RestrictionMismatch(
                 f"recognized Boolean nodes of the {side} differ from its enumerated BSub")
-    if sorted(phi[i] for i in bool_l) != bool_m:
-        raise RestrictionMismatch("recognized Boolean nodes do not correspond")
     restricted = tuple(
         bsub_m.node_index(sub_m.nodes[phi[i]].members) for i in bool_l)
     # the Boolean nodes are BSub's in the same order, so the lift's test on

@@ -97,6 +97,8 @@ class _Order:
         return self.size
 
     def leq(self, a: int, b: int) -> bool:
+        """Whether a <= b.  Unchecked, as the constant-time predicate of
+        every order: an index out of range wraps or raises IndexError."""
         return bool(self.up[a] >> b & 1)
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -249,7 +251,8 @@ class FiniteOrtholattice(_Order):
         """Whether a = (a^b) v (a^b'); only meaningful on orthomodular lattices."""
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("commutation is only defined on orthomodular lattices")
-        return self._commutes(a, b)
+        row = self._meet[a]
+        return self._join[row[b]][row[self.ortho[b]]] == a
 
     def _orthomodular_on(self, mask: int) -> bool:
         """Whether a <= b implies b = a v (a' ^ b) for a, b in ``mask``."""
@@ -260,10 +263,6 @@ class FiniteOrtholattice(_Order):
                 if row[co_row[b]] != b:
                     return False
         return True
-
-    def _commutes(self, a: int, b: int) -> bool:
-        row = self._meet[a]
-        return self._join[row[b]][row[self.ortho[b]]] == a
 
     @cached_property
     def commuting(self) -> tuple[int, ...]:
@@ -344,12 +343,14 @@ class FiniteOrtholattice(_Order):
         return SubalgebraSet(self, self.closure_mask(mask))
 
     def subalgebra(self, members) -> "SubalgebraSet":
-        """Wrap an element set as a SubalgebraSet, insisting it is closed."""
-        mask = members
-        if isinstance(members, Iterable):
+        """Wrap an element set (a bit set, a SubalgebraSet or an iterable of
+        elements) as a SubalgebraSet, insisting it is closed.  The one place
+        that refuses an element set that is not closed."""
+        mask = members.members if isinstance(members, SubalgebraSet) else members
+        if isinstance(mask, Iterable):
             # a negative or non-integer element has no bit: give it one
             # outside the universe (closure_mask rejects a non-integer mask)
-            mask = mask_of(self.n if not _is_int(e) or e < 0 else e for e in members)
+            mask = mask_of(self.n if not _is_int(e) or e < 0 else e for e in mask)
         if self.closure_mask(mask) != mask:
             raise MalformedInput("element set is not a closed subalgebra")
         return SubalgebraSet(self, mask)
@@ -730,17 +731,13 @@ def boolean_algebra(num_atoms: int, name: Optional[str] = None) -> FiniteOrthola
     """Power-set lattice on ``num_atoms`` atoms; element i is the subset i."""
     if not 1 <= num_atoms <= 6:
         raise SizeCap("Boolean construction supports 1..6 atoms")
-    n = 1 << num_atoms
-    full = n - 1
-    up = [0] * n
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            if i & j == i:
-                row |= 1 << j
-        up[i] = row
-    ortho = [full ^ i for i in range(n)]
-    return FiniteOrtholattice(up, ortho, name or f"2^{num_atoms}")
+    # 2^k is 2^(k-1) x 2: the subsets without atom k-1, then those with it
+    up = [1]
+    for k in range(num_atoms):
+        half = 1 << k
+        up = [r | r << half for r in up] + [r << half for r in up]
+    full = len(up) - 1
+    return FiniteOrtholattice(up, [full ^ i for i in range(full + 1)], name or f"2^{num_atoms}")
 
 
 def product(L: FiniteOrtholattice, M: FiniteOrtholattice,
@@ -748,18 +745,11 @@ def product(L: FiniteOrtholattice, M: FiniteOrtholattice,
     """Direct product with componentwise order and complement."""
     if L.n * M.n > MAX_ELEMENTS:
         raise SizeCap(f"product would have {L.n * M.n} elements")
-    n = L.n * M.n
-    up = [0] * n
-    ortho = [0] * n
-    for x in range(L.n):
-        for y in range(M.n):
-            i = x * M.n + y
-            row = 0
-            for x2 in bits(L.up[x]):
-                for y2 in bits(M.up[y]):
-                    row |= 1 << (x2 * M.n + y2)
-            up[i] = row
-            ortho[i] = L.ortho[x] * M.n + M.ortho[y]
+    # (x, y) is element x * m + y, so the row of (x, y) holds one copy of
+    # M.up[y] shifted to each x2 above x; the copies are disjoint, so sum is OR
+    m = M.n
+    up = [sum(M.up[y] << x2 * m for x2 in bits(L.up[x])) for x in range(L.n) for y in range(m)]
+    ortho = [L.ortho[x] * m + M.ortho[y] for x in range(L.n) for y in range(m)]
     return FiniteOrtholattice(up, ortho, name)
 
 
@@ -769,7 +759,9 @@ def horizontal_sum(summands: Sequence[FiniteOrtholattice],
 
     Each summand needs at least 4 elements (a 2-element summand would
     contribute nothing).  For Boolean summands the result is orthomodular
-    with the summands as its blocks.
+    with the summands as its blocks.  Each summand's inner elements keep
+    their order and follow the previous summand's, so its inner rows are
+    its own, shifted, plus the top.
     """
     if not summands:
         raise MalformedInput("horizontal sum of nothing")
@@ -778,35 +770,14 @@ def horizontal_sum(summands: Sequence[FiniteOrtholattice],
     n = sum(s.n - 2 for s in summands) + 2
     if n > MAX_ELEMENTS:
         raise SizeCap(f"horizontal sum would have {n} elements")
-    top = n - 1
-    offsets = []
-    base = 1
+    top = 1 << n - 1
+    up, ortho = [(1 << n) - 1], [n - 1]
     for s in summands:
-        offsets.append(base)
-        base += s.n - 2
-
-    def glob(s_idx: int, e: int) -> int:
-        if e == 0:
-            return 0
-        if e == summands[s_idx].n - 1:
-            return top
-        return offsets[s_idx] + e - 1
-
-    up = [0] * n
-    ortho = [0] * n
-    up[0] = (1 << n) - 1
-    up[top] = 1 << top
-    ortho[0] = top
-    ortho[top] = 0
-    for s_idx, s in enumerate(summands):
-        for e in range(1, s.n - 1):
-            g = glob(s_idx, e)
-            row = 1 << top
-            for e2 in bits(s.up[e] & ~(1 << (s.n - 1))):
-                row |= 1 << glob(s_idx, e2)
-            up[g] = row
-            ortho[g] = glob(s_idx, s.ortho[e])
-    return FiniteOrtholattice(up, ortho, name)
+        # inner element e lands on e + shift; its row drops s's top for L's
+        shift, inner = len(up) - 1, (1 << s.n - 1) - 1
+        up += [(s.up[e] & inner) << shift | top for e in range(1, s.n - 1)]
+        ortho += [s.ortho[e] + shift for e in range(1, s.n - 1)]
+    return FiniteOrtholattice(up + [top], ortho + [0], name)
 
 
 def mo(k: int) -> FiniteOrtholattice:
@@ -946,9 +917,7 @@ def sublattice(L: FiniteOrtholattice, members) -> tuple[FiniteOrtholattice, tupl
     local index came from.  Local indices keep the ambient ascending order,
     so 0 and the local top stay pinned.
     """
-    mask = members.members if isinstance(members, SubalgebraSet) else members
-    if L.closure_mask(mask) != mask:
-        raise MalformedInput("element set is not a closed subalgebra")
+    mask = L.subalgebra(members).members
     backmap = tuple(bits(mask))
     # the local index of an element is the number of members below it
     ortho = [(mask & (1 << L.ortho[g]) - 1).bit_count() for g in backmap]

@@ -63,15 +63,9 @@ def classify_atoms(P: AbstractPoset) -> tuple[tuple[int, ...], tuple[int, ...]]:
     maximal = set(P.maximal_elements())
     u, v = [], []
     for x in atoms:
-        ok = True
-        for y in atoms:
-            j = P.join(x, y)
-            if j is not None and P.height(j) > 2:
-                ok = False
-                break
-        if not ok:
-            continue
-        (v if x in maximal else u).append(x)
+        joins = (P._join(x, y) for y in atoms)
+        if all(j is None or P.heights[j] <= 2 for j in joins):
+            (v if x in maximal else u).append(x)
     return tuple(u), tuple(v)
 
 
@@ -88,7 +82,7 @@ def build_frame(P: AbstractPoset, u: tuple[int, ...], v: tuple[int, ...]) -> Ort
     perp = [0] * size
     for i, x in enumerate(u):
         for k in range(i + 1, len(u)):
-            if P.join(x, u[k]) is not None:
+            if P._join(x, u[k]) is not None:
                 perp[i] |= 1 << k
                 perp[k] |= 1 << i
     for k in range(len(v)):

@@ -6,7 +6,9 @@ kinds admit purely order-theoretic descriptions inside the subalgebra
 lattice, and the p.d. ones carry enough information to rebuild an element
 isomorphism from a subalgebra-lattice isomorphism.  This module also holds
 the partition side of the classical duality between Sub(2^n) and the
-partition lattice.
+partition lattice.  A subalgebra argument x may be anything
+``FiniteOrtholattice.subalgebra`` takes: a bit set, a SubalgebraSet or an
+iterable of elements, closed.
 """
 
 from __future__ import annotations
@@ -27,13 +29,6 @@ def _require_boolean(B: FiniteOrtholattice):
         raise NotBoolean("operation needs a Boolean algebra")
 
 
-def _as_mask(B: FiniteOrtholattice, x) -> int:
-    mask = x.members if isinstance(x, SubalgebraSet) else x
-    if B.closure_mask(mask) != mask:
-        raise MalformedInput("element set is not a closed subalgebra")
-    return mask
-
-
 class DualDecomposition(_Record):
     """A subalgebra split as ideal plus complementary filter (bit sets)."""
 
@@ -50,11 +45,11 @@ def dual_decomposition(B: FiniteOrtholattice, x) -> Optional[DualDecomposition]:
     subalgebra, else None.
     """
     _require_boolean(B)
-    mask = _as_mask(B, x)
-    ideal, filt = _dual_parts(B, B.universe, mask)
-    if ideal | filt != mask:
+    x = B.subalgebra(x)
+    ideal, filt = _dual_parts(B, B.universe, x.members)
+    if ideal | filt != x.members:
         return None
-    return DualDecomposition(SubalgebraSet(B, mask), ideal, filt)
+    return DualDecomposition(x, ideal, filt)
 
 
 def _dual_parts(B: FiniteOrtholattice, Y: int, mask: int) -> tuple[int, int]:
@@ -76,7 +71,7 @@ def pd_mask(B: FiniteOrtholattice, a: int) -> int:
 def principal_element(B: FiniteOrtholattice, x) -> Optional[int]:
     """Some a with x = [0,a] u [a',1], or None; the direct p.d. oracle."""
     _require_boolean(B)
-    mask = _as_mask(B, x)
+    mask = B.subalgebra(x).members
     for a in bits(mask):
         if pd_mask(B, a) == mask:
             return a
@@ -92,7 +87,7 @@ def dual_order_test(sub_b: SubalgebraPoset, x: int) -> bool:
     for y in sub_b.atoms():
         if sub_b.leq(y, x) or sub_b.leq(x, y):
             continue
-        j = sub_b.join(x, y)
+        j = sub_b._join(x, y)
         if j is None or not sub_b.cover_up[x] >> j & 1:
             return False
     return True
@@ -115,7 +110,7 @@ def pd_order_test(sub_b: SubalgebraPoset, x: int) -> bool:
     for y in range(sub_b.size):
         if not dual_order_test(sub_b, y):
             continue
-        m = sub_b.meet(x, y)
+        m = sub_b._meet(x, y)
         if m in atom_set and not dual_order_test(sub_b, m):
             return True
     return False
@@ -175,7 +170,7 @@ def subalgebra_to_partition(B: FiniteOrtholattice, x) -> Partition:
     partitions correspond to larger subalgebras.
     """
     _require_boolean(B)
-    mask = _as_mask(B, x)
+    mask = B.subalgebra(x).members
     atoms = B.atoms()
     pos = {a: i + 1 for i, a in enumerate(atoms)}
     blocks = []
@@ -188,7 +183,10 @@ def subalgebra_to_partition(B: FiniteOrtholattice, x) -> Partition:
 
 
 def partition_to_subalgebra(B: FiniteOrtholattice, p: Partition) -> SubalgebraSet:
-    """The subalgebra whose atoms are the joins of the partition blocks."""
+    """The subalgebra whose atoms are the joins of the partition blocks.
+
+    Its elements are the joins of sets of block joins, formed by doubling:
+    each block join is joined to every element found before it."""
     _require_boolean(B)
     atoms = B.atoms()
     if p.universe != frozenset(range(1, len(atoms) + 1)):
@@ -199,13 +197,11 @@ def partition_to_subalgebra(B: FiniteOrtholattice, p: Partition) -> SubalgebraSe
         for i in blk:
             v = B.join(v, atoms[i - 1])
         block_join.append(v)
-    mask = 0
-    for choice in range(1 << len(block_join)):
-        v = 0
-        for k in bits(choice):
-            v = B.join(v, block_join[k])
-        mask |= 1 << v
-    return B.subalgebra(mask)
+    members = [0]
+    for v in block_join:
+        row = B._join[v]
+        members += [row[x] for x in members]
+    return B.subalgebra(members)
 
 
 def partition_lattice(n: int) -> tuple[AbstractPoset, tuple[Partition, ...]]:

@@ -78,17 +78,34 @@ class AbstractPoset(_Order):
     def maximal_elements(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.size) if self.up[x] == 1 << x)
 
-    def covers(self, x: int) -> tuple[int, ...]:
-        return tuple(bits(self.cover_up[x]))
+    def _node(self, x) -> int:
+        """``x`` if it is a node index, else MalformedInput: the one range
+        check of the node queries.  ``leq`` is the order core's unchecked
+        constant-time predicate, as a lattice's ``meet`` and ``join`` are,
+        and the library's own loops, whose nodes are in range by
+        construction, call the unchecked ``_join`` and ``_meet``."""
+        if not (_is_int(x) and 0 <= x < self.size):
+            raise MalformedInput(f"node {x!r} out of range")
+        return x
 
-    def join(self, x: int, y: int) -> Optional[int]:
+    def covers(self, x: int) -> tuple[int, ...]:
+        return tuple(bits(self.cover_up[self._node(x)]))
+
+    def _join(self, x: int, y: int) -> Optional[int]:
         return self._above.get(self.up[x] & self.up[y])
 
-    def meet(self, x: int, y: int) -> Optional[int]:
+    def _meet(self, x: int, y: int) -> Optional[int]:
         return self._below.get(self.down[x] & self.down[y])
+
+    def join(self, x: int, y: int) -> Optional[int]:
+        return self._join(self._node(x), self._node(y))
+
+    def meet(self, x: int, y: int) -> Optional[int]:
+        return self._meet(self._node(x), self._node(y))
 
     def height(self, x: int) -> int:
         """One less than the size of a maximal chain from the bottom to x."""
+        x = self._node(x)
         if self.bottom() is None:
             raise NoLeastElement("height needs a least element")
         return self.heights[x]
@@ -99,9 +116,8 @@ class AbstractPoset(_Order):
         Returns (poset, support) where support[i] is the original node of
         relabeled node i.
         """
-        if not (_is_int(x) and 0 <= x < self.size):
-            raise MalformedInput(f"node {x!r} out of range")
-        return AbstractPoset(_induced(self.up, self.down[x])), tuple(bits(self.down[x]))
+        below = self.down[self._node(x)]
+        return AbstractPoset(_induced(self.up, below)), tuple(bits(below))
 
     def dual(self) -> "AbstractPoset":
         return AbstractPoset(self.down)

@@ -61,6 +61,16 @@ library now takes those to be f(a) and f(a)' without enumerating Sub(M).
 the connected components of x ~ y (x ^ y != 0 or y = x'), testing every
 pair on the meet table, where the library walks the orthogonality graph on
 atoms.
+
+``legacy_boolean_algebra``, ``legacy_product`` and ``legacy_horizontal_sum``
+build the catalog's rows one element (or one pair of elements) at a time,
+where the library shifts whole rows: the Boolean rows by doubling, a
+product's row as one shifted copy of the right factor's row per element
+above in the left factor, a summand's inner rows as one shifted block.
+``legacy_partition_to_subalgebra`` joins every subset of the block joins,
+where the library forms the joins by doubling.  ``legacy_is_equivalence``
+decides whether a pair set is an equivalence relation's by union-find and
+a pair count, where the library compares class rows.
 """
 
 import itertools
@@ -71,10 +81,12 @@ from omlkit.errors import (
     FlavorError,
     GlueConflict,
     Inconsistent,
+    MalformedInput,
     NoBoundedLattice,
     NoLeastElement,
     NotAMorphism,
     NotAnIso,
+    SizeCap,
     Unsupported,
 )
 from omlkit.functorial import (
@@ -88,7 +100,9 @@ from omlkit.functorial import (
 )
 from omlkit.iso_lifting import MAX_FOUR_BLOCK_CHOICES
 from omlkit.lattice_core import (
+    MAX_ELEMENTS,
     ORTHOMODULAR,
+    FiniteOrtholattice,
     SubalgebraSet,
     bits,
     mask_of,
@@ -868,3 +882,121 @@ def legacy_blocks(L):
     expand(0, L.universe, 0)
     out.sort(key=lambda s: s.members)
     return out
+
+
+def legacy_boolean_algebra(num_atoms, name=None):
+    """Power-set lattice on ``num_atoms`` atoms; element i is the subset i."""
+    if not 1 <= num_atoms <= 6:
+        raise SizeCap("Boolean construction supports 1..6 atoms")
+    n = 1 << num_atoms
+    full = n - 1
+    up = [0] * n
+    for i in range(n):
+        row = 0
+        for j in range(n):
+            if i & j == i:
+                row |= 1 << j
+        up[i] = row
+    ortho = [full ^ i for i in range(n)]
+    return FiniteOrtholattice(up, ortho, name or f"2^{num_atoms}")
+
+
+def legacy_product(L, M, name=None):
+    """Direct product with componentwise order and complement."""
+    if L.n * M.n > MAX_ELEMENTS:
+        raise SizeCap(f"product would have {L.n * M.n} elements")
+    n = L.n * M.n
+    up = [0] * n
+    ortho = [0] * n
+    for x in range(L.n):
+        for y in range(M.n):
+            i = x * M.n + y
+            row = 0
+            for x2 in bits(L.up[x]):
+                for y2 in bits(M.up[y]):
+                    row |= 1 << (x2 * M.n + y2)
+            up[i] = row
+            ortho[i] = L.ortho[x] * M.n + M.ortho[y]
+    return FiniteOrtholattice(up, ortho, name)
+
+
+def legacy_horizontal_sum(summands, name=None):
+    """Glue the summands at their bounds; everything else stays incomparable."""
+    if not summands:
+        raise MalformedInput("horizontal sum of nothing")
+    if any(s.n < 4 for s in summands):
+        raise MalformedInput("horizontal sum needs summands with at least 4 elements")
+    n = sum(s.n - 2 for s in summands) + 2
+    if n > MAX_ELEMENTS:
+        raise SizeCap(f"horizontal sum would have {n} elements")
+    top = n - 1
+    offsets = []
+    base = 1
+    for s in summands:
+        offsets.append(base)
+        base += s.n - 2
+
+    def glob(s_idx, e):
+        if e == 0:
+            return 0
+        if e == summands[s_idx].n - 1:
+            return top
+        return offsets[s_idx] + e - 1
+
+    up = [0] * n
+    ortho = [0] * n
+    up[0] = (1 << n) - 1
+    up[top] = 1 << top
+    ortho[0] = top
+    ortho[top] = 0
+    for s_idx, s in enumerate(summands):
+        for e in range(1, s.n - 1):
+            g = glob(s_idx, e)
+            row = 1 << top
+            for e2 in bits(s.up[e] & ~(1 << (s.n - 1))):
+                row |= 1 << glob(s_idx, e2)
+            up[g] = row
+            ortho[g] = glob(s_idx, s.ortho[e])
+    return FiniteOrtholattice(up, ortho, name)
+
+
+def legacy_partition_to_subalgebra(B, p):
+    """The subalgebra whose atoms are the joins of the partition blocks:
+    the join of every subset of the block joins, 2^k subsets of k joins."""
+    _require_boolean(B)
+    atoms = B.atoms()
+    if p.universe != frozenset(range(1, len(atoms) + 1)):
+        raise MalformedInput("partition does not cover the atom positions")
+    block_join = []
+    for blk in p.blocks:
+        v = 0
+        for i in blk:
+            v = B.join(v, atoms[i - 1])
+        block_join.append(v)
+    mask = 0
+    for choice in range(1 << len(block_join)):
+        v = 0
+        for k in bits(choice):
+            v = B.join(v, block_join[k])
+        mask |= 1 << v
+    return B.subalgebra(mask)
+
+
+def legacy_is_equivalence(k, pairs):
+    """Whether ``pairs`` is the set of pairs {i, j} related by some
+    equivalence relation on 0..k-1: union-find, then the classes must hold
+    exactly that many pairs."""
+    root = list(range(k))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for i, j in pairs:
+        root[find(i)] = find(j)
+    size = [0] * k
+    for i in range(k):
+        size[find(i)] += 1
+    return sum(s * (s - 1) // 2 for s in size) == len(pairs)

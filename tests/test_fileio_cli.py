@@ -194,6 +194,17 @@ def test_cli_reconstruct_round_trip(tmp_path, capsys):
     assert rebuilt.n == 6 and rebuilt.flavor == "orthomodular"
 
 
+def test_cli_reconstruct_frame_of_the_one_node_poset(tmp_path, capsys):
+    # the one-node poset is BSub of the 2-element lattice; its frame is empty
+    poset_path = tmp_path / "one.json"
+    poset_path.write_text(fileio.dump_poset(bsub(boolean_algebra(1)).as_abstract()))
+    code, out, _ = run_cli(capsys, "reconstruct", str(poset_path), "--frame")
+    assert code == 0
+    frame, lattice = out.split("\n", 1)
+    assert frame == "frame: 0 points"
+    assert lattice == '{\n  "leq": [[0, 0], [0, 1], [1, 1]],\n  "ortho": [1, 0],\n  "size": 2\n}\n'
+
+
 def test_cli_lift_bsub(tmp_path, capsys):
     lat = tmp_path / "mo2.json"
     lat.write_text(fileio.dump_lattice(mo(2)))

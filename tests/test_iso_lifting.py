@@ -1,5 +1,6 @@
 """Lifting poset isomorphisms to lattice isomorphisms, and determination."""
 
+import itertools
 import random
 
 import pytest
@@ -46,6 +47,7 @@ from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset, check
 
 from legacy_oracles import (
     legacy_covers,
+    legacy_is_equivalence,
     legacy_lift_boolean_iso,
     legacy_lift_bsub_iso,
     legacy_recognize_boolean_node,
@@ -520,6 +522,23 @@ def test_certificate_rejects_the_dual_partition_lattice_without_a_cover(k):
             if k == 4:
                 assert not legacy_recognize_boolean_node(lame, top)
     assert passed_rank  # some of these pass every invariant: the certificate decides
+
+
+def _equivalence_by_definition(k, pairs):
+    """Whether the reflexive, symmetric closure of ``pairs`` is transitive."""
+    rel = {(i, i) for i in range(k)} | set(pairs) | {(j, i) for i, j in pairs}
+    return all((i, l) in rel for i, j in rel for j2, l in rel if j == j2)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_equivalence_test_matches_the_definition_and_union_find(k):
+    # every set of pairs i < j on k points, as the certificate hands them in
+    all_pairs = list(itertools.combinations(range(k), 2))
+    for chosen in range(1 << len(all_pairs)):
+        pairs = [p for b, p in enumerate(all_pairs) if chosen >> b & 1]
+        want = _equivalence_by_definition(k, pairs)
+        assert _is_equivalence(k, pairs) == want, pairs
+        assert legacy_is_equivalence(k, pairs) == want, pairs
 
 
 def test_equivalence_pair_sets():

@@ -16,6 +16,7 @@ from omlkit import (
     NotAnIso,
     NotAPartialOrder,
     ORTHOLATTICE,
+    OmlkitError,
     ORTHOMODULAR,
     SizeCap,
     UnknownName,
@@ -53,10 +54,13 @@ from omlkit.subalgebra_posets import AbstractPoset, check_order_iso
 
 from legacy_oracles import (
     legacy_blocks,
+    legacy_boolean_algebra,
     legacy_bound_tables,
     legacy_covers,
+    legacy_horizontal_sum,
     legacy_is_boolean,
     legacy_permuted,
+    legacy_product,
     legacy_unique_bound,
 )
 
@@ -568,6 +572,55 @@ def test_product_structure():
     p = product(mo(2), boolean_algebra(1), name="MO2x2")
     assert p.n == 12 and p.flavor == ORTHOMODULAR
     assert sorted(len(b) for b in p.blocks()) == [8, 8]
+
+
+# -- the catalog's row builders against their element-by-element oracles -----
+
+BUILDER_SUMMANDS = (["benzene", "example22", "MO2x2"] + [f"2^{k}" for k in range(1, 6)]
+                    + [f"MO{k}" for k in range(1, 9)])
+
+
+def _built(build, *args):
+    """What a constructor gives: the lattice's rows, complement, flavor and
+    name, or the type and text of the error it raises."""
+    try:
+        L = build(*args)
+    except OmlkitError as exc:
+        return type(exc), str(exc)
+    return L.up, L.ortho, L.flavor, L.name
+
+
+def _builder_summand(name):
+    return mo(int(name[2:])) if name.startswith("MO") and name != "MO2x2" else catalog(name)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_boolean_algebra_rows_match_the_element_by_element_builder(k):
+    assert _built(boolean_algebra, k) == _built(legacy_boolean_algebra, k)
+
+
+@pytest.mark.parametrize("bad", [0, 7])
+def test_boolean_algebra_refuses_the_same_sizes(bad):
+    assert _built(boolean_algebra, bad) == _built(legacy_boolean_algebra, bad) == (
+        SizeCap, "Boolean construction supports 1..6 atoms")
+
+
+@pytest.mark.parametrize("left", BUILDER_SUMMANDS)
+def test_product_rows_match_the_pair_by_pair_builder(left):
+    L = _builder_summand(left)
+    for right in BUILDER_SUMMANDS:
+        M = _builder_summand(right)
+        assert _built(product, L, M, "P") == _built(legacy_product, L, M, "P"), right
+
+
+@pytest.mark.parametrize("first", BUILDER_SUMMANDS)
+def test_horizontal_sum_rows_match_the_element_by_element_builder(first):
+    L = _builder_summand(first)
+    for second in BUILDER_SUMMANDS:
+        parts = [L, _builder_summand(second)]
+        assert _built(horizontal_sum, parts, "H") == _built(legacy_horizontal_sum, parts, "H")
+    for parts in ([L], [L, L, L], [L, catalog("2^2"), catalog("example22")], []):
+        assert _built(horizontal_sum, parts) == _built(legacy_horizontal_sum, parts)
 
 
 def test_morphism_validation():

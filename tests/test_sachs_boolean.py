@@ -27,7 +27,9 @@ from omlkit import (
     sub,
     subalgebra_to_partition,
 )
-from omlkit.lattice_core import bits, mask_of
+from omlkit.lattice_core import SubalgebraSet, bits, mask_of, sublattice
+
+from legacy_oracles import legacy_partition_to_subalgebra
 
 
 def test_is_boolean_algebra():
@@ -161,6 +163,46 @@ def test_partition_round_trip():
     assert str(subalgebra_to_partition(B, B.subalgebra(B.universe))) == "1|2|3"
     assert str(subalgebra_to_partition(B, B.subalgebra([0, 7]))) == "123"
     assert str(subalgebra_to_partition(B, B.subalgebra([0, 3, 4, 7]))) == "12|3"
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_partition_to_subalgebra_matches_the_subset_loop(k):
+    # every partition of the k atom positions, joins by doubling against
+    # the join of every subset of block joins
+    B = boolean_algebra(k)
+    for p in partition_lattice(k)[1]:
+        assert partition_to_subalgebra(B, p) == legacy_partition_to_subalgebra(B, p)
+
+
+def _element_set_readers(B):
+    return {
+        "sublattice": lambda x: (lambda L, back: (L.up, L.ortho, back))(*sublattice(B, x)),
+        "dual_decomposition": lambda x: dual_decomposition(B, x),
+        "principal_element": lambda x: principal_element(B, x),
+        "subalgebra_to_partition": lambda x: subalgebra_to_partition(B, x),
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_subalgebra_reads_alike_as_set_mask_and_element_list(k):
+    B = boolean_algebra(k)
+    for name, read in _element_set_readers(B).items():
+        for node in sub(B).nodes:
+            want = read(node)
+            assert read(node.members) == want, name
+            assert read(list(node.elements)) == want, name
+
+
+@pytest.mark.parametrize("elements", [[0, 1, 7], [0, 1, 2, 7], [1, 6], [0, 3, 5, 7]])
+def test_a_set_that_is_not_closed_is_refused_alike_in_every_form(elements):
+    B = boolean_algebra(3)
+    mask = mask_of(elements)
+    assert B.closure_mask(mask) != mask
+    for name, read in _element_set_readers(B).items():
+        for form in (SubalgebraSet(B, mask), mask, elements):
+            with pytest.raises(MalformedInput) as exc:
+                read(form)
+            assert str(exc.value) == "element set is not a closed subalgebra", name
 
 
 def test_partition_map_is_order_reversing():

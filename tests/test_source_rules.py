@@ -8,7 +8,9 @@ that its module never mentions is what a deletion leaves behind; the
 package's ``__init__`` re-exports names and is exempt.  So is a
 module-level private function or constant that no module of the package
 mentions outside its own definition.  Lattices and posets share one order
-core, so each of its methods is defined once in the package.
+core, so each of its methods is defined once in the package.  Element sets
+are read through ``FiniteOrtholattice.subalgebra``, so one ``raise``
+refuses a set that is not closed.
 """
 
 import ast
@@ -185,3 +187,39 @@ def test_the_definition_scan_finds_a_second_copy():
     }
     assert _definitions(sources, ("leq", "pairs", "heights")) == {
         "leq": ["m.py:2", "n.py:5"], "pairs": ["n.py:3"], "heights": []}
+
+
+NOT_CLOSED = "element set is not a closed subalgebra"
+
+
+def _raises_mentioning(sources: dict[str, str], text: str) -> list[str]:
+    """Where a ``raise`` statement holds a string constant containing ``text``."""
+    out = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=name)):
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(c, ast.Constant) and isinstance(c.value, str) and text in c.value
+                    for c in ast.walk(node)):
+                out.append(f"{name}:{node.lineno}")
+    return out
+
+
+def test_one_raise_refuses_a_set_that_is_not_closed():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert len(_raises_mentioning(sources, NOT_CLOSED)) == 1
+
+
+def test_the_raise_scan_finds_a_second_copy():
+    sources = {
+        "m.py": (
+            "def f(mask):\n"
+            "    if mask:\n"
+            f"        raise ValueError('{NOT_CLOSED}')\n"
+            f"    return '{NOT_CLOSED}'\n"
+        ),
+        "n.py": (
+            "def g(mask):\n"
+            f"    raise MalformedInput(f'{NOT_CLOSED}: {{mask}}')\n"
+        ),
+    }
+    assert _raises_mentioning(sources, NOT_CLOSED) == ["m.py:3", "n.py:2"]

@@ -171,6 +171,29 @@ def test_interval_below():
     assert top_iv.size == 15
 
 
+NODE_QUERIES = {
+    "covers": lambda P, x: P.covers(x),
+    "height": lambda P, x: P.height(x),
+    "join": lambda P, x: P.join(0, x),
+    "join-first": lambda P, x: P.join(x, 0),
+    "meet": lambda P, x: P.meet(1, x),
+    "meet-first": lambda P, x: P.meet(x, 1),
+    "interval_below": lambda P, x: P.interval_below(x),
+}
+
+
+@pytest.mark.parametrize("query", NODE_QUERIES)
+@pytest.mark.parametrize("bad", [-1, 4, 1.5, True], ids=["negative", "past-end", "float", "bool"])
+def test_node_queries_refuse_an_index_out_of_range(query, bad):
+    # unchecked, -1 wraps to the last node, 4 and 1.5 raise a bare
+    # IndexError or TypeError, and True reads node 1
+    P = sub(mo(2))
+    assert P.size == 4
+    with pytest.raises(MalformedInput) as exc:
+        NODE_QUERIES[query](P, bad)
+    assert str(exc.value) == f"node {bad!r} out of range"
+
+
 def test_poset_isomorphic_examples():
     assert poset_isomorphic(bsub(benzene()), bsub(mo(2))) is not None
     assert poset_isomorphic(sub(benzene()), sub(mo(2))) is not None
