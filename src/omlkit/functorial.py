@@ -125,8 +125,7 @@ def _homs(L: FiniteOrtholattice, M: FiniteOrtholattice,
         return True
 
     results = []
-    for found in _backtrack(order, candidates, consistent, mapping,
-                            (L.ortho, M.ortho), injective=False):
+    for found in _backtrack(order, candidates, consistent, mapping, (L.ortho, M.ortho)):
         try:
             results.append(morphism(L, M, tuple(found)))
         except NotAMorphism:

@@ -116,12 +116,13 @@ class _Order:
 
     @cached_property
     def heights(self) -> tuple[int, ...]:
-        """Length of a longest chain up to each point (0 for minimal ones)."""
-        return _heights(self.down, self.cover_down)
+        """Length of a longest chain up to each point (0 for minimal ones),
+        read off the down rows alone, without covers."""
+        return _heights(self.down)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
-        return _heights(self.up, self.cover_up)
+        return _heights(self.up)
 
     @cached_property
     def _above(self) -> dict[int, int]:
@@ -345,8 +346,11 @@ class FiniteOrtholattice(_Order):
     def subalgebra(self, members) -> "SubalgebraSet":
         """Wrap an element set (a bit set, a SubalgebraSet or an iterable of
         elements) as a SubalgebraSet, insisting it is closed.  The one place
-        that refuses an element set that is not closed."""
+        that refuses an element set that is not closed, or a SubalgebraSet
+        of another lattice, whose element numbers mean other elements."""
         mask = members.members if isinstance(members, SubalgebraSet) else members
+        if isinstance(members, SubalgebraSet) and members.owner is not self:
+            raise MalformedInput("element set belongs to another lattice")
         if isinstance(mask, Iterable):
             # a negative or non-integer element has no bit: give it one
             # outside the universe (closure_mask rejects a non-integer mask)
@@ -428,11 +432,22 @@ def _covers(up: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _heights(down: Sequence[int], cover_down: Sequence[int]) -> tuple[int, ...]:
-    """Length of a longest chain ending at each element (0 for minimal ones)."""
-    h = [0] * len(down)
+def _heights(down: Sequence[int]) -> tuple[int, ...]:
+    """Length of a longest chain ending at each element (0 for minimal ones).
+
+    Elements are taken by ascending down-cone size, so all below x come
+    first, and x lands one level above the highest level that meets its
+    strict down-cone.  ``levels[k]`` is the bit set of level k so far and
+    ``top`` the number of levels begun; x looks at no more levels than it
+    has elements below it, so a tall chain costs no more than a wide one.
+    """
+    h, levels, top = [0] * len(down), [0] * len(down), 0
     for x in sorted(range(len(down)), key=lambda v: down[v].bit_count()):
-        h[x] = 1 + max((h[y] for y in bits(cover_down[x])), default=-1)
+        below, k = down[x] ^ 1 << x, top
+        while k and not below & levels[k - 1]:
+            k -= 1
+        levels[k] |= 1 << x
+        h[x], top = k, max(top, k + 1)
     return tuple(h)
 
 
@@ -620,12 +635,19 @@ def isomorphisms(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Iterator[Morph
     pruned by per-element signatures (heights, cover degrees, the same data
     for the complement).  Deterministic: elements are processed in a fixed
     order and candidates tried ascending.
+
+    The maps are not re-checked by ``morphism``: the search has tested each
+    pair of elements in both directions when the later of the two was
+    placed, so a map it yields is an order isomorphism, and its partner
+    rule makes it commute with the complement.  Meets and joins are fixed
+    by the order, so ``morphism`` could not reject the map, and would
+    return this same iso.
     """
     if L.n != M.n or L.flavor != M.flavor:
         return
     for mapping in _order_isos(L, M, _iso_signatures(L), _iso_signatures(M),
                                (L.ortho, M.ortho)):
-        yield morphism(L, M, tuple(mapping))
+        yield Morphism(L, M, tuple(mapping), ISO)
 
 
 def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterator[list[int]]:
@@ -633,6 +655,14 @@ def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterato
     and reflect it and map each element to one with an equal signature.
 
     Elements with the fewest candidates go first.  Yields the live mapping.
+    The candidate test takes constant time, as in VF2 (Cordella et al.,
+    IEEE TPAMI 26(10), 2004): ``image`` is the bit set of the targets in
+    use, and ``above[x]`` (``below[x]``) the images of the mapped points
+    above (below) x, so y fits x exactly when the mapped points above and
+    below y are those images.  A used y never fits, since y would need a
+    preimage both above and below the unmapped x, so the test also keeps
+    the map injective.  ``track`` keeps the three, in time linear in the
+    cones of the point placed or removed.
     """
     if sorted(sig_src) != sorted(sig_tgt):
         return iter(())
@@ -641,39 +671,45 @@ def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterato
     order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
     mapping = [-1] * n
     up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
+    above, below, image = [0] * n, [0] * n, 0
 
     def consistent(x: int, y: int) -> bool:
-        ux, dx, uy, dy = up_s[x], down_s[x], up_t[y], down_t[y]
-        for c, d in enumerate(mapping):
-            if d >= 0 and (ux >> c & 1 != uy >> d & 1 or dx >> c & 1 != dy >> d & 1):
-                return False
-        return True
+        return up_t[y] & image == above[x] and down_t[y] & image == below[x]
 
-    return _backtrack(order, candidates, consistent, mapping, partner)
+    def track(a: int, b: int):
+        nonlocal image
+        bit = 1 << b
+        image ^= bit
+        for x in bits(down_s[a]):
+            above[x] ^= bit
+        for x in bits(up_s[a]):
+            below[x] ^= bit
+
+    return _backtrack(order, candidates, consistent, mapping, partner, track=track)
 
 
 def _backtrack(order: Sequence[int], candidates: Sequence[Iterable[int]], consistent,
-               mapping: list[int], partner=None, injective: bool = True) -> Iterator[list[int]]:
+               mapping: list[int], partner=None, track=lambda a, b: None) -> Iterator[list[int]]:
     """Every completion of ``mapping`` (-1 marks an unmapped element).
 
     The one backtracking search behind the isomorphism and homomorphism
     enumerators.  It takes the next unmapped element a in ``order`` and
     tries each b of ``candidates[a]`` in turn, keeping a -> b when
-    ``consistent(a, b)`` holds for the assignments made so far (and b is
-    unused, if ``injective``).  ``partner = (src, tgt)`` forces
+    ``consistent(a, b)`` holds for the assignments made so far.
+    ``partner = (src, tgt)`` forces
     src[a] -> tgt[b] along with a -> b, checked the same way; the
     orthocomplements on both sides are the partners.  Iterative, so the
     depth is not bounded by the recursion limit.  Yields the live
-    ``mapping`` list at each complete assignment.
+    ``mapping`` list at each complete assignment.  ``track(a, b)`` is
+    called right after a -> b is placed and again when a is unmapped, so
+    a caller can keep its own state for ``consistent``.
     """
-    used = {v for v in mapping if v >= 0}
-
     def place(a: int, b: int, placed: list[int]) -> bool:
-        if injective and b in used or not consistent(a, b):
+        if not consistent(a, b):
             return False
         mapping[a] = b
-        used.add(b)
         placed.append(a)
+        track(a, b)
         if partner is None:
             return True
         ao, bo = partner[0][a], partner[1][b]
@@ -684,7 +720,7 @@ def _backtrack(order: Sequence[int], candidates: Sequence[Iterable[int]], consis
     def undo(placed: list[int]):
         while placed:
             a = placed.pop()
-            used.discard(mapping[a])
+            track(a, mapping[a])
             mapping[a] = -1
 
     def next_free(pos: int) -> int:

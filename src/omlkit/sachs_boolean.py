@@ -82,8 +82,14 @@ def dual_order_test(sub_b: SubalgebraPoset, x: int) -> bool:
     """Order-theoretic dual-subalgebra test inside Sub(B).
 
     True when every atom incomparable to x joins with x to a cover of x
-    (vacuously true when no atom is incomparable).
+    (vacuously true when no atom is incomparable).  A node x that is not
+    an index of sub_b raises MalformedInput.
     """
+    return _dual_order_test(sub_b, sub_b._node(x))
+
+
+def _dual_order_test(sub_b: SubalgebraPoset, x: int) -> bool:
+    """``dual_order_test`` on a node x known to be in range."""
     for y in sub_b.atoms():
         if sub_b.leq(y, x) or sub_b.leq(x, y):
             continue
@@ -98,20 +104,22 @@ def pd_order_test(sub_b: SubalgebraPoset, x: int) -> bool:
 
     True when x is the bottom or the top, or an atom passing the dual order
     test, or passes the dual order test and meets some dual node in an atom
-    that fails it.
+    that fails it.  A node x that is not an index of sub_b raises
+    MalformedInput.
     """
+    x = sub_b._node(x)
     if x == sub_b.bottom() or x == sub_b.top():
         return True
-    if not dual_order_test(sub_b, x):
+    if not _dual_order_test(sub_b, x):
         return False
     atom_set = set(sub_b.atoms())
     if x in atom_set:
         return True
     for y in range(sub_b.size):
-        if not dual_order_test(sub_b, y):
+        if not _dual_order_test(sub_b, y):
             continue
         m = sub_b._meet(x, y)
-        if m in atom_set and not dual_order_test(sub_b, m):
+        if m in atom_set and not _dual_order_test(sub_b, m):
             return True
     return False
 

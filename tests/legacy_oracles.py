@@ -42,6 +42,10 @@ library now stops after the first, which implies the second.
 element strictly between.  The oracles that take Boolean-ness as given call
 ``legacy_is_boolean``.
 
+``legacy_heights`` found each element's height as one more than the
+highest of its lower covers, in ascending order of down-cone size; the
+library now reads heights off the down rows alone, level by level.
+
 ``legacy_blocks`` is the Bron-Kerbosch clique search (with pivoting) on
 the commutation graph that ``FiniteOrtholattice.blocks`` ran before it read
 the blocks off BSub(L) as its maximal nodes; each maximal clique was
@@ -851,6 +855,14 @@ def legacy_covers(up, down):
                 cov |= 1 << b
         out.append(cov)
     return tuple(out)
+
+
+def legacy_heights(down, cover_down):
+    """Length of a longest chain ending at each element (0 for minimal ones)."""
+    h = [0] * len(down)
+    for x in sorted(range(len(down)), key=lambda v: down[v].bit_count()):
+        h[x] = 1 + max((h[y] for y in bits(cover_down[x])), default=-1)
+    return tuple(h)
 
 
 def legacy_blocks(L):

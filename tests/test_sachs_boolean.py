@@ -205,6 +205,32 @@ def test_a_set_that_is_not_closed_is_refused_alike_in_every_form(elements):
             assert str(exc.value) == "element set is not a closed subalgebra", name
 
 
+def test_a_subalgebra_set_of_another_lattice_is_refused():
+    # {0,3,4,7} is closed in MO3 and in 2^3, but 3 and 4 are other elements there
+    B = boolean_algebra(3)
+    node = next(n for n in sub(mo(3)).nodes if n.members == mask_of((0, 3, 4, 7)))
+    entry_points = {"subalgebra": B.subalgebra, **_element_set_readers(B)}
+    for name, read in entry_points.items():
+        with pytest.raises(MalformedInput) as exc:
+            read(node)
+        assert str(exc.value) == "element set belongs to another lattice", name
+        # the same set as a bare mask or an element list still reads on 2^3
+        assert read(node.members) == read(list(node.elements)), name
+    # a set of an equal but separately built lattice is another lattice's too
+    with pytest.raises(MalformedInput):
+        B.subalgebra(SubalgebraSet(boolean_algebra(3), B.universe))
+
+
+@pytest.mark.parametrize("test", [dual_order_test, pd_order_test])
+@pytest.mark.parametrize("x", [-1, 5, 1.5, True, "0", None])
+def test_order_tests_refuse_a_node_out_of_range(test, x):
+    s = sub(boolean_algebra(3))
+    assert s.size == 5
+    with pytest.raises(MalformedInput) as exc:
+        test(s, x)
+    assert str(exc.value) == f"node {x!r} out of range"
+
+
 def test_partition_map_is_order_reversing():
     B = boolean_algebra(3)
     nodes = sub(B).nodes

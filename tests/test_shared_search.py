@@ -2,7 +2,11 @@
 
 ``isomorphisms``, ``poset_isomorphisms`` and ``enumerate_homs`` now call
 one search; the old hand-written ones live on in ``legacy_oracles`` and
-must produce the same maps in the same order.
+must produce the same maps in the same order.  The order searches test a
+candidate against bit sets kept as points are placed, and the lattice
+search yields its isos without re-checking them, so every iso is checked
+here instead; the heights their signatures read are checked against the
+cover walk they replaced.
 """
 
 import itertools
@@ -11,22 +15,27 @@ import random
 import pytest
 from legacy_oracles import (
     legacy_enumerate_homs,
+    legacy_heights,
     legacy_isomorphisms,
     legacy_poset_isomorphisms,
 )
 
 from omlkit import (
+    AbstractPoset,
     automorphisms,
     boolean_algebra,
     bsub,
     catalog,
     enumerate_homs,
     isomorphisms,
+    mo,
+    morphism,
     partition_lattice,
     poset_isomorphisms,
     relabel,
     sub,
 )
+from omlkit.lattice_core import ISO
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
            "MO2x2", "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
@@ -55,6 +64,61 @@ def test_isomorphisms_match_the_old_search(name):
         M = _inner_relabeling(L, seed)
         got = [f.mapping for f in isomorphisms(L, M)]
         assert got and got == [f.mapping for f in legacy_isomorphisms(L, M)]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_every_iso_the_search_yields_passes_the_morphism_check(name):
+    L = catalog(name)
+    for M in (L, *(_inner_relabeling(L, seed) for seed in SEEDS)):
+        maps = automorphisms(L) if M is L else list(isomorphisms(L, M))
+        assert maps
+        for f in maps:
+            assert f.kind == ISO and morphism(L, M, f.mapping) == f
+
+
+def test_all_automorphisms_of_mo5_match_the_old_search():
+    L = mo(5)
+    got = [f.mapping for f in automorphisms(L)]
+    assert len(got) == 3840  # 5! * 2^5
+    assert got == [f.mapping for f in legacy_isomorphisms(L, L)]
+
+
+def _node_relabeling(P, seed):
+    perm = list(range(P.size))
+    random.Random(seed).shuffle(perm)
+    return P.relabel(perm)
+
+
+@pytest.mark.parametrize("P", [sub(boolean_algebra(4)), bsub(catalog("hsum(2^4,2^4)"))],
+                         ids=["Sub(2^4)", "BSub(hsum(2^4,2^4))"])
+def test_poset_isomorphisms_onto_relabeled_nodes_match_the_old_search(P):
+    # every node renamed, the bottom and top included, unlike a relabeled lattice
+    for seed in SEEDS:
+        Q = _node_relabeling(P, seed)
+        got = _prefix(poset_isomorphisms(P, Q))
+        assert got and got == _prefix(legacy_poset_isomorphisms(P, Q))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_heights_and_depths_match_the_cover_walk(name):
+    L = catalog(name)
+    for base in (L, sub(L), bsub(L)):
+        rename = _inner_relabeling if base is L else _node_relabeling
+        for P in (base, *(rename(base, seed) for seed in SEEDS)):
+            assert P.heights == legacy_heights(P.down, P.cover_down)
+            assert P.depths == legacy_heights(P.up, P.cover_up)
+
+
+def test_heights_of_a_chain_beside_an_antichain_match_the_cover_walk():
+    # a 200-point chain and 50 isolated points, interleaved
+    chain = random.Random(1).sample(range(250), 200)
+    up = [1 << x for x in range(250)]
+    for i, x in enumerate(chain):
+        for y in chain[i:]:
+            up[x] |= 1 << y
+    P = AbstractPoset(up)
+    assert P.heights == legacy_heights(P.down, P.cover_down)
+    assert sorted(P.heights) == [0] * 51 + list(range(1, 200))
 
 
 def test_isomorphisms_between_different_lattices_match_the_old_search():
