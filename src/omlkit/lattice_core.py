@@ -7,12 +7,26 @@ subset keeps the exhaustive searches cheap.
 
 Validated lattices are immutable after construction; all operations here are
 pure functions of their inputs, so instances are safe to share freely.
+
+A lattice is validated row by row: its rows are spelled in binary once,
+the spelling's columns are the down rows, and each law is one test over
+whole rows.  Meets are looked up for the pairs a <= b (as numbers) and
+mirrored; joins come through the complement, a v b = (a' ^ b')', once the
+complement is known to reverse the order (a finite order with a top and
+all meets has all joins, so no join can be missing then).  The orthomodular
+law is tested in its zero-meet form: a <= b and a' ^ b = 0 imply a = b.
+When a row test fails, the pair scan it replaced names the first faulty
+pair, so the first fault and its message are those of a pair-by-pair
+check.  Posets are still checked pair by pair: their rows have no size
+cap, and a spelling costs n^2 even for an antichain.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import compress, repeat, zip_longest
+from operator import and_, countOf, itemgetter, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -155,35 +169,56 @@ class FiniteOrtholattice(_Order):
     """
 
     def __init__(self, up: Sequence[int], ortho: Sequence[int], name: Optional[str] = None):
+        """The laws are tested in the order they always were, each on whole
+        rows.  When a row test fails, the pair scan it replaced
+        (``_check_rows``, ``_order_pairs``, ``_bound_pairs`` or
+        ``_reversal_pairs``) names the first fault."""
         up = tuple(up)
         n = len(up)
         if n < 2:
             raise NoBoundedLattice("a bounded lattice needs at least 2 elements")
         if n > MAX_ELEMENTS:
             raise SizeCap(f"{n} elements exceed the bit-set cap of {MAX_ELEMENTS}")
-        super().__init__(up)
+        # only integers in range can be spelled in n binary digits
+        if set(map(type, up)) != {int} or min(up) < 0 or max(up) >> n:
+            _check_rows(up)
+        # the rows spelled in binary, last row first and most significant
+        # digit first: digit j of row i sits at (n-1-i)*n + n-1-j.  Column
+        # n-1-j spells down[j]; read backwards, row i is at [i*n, i*n+n).
+        width = f"0{n}b"
+        spelled = "".join([format(row, width) for row in reversed(up)])
+        down = [int(spelled[c::n], 2) for c in range(n)]
+        down.reverse()
+        # compress selectors of the members of each up row
+        members = spelled[::-1].encode().translate(_DIGIT_BITS)
+        rows = [members[i:i + n] for i in range(0, n * n, n)]
+        # reflexive and antisymmetric: i is the one point both above and
+        # below i; transitive: the OR of the up rows of the points above i
+        # is up[i].  A row without its own point is named by _check_rows.
+        if (tuple(map(and_, up, down)) != _POINTS[:n]
+                or tuple(map(reduce, repeat(or_), map(compress, repeat(up), rows))) != up):
+            _check_rows(up)
+            _order_pairs(up)
+        self.up, self.size, self.down = up, n, tuple(down)
         universe = (1 << n) - 1
-        down = self.down
         if up[0] != universe:
             raise NoBoundedLattice("element 0 is not the least element")
         if down[n - 1] != universe:
             raise NoBoundedLattice(f"element {n - 1} is not the greatest element")
 
         # rows are distinct, so meet(a, b) is the element whose down row is
-        # down[a] & down[b], if there is one; joins likewise on up rows
-        below, above = self._below, self._above
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                g = below.get(down[a] & down[b])
-                if g is None:
-                    raise NoBoundedLattice(f"elements {a} and {b} have no meet")
-                meet[a][b] = meet[b][a] = g
-                g = above.get(up[a] & up[b])
-                if g is None:
-                    raise NoBoundedLattice(f"elements {a} and {b} have no join")
-                join[a][b] = join[b][a] = g
+        # down[a] & down[b], if there is one.  A finite order with a top and
+        # all meets has all joins, so only a missing meet can leave a join
+        # missing, and the pairs are scanned only then.
+        below = self._below
+        try:
+            # the meets of a with the elements up to a
+            low = [[below[row & d] for d in down[:a + 1]] for a, row in enumerate(down)]
+        except KeyError:
+            _bound_pairs(up, down, below, self._above)
+        # column a of that triangle holds the meets of a with those after it
+        meet = tuple(tuple(row) + col[a + 1:]
+                     for a, (row, col) in enumerate(zip(low, zip_longest(*low))))
 
         ortho = tuple(ortho)
         if not self._is_permutation(ortho):
@@ -191,20 +226,26 @@ class FiniteOrtholattice(_Order):
         for a in range(n):
             if ortho[ortho[a]] != a:
                 raise BadOrthocomplement(f"ortho is not an involution at {a}")
-        for a in range(n):
-            for b in bits(up[a]):
-                if not up[ortho[b]] >> ortho[a] & 1:
-                    raise BadOrthocomplement(f"ortho does not reverse {a} <= {b}")
-        for a in range(n):
-            if meet[a][ortho[a]] != 0 or join[a][ortho[a]] != n - 1:
+        # a <= b gives b' <= a' exactly when the image of up[a] lies in
+        # down[a'].  The two orders have equally many pairs, so then every
+        # image equals its down row, and the rows are compared whole.
+        renamed = itemgetter(*ortho)
+        image = renamed(_POINTS)
+        if tuple(map(sum, map(compress, repeat(image), rows))) != renamed(down):
+            _reversal_pairs(up, ortho)
+        # 0' is the top now, and a v a' = (a' ^ a)', so a' ^ a = 0 suffices
+        for a, row in enumerate(meet):
+            if row[ortho[a]]:
                 raise BadOrthocomplement(f"element {a} and its image are not complements")
 
         self.n = n
         self.ortho = ortho
         self.name = name
-        self._meet = tuple(tuple(row) for row in meet)
-        self._join = tuple(tuple(row) for row in join)
-        self.flavor = ORTHOMODULAR if self._orthomodular_on(universe) else ORTHOLATTICE
+        self._meet = meet
+        # a v b = (a' ^ b')'
+        self._join = tuple(itemgetter(*renamed(meet[o]))(ortho) for o in ortho)
+        orthomodular = _zero_meets_only_at_self(renamed(meet), rows)
+        self.flavor = ORTHOMODULAR if orthomodular else ORTHOLATTICE
 
     # -- basic queries ----------------------------------------------------
 
@@ -256,14 +297,20 @@ class FiniteOrtholattice(_Order):
         return self._join[row[b]][row[self.ortho[b]]] == a
 
     def _orthomodular_on(self, mask: int) -> bool:
-        """Whether a <= b implies b = a v (a' ^ b) for a, b in ``mask``."""
-        up, meet, join, ortho = self.up, self._meet, self._join, self.ortho
-        for a in bits(mask):
-            row, co_row = join[a], meet[ortho[a]]
-            for b in bits(up[a] & mask):
-                if row[co_row[b]] != b:
-                    return False
-        return True
+        """Whether a <= b and a' ^ b = 0 imply a = b for a, b in ``mask``.
+
+        ``mask`` must be closed (a subalgebra), for there this zero-meet form
+        is the orthomodular law a <= b implies b = a v (a' ^ b).  The law
+        gives it, as b = a v 0.  Conversely, for a <= b in the mask,
+        c = a v (a' ^ b) lies in it too, with c <= b and
+        c' ^ b = (a' ^ b) ^ (a' ^ b)' = 0, so c = b.  On a set that is not
+        closed, c may lie outside it and the two forms differ.
+        """
+        inside = list(bits(mask))
+        width = f"0{self.n}b"
+        above = [format(self.up[a] & mask, width)[::-1].encode().translate(_DIGIT_BITS)
+                 for a in inside]
+        return _zero_meets_only_at_self([self._meet[self.ortho[a]] for a in inside], above)
 
     @cached_property
     def commuting(self) -> tuple[int, ...]:
@@ -391,22 +438,75 @@ class FiniteOrtholattice(_Order):
 
 # -- order core helpers ----------------------------------------------------
 
+# binary digits to compress selectors, by bytes.translate
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+_POINTS = tuple(1 << i for i in range(MAX_ELEMENTS))
+
+
 def _order_down(up: Sequence[int]) -> tuple[int, ...]:
-    """Check that the ``up`` rows are a partial order; return its ``down`` rows."""
+    """Check that the ``up`` rows are a partial order; return its ``down`` rows.
+
+    Poset rows have no size cap, and spelling n rows of n digits, as the
+    lattice constructor does, costs n^2 even on an antichain, so posets are
+    checked pair by pair."""
+    _check_rows(up)
+    _order_pairs(up)
+    return _transpose(up)
+
+
+def _check_rows(up: Sequence[int]) -> None:
+    """Check that each row is an integer bit set in range holding its own point."""
     n = len(up)
     universe = (1 << n) - 1
     for i, row in enumerate(up):
+        if not _is_int(row):
+            raise MalformedInput(f"row {i} is not an integer bit set, got {row!r}")
         if row & ~universe:
             raise MalformedInput(f"row {i} mentions elements outside 0..{n - 1}")
         if not row >> i & 1:
             raise NotAPartialOrder(f"relation is not reflexive at {i}")
-    for i in range(n):
-        for j in bits(up[i]):
-            if j != i and up[j] >> i & 1:
-                raise NotAPartialOrder(f"antisymmetry fails on {i}, {j}")
-            if up[j] & ~up[i]:
-                raise NotAPartialOrder(f"transitivity fails above {i} <= {j}")
-    return _transpose(up)
+
+
+def _order_pairs(up: Sequence[int]) -> None:
+    """Raise on the first pair i <= j, i != j, in row order, that breaks
+    antisymmetry or transitivity."""
+    for i, row in enumerate(up):
+        strict = row ^ 1 << i
+        if strict:
+            outside = ~row
+            for j in bits(strict):
+                if up[j] >> i & 1:
+                    raise NotAPartialOrder(f"antisymmetry fails on {i}, {j}")
+                if up[j] & outside:
+                    raise NotAPartialOrder(f"transitivity fails above {i} <= {j}")
+
+
+def _zero_meets_only_at_self(co_meets: Sequence[Sequence[int]], above: Sequence[bytes]) -> bool:
+    """The zero-meet form of the orthomodular law, one row per element a:
+    ``co_meets[k]`` is the meet row of a', and ``above[k]`` the compress
+    selector of the b >= a to test.  a' ^ a = 0, so each selection must
+    hold exactly one 0."""
+    return sum(map(countOf, map(compress, co_meets, above), repeat(0))) == len(above)
+
+
+def _bound_pairs(up: Sequence[int], down: Sequence[int], below: dict, above: dict) -> None:
+    """Raise on the first pair of elements a, b (a <= b as numbers, in row
+    order) without a meet or a join."""
+    n = len(up)
+    for a in range(n):
+        for b in range(a, n):
+            if down[a] & down[b] not in below:
+                raise NoBoundedLattice(f"elements {a} and {b} have no meet")
+            if up[a] & up[b] not in above:
+                raise NoBoundedLattice(f"elements {a} and {b} have no join")
+
+
+def _reversal_pairs(up: Sequence[int], ortho: Sequence[int]) -> None:
+    """Raise on the first pair a <= b, in row order, without b' <= a'."""
+    for a, row in enumerate(up):
+        for b in bits(row):
+            if not up[ortho[b]] >> ortho[a] & 1:
+                raise BadOrthocomplement(f"ortho does not reverse {a} <= {b}")
 
 
 def _transpose(rows: Sequence[int]) -> tuple[int, ...]:

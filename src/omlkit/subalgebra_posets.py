@@ -314,6 +314,12 @@ def _summands(L: FiniteOrtholattice) -> list[int]:
 # the transpose up to 32 nodes (MO5), 0.8-0.9 times at 50-64 and 0.4 times
 # at 225 (hsum(2^4,2^4)).  The cut sits at the top of the even range.
 _COMPOSE_ABOVE = 64
+# A split with a side of at most this many nodes is multiplied out too.
+# Best of 30, composing took 1.15-1.2 times as long as the transpose at
+# 52 | 2 nodes (hsum(2^5,2^2), either order), while the transpose took 1.5
+# times as long as composing at 52 | 4 (hsum(2^5,2^2,2^2), hsum(2^5,benzene))
+# and 1.8 times at 52 | 5 (hsum(2^5,2^3)).
+_COMPOSE_SIDES_ABOVE = 2
 
 
 def _product_order(parts: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
@@ -323,23 +329,27 @@ def _product_order(parts: list[list[int]]) -> tuple[list[int], list[int], list[i
     A small product, or one summand alone, is multiplied out (every mask
     holds the bottom, so one summand's masks are its product) and sorted in
     place, then transposed.  A larger one is split into two groups of about
-    equal product, each built the same way, and their orders composed.
+    equal product, each built the same way, and their orders composed,
+    unless one group is tiny.  The summands are grouped largest first, so
+    that tiny ones group together whatever their order in L.
     """
+    parts = sorted(parts, key=len, reverse=True)
     size = 1
     for found in parts:
         size *= len(found)
-    if len(parts) == 1 or size <= _COMPOSE_ABOVE:
-        masks = parts[0]
-        for found in parts[1:]:
-            masks = [m | f for m in masks for f in found]
-        masks.sort()
-        return (masks, *inclusion_rows(masks))
-    head, heads = 1, []
-    for found in parts[:-1]:
-        head *= len(found)
-        heads.append(head)
-    k = min(range(len(heads)), key=lambda i: max(heads[i], size // heads[i])) + 1
-    return _compose(_product_order(parts[:k]), _product_order(parts[k:]))
+    if len(parts) > 1 and size > _COMPOSE_ABOVE:
+        head, heads = 1, []
+        for found in parts[:-1]:
+            head *= len(found)
+            heads.append(head)
+        k = min(range(len(heads)), key=lambda i: max(heads[i], size // heads[i])) + 1
+        if min(heads[k - 1], size // heads[k - 1]) > _COMPOSE_SIDES_ABOVE:
+            return _compose(_product_order(parts[:k]), _product_order(parts[k:]))
+    masks = parts[0]
+    for found in parts[1:]:
+        masks = [m | f for m in masks for f in found]
+    masks.sort()
+    return (masks, *inclusion_rows(masks))
 
 
 def _compose(left, right) -> tuple[list[int], list[int], list[int]]:

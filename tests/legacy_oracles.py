@@ -75,12 +75,21 @@ above in the left factor, a summand's inner rows as one shifted block.
 where the library forms the joins by doubling.  ``legacy_is_equivalence``
 decides whether a pair set is an equivalence relation's by union-find and
 a pair count, where the library compares class rows.
+
+``legacy_finite_ortholattice`` is the lattice constructor that checked
+each law pair by pair: the order axioms, every meet and join looked up
+pair by pair, order reversal pair by pair and the orthomodular law
+b = a v (a' ^ b) on every pair a <= b.  The library tests whole rows,
+derives joins through the complement and uses the zero-meet form; it must
+give the same tables and flavor, or the same first fault.
 """
 
 import itertools
+from types import SimpleNamespace
 
 from omlkit import sachs_boolean
 from omlkit.errors import (
+    BadOrthocomplement,
     BlockMismatch,
     FlavorError,
     GlueConflict,
@@ -90,6 +99,7 @@ from omlkit.errors import (
     NoLeastElement,
     NotAMorphism,
     NotAnIso,
+    NotAPartialOrder,
     SizeCap,
     Unsupported,
 )
@@ -105,6 +115,7 @@ from omlkit.functorial import (
 from omlkit.iso_lifting import MAX_FOUR_BLOCK_CHOICES
 from omlkit.lattice_core import (
     MAX_ELEMENTS,
+    ORTHOLATTICE,
     ORTHOMODULAR,
     FiniteOrtholattice,
     SubalgebraSet,
@@ -1012,3 +1023,83 @@ def legacy_is_equivalence(k, pairs):
     for i in range(k):
         size[find(i)] += 1
     return sum(s * (s - 1) // 2 for s in size) == len(pairs)
+
+
+def _legacy_order_down(up):
+    n = len(up)
+    universe = (1 << n) - 1
+    for i, row in enumerate(up):
+        if row & ~universe:
+            raise MalformedInput(f"row {i} mentions elements outside 0..{n - 1}")
+        if not row >> i & 1:
+            raise NotAPartialOrder(f"relation is not reflexive at {i}")
+    for i in range(n):
+        for j in bits(up[i]):
+            if j != i and up[j] >> i & 1:
+                raise NotAPartialOrder(f"antisymmetry fails on {i}, {j}")
+            if up[j] & ~up[i]:
+                raise NotAPartialOrder(f"transitivity fails above {i} <= {j}")
+    return legacy_transpose(up)
+
+
+def _legacy_orthomodular_on(L, mask):
+    """Whether a <= b implies b = a v (a' ^ b) for a, b in ``mask``."""
+    up, meet, join, ortho = L.up, L._meet, L._join, L.ortho
+    for a in bits(mask):
+        row, co_row = join[a], meet[ortho[a]]
+        for b in bits(up[a] & mask):
+            if row[co_row[b]] != b:
+                return False
+    return True
+
+
+def legacy_finite_ortholattice(up, ortho, name=None):
+    """The tables (``up``, ``down``, ``_meet``, ``_join``, ``ortho``) and
+    ``flavor`` of a lattice, validated pair by pair; raises the first fault."""
+    up = tuple(up)
+    n = len(up)
+    if n < 2:
+        raise NoBoundedLattice("a bounded lattice needs at least 2 elements")
+    if n > MAX_ELEMENTS:
+        raise SizeCap(f"{n} elements exceed the bit-set cap of {MAX_ELEMENTS}")
+    down = _legacy_order_down(up)
+    universe = (1 << n) - 1
+    if up[0] != universe:
+        raise NoBoundedLattice("element 0 is not the least element")
+    if down[n - 1] != universe:
+        raise NoBoundedLattice(f"element {n - 1} is not the greatest element")
+
+    below = {row: x for x, row in enumerate(down)}
+    above = {row: x for x, row in enumerate(up)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            g = below.get(down[a] & down[b])
+            if g is None:
+                raise NoBoundedLattice(f"elements {a} and {b} have no meet")
+            meet[a][b] = meet[b][a] = g
+            g = above.get(up[a] & up[b])
+            if g is None:
+                raise NoBoundedLattice(f"elements {a} and {b} have no join")
+            join[a][b] = join[b][a] = g
+
+    ortho = tuple(ortho)
+    if not (len(ortho) == n and all(isinstance(v, int) and not isinstance(v, bool) for v in ortho)
+            and sorted(ortho) == list(range(n))):
+        raise BadOrthocomplement("ortho is not a permutation of the elements")
+    for a in range(n):
+        if ortho[ortho[a]] != a:
+            raise BadOrthocomplement(f"ortho is not an involution at {a}")
+    for a in range(n):
+        for b in bits(up[a]):
+            if not up[ortho[b]] >> ortho[a] & 1:
+                raise BadOrthocomplement(f"ortho does not reverse {a} <= {b}")
+    for a in range(n):
+        if meet[a][ortho[a]] != 0 or join[a][ortho[a]] != n - 1:
+            raise BadOrthocomplement(f"element {a} and its image are not complements")
+
+    L = SimpleNamespace(n=n, up=up, down=down, ortho=ortho, name=name,
+                        _meet=tuple(map(tuple, meet)), _join=tuple(map(tuple, join)))
+    L.flavor = ORTHOMODULAR if _legacy_orthomodular_on(L, universe) else ORTHOLATTICE
+    return L

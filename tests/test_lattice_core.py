@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import subprocess
 import sys
 
@@ -57,6 +58,7 @@ from legacy_oracles import (
     legacy_boolean_algebra,
     legacy_bound_tables,
     legacy_covers,
+    legacy_finite_ortholattice,
     legacy_horizontal_sum,
     legacy_is_boolean,
     legacy_permuted,
@@ -728,3 +730,131 @@ def test_poset_relabel_and_node_maps_reject_non_indices():
 def test_an_ortho_of_non_indices_is_no_permutation():
     with pytest.raises(BadOrthocomplement, match="^ortho is not a permutation of the elements$"):
         FiniteOrtholattice([0b11, 0b10], [1.0, 0])
+
+
+@pytest.mark.parametrize("row", [3.0, "3", None, True])
+def test_rows_that_are_not_integers_are_malformed_input(row):
+    # a float or str row raised a bare TypeError, and a bool row was kept
+    text = f"row 1 is not an integer bit set, got {row!r}"
+    with pytest.raises(MalformedInput) as lattice:
+        FiniteOrtholattice([3, row], [1, 0])
+    with pytest.raises(MalformedInput) as poset:
+        AbstractPoset([1, row])
+    assert str(lattice.value) == str(poset.value) == text
+
+
+# -- row validation against the pair-by-pair constructor ----------------------
+
+VALIDATED = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO2x2",
+             "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
+# ortholattices that are not orthomodular
+BENZENE_BUILT = {
+    "benzene x 2^1": lambda: product(benzene(), boolean_algebra(1)),
+    "benzene x 2^2": lambda: product(benzene(), boolean_algebra(2)),
+    "benzene x benzene": lambda: product(benzene(), benzene()),
+    "hsum(benzene,2^2,benzene)": lambda: horizontal_sum(
+        [benzene(), boolean_algebra(2), benzene()]),
+}
+
+
+def _validated(name):
+    return BENZENE_BUILT[name]() if name in BENZENE_BUILT else catalog(name)
+
+
+def _inner_relabeled(L, rng):
+    return relabel(L, [0] + rng.sample(range(1, L.n - 1), L.n - 2) + [L.n - 1])
+
+
+def _outcome(build, up, ortho):
+    """The tables and flavor a constructor builds, or its exception type and text."""
+    try:
+        L = build(up, ortho)
+    except OmlkitError as exc:
+        return type(exc), str(exc)
+    return L.up, L.down, L._meet, L._join, L.flavor
+
+
+@pytest.mark.parametrize("name", VALIDATED + list(BENZENE_BUILT))
+def test_lattices_validate_as_the_pair_by_pair_constructor_did(name):
+    L = _validated(name)
+    rng = random.Random(name)
+    for M in [L] + [_inner_relabeled(L, rng) for _ in range(3)]:
+        built = _outcome(FiniteOrtholattice, M.up, M.ortho)
+        assert built == _outcome(legacy_finite_ortholattice, M.up, M.ortho)
+        assert built[-1] == (ORTHOLATTICE if "benzene" in name else ORTHOMODULAR)
+
+
+def _faulty_inputs(rng, count):
+    """(up, ortho) pairs, most of them breaking some law: random orders or
+    their duals with a reversing or a random involution, and relabeled
+    catalog lattices with one row bit flipped, a bit out of range, two ortho
+    entries swapped, two complement pairs re-paired, or a random ortho."""
+    bases = [_validated(name) for name in VALIDATED + list(BENZENE_BUILT) if name != "2^1"]
+    for k in range(count):
+        kind = k % 7
+        if kind < 2:
+            n = rng.randrange(2, 10)
+            up = _random_order(rng, n, bounded=rng.random() < 0.8, levels=rng.randrange(2, 5))
+            if rng.random() < 0.5:
+                # the dual, renumbered i -> n-1-i: missing joins become missing meets
+                up = [mask_of(n - 1 - j for j in bits(row)) for row in _transpose(up)[::-1]]
+            ortho = list(range(n))[::-1]
+            if kind == 1:
+                inner = rng.sample(range(1, n - 1), (n - 2) // 2 * 2)
+                for a, b in zip(inner[::2], inner[1::2]):
+                    ortho[a], ortho[b] = b, a
+            yield up, ortho
+            continue
+        L = _inner_relabeled(rng.choice(bases), rng)
+        up, ortho, n = list(L.up), list(L.ortho), L.n
+        if kind == 2:
+            up[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        elif kind == 3:
+            up[rng.randrange(n)] |= 1 << rng.randrange(n, n + 3)
+        elif kind == 4:
+            i, j = rng.sample(range(n), 2)
+            ortho[i], ortho[j] = ortho[j], ortho[i]
+        elif kind == 5:
+            a, b = rng.sample(range(1, n - 1), 2)
+            if ortho[a] != b:
+                a2, b2 = ortho[a], ortho[b]
+                ortho[a], ortho[b2], ortho[b], ortho[a2] = b2, a, a2, b
+        else:
+            # a list with repeats or a value out of range, or a permutation
+            if rng.random() < 0.3:
+                ortho = rng.choices(range(n + 1), k=n)
+            else:
+                ortho = rng.sample(range(n), n)
+        yield up, ortho
+
+
+FAULTS = {
+    "row # mentions elements outside #..#", "relation is not reflexive at #",
+    "antisymmetry fails on #, #", "transitivity fails above # <= #",
+    "element # is not the least element", "element # is not the greatest element",
+    "elements # and # have no meet", "elements # and # have no join",
+    "ortho is not a permutation of the elements", "ortho is not an involution at #",
+    "ortho does not reverse # <= #", "element # and its image are not complements",
+}
+
+
+def test_faulty_inputs_fail_as_the_pair_by_pair_constructor_failed():
+    seen = set()
+    for up, ortho in _faulty_inputs(random.Random(21), 1000):
+        expected = _outcome(legacy_finite_ortholattice, up, ortho)
+        assert _outcome(FiniteOrtholattice, up, ortho) == expected
+        seen.add(re.sub(r"\d+", "#", expected[1]) if len(expected) == 2 else expected[-1])
+    # every fault is met first somewhere, and both flavors pass
+    assert seen == FAULTS | {ORTHOLATTICE, ORTHOMODULAR}
+
+
+@pytest.mark.parametrize("name", ["benzene", "example22", "MO2x2", "2^4"])
+def test_the_zero_meet_form_is_the_orthomodular_law_on_subalgebras(name):
+    L = catalog(name)
+    verdicts = set()
+    for node in sub(L).nodes:
+        law = all(L.join(a, L.meet(L.ortho[a], b)) == b
+                  for a in node.elements for b in node.elements if L.leq(a, b))
+        assert L._orthomodular_on(node.members) == law
+        verdicts.add(law)
+    assert verdicts == ({True, False} if name == "benzene" else {True})

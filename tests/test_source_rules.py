@@ -10,7 +10,9 @@ module-level private function or constant that no module of the package
 mentions outside its own definition.  Lattices and posets share one order
 core, so each of its methods is defined once in the package.  Element sets
 are read through ``FiniteOrtholattice.subalgebra``, so one ``raise``
-refuses a set that is not closed.
+refuses a set that is not closed.  The lattice constructor tests whole rows
+and leaves naming a fault to the pair scans, so each validation message is
+raised from one place: a fast path must not grow its own copy.
 """
 
 import ast
@@ -223,3 +225,24 @@ def test_the_raise_scan_finds_a_second_copy():
         ),
     }
     assert _raises_mentioning(sources, NOT_CLOSED) == ["m.py:3", "n.py:2"]
+
+
+VALIDATION_MESSAGES = ["antisymmetry fails on", "transitivity fails above", "have no meet",
+                       "have no join", "ortho does not reverse", "are not complements"]
+
+
+@pytest.mark.parametrize("text", VALIDATION_MESSAGES)
+def test_each_validation_message_is_raised_from_one_place(text):
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert len(_raises_mentioning(sources, text)) == 1
+
+
+def test_the_raise_scan_finds_a_planted_validation_message():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    sources["planted.py"] = (
+        "def fast_order_check(up, i, j):\n"
+        "    if up[j] >> i & 1:\n"
+        "        raise NotAPartialOrder(f'antisymmetry fails on {i}, {j}')\n"
+    )
+    found = _raises_mentioning(sources, "antisymmetry fails on")
+    assert len(found) == 2 and "planted.py:3" in found
