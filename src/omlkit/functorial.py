@@ -103,7 +103,7 @@ def _homs(L: FiniteOrtholattice, M: FiniteOrtholattice,
     without consulting its own list, so the lists must be closed under
     complement: v in candidates[a] exactly when v' is in candidates[a']."""
     n = L.n
-    order = sorted(range(n), key=lambda a: (L.down[a].bit_count(), a))
+    order = L._ranked
     mapping = [-1] * n
     mapping[0] = 0
     mapping[n - 1] = M.n - 1

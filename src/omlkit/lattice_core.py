@@ -287,6 +287,22 @@ class FiniteOrtholattice(_Order):
     def coatoms(self) -> tuple[int, ...]:
         return tuple(bits(self.cover_down[self.n - 1]))
 
+    @cached_property
+    def _ranked(self) -> tuple[int, ...]:
+        """The elements in a linear extension of the order: by down-cone
+        size, ties by index (the sort is stable).  a < b makes down[a] a
+        proper subset of down[b], so every element comes after those below it."""
+        return tuple(sorted(range(self.n), key=[d.bit_count() for d in self.down].__getitem__))
+
+    @cached_property
+    def _earlier(self) -> tuple[int, ...]:
+        """_earlier[e] is the bit set of the elements before e in ``_ranked``."""
+        earlier, seen = [0] * self.n, 0
+        for e in self._ranked:
+            earlier[e] = seen
+            seen |= 1 << e
+        return tuple(earlier)
+
     # -- commutation and subalgebras --------------------------------------
 
     def commutes(self, a: int, b: int) -> bool:
@@ -343,7 +359,7 @@ class FiniteOrtholattice(_Order):
         return self._extend(0, (), tuple(bits(mask | 1 | 1 << (self.n - 1))))[0]
 
     def _extend(self, mask: int, members: Sequence[int], new: Sequence[int],
-                floor: int = 0) -> tuple[int, list[int]] | int:
+                earlier: int = 0) -> tuple[int, list[int]] | int:
         """Close ``mask`` plus ``new`` under complement and meet.
 
         ``mask`` must already be closed, with ``members`` listing its
@@ -351,9 +367,9 @@ class FiniteOrtholattice(_Order):
         elements listed before it, so pairs of old members are never
         revisited.  Joins come for free, since a v b = (a' ^ b')' in an
         ortholattice.  Returns the closed mask and its member list or, as
-        soon as an element below ``floor`` outside ``mask`` appears, that
-        element (the Close-by-One canonicity test fails, and the element
-        witnesses it).
+        soon as an element of the bit set ``earlier`` outside ``mask``
+        appears, that element (the Close-by-One canonicity test fails: the
+        closure adds an element earlier in the order, which witnesses it).
         """
         meet, ortho = self._meet, self.ortho
         members = list(members)
@@ -361,7 +377,7 @@ class FiniteOrtholattice(_Order):
         i = len(members)
         for v in new:
             if v not in have:
-                if v < floor:
+                if earlier >> v & 1:
                     return v
                 have.add(v)
                 members.append(v)
@@ -372,12 +388,14 @@ class FiniteOrtholattice(_Order):
             fresh.add(ortho[x])
             fresh -= have
             if fresh:
-                if min(fresh) < floor:
-                    return min(fresh)
+                added = 0
+                for v in fresh:
+                    added |= 1 << v
+                if added & earlier:
+                    return (added & earlier).bit_length() - 1
                 have |= fresh
                 members.extend(fresh)
-                for v in fresh:
-                    mask |= 1 << v
+                mask |= added
             i += 1
         return mask, members
 

@@ -4,8 +4,12 @@ Sub(L) is the family of all subalgebras of a finite ortholattice, BSub(L)
 the family of Boolean ones, both ordered by inclusion.  Enumeration is a
 depth-first Close-by-One search from {0,1} (for Sub, one per horizontal
 summand) that lists each subalgebra once and closes each new set
-incrementally from its parent; posets come out with nodes sorted ascending
-by bit-set value so identical inputs give identical output, byte for byte.
+incrementally from its parent.  Its canonicity test asks whether a closure
+adds an element earlier in a linear extension of L (by down-cone size);
+a Boolean subalgebra closes by splitting its atoms, and every such closure
+that gets as far as its joins is a new node.  Posets come out with nodes
+sorted ascending by bit-set value, so identical inputs give identical
+output, byte for byte, whatever order the search found them in.
 The inclusion rows of Sub of a horizontal sum are composed from the
 summands' own rows; a product of at most 64 nodes, a connected lattice and
 BSub are transposed from their masks in one pass.
@@ -14,7 +18,7 @@ BSub are transposed from their masks in one pass.
 from __future__ import annotations
 
 import os
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
 from operator import and_
 from typing import Iterator, Optional, Sequence
@@ -171,17 +175,21 @@ class SubalgebraPoset(AbstractPoset):
 
 
 def _node_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get(NODE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_NODE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise MalformedInput(f"{NODE_CAP_ENV} must be an integer, got {raw!r}") from None
+    """``cap``, else the OMLKIT_NODE_CAP environment variable, else the
+    default; MalformedInput unless it is a positive integer (not a bool)."""
+    name, raw = "cap", cap
+    if cap is None:
+        name, raw = NODE_CAP_ENV, os.environ.get(NODE_CAP_ENV)
+        if raw is None:
+            return DEFAULT_NODE_CAP
+        try:
+            cap = int(raw)
+        except ValueError:
+            pass
+    if not _is_int(cap):
+        raise MalformedInput(f"{name} must be an integer, got {raw!r}")
     if cap < 1:
-        raise MalformedInput(f"{NODE_CAP_ENV} must be a positive integer, got {raw!r}")
+        raise MalformedInput(f"{name} must be a positive integer, got {raw!r}")
     return cap
 
 
@@ -190,17 +198,19 @@ def close_by_one(candidates: Sequence[int], bottom: int, state, extend,
     """Every closed set of a closure system, each exactly once.
 
     Kuznetsov's Close-by-One, depth first from the least closed set
-    ``bottom``: from a closed set s reached by adding element e, try each of
-    the ascending ``candidates`` above e not in s (elements never added
+    ``bottom``, over a fixed linear order of the elements: from a closed set
+    s reached by adding element e, try each of the ``candidates``, listed in
+    that order, that comes after e and is not in s (elements never added
     canonically may be left out).  ``extend(s, state, e)`` returns the
     closure of s plus e with its state; or, if that closure adds an element
-    w below e (it is reached from another parent), w; or None if the caller
-    rejects it, which skips its subtree (sound for families closed under
-    closed subsets, such as Boolean subalgebras).  As in Outrata and
-    Vychodil's Fast Close-by-One, children inherit the witnesses: w is in
-    the closure of any closed s' above s plus e, so a child missing w fails
-    at e untried.  Stops once more than ``cap`` sets are found, returning
-    them unsorted.
+    w earlier in the order than e (it is reached from another parent), w; or
+    None if the caller rejects it, which skips its subtree (sound for
+    families closed under closed subsets, such as Boolean subalgebras).  As
+    in Outrata and Vychodil's Fast Close-by-One, children inherit the
+    witnesses: w is in the closure of any closed s' above s plus e, so a
+    child missing w fails at e untried.  Any order lists each closed set
+    once; the order only decides when a failing closure is caught.  Stops
+    once more than ``cap`` sets are found, returning them unsorted.
     """
     after = {e: tuple(candidates[i + 1:]) for i, e in enumerate(candidates)}
     found = []
@@ -250,17 +260,27 @@ def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
 
     By Foulis-Holland each atom a splits into a ^ e and a ^ e', and the
     nonzero parts are the atoms of the closure, whose elements are their
-    joins.  A new atom below e is returned as the witness as soon as it
-    appears; otherwise the joins are formed by doubling and checked.
+    joins.  A new atom earlier than e in L's linear extension (``_ranked``)
+    is returned as the witness as soon as it appears; otherwise the joins
+    are formed by doubling.
+
+    Every closure built passes the canonicity test.  A join of old parts
+    (unsplit atoms) is in s, so each new element w lies above a new part
+    p = a ^ e or a ^ e', and in a linear extension p <= w puts p no later
+    than w.  So a new w earlier than e has a new p earlier than e, which
+    the parts loop returned before any join was formed.
     """
+    earlier = L._earlier[e]
     meet_e, meet_o, join = L._meet[e], L._meet[L.ortho[e]], L._join
     parts = []
     for a in atoms:
         t, u = meet_e[a], meet_o[a]
         if not (t and u):
             parts.append(a)
-        elif t < e or u < e:
-            return min(t, u)
+        elif earlier >> t & 1:
+            return t
+        elif earlier >> u & 1:
+            return u
         else:
             parts += (t, u)
     members = [0]
@@ -270,9 +290,6 @@ def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
     mask = 0
     for x in members:
         mask |= 1 << x
-    new_below = mask & ~s & (1 << e) - 1
-    if new_below:
-        return new_below.bit_length() - 1
     return mask, parts
 
 
@@ -385,13 +402,15 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     """Enumerate Sub(L) (or BSub(L) with ``boolean_only``) as a poset.
 
     Close-by-One over the subalgebra closure, with each closure built
-    incrementally from its already closed parent.  For BSub of an
-    orthomodular L an element is added only if it commutes with every
-    element already present: by Foulis-Holland the result is then Boolean,
-    and every Boolean subalgebra is reached that way.  Such a node is kept
-    as its atoms: e commutes with each atom a, so a = (a ^ e) v (a ^ e'),
-    and the nonzero parts are the child's atoms (``_split_closure``).  For other
-    ortholattices each closure is tested with ``is_boolean``.
+    incrementally from its already closed parent, over L's linear extension
+    ``_ranked``: a closure fails the canonicity test when it adds an element
+    earlier in that order.  For BSub of an orthomodular L an element is
+    added only if it commutes with every element already present: by
+    Foulis-Holland the result is then Boolean, and every Boolean subalgebra
+    is reached that way.  Such a node is kept as its atoms: e commutes with
+    each atom a, so a = (a ^ e) v (a ^ e'), and the nonzero parts are the
+    child's atoms (``_split_closure``).  For other ortholattices each
+    closure is tested with ``is_boolean``.
 
     Sub(L) is the product of its horizontal summands' Sub, so the search
     runs once per summand (``_summands``) and the node masks are the ORs of
@@ -402,6 +421,16 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     subalgebra is such a union.  This holds in any ortholattice.  A
     four-element block {0, a, a', 1} is a 2^2 summand, and MO_k is k of
     them; a connected L is one summand and gets one search.
+
+    A summand of an orthomodular L is Boolean exactly when it has 2^k
+    elements, counting 0 and 1, with k its atoms.  A finite OML is
+    atomistic, so its elements have distinct sets of atoms below them, and
+    2^k elements take every set.  Two atoms a, b that are not orthogonal
+    would leave a third atom below a v b, under a' ^ (a v b), which is
+    nonzero by orthomodularity; so the atoms are orthogonal and generate
+    the whole summand as a Boolean algebra.  All its subalgebras are then
+    Boolean and commute with every element, so Sub of such a summand runs
+    the atom-splitting closure with no commutation filter.
 
     The inclusion order is the product of the summands' orders too, since
     their masks share only the bottom.  So each summand's rows come from
@@ -416,15 +445,16 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     """
     cap = _node_cap(cap)
     bottom = L.closure_mask(0)
-    state = list(bits(bottom))
-    extend_closed = L._extend
+    # the bottom's members, and its atoms: the top alone
+    state, top = list(bits(bottom)), [L.n - 1]
+    extend_closed, earlier = L._extend, L._earlier
 
     if not boolean_only:
         def extend(s, members, e):
-            return extend_closed(s, members, (e,), e)
+            return extend_closed(s, members, (e,), earlier[e])
     elif L.is_orthomodular:
         commuting = L.commuting
-        state = [L.n - 1]
+        state = top
 
         def extend(s, atoms, e):
             if s & ~commuting[e]:
@@ -432,20 +462,24 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
             return _split_closure(L, s, atoms, e)
     else:
         def extend(s, members, e):
-            child = extend_closed(s, members, (e,), e)
+            child = extend_closed(s, members, (e,), earlier[e])
             if child.__class__ is tuple and not L.is_boolean(child[0]):
                 return None
             return child
 
-    # an element above its complement drags that smaller complement in
-    candidates = [e for e in range(L.n) if L.ortho[e] > e]
+    # an element later than its complement drags that complement in
+    candidates = [e for e in L._ranked if not earlier[e] >> L.ortho[e] & 1]
+    split = not boolean_only and L.is_orthomodular
     # a Boolean subalgebra lies in one summand: BSub is no product
     parts, count = [], 1
     for part in [L.universe] if boolean_only else _summands(L):
         # the product so far times this summand's count stays within cap
         budget = cap // count
+        search, start = extend, state
+        if split and part.bit_count() + 2 == 1 << (part & L.cover_up[0]).bit_count():
+            search, start = partial(_split_closure, L), top
         found = close_by_one([e for e in candidates if part >> e & 1],
-                             bottom, state, extend, budget)
+                             bottom, start, search, budget)
         if len(found) > budget:
             raise ExplosionCap(
                 f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "

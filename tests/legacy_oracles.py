@@ -25,7 +25,9 @@ invariants in front of the isomorphism search.
 the library sets the cones of a and a' untested and tests each pair
 {b, b'} once for the pair {a, a'}.  ``legacy_bsub_close_by_one`` is the
 BSub search as it was before its nodes carried their atoms: each child
-closed by the semi-naive meet closure ``L._extend``.
+closed by the semi-naive meet closure ``L._extend``.  It runs over any
+element order, such as ``rank_order``, the linear extension the library
+searches over.
 ``legacy_permuted`` renamed each row through ``mask_of`` over ``bits``.
 
 ``legacy_close_by_one``, ``legacy_inclusion_rows`` and ``legacy_transpose``
@@ -227,15 +229,30 @@ def legacy_commuting(L):
     return tuple(out)
 
 
-def legacy_bsub_close_by_one(L, cap=100000):
+def rank_order(L):
+    """L's elements by down-cone size, ties by index: a linear extension."""
+    return sorted(range(L.n), key=lambda a: (bin(L.down[a]).count("1"), a))
+
+
+def earlier_sets(order):
+    """earlier[e]: the bit set of the elements before e in ``order``."""
+    earlier = [0] * len(order)
+    for i, e in enumerate(order):
+        earlier[e] = mask_of(order[:i])
+    return earlier
+
+
+def legacy_bsub_close_by_one(L, order, cap=100000):
     """The BSub(L) masks of an orthomodular L in the order Close-by-One
-    finds them, unsorted, each child closed with ``L._extend``."""
+    finds them over the element order ``order``, unsorted, each child
+    closed with ``L._extend``."""
     commuting = legacy_commuting(L)
+    earlier = earlier_sets(order)
 
     def extend(s, members, e):
-        return None if s & ~commuting[e] else L._extend(s, members, (e,), e)
+        return None if s & ~commuting[e] else L._extend(s, members, (e,), earlier[e])
 
-    candidates = [e for e in range(L.n) if L.ortho[e] > e]
+    candidates = [e for e in order if not earlier[e] >> L.ortho[e] & 1]
     bottom = L.closure_mask(0)
     return close_by_one(candidates, bottom, list(bits(bottom)), extend, cap)
 
@@ -310,8 +327,9 @@ def legacy_enumerate_subalgebras(L, boolean_only=False, cap=100000):
     unsorted masks found once more than ``cap`` were."""
 
     def closed(s, members, e):
-        # L._extend now returns a witness where it returned None
-        child = L._extend(s, members, (e,), e)
+        # L._extend now returns a witness where it returned None, and it
+        # takes the elements before e as a bit set
+        child = L._extend(s, members, (e,), (1 << e) - 1)
         return child if isinstance(child, tuple) else None
 
     if not boolean_only:

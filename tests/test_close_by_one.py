@@ -4,11 +4,16 @@ The oracles in ``legacy_oracles`` are the algorithms Close-by-One replaced,
 and Close-by-One itself as it was before failed closures left witnesses;
 the enumerator must reproduce their node masks, inclusion rows and
 orthocomplement tables exactly, on catalog lattices and under relabeling,
-and must close at most half as many sets as the plain Close-by-One.  BSub
-of an orthomodular lattice closes on atoms: each such closure must be the
-closure operator's or leave a valid witness, the search must find its nodes
-in the order the meet closure did, and the commutation rows it filters by
-must match the pairwise test.  Sub of a horizontal sum is the product of its
+and must close at most half as many sets as the plain Close-by-One.  The
+search runs over a linear extension of L (by down-cone size, ties by
+index): over index order it must find the same nodes.  BSub of an
+orthomodular lattice, and Sub of each Boolean summand of one, close on
+atoms: each such closure must be the closure operator's or leave a witness
+earlier in the order, every one whose joins are formed must be a node, the
+search must find its nodes in the order the meet closure does over the
+same order, and the commutation rows BSub filters by must match the
+pairwise test.  Sub must split atoms exactly in the summands whose
+elements all commute.  Sub of a horizontal sum is the product of its
 summands' Sub: the summands must be the components of the pairwise
 relation, and the cap must stop the product with the legacy text.  Its
 rows are composed from the summands' rows: they must equal the transpose of
@@ -27,6 +32,8 @@ from legacy_oracles import (
     legacy_enumerate_subalgebras,
     legacy_orthoclosed,
     legacy_summands,
+    earlier_sets,
+    rank_order,
     subset_scan_orthoclosed,
 )
 
@@ -50,7 +57,7 @@ from omlkit import (
     sub,
 )
 from omlkit import subalgebra_posets
-from omlkit.lattice_core import bits
+from omlkit.lattice_core import bits, mask_of
 from omlkit.subalgebra_posets import (
     _COMPOSE_ABOVE,
     _split_closure,
@@ -79,6 +86,8 @@ def _lattice(name):
               "MO2x2^2": lambda: product(mo(2), boolean_algebra(2)),
               "MO2xMO2": lambda: product(mo(2), mo(2)),
               "example22x2^1": lambda: product(catalog("example22"), boolean_algebra(1)),
+              "hsum(example22,2^3,MO2)": lambda: horizontal_sum(
+                  [catalog("example22"), boolean_algebra(3), mo(2)]),
               "hsum(benzene,2^2,benzene)": lambda: horizontal_sum(
                   [catalog("benzene"), boolean_algebra(2), catalog("benzene")])}
     return beyond[name]() if name in beyond else catalog(name)
@@ -138,7 +147,7 @@ def test_sub_of_large_lattices_matches_legacy_close_by_one(name):
 def test_bsub_of_a_non_orthomodular_lattice_meets_witnesses_and_rejections():
     # not orthomodular, so each BSub closure is tested with is_boolean: the
     # search sees children, witnesses and rejections (benzene alone, with
-    # every complement pair tried from its lower element, sees no witness)
+    # every complement pair tried from its earlier element, sees no witness)
     L = product(catalog("benzene"), boolean_algebra(2))
     seen = {"witness": 0, "rejected": 0}
     closure, is_boolean = L._extend, L.is_boolean
@@ -186,7 +195,8 @@ def test_bsub_matches_legacy_where_blocks_share_atoms(name):
 @pytest.mark.parametrize("name", OMLS + ["MO2x2^2", "MO2xMO2", "example22x2^1", "2^6"])
 def test_atom_splitting_finds_nodes_in_the_order_of_the_meet_closure(name, monkeypatch):
     # witnesses only skip closures that fail, so the depth-first order of
-    # the nodes found is the same whichever closure runs
+    # the nodes found is the same whichever closure runs over the same
+    # element order: L's linear extension by down-cone size
     found = []
 
     def recorded(*args):
@@ -198,7 +208,7 @@ def test_atom_splitting_finds_nodes_in_the_order_of_the_meet_closure(name, monke
     base = _lattice(name)
     for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
         enumerate_subalgebras(L, boolean_only=True)
-        assert found.pop() == legacy_bsub_close_by_one(L)
+        assert found.pop() == legacy_bsub_close_by_one(L, rank_order(L))
 
 
 def _atoms(L, s):
@@ -209,11 +219,13 @@ def _atoms(L, s):
                                   "MO2x2^2", "MO2xMO2"])
 def test_split_closure_is_the_closure_or_a_witness(name):
     # for every BSub node s and every e commuting with s: the closure of
-    # s + e with its atoms if it adds nothing below e, else such an element
+    # s + e with its atoms if it adds nothing before e in L's linear
+    # extension, else such an element
     base = _lattice(name)
     outcomes = set()
     for L in (base, _inner_relabeling(base, 1)):
         commuting = legacy_commuting(L)
+        earlier = earlier_sets(rank_order(L))
         for s in legacy_enumerate_subalgebras(L, True)[0]:
             atoms = _atoms(L, s)
             for e in bits(L.universe & ~s):
@@ -223,10 +235,10 @@ def test_split_closure_is_the_closure_or_a_witness(name):
                 got = _split_closure(L, s, atoms, e)
                 outcomes.add(got.__class__)
                 if got.__class__ is tuple:
-                    assert not closed & ~s & (1 << e) - 1
+                    assert not closed & ~s & earlier[e]
                     assert got[0] == closed and sorted(got[1]) == _atoms(L, closed)
                 else:
-                    assert got < e and not s >> got & 1 and closed >> got & 1
+                    assert earlier[e] >> got & 1 and not s >> got & 1 and closed >> got & 1
     assert outcomes == {tuple, int}
 
 
@@ -360,9 +372,9 @@ def _counting_extend(L, run):
     calls = []
     closure = L._extend
 
-    def counted(mask, members, new, floor=0):
+    def counted(mask, members, new, earlier=0):
         calls.append(tuple(new))
-        return closure(mask, members, new, floor)
+        return closure(mask, members, new, earlier)
 
     L._extend = counted
     try:
@@ -371,45 +383,136 @@ def _counting_extend(L, run):
         del L._extend
 
 
-PRUNED = [("hsum(2^4,2^4)", False), ("2^6", True)]
-
-
-@pytest.mark.parametrize("name, boolean_only", PRUNED, ids=["sub", "bsub"])
-def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, monkeypatch):
-    L = _lattice(name)
-    split_calls = []
+def _counting_split(monkeypatch):
+    """The (e, result, s) of each _split_closure call, as they are made."""
+    calls = []
 
     def split(L, s, atoms, e):
-        split_calls.append((e,))
-        return _split_closure(L, s, atoms, e)
+        got = _split_closure(L, s, atoms, e)
+        calls.append((e, got, s))
+        return got
 
     monkeypatch.setattr(subalgebra_posets, "_split_closure", split)
+    return calls
+
+
+PRUNED = [("hsum(2^4,2^4)", False), ("2^6", True)]
+# Sub of a lattice that is not a Boolean algebra closes through L._extend
+MEET_CLOSED = [("MO2xMO2", False), ("example22x2^1", False)]
+
+
+@pytest.mark.parametrize("name, boolean_only", PRUNED + MEET_CLOSED,
+                         ids=["sub", "bsub", "sub-MO2xMO2", "sub-example22x2^1"])
+def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, monkeypatch):
+    L = _lattice(name)
+    split_calls = _counting_split(monkeypatch)
     poset, calls = _counting_extend(
         L, lambda: enumerate_subalgebras(L, boolean_only=boolean_only))
     (masks, _, _), legacy_calls = _counting_extend(
         L, lambda: legacy_enumerate_subalgebras(L, boolean_only))
     assert [node.members for node in poset.nodes] == masks
     assert calls[0] == (0, L.n - 1)
-    if boolean_only:
-        # past the bottom, an orthomodular L's BSub nodes close on their
-        # atoms, never through L._extend
+    if (name, boolean_only) in PRUNED:
+        # past the bottom, BSub of an orthomodular L and Sub of its Boolean
+        # summands close on atoms, never through L._extend
         assert calls == [(0, L.n - 1)] and split_calls
-        calls += split_calls
     else:
-        assert not split_calls
+        assert not split_calls and len(calls) > 1
+    calls += [(e,) for e, *_ in split_calls]
     assert len(calls) <= len(legacy_calls) // 2
-    # past the closure of the bottom, no element above its complement is tried
-    assert all(L.ortho[e] > e for e, in calls[1:])
+    # past the closure of the bottom, no element later than its complement
+    # in L's linear extension is tried
+    earlier = earlier_sets(rank_order(L))
+    assert all(not earlier[e] >> L.ortho[e] & 1 for e, in calls[1:])
 
 
-def test_a_horizontal_sum_closes_once_per_summand():
+def test_a_horizontal_sum_closes_once_per_summand(monkeypatch):
     # past the bottom, Sub(hsum(2^4,2^4)) makes just the closures of two
     # searches of Sub(2^4); one search over the whole sum closes mixed sets
     L, B = _lattice("hsum(2^4,2^4)"), boolean_algebra(4)
+    split_calls = _counting_split(monkeypatch)
     _, calls = _counting_extend(L, lambda: sub(L))
+    calls += split_calls
+    split_calls.clear()
     _, one = _counting_extend(B, lambda: sub(B))
+    one += split_calls
     assert calls[0] == (0, L.n - 1) and one[0] == (0, B.n - 1)
     assert len(calls) - 1 == 2 * (len(one) - 1)
+
+
+@pytest.mark.parametrize("name", OMLS + ["MO10", "MO2xMO2", "example22x2^1",
+                                         "hsum(example22,2^3,MO2)"])
+def test_sub_splits_atoms_exactly_in_the_summands_that_commute(name, monkeypatch):
+    # a summand is Boolean when all its elements commute; on an OML that is
+    # when it has 2^k elements, 0 and 1 counted, k its atoms.  Sub closes
+    # such a summand's sets on atoms, and every other summand's with L._extend
+    split_calls = _counting_split(monkeypatch)
+    base = _lattice(name)
+    for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
+        split_calls.clear()
+        _, calls = _counting_extend(L, lambda: sub(L))
+        commuting = legacy_commuting(L)
+        split = mask_of(e for e, *_ in split_calls)
+        meet_closed = mask_of(e for e, in calls[1:])
+        for part in legacy_summands(L):
+            boolean = all(part & ~commuting[e] == 0 for e in bits(part))
+            atoms = len(set(bits(part)) & set(L.atoms()))
+            assert boolean == (len(list(bits(part))) + 2 == 2 ** atoms)
+            assert bool(split & part) == boolean and bool(meet_closed & part) != boolean
+
+
+@pytest.mark.parametrize("name, boolean_only", [
+    ("2^6", False), ("2^6", True), ("hsum(2^5,2^5)", False), ("hsum(2^5,2^5)", True),
+    ("MO2xMO2", True), ("example22x2^1", True)])
+def test_every_built_split_closure_is_a_node(name, boolean_only, monkeypatch):
+    # in a linear extension a failing split closure is caught among its
+    # parts, so each closure whose joins are formed is a node: every node
+    # but the bottom of each search is built once, and nothing else is
+    split_calls = _counting_split(monkeypatch)
+    found, _ = _searched(monkeypatch)
+    base = _lattice(name)
+    for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
+        split_calls.clear()
+        found.clear()
+        enumerate_subalgebras(L, boolean_only=boolean_only)
+        earlier = earlier_sets(rank_order(L))
+        built = [(e, got[0], s) for e, got, s in split_calls if got.__class__ is tuple]
+        nodes = [m for _, as_found in found for m in as_found[1:]]
+        assert sorted(mask for _, mask, _ in built) == sorted(nodes)
+        # none adds an element earlier than e: a test after the build would never fire
+        assert all(not mask & ~s & earlier[e] for e, mask, s in built)
+        # the rest were caught among their parts
+        assert all(earlier[e] >> got & 1 for e, got, _ in split_calls if got.__class__ is int)
+
+
+def _index_and_rank_searches(L, boolean_only):
+    """The sorted nodes close_by_one finds with the meet closure over index
+    order and over L's linear extension."""
+    commuting = legacy_commuting(L) if boolean_only else None
+    bottom = L.closure_mask(0)
+    out = []
+    for order in (list(range(L.n)), rank_order(L)):
+        earlier = earlier_sets(order)
+
+        def extend(s, members, e):
+            if boolean_only and s & ~commuting[e]:
+                return None
+            return L._extend(s, members, (e,), earlier[e])
+
+        candidates = [e for e in order if not earlier[e] >> L.ortho[e] & 1]
+        out.append(sorted(close_by_one(candidates, bottom, list(bits(bottom)), extend, 10**6)))
+    return out
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_close_by_one_over_index_and_rank_order_finds_the_same_nodes(name):
+    base = _lattice(name)
+    for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
+        for boolean_only in (False, True) if L.is_orthomodular else (False,):
+            by_index, by_rank = _index_and_rank_searches(L, boolean_only)
+            assert by_index == by_rank
+            poset = enumerate_subalgebras(L, boolean_only=boolean_only)
+            assert by_rank == [node.members for node in poset.nodes]
 
 
 @pytest.mark.parametrize("name, boolean_only", PRUNED, ids=["sub", "bsub"])
@@ -422,7 +525,7 @@ def test_witnesses_alone_halve_the_closures(name, boolean_only):
         calls[key] += 1
         if boolean_only and s & ~L.commuting[e]:
             return None
-        child = L._extend(s, members, (e,), e)
+        child = L._extend(s, members, (e,), (1 << e) - 1)
         return child if key == "new" or isinstance(child, tuple) else None
 
     bottom = L.closure_mask(0)

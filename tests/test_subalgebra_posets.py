@@ -240,7 +240,7 @@ def test_node_cap_env(monkeypatch):
     with pytest.raises(ExplosionCap, match=r"more than 2 subalgebras \(stopped at 3 nodes\)"):
         enumerate_subalgebras(boolean_algebra(3))
     monkeypatch.setenv("OMLKIT_NODE_CAP", "junk")
-    with pytest.raises(MalformedInput):
+    with pytest.raises(MalformedInput, match="OMLKIT_NODE_CAP must be an integer, got 'junk'"):
         enumerate_subalgebras(boolean_algebra(3))
     # a cap below one node could only end in a meaningless ExplosionCap
     for raw in ("0", "-3"):
@@ -248,6 +248,22 @@ def test_node_cap_env(monkeypatch):
         with pytest.raises(MalformedInput, match=rf"OMLKIT_NODE_CAP must be a positive "
                                                  rf"integer, got '{raw}'"):
             enumerate_subalgebras(boolean_algebra(3))
+
+
+@pytest.mark.parametrize("cap, text", [
+    (0, "cap must be a positive integer, got 0"),
+    (-1, "cap must be a positive integer, got -1"),
+    (1.5, "cap must be an integer, got 1.5"),
+    (True, "cap must be an integer, got True"),
+    ("3", "cap must be an integer, got '3'"),
+], ids=["zero", "negative", "float", "bool", "string"])
+def test_node_cap_argument_is_a_positive_integer(cap, text, monkeypatch):
+    # in the words of the OMLKIT_NODE_CAP path, which a given cap overrides
+    monkeypatch.setenv("OMLKIT_NODE_CAP", "100")
+    for boolean_only in (False, True):
+        with pytest.raises(MalformedInput) as exc:
+            enumerate_subalgebras(boolean_algebra(3), boolean_only=boolean_only, cap=cap)
+        assert str(exc.value) == text
 
 
 def test_subalgebra_poset_needs_the_trivial_subalgebra_first():
