@@ -76,6 +76,16 @@ class _Order:
         self.size = len(self.up)
         self.down = _order_down(self.up)
 
+    @classmethod
+    def _trusted(cls, up: Sequence[int], down: Sequence[int]):
+        """The order with rows ``up`` and ``down``, unchecked: only for rows
+        derived from an order already checked, or built as one, by a
+        derivation that says why they are an order.  Data from outside goes
+        through the constructor."""
+        self = cls.__new__(cls)
+        self.up, self.size, self.down = tuple(up), len(up), tuple(down)
+        return self
+
     @staticmethod
     def _read_pairs(size: int, pairs: Iterable, noun: str) -> list[int]:
         """The ``up`` rows of the (lower, upper) ``pairs`` on 0..size-1: two
@@ -282,7 +292,19 @@ class FiniteOrtholattice(_Order):
         return self.ortho[a]
 
     def atoms(self) -> tuple[int, ...]:
-        return tuple(bits(self.cover_up[0]))
+        return tuple(bits(self._atoms))
+
+    @cached_property
+    def _atoms(self) -> int:
+        """The bit set of the atoms, the covers of 0, found as ``_covers``
+        finds one row's, without every element's covers."""
+        up = self.up
+        cov = rest = up[0] ^ 1
+        while rest:
+            low = rest & -rest
+            cov &= ~up[low.bit_length() - 1] | low
+            rest &= cov ^ low
+        return cov
 
     def coatoms(self) -> tuple[int, ...]:
         return tuple(bits(self.cover_down[self.n - 1]))
@@ -341,11 +363,13 @@ class FiniteOrtholattice(_Order):
             raise FlavorError("commutation is only defined on orthomodular lattices")
         up, down, ortho, meet, join = self.up, self.down, self.ortho, self._meet, self._join
         out = [up[a] | down[a] | up[o] | down[o] for a, o in enumerate(ortho)]
+        # each pair {b, b'} is tested from its lesser element
+        lesser = sum([1 << b for b, c in enumerate(ortho) if b < c])
         for a, (o, row) in enumerate(zip(ortho, meet)):
             # the pairs below a were tested from their side
-            for b in bits(self.universe & ~out[a] & -(2 << a) if a < o else 0):
+            for b in bits(lesser & ~out[a] & -(2 << a) if a < o else 0):
                 c = ortho[b]
-                if b < c and join[row[b]][row[c]] == a:
+                if join[row[b]][row[c]] == a:
                     out[a] |= 1 << b | 1 << c
                     out[b] |= 1 << a | 1 << o
         return tuple(out[min(a, o)] for a, o in enumerate(ortho))

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import Inconsistent, MalformedInput, NotBoolean
 from .lattice_core import FiniteOrtholattice, SubalgebraSet, _Record, bits
-from .subalgebra_posets import AbstractPoset, SubalgebraPoset
+from .subalgebra_posets import AbstractPoset, SubalgebraPoset, _joins, _set_partitions
 
 
 def is_boolean_algebra(L: FiniteOrtholattice) -> bool:
@@ -193,8 +193,8 @@ def subalgebra_to_partition(B: FiniteOrtholattice, x) -> Partition:
 def partition_to_subalgebra(B: FiniteOrtholattice, p: Partition) -> SubalgebraSet:
     """The subalgebra whose atoms are the joins of the partition blocks.
 
-    Its elements are the joins of sets of block joins, formed by doubling:
-    each block join is joined to every element found before it."""
+    Its elements are the joins of sets of block joins, formed by doubling
+    (``_joins``)."""
     _require_boolean(B)
     atoms = B.atoms()
     if p.universe != frozenset(range(1, len(atoms) + 1)):
@@ -205,11 +205,7 @@ def partition_to_subalgebra(B: FiniteOrtholattice, p: Partition) -> SubalgebraSe
         for i in blk:
             v = B.join(v, atoms[i - 1])
         block_join.append(v)
-    members = [0]
-    for v in block_join:
-        row = B._join[v]
-        members += [row[x] for x in members]
-    return B.subalgebra(members)
+    return B.subalgebra(_joins(B, block_join))
 
 
 def partition_lattice(n: int) -> tuple[AbstractPoset, tuple[Partition, ...]]:
@@ -220,21 +216,15 @@ def partition_lattice(n: int) -> tuple[AbstractPoset, tuple[Partition, ...]]:
     """
     if n < 1:
         raise MalformedInput("partition lattice needs n >= 1")
-    # restricted growth (Knuth, TAOCP 4A, 7.2.1.5): element i joins one of
-    # the blocks so far or opens a new one, so blocks stay in canonical order
-    blockings = [()]
-    for i in range(1, n + 1):
-        blockings = [b[:k] + (b[k] + (i,),) + b[k + 1:] if k < len(b) else b + ((i,),)
-                     for b in blockings for k in range(len(b) + 1)]
-    parts = sorted((Partition(b) for b in blockings), key=lambda p: p.blocks)
-    rows = []
-    for p in parts:
-        row = 0
+    parts = sorted(map(Partition, _set_partitions(range(1, n + 1))), key=lambda p: p.blocks)
+    up, down = [0] * len(parts), [0] * len(parts)
+    for i, p in enumerate(parts):
         for j, q in enumerate(parts):
             if p.refines(q):
-                row |= 1 << j
-        rows.append(row)
-    return AbstractPoset(rows), tuple(parts)
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    # refinement is a partial order on partitions
+    return AbstractPoset._trusted(up, down), tuple(parts)
 
 
 # -- lifting a subalgebra-lattice isomorphism --------------------------------

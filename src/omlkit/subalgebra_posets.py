@@ -1,24 +1,27 @@
 """Enumeration of subalgebra families and the order theory they live in.
 
 Sub(L) is the family of all subalgebras of a finite ortholattice, BSub(L)
-the family of Boolean ones, both ordered by inclusion.  Enumeration is a
-depth-first Close-by-One search from {0,1} (for Sub, one per horizontal
-summand) that lists each subalgebra once and closes each new set
-incrementally from its parent.  Its canonicity test asks whether a closure
-adds an element earlier in a linear extension of L (by down-cone size);
-a Boolean subalgebra closes by splitting its atoms, and every such closure
-that gets as far as its joins is a new node.  Posets come out with nodes
-sorted ascending by bit-set value, so identical inputs give identical
-output, byte for byte, whatever order the search found them in.
-The inclusion rows of Sub of a horizontal sum are composed from the
-summands' own rows; a product of at most 64 nodes, a connected lattice and
-BSub are transposed from their masks in one pass.
+the family of Boolean ones, both ordered by inclusion.  Both are
+enumerated one horizontal summand at a time: Sub(L) is the product of the
+summands' Sub, BSub(L) the union of their BSub glued at {0,1}.  A Boolean
+summand of an orthomodular L needs no search: its subalgebras are read off
+the set partitions of its atoms (Sachs).  Any other summand is searched
+depth first by Close-by-One from {0,1}, which lists each subalgebra once
+and closes each new set incrementally from its parent.  Its canonicity
+test asks whether a closure adds an element earlier in a linear extension
+of L (by down-cone size); a Boolean subalgebra closes by splitting its
+atoms, and every such closure that gets as far as its joins is a new node.
+Posets come out with nodes sorted ascending by bit-set value, so identical
+inputs give identical output, byte for byte, whatever order they were
+found in.  The inclusion rows of Sub of a horizontal sum are composed from
+the summands' own rows; a product of at most 64 nodes, a connected lattice
+and BSub are transposed from their masks in one pass.
 """
 
 from __future__ import annotations
 
 import os
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress
 from operator import and_
 from typing import Iterator, Optional, Sequence
@@ -38,6 +41,7 @@ from .lattice_core import (
     _Order,
     _order_isos,
     _permuted,
+    _POINTS,
     bits,
 )
 
@@ -121,20 +125,25 @@ class AbstractPoset(_Order):
         relabeled node i.
         """
         below = self.down[self._node(x)]
-        return AbstractPoset(_induced(self.up, below)), tuple(bits(below))
+        # an order restricted to a subset is an order
+        return (AbstractPoset._trusted(_induced(self.up, below), _induced(self.down, below)),
+                tuple(bits(below)))
 
     def dual(self) -> "AbstractPoset":
-        return AbstractPoset(self.down)
+        # the converse of an order is an order
+        return AbstractPoset._trusted(self.down, self.up)
 
     def relabel(self, perm: Sequence[int]) -> "AbstractPoset":
         perm = tuple(perm)
         if not self._is_permutation(perm):
             raise MalformedInput("relabeling is not a permutation")
-        return AbstractPoset(_permuted(self.up, perm))
+        # an order with its points renamed one-to-one is an order
+        return AbstractPoset._trusted(_permuted(self.up, perm), _permuted(self.down, perm))
 
     def as_abstract(self) -> "AbstractPoset":
         """A plain copy with any subalgebra decoration dropped."""
-        return AbstractPoset(self.up)
+        # a copy of an order is an order
+        return AbstractPoset._trusted(self.up, self.down)
 
 
 class SubalgebraPoset(AbstractPoset):
@@ -144,16 +153,6 @@ class SubalgebraPoset(AbstractPoset):
                  nodes: Sequence[SubalgebraSet], flavor: str):
         super().__init__(up)
         self._attach(owner, nodes, flavor)
-
-    @classmethod
-    def _enumerated(cls, up: Sequence[int], down: Sequence[int], owner: FiniteOrtholattice,
-                    nodes: Sequence[SubalgebraSet], flavor: str) -> "SubalgebraPoset":
-        """The poset ``enumerate_subalgebras`` built, without validating the
-        order: the inclusion order of distinct sets is always a partial order."""
-        self = cls.__new__(cls)
-        self.up, self.size, self.down = tuple(up), len(up), tuple(down)
-        self._attach(owner, nodes, flavor)
-        return self
 
     def _attach(self, owner: FiniteOrtholattice, nodes: Sequence[SubalgebraSet], flavor: str):
         self.owner = owner
@@ -254,6 +253,33 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     return up, down
 
 
+def _joins(L: FiniteOrtholattice, parts: Sequence[int]) -> int:
+    """The bit set of the joins of every subset of ``parts``, nonzero and
+    pairwise orthogonal, formed by doubling: each part is joined to every
+    join found before it.  For the atoms of a Boolean subalgebra that is
+    the subalgebra.  A part a orthogonal to a set B lies below (v B)', so
+    a <= v B would make a = 0: the joins are distinct, and their bits' sum
+    is their union."""
+    join = L._join
+    members = [0]
+    for t in parts:
+        row = join[t]
+        members += [row[x] for x in members]
+    return sum([_POINTS[x] for x in members])
+
+
+def _set_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
+    """Every partition of ``items`` into blocks, each once, the one-block
+    partition first.  Restricted growth (Knuth, TAOCP 4A, 7.2.1.5): each
+    item joins one of the blocks so far or opens a new one, so the blocks
+    keep the items' order and come in order of their first items."""
+    out = [()]
+    for x in items:
+        out = [b[:k] + (b[k] + (x,),) + b[k + 1:] if k < len(b) else b + ((x,),)
+               for b in out for k in range(len(b) + 1)]
+    return out
+
+
 def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
     """``close_by_one``'s extension of the Boolean subalgebra s, with atoms
     ``atoms``, by an element e that commutes with all of s.
@@ -262,7 +288,7 @@ def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
     nonzero parts are the atoms of the closure, whose elements are their
     joins.  A new atom earlier than e in L's linear extension (``_ranked``)
     is returned as the witness as soon as it appears; otherwise the joins
-    are formed by doubling.
+    are formed by doubling (``_joins``).
 
     Every closure built passes the canonicity test.  A join of old parts
     (unsplit atoms) is in s, so each new element w lies above a new part
@@ -271,7 +297,7 @@ def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
     the parts loop returned before any join was formed.
     """
     earlier = L._earlier[e]
-    meet_e, meet_o, join = L._meet[e], L._meet[L.ortho[e]], L._join
+    meet_e, meet_o = L._meet[e], L._meet[L.ortho[e]]
     parts = []
     for a in atoms:
         t, u = meet_e[a], meet_o[a]
@@ -283,14 +309,73 @@ def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
             return u
         else:
             parts += (t, u)
-    members = [0]
-    for t in parts:
-        row = join[t]
-        members += [row[x] for x in members]
-    mask = 0
-    for x in members:
-        mask |= 1 << x
-    return mask, parts
+    return _joins(L, parts), parts
+
+
+def _partition_masks(L: FiniteOrtholattice, atoms: Sequence[int], budget: int) -> list[int]:
+    """The subalgebras of a Boolean summand with atoms ``atoms``, as masks,
+    the bottom first; at most budget + 1 of them.
+
+    By Sachs each is the subalgebra whose atoms are the block joins of one
+    set partition of the summand's atoms, and distinct partitions give
+    distinct subalgebras, so nothing is searched and nothing is rejected.
+    """
+    join = L._join
+    found = []
+    for blocks in _set_partitions(atoms):
+        parts = []
+        for block in blocks:
+            v = 0
+            for a in block:
+                v = join[v][a]
+            parts.append(v)
+        found.append(_joins(L, parts))
+        if len(found) > budget:
+            break
+    return found
+
+
+def _summand_search(L: FiniteOrtholattice, boolean_only: bool, bottom: int):
+    """Close-by-One from ``bottom`` over one summand's elements, as a
+    function of the summand (a mask) and the budget.
+
+    Sub closes each child with the meet closure ``L._extend``.  BSub of an
+    orthomodular L adds an element only if it commutes with every element
+    already present: by Foulis-Holland the result is then Boolean, and
+    every Boolean subalgebra is reached that way.  Such a node is kept as
+    its atoms: e commutes with each atom a, so a = (a ^ e) v (a ^ e'), and
+    the nonzero parts are the child's atoms (``_split_closure``).  BSub of
+    another ortholattice tests each closure with ``is_boolean``.
+    """
+    state = list(bits(bottom))
+    extend_closed, earlier = L._extend, L._earlier
+
+    if not boolean_only:
+        def extend(s, members, e):
+            return extend_closed(s, members, (e,), earlier[e])
+    elif L.is_orthomodular:
+        commuting = L.commuting
+        # the bottom's atoms: the top alone
+        state = [L.n - 1]
+
+        def extend(s, atoms, e):
+            if s & ~commuting[e]:
+                return None
+            return _split_closure(L, s, atoms, e)
+    else:
+        def extend(s, members, e):
+            child = extend_closed(s, members, (e,), earlier[e])
+            if child.__class__ is tuple and not L.is_boolean(child[0]):
+                return None
+            return child
+
+    ranked, ortho = L._ranked, L.ortho
+
+    def search(part: int, budget: int) -> list[int]:
+        # an element later than its complement drags that complement in
+        candidates = [e for e in ranked if part >> e & 1 and not earlier[e] >> ortho[e] & 1]
+        return close_by_one(candidates, bottom, state, extend, budget)
+    return search
 
 
 def _summands(L: FiniteOrtholattice) -> list[int]:
@@ -306,7 +391,7 @@ def _summands(L: FiniteOrtholattice) -> list[int]:
     """
     up, down, ortho = L.up, L.down, L.ortho
     inner = L.universe ^ 1 ^ 1 << L.n - 1
-    left = L.cover_up[0] & inner
+    left = L._atoms & inner
     out = []
     while left:
         part, todo = 0, left & -left
@@ -401,26 +486,18 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
                           cap: Optional[int] = None) -> SubalgebraPoset:
     """Enumerate Sub(L) (or BSub(L) with ``boolean_only``) as a poset.
 
-    Close-by-One over the subalgebra closure, with each closure built
-    incrementally from its already closed parent, over L's linear extension
-    ``_ranked``: a closure fails the canonicity test when it adds an element
-    earlier in that order.  For BSub of an orthomodular L an element is
-    added only if it commutes with every element already present: by
-    Foulis-Holland the result is then Boolean, and every Boolean subalgebra
-    is reached that way.  Such a node is kept as its atoms: e commutes with
-    each atom a, so a = (a ^ e) v (a ^ e'), and the nonzero parts are the
-    child's atoms (``_split_closure``).  For other ortholattices each
-    closure is tested with ``is_boolean``.
-
-    Sub(L) is the product of its horizontal summands' Sub, so the search
-    runs once per summand (``_summands``) and the node masks are the ORs of
-    one node of each.  A summand is closed under ' by definition; across
-    summands x ^ y = 0 and x v y = (x' ^ y')' = 1; and a meet of two
-    elements of a summand is 0 or lies below both, so in the summand.  So
-    a union of subalgebras, one of each summand, is a subalgebra, and every
-    subalgebra is such a union.  This holds in any ortholattice.  A
-    four-element block {0, a, a', 1} is a 2^2 summand, and MO_k is k of
-    them; a connected L is one summand and gets one search.
+    Each horizontal summand (``_summands``) is enumerated on its own.  A
+    summand is closed under ' by definition; across summands x ^ y = 0 and
+    x v y = (x' ^ y')' = 1; and a meet of two elements of a summand is 0
+    or lies below both, so in the summand.  So a union of subalgebras, one
+    of each summand, is a subalgebra, and every subalgebra is such a union:
+    Sub(L) is the product of the summands' Sub, its node masks the ORs of
+    one node of each.  A Boolean subalgebra lies in one summand: inner x
+    and y from different summands have x ^ y = 0 and x v y = 1, so in a
+    Boolean algebra y = x', which lies in x's summand.  So BSub(L) is the
+    union of the summands' BSub, glued at {0,1}.  This holds in any
+    ortholattice.  A four-element block {0, a, a', 1} is a 2^2 summand, and
+    MO_k is k of them; a connected L is one summand.
 
     A summand of an orthomodular L is Boolean exactly when it has 2^k
     elements, counting 0 and 1, with k its atoms.  A finite OML is
@@ -429,15 +506,19 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     would leave a third atom below a v b, under a' ^ (a v b), which is
     nonzero by orthomodularity; so the atoms are orthogonal and generate
     the whole summand as a Boolean algebra.  All its subalgebras are then
-    Boolean and commute with every element, so Sub of such a summand runs
-    the atom-splitting closure with no commutation filter.
+    Boolean, one per set partition of its atoms (Sachs), and both Sub and
+    BSub of it are read off the partitions (``_partition_masks``) with no
+    search.  Any other summand is searched by Close-by-One over L's linear
+    extension ``_ranked`` (``_summand_search``), each closure built
+    incrementally from its already closed parent.
 
-    The inclusion order is the product of the summands' orders too, since
-    their masks share only the bottom.  So each summand's rows come from
-    ``inclusion_rows`` on its own masks, and the rows of a product of more
-    than 64 nodes are composed from them in balanced halves
+    The inclusion order of Sub is the product of the summands' orders too,
+    since their masks share only the bottom.  So each summand's rows come
+    from ``inclusion_rows`` on its own masks, and the rows of a product of
+    more than 64 nodes are composed from them in balanced halves
     (``_product_order``, ``_compose``) instead of transposing every product
-    mask; a smaller product is multiplied out and transposed.
+    mask; a smaller product is multiplied out and transposed, as is the
+    union that is BSub.
 
     ``cap`` bounds the node count (default 100000, or the OMLKIT_NODE_CAP
     environment variable); going past it raises ExplosionCap, and no list
@@ -445,51 +526,34 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     """
     cap = _node_cap(cap)
     bottom = L.closure_mask(0)
-    # the bottom's members, and its atoms: the top alone
-    state, top = list(bits(bottom)), [L.n - 1]
-    extend_closed, earlier = L._extend, L._earlier
-
-    if not boolean_only:
-        def extend(s, members, e):
-            return extend_closed(s, members, (e,), earlier[e])
-    elif L.is_orthomodular:
-        commuting = L.commuting
-        state = top
-
-        def extend(s, atoms, e):
-            if s & ~commuting[e]:
-                return None
-            return _split_closure(L, s, atoms, e)
-    else:
-        def extend(s, members, e):
-            child = extend_closed(s, members, (e,), earlier[e])
-            if child.__class__ is tuple and not L.is_boolean(child[0]):
-                return None
-            return child
-
-    # an element later than its complement drags that complement in
-    candidates = [e for e in L._ranked if not earlier[e] >> L.ortho[e] & 1]
-    split = not boolean_only and L.is_orthomodular
-    # a Boolean subalgebra lies in one summand: BSub is no product
-    parts, count = [], 1
-    for part in [L.universe] if boolean_only else _summands(L):
-        # the product so far times this summand's count stays within cap
-        budget = cap // count
-        search, start = extend, state
-        if split and part.bit_count() + 2 == 1 << (part & L.cover_up[0]).bit_count():
-            search, start = partial(_split_closure, L), top
-        found = close_by_one([e for e in candidates if part >> e & 1],
-                             bottom, start, search, budget)
+    atoms = L._atoms
+    search = None
+    families, count = [], 1
+    for part in _summands(L):
+        # Sub's count so far times this summand's, or BSub's count plus
+        # this summand's nodes above the bottom, stays within cap
+        budget = cap - count + 1 if boolean_only else cap // count
+        inner_atoms = part & atoms
+        if L.is_orthomodular and part.bit_count() + 2 == 1 << inner_atoms.bit_count():
+            found = _partition_masks(L, list(bits(inner_atoms)), budget)
+        else:
+            search = search or _summand_search(L, boolean_only, bottom)
+            found = search(part, budget)
         if len(found) > budget:
             raise ExplosionCap(
                 f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
                 f"raise the cap with {NODE_CAP_ENV}")
-        parts.append(found)
-        count *= len(found)
+        families.append(found)
+        count = count + len(found) - 1 if boolean_only else count * len(found)
+    if boolean_only and len(families) > 1:
+        # each family lists the bottom first
+        families = [[bottom, *(m for found in families for m in found[1:])]]
     # 2^1 has no inner elements, so no summand: its Sub is the bottom alone
-    masks, up, down = _product_order(parts or [[bottom]])
-    nodes = [SubalgebraSet(L, m) for m in masks]
-    return SubalgebraPoset._enumerated(up, down, L, nodes, BSUB if boolean_only else SUB)
+    masks, up, down = _product_order(families or [[bottom]])
+    # the inclusion order of distinct sets is a partial order
+    poset = SubalgebraPoset._trusted(up, down)
+    poset._attach(L, [SubalgebraSet(L, m) for m in masks], BSUB if boolean_only else SUB)
+    return poset
 
 
 def sub(L: FiniteOrtholattice, **kw) -> SubalgebraPoset:

@@ -6,22 +6,27 @@ the enumerator must reproduce their node masks, inclusion rows and
 orthocomplement tables exactly, on catalog lattices and under relabeling,
 and must close at most half as many sets as the plain Close-by-One.  The
 search runs over a linear extension of L (by down-cone size, ties by
-index): over index order it must find the same nodes.  BSub of an
-orthomodular lattice, and Sub of each Boolean summand of one, close on
-atoms: each such closure must be the closure operator's or leave a witness
-earlier in the order, every one whose joins are formed must be a node, the
-search must find its nodes in the order the meet closure does over the
-same order, and the commutation rows BSub filters by must match the
-pairwise test.  Sub must split atoms exactly in the summands whose
-elements all commute.  Sub of a horizontal sum is the product of its
-summands' Sub: the summands must be the components of the pairwise
-relation, and the cap must stop the product with the legacy text.  Its
-rows are composed from the summands' rows: they must equal the transpose of
-the multiplied-out masks, and no product above the cut-off may be
-transposed whole unless its split leaves a side of at most two nodes.
+index): over index order it must find the same nodes.  Sub and BSub of a
+Boolean summand of an orthomodular lattice are read off the set partitions
+of its atoms, with no search: each such family must be the legacy nodes
+inside that summand, exactly the summands whose elements all commute must
+be read that way, and a sum of Boolean algebras must never read the
+commutation rows or the linear extension.  BSub of any other summand of an
+orthomodular lattice closes on atoms: each such closure must be the
+closure operator's or leave a witness earlier in the order, every one
+whose joins are formed must be a node, the search must find its nodes in
+the order the meet closure does over the same order, and the commutation
+rows BSub filters by must match the pairwise test.  Sub of a horizontal
+sum is the product of its summands' Sub, and BSub their union: the
+summands must be the components of the pairwise relation, and the cap must
+stop the product and the union with the legacy text.  Sub's rows are
+composed from the summands' rows: they must equal the transpose of the
+multiplied-out masks, and no product above the cut-off may be transposed
+whole unless its split leaves a side of at most two nodes.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from legacy_oracles import (
@@ -57,9 +62,10 @@ from omlkit import (
     sub,
 )
 from omlkit import subalgebra_posets
-from omlkit.lattice_core import bits, mask_of
+from omlkit.lattice_core import FiniteOrtholattice, bits, mask_of
 from omlkit.subalgebra_posets import (
     _COMPOSE_ABOVE,
+    _partition_masks,
     _split_closure,
     _summands,
     close_by_one,
@@ -192,23 +198,112 @@ def test_bsub_matches_legacy_where_blocks_share_atoms(name):
         _assert_matches_legacy(_inner_relabeling(L, seed), True)
 
 
+SEARCHED, PARTITIONS = "searched", "partitions"
+
+
+def _families(monkeypatch):
+    """Each summand's enumeration as it returned: how (partitions or a
+    search), the elements it read (atoms or candidates), its budget, the
+    list returned and a copy of it as found."""
+    found = []
+
+    def record(how, elements, budget, masks):
+        found.append(SimpleNamespace(how=how, elements=mask_of(elements), budget=budget,
+                                     masks=masks, as_found=list(masks)))
+        return masks
+
+    def partitions(L, atoms, budget):
+        return record(PARTITIONS, atoms, budget, _partition_masks(L, atoms, budget))
+
+    def searched(candidates, bottom, state, extend, budget):
+        return record(SEARCHED, candidates, budget,
+                      close_by_one(candidates, bottom, state, extend, budget))
+
+    monkeypatch.setattr(subalgebra_posets, "_partition_masks", partitions)
+    monkeypatch.setattr(subalgebra_posets, "close_by_one", searched)
+    return found
+
+
+# Boolean algebras, many Boolean summands, and sums mixing Boolean summands
+# with searched ones, orthomodular or not
+PARTITIONED = ["2^1", "2^2", "2^3", "2^4", "2^5", "2^6", "MO8", "hsum(example22,2^3,MO2)",
+               "hsum(benzene,2^2,benzene)"]
+
+
+@pytest.mark.parametrize("boolean_only", [False, True], ids=["sub", "bsub"])
+@pytest.mark.parametrize("name", PARTITIONED)
+def test_partition_generated_masks_match_legacy_and_frontier(name, boolean_only, monkeypatch):
+    # each Boolean summand's family read off partitions is the legacy
+    # search's nodes inside that summand, and the whole poset is the legacy
+    # search's and (but for 2^6, which the frontier test covers) the
+    # frontier search's
+    found = _families(monkeypatch)
+    base = _lattice(name)
+    for L in (_inner_relabeling(base, seed) for seed in SEEDS):
+        found.clear()
+        poset = enumerate_subalgebras(L, boolean_only=boolean_only)
+        masks, up, down = legacy_enumerate_subalgebras(L, boolean_only)
+        assert [node.members for node in poset.nodes] == masks
+        assert poset.up == up and poset.down == down
+        if name != "2^6":
+            assert (masks, up) == frontier_subalgebras(L, boolean_only=boolean_only)
+        bottom = L.closure_mask(0)
+        # the Boolean summands of an orthomodular L, those whose elements commute
+        commuting = legacy_commuting(L) if L.is_orthomodular else None
+        boolean = [part for part in legacy_summands(L) if commuting
+                   and all(part & ~commuting[e] == 0 for e in bits(part))]
+        partitioned = [f for f in found if f.how == PARTITIONS]
+        assert len(partitioned) == len(boolean)
+        for family in partitioned:
+            [part] = [p for p in boolean if family.elements & p]
+            inside = [m for m in masks if not m & ~(part | bottom)]
+            assert family.as_found[0] == bottom and sorted(family.as_found) == inside
+
+
 @pytest.mark.parametrize("name", OMLS + ["MO2x2^2", "MO2xMO2", "example22x2^1", "2^6"])
 def test_atom_splitting_finds_nodes_in_the_order_of_the_meet_closure(name, monkeypatch):
     # witnesses only skip closures that fail, so the depth-first order of
     # the nodes found is the same whichever closure runs over the same
-    # element order: L's linear extension by down-cone size
-    found = []
-
-    def recorded(*args):
-        masks = close_by_one(*args)
-        found.append(list(masks))
-        return masks
-
-    monkeypatch.setattr(subalgebra_posets, "close_by_one", recorded)
+    # element order: L's linear extension by down-cone size.  A lattice
+    # whose summands are all Boolean is not searched: its BSub comes from
+    # partitions, which must give the same nodes
+    found = _families(monkeypatch)
     base = _lattice(name)
     for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
+        found.clear()
         enumerate_subalgebras(L, boolean_only=True)
-        assert found.pop() == legacy_bsub_close_by_one(L, rank_order(L))
+        legacy = legacy_bsub_close_by_one(L, rank_order(L))
+        if any(f.how == SEARCHED for f in found):
+            [family] = found
+            assert family.as_found == legacy
+        else:
+            nodes = {L.closure_mask(0), *(m for f in found for m in f.as_found)}
+            assert sorted(nodes) == sorted(legacy)
+
+
+@pytest.mark.parametrize("name", ["2^6", "MO8", "hsum(2^5,2^5)", "hsum(2^2,2^3,2^4)",
+                                  "hsum(example22,2^3,MO2)"])
+def test_bsub_of_a_sum_of_boolean_algebras_reads_no_commutation_or_rank(name, monkeypatch):
+    # only a searched summand needs the commutation rows and L's linear
+    # extension; a sum of Boolean algebras has none
+    base = _lattice(name)
+    lattices = [base, *(_inner_relabeling(base, seed) for seed in SEEDS)]
+    expected = [legacy_enumerate_subalgebras(L, True)[0] for L in lattices]
+    reads = []
+
+    def recorded(attr):
+        compute = FiniteOrtholattice.__dict__[attr].func
+        return property(lambda L: reads.append(attr) or compute(L))
+
+    for attr in ("commuting", "_ranked", "_earlier"):
+        monkeypatch.setattr(FiniteOrtholattice, attr, recorded(attr))
+    for L, masks in zip(lattices, expected):
+        reads.clear()
+        assert [node.members for node in bsub(L).nodes] == masks
+        if name.startswith("hsum(example22"):
+            assert {"commuting", "_earlier", "_ranked"} <= set(reads)
+        else:
+            assert reads == []
 
 
 def _atoms(L, s):
@@ -270,14 +365,7 @@ def test_cap_on_a_product_stops_with_the_legacy_text(name, cap, searches, monkey
     assert len(legacy_enumerate_subalgebras(L, False, cap=cap)) == cap + 1
     text = (f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
             "raise the cap with OMLKIT_NODE_CAP")
-    runs = []
-
-    def recorded(candidates, bottom, state, extend, budget):
-        masks = close_by_one(candidates, bottom, state, extend, budget)
-        runs.append((budget, len(masks)))
-        return masks
-
-    monkeypatch.setattr(subalgebra_posets, "close_by_one", recorded)
+    runs = _families(monkeypatch)
     for kw in ({"cap": cap}, {}):
         if not kw:
             monkeypatch.setenv("OMLKIT_NODE_CAP", str(cap))
@@ -285,34 +373,54 @@ def test_cap_on_a_product_stops_with_the_legacy_text(name, cap, searches, monkey
         with pytest.raises(ExplosionCap) as exc:
             sub(L, **kw)
         assert str(exc.value) == text
-        # the searches stop at the first summand that takes the product past
-        # the cap, and none lists more than cap + 1 masks
+        # the summands' enumerations stop at the first that takes the
+        # product past the cap, and none lists more than cap + 1 masks
         assert len(runs) == searches
         done = 1
-        for budget, count in runs[:-1]:
-            assert count <= budget
-            done *= count
-        budget, count = runs[-1]
+        for run in runs[:-1]:
+            assert len(run.masks) <= run.budget
+            done *= len(run.masks)
+        budget, count = runs[-1].budget, len(runs[-1].masks)
         assert done <= cap and count == budget + 1 and done * count > cap
-        assert all(count <= cap + 1 for _, count in runs)
+        assert all(len(run.masks) <= cap + 1 for run in runs)
+
+
+@pytest.mark.parametrize("name, cap, runs_made", [
+    ("hsum(2^4,2^4)", 20, 2), ("hsum(example22,2^3,MO2)", 10, 2), ("MO8", 4, 4),
+    ("hsum(benzene,2^2,benzene)", 4, 3)])
+def test_bsub_cap_running_out_in_a_later_summand_stops_with_the_legacy_text(
+        name, cap, runs_made, monkeypatch):
+    # BSub adds each summand's nodes above the bottom: the cap runs out in
+    # the second summand or later, with the text and stop count of the
+    # search over the whole lattice
+    L = _lattice(name)
+    assert len(legacy_enumerate_subalgebras(L, True, cap=cap)) == cap + 1
+    runs = _families(monkeypatch)
+    with pytest.raises(ExplosionCap) as exc:
+        bsub(L, cap=cap)
+    assert str(exc.value) == (f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
+                              "raise the cap with OMLKIT_NODE_CAP")
+    assert len(runs) == runs_made
+    count = 1
+    for run in runs[:-1]:
+        assert len(run.masks) <= run.budget == cap - count + 1
+        count += len(run.masks) - 1
+    last = runs[-1]
+    assert last.budget == cap - count + 1 and len(last.masks) == last.budget + 1
+    assert count + len(last.masks) - 1 == cap + 1
+    assert all(len(run.masks) <= cap + 1 for run in runs)
 
 
 def _searched(monkeypatch):
-    """Each close_by_one result as it was found, and each inclusion_rows input."""
-    found, transposed = [], []
-
-    def searched(*args):
-        masks = close_by_one(*args)
-        found.append((masks, list(masks)))
-        return masks
+    """Each summand's enumeration (``_families``), and each inclusion_rows input."""
+    transposed = []
 
     def transpose(masks):
         transposed.append(masks)
         return inclusion_rows(masks)
 
-    monkeypatch.setattr(subalgebra_posets, "close_by_one", searched)
     monkeypatch.setattr(subalgebra_posets, "inclusion_rows", transpose)
-    return found, transposed
+    return _families(monkeypatch), transposed
 
 
 # Sub(hsum(2^5,2^2)) splits into 52 | 2 nodes, a side too small to compose;
@@ -331,12 +439,12 @@ def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monke
         transposed.clear()
         poset = sub(L)
         masks = [L.closure_mask(0)]
-        for _, part in found:
-            masks = [m | f for m in masks for f in part]
+        for family in found:
+            masks = [m | f for m in masks for f in family.as_found]
         masks.sort()
         assert [node.members for node in poset.nodes] == masks
         assert (list(poset.up), list(poset.down)) == inclusion_rows(masks)
-        largest = max([len(part) for _, part in found], default=1)
+        largest = max([len(family.as_found) for family in found], default=1)
         if len(masks) > _COMPOSE_ABOVE and name not in TINY_SIDE:
             # only groups up to the cut-off, or one summand, are transposed
             assert max(map(len, transposed)) <= max(_COMPOSE_ABOVE, largest) < len(masks)
@@ -346,16 +454,18 @@ def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monke
 
 @pytest.mark.parametrize("name", ["2^5", "example22", "MO2x2^2", "example22x2^1"])
 def test_a_connected_lattice_transposes_the_search_result_itself(name, monkeypatch):
-    # one summand: the list close_by_one returns is sorted in place and
-    # transposed, with no product, copy or composition on the way
+    # one summand: the list its enumeration returns, partition-generated
+    # (2^5) or searched, is sorted in place and transposed, with no
+    # product, copy or composition on the way
     found, transposed = _searched(monkeypatch)
     for boolean_only in (False, True):
         found.clear()
         transposed.clear()
         enumerate_subalgebras(_lattice(name), boolean_only=boolean_only)
-        [(masks, as_found)] = found
-        assert transposed == [masks] and transposed[0] is masks
-        assert masks == sorted(as_found)
+        [family] = found
+        assert family.how == (PARTITIONS if name == "2^5" else SEARCHED)
+        assert transposed == [family.masks] and transposed[0] is family.masks
+        assert family.masks == sorted(family.as_found)
 
 
 def test_cap_stops_at_the_same_count_as_legacy_close_by_one():
@@ -396,16 +506,21 @@ def _counting_split(monkeypatch):
     return calls
 
 
+# every summand Boolean: read off partitions, with no closure past the bottom's
 PRUNED = [("hsum(2^4,2^4)", False), ("2^6", True)]
 # Sub of a lattice that is not a Boolean algebra closes through L._extend
 MEET_CLOSED = [("MO2xMO2", False), ("example22x2^1", False)]
+# BSub of a non-Boolean summand of an orthomodular L closes on atoms
+SPLIT = [("MO2xMO2", True), ("example22x2^1", True)]
 
 
-@pytest.mark.parametrize("name, boolean_only", PRUNED + MEET_CLOSED,
-                         ids=["sub", "bsub", "sub-MO2xMO2", "sub-example22x2^1"])
+@pytest.mark.parametrize("name, boolean_only", PRUNED + MEET_CLOSED + SPLIT,
+                         ids=["sub", "bsub", "sub-MO2xMO2", "sub-example22x2^1",
+                              "bsub-MO2xMO2", "bsub-example22x2^1"])
 def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, monkeypatch):
     L = _lattice(name)
     split_calls = _counting_split(monkeypatch)
+    found = _families(monkeypatch)
     poset, calls = _counting_extend(
         L, lambda: enumerate_subalgebras(L, boolean_only=boolean_only))
     (masks, _, _), legacy_calls = _counting_extend(
@@ -413,11 +528,14 @@ def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, 
     assert [node.members for node in poset.nodes] == masks
     assert calls[0] == (0, L.n - 1)
     if (name, boolean_only) in PRUNED:
-        # past the bottom, BSub of an orthomodular L and Sub of its Boolean
-        # summands close on atoms, never through L._extend
+        # past the bottom, Sub and BSub of Boolean summands close nothing
+        assert calls == [(0, L.n - 1)] and not split_calls
+        assert found and all(family.how == PARTITIONS for family in found)
+    elif (name, boolean_only) in SPLIT:
         assert calls == [(0, L.n - 1)] and split_calls
     else:
         assert not split_calls and len(calls) > 1
+    assert all(family.how == SEARCHED for family in found) != ((name, boolean_only) in PRUNED)
     calls += [(e,) for e, *_ in split_calls]
     assert len(calls) <= len(legacy_calls) // 2
     # past the closure of the bottom, no element later than its complement
@@ -427,49 +545,67 @@ def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, 
 
 
 def test_a_horizontal_sum_closes_once_per_summand(monkeypatch):
-    # past the bottom, Sub(hsum(2^4,2^4)) makes just the closures of two
-    # searches of Sub(2^4); one search over the whole sum closes mixed sets
-    L, B = _lattice("hsum(2^4,2^4)"), boolean_algebra(4)
+    # past the bottom, Sub(hsum(example22,example22)) makes just the
+    # closures of two searches of Sub(example22); one search over the whole
+    # sum closes mixed sets.  Sub(hsum(2^4,2^4)) is two families of
+    # Sub(2^4), read off partitions with no closure past the bottom
+    found = _families(monkeypatch)
     split_calls = _counting_split(monkeypatch)
-    _, calls = _counting_extend(L, lambda: sub(L))
-    calls += split_calls
-    split_calls.clear()
-    _, one = _counting_extend(B, lambda: sub(B))
-    one += split_calls
-    assert calls[0] == (0, L.n - 1) and one[0] == (0, B.n - 1)
-    assert len(calls) - 1 == 2 * (len(one) - 1)
+    for summand in (catalog("example22"), boolean_algebra(4)):
+        L = horizontal_sum([summand, summand])
+        found.clear()
+        _, calls = _counting_extend(L, lambda: sub(L))
+        twice = [len(family.as_found) for family in found]
+        _, one = _counting_extend(summand, lambda: sub(summand))
+        assert twice == [len(found[-1].as_found)] * 2
+        assert calls[0] == (0, L.n - 1) and one[0] == (0, summand.n - 1)
+        assert len(calls) - 1 == 2 * (len(one) - 1)
+        assert (len(calls) > 1) == (summand.n == 12) and not split_calls
 
 
 @pytest.mark.parametrize("name", OMLS + ["MO10", "MO2xMO2", "example22x2^1",
                                          "hsum(example22,2^3,MO2)"])
 def test_sub_splits_atoms_exactly_in_the_summands_that_commute(name, monkeypatch):
     # a summand is Boolean when all its elements commute; on an OML that is
-    # when it has 2^k elements, 0 and 1 counted, k its atoms.  Sub closes
-    # such a summand's sets on atoms, and every other summand's with L._extend
+    # when it has 2^k elements, 0 and 1 counted, k its atoms.  Sub and BSub
+    # read such a summand's nodes off the partitions of its atoms, and
+    # search every other summand on its own: Sub closing with L._extend,
+    # BSub splitting atoms
+    found = _families(monkeypatch)
     split_calls = _counting_split(monkeypatch)
     base = _lattice(name)
     for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
-        split_calls.clear()
-        _, calls = _counting_extend(L, lambda: sub(L))
         commuting = legacy_commuting(L)
-        split = mask_of(e for e, *_ in split_calls)
-        meet_closed = mask_of(e for e, in calls[1:])
-        for part in legacy_summands(L):
-            boolean = all(part & ~commuting[e] == 0 for e in bits(part))
-            atoms = len(set(bits(part)) & set(L.atoms()))
-            assert boolean == (len(list(bits(part))) + 2 == 2 ** atoms)
-            assert bool(split & part) == boolean and bool(meet_closed & part) != boolean
+        summands = legacy_summands(L)
+        for boolean_only in (False, True):
+            found.clear()
+            split_calls.clear()
+            _, calls = _counting_extend(
+                L, lambda: enumerate_subalgebras(L, boolean_only=boolean_only))
+            assert not (split_calls if not boolean_only else calls[1:])
+            closed = mask_of(e for e, *_ in calls[1:] + split_calls)
+            # one family per summand, each reading its own elements only
+            parts = [next(p for p in summands if family.elements & p) for family in found]
+            assert sorted(parts) == summands
+            for family, part in zip(found, parts):
+                assert not family.elements & ~part
+                boolean = all(part & ~commuting[e] == 0 for e in bits(part))
+                atoms = len(set(bits(part)) & set(L.atoms()))
+                assert boolean == (len(list(bits(part))) + 2 == 2 ** atoms)
+                assert (family.how == PARTITIONS) == boolean
+                assert bool(closed & part) != boolean
 
 
 @pytest.mark.parametrize("name, boolean_only", [
     ("2^6", False), ("2^6", True), ("hsum(2^5,2^5)", False), ("hsum(2^5,2^5)", True),
-    ("MO2xMO2", True), ("example22x2^1", True)])
+    ("MO2xMO2", True), ("example22x2^1", True), ("hsum(example22,2^3,MO2)", True)])
 def test_every_built_split_closure_is_a_node(name, boolean_only, monkeypatch):
     # in a linear extension a failing split closure is caught among its
     # parts, so each closure whose joins are formed is a node: every node
-    # but the bottom of each search is built once, and nothing else is
+    # but the bottom of each search is built once, and nothing else is.
+    # Boolean summands are not searched, so they build no split closure
     split_calls = _counting_split(monkeypatch)
-    found, _ = _searched(monkeypatch)
+    found = _families(monkeypatch)
     base = _lattice(name)
     for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
         split_calls.clear()
@@ -477,7 +613,7 @@ def test_every_built_split_closure_is_a_node(name, boolean_only, monkeypatch):
         enumerate_subalgebras(L, boolean_only=boolean_only)
         earlier = earlier_sets(rank_order(L))
         built = [(e, got[0], s) for e, got, s in split_calls if got.__class__ is tuple]
-        nodes = [m for _, as_found in found for m in as_found[1:]]
+        nodes = [m for f in found if f.how == SEARCHED for m in f.as_found[1:]]
         assert sorted(mask for _, mask, _ in built) == sorted(nodes)
         # none adds an element earlier than e: a test after the build would never fire
         assert all(not mask & ~s & earlier[e] for e, mask, s in built)

@@ -12,7 +12,10 @@ core, so each of its methods is defined once in the package.  Element sets
 are read through ``FiniteOrtholattice.subalgebra``, so one ``raise``
 refuses a set that is not closed.  The lattice constructor tests whole rows
 and leaves naming a fault to the pair scans, so each validation message is
-raised from one place: a fast path must not grow its own copy.
+raised from one place: a fast path must not grow its own copy.  Orders
+skip the partial-order check (``_Order._trusted``) only in the listed
+derivations, whose rows are an order by construction; data read from
+outside is always checked.
 """
 
 import ast
@@ -246,3 +249,52 @@ def test_the_raise_scan_finds_a_planted_validation_message():
     )
     found = _raises_mentioning(sources, "antisymmetry fails on")
     assert len(found) == 2 and "planted.py:3" in found
+
+
+# Rows built as an order, or derived from one already checked, skip the
+# check; everything read from outside goes through the constructor
+TRUSTED_CALLERS = [("sachs_boolean.py", "partition_lattice"),
+                   ("subalgebra_posets.py", "as_abstract"),
+                   ("subalgebra_posets.py", "dual"),
+                   ("subalgebra_posets.py", "enumerate_subalgebras"),
+                   ("subalgebra_posets.py", "interval_below"),
+                   ("subalgebra_posets.py", "relabel")]
+
+
+def _trusted_callers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of each call to ``_trusted``,
+    sorted; a call outside any function names the module alone."""
+    out = []
+
+    def visit(node, name, function):
+        if (isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name))
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_trusted"):
+            out.append((name, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, function)
+
+    for name, source in sources.items():
+        visit(ast.parse(source, filename=name), name, "")
+    return sorted(out)
+
+
+def test_only_the_listed_derivations_skip_the_order_check():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _trusted_callers(sources) == TRUSTED_CALLERS
+
+
+def test_the_trusted_call_scan_finds_a_planted_caller():
+    sources = {
+        "m.py": (
+            "class P:\n"
+            "    def dual(self):\n"
+            "        def inner():\n"
+            "            return P._trusted(self.down, self.up)\n"
+            "        return inner()\n"
+            "x = _trusted([1], [1])\n"
+        ),
+        "n.py": "def parse(up):\n    return AbstractPoset(up)\n",
+    }
+    assert _trusted_callers(sources) == [("m.py", ""), ("m.py", "inner")]

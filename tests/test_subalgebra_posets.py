@@ -1,5 +1,8 @@
 """Subalgebra enumeration completeness and the poset utilities."""
 
+import itertools
+import random
+
 import pytest
 
 from omlkit import (
@@ -17,11 +20,13 @@ from omlkit import (
     catalog,
     enumerate_subalgebras,
     mo,
+    partition_lattice,
     poset_automorphisms,
     poset_isomorphic,
+    relabel,
     sub,
 )
-from omlkit.lattice_core import _order_down, mask_of
+from omlkit.lattice_core import _induced, _order_down, _permuted, bits, mask_of
 
 SMALL = ["2^2", "2^3", "MO2", "MO3", "benzene", "example22"]
 
@@ -317,3 +322,42 @@ def test_dual_and_relabel():
             assert p.leq(x, y) == d.leq(y, x)
     r = p.relabel([4, 3, 2, 1, 0])
     assert poset_isomorphic(p, r) is not None
+
+
+def _same_order(derived, checked):
+    assert type(derived) is AbstractPoset
+    assert (derived.up, derived.down) == (checked.up, checked.down)
+    assert (derived.cover_up, derived.cover_down) == (checked.cover_up, checked.cover_down)
+    assert (derived.heights, derived.depths) == (checked.heights, checked.depths)
+
+
+@pytest.mark.parametrize("name", ["2^1", "2^4", "MO3", "MO2x2", "example22", "benzene",
+                                  "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)", "hsum(2^4,2^4)"])
+def test_derived_posets_equal_their_checked_builds(name):
+    # as_abstract, dual, relabel and interval_below derive their rows from
+    # an order without re-checking them: each must be the order the
+    # validating constructor builds from the same up rows, under three
+    # relabelings of the lattice
+    base = catalog(name)
+    for seed, boolean_only in itertools.product((1, 2, 3), (False, True)):
+        inner = list(range(1, base.n - 1))
+        random.Random(seed).shuffle(inner)
+        P = enumerate_subalgebras(relabel(base, [0, *inner, base.n - 1]),
+                                  boolean_only=boolean_only)
+        perm = list(range(P.size))
+        random.Random(P.size).shuffle(perm)
+        _same_order(P.as_abstract(), AbstractPoset(P.up))
+        _same_order(P.dual(), AbstractPoset(P.down))
+        _same_order(P.as_abstract().dual().dual(), AbstractPoset(P.up))
+        _same_order(P.relabel(perm), AbstractPoset(_permuted(P.up, perm)))
+        for x in range(P.size):
+            below, support = P.interval_below(x)
+            assert support == tuple(bits(P.down[x]))
+            _same_order(below, AbstractPoset(_induced(P.up, P.down[x])))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_partition_lattice_equals_its_checked_build(n):
+    lattice, parts = partition_lattice(n)
+    _same_order(lattice, AbstractPoset(lattice.up))
+    assert lattice.size == BELL[n]
