@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from .errors import Inconsistent, MalformedInput, NotBoolean
 from .lattice_core import FiniteOrtholattice, SubalgebraSet, _Record, bits
-from .subalgebra_posets import AbstractPoset, SubalgebraPoset, _joins, _set_partitions
+from .subalgebra_posets import (AbstractPoset, SubalgebraPoset, _joins, _partition_table,
+                                inclusion_rows)
 
 
 def is_boolean_algebra(L: FiniteOrtholattice) -> bool:
@@ -193,38 +194,36 @@ def subalgebra_to_partition(B: FiniteOrtholattice, x) -> Partition:
 def partition_to_subalgebra(B: FiniteOrtholattice, p: Partition) -> SubalgebraSet:
     """The subalgebra whose atoms are the joins of the partition blocks.
 
-    Its elements are the joins of sets of block joins, formed by doubling
-    (``_joins``)."""
+    Its elements are the joins of the unions of blocks, read off the joins
+    of every set of atoms (``_joins``) as the enumerator reads them."""
     _require_boolean(B)
     atoms = B.atoms()
     if p.universe != frozenset(range(1, len(atoms) + 1)):
         raise MalformedInput("partition does not cover the atom positions")
-    block_join = []
+    point, members = _joins(B, atoms), [0]
     for blk in p.blocks:
-        v = 0
-        for i in blk:
-            v = B.join(v, atoms[i - 1])
-        block_join.append(v)
-    return B.subalgebra(_joins(B, block_join))
+        block = sum([1 << i - 1 for i in blk])
+        members += [m | block for m in members]
+    return B.subalgebra(sum([point[m] for m in members]))
 
 
 def partition_lattice(n: int) -> tuple[AbstractPoset, tuple[Partition, ...]]:
     """All partitions of {1..n} ordered by refinement (finer below).
 
     Node 0 is the all-singletons partition; the one-block partition is the
-    top.  Returns (poset, partitions) with partitions in node order.
+    top.  Returns (poset, partitions) with partitions in node order.  p
+    refines q exactly when q keeps together every pair that p does.
     """
     if n < 1:
         raise MalformedInput("partition lattice needs n >= 1")
-    parts = sorted(map(Partition, _set_partitions(range(1, n + 1))), key=lambda p: p.blocks)
-    up, down = [0] * len(parts), [0] * len(parts)
-    for i, p in enumerate(parts):
-        for j, q in enumerate(parts):
-            if p.refines(q):
-                up[i] |= 1 << j
-                down[j] |= 1 << i
+    pairs = (1 << n * (n - 1) // 2) - 1
+    # block b of a table row is member 2^b; as tuples of 1..n they sort as blocks do
+    nodes = sorted((tuple(tuple(i + 1 for i in bits(ms[1 << b]))
+                          for b in range(len(ms).bit_length() - 1)), pairs ^ key)
+                   for ms, key in _partition_table(n))
     # refinement is a partial order on partitions
-    return AbstractPoset._trusted(up, down), tuple(parts)
+    return (AbstractPoset._trusted(*inclusion_rows([key for _, key in nodes])),
+            tuple(Partition(blocks) for blocks, _ in nodes))
 
 
 # -- lifting a subalgebra-lattice isomorphism --------------------------------

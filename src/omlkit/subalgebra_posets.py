@@ -15,13 +15,13 @@ Posets come out with nodes sorted ascending by bit-set value, so identical
 inputs give identical output, byte for byte, whatever order they were
 found in.  The inclusion rows of Sub of a horizontal sum are composed from
 the summands' own rows; a product of at most 64 nodes, a connected lattice
-and BSub are transposed from their masks in one pass.
+and BSub are transposed in one pass from keys narrower than their masks.
 """
 
 from __future__ import annotations
 
 import os
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import compress
 from operator import and_
 from typing import Iterator, Optional, Sequence
@@ -235,11 +235,11 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     """Up and down rows of the inclusion order on ``masks``, in one pass.
 
     The masks' fixed-width binary strings are transposed once into columns,
-    the nodes containing each element.  A node's up row is the AND of its
-    members' columns, its down row the AND of the other columns' complements.
-    ``enumerate_subalgebras`` calls it on one summand's masks or on a product
-    of at most 64 nodes; larger products of summands are composed from these
-    rows (``_compose``) without transposing the product again.
+    the nodes containing each bit.  A node's up row is the AND of its bits'
+    columns, its down row the AND of the other columns' complements.
+    ``enumerate_subalgebras`` calls it on the keys of one summand's nodes,
+    of BSub's union or of a product of at most 64 nodes; larger products
+    are composed from these rows (``_compose``) without a transpose.
     """
     everything = (1 << len(masks)) - 1
     width = f"0{max(masks).bit_length()}b"
@@ -253,31 +253,36 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def _joins(L: FiniteOrtholattice, parts: Sequence[int]) -> int:
-    """The bit set of the joins of every subset of ``parts``, nonzero and
-    pairwise orthogonal, formed by doubling: each part is joined to every
-    join found before it.  For the atoms of a Boolean subalgebra that is
-    the subalgebra.  A part a orthogonal to a set B lies below (v B)', so
-    a <= v B would make a = 0: the joins are distinct, and their bits' sum
-    is their union."""
+def _joins(L: FiniteOrtholattice, parts: Sequence[int]) -> list[int]:
+    """The joins of every subset of ``parts``, nonzero and pairwise
+    orthogonal, as one-bit masks indexed by the subset (bit i for parts[i]),
+    formed by doubling: each part is joined to every join found before it.
+    For the atoms of a Boolean subalgebra they are its elements.  A part a
+    orthogonal to a set B lies below (v B)', so a <= v B would make a = 0:
+    the joins are distinct, and a sum of them is their union."""
     join = L._join
     members = [0]
     for t in parts:
         row = join[t]
         members += [row[x] for x in members]
-    return sum([_POINTS[x] for x in members])
+    return [_POINTS[x] for x in members]
 
 
-def _set_partitions(items: Sequence) -> list[tuple[tuple, ...]]:
-    """Every partition of ``items`` into blocks, each once, the one-block
-    partition first.  Restricted growth (Knuth, TAOCP 4A, 7.2.1.5): each
-    item joins one of the blocks so far or opens a new one, so the blocks
-    keep the items' order and come in order of their first items."""
-    out = [()]
-    for x in items:
-        out = [b[:k] + (b[k] + (x,),) + b[k + 1:] if k < len(b) else b + ((x,),)
-               for b in out for k in range(len(b) + 1)]
-    return out
+@lru_cache
+def _partition_table(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every partition of k indices as (members, key), the one-block
+    partition first.  The members are the unions of blocks as index masks,
+    block b being member 2^b.  Restricted growth (Knuth, TAOCP 4A, 7.2.1.5):
+    index i joins a block so far or opens one (block 0), which doubles the
+    members, and is split from each earlier j outside it: key bit i(i-1)/2 + j."""
+    table = [((0,), 0)]
+    for i in range(k):
+        new, low = 1 << i, i * (i - 1) // 2
+        table = [(tuple([m | new if m & block else m for m in ms]) if block
+                  else ms + tuple([m | new for m in ms]), key | (new - 1 & ~block) << low)
+                 for ms, key in table
+                 for block in [ms[1 << b] for b in range(len(ms).bit_length() - 1)] + [0]]
+    return tuple(table)
 
 
 def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
@@ -309,30 +314,22 @@ def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
             return u
         else:
             parts += (t, u)
-    return _joins(L, parts), parts
+    return sum(_joins(L, parts)), parts
 
 
-def _partition_masks(L: FiniteOrtholattice, atoms: Sequence[int], budget: int) -> list[int]:
-    """The subalgebras of a Boolean summand with atoms ``atoms``, as masks,
-    the bottom first; at most budget + 1 of them.
+def _partition_masks(L: FiniteOrtholattice, atoms: Sequence[int], budget: int, offset: int):
+    """The subalgebras of a Boolean summand with atoms ``atoms``, as masks
+    and keys, the bottom first; at most budget + 1 of them.
 
     By Sachs each is the subalgebra whose atoms are the block joins of one
     set partition of the summand's atoms, and distinct partitions give
     distinct subalgebras, so nothing is searched and nothing is rejected.
+    Its key, from bit ``offset`` up, is the atom pairs its partition splits:
+    S <= T exactly when T's partition refines S's, so splits every pair S's does.
     """
-    join = L._join
-    found = []
-    for blocks in _set_partitions(atoms):
-        parts = []
-        for block in blocks:
-            v = 0
-            for a in block:
-                v = join[v][a]
-            parts.append(v)
-        found.append(_joins(L, parts))
-        if len(found) > budget:
-            break
-    return found
+    point = _joins(L, atoms).__getitem__
+    table = _partition_table(len(atoms))[:budget + 1]
+    return [sum(map(point, ms)) for ms, _ in table], [key << offset for _, key in table]
 
 
 def _summand_search(L: FiniteOrtholattice, boolean_only: bool, bottom: int):
@@ -424,34 +421,36 @@ _COMPOSE_ABOVE = 64
 _COMPOSE_SIDES_ABOVE = 2
 
 
-def _product_order(parts: list[list[int]]) -> tuple[list[int], list[int], list[int]]:
+def _product_order(parts: list[tuple[list[int], list[int]]]) -> tuple[list, list, list]:
     """Sorted node masks, up rows and down rows of the product of the
-    summands' Sub, ``parts`` holding each summand's node masks.
+    summands' Sub, ``parts`` holding each summand's node masks and keys.
 
-    A small product, or one summand alone, is multiplied out (every mask
-    holds the bottom, so one summand's masks are its product) and sorted in
-    place, then transposed.  A larger one is split into two groups of about
-    equal product, each built the same way, and their orders composed,
-    unless one group is tiny.  The summands are grouped largest first, so
-    that tiny ones group together whatever their order in L.
+    A small product, or one summand alone, is multiplied out (every node
+    holds the bottom), sorted by mask and transposed from its keys.  A
+    larger one is split into two groups of about equal product, each built
+    the same way, and their orders composed, unless one group is tiny.  The
+    summands are grouped largest first, so tiny ones group together in any L.
     """
-    parts = sorted(parts, key=len, reverse=True)
+    parts = sorted(parts, key=lambda part: len(part[0]), reverse=True)
     size = 1
-    for found in parts:
+    for found, _ in parts:
         size *= len(found)
     if len(parts) > 1 and size > _COMPOSE_ABOVE:
         head, heads = 1, []
-        for found in parts[:-1]:
+        for found, _ in parts[:-1]:
             head *= len(found)
             heads.append(head)
         k = min(range(len(heads)), key=lambda i: max(heads[i], size // heads[i])) + 1
         if min(heads[k - 1], size // heads[k - 1]) > _COMPOSE_SIDES_ABOVE:
             return _compose(_product_order(parts[:k]), _product_order(parts[k:]))
-    masks = parts[0]
-    for found in parts[1:]:
+    masks, keys = parts[0]
+    for found, found_keys in parts[1:]:
         masks = [m | f for m in masks for f in found]
+        keys = [k | f for k in keys for f in found_keys]
+    # with no Boolean summand the keys are the masks, sorted with them in place
+    keys = masks if keys == masks else [k for _, k in sorted(zip(masks, keys))]
     masks.sort()
-    return (masks, *inclusion_rows(masks))
+    return (masks, *inclusion_rows(keys))
 
 
 def _compose(left, right) -> tuple[list[int], list[int], list[int]]:
@@ -513,12 +512,11 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     incrementally from its already closed parent.
 
     The inclusion order of Sub is the product of the summands' orders too,
-    since their masks share only the bottom.  So each summand's rows come
-    from ``inclusion_rows`` on its own masks, and the rows of a product of
-    more than 64 nodes are composed from them in balanced halves
-    (``_product_order``, ``_compose``) instead of transposing every product
-    mask; a smaller product is multiplied out and transposed, as is the
-    union that is BSub.
+    since their masks share only the bottom, and ``_product_order`` builds
+    it from theirs; BSub's union is transposed whole.  Both transpose keys
+    that order the nodes as masks do, but narrower: a Boolean summand's by
+    the atom pairs they separate, in low bits of its own, a searched one's
+    by their masks shifted above all those, and BSub's bottom then by 0.
 
     ``cap`` bounds the node count (default 100000, or the OMLKIT_NODE_CAP
     environment variable); going past it raises ExplosionCap, and no list
@@ -528,28 +526,31 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     bottom = L.closure_mask(0)
     atoms = L._atoms
     search = None
-    families, count = [], 1
+    families, count, offset = [], 1, 0
     for part in _summands(L):
         # Sub's count so far times this summand's, or BSub's count plus
         # this summand's nodes above the bottom, stays within cap
         budget = cap - count + 1 if boolean_only else cap // count
-        inner_atoms = part & atoms
-        if L.is_orthomodular and part.bit_count() + 2 == 1 << inner_atoms.bit_count():
-            found = _partition_masks(L, list(bits(inner_atoms)), budget)
+        inner_atoms = list(bits(part & atoms))
+        if L.is_orthomodular and part.bit_count() + 2 == 1 << len(inner_atoms):
+            found, keys = _partition_masks(L, inner_atoms, budget, offset)
+            offset += len(inner_atoms) * (len(inner_atoms) - 1) // 2
         else:
             search = search or _summand_search(L, boolean_only, bottom)
-            found = search(part, budget)
+            found = keys = search(part, budget)
         if len(found) > budget:
             raise ExplosionCap(
                 f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
                 f"raise the cap with {NODE_CAP_ENV}")
-        families.append(found)
+        families.append((found, keys))
         count = count + len(found) - 1 if boolean_only else count * len(found)
-    if boolean_only and len(families) > 1:
-        # each family lists the bottom first
-        families = [[bottom, *(m for found in families for m in found[1:])]]
+    if offset:  # a searched summand's keys are its masks, shifted above the Boolean ones
+        families = [(f, [m << offset for m in f] if k is f else k) for f, k in families]
+    if boolean_only and len(families) > 1:  # each family lists the bottom first
+        families = [([bottom, *(m for found, _ in families for m in found[1:])],
+                     [0 if offset else bottom, *(k for _, keys in families for k in keys[1:])])]
     # 2^1 has no inner elements, so no summand: its Sub is the bottom alone
-    masks, up, down = _product_order(families or [[bottom]])
+    masks, up, down = _product_order(families or [([bottom], [bottom])])
     # the inclusion order of distinct sets is a partial order
     poset = SubalgebraPoset._trusted(up, down)
     poset._attach(L, [SubalgebraSet(L, m) for m in masks], BSUB if boolean_only else SUB)

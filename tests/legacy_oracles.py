@@ -74,7 +74,13 @@ where the library shifts whole rows: the Boolean rows by doubling, a
 product's row as one shifted copy of the right factor's row per element
 above in the left factor, a summand's inner rows as one shifted block.
 ``legacy_partition_to_subalgebra`` joins every subset of the block joins,
-where the library forms the joins by doubling.  ``legacy_is_equivalence``
+where the library reads them off the joins of every set of atoms.
+``legacy_partition_masks`` reads a Boolean summand's subalgebras partition
+by partition (``legacy_set_partitions``), folding each block's join and
+doubling over the block joins, where the library sums the points of one
+partition table's members.  ``legacy_partition_lattice`` orders the
+partitions by a ``Partition.refines`` call on every pair, where the library
+transposes the pairs each partition keeps together.  ``legacy_is_equivalence``
 decides whether a pair set is an equivalence relation's by union-find and
 a pair count, where the library compares class rows.
 
@@ -1021,6 +1027,51 @@ def legacy_partition_to_subalgebra(B, p):
             v = B.join(v, block_join[k])
         mask |= 1 << v
     return B.subalgebra(mask)
+
+
+def legacy_set_partitions(items):
+    """Every partition of ``items`` into blocks of items, by restricted
+    growth, the one-block partition first."""
+    out = [()]
+    for x in items:
+        out = [b[:k] + (b[k] + (x,),) + b[k + 1:] if k < len(b) else b + ((x,),)
+               for b in out for k in range(len(b) + 1)]
+    return out
+
+
+def legacy_partition_masks(L, atoms, budget):
+    """The masks of the subalgebras of a Boolean summand with atoms
+    ``atoms``, one per set partition, at most budget + 1 of them."""
+    join = L._join
+    found = []
+    for blocks in legacy_set_partitions(atoms):
+        parts = []
+        for block in blocks:
+            v = 0
+            for a in block:
+                v = join[v][a]
+            parts.append(v)
+        members = [0]
+        for t in parts:
+            members += [join[t][x] for x in members]
+        found.append(sum(1 << x for x in members))
+        if len(found) > budget:
+            break
+    return found
+
+
+def legacy_partition_lattice(n):
+    """(up rows, down rows, partitions) of the partitions of {1..n} ordered
+    by refinement, the partitions sorted by their blocks."""
+    parts = sorted(map(sachs_boolean.Partition, legacy_set_partitions(range(1, n + 1))),
+                   key=lambda p: p.blocks)
+    up, down = [0] * len(parts), [0] * len(parts)
+    for i, p in enumerate(parts):
+        for j, q in enumerate(parts):
+            if p.refines(q):
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return up, down, tuple(parts)
 
 
 def legacy_is_equivalence(k, pairs):

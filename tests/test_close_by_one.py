@@ -22,7 +22,10 @@ summands must be the components of the pairwise relation, and the cap must
 stop the product and the union with the legacy text.  Sub's rows are
 composed from the summands' rows: they must equal the transpose of the
 multiplied-out masks, and no product above the cut-off may be transposed
-whole unless its split leaves a side of at most two nodes.
+whole unless its split leaves a side of at most two nodes.  What is
+transposed is the nodes' keys: a Boolean summand's node is keyed by the
+atom pairs its partition separates, which must order the nodes as
+refinement does and give the rows the legacy transpose of the masks gives.
 """
 
 import random
@@ -35,8 +38,12 @@ from legacy_oracles import (
     legacy_close_by_one,
     legacy_commuting,
     legacy_enumerate_subalgebras,
+    legacy_inclusion_rows,
     legacy_orthoclosed,
+    legacy_partition_masks,
+    legacy_set_partitions,
     legacy_summands,
+    legacy_transpose,
     earlier_sets,
     rank_order,
     subset_scan_orthoclosed,
@@ -46,6 +53,7 @@ from omlkit import (
     ExplosionCap,
     FrameCap,
     OrthoFrame,
+    Partition,
     boolean_algebra,
     bsub,
     build_frame,
@@ -66,6 +74,7 @@ from omlkit.lattice_core import FiniteOrtholattice, bits, mask_of
 from omlkit.subalgebra_posets import (
     _COMPOSE_ABOVE,
     _partition_masks,
+    _partition_table,
     _split_closure,
     _summands,
     close_by_one,
@@ -204,20 +213,23 @@ SEARCHED, PARTITIONS = "searched", "partitions"
 def _families(monkeypatch):
     """Each summand's enumeration as it returned: how (partitions or a
     search), the elements it read (atoms or candidates), its budget, the
-    list returned and a copy of it as found."""
+    mask list returned and a copy of it as found, and the keys as found (a
+    search returns its masks alone: they are its keys, or shifted to them)."""
     found = []
 
-    def record(how, elements, budget, masks):
+    def record(how, elements, budget, masks, keys):
         found.append(SimpleNamespace(how=how, elements=mask_of(elements), budget=budget,
-                                     masks=masks, as_found=list(masks)))
-        return masks
+                                     masks=masks, as_found=list(masks), keys=list(keys)))
 
-    def partitions(L, atoms, budget):
-        return record(PARTITIONS, atoms, budget, _partition_masks(L, atoms, budget))
+    def partitions(L, atoms, budget, offset):
+        masks, keys = _partition_masks(L, atoms, budget, offset)
+        record(PARTITIONS, atoms, budget, masks, keys)
+        return masks, keys
 
     def searched(candidates, bottom, state, extend, budget):
-        return record(SEARCHED, candidates, budget,
-                      close_by_one(candidates, bottom, state, extend, budget))
+        masks = close_by_one(candidates, bottom, state, extend, budget)
+        record(SEARCHED, candidates, budget, masks, masks)
+        return masks
 
     monkeypatch.setattr(subalgebra_posets, "_partition_masks", partitions)
     monkeypatch.setattr(subalgebra_posets, "close_by_one", searched)
@@ -258,6 +270,99 @@ def test_partition_generated_masks_match_legacy_and_frontier(name, boolean_only,
             [part] = [p for p in boolean if family.elements & p]
             inside = [m for m in masks if not m & ~(part | bottom)]
             assert family.as_found[0] == bottom and sorted(family.as_found) == inside
+
+
+def _blocks(members):
+    """A partition table row's blocks, block b being member 2^b, as the
+    1-based blocks of a Partition."""
+    return tuple(tuple(i + 1 for i in bits(members[1 << b]))
+                 for b in range(len(members).bit_length() - 1))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_partitions_are_ordered_by_the_atom_pairs_they_split(k):
+    # the table lists each partition once, in restricted growth order, with
+    # the unions of its blocks as members; and T's partition refines S's
+    # exactly when T splits every pair that S splits
+    table = _partition_table(k)
+    parts = [Partition(_blocks(members)) for members, _ in table]
+    assert [p.blocks for p in parts] == [
+        tuple(tuple(i + 1 for i in block) for block in blocks)
+        for blocks in legacy_set_partitions(range(k))]
+    for members, _ in table:
+        blocks = [members[1 << b] for b in range(len(members).bit_length() - 1)]
+        assert list(members) == [sum(blocks[b] for b in bits(s)) for s in range(len(members))]
+    for p, (_, split_p) in zip(parts, table):
+        for q, (_, split_q) in zip(parts, table):
+            assert (split_p & ~split_q == 0) == q.refines(p)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_partition_masks_match_the_per_partition_reader(k):
+    # the table-driven reader gives the masks, in the same order and with
+    # the same stop, that folding each partition's block joins gave; its
+    # keys, from bit ``offset`` up, order the masks as inclusion does
+    for L in (_inner_relabeling(boolean_algebra(k), seed) for seed in SEEDS):
+        atoms = sorted(L.atoms())
+        total = len(legacy_partition_masks(L, atoms, 10**6))
+        for budget, offset in ((10**6, 0), (10**6, 3), (total - 1, 0), (0, 5)):
+            masks, keys = _partition_masks(L, atoms, budget, offset)
+            assert masks == legacy_partition_masks(L, atoms, budget)
+            assert len(keys) == len(masks) and not any(key & ((1 << offset) - 1) for key in keys)
+            for m, key in zip(masks, keys):
+                assert [not key & ~other for other in keys] == [not m & ~n for n in masks]
+
+
+# a lone 2^1 (no summand) and a lone 2^2; Boolean summands alone or with
+# searched ones, orthomodular or not
+KEYED = ["2^1", "MO1", "2^2", "2^6", "MO10", "hsum(2^5,2^5)", "MO2xMO2", "example22x2^1",
+         "hsum(example22,2^3,MO2)", "hsum(benzene,2^2,benzene)"]
+
+
+@pytest.mark.parametrize("boolean_only", [False, True], ids=["sub", "bsub"])
+@pytest.mark.parametrize("name", KEYED)
+def test_rows_from_keys_are_the_legacy_transpose_of_the_sorted_masks(name, boolean_only):
+    base = _lattice(name)
+    for L in (_inner_relabeling(base, seed) for seed in SEEDS):
+        poset = enumerate_subalgebras(L, boolean_only=boolean_only)
+        masks = [node.members for node in poset.nodes]
+        assert masks == sorted(masks)
+        up = legacy_inclusion_rows(masks)
+        assert list(poset.up) == up and tuple(poset.down) == legacy_transpose(up)
+
+
+@pytest.mark.parametrize("name, boolean_only, cap, runs_made", [
+    ("2^6", False, 202, 1), ("2^6", True, 202, 1), ("hsum(2^5,2^5)", False, 2703, 2),
+    ("hsum(2^5,2^5)", True, 102, 2), ("MO10", True, 7, 7)])
+def test_a_cap_running_out_inside_a_boolean_summand_stops_with_the_legacy_text(
+        name, boolean_only, cap, runs_made, monkeypatch):
+    # the last summand read off partitions stops at budget + 1 masks and as
+    # many keys, with the text and stop count of the search over the whole
+    # lattice
+    runs = _families(monkeypatch)
+    base = _lattice(name)
+    for L in (_inner_relabeling(base, seed) for seed in SEEDS):
+        assert len(legacy_enumerate_subalgebras(L, boolean_only, cap=cap)) == cap + 1
+        runs.clear()
+        with pytest.raises(ExplosionCap) as exc:
+            enumerate_subalgebras(L, boolean_only=boolean_only, cap=cap)
+        assert str(exc.value) == (f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
+                                  "raise the cap with OMLKIT_NODE_CAP")
+        assert len(runs) == runs_made and all(run.how == PARTITIONS for run in runs)
+        assert all(len(run.masks) <= run.budget for run in runs[:-1])
+        assert len(runs[-1].masks) == len(runs[-1].keys) == runs[-1].budget + 1
+
+
+def test_the_partition_table_holds_one_entry_per_summand_size():
+    # the table is a constant of the atom count, never of a lattice or its
+    # labeling: Boolean summands of 2 to 6 atoms leave at most 5 entries
+    _partition_table.cache_clear()
+    for name in CATALOG + ["2^6", "MO10", "hsum(2^5,2^5)", "hsum(example22,2^3,MO2)"]:
+        base = _lattice(name)
+        for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
+            sub(L)
+            bsub(L)
+    assert _partition_table.cache_info().currsize <= 5
 
 
 @pytest.mark.parametrize("name", OMLS + ["MO2x2^2", "MO2xMO2", "example22x2^1", "2^6"])
@@ -455,17 +560,24 @@ def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monke
 @pytest.mark.parametrize("name", ["2^5", "example22", "MO2x2^2", "example22x2^1"])
 def test_a_connected_lattice_transposes_the_search_result_itself(name, monkeypatch):
     # one summand: the list its enumeration returns, partition-generated
-    # (2^5) or searched, is sorted in place and transposed, with no
-    # product, copy or composition on the way
+    # (2^5) or searched, is sorted in place, with no product, copy or
+    # composition on the way.  A searched summand's keys are its masks, so
+    # that very list is transposed; a Boolean one transposes its partitions'
+    # keys, carried along in mask order
     found, transposed = _searched(monkeypatch)
     for boolean_only in (False, True):
         found.clear()
         transposed.clear()
         enumerate_subalgebras(_lattice(name), boolean_only=boolean_only)
         [family] = found
-        assert family.how == (PARTITIONS if name == "2^5" else SEARCHED)
-        assert transposed == [family.masks] and transposed[0] is family.masks
         assert family.masks == sorted(family.as_found)
+        if name == "2^5":
+            assert family.how == PARTITIONS
+            key_of = dict(zip(family.as_found, family.keys))
+            assert transposed == [[key_of[m] for m in family.masks]]
+        else:
+            assert family.how == SEARCHED
+            assert transposed == [family.masks] and transposed[0] is family.masks
 
 
 def test_cap_stops_at_the_same_count_as_legacy_close_by_one():

@@ -29,7 +29,7 @@ from omlkit import (
 )
 from omlkit.lattice_core import SubalgebraSet, bits, mask_of, sublattice
 
-from legacy_oracles import legacy_partition_to_subalgebra
+from legacy_oracles import legacy_partition_lattice, legacy_partition_to_subalgebra
 
 
 def test_is_boolean_algebra():
@@ -278,6 +278,16 @@ def test_partition_lattice_rank_profile_is_stirling(n):
     for i, p in enumerate(parts):
         for j, q in enumerate(parts):
             assert lattice.leq(i, j) == p.refines(q)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_partition_lattice_matches_the_pairwise_refinement_build(n):
+    # the rows transposed from the together pairs are the refinement order
+    # tested pair by pair, on the same partitions in the same node order
+    lattice, parts = partition_lattice(n)
+    up, down, legacy_parts = legacy_partition_lattice(n)
+    assert parts == legacy_parts
+    assert list(lattice.up) == up and list(lattice.down) == down
 
 
 def test_sub_dually_isomorphic_to_partition_lattice():
