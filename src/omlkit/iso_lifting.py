@@ -303,17 +303,17 @@ def recognize_boolean_node(sub_l: SubalgebraPoset, x: int) -> bool:
 def boolean_nodes(sub_l: SubalgebraPoset) -> list[int]:
     """The nodes ``recognize_boolean_node`` accepts, ascending.
 
-    Walks the nodes bottom-up, in a linear extension (fewest nodes below
-    first).  Acceptance is closed downward, as every interval below a node
-    of the dual partition lattice is again one (in Sub(L): every subalgebra
-    of a Boolean algebra is Boolean), so a node with a rejected node below
-    it is rejected untested.  Every other node is decided by one
+    Walks the nodes bottom-up, in the poset's linear extension ``_ranked``
+    (fewest nodes below first).  Acceptance is closed downward, as every
+    interval below a node of the dual partition lattice is again one (in
+    Sub(L): every subalgebra of a Boolean algebra is Boolean), so a node
+    with a rejected node below it is rejected untested.  Every other node is decided by one
     ``recognize_boolean_node`` call.
     """
     down = sub_l.down
     rejected = 0
     found = []
-    for x in sorted(range(sub_l.size), key=lambda v: down[v].bit_count()):
+    for x in sub_l._ranked:
         if down[x] & rejected or not recognize_boolean_node(sub_l, x):
             rejected |= 1 << x
         else:

@@ -139,14 +139,22 @@ class _Order:
         return _transpose(self.cover_up)
 
     @cached_property
+    def _ranked(self) -> tuple[int, ...]:
+        """The points in a linear extension of the order: by down-cone size,
+        ties by index (the sort is stable).  a < b makes down[a] a proper
+        subset of down[b], so every point comes after those below it."""
+        return tuple(sorted(range(self.size), key=[d.bit_count() for d in self.down].__getitem__))
+
+    @cached_property
     def heights(self) -> tuple[int, ...]:
         """Length of a longest chain up to each point (0 for minimal ones),
         read off the down rows alone, without covers."""
-        return _heights(self.down)
+        return _heights(self.down, self._ranked)
 
     @cached_property
     def depths(self) -> tuple[int, ...]:
-        return _heights(self.up)
+        # the reverse of a linear extension is one of the dual order
+        return _heights(self.up, reversed(self._ranked))
 
     @cached_property
     def _above(self) -> dict[int, int]:
@@ -308,13 +316,6 @@ class FiniteOrtholattice(_Order):
 
     def coatoms(self) -> tuple[int, ...]:
         return tuple(bits(self.cover_down[self.n - 1]))
-
-    @cached_property
-    def _ranked(self) -> tuple[int, ...]:
-        """The elements in a linear extension of the order: by down-cone
-        size, ties by index (the sort is stable).  a < b makes down[a] a
-        proper subset of down[b], so every element comes after those below it."""
-        return tuple(sorted(range(self.n), key=[d.bit_count() for d in self.down].__getitem__))
 
     @cached_property
     def _earlier(self) -> tuple[int, ...]:
@@ -574,17 +575,18 @@ def _covers(up: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _heights(down: Sequence[int]) -> tuple[int, ...]:
+def _heights(down: Sequence[int], ranked: Iterable[int]) -> tuple[int, ...]:
     """Length of a longest chain ending at each element (0 for minimal ones).
 
-    Elements are taken by ascending down-cone size, so all below x come
-    first, and x lands one level above the highest level that meets its
-    strict down-cone.  ``levels[k]`` is the bit set of level k so far and
-    ``top`` the number of levels begun; x looks at no more levels than it
-    has elements below it, so a tall chain costs no more than a wide one.
+    Elements are taken in ``ranked``, a linear extension of the order, so
+    all below x come first, and x lands one level above the highest level
+    that meets its strict down-cone.  ``levels[k]`` is the bit set of level
+    k so far and ``top`` the number of levels begun; x looks at no more
+    levels than it has elements below it, so a tall chain costs no more
+    than a wide one.
     """
     h, levels, top = [0] * len(down), [0] * len(down), 0
-    for x in sorted(range(len(down)), key=lambda v: down[v].bit_count()):
+    for x in ranked:
         below, k = down[x] ^ 1 << x, top
         while k and not below & levels[k - 1]:
             k -= 1

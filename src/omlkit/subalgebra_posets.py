@@ -13,9 +13,9 @@ of L (by down-cone size); a Boolean subalgebra closes by splitting its
 atoms, and every such closure that gets as far as its joins is a new node.
 Posets come out with nodes sorted ascending by bit-set value, so identical
 inputs give identical output, byte for byte, whatever order they were
-found in.  The inclusion rows of Sub of a horizontal sum are composed from
-the summands' own rows; a product of at most 64 nodes, a connected lattice
-and BSub are transposed in one pass from keys narrower than their masks.
+found in.  Each summand's inclusion rows, and BSub's, are transposed in
+one pass from keys narrower than their masks; Sub of a horizontal sum
+takes one product of its summands' orders, with no transpose of its own.
 """
 
 from __future__ import annotations
@@ -155,10 +155,20 @@ class SubalgebraPoset(AbstractPoset):
         self._attach(owner, nodes, flavor)
 
     def _attach(self, owner: FiniteOrtholattice, nodes: Sequence[SubalgebraSet], flavor: str):
+        """Label the rows with ``nodes``: MalformedInput unless they are
+        distinct element sets of ``owner``, one per row, the first {0, n-1}.
+        Another lattice's sets are refused as ``owner.subalgebra`` refuses
+        them: their element numbers mean other elements."""
         self.owner = owner
         self.nodes = tuple(nodes)
         self.flavor = flavor
+        if len(self.nodes) != self.size:
+            raise MalformedInput(f"expected {self.size} nodes, got {len(self.nodes)}")
+        if not all(isinstance(s, SubalgebraSet) and s.owner is owner for s in self.nodes):
+            raise MalformedInput("a node is not an element set of this lattice")
         self._index = {s.members: i for i, s in enumerate(self.nodes)}
+        if len(self._index) != self.size:
+            raise MalformedInput("a node is listed twice")
         if not self.nodes or self.nodes[0].members != 1 | 1 << (owner.n - 1):
             raise MalformedInput("the first node must be the trivial subalgebra {0, n-1}")
 
@@ -237,9 +247,9 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     The masks' fixed-width binary strings are transposed once into columns,
     the nodes containing each bit.  A node's up row is the AND of its bits'
     columns, its down row the AND of the other columns' complements.
-    ``enumerate_subalgebras`` calls it on the keys of one summand's nodes,
-    of BSub's union or of a product of at most 64 nodes; larger products
-    are composed from these rows (``_compose``) without a transpose.
+    ``enumerate_subalgebras`` calls it on the keys of each summand's nodes
+    and of BSub's union; the rows of Sub's product are built from the
+    summands' rows (``_product_order``) without a transpose.
     """
     everything = (1 << len(masks)) - 1
     width = f"0{max(masks).bit_length()}b"
@@ -317,19 +327,19 @@ def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
     return sum(_joins(L, parts)), parts
 
 
-def _partition_masks(L: FiniteOrtholattice, atoms: Sequence[int], budget: int, offset: int):
+def _partition_masks(L: FiniteOrtholattice, atoms: Sequence[int], budget: int):
     """The subalgebras of a Boolean summand with atoms ``atoms``, as masks
     and keys, the bottom first; at most budget + 1 of them.
 
     By Sachs each is the subalgebra whose atoms are the block joins of one
     set partition of the summand's atoms, and distinct partitions give
     distinct subalgebras, so nothing is searched and nothing is rejected.
-    Its key, from bit ``offset`` up, is the atom pairs its partition splits:
-    S <= T exactly when T's partition refines S's, so splits every pair S's does.
+    Its key is the atom pairs its partition splits: S <= T exactly when
+    T's partition refines S's, so splits every pair S's does.
     """
     point = _joins(L, atoms).__getitem__
     table = _partition_table(len(atoms))[:budget + 1]
-    return [sum(map(point, ms)) for ms, _ in table], [key << offset for _, key in table]
+    return [sum(map(point, ms)) for ms, _ in table], [key for _, key in table]
 
 
 def _summand_search(L: FiniteOrtholattice, boolean_only: bool, bottom: int):
@@ -406,78 +416,52 @@ def _summands(L: FiniteOrtholattice) -> list[int]:
     return out
 
 
-# A product of at most this many nodes is multiplied out and transposed by
-# inclusion_rows; above it the rows are composed.  Composing pays for the
-# groups' own rows, two sorts and the rank columns, which a small product's
-# transpose undercuts: best of 30, composing took 1.1-2.1 times as long as
-# the transpose up to 32 nodes (MO5), 0.8-0.9 times at 50-64 and 0.4 times
-# at 225 (hsum(2^4,2^4)).  The cut sits at the top of the even range.
-_COMPOSE_ABOVE = 64
-# A split with a side of at most this many nodes is multiplied out too.
-# Best of 30, composing took 1.15-1.2 times as long as the transpose at
-# 52 | 2 nodes (hsum(2^5,2^2), either order), while the transpose took 1.5
-# times as long as composing at 52 | 4 (hsum(2^5,2^2,2^2), hsum(2^5,benzene))
-# and 1.8 times at 52 | 5 (hsum(2^5,2^3)).
-_COMPOSE_SIDES_ABOVE = 2
-
-
 def _product_order(parts: list[tuple[list[int], list[int]]]) -> tuple[list, list, list]:
     """Sorted node masks, up rows and down rows of the product of the
     summands' Sub, ``parts`` holding each summand's node masks and keys.
 
-    A small product, or one summand alone, is multiplied out (every node
-    holds the bottom), sorted by mask and transposed from its keys.  A
-    larger one is split into two groups of about equal product, each built
-    the same way, and their orders composed, unless one group is tiny.  The
-    summands are grouped largest first, so tiny ones group together in any L.
+    Each summand's masks are sorted in place, its keys carried along, and
+    its rows transposed from its keys; one summand is returned as it is.
+    The product's masks are multiplied out, one node of each summand ORed
+    in that order, and sorted once, each node taking the one bit of its
+    sorted position.  A node lies below another exactly when each of its
+    coordinates does.  So with col[j] of a summand the bits of the nodes
+    whose coordinate there is j, and a row spread through the columns of
+    its nodes, a node's up row is the AND of its coordinates' spread up
+    rows; down rows likewise.
     """
-    parts = sorted(parts, key=lambda part: len(part[0]), reverse=True)
-    size = 1
-    for found, _ in parts:
-        size *= len(found)
-    if len(parts) > 1 and size > _COMPOSE_ABOVE:
-        head, heads = 1, []
-        for found, _ in parts[:-1]:
-            head *= len(found)
-            heads.append(head)
-        k = min(range(len(heads)), key=lambda i: max(heads[i], size // heads[i])) + 1
-        if min(heads[k - 1], size // heads[k - 1]) > _COMPOSE_SIDES_ABOVE:
-            return _compose(_product_order(parts[:k]), _product_order(parts[k:]))
-    masks, keys = parts[0]
-    for found, found_keys in parts[1:]:
+    orders = []
+    for masks, keys in parts:
+        if keys is not masks:
+            keys = [k for _, k in sorted(zip(masks, keys))]
+        masks.sort()
+        orders.append((masks, *inclusion_rows(keys)))
+    if len(orders) == 1:
+        return orders[0]
+    masks = [0]
+    for found, _, _ in orders:
         masks = [m | f for m in masks for f in found]
-        keys = [k | f for k in keys for f in found_keys]
-    # with no Boolean summand the keys are the masks, sorted with them in place
-    keys = masks if keys == masks else [k for _, k in sorted(zip(masks, keys))]
-    masks.sort()
-    return (masks, *inclusion_rows(keys))
-
-
-def _compose(left, right) -> tuple[list[int], list[int], list[int]]:
-    """The product of two inclusion orders on masks that share only the
-    bottom, each given and returned as (sorted masks, up rows, down rows).
-
-    Product node (i, j) is the mask a_i | b_j, and (i, j) <= (k, l) exactly
-    when i <= k and j <= l.  So with col[i] the product nodes whose left
-    coordinate is i, by rank in sorted order, and U[i] the union of col[k]
-    over k in up[i], the up row of (i, j) is U[i] & V[j], V built the same
-    way on the right; down rows likewise.
-    """
-    (masks_a, up_a, down_a), (masks_b, up_b, down_b) = left, right
-    width = len(masks_b)
-    masks = [a | b for a in masks_a for b in masks_b]
     order = sorted(range(len(masks)), key=masks.__getitem__)
-    rank = sorted(range(len(masks)), key=order.__getitem__)
-    col_a = [sum([1 << r for r in rank[i:i + width]]) for i in range(0, len(rank), width)]
-    col_b = [sum([1 << r for r in rank[j::width]]) for j in range(width)]
-
-    def spread(rows, cols):
-        # the columns are disjoint, so their union is their sum
-        return [sum([cols[k] for k in bits(row)]) for row in rows]
-
-    up_b, down_b = spread(up_b, col_b), spread(down_b, col_b)
-    up = [x & y for x in spread(up_a, col_a) for y in up_b]
-    down = [x & y for x in spread(down_a, col_a) for y in down_b]
+    runs = [0] * len(masks)
+    for r, p in enumerate(order):
+        runs[p] = 1 << r
+    # columns from runs of nodes, last summand first: a summand's runs hold
+    # the nodes that agree on its coordinate and on all before it, at first
+    # each node alone as its bit.  Run t of a summand of n nodes has
+    # coordinate t % n there, and n of its runs in a row make one run of the
+    # summand before.  The bits are freed before any row is built
+    columns = []
+    for found, _, _ in reversed(orders):
+        n = len(found)
+        columns.append([sum(runs[j::n]) for j in range(n)])
+        runs = [sum(runs[t:t + n]) for t in range(0, len(runs), n)]
+    up = down = [-1]  # every bit set: the AND of no rows
+    for (_, up_s, down_s), cols in zip(orders, reversed(columns)):
+        # the columns are disjoint, so a union of them is their sum
+        U = [sum([cols[k] for k in bits(row)]) for row in up_s]
+        D = [sum([cols[k] for k in bits(row)]) for row in down_s]
+        up = [x & y for x in up for y in U]
+        down = [x & y for x in down for y in D]
     return [masks[p] for p in order], [up[p] for p in order], [down[p] for p in order]
 
 
@@ -512,11 +496,13 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     incrementally from its already closed parent.
 
     The inclusion order of Sub is the product of the summands' orders too,
-    since their masks share only the bottom, and ``_product_order`` builds
-    it from theirs; BSub's union is transposed whole.  Both transpose keys
-    that order the nodes as masks do, but narrower: a Boolean summand's by
-    the atom pairs they separate, in low bits of its own, a searched one's
-    by their masks shifted above all those, and BSub's bottom then by 0.
+    since their masks share only the bottom: ``_product_order`` transposes
+    each summand's keys once and multiplies the orders out, a product node
+    below another exactly when each of its coordinates is.  BSub's union is
+    transposed whole.  Keys order the nodes as their masks do, but narrower:
+    a Boolean summand's node is keyed by the atom pairs it separates, a
+    searched one's by its mask.  BSub's union shifts each family's keys to a
+    range of bits of its own and keys the bottom 0.
 
     ``cap`` bounds the node count (default 100000, or the OMLKIT_NODE_CAP
     environment variable); going past it raises ExplosionCap, and no list
@@ -526,15 +512,14 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     bottom = L.closure_mask(0)
     atoms = L._atoms
     search = None
-    families, count, offset = [], 1, 0
+    families, count = [], 1
     for part in _summands(L):
         # Sub's count so far times this summand's, or BSub's count plus
         # this summand's nodes above the bottom, stays within cap
         budget = cap - count + 1 if boolean_only else cap // count
         inner_atoms = list(bits(part & atoms))
         if L.is_orthomodular and part.bit_count() + 2 == 1 << len(inner_atoms):
-            found, keys = _partition_masks(L, inner_atoms, budget, offset)
-            offset += len(inner_atoms) * (len(inner_atoms) - 1) // 2
+            found, keys = _partition_masks(L, inner_atoms, budget)
         else:
             search = search or _summand_search(L, boolean_only, bottom)
             found = keys = search(part, budget)
@@ -544,11 +529,15 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
                 f"raise the cap with {NODE_CAP_ENV}")
         families.append((found, keys))
         count = count + len(found) - 1 if boolean_only else count * len(found)
-    if offset:  # a searched summand's keys are its masks, shifted above the Boolean ones
-        families = [(f, [m << offset for m in f] if k is f else k) for f, k in families]
-    if boolean_only and len(families) > 1:  # each family lists the bottom first
-        families = [([bottom, *(m for found, _ in families for m in found[1:])],
-                     [0 if offset else bottom, *(k for _, keys in families for k in keys[1:])])]
+    if boolean_only and len(families) > 1:
+        # glued at the bottom, which each family lists first, keyed 0: each
+        # family's other keys are shifted to a range of bits of their own
+        masks, keys, low = [bottom], [0], 0
+        for found, family_keys in families:
+            masks += found[1:]
+            keys += [k << low for k in family_keys[1:]]
+            low += max(family_keys).bit_length()
+        families = [(masks, keys)]
     # 2^1 has no inner elements, so no summand: its Sub is the bottom alone
     masks, up, down = _product_order(families or [([bottom], [bottom])])
     # the inclusion order of distinct sets is a partial order

@@ -80,7 +80,12 @@ by partition (``legacy_set_partitions``), folding each block's join and
 doubling over the block joins, where the library sums the points of one
 partition table's members.  ``legacy_partition_lattice`` orders the
 partitions by a ``Partition.refines`` call on every pair, where the library
-transposes the pairs each partition keeps together.  ``legacy_is_equivalence``
+transposes the pairs each partition keeps together.
+``legacy_product_order`` built the rows of Sub of a horizontal sum from
+its summands' rows two ways, chosen by two timed cut-offs: a small product
+multiplied out and transposed whole, a larger one split into two groups
+whose orders were composed; the library takes one product of all the
+summands' orders.  ``legacy_is_equivalence``
 decides whether a pair set is an equivalence relation's by union-find and
 a pair count, where the library compares class rows.
 
@@ -137,6 +142,7 @@ from omlkit.subalgebra_posets import (
     check_order_iso,
     close_by_one,
     enumerate_subalgebras,
+    inclusion_rows,
     poset_isomorphic,
 )
 
@@ -1073,6 +1079,59 @@ def legacy_partition_lattice(n):
                 down[j] |= 1 << i
     return up, down, tuple(parts)
 
+
+
+def legacy_product_order(parts):
+    """Sorted node masks, up rows and down rows of the product of the
+    summands' Sub, ``parts`` holding each summand's node masks and keys,
+    the keys ORed across summands as the masks are (the lists are sorted
+    in place).  A product of at most 64 nodes, or one summand alone, is
+    multiplied out and transposed from its keys; a larger one is split into
+    two groups of about equal product, largest summands first, each built
+    the same way, and the groups' orders composed, unless a side has at
+    most 2 nodes."""
+    parts = sorted(parts, key=lambda part: len(part[0]), reverse=True)
+    size = 1
+    for found, _ in parts:
+        size *= len(found)
+    if len(parts) > 1 and size > 64:
+        head, heads = 1, []
+        for found, _ in parts[:-1]:
+            head *= len(found)
+            heads.append(head)
+        k = min(range(len(heads)), key=lambda i: max(heads[i], size // heads[i])) + 1
+        if min(heads[k - 1], size // heads[k - 1]) > 2:
+            return _legacy_compose(legacy_product_order(parts[:k]),
+                                   legacy_product_order(parts[k:]))
+    masks, keys = parts[0]
+    for found, found_keys in parts[1:]:
+        masks = [m | f for m in masks for f in found]
+        keys = [k | f for k in keys for f in found_keys]
+    keys = masks if keys == masks else [k for _, k in sorted(zip(masks, keys))]
+    masks.sort()
+    return (masks, *inclusion_rows(keys))
+
+
+def _legacy_compose(left, right):
+    """The product of two inclusion orders on masks that share only the
+    bottom, each as (sorted masks, up rows, down rows): node (i, j) gets
+    the up row U[i] & V[j], U[i] the product nodes (by rank in sorted
+    order) whose left coordinate lies in up[i]; down rows likewise."""
+    (masks_a, up_a, down_a), (masks_b, up_b, down_b) = left, right
+    width = len(masks_b)
+    masks = [a | b for a in masks_a for b in masks_b]
+    order = sorted(range(len(masks)), key=masks.__getitem__)
+    rank = sorted(range(len(masks)), key=order.__getitem__)
+    col_a = [sum([1 << r for r in rank[i:i + width]]) for i in range(0, len(rank), width)]
+    col_b = [sum([1 << r for r in rank[j::width]]) for j in range(width)]
+
+    def spread(rows, cols):
+        return [sum([cols[k] for k in bits(row)]) for row in rows]
+
+    up_b, down_b = spread(up_b, col_b), spread(down_b, col_b)
+    up = [x & y for x in spread(up_a, col_a) for y in up_b]
+    down = [x & y for x in spread(down_a, col_a) for y in down_b]
+    return [masks[p] for p in order], [up[p] for p in order], [down[p] for p in order]
 
 def legacy_is_equivalence(k, pairs):
     """Whether ``pairs`` is the set of pairs {i, j} related by some

@@ -19,10 +19,10 @@ the order the meet closure does over the same order, and the commutation
 rows BSub filters by must match the pairwise test.  Sub of a horizontal
 sum is the product of its summands' Sub, and BSub their union: the
 summands must be the components of the pairwise relation, and the cap must
-stop the product and the union with the legacy text.  Sub's rows are
-composed from the summands' rows: they must equal the transpose of the
-multiplied-out masks, and no product above the cut-off may be transposed
-whole unless its split leaves a side of at most two nodes.  What is
+stop the product and the union with the legacy text.  Sub's rows are one
+product of the summands' orders: they must equal the transpose of the
+multiplied-out masks and the rows of the two-way build it replaced, each
+summand's keys must be transposed once and no product list at all.  What is
 transposed is the nodes' keys: a Boolean summand's node is keyed by the
 atom pairs its partition separates, which must order the nodes as
 refinement does and give the rows the legacy transpose of the masks gives.
@@ -41,6 +41,7 @@ from legacy_oracles import (
     legacy_inclusion_rows,
     legacy_orthoclosed,
     legacy_partition_masks,
+    legacy_product_order,
     legacy_set_partitions,
     legacy_summands,
     legacy_transpose,
@@ -72,7 +73,6 @@ from omlkit import (
 from omlkit import subalgebra_posets
 from omlkit.lattice_core import FiniteOrtholattice, bits, mask_of
 from omlkit.subalgebra_posets import (
-    _COMPOSE_ABOVE,
     _partition_masks,
     _partition_table,
     _split_closure,
@@ -103,6 +103,7 @@ def _lattice(name):
               "example22x2^1": lambda: product(catalog("example22"), boolean_algebra(1)),
               "hsum(example22,2^3,MO2)": lambda: horizontal_sum(
                   [catalog("example22"), boolean_algebra(3), mo(2)]),
+              "hsum(2^2x6)": lambda: horizontal_sum([boolean_algebra(2)] * 6),
               "hsum(benzene,2^2,benzene)": lambda: horizontal_sum(
                   [catalog("benzene"), boolean_algebra(2), catalog("benzene")])}
     return beyond[name]() if name in beyond else catalog(name)
@@ -221,8 +222,8 @@ def _families(monkeypatch):
         found.append(SimpleNamespace(how=how, elements=mask_of(elements), budget=budget,
                                      masks=masks, as_found=list(masks), keys=list(keys)))
 
-    def partitions(L, atoms, budget, offset):
-        masks, keys = _partition_masks(L, atoms, budget, offset)
+    def partitions(L, atoms, budget):
+        masks, keys = _partition_masks(L, atoms, budget)
         record(PARTITIONS, atoms, budget, masks, keys)
         return masks, keys
 
@@ -301,14 +302,14 @@ def test_partitions_are_ordered_by_the_atom_pairs_they_split(k):
 def test_partition_masks_match_the_per_partition_reader(k):
     # the table-driven reader gives the masks, in the same order and with
     # the same stop, that folding each partition's block joins gave; its
-    # keys, from bit ``offset`` up, order the masks as inclusion does
+    # keys, of the C(k,2) atom pairs, order the masks as inclusion does
     for L in (_inner_relabeling(boolean_algebra(k), seed) for seed in SEEDS):
         atoms = sorted(L.atoms())
         total = len(legacy_partition_masks(L, atoms, 10**6))
-        for budget, offset in ((10**6, 0), (10**6, 3), (total - 1, 0), (0, 5)):
-            masks, keys = _partition_masks(L, atoms, budget, offset)
+        for budget in (10**6, total - 1, 0):
+            masks, keys = _partition_masks(L, atoms, budget)
             assert masks == legacy_partition_masks(L, atoms, budget)
-            assert len(keys) == len(masks) and not any(key & ((1 << offset) - 1) for key in keys)
+            assert len(keys) == len(masks) and max(keys) >> k * (k - 1) // 2 == 0
             for m, key in zip(masks, keys):
                 assert [not key & ~other for other in keys] == [not m & ~n for n in masks]
 
@@ -397,7 +398,7 @@ def test_bsub_of_a_sum_of_boolean_algebras_reads_no_commutation_or_rank(name, mo
     reads = []
 
     def recorded(attr):
-        compute = FiniteOrtholattice.__dict__[attr].func
+        compute = getattr(FiniteOrtholattice, attr).func
         return property(lambda L: reads.append(attr) or compute(L))
 
     for attr in ("commuting", "_ranked", "_earlier"):
@@ -528,33 +529,56 @@ def _searched(monkeypatch):
     return _families(monkeypatch), transposed
 
 
-# Sub(hsum(2^5,2^2)) splits into 52 | 2 nodes, a side too small to compose;
-# Sub(hsum(2^5,2^2,2^2)) into 52 | 4, which is composed
-TINY_SIDE = ["hsum(2^5,2^2)"]
-COMPOSED = ["hsum(2^5,2^5)", "hsum(2^4,2^4,2^4)", "hsum(2^3,2^3,2^3,2^3,2^3)",
-            "hsum(2^3,2^3,2^3,2^3,2^2,2^2,2^2)", "MO8", "MO10", "hsum(2^5,2^2,2^2)"]
+def _legacy_parts(found):
+    """Each summand's masks and keys as the two-way product took them, the
+    keys ORed across summands: a Boolean summand's keys shifted to a range
+    of pair bits of their own, in summand order, and searched masks shifted
+    above all those ranges."""
+    offsets, low = [], 0
+    for family in found:
+        offsets.append(low)
+        if family.how == PARTITIONS:
+            k = family.elements.bit_count()
+            low += k * (k - 1) // 2
+    return [(list(family.as_found),
+             [key << offset for key in family.keys] if family.how == PARTITIONS
+             else [m << low for m in family.as_found])
+            for family, offset in zip(found, offsets)]
 
 
-@pytest.mark.parametrize("name", ["2^1", "MO1", "2^2"] + SUMMED + TINY_SIDE + COMPOSED)
+# two to seven summands, Boolean, searched or both, with sides of 2 to 52
+# nodes: products the two-way build composed, multiplied out, or split
+# against a side of two nodes
+PRODUCTS = ["hsum(2^5,2^5)", "hsum(2^4,2^4,2^4)", "hsum(2^3,2^3,2^3,2^3,2^3)",
+            "hsum(2^3,2^3,2^3,2^3,2^2,2^2,2^2)", "MO8", "MO10", "hsum(2^5,2^2)",
+            "hsum(2^5,2^2,2^2)", "hsum(2^2x6)"]
+
+
+@pytest.mark.parametrize("name", ["2^1", "MO1", "2^2"] + SUMMED + PRODUCTS)
 def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monkeypatch):
+    # the rows are the transpose of the multiplied-out masks, and the rows
+    # the two-way build gave; each summand's keys are transposed once, in
+    # its masks' sorted order, and no product list is transposed
     found, transposed = _searched(monkeypatch)
     base = _lattice(name)
     for L in (_inner_relabeling(base, seed) for seed in SEEDS):
         found.clear()
         transposed.clear()
         poset = sub(L)
-        masks = [L.closure_mask(0)]
+        bottom = L.closure_mask(0)
+        masks = [bottom]
         for family in found:
             masks = [m | f for m in masks for f in family.as_found]
         masks.sort()
-        assert [node.members for node in poset.nodes] == masks
+        nodes = [node.members for node in poset.nodes]
+        assert nodes == masks
         assert (list(poset.up), list(poset.down)) == inclusion_rows(masks)
-        largest = max([len(family.as_found) for family in found], default=1)
-        if len(masks) > _COMPOSE_ABOVE and name not in TINY_SIDE:
-            # only groups up to the cut-off, or one summand, are transposed
-            assert max(map(len, transposed)) <= max(_COMPOSE_ABOVE, largest) < len(masks)
-        else:
-            assert list(map(len, transposed)) == [len(masks)]
+        keys = [[k for _, k in sorted(zip(family.as_found, family.keys))] for family in found]
+        assert transposed == (keys or [[bottom]])
+        if len(found) > 1:
+            assert max(map(len, transposed)) < len(masks)
+        legacy = legacy_product_order(_legacy_parts(found) or [([bottom], [bottom])])
+        assert legacy == (nodes, list(poset.up), list(poset.down))
 
 
 @pytest.mark.parametrize("name", ["2^5", "example22", "MO2x2^2", "example22x2^1"])

@@ -278,6 +278,27 @@ def test_subalgebra_poset_needs_the_trivial_subalgebra_first():
         SubalgebraPoset([0b01, 0b11], L, nodes, "sub")
 
 
+@pytest.mark.parametrize("nodes, text", [
+    (lambda L: [SubalgebraSet(L, 0b1001), SubalgebraSet(L, 0b1111), SubalgebraSet(L, 0b1011)],
+     "expected 2 nodes, got 3"),
+    (lambda L: [SubalgebraSet(L, 0b1001)], "expected 2 nodes, got 1"),
+    (lambda L: [SubalgebraSet(L, 0b1001)] * 2, "a node is listed twice"),
+    (lambda L: [SubalgebraSet(mo(1), 0b1001), SubalgebraSet(mo(1), 0b1111)],
+     "a node is not an element set of this lattice"),
+    (lambda L: [0b1001, 0b1111], "a node is not an element set of this lattice")],
+    ids=["too-many", "too-few", "repeated", "another-lattice", "not-a-set"])
+def test_subalgebra_poset_nodes_must_fit_the_rows(nodes, text):
+    # each would mislabel the order: a node index past the rows, a row with
+    # no node, a node dropped from the index, or another lattice's elements
+    L = boolean_algebra(2)
+    with pytest.raises(MalformedInput) as exc:
+        SubalgebraPoset([0b11, 0b10], L, nodes(L), "sub")
+    assert str(exc.value) == text
+    poset = SubalgebraPoset([0b11, 0b10], L, [SubalgebraSet(L, 0b1001), SubalgebraSet(L, 0b1111)],
+                            "sub")
+    assert poset.node_index(0b1111) == 1
+
+
 @pytest.mark.parametrize("name", ["2^4", "MO3", "MO2x2", "example22", "benzene",
                                   "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)", "hsum(2^4,2^4)"])
 def test_enumerated_posets_equal_their_validated_copies(name):
