@@ -200,16 +200,13 @@ def _cmd_check_sachs(args) -> int:
 
     L = _load_lattice(args.lattice)
     s = enumerate_subalgebras(L)
-    dual_ok = pd_ok = 0
-    for i, node in enumerate(s.nodes):
-        if dual_order_test(s, i) == (dual_decomposition(L, node) is not None):
+    dual_ok = pd_ok = part_ok = 0
+    for i, mask in enumerate(s.masks):
+        if dual_order_test(s, i) == (dual_decomposition(L, mask) is not None):
             dual_ok += 1
-        if pd_order_test(s, i) == (principal_element(L, node) is not None):
+        if pd_order_test(s, i) == (principal_element(L, mask) is not None):
             pd_ok += 1
-    part_ok = 0
-    for i, node in enumerate(s.nodes):
-        p = subalgebra_to_partition(L, node)
-        if partition_to_subalgebra(L, p).members == node.members:
+        if partition_to_subalgebra(L, subalgebra_to_partition(L, mask)).members == mask:
             part_ok += 1
     n = s.size
     print(f"dual order test agrees: {dual_ok}/{n}")

@@ -140,7 +140,7 @@ def parse_morphism(text: str, source: FiniteOrtholattice,
 
 def dump_node_map_labels(source: SubalgebraPoset, target: SubalgebraPoset,
                          mapping: Sequence[int]) -> str:
-    pairs = [[list(source.nodes[i].elements), list(target.nodes[v].elements)]
+    pairs = [[list(bits(source.masks[i])), list(bits(target.masks[v]))]
              for i, v in enumerate(mapping)]
     return _dumps({"pairs": pairs})
 

@@ -65,9 +65,9 @@ def _preimage_masks(f: Morphism, sub_m: SubalgebraPoset) -> Iterator[int]:
     fibre = [0] * f.target.n
     for a, v in enumerate(f.mapping):
         fibre[v] |= 1 << a
-    for node in sub_m.nodes:
+    for mask in sub_m.masks:
         pre = 0
-        for v in bits(node.members):
+        for v in bits(mask):
             pre |= fibre[v]
         yield pre
 

@@ -50,8 +50,7 @@ MAX_FOUR_BLOCK_CHOICES = 6
 def induced_node_map(psi: Morphism, source_poset: SubalgebraPoset,
                      target_poset: SubalgebraPoset) -> tuple[int, ...]:
     """The node map x -> psi[x] a lattice isomorphism induces on subalgebra posets."""
-    return tuple(target_poset.node_index(psi.apply_mask(node.members))
-                 for node in source_poset.nodes)
+    return tuple(target_poset.node_index(psi.apply_mask(m)) for m in source_poset.masks)
 
 
 def _realization_test(phi: Sequence[int], P: SubalgebraPoset, Q: SubalgebraPoset):
@@ -69,8 +68,7 @@ def _realization_test(phi: Sequence[int], P: SubalgebraPoset, Q: SubalgebraPoset
 
     x, y = element_nodes(P), element_nodes(Q)
     if None in x or None in y:
-        return lambda f: all(f.apply_mask(node.members) == Q.nodes[phi[i]].members
-                             for i, node in enumerate(P.nodes))
+        return lambda f: all(f.apply_mask(m) == Q.masks[phi[i]] for i, m in enumerate(P.masks))
     return lambda f: all(phi[x[e]] == y[v] for e, v in enumerate(f.mapping))
 
 
@@ -108,8 +106,8 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     global_map[L.n - 1] = M.n - 1
     four_blocks = []
     for x in bsub_l.maximal_elements():
-        xmask = bsub_l.nodes[x].members
-        ymask = bsub_m.nodes[phi[x]].members
+        xmask = bsub_l.masks[x]
+        ymask = bsub_m.masks[phi[x]]
         size = xmask.bit_count()
         if size == 2:
             continue
@@ -347,11 +345,10 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     bsub_m = enumerate_subalgebras(M, boolean_only=True)
     for side, sub_x, bool_x, bsub_x in (("source", sub_l, bool_l, bsub_l),
                                         ("target", sub_m, bool_m, bsub_m)):
-        if [sub_x.nodes[i].members for i in bool_x] != [n.members for n in bsub_x.nodes]:
+        if tuple(sub_x.masks[i] for i in bool_x) != bsub_x.masks:
             raise RestrictionMismatch(
                 f"recognized Boolean nodes of the {side} differ from its enumerated BSub")
-    restricted = tuple(
-        bsub_m.node_index(sub_m.nodes[phi[i]].members) for i in bool_l)
+    restricted = tuple(bsub_m.node_index(sub_m.masks[phi[i]]) for i in bool_l)
     # the Boolean nodes are BSub's in the same order, so the lift's test on
     # the element nodes {0, e, e', 1} is also _realization_test(phi, sub_l, sub_m)
     return lift_bsub_iso(L, M, restricted, bsub_l, bsub_m,

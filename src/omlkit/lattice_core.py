@@ -476,7 +476,7 @@ class FiniteOrtholattice(_Order):
         from .subalgebra_posets import bsub
 
         p = bsub(self)
-        return [p.nodes[x] for x in p.maximal_elements()]
+        return [SubalgebraSet(self, p.masks[x]) for x in p.maximal_elements()]
 
 
 # -- order core helpers ----------------------------------------------------

@@ -240,7 +240,7 @@ def _pd_lift(L: FiniteOrtholattice, M: FiniteOrtholattice, X: int, Y: int,
     for b in bits(X):
         if b == top or L.up[b] & X == 1 << b | 1 << top:  # the top or a coatom
             continue
-        target = tgt.nodes[phi[src.node_index(pd_mask(L, b) & X)]].members
+        target = tgt.masks[phi[src.node_index(pd_mask(L, b) & X)]]
         ideal, filt = _dual_parts(M, Y, target)
         if ideal | filt != target:
             raise Inconsistent("image of a principal dual node is not dual")

@@ -16,12 +16,15 @@ inputs give identical output, byte for byte, whatever order they were
 found in.  Each summand's inclusion rows, and BSub's, are transposed in
 one pass from keys narrower than their masks; Sub of a horizontal sum
 takes one product of its summands' orders, with no transpose of its own.
+A poset's nodes are bit sets (``SubalgebraPoset.masks``): the enumerated
+posets are labeled with their sorted masks unchecked, and SubalgebraSets
+are built only when a caller reads ``nodes``.
 """
 
 from __future__ import annotations
 
 import os
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import compress
 from operator import and_
 from typing import Iterator, Optional, Sequence
@@ -36,6 +39,7 @@ from .errors import (
 from .lattice_core import (
     FiniteOrtholattice,
     SubalgebraSet,
+    _DIGIT_BITS,
     _induced,
     _is_int,
     _Order,
@@ -147,40 +151,53 @@ class AbstractPoset(_Order):
 
 
 class SubalgebraPoset(AbstractPoset):
-    """Inclusion order on an enumerated family of subalgebras of one lattice."""
+    """Inclusion order on an enumerated family of subalgebras of one lattice.
+
+    Node i is the element set ``masks[i]`` of ``owner``, a bit set.  The
+    constructor checks what it is handed: the rows are an order and the
+    ``nodes`` distinct SubalgebraSets of ``owner``, one per row, the first
+    {0, n-1}.  ``enumerate_subalgebras`` labels the rows it built with its
+    masks unchecked; ``nodes`` wraps them as SubalgebraSets on first read.
+    """
 
     def __init__(self, up, owner: FiniteOrtholattice,
                  nodes: Sequence[SubalgebraSet], flavor: str):
         super().__init__(up)
-        self._attach(owner, nodes, flavor)
-
-    def _attach(self, owner: FiniteOrtholattice, nodes: Sequence[SubalgebraSet], flavor: str):
-        """Label the rows with ``nodes``: MalformedInput unless they are
-        distinct element sets of ``owner``, one per row, the first {0, n-1}.
-        Another lattice's sets are refused as ``owner.subalgebra`` refuses
-        them: their element numbers mean other elements."""
-        self.owner = owner
-        self.nodes = tuple(nodes)
-        self.flavor = flavor
-        if len(self.nodes) != self.size:
-            raise MalformedInput(f"expected {self.size} nodes, got {len(self.nodes)}")
-        if not all(isinstance(s, SubalgebraSet) and s.owner is owner for s in self.nodes):
+        nodes = tuple(nodes)
+        if len(nodes) != self.size:
+            raise MalformedInput(f"expected {self.size} nodes, got {len(nodes)}")
+        # another lattice's sets are refused as ``owner.subalgebra`` refuses
+        # them: their element numbers mean other elements
+        if not all(isinstance(s, SubalgebraSet) and s.owner is owner for s in nodes):
             raise MalformedInput("a node is not an element set of this lattice")
-        self._index = {s.members: i for i, s in enumerate(self.nodes)}
+        self.owner, self.masks, self.flavor = owner, tuple(s.members for s in nodes), flavor
         if len(self._index) != self.size:
             raise MalformedInput("a node is listed twice")
-        if not self.nodes or self.nodes[0].members != 1 | 1 << (owner.n - 1):
+        if not nodes or self.masks[0] != 1 | 1 << (owner.n - 1):
             raise MalformedInput("the first node must be the trivial subalgebra {0, n-1}")
 
+    @cached_property
+    def nodes(self) -> tuple[SubalgebraSet, ...]:
+        return tuple([SubalgebraSet(self.owner, m) for m in self.masks])
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {m: i for i, m in enumerate(self.masks)}
+
     def node_index(self, members) -> int:
-        mask = members.members if isinstance(members, SubalgebraSet) else members
-        try:
-            return self._index[mask]
-        except KeyError:
-            raise MalformedInput("element set is not a node of this poset") from None
+        """The index of the node whose element set is ``members``, a bit set
+        or a SubalgebraSet of ``owner``; MalformedInput for anything else."""
+        if isinstance(members, SubalgebraSet):
+            if members.owner is not self.owner:
+                raise MalformedInput("element set belongs to another lattice")
+            members = members.members
+        i = self._index.get(members) if _is_int(members) else None
+        if i is None:
+            raise MalformedInput("element set is not a node of this poset")
+        return i
 
     def labels(self) -> list[tuple[int, ...]]:
-        return [s.elements for s in self.nodes]
+        return [tuple(bits(m)) for m in self.masks]
 
 
 def _node_cap(cap: Optional[int]) -> int:
@@ -457,9 +474,11 @@ def _product_order(parts: list[tuple[list[int], list[int]]]) -> tuple[list, list
         runs = [sum(runs[t:t + n]) for t in range(0, len(runs), n)]
     up = down = [-1]  # every bit set: the AND of no rows
     for (_, up_s, down_s), cols in zip(orders, reversed(columns)):
-        # the columns are disjoint, so a union of them is their sum
-        U = [sum([cols[k] for k in bits(row)]) for row in up_s]
-        D = [sum([cols[k] for k in bits(row)]) for row in down_s]
+        # a row's binary digits, lowest first ("0b" dropped, its 0 selecting
+        # past the last column), select its columns; they are disjoint, so
+        # their union is their sum
+        U, D = [[sum(compress(cols, reversed(bin(row).encode().translate(_DIGIT_BITS, b"b"))))
+                 for row in rows] for rows in (up_s, down_s)]
         up = [x & y for x in up for y in U]
         down = [x & y for x in down for y in D]
     return [masks[p] for p in order], [up[p] for p in order], [down[p] for p in order]
@@ -542,7 +561,8 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     masks, up, down = _product_order(families or [([bottom], [bottom])])
     # the inclusion order of distinct sets is a partial order
     poset = SubalgebraPoset._trusted(up, down)
-    poset._attach(L, [SubalgebraSet(L, m) for m in masks], BSUB if boolean_only else SUB)
+    # the masks are distinct closed sets in ascending order, so {0, n-1} comes first
+    poset.owner, poset.masks, poset.flavor = L, tuple(masks), BSUB if boolean_only else SUB
     return poset
 
 

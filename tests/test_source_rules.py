@@ -15,7 +15,11 @@ and leaves naming a fault to the pair scans, so each validation message is
 raised from one place: a fast path must not grow its own copy.  Orders
 skip the partial-order check (``_Order._trusted``) only in the listed
 derivations, whose rows are an order by construction; data read from
-outside is always checked.
+outside is always checked.  A subalgebra poset's nodes are its bit sets
+(``masks``): the library reads no ``.nodes``, whose SubalgebraSets are
+built on first read for users of the public API such as ``selftest``.
+Nodes are labeled unchecked only in ``enumerate_subalgebras``; every other
+labeling goes through the checking constructor.
 """
 
 import ast
@@ -298,3 +302,77 @@ def test_the_trusted_call_scan_finds_a_planted_caller():
         "n.py": "def parse(up):\n    return AbstractPoset(up)\n",
     }
     assert _trusted_callers(sources) == [("m.py", ""), ("m.py", "inner")]
+
+
+# ``subalgebra_posets`` defines the ``nodes`` property; ``selftest`` checks
+# the public API as a user would
+NODE_READERS = {"selftest.py", "subalgebra_posets.py"}
+
+
+def _node_readers(sources: dict[str, str]) -> list[str]:
+    """The modules that read an attribute named ``nodes``, sorted."""
+    return sorted(name for name, source in sources.items()
+                  if any(isinstance(node, ast.Attribute) and node.attr == "nodes"
+                         for node in ast.walk(ast.parse(source, filename=name))))
+
+
+def test_the_library_reads_node_masks_not_node_objects():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert set(_node_readers(sources)) <= NODE_READERS
+
+
+def test_the_node_read_scan_finds_a_planted_reader():
+    sources = {
+        "m.py": "def f(P):\n    return [n.members for n in P.nodes]\n",
+        "n.py": "def g(P):\n    return P.masks\n",
+    }
+    assert _node_readers(sources) == ["m.py"]
+
+
+# Nodes get their masks in the checking constructor and, unchecked, in the
+# enumerator, whose masks are distinct closed sets in ascending order
+MASK_LABELERS = [("subalgebra_posets.py", "SubalgebraPoset.__init__"),
+                 ("subalgebra_posets.py", "enumerate_subalgebras")]
+
+
+def _mask_labelers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, qualified name of the innermost enclosing function) of each
+    assignment to an attribute named ``masks``, sorted."""
+    out = []
+
+    def visit(node, name, scope, function):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "masks"
+                   for target in targets for t in ast.walk(target)):
+                out.append((name, function))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}{node.name}."
+            if not isinstance(node, ast.ClassDef):
+                function = scope[:-1]
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, scope, function)
+
+    for name, source in sources.items():
+        visit(ast.parse(source, filename=name), name, "", "")
+    return sorted(out)
+
+
+def test_only_the_enumerator_labels_nodes_unchecked():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _mask_labelers(sources) == MASK_LABELERS
+
+
+def test_the_mask_label_scan_finds_a_planted_labeler():
+    sources = {
+        "m.py": (
+            "class P:\n"
+            "    def relabel(self, perm):\n"
+            "        q = P._trusted(self.up, self.down)\n"
+            "        q.owner, q.masks = self.owner, self.masks\n"
+            "        return q\n"
+            "P.masks = ()\n"
+        ),
+        "n.py": "def read(P):\n    masks = P.masks\n    return masks\n",
+    }
+    assert _mask_labelers(sources) == [("m.py", ""), ("m.py", "P.relabel")]

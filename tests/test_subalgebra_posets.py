@@ -23,6 +23,7 @@ from omlkit import (
     partition_lattice,
     poset_automorphisms,
     poset_isomorphic,
+    product,
     relabel,
     sub,
 )
@@ -197,6 +198,74 @@ def test_node_queries_refuse_an_index_out_of_range(query, bad):
     with pytest.raises(MalformedInput) as exc:
         NODE_QUERIES[query](P, bad)
     assert str(exc.value) == f"node {bad!r} out of range"
+
+
+NOT_A_NODE = "element set is not a node of this poset"
+
+
+@pytest.mark.parametrize("members, text", [
+    ([0, 7], NOT_A_NODE),
+    ({0, 7}, NOT_A_NODE),
+    (129.0, NOT_A_NODE),
+    (True, NOT_A_NODE),
+    ("129", NOT_A_NODE),
+    (0b10010001, NOT_A_NODE),
+    (lambda: SubalgebraSet(mo(3), 0b10000001), "element set belongs to another lattice")],
+    ids=["list", "set", "float", "bool", "str", "not-closed", "another-lattice"])
+def test_node_index_refuses_what_is_not_a_node_of_this_lattice(members, text):
+    # a list or set is unhashable, a float equal to a node's mask would find
+    # it, and MO3's {0, 7} has the bits of 2^3's bottom
+    P = sub(boolean_algebra(3))
+    with pytest.raises(MalformedInput) as exc:
+        P.node_index(members() if callable(members) else members)
+    assert str(exc.value) == text
+    assert P.node_index(0b10000001) == P.node_index(P.nodes[0]) == 0
+
+
+# the catalog, hsum(2^5,2^5), and two products whose summands are searched
+NODE_LATTICES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO2x2",
+                 "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)",
+                 "hsum(2^5,2^5)", "MO2xMO2", "example22x2^1"]
+
+
+def _node_lattice(name):
+    products = {"MO2xMO2": lambda: product(mo(2), mo(2)),
+                "example22x2^1": lambda: product(catalog("example22"), boolean_algebra(1))}
+    return products[name]() if name in products else catalog(name)
+
+
+@pytest.mark.parametrize("name", NODE_LATTICES)
+def test_enumeration_builds_no_node_objects(name, monkeypatch):
+    L = _node_lattice(name)
+    built = []
+    init = SubalgebraSet.__init__
+
+    def counted(self, owner, members):
+        built.append(members)
+        init(self, owner, members)
+
+    monkeypatch.setattr(SubalgebraSet, "__init__", counted)
+    posets = [sub(L), bsub(L)]
+    assert built == []
+    # the spy sees the nodes built on first read, once
+    for P in posets:
+        assert P.nodes is P.nodes
+    assert built == [*posets[0].masks, *posets[1].masks]
+
+
+@pytest.mark.parametrize("name", NODE_LATTICES)
+def test_masks_nodes_labels_and_node_index_agree(name):
+    base = _node_lattice(name)
+    for seed in (1, 2, 3):
+        inner = list(range(1, base.n - 1))
+        random.Random(seed).shuffle(inner)
+        L = relabel(base, [0, *inner, base.n - 1])
+        for P in (sub(L), bsub(L)):
+            assert [n.members for n in P.nodes] == list(P.masks)
+            assert all(n.owner is L for n in P.nodes)
+            assert P.labels() == [n.elements for n in P.nodes]
+            assert [P.node_index(m) for m in P.masks] == list(range(P.size))
+            assert [P.node_index(n) for n in P.nodes] == list(range(P.size))
 
 
 def test_poset_isomorphic_examples():
