@@ -1,24 +1,27 @@
 """Enumeration of subalgebra families and the order theory they live in.
 
 Sub(L) is the family of all subalgebras of a finite ortholattice, BSub(L)
-the family of Boolean ones, both ordered by inclusion.  Both are
-enumerated one horizontal summand at a time: Sub(L) is the product of the
-summands' Sub, BSub(L) the union of their BSub glued at {0,1}.  A Boolean
-summand of an orthomodular L needs no search: its subalgebras are read off
-the set partitions of its atoms (Sachs).  Any other summand is searched
-depth first by Close-by-One from {0,1}, which lists each subalgebra once
-and closes each new set incrementally from its parent.  Its canonicity
-test asks whether a closure adds an element earlier in a linear extension
-of L (by down-cone size); a Boolean subalgebra closes by splitting its
-atoms, and every such closure that gets as far as its joins is a new node.
+the family of Boolean ones, both ordered by inclusion.  Sub(L) is
+enumerated one horizontal summand at a time, as the product of the
+summands' Sub.  A Boolean summand of an orthomodular L needs no search:
+its subalgebras are read off the set partitions of its atoms (Sachs).  Nor
+does BSub of an orthomodular L: every Boolean subalgebra lies in a block,
+whose atoms are a maximal set of pairwise orthogonal atoms, so BSub(L) is
+the union over the blocks of their partitions.  Any other summand, and
+BSub of any other ortholattice, is searched depth first by Close-by-One
+from {0,1}, which lists each subalgebra once and closes each new set
+incrementally from its parent.  Its canonicity test asks whether a closure
+adds an element earlier in a linear extension of L (by down-cone size).
 Posets come out with nodes sorted ascending by bit-set value, so identical
 inputs give identical output, byte for byte, whatever order they were
 found in.  Each summand's inclusion rows, and BSub's, are transposed in
-one pass from keys narrower than their masks; Sub of a horizontal sum
-takes one product of its summands' orders, with no transpose of its own.
-A poset's nodes are bit sets (``SubalgebraPoset.masks``): the enumerated
-posets are labeled with their sorted masks unchecked, and SubalgebraSets
-are built only when a caller reads ``nodes``.
+one pass from keys narrower than their masks: a node read off partitions
+is keyed by the atom pairs it separates in each block that holds it.  Sub
+of a horizontal sum takes one product of its summands' orders, with no
+transpose of its own.  A poset's nodes are bit sets
+(``SubalgebraPoset.masks``): the enumerated posets are labeled with their
+sorted masks unchecked, and SubalgebraSets are built only when a caller
+reads ``nodes``.
 """
 
 from __future__ import annotations
@@ -265,8 +268,8 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     the nodes containing each bit.  A node's up row is the AND of its bits'
     columns, its down row the AND of the other columns' complements.
     ``enumerate_subalgebras`` calls it on the keys of each summand's nodes
-    and of BSub's union; the rows of Sub's product are built from the
-    summands' rows (``_product_order``) without a transpose.
+    and of BSub's; the rows of Sub's product are built from the summands'
+    rows (``_product_order``) without a transpose.
     """
     everything = (1 << len(masks)) - 1
     width = f"0{max(masks).bit_length()}b"
@@ -312,88 +315,103 @@ def _partition_table(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(table)
 
 
-def _split_closure(L: FiniteOrtholattice, s: int, atoms: list[int], e: int):
-    """``close_by_one``'s extension of the Boolean subalgebra s, with atoms
-    ``atoms``, by an element e that commutes with all of s.
+def _blocks(L: FiniteOrtholattice) -> list[int]:
+    """The atom sets of the blocks (maximal Boolean subalgebras) of an
+    orthomodular L, as bit sets.
 
-    By Foulis-Holland each atom a splits into a ^ e and a ^ e', and the
-    nonzero parts are the atoms of the closure, whose elements are their
-    joins.  A new atom earlier than e in L's linear extension (``_ranked``)
-    is returned as the witness as soon as it appears; otherwise the joins
-    are formed by doubling (``_joins``).
-
-    Every closure built passes the canonicity test.  A join of old parts
-    (unsplit atoms) is in s, so each new element w lies above a new part
-    p = a ^ e or a ^ e', and in a linear extension p <= w puts p no later
-    than w.  So a new w earlier than e has a new p earlier than e, which
-    the parts loop returned before any join was formed.
+    They are the maximal cliques of the orthogonality graph on L's atoms, b
+    adjacent to a when b <= a', found by Bron-Kerbosch with pivoting (Bron
+    and Kerbosch 1973) over bit sets.  A block B is the joins of its atoms,
+    which are pairwise orthogonal.  They are atoms of L: an L-atom c under
+    a block atom a lies below or orthogonal to every element of B, as a
+    does, so c commutes with the whole block; by Foulis-Holland B and c
+    generate a Boolean subalgebra, so c is in B and c = a.  They join to 1,
+    so no other atom is orthogonal to them all.  Conversely a maximal
+    orthogonal atom set joins to 1, because an atom under the complement of
+    its join would extend the set, so its joins are a Boolean subalgebra.
+    A block above it has L-atoms for atoms, and each atom of the set is a
+    join of them, so one of them: by maximality the set is that block's
+    atoms.
     """
-    earlier = L._earlier[e]
-    meet_e, meet_o = L._meet[e], L._meet[L.ortho[e]]
-    parts = []
-    for a in atoms:
-        t, u = meet_e[a], meet_o[a]
-        if not (t and u):
-            parts.append(a)
-        elif earlier >> t & 1:
-            return t
-        elif earlier >> u & 1:
-            return u
-        else:
-            parts += (t, u)
-    return sum(_joins(L, parts)), parts
+    down, ortho = L.down, L.ortho
+    out, stack = [], [(0, L._atoms, 0)]
+    while stack:
+        clique, cand, done = stack.pop()
+        # any candidate is a sound pivot, and the lowest costs nothing to
+        # find; cand and done hold atoms only, so down[a'] is a's neighbours
+        low = cand & -cand
+        branch = cand & ~down[ortho[low.bit_length() - 1]]
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            near = down[ortho[bit.bit_length() - 1]]
+            if cand & near:
+                stack.append((clique | bit, cand & near, done & near))
+            elif not done & near:
+                out.append(clique | bit)
+            cand ^= bit
+            done |= bit
+    return out
 
 
-def _partition_masks(L: FiniteOrtholattice, atoms: Sequence[int], budget: int):
-    """The subalgebras of a Boolean summand with atoms ``atoms``, as masks
-    and keys, the bottom first; at most budget + 1 of them.
+def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):
+    """The subalgebras of the Boolean subalgebras whose atom sets are
+    ``blocks`` (bit sets of pairwise orthogonal atoms joining to 1), as
+    masks and keys, the bottom first; at most budget + 1 distinct masks, and
+    no block reads more than budget + 1 partitions.
 
-    By Sachs each is the subalgebra whose atoms are the block joins of one
-    set partition of the summand's atoms, and distinct partitions give
-    distinct subalgebras, so nothing is searched and nothing is rejected.
-    Its key is the atom pairs its partition splits: S <= T exactly when
-    T's partition refines S's, so splits every pair S's does.
+    By Sachs the subalgebras of a Boolean algebra are those whose atoms are
+    the block joins of one set partition of its atoms, and distinct
+    partitions give distinct subalgebras, so nothing is searched and
+    nothing is rejected; a subalgebra that several blocks hold is listed
+    once.  Each block owns C(k,2) + 1 key bits: the atom pairs a partition
+    splits, and above them one bit for "outside this block".  A key starts
+    as all ones, and each block that holds the node ANDs its partition's
+    pair key into its own range.  So S <= T exactly when key(S) is a subset
+    of key(T): T lies in a block, whose outside bit T clears, so S clears
+    it too and lies there, where T's partition refines S's, so splits every
+    pair S's does; and a block holding S but not T leaves T's range all
+    ones.  With one block the key is the pair key.
     """
-    point = _joins(L, atoms).__getitem__
-    table = _partition_table(len(atoms))[:budget + 1]
-    return [sum(map(point, ms)) for ms, _ in table], [key for _, key in table]
+    family, low = {}, 0
+    for block in blocks:
+        k = block.bit_count()
+        point = _joins(L, list(bits(block))).__getitem__
+        table = _partition_table(k)[:budget + 1]
+        masks = [sum(map(point, ms)) for ms, _ in table]
+        if len(blocks) == 1:
+            # distinct partitions give distinct masks, and the outside bit stays 0
+            return masks, [key for _, key in table]
+        # what each node clears: its block's range but its pair key
+        span = ((1 << k * (k - 1) // 2 + 1) - 1) << low
+        read = dict(zip(masks, [span ^ key << low for _, key in table]))
+        for m in read.keys() & family.keys():
+            read[m] |= family[m]
+        family.update(read)
+        low = span.bit_length()
+    ones = (1 << low) - 1
+    return list(family)[:budget + 1], [ones ^ cleared for cleared in family.values()][:budget + 1]
 
 
-def _summand_search(L: FiniteOrtholattice, boolean_only: bool, bottom: int):
-    """Close-by-One from ``bottom`` over one summand's elements, as a
-    function of the summand (a mask) and the budget.
+def _search(L: FiniteOrtholattice, boolean_only: bool, bottom: int):
+    """Close-by-One from ``bottom`` over a set of L's elements, as a
+    function of the set (a mask) and the budget.
 
-    Sub closes each child with the meet closure ``L._extend``.  BSub of an
-    orthomodular L adds an element only if it commutes with every element
-    already present: by Foulis-Holland the result is then Boolean, and
-    every Boolean subalgebra is reached that way.  Such a node is kept as
-    its atoms: e commutes with each atom a, so a = (a ^ e) v (a ^ e'), and
-    the nonzero parts are the child's atoms (``_split_closure``).  BSub of
-    another ortholattice tests each closure with ``is_boolean``.
+    Sub searches one summand at a time and closes each child with the meet
+    closure ``L._extend``.  BSub of an ortholattice that is not
+    orthomodular searches all of L at once and tests each closure with
+    ``is_boolean``: every closed set above a non-Boolean one is non-Boolean
+    too, so its subtree is skipped.
     """
-    state = list(bits(bottom))
     extend_closed, earlier = L._extend, L._earlier
 
-    if not boolean_only:
-        def extend(s, members, e):
-            return extend_closed(s, members, (e,), earlier[e])
-    elif L.is_orthomodular:
-        commuting = L.commuting
-        # the bottom's atoms: the top alone
-        state = [L.n - 1]
+    def extend(s, members, e):
+        child = extend_closed(s, members, (e,), earlier[e])
+        if boolean_only and child.__class__ is tuple and not L.is_boolean(child[0]):
+            return None
+        return child
 
-        def extend(s, atoms, e):
-            if s & ~commuting[e]:
-                return None
-            return _split_closure(L, s, atoms, e)
-    else:
-        def extend(s, members, e):
-            child = extend_closed(s, members, (e,), earlier[e])
-            if child.__class__ is tuple and not L.is_boolean(child[0]):
-                return None
-            return child
-
-    ranked, ortho = L._ranked, L.ortho
+    ranked, ortho, state = L._ranked, L.ortho, list(bits(bottom))
 
     def search(part: int, budget: int) -> list[int]:
         # an element later than its complement drags that complement in
@@ -488,18 +506,14 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
                           cap: Optional[int] = None) -> SubalgebraPoset:
     """Enumerate Sub(L) (or BSub(L) with ``boolean_only``) as a poset.
 
-    Each horizontal summand (``_summands``) is enumerated on its own.  A
-    summand is closed under ' by definition; across summands x ^ y = 0 and
-    x v y = (x' ^ y')' = 1; and a meet of two elements of a summand is 0
-    or lies below both, so in the summand.  So a union of subalgebras, one
+    Sub(L) is enumerated one horizontal summand (``_summands``) at a time.
+    A summand is closed under ' by definition; across summands x ^ y = 0
+    and x v y = (x' ^ y')' = 1; and a meet of two elements of a summand is
+    0 or lies below both, so in the summand.  So a union of subalgebras, one
     of each summand, is a subalgebra, and every subalgebra is such a union:
     Sub(L) is the product of the summands' Sub, its node masks the ORs of
-    one node of each.  A Boolean subalgebra lies in one summand: inner x
-    and y from different summands have x ^ y = 0 and x v y = 1, so in a
-    Boolean algebra y = x', which lies in x's summand.  So BSub(L) is the
-    union of the summands' BSub, glued at {0,1}.  This holds in any
-    ortholattice.  A four-element block {0, a, a', 1} is a 2^2 summand, and
-    MO_k is k of them; a connected L is one summand.
+    one node of each.  A four-element block {0, a, a', 1} is a 2^2 summand,
+    and MO_k is k of them; a connected L is one summand.
 
     A summand of an orthomodular L is Boolean exactly when it has 2^k
     elements, counting 0 and 1, with k its atoms.  A finite OML is
@@ -508,55 +522,54 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     would leave a third atom below a v b, under a' ^ (a v b), which is
     nonzero by orthomodularity; so the atoms are orthogonal and generate
     the whole summand as a Boolean algebra.  All its subalgebras are then
-    Boolean, one per set partition of its atoms (Sachs), and both Sub and
-    BSub of it are read off the partitions (``_partition_masks``) with no
-    search.  Any other summand is searched by Close-by-One over L's linear
-    extension ``_ranked`` (``_summand_search``), each closure built
-    incrementally from its already closed parent.
+    Boolean, one per set partition of its atoms (Sachs), and they are read
+    off the partitions (``_boolean_family``) with no search.  Any other
+    summand is searched by Close-by-One over L's linear extension
+    ``_ranked`` (``_search``), each closure built incrementally from its
+    already closed parent.
+
+    BSub(L) of an orthomodular L needs no search either: every Boolean
+    subalgebra lies in a block, and the blocks are the Boolean subalgebras
+    generated by the maximal sets of pairwise orthogonal atoms
+    (``_blocks``).  So BSub(L) is the union of Sub(block) over the blocks,
+    all read off the partitions of their atoms by one ``_boolean_family``
+    call.  BSub of any other ortholattice is one Close-by-One over all of L
+    that rejects each closure ``is_boolean`` refuses.
 
     The inclusion order of Sub is the product of the summands' orders too,
     since their masks share only the bottom: ``_product_order`` transposes
     each summand's keys once and multiplies the orders out, a product node
-    below another exactly when each of its coordinates is.  BSub's union is
-    transposed whole.  Keys order the nodes as their masks do, but narrower:
-    a Boolean summand's node is keyed by the atom pairs it separates, a
-    searched one's by its mask.  BSub's union shifts each family's keys to a
-    range of bits of its own and keys the bottom 0.
+    below another exactly when each of its coordinates is.  BSub is one
+    family, transposed whole.  Keys order the nodes as their masks do, but
+    narrower: a node read off partitions is keyed by the atom pairs it
+    separates in each block that holds it, a searched one by its mask.
 
     ``cap`` bounds the node count (default 100000, or the OMLKIT_NODE_CAP
-    environment variable); going past it raises ExplosionCap, and no list
-    of more than cap + 1 masks is built on the way.
+    environment variable); going past it raises ExplosionCap, and no
+    summand or block reads more than cap + 1 masks on the way.
     """
     cap = _node_cap(cap)
     bottom = L.closure_mask(0)
-    atoms = L._atoms
     search = None
     families, count = [], 1
-    for part in _summands(L):
-        # Sub's count so far times this summand's, or BSub's count plus
-        # this summand's nodes above the bottom, stays within cap
-        budget = cap - count + 1 if boolean_only else cap // count
-        inner_atoms = list(bits(part & atoms))
-        if L.is_orthomodular and part.bit_count() + 2 == 1 << len(inner_atoms):
-            found, keys = _partition_masks(L, inner_atoms, budget)
+    # BSub is one family over all the inner elements
+    for part in [L.universe ^ bottom] if boolean_only else _summands(L):
+        # the count so far times this family's stays within cap
+        budget = cap // count
+        inner_atoms = part & L._atoms
+        if boolean_only and L.is_orthomodular:
+            found, keys = _boolean_family(L, _blocks(L), budget)
+        elif L.is_orthomodular and part.bit_count() + 2 == 1 << inner_atoms.bit_count():
+            found, keys = _boolean_family(L, [inner_atoms], budget)
         else:
-            search = search or _summand_search(L, boolean_only, bottom)
+            search = search or _search(L, boolean_only, bottom)
             found = keys = search(part, budget)
         if len(found) > budget:
             raise ExplosionCap(
                 f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
                 f"raise the cap with {NODE_CAP_ENV}")
         families.append((found, keys))
-        count = count + len(found) - 1 if boolean_only else count * len(found)
-    if boolean_only and len(families) > 1:
-        # glued at the bottom, which each family lists first, keyed 0: each
-        # family's other keys are shifted to a range of bits of their own
-        masks, keys, low = [bottom], [0], 0
-        for found, family_keys in families:
-            masks += found[1:]
-            keys += [k << low for k in family_keys[1:]]
-            low += max(family_keys).bit_length()
-        families = [(masks, keys)]
+        count *= len(found)
     # 2^1 has no inner elements, so no summand: its Sub is the bottom alone
     masks, up, down = _product_order(families or [([bottom], [bottom])])
     # the inclusion order of distinct sets is a partial order

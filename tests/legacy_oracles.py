@@ -23,11 +23,12 @@ invariants in front of the isomorphism search.
 
 ``legacy_commuting`` tests every pair of elements for commutation, where
 the library sets the cones of a and a' untested and tests each pair
-{b, b'} once for the pair {a, a'}.  ``legacy_bsub_close_by_one`` is the
-BSub search as it was before its nodes carried their atoms: each child
-closed by the semi-naive meet closure ``L._extend``.  It runs over any
-element order, such as ``rank_order``, the linear extension the library
-searches over.
+{b, b'} once for the pair {a, a'}.  ``rank_order`` is the linear
+extension the library searches over.  ``legacy_split_closure_bsub`` is
+the BSub search of an orthomodular lattice that the blocks replaced:
+Close-by-One over that linear extension, each node kept as its atoms and
+split by every element that commutes with it (``legacy_split_closure``),
+where the library reads BSub off the set partitions of each block's atoms.
 ``legacy_permuted`` renamed each row through ``mask_of`` over ``bits``.
 
 ``legacy_close_by_one``, ``legacy_inclusion_rows`` and ``legacy_transpose``
@@ -139,6 +140,7 @@ from omlkit.lattice_core import (
 )
 from omlkit.sachs_boolean import _require_boolean, dual_decomposition, pd_mask
 from omlkit.subalgebra_posets import (
+    _joins,
     check_order_iso,
     close_by_one,
     enumerate_subalgebras,
@@ -254,19 +256,50 @@ def earlier_sets(order):
     return earlier
 
 
-def legacy_bsub_close_by_one(L, order, cap=100000):
-    """The BSub(L) masks of an orthomodular L in the order Close-by-One
-    finds them over the element order ``order``, unsorted, each child
-    closed with ``L._extend``."""
-    commuting = legacy_commuting(L)
-    earlier = earlier_sets(order)
+def legacy_split_closure(L, s, atoms, e):
+    """``close_by_one``'s extension of the Boolean subalgebra s, with atoms
+    ``atoms``, by an element e that commutes with all of s.
 
-    def extend(s, members, e):
-        return None if s & ~commuting[e] else L._extend(s, members, (e,), earlier[e])
+    By Foulis-Holland each atom a splits into a ^ e and a ^ e', and the
+    nonzero parts are the atoms of the closure, whose elements are their
+    joins.  A new atom earlier than e in L's linear extension (``_ranked``)
+    is returned as the witness as soon as it appears; otherwise the joins
+    are formed by doubling (``_joins``).
 
-    candidates = [e for e in order if not earlier[e] >> L.ortho[e] & 1]
-    bottom = L.closure_mask(0)
-    return close_by_one(candidates, bottom, list(bits(bottom)), extend, cap)
+    Every closure built passes the canonicity test.  A join of old parts
+    (unsplit atoms) is in s, so each new element w lies above a new part
+    p = a ^ e or a ^ e', and in a linear extension p <= w puts p no later
+    than w.  So a new w earlier than e has a new p earlier than e, which
+    the parts loop returned before any join was formed.
+    """
+    earlier = L._earlier[e]
+    meet_e, meet_o = L._meet[e], L._meet[L.ortho[e]]
+    parts = []
+    for a in atoms:
+        t, u = meet_e[a], meet_o[a]
+        if not (t and u):
+            parts.append(a)
+        elif earlier >> t & 1:
+            return t
+        elif earlier >> u & 1:
+            return u
+        else:
+            parts += (t, u)
+    return sum(_joins(L, parts)), parts
+
+
+def legacy_split_closure_bsub(L, cap=100000):
+    """The BSub(L) masks of an orthomodular L, unsorted, as the split-closure
+    Close-by-One found them over L's linear extension: an element is added
+    only if it commutes with every element already present, and a node is
+    kept as its atoms (``legacy_split_closure``), the bottom's the top alone."""
+    commuting, earlier, ortho = L.commuting, L._earlier, L.ortho
+
+    def extend(s, atoms, e):
+        return None if s & ~commuting[e] else legacy_split_closure(L, s, atoms, e)
+
+    candidates = [e for e in L._ranked if not earlier[e] >> ortho[e] & 1]
+    return close_by_one(candidates, L.closure_mask(0), [L.n - 1], extend, cap)
 
 
 def legacy_summands(L):

@@ -6,35 +6,36 @@ the enumerator must reproduce their node masks, inclusion rows and
 orthocomplement tables exactly, on catalog lattices and under relabeling,
 and must close at most half as many sets as the plain Close-by-One.  The
 search runs over a linear extension of L (by down-cone size, ties by
-index): over index order it must find the same nodes.  Sub and BSub of a
-Boolean summand of an orthomodular lattice are read off the set partitions
-of its atoms, with no search: each such family must be the legacy nodes
-inside that summand, exactly the summands whose elements all commute must
-be read that way, and a sum of Boolean algebras must never read the
-commutation rows or the linear extension.  BSub of any other summand of an
-orthomodular lattice closes on atoms: each such closure must be the
-closure operator's or leave a witness earlier in the order, every one
-whose joins are formed must be a node, the search must find its nodes in
-the order the meet closure does over the same order, and the commutation
-rows BSub filters by must match the pairwise test.  Sub of a horizontal
-sum is the product of its summands' Sub, and BSub their union: the
-summands must be the components of the pairwise relation, and the cap must
-stop the product and the union with the legacy text.  Sub's rows are one
+index): over index order it must find the same nodes.  Sub of a Boolean
+summand of an orthomodular lattice is read off the set partitions of its
+atoms, with no search: each such family must be the legacy nodes inside
+that summand, and exactly the summands whose elements all commute must be
+read that way.  BSub of an orthomodular lattice is read off the set
+partitions of its blocks' atoms, all in one call: it must equal the
+frontier search, the legacy meet-closure search and the split-closure
+search it replaced, close nothing past the bottom, and never read the
+commutation rows or the linear extension.  BSub of any other ortholattice
+is one search over the whole lattice.  Sub of a horizontal sum is the
+product of its summands' Sub: the summands must be the components of the
+pairwise relation, and the cap must stop the product, and BSub, with the
+legacy text, no call keeping more than cap + 1 masks.  Sub's rows are one
 product of the summands' orders: they must equal the transpose of the
 multiplied-out masks and the rows of the two-way build it replaced, each
-summand's keys must be transposed once and no product list at all.  What is
-transposed is the nodes' keys: a Boolean summand's node is keyed by the
-atom pairs its partition separates, which must order the nodes as
-refinement does and give the rows the legacy transpose of the masks gives.
+summand's keys must be transposed once and no product list at all.  What
+is transposed is the nodes' keys: a node read off partitions is keyed by
+the atom pairs its partition separates in each block that holds it, which
+must order the nodes as refinement and inclusion do and give the rows the
+legacy transpose of the masks gives.
 """
 
 import random
+from functools import reduce
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
 from legacy_oracles import (
     frontier_subalgebras,
-    legacy_bsub_close_by_one,
     legacy_close_by_one,
     legacy_commuting,
     legacy_enumerate_subalgebras,
@@ -43,6 +44,7 @@ from legacy_oracles import (
     legacy_partition_masks,
     legacy_product_order,
     legacy_set_partitions,
+    legacy_split_closure_bsub,
     legacy_summands,
     legacy_transpose,
     earlier_sets,
@@ -73,9 +75,8 @@ from omlkit import (
 from omlkit import subalgebra_posets
 from omlkit.lattice_core import FiniteOrtholattice, bits, mask_of
 from omlkit.subalgebra_posets import (
-    _partition_masks,
+    _boolean_family,
     _partition_table,
-    _split_closure,
     _summands,
     close_by_one,
     inclusion_rows,
@@ -105,7 +106,14 @@ def _lattice(name):
                   [catalog("example22"), boolean_algebra(3), mo(2)]),
               "hsum(2^2x6)": lambda: horizontal_sum([boolean_algebra(2)] * 6),
               "hsum(benzene,2^2,benzene)": lambda: horizontal_sum(
-                  [catalog("benzene"), boolean_algebra(2), catalog("benzene")])}
+                  [catalog("benzene"), boolean_algebra(2), catalog("benzene")]),
+              "MO3x2^3": lambda: product(mo(3), boolean_algebra(3)),
+              "MO3xMO3": lambda: product(mo(3), mo(3)),
+              "MO6x2^2": lambda: product(mo(6), boolean_algebra(2)),
+              "example22x2^2": lambda: product(catalog("example22"), boolean_algebra(2)),
+              "hsum(example22,MO2x2)": lambda: horizontal_sum(
+                  [catalog("example22"), catalog("MO2x2")]),
+              "MO31": lambda: mo(31)}
     return beyond[name]() if name in beyond else catalog(name)
 
 
@@ -199,40 +207,52 @@ def test_commuting_rows_match_the_pairwise_test(name):
         assert M.commuting == legacy_commuting(M)
 
 
-@pytest.mark.parametrize("name", ["MO2x2^2", "MO2xMO2", "example22x2^1", "MO10",
-                                  "2^6", "hsum(2^5,2^5)"])
+# connected OMLs whose blocks share atoms, a sum of two of them, and MO31's
+# 31 blocks on 62 atoms
+BLOCKS_SHARE_ATOMS = ["MO2xMO2", "MO3x2^3", "MO3xMO3", "MO6x2^2", "example22x2^2",
+                      "hsum(example22,MO2x2)", "MO31"]
+
+
+@pytest.mark.parametrize("name", ["MO2x2^2", "example22x2^1", "MO10", "2^6",
+                                  "hsum(2^5,2^5)"] + BLOCKS_SHARE_ATOMS)
 def test_bsub_matches_legacy_where_blocks_share_atoms(name):
+    # BSub read off the blocks gives the nodes and rows of the meet-closure
+    # search, and the nodes of the frontier search and of the split-closure
+    # search it replaced
     L = _lattice(name)
-    _assert_matches_legacy(L, True)
-    for seed in SEEDS[:2]:
-        _assert_matches_legacy(_inner_relabeling(L, seed), True)
+    for M in (L, *(_inner_relabeling(L, seed) for seed in SEEDS[:2])):
+        _assert_matches_legacy(M, True)
+        masks = list(bsub(M).masks)
+        assert masks == sorted(legacy_split_closure_bsub(M))
+        if name != "2^6":
+            assert masks == frontier_subalgebras(M, boolean_only=True)[0]
 
 
 SEARCHED, PARTITIONS = "searched", "partitions"
 
 
 def _families(monkeypatch):
-    """Each summand's enumeration as it returned: how (partitions or a
-    search), the elements it read (atoms or candidates), its budget, the
-    mask list returned and a copy of it as found, and the keys as found (a
-    search returns its masks alone: they are its keys, or shifted to them)."""
+    """Each family's enumeration as it returned: how (partitions or a
+    search), the elements it read (the blocks' atoms, or candidates), its
+    budget, the mask list returned and a copy of it as found, and the keys
+    as found (a search returns its masks alone: they are its keys)."""
     found = []
 
     def record(how, elements, budget, masks, keys):
-        found.append(SimpleNamespace(how=how, elements=mask_of(elements), budget=budget,
+        found.append(SimpleNamespace(how=how, elements=elements, budget=budget,
                                      masks=masks, as_found=list(masks), keys=list(keys)))
 
-    def partitions(L, atoms, budget):
-        masks, keys = _partition_masks(L, atoms, budget)
-        record(PARTITIONS, atoms, budget, masks, keys)
+    def partitions(L, blocks, budget):
+        masks, keys = _boolean_family(L, blocks, budget)
+        record(PARTITIONS, reduce(or_, blocks), budget, masks, keys)
         return masks, keys
 
     def searched(candidates, bottom, state, extend, budget):
         masks = close_by_one(candidates, bottom, state, extend, budget)
-        record(SEARCHED, candidates, budget, masks, masks)
+        record(SEARCHED, mask_of(candidates), budget, masks, masks)
         return masks
 
-    monkeypatch.setattr(subalgebra_posets, "_partition_masks", partitions)
+    monkeypatch.setattr(subalgebra_posets, "_boolean_family", partitions)
     monkeypatch.setattr(subalgebra_posets, "close_by_one", searched)
     return found
 
@@ -246,10 +266,11 @@ PARTITIONED = ["2^1", "2^2", "2^3", "2^4", "2^5", "2^6", "MO8", "hsum(example22,
 @pytest.mark.parametrize("boolean_only", [False, True], ids=["sub", "bsub"])
 @pytest.mark.parametrize("name", PARTITIONED)
 def test_partition_generated_masks_match_legacy_and_frontier(name, boolean_only, monkeypatch):
-    # each Boolean summand's family read off partitions is the legacy
-    # search's nodes inside that summand, and the whole poset is the legacy
-    # search's and (but for 2^6, which the frontier test covers) the
-    # frontier search's
+    # Sub: each Boolean summand's family read off partitions is the legacy
+    # search's nodes inside that summand.  BSub of an orthomodular L is one
+    # family read off all its blocks, of all its atoms; of another L, one
+    # search.  The whole poset is the legacy search's and (but for 2^6,
+    # which the frontier test covers) the frontier search's
     found = _families(monkeypatch)
     base = _lattice(name)
     for L in (_inner_relabeling(base, seed) for seed in SEEDS):
@@ -261,6 +282,13 @@ def test_partition_generated_masks_match_legacy_and_frontier(name, boolean_only,
         if name != "2^6":
             assert (masks, up) == frontier_subalgebras(L, boolean_only=boolean_only)
         bottom = L.closure_mask(0)
+        if boolean_only:
+            [family] = found
+            assert family.how == (PARTITIONS if L.is_orthomodular else SEARCHED)
+            assert family.as_found[0] == bottom and sorted(family.as_found) == masks
+            if L.is_orthomodular:
+                assert family.elements == mask_of(L.atoms())
+            continue
         # the Boolean summands of an orthomodular L, those whose elements commute
         commuting = legacy_commuting(L) if L.is_orthomodular else None
         boolean = [part for part in legacy_summands(L) if commuting
@@ -300,14 +328,15 @@ def test_partitions_are_ordered_by_the_atom_pairs_they_split(k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_partition_masks_match_the_per_partition_reader(k):
-    # the table-driven reader gives the masks, in the same order and with
-    # the same stop, that folding each partition's block joins gave; its
-    # keys, of the C(k,2) atom pairs, order the masks as inclusion does
+    # the table-driven reader, given one block, gives the masks, in the
+    # same order and with the same stop, that folding each partition's
+    # block joins gave; its keys, of the C(k,2) atom pairs (the outside bit
+    # stays 0), order the masks as inclusion does
     for L in (_inner_relabeling(boolean_algebra(k), seed) for seed in SEEDS):
         atoms = sorted(L.atoms())
         total = len(legacy_partition_masks(L, atoms, 10**6))
         for budget in (10**6, total - 1, 0):
-            masks, keys = _partition_masks(L, atoms, budget)
+            masks, keys = _boolean_family(L, [mask_of(atoms)], budget)
             assert masks == legacy_partition_masks(L, atoms, budget)
             assert len(keys) == len(masks) and max(keys) >> k * (k - 1) // 2 == 0
             for m, key in zip(masks, keys):
@@ -315,13 +344,16 @@ def test_partition_masks_match_the_per_partition_reader(k):
 
 
 # a lone 2^1 (no summand) and a lone 2^2; Boolean summands alone or with
-# searched ones, orthomodular or not
+# searched ones, orthomodular or not; OMLs whose blocks share atoms, and
+# MO31, whose 2^31 subalgebras pass the cap, for BSub alone
 KEYED = ["2^1", "MO1", "2^2", "2^6", "MO10", "hsum(2^5,2^5)", "MO2xMO2", "example22x2^1",
-         "hsum(example22,2^3,MO2)", "hsum(benzene,2^2,benzene)"]
+         "hsum(example22,2^3,MO2)", "hsum(benzene,2^2,benzene)", "MO3x2^3", "MO3xMO3",
+         "MO6x2^2", "example22x2^2", "hsum(example22,MO2x2)", "MO31"]
+KEYED_CASES = [(name, b) for name in KEYED for b in (False, True) if b or name != "MO31"]
 
 
-@pytest.mark.parametrize("boolean_only", [False, True], ids=["sub", "bsub"])
-@pytest.mark.parametrize("name", KEYED)
+@pytest.mark.parametrize("name, boolean_only", KEYED_CASES,
+                         ids=[f"{name}-{'bsub' if b else 'sub'}" for name, b in KEYED_CASES])
 def test_rows_from_keys_are_the_legacy_transpose_of_the_sorted_masks(name, boolean_only):
     base = _lattice(name)
     for L in (_inner_relabeling(base, seed) for seed in SEEDS):
@@ -334,12 +366,12 @@ def test_rows_from_keys_are_the_legacy_transpose_of_the_sorted_masks(name, boole
 
 @pytest.mark.parametrize("name, boolean_only, cap, runs_made", [
     ("2^6", False, 202, 1), ("2^6", True, 202, 1), ("hsum(2^5,2^5)", False, 2703, 2),
-    ("hsum(2^5,2^5)", True, 102, 2), ("MO10", True, 7, 7)])
+    ("hsum(2^5,2^5)", True, 102, 1), ("MO10", True, 7, 1)])
 def test_a_cap_running_out_inside_a_boolean_summand_stops_with_the_legacy_text(
         name, boolean_only, cap, runs_made, monkeypatch):
-    # the last summand read off partitions stops at budget + 1 masks and as
-    # many keys, with the text and stop count of the search over the whole
-    # lattice
+    # the last family read off partitions (a Boolean summand of Sub, or all
+    # of BSub's blocks at once) stops at budget + 1 masks and as many keys,
+    # with the text and stop count of the search over the whole lattice
     runs = _families(monkeypatch)
     base = _lattice(name)
     for L in (_inner_relabeling(base, seed) for seed in SEEDS):
@@ -356,42 +388,23 @@ def test_a_cap_running_out_inside_a_boolean_summand_stops_with_the_legacy_text(
 
 def test_the_partition_table_holds_one_entry_per_summand_size():
     # the table is a constant of the atom count, never of a lattice or its
-    # labeling: Boolean summands of 2 to 6 atoms leave at most 5 entries
+    # labeling: blocks and Boolean summands of 1 to 6 atoms (2^1's one block
+    # has its top for its atom) leave at most 6 entries
     _partition_table.cache_clear()
     for name in CATALOG + ["2^6", "MO10", "hsum(2^5,2^5)", "hsum(example22,2^3,MO2)"]:
         base = _lattice(name)
         for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
             sub(L)
             bsub(L)
-    assert _partition_table.cache_info().currsize <= 5
-
-
-@pytest.mark.parametrize("name", OMLS + ["MO2x2^2", "MO2xMO2", "example22x2^1", "2^6"])
-def test_atom_splitting_finds_nodes_in_the_order_of_the_meet_closure(name, monkeypatch):
-    # witnesses only skip closures that fail, so the depth-first order of
-    # the nodes found is the same whichever closure runs over the same
-    # element order: L's linear extension by down-cone size.  A lattice
-    # whose summands are all Boolean is not searched: its BSub comes from
-    # partitions, which must give the same nodes
-    found = _families(monkeypatch)
-    base = _lattice(name)
-    for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
-        found.clear()
-        enumerate_subalgebras(L, boolean_only=True)
-        legacy = legacy_bsub_close_by_one(L, rank_order(L))
-        if any(f.how == SEARCHED for f in found):
-            [family] = found
-            assert family.as_found == legacy
-        else:
-            nodes = {L.closure_mask(0), *(m for f in found for m in f.as_found)}
-            assert sorted(nodes) == sorted(legacy)
+    assert _partition_table.cache_info().currsize <= 6
 
 
 @pytest.mark.parametrize("name", ["2^6", "MO8", "hsum(2^5,2^5)", "hsum(2^2,2^3,2^4)",
-                                  "hsum(example22,2^3,MO2)"])
-def test_bsub_of_a_sum_of_boolean_algebras_reads_no_commutation_or_rank(name, monkeypatch):
-    # only a searched summand needs the commutation rows and L's linear
-    # extension; a sum of Boolean algebras has none
+                                  "hsum(example22,2^3,MO2)", "MO2xMO2", "example22x2^1"])
+def test_bsub_of_an_orthomodular_lattice_reads_no_commutation_or_rank(name, monkeypatch):
+    # BSub of an OML is read off its blocks, found from the orthogonality of
+    # atoms: it needs neither the commutation rows nor L's linear extension,
+    # whether or not its summands are Boolean
     base = _lattice(name)
     lattices = [base, *(_inner_relabeling(base, seed) for seed in SEEDS)]
     expected = [legacy_enumerate_subalgebras(L, True)[0] for L in lattices]
@@ -406,41 +419,7 @@ def test_bsub_of_a_sum_of_boolean_algebras_reads_no_commutation_or_rank(name, mo
     for L, masks in zip(lattices, expected):
         reads.clear()
         assert [node.members for node in bsub(L).nodes] == masks
-        if name.startswith("hsum(example22"):
-            assert {"commuting", "_earlier", "_ranked"} <= set(reads)
-        else:
-            assert reads == []
-
-
-def _atoms(L, s):
-    return sorted(a for a in bits(s) if a and s & L.down[a] == 1 | 1 << a)
-
-
-@pytest.mark.parametrize("name", ["2^4", "MO3", "MO2x2", "example22", "hsum(2^2,2^3,2^4)",
-                                  "MO2x2^2", "MO2xMO2"])
-def test_split_closure_is_the_closure_or_a_witness(name):
-    # for every BSub node s and every e commuting with s: the closure of
-    # s + e with its atoms if it adds nothing before e in L's linear
-    # extension, else such an element
-    base = _lattice(name)
-    outcomes = set()
-    for L in (base, _inner_relabeling(base, 1)):
-        commuting = legacy_commuting(L)
-        earlier = earlier_sets(rank_order(L))
-        for s in legacy_enumerate_subalgebras(L, True)[0]:
-            atoms = _atoms(L, s)
-            for e in bits(L.universe & ~s):
-                if s & ~commuting[e]:
-                    continue
-                closed = L.closure_mask(s | 1 << e)
-                got = _split_closure(L, s, atoms, e)
-                outcomes.add(got.__class__)
-                if got.__class__ is tuple:
-                    assert not closed & ~s & earlier[e]
-                    assert got[0] == closed and sorted(got[1]) == _atoms(L, closed)
-                else:
-                    assert earlier[e] >> got & 1 and not s >> got & 1 and closed >> got & 1
-    assert outcomes == {tuple, int}
+        assert reads == []
 
 
 # beyond the catalog, whose Sub test_enumeration_matches_legacy_close_by_one
@@ -491,30 +470,29 @@ def test_cap_on_a_product_stops_with_the_legacy_text(name, cap, searches, monkey
         assert all(len(run.masks) <= cap + 1 for run in runs)
 
 
-@pytest.mark.parametrize("name, cap, runs_made", [
-    ("hsum(2^4,2^4)", 20, 2), ("hsum(example22,2^3,MO2)", 10, 2), ("MO8", 4, 4),
-    ("hsum(benzene,2^2,benzene)", 4, 3)])
-def test_bsub_cap_running_out_in_a_later_summand_stops_with_the_legacy_text(
-        name, cap, runs_made, monkeypatch):
-    # BSub adds each summand's nodes above the bottom: the cap runs out in
-    # the second summand or later, with the text and stop count of the
-    # search over the whole lattice
+@pytest.mark.parametrize("name", ["hsum(2^4,2^4)", "hsum(example22,2^3,MO2)", "MO8", "MO2xMO2",
+                                  "example22x2^1", "hsum(benzene,2^2,benzene)"])
+def test_bsub_cap_stops_with_the_legacy_text(name, monkeypatch):
+    # BSub is one family, read off the blocks of an OML or searched over all
+    # of another L, with the whole cap for its budget: under every cap below
+    # the node count it stops at cap + 1 distinct masks and as many keys,
+    # with the text and stop count of the search over the whole lattice
     L = _lattice(name)
-    assert len(legacy_enumerate_subalgebras(L, True, cap=cap)) == cap + 1
+    size = len(legacy_enumerate_subalgebras(L, True)[0])
     runs = _families(monkeypatch)
-    with pytest.raises(ExplosionCap) as exc:
-        bsub(L, cap=cap)
-    assert str(exc.value) == (f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
-                              "raise the cap with OMLKIT_NODE_CAP")
-    assert len(runs) == runs_made
-    count = 1
-    for run in runs[:-1]:
-        assert len(run.masks) <= run.budget == cap - count + 1
-        count += len(run.masks) - 1
-    last = runs[-1]
-    assert last.budget == cap - count + 1 and len(last.masks) == last.budget + 1
-    assert count + len(last.masks) - 1 == cap + 1
-    assert all(len(run.masks) <= cap + 1 for run in runs)
+    for cap in range(1, size + 1):
+        runs.clear()
+        if cap == size:
+            assert bsub(L, cap=cap).size == size
+            continue
+        assert len(legacy_enumerate_subalgebras(L, True, cap=cap)) == cap + 1
+        with pytest.raises(ExplosionCap) as exc:
+            bsub(L, cap=cap)
+        assert str(exc.value) == (f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
+                                  "raise the cap with OMLKIT_NODE_CAP")
+        [run] = runs
+        assert run.how == (PARTITIONS if L.is_orthomodular else SEARCHED) and run.budget == cap
+        assert len(set(run.masks)) == len(run.masks) == len(run.keys) == cap + 1
 
 
 def _searched(monkeypatch):
@@ -583,11 +561,12 @@ def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monke
 
 @pytest.mark.parametrize("name", ["2^5", "example22", "MO2x2^2", "example22x2^1"])
 def test_a_connected_lattice_transposes_the_search_result_itself(name, monkeypatch):
-    # one summand: the list its enumeration returns, partition-generated
-    # (2^5) or searched, is sorted in place, with no product, copy or
-    # composition on the way.  A searched summand's keys are its masks, so
-    # that very list is transposed; a Boolean one transposes its partitions'
-    # keys, carried along in mask order
+    # one family: the list its enumeration returns, partition-generated
+    # (Sub of 2^5, and BSub, read off the blocks) or searched, is sorted in
+    # place, with no product, copy or composition on the way.  A searched
+    # summand's keys are its masks, so that very list is transposed; a
+    # partition-generated one transposes its keys, carried along in mask
+    # order
     found, transposed = _searched(monkeypatch)
     for boolean_only in (False, True):
         found.clear()
@@ -595,7 +574,7 @@ def test_a_connected_lattice_transposes_the_search_result_itself(name, monkeypat
         enumerate_subalgebras(_lattice(name), boolean_only=boolean_only)
         [family] = found
         assert family.masks == sorted(family.as_found)
-        if name == "2^5":
+        if name == "2^5" or boolean_only:
             assert family.how == PARTITIONS
             key_of = dict(zip(family.as_found, family.keys))
             assert transposed == [[key_of[m] for m in family.masks]]
@@ -629,33 +608,19 @@ def _counting_extend(L, run):
         del L._extend
 
 
-def _counting_split(monkeypatch):
-    """The (e, result, s) of each _split_closure call, as they are made."""
-    calls = []
-
-    def split(L, s, atoms, e):
-        got = _split_closure(L, s, atoms, e)
-        calls.append((e, got, s))
-        return got
-
-    monkeypatch.setattr(subalgebra_posets, "_split_closure", split)
-    return calls
-
-
 # every summand Boolean: read off partitions, with no closure past the bottom's
 PRUNED = [("hsum(2^4,2^4)", False), ("2^6", True)]
 # Sub of a lattice that is not a Boolean algebra closes through L._extend
 MEET_CLOSED = [("MO2xMO2", False), ("example22x2^1", False)]
-# BSub of a non-Boolean summand of an orthomodular L closes on atoms
-SPLIT = [("MO2xMO2", True), ("example22x2^1", True)]
+# BSub of an orthomodular L whose blocks share atoms is read off its blocks
+BLOCKS = [("MO2xMO2", True), ("example22x2^1", True)]
 
 
-@pytest.mark.parametrize("name, boolean_only", PRUNED + MEET_CLOSED + SPLIT,
+@pytest.mark.parametrize("name, boolean_only", PRUNED + MEET_CLOSED + BLOCKS,
                          ids=["sub", "bsub", "sub-MO2xMO2", "sub-example22x2^1",
                               "bsub-MO2xMO2", "bsub-example22x2^1"])
 def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, monkeypatch):
     L = _lattice(name)
-    split_calls = _counting_split(monkeypatch)
     found = _families(monkeypatch)
     poset, calls = _counting_extend(
         L, lambda: enumerate_subalgebras(L, boolean_only=boolean_only))
@@ -663,16 +628,10 @@ def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, 
         L, lambda: legacy_enumerate_subalgebras(L, boolean_only))
     assert [node.members for node in poset.nodes] == masks
     assert calls[0] == (0, L.n - 1)
-    if (name, boolean_only) in PRUNED:
-        # past the bottom, Sub and BSub of Boolean summands close nothing
-        assert calls == [(0, L.n - 1)] and not split_calls
-        assert found and all(family.how == PARTITIONS for family in found)
-    elif (name, boolean_only) in SPLIT:
-        assert calls == [(0, L.n - 1)] and split_calls
-    else:
-        assert not split_calls and len(calls) > 1
-    assert all(family.how == SEARCHED for family in found) != ((name, boolean_only) in PRUNED)
-    calls += [(e,) for e, *_ in split_calls]
+    read_off = (name, boolean_only) not in MEET_CLOSED
+    # past the bottom, Sub of Boolean summands and BSub of an OML close nothing
+    assert (calls == [(0, L.n - 1)]) == read_off
+    assert found and all(family.how == (PARTITIONS if read_off else SEARCHED) for family in found)
     assert len(calls) <= len(legacy_calls) // 2
     # past the closure of the bottom, no element later than its complement
     # in L's linear extension is tried
@@ -686,7 +645,6 @@ def test_a_horizontal_sum_closes_once_per_summand(monkeypatch):
     # sum closes mixed sets.  Sub(hsum(2^4,2^4)) is two families of
     # Sub(2^4), read off partitions with no closure past the bottom
     found = _families(monkeypatch)
-    split_calls = _counting_split(monkeypatch)
     for summand in (catalog("example22"), boolean_algebra(4)):
         L = horizontal_sum([summand, summand])
         found.clear()
@@ -696,65 +654,41 @@ def test_a_horizontal_sum_closes_once_per_summand(monkeypatch):
         assert twice == [len(found[-1].as_found)] * 2
         assert calls[0] == (0, L.n - 1) and one[0] == (0, summand.n - 1)
         assert len(calls) - 1 == 2 * (len(one) - 1)
-        assert (len(calls) > 1) == (summand.n == 12) and not split_calls
+        assert (len(calls) > 1) == (summand.n == 12)
 
 
 @pytest.mark.parametrize("name", OMLS + ["MO10", "MO2xMO2", "example22x2^1",
                                          "hsum(example22,2^3,MO2)"])
 def test_sub_splits_atoms_exactly_in_the_summands_that_commute(name, monkeypatch):
     # a summand is Boolean when all its elements commute; on an OML that is
-    # when it has 2^k elements, 0 and 1 counted, k its atoms.  Sub and BSub
-    # read such a summand's nodes off the partitions of its atoms, and
-    # search every other summand on its own: Sub closing with L._extend,
-    # BSub splitting atoms
+    # when it has 2^k elements, 0 and 1 counted, k its atoms.  Sub reads
+    # such a summand's nodes off the partitions of its atoms, and closes
+    # every other summand on its own with L._extend.  BSub reads all its
+    # nodes off the blocks in one call, of all the atoms, and closes
+    # nothing past the bottom
     found = _families(monkeypatch)
-    split_calls = _counting_split(monkeypatch)
     base = _lattice(name)
     for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
         commuting = legacy_commuting(L)
         summands = legacy_summands(L)
-        for boolean_only in (False, True):
-            found.clear()
-            split_calls.clear()
-            _, calls = _counting_extend(
-                L, lambda: enumerate_subalgebras(L, boolean_only=boolean_only))
-            assert not (split_calls if not boolean_only else calls[1:])
-            closed = mask_of(e for e, *_ in calls[1:] + split_calls)
-            # one family per summand, each reading its own elements only
-            parts = [next(p for p in summands if family.elements & p) for family in found]
-            assert sorted(parts) == summands
-            for family, part in zip(found, parts):
-                assert not family.elements & ~part
-                boolean = all(part & ~commuting[e] == 0 for e in bits(part))
-                atoms = len(set(bits(part)) & set(L.atoms()))
-                assert boolean == (len(list(bits(part))) + 2 == 2 ** atoms)
-                assert (family.how == PARTITIONS) == boolean
-                assert bool(closed & part) != boolean
-
-
-@pytest.mark.parametrize("name, boolean_only", [
-    ("2^6", False), ("2^6", True), ("hsum(2^5,2^5)", False), ("hsum(2^5,2^5)", True),
-    ("MO2xMO2", True), ("example22x2^1", True), ("hsum(example22,2^3,MO2)", True)])
-def test_every_built_split_closure_is_a_node(name, boolean_only, monkeypatch):
-    # in a linear extension a failing split closure is caught among its
-    # parts, so each closure whose joins are formed is a node: every node
-    # but the bottom of each search is built once, and nothing else is.
-    # Boolean summands are not searched, so they build no split closure
-    split_calls = _counting_split(monkeypatch)
-    found = _families(monkeypatch)
-    base = _lattice(name)
-    for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
-        split_calls.clear()
         found.clear()
-        enumerate_subalgebras(L, boolean_only=boolean_only)
-        earlier = earlier_sets(rank_order(L))
-        built = [(e, got[0], s) for e, got, s in split_calls if got.__class__ is tuple]
-        nodes = [m for f in found if f.how == SEARCHED for m in f.as_found[1:]]
-        assert sorted(mask for _, mask, _ in built) == sorted(nodes)
-        # none adds an element earlier than e: a test after the build would never fire
-        assert all(not mask & ~s & earlier[e] for e, mask, s in built)
-        # the rest were caught among their parts
-        assert all(earlier[e] >> got & 1 for e, got, _ in split_calls if got.__class__ is int)
+        _, calls = _counting_extend(L, lambda: bsub(L))
+        [family] = found
+        assert family.how == PARTITIONS and family.elements == mask_of(L.atoms())
+        assert calls == [(0, L.n - 1)]
+        found.clear()
+        _, calls = _counting_extend(L, lambda: sub(L))
+        closed = mask_of(e for e, *_ in calls[1:])
+        # one family per summand, each reading its own elements only
+        parts = [next(p for p in summands if family.elements & p) for family in found]
+        assert sorted(parts) == summands
+        for family, part in zip(found, parts):
+            assert not family.elements & ~part
+            boolean = all(part & ~commuting[e] == 0 for e in bits(part))
+            atoms = len(set(bits(part)) & set(L.atoms()))
+            assert boolean == (len(list(bits(part))) + 2 == 2 ** atoms)
+            assert (family.how == PARTITIONS) == boolean
+            assert bool(closed & part) != boolean
 
 
 def _index_and_rank_searches(L, boolean_only):

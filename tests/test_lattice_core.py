@@ -51,7 +51,7 @@ from omlkit.lattice_core import (
     mask_of,
     validate,
 )
-from omlkit.subalgebra_posets import AbstractPoset, check_order_iso
+from omlkit.subalgebra_posets import AbstractPoset, _blocks, check_order_iso
 
 from legacy_oracles import (
     legacy_blocks,
@@ -465,6 +465,30 @@ def test_blocks_are_the_maximal_bsub_nodes(name):
             random.Random(seed).shuffle(inner)
             L = relabel(base, [0, *inner, base.n - 1])
         assert [b.members for b in L.blocks()] == [b.members for b in legacy_blocks(L)]
+
+
+@pytest.mark.parametrize("name", BLOCK_ORACLE_LATTICES)
+def test_maximal_orthogonal_atom_sets_generate_the_blocks(name):
+    # BSub reads each block off a maximal clique of the orthogonality graph
+    # on atoms: its atoms are pairwise orthogonal, they join to 1, and the
+    # subalgebras they generate are the blocks the commutation graph gives
+    base = _oracle_lattice(name)
+    for seed in (1, 2, 3):
+        inner = list(range(1, base.n - 1))
+        random.Random(seed).shuffle(inner)
+        L = relabel(base, [0, *inner, base.n - 1])
+        cliques = _blocks(L)
+        for clique in cliques:
+            atoms = list(bits(clique))
+            assert set(atoms) <= set(L.atoms())
+            assert all(L.meet(a, L.ortho[b]) == a for a in atoms for b in atoms if a != b)
+            joined = 0
+            for a in atoms:
+                joined = L.join(joined, a)
+            assert joined == L.n - 1
+        generated = sorted(L.closure_mask(clique) for clique in cliques)
+        assert generated == [b.members for b in L.blocks()]
+        assert generated == [b.members for b in legacy_blocks(L)]
 
 
 class _CubicCheckCalled(Exception):
