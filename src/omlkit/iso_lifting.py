@@ -87,11 +87,12 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     Blocks larger than four elements are lifted on L's and M's own rows
     through their principal dual subalgebras and glued; a disagreement on a
     shared element (impossible for genuine inputs) raises GlueConflict.  A
-    block whose elements do not pairwise commute is not Boolean (by
-    Foulis-Holland) and raises NotBoolean.  Only the first lift is checked;
-    the others differ from it by automorphisms of L (see below).  The
-    maximal nodes need no check of their own: phi is an order isomorphism,
-    so it maps BSub(L)'s maximal nodes onto BSub(M)'s.
+    maximal node that lies in no block of its lattice (``blocks``) is not
+    Boolean and raises NotBoolean; a four-element one that is not itself a
+    block of L, or lacks a bound, raises GlueConflict.  Only the first lift
+    is checked; the others differ from it by automorphisms of L (see
+    below).  The maximal nodes need no check of their own: phi is an order
+    isomorphism, so it maps BSub(L)'s maximal nodes onto BSub(M)'s.
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -101,6 +102,12 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         bsub_m = enumerate_subalgebras(M, boolean_only=True)
     phi = check_order_iso(phi, bsub_l, bsub_m)
 
+    # A set of elements lies in a block exactly when they pairwise commute:
+    # a block is Boolean, and pairwise commuting elements of an OML generate
+    # a Boolean subalgebra (Kalmbach, Orthomodular Lattices, 1983), which
+    # lies in a maximal one.  So, by Foulis-Holland, a node is Boolean
+    # exactly when it lies in a block.
+    blocks_l, blocks_m = ([b.members for b in X.blocks()] for X in (L, M))
     global_map = [-1] * L.n
     global_map[0] = 0
     global_map[L.n - 1] = M.n - 1
@@ -114,12 +121,19 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         if size == 4:
             if ymask.bit_count() != 4:
                 raise BlockMismatch("four-element block mapped to a larger block")
-            p, q = [e for e in bits(xmask) if e != 0 and e != L.n - 1]
-            global_map[p], global_map[q] = [e for e in bits(ymask) if e != 0 and e != M.n - 1]
+            pairs = []
+            for X, mask in ((L, xmask), (M, ymask)):
+                inner = mask & ~(1 | 1 << X.n - 1)
+                if inner.bit_count() != 2:
+                    raise GlueConflict("four-element node {" + ",".join(map(str, bits(mask)))
+                                       + "} lacks a bound")
+                pairs.append(list(bits(inner)))
+            (p, q), image = pairs
+            global_map[p], global_map[q] = image
             four_blocks.append((p, q, xmask))
             continue
-        for X, mask in ((L, xmask), (M, ymask)):
-            if any(mask & ~X.commuting[e] for e in bits(mask)):
+        for mask, blocks in ((xmask, blocks_l), (ymask, blocks_m)):
+            if all(mask & ~block for block in blocks):
                 raise NotBoolean("operation needs a Boolean algebra")
         images = sachs_boolean._pd_lift(L, M, xmask, ymask, phi, bsub_l, bsub_m)
         for e, value in zip(bits(xmask), images):
@@ -128,15 +142,17 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
             global_map[e] = value
 
     # {0, p, p', 1} is a block of an orthomodular L exactly when p is an atom
-    # and a coatom.  Everything below or above p commutes with p, so a block,
-    # being maximal, has nothing strictly between p and 0 or 1.  Conversely,
-    # if p and p' are atoms and coatoms and b commutes with p, then b =
-    # (b ^ p) v (b ^ p') is 0, p, p' or 1.  Swapping p and p' is then an
-    # automorphism of L that fixes every subalgebra.  So once commuting[p] is
-    # the block, the lowest-to-lowest glued map f is the one map to check, and
-    # the other lifts are f after the swaps.
+    # and a coatom, and exactly when the elements that commute with p are its
+    # own.  Everything below or above p commutes with p, so a block, being
+    # maximal, has nothing strictly between p and 0 or 1.  If p and p' are
+    # atoms and coatoms and b commutes with p, then b = (b ^ p) v (b ^ p')
+    # is 0, p, p' or 1.  And when only its own elements commute with p, no
+    # Boolean subalgebra holds more, so it is a block.  For such p, swapping
+    # p and p' is an automorphism of L that fixes every subalgebra.  So once
+    # the node is a block, the lowest-to-lowest glued map f is the one map to
+    # check, and the other lifts are f after the swaps.
     for p, q, xmask in four_blocks:
-        if L.commuting[p] != xmask:
+        if xmask not in blocks_l:
             raise GlueConflict(
                 f"four-element block {{0,{p},{q},{L.n - 1}}} overlaps a larger block")
     if not canonical_only and len(four_blocks) > MAX_FOUR_BLOCK_CHOICES:

@@ -19,6 +19,11 @@ When a row test fails, the pair scan it replaced names the first faulty
 pair, so the first fault and its message are those of a pair-by-pair
 check.  Posets are still checked pair by pair: their rows have no size
 cap, and a spelling costs n^2 even for an antichain.
+
+The blocks of an orthomodular lattice are found here and nowhere else: the
+maximal sets of pairwise orthogonal atoms (``_blocks``), each joined out to
+its block (``_joins``).  ``blocks()`` and Booleanness read them, as do
+BSub and the lifts above this module.
 """
 
 from __future__ import annotations
@@ -285,10 +290,10 @@ class FiniteOrtholattice(_Order):
 
     @cached_property
     def is_boolean_algebra(self) -> bool:
-        """Whether the whole lattice is a Boolean algebra (checked once): by
-        Foulis-Holland, an orthomodular lattice whose elements all commute."""
-        return self.flavor == ORTHOMODULAR and all(
-            row == self.universe for row in self.commuting)
+        """Whether the whole lattice is a Boolean algebra (checked once): an
+        orthomodular lattice with one block, since it is the union of its
+        blocks (``_blocks``)."""
+        return self.flavor == ORTHOMODULAR and len(_blocks(self)) == 1
 
     def meet(self, a: int, b: int) -> int:
         return self._meet[a][b]
@@ -350,30 +355,6 @@ class FiniteOrtholattice(_Order):
         above = [format(self.up[a] & mask, width)[::-1].encode().translate(_DIGIT_BITS)
                  for a in inside]
         return _zero_meets_only_at_self([self._meet[self.ortho[a]] for a in inside], above)
-
-    @cached_property
-    def commuting(self) -> tuple[int, ...]:
-        """commuting[a] is the bit set of elements that commute with a.
-
-        a C b reads a = (a ^ b) v (a ^ b'), symmetric in b and b', and C is
-        symmetric, so a and a' share a row.  Comparable and orthogonal elements
-        commute (a <= b gives a v (a ^ b') = a), so the cones of a and a' are
-        set untested, and each other pair {b, b'} is tested once.
-        """
-        if self.flavor != ORTHOMODULAR:
-            raise FlavorError("commutation is only defined on orthomodular lattices")
-        up, down, ortho, meet, join = self.up, self.down, self.ortho, self._meet, self._join
-        out = [up[a] | down[a] | up[o] | down[o] for a, o in enumerate(ortho)]
-        # each pair {b, b'} is tested from its lesser element
-        lesser = sum([1 << b for b, c in enumerate(ortho) if b < c])
-        for a, (o, row) in enumerate(zip(ortho, meet)):
-            # the pairs below a were tested from their side
-            for b in bits(lesser & ~out[a] & -(2 << a) if a < o else 0):
-                c = ortho[b]
-                if join[row[b]][row[c]] == a:
-                    out[a] |= 1 << b | 1 << c
-                    out[b] |= 1 << a | 1 << o
-        return tuple(out[min(a, o)] for a, o in enumerate(ortho))
 
     def closure_mask(self, mask: int) -> int:
         """Close ``mask`` under complement, meet and join, plus the bounds."""
@@ -465,18 +446,68 @@ class FiniteOrtholattice(_Order):
         return True
 
     def blocks(self) -> list["SubalgebraSet"]:
-        """All maximal Boolean subalgebras, ascending by bit-set value.
-
-        These are the maximal nodes of BSub(L), read off its enumeration, so
-        the enumerator's node cap applies (100000 nodes, or the
-        OMLKIT_NODE_CAP environment variable): past it, ExplosionCap.
-        """
+        """All maximal Boolean subalgebras, ascending by bit-set value: the
+        joins of each maximal set of pairwise orthogonal atoms (``_blocks``)."""
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("blocks are defined for orthomodular lattices")
-        from .subalgebra_posets import bsub
+        return [SubalgebraSet(self, mask) for mask in
+                sorted(sum(_joins(self, list(bits(atoms)))) for atoms in _blocks(self))]
 
-        p = bsub(self)
-        return [SubalgebraSet(self, p.masks[x]) for x in p.maximal_elements()]
+
+# -- blocks ----------------------------------------------------------------
+
+def _joins(L: FiniteOrtholattice, parts: Sequence[int]) -> list[int]:
+    """The joins of every subset of ``parts``, nonzero and pairwise
+    orthogonal, as one-bit masks indexed by the subset (bit i for parts[i]),
+    formed by doubling: each part is joined to every join found before it.
+    For the atoms of a Boolean subalgebra they are its elements.  A part a
+    orthogonal to a set B lies below (v B)', so a <= v B would make a = 0:
+    the joins are distinct, and a sum of them is their union."""
+    join = L._join
+    members = [0]
+    for t in parts:
+        row = join[t]
+        members += [row[x] for x in members]
+    return [_POINTS[x] for x in members]
+
+
+def _blocks(L: FiniteOrtholattice) -> list[int]:
+    """The atom sets of the blocks (maximal Boolean subalgebras) of an
+    orthomodular L, as bit sets.
+
+    They are the maximal cliques of the orthogonality graph on L's atoms, b
+    adjacent to a when b <= a', found by Bron-Kerbosch with pivoting (Bron
+    and Kerbosch 1973) over bit sets.  A block B is the joins of its atoms,
+    which are pairwise orthogonal.  They are atoms of L: an L-atom c under
+    a block atom a lies below or orthogonal to every element of B, as a
+    does, so c commutes with the whole block; by Foulis-Holland B and c
+    generate a Boolean subalgebra, so c is in B and c = a.  They join to 1,
+    so no other atom is orthogonal to them all.  Conversely a maximal
+    orthogonal atom set joins to 1, because an atom under the complement of
+    its join would extend the set, so its joins are a Boolean subalgebra.
+    A block above it has L-atoms for atoms, and each atom of the set is a
+    join of them, so one of them: by maximality the set is that block's
+    atoms.
+    """
+    down, ortho = L.down, L.ortho
+    out, stack = [], [(0, L._atoms, 0)]
+    while stack:
+        clique, cand, done = stack.pop()
+        # any candidate is a sound pivot, and the lowest costs nothing to
+        # find; cand and done hold atoms only, so down[a'] is a's neighbours
+        low = cand & -cand
+        branch = cand & ~down[ortho[low.bit_length() - 1]]
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            near = down[ortho[bit.bit_length() - 1]]
+            if cand & near:
+                stack.append((clique | bit, cand & near, done & near))
+            elif not done & near:
+                out.append(clique | bit)
+            cand ^= bit
+            done |= bit
+    return out
 
 
 # -- order core helpers ----------------------------------------------------

@@ -16,9 +16,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .errors import Inconsistent, MalformedInput, NotBoolean
-from .lattice_core import FiniteOrtholattice, SubalgebraSet, _Record, bits
-from .subalgebra_posets import (AbstractPoset, SubalgebraPoset, _joins, _partition_table,
-                                inclusion_rows)
+from .lattice_core import FiniteOrtholattice, SubalgebraSet, _joins, _Record, bits
+from .subalgebra_posets import AbstractPoset, SubalgebraPoset, _partition_table, inclusion_rows
 
 
 def is_boolean_algebra(L: FiniteOrtholattice) -> bool:

@@ -7,14 +7,15 @@ summands' Sub.  A Boolean summand of an orthomodular L needs no search:
 its subalgebras are read off the set partitions of its atoms (Sachs).  Nor
 does BSub of an orthomodular L: every Boolean subalgebra lies in a block,
 whose atoms are a maximal set of pairwise orthogonal atoms, so BSub(L) is
-the union over the blocks of their partitions.  Any other summand, and
-BSub of any other ortholattice, is searched depth first by Close-by-One
-from {0,1}, which lists each subalgebra once and closes each new set
-incrementally from its parent.  Its canonicity test asks whether a closure
-adds an element earlier in a linear extension of L (by down-cone size).
-Posets come out with nodes sorted ascending by bit-set value, so identical
-inputs give identical output, byte for byte, whatever order they were
-found in.  Each summand's inclusion rows, and BSub's, are transposed in
+the union over the blocks of their partitions.  The lattice core finds
+those atom sets (``_blocks``), which ``blocks()`` reads too.  Any other
+summand, and BSub of any other ortholattice, is searched depth first by
+Close-by-One from {0,1}, which lists each subalgebra once and closes each
+new set incrementally from its parent.  Its canonicity test asks whether a
+closure adds an element earlier in a linear extension of L (by down-cone
+size).  Posets come out with nodes sorted ascending by bit-set value, so
+identical inputs give identical output, byte for byte, whatever order they
+were found in.  Each summand's inclusion rows, and BSub's, are transposed in
 one pass from keys narrower than their masks: a node read off partitions
 is keyed by the atom pairs it separates in each block that holds it.  Sub
 of a horizontal sum takes one product of its summands' orders, with no
@@ -42,13 +43,14 @@ from .errors import (
 from .lattice_core import (
     FiniteOrtholattice,
     SubalgebraSet,
+    _blocks,
     _DIGIT_BITS,
     _induced,
     _is_int,
+    _joins,
     _Order,
     _order_isos,
     _permuted,
-    _POINTS,
     bits,
 )
 
@@ -283,21 +285,6 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def _joins(L: FiniteOrtholattice, parts: Sequence[int]) -> list[int]:
-    """The joins of every subset of ``parts``, nonzero and pairwise
-    orthogonal, as one-bit masks indexed by the subset (bit i for parts[i]),
-    formed by doubling: each part is joined to every join found before it.
-    For the atoms of a Boolean subalgebra they are its elements.  A part a
-    orthogonal to a set B lies below (v B)', so a <= v B would make a = 0:
-    the joins are distinct, and a sum of them is their union."""
-    join = L._join
-    members = [0]
-    for t in parts:
-        row = join[t]
-        members += [row[x] for x in members]
-    return [_POINTS[x] for x in members]
-
-
 @lru_cache
 def _partition_table(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every partition of k indices as (members, key), the one-block
@@ -313,45 +300,6 @@ def _partition_table(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
                  for ms, key in table
                  for block in [ms[1 << b] for b in range(len(ms).bit_length() - 1)] + [0]]
     return tuple(table)
-
-
-def _blocks(L: FiniteOrtholattice) -> list[int]:
-    """The atom sets of the blocks (maximal Boolean subalgebras) of an
-    orthomodular L, as bit sets.
-
-    They are the maximal cliques of the orthogonality graph on L's atoms, b
-    adjacent to a when b <= a', found by Bron-Kerbosch with pivoting (Bron
-    and Kerbosch 1973) over bit sets.  A block B is the joins of its atoms,
-    which are pairwise orthogonal.  They are atoms of L: an L-atom c under
-    a block atom a lies below or orthogonal to every element of B, as a
-    does, so c commutes with the whole block; by Foulis-Holland B and c
-    generate a Boolean subalgebra, so c is in B and c = a.  They join to 1,
-    so no other atom is orthogonal to them all.  Conversely a maximal
-    orthogonal atom set joins to 1, because an atom under the complement of
-    its join would extend the set, so its joins are a Boolean subalgebra.
-    A block above it has L-atoms for atoms, and each atom of the set is a
-    join of them, so one of them: by maximality the set is that block's
-    atoms.
-    """
-    down, ortho = L.down, L.ortho
-    out, stack = [], [(0, L._atoms, 0)]
-    while stack:
-        clique, cand, done = stack.pop()
-        # any candidate is a sound pivot, and the lowest costs nothing to
-        # find; cand and done hold atoms only, so down[a'] is a's neighbours
-        low = cand & -cand
-        branch = cand & ~down[ortho[low.bit_length() - 1]]
-        while branch:
-            bit = branch & -branch
-            branch ^= bit
-            near = down[ortho[bit.bit_length() - 1]]
-            if cand & near:
-                stack.append((clique | bit, cand & near, done & near))
-            elif not done & near:
-                out.append(clique | bit)
-            cand ^= bit
-            done |= bit
-    return out
 
 
 def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):

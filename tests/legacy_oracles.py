@@ -22,14 +22,16 @@ the interval and a fresh partition lattice for every node, with no cheap
 invariants in front of the isomorphism search.
 
 ``legacy_commuting`` tests every pair of elements for commutation, where
-the library sets the cones of a and a' untested and tests each pair
-{b, b'} once for the pair {a, a'}.  ``rank_order`` is the linear
-extension the library searches over.  ``legacy_split_closure_bsub`` is
-the BSub search of an orthomodular lattice that the blocks replaced:
-Close-by-One over that linear extension, each node kept as its atoms and
-split by every element that commutes with it (``legacy_split_closure``),
-where the library reads BSub off the set partitions of each block's atoms.
-``legacy_permuted`` renamed each row through ``mask_of`` over ``bits``.
+the library's commutation rows set the cones of a and a' untested and
+tested each pair {b, b'} once for the pair {a, a'}; the library now reads
+blocks instead, as a set of elements pairwise commutes exactly when it
+lies in a block.  ``rank_order`` is the linear extension the library
+searches over.  ``legacy_split_closure_bsub`` is the BSub search of an
+orthomodular lattice that the blocks replaced: Close-by-One over that
+linear extension, each node kept as its atoms and split by every element
+that commutes with it (``legacy_split_closure``), where the library reads
+BSub off the set partitions of each block's atoms.  ``legacy_permuted``
+renamed each row through ``mask_of`` over ``bits``.
 
 ``legacy_close_by_one``, ``legacy_inclusion_rows`` and ``legacy_transpose``
 are the enumerator and the inclusion rows before failed closures left
@@ -51,8 +53,9 @@ library now reads heights off the down rows alone, level by level.
 
 ``legacy_blocks`` is the Bron-Kerbosch clique search (with pivoting) on
 the commutation graph that ``FiniteOrtholattice.blocks`` ran before it read
-the blocks off BSub(L) as its maximal nodes; each maximal clique was
-re-checked to be a closed Boolean subalgebra.
+the blocks off BSub(L) as its maximal nodes, and then off the maximal
+orthogonal atom sets; each maximal clique was re-checked to be a closed
+Boolean subalgebra.
 
 ``legacy_lift_bsub_iso`` and ``legacy_lift_boolean_iso`` lift each block of
 more than four elements through a standalone copy (``sublattice``), its
@@ -133,6 +136,7 @@ from omlkit.lattice_core import (
     ORTHOMODULAR,
     FiniteOrtholattice,
     SubalgebraSet,
+    _joins,
     bits,
     mask_of,
     morphism,
@@ -140,7 +144,6 @@ from omlkit.lattice_core import (
 )
 from omlkit.sachs_boolean import _require_boolean, dual_decomposition, pd_mask
 from omlkit.subalgebra_posets import (
-    _joins,
     check_order_iso,
     close_by_one,
     enumerate_subalgebras,
@@ -293,7 +296,7 @@ def legacy_split_closure_bsub(L, cap=100000):
     Close-by-One found them over L's linear extension: an element is added
     only if it commutes with every element already present, and a node is
     kept as its atoms (``legacy_split_closure``), the bottom's the top alone."""
-    commuting, earlier, ortho = L.commuting, L._earlier, L.ortho
+    commuting, earlier, ortho = legacy_commuting(L), L._earlier, L.ortho
 
     def extend(s, atoms, e):
         return None if s & ~commuting[e] else legacy_split_closure(L, s, atoms, e)

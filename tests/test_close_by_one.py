@@ -198,15 +198,6 @@ def test_bsub_of_a_non_orthomodular_lattice_meets_witnesses_and_rejections():
 OMLS = [name for name in CATALOG if name != "benzene"]
 
 
-@pytest.mark.parametrize("name", OMLS + ["MO2x2^2", "2^6", "MO10", "hsum(2^5,2^5)"])
-def test_commuting_rows_match_the_pairwise_test(name):
-    L = _lattice(name)
-    assert L.commuting == legacy_commuting(L)
-    for seed in SEEDS:
-        M = _inner_relabeling(L, seed)
-        assert M.commuting == legacy_commuting(M)
-
-
 # connected OMLs whose blocks share atoms, a sum of two of them, and MO31's
 # 31 blocks on 62 atoms
 BLOCKS_SHARE_ATOMS = ["MO2xMO2", "MO3x2^3", "MO3xMO3", "MO6x2^2", "example22x2^2",
@@ -403,8 +394,8 @@ def test_the_partition_table_holds_one_entry_per_summand_size():
                                   "hsum(example22,2^3,MO2)", "MO2xMO2", "example22x2^1"])
 def test_bsub_of_an_orthomodular_lattice_reads_no_commutation_or_rank(name, monkeypatch):
     # BSub of an OML is read off its blocks, found from the orthogonality of
-    # atoms: it needs neither the commutation rows nor L's linear extension,
-    # whether or not its summands are Boolean
+    # atoms: it needs no linear extension of L, whether or not its summands
+    # are Boolean
     base = _lattice(name)
     lattices = [base, *(_inner_relabeling(base, seed) for seed in SEEDS)]
     expected = [legacy_enumerate_subalgebras(L, True)[0] for L in lattices]
@@ -414,7 +405,7 @@ def test_bsub_of_an_orthomodular_lattice_reads_no_commutation_or_rank(name, monk
         compute = getattr(FiniteOrtholattice, attr).func
         return property(lambda L: reads.append(attr) or compute(L))
 
-    for attr in ("commuting", "_ranked", "_earlier"):
+    for attr in ("_ranked", "_earlier"):
         monkeypatch.setattr(FiniteOrtholattice, attr, recorded(attr))
     for L, masks in zip(lattices, expected):
         reads.clear()
@@ -725,11 +716,12 @@ def test_close_by_one_over_index_and_rank_order_finds_the_same_nodes(name):
 def test_witnesses_alone_halve_the_closures(name, boolean_only):
     # every element a candidate, so only the witnesses can skip a closure
     L = _lattice(name)
+    commuting = legacy_commuting(L) if boolean_only else None
     calls = {}
 
     def extend(s, members, e):
         calls[key] += 1
-        if boolean_only and s & ~L.commuting[e]:
+        if boolean_only and s & ~commuting[e]:
             return None
         child = L._extend(s, members, (e,), (1 << e) - 1)
         return child if key == "new" or isinstance(child, tuple) else None

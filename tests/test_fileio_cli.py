@@ -173,11 +173,16 @@ def test_cli_blocks(tmp_path, capsys):
 
 
 def test_cli_blocks_under_the_node_cap(tmp_path, capsys, monkeypatch):
-    # blocks are BSub's maximal nodes, so the enumerator's cap applies
+    # blocks come from the maximal orthogonal atom sets, with no poset
+    # enumerated, so the enumerator's cap, small or malformed, does not apply
     path = tmp_path / "ex22.json"
     path.write_text(fileio.dump_lattice(catalog("example22")))
+    for cap in ("3", "junk"):
+        monkeypatch.setenv("OMLKIT_NODE_CAP", cap)
+        assert run_cli(capsys, "blocks", str(path)) == (
+            0, "{0,1,2,3,6,7,8,11}\n{0,3,4,5,8,9,10,11}\n", "")
     monkeypatch.setenv("OMLKIT_NODE_CAP", "3")
-    assert run_cli(capsys, "blocks", str(path)) == (
+    assert run_cli(capsys, "bsub", str(path)) == (
         1, "", "error: more than 3 subalgebras (stopped at 4 nodes); "
                "raise the cap with OMLKIT_NODE_CAP\n")
 

@@ -185,6 +185,21 @@ def test_lift_of_four_element_nodes_that_are_not_blocks():
             lift_bsub_iso(B, B, (0, 1, 2, 3), poset, poset, canonical_only=canonical)
 
 
+def test_lift_of_a_four_element_node_without_both_bounds():
+    # {1,2,3,7} of 2^3 lacks 0, {0,1,2,3} lacks 7: each side names its own node
+    B = boolean_algebra(3)
+
+    def chain(mask):
+        nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, mask)]
+        return SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
+
+    block, no_bottom, no_top = chain(0b11000011), chain(0b10001110), chain(0b1111)
+    for P, Q, text in ((no_bottom, block, r"\{1,2,3,7\}"), (block, no_top, r"\{0,1,2,3\}")):
+        for canonical in (False, True):
+            with pytest.raises(GlueConflict, match=rf"^four-element node {text} lacks a bound$"):
+                lift_bsub_iso(B, B, (0, 1), P, Q, canonical_only=canonical)
+
+
 def _realizes_node_by_node(f, phi, P, Q):
     return all(f.apply_mask(node.members) == Q.nodes[phi[i]].members
                for i, node in enumerate(P.nodes))

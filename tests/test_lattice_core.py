@@ -44,6 +44,7 @@ from omlkit import fileio
 from omlkit.cli import main
 from omlkit.lattice_core import (
     FiniteOrtholattice,
+    _blocks,
     _covers,
     _permuted,
     _transpose,
@@ -51,12 +52,13 @@ from omlkit.lattice_core import (
     mask_of,
     validate,
 )
-from omlkit.subalgebra_posets import AbstractPoset, _blocks, check_order_iso
+from omlkit.subalgebra_posets import AbstractPoset, check_order_iso
 
 from legacy_oracles import (
     legacy_blocks,
     legacy_boolean_algebra,
     legacy_bound_tables,
+    legacy_commuting,
     legacy_covers,
     legacy_finite_ortholattice,
     legacy_horizontal_sum,
@@ -453,18 +455,53 @@ def _oracle_lattice(name):
     return catalog(name)
 
 
+def _relabelings(base):
+    """``base`` under three seeded shuffles of its inner elements."""
+    for seed in (1, 2, 3):
+        inner = list(range(1, base.n - 1))
+        random.Random(seed).shuffle(inner)
+        yield relabel(base, [0, *inner, base.n - 1])
+
+
 @pytest.mark.parametrize("name", BLOCK_ORACLE_LATTICES)
 def test_blocks_are_the_maximal_bsub_nodes(name):
-    # blocks() reads BSub(L)'s maximal nodes; the clique search it replaced
-    # finds maximal sets of commuting elements on its own
+    # a block is a maximal Boolean subalgebra: blocks() joins the maximal
+    # orthogonal atom sets, BSub(L) orders all the Boolean subalgebras
     base = _oracle_lattice(name)
-    for seed in (None, 1, 2, 3):
-        L = base
-        if seed is not None:
-            inner = list(range(1, base.n - 1))
-            random.Random(seed).shuffle(inner)
-            L = relabel(base, [0, *inner, base.n - 1])
-        assert [b.members for b in L.blocks()] == [b.members for b in legacy_blocks(L)]
+    for L in (base, *_relabelings(base)):
+        p = bsub(L)
+        assert [b.members for b in L.blocks()] == [p.masks[x] for x in p.maximal_elements()]
+
+
+@pytest.mark.parametrize("name", BLOCK_ORACLE_LATTICES)
+def test_blocks_decide_what_the_commutation_rows_did(name):
+    # a set of elements pairwise commutes exactly when it lies in a block,
+    # so the blocks answer each question that was asked of the commutation
+    # rows, which the pairwise test builds here on its own
+    for L in _relabelings(_oracle_lattice(name)):
+        commuting = legacy_commuting(L)
+        blocks = [b.members for b in L.blocks()]
+        assert blocks == [b.members for b in legacy_blocks(L)]
+        assert L.is_boolean_algebra == all(row == L.universe for row in commuting)
+        # parts of blocks, each also with one more element, and small sets
+        rng = random.Random(name)
+        subsets = []
+        for block in blocks:
+            inside = list(bits(block))
+            for _ in range(20):
+                part = mask_of(rng.sample(inside, rng.randint(1, len(inside))))
+                subsets += [part, part | 1 << rng.randrange(L.n)]
+        subsets += [mask_of(rng.sample(range(L.n), rng.randint(1, min(L.n, 5))))
+                    for _ in range(200)]
+        verdicts = set()
+        for s in subsets:
+            pairwise = all(s & ~commuting[e] == 0 for e in bits(s))
+            assert any(s & ~block == 0 for block in blocks) == pairwise
+            verdicts.add(pairwise)
+        assert verdicts == {True, L.is_boolean_algebra}
+        for p in range(1, L.n - 1):
+            four = 1 | 1 << p | 1 << L.ortho[p] | 1 << L.n - 1
+            assert (four in blocks) == (commuting[p] == four)
 
 
 @pytest.mark.parametrize("name", BLOCK_ORACLE_LATTICES)
@@ -473,10 +510,7 @@ def test_maximal_orthogonal_atom_sets_generate_the_blocks(name):
     # on atoms: its atoms are pairwise orthogonal, they join to 1, and the
     # subalgebras they generate are the blocks the commutation graph gives
     base = _oracle_lattice(name)
-    for seed in (1, 2, 3):
-        inner = list(range(1, base.n - 1))
-        random.Random(seed).shuffle(inner)
-        L = relabel(base, [0, *inner, base.n - 1])
+    for L in _relabelings(base):
         cliques = _blocks(L)
         for clique in cliques:
             atoms = list(bits(clique))

@@ -19,7 +19,9 @@ outside is always checked.  A subalgebra poset's nodes are its bit sets
 (``masks``): the library reads no ``.nodes``, whose SubalgebraSets are
 built on first read for users of the public API such as ``selftest``.
 Nodes are labeled unchecked only in ``enumerate_subalgebras``; every other
-labeling goes through the checking constructor.
+labeling goes through the checking constructor.  The lattice core sits at
+the bottom of the package: it imports no module of it but ``errors``, not
+even inside a function.
 """
 
 import ast
@@ -376,3 +378,50 @@ def test_the_mask_label_scan_finds_a_planted_labeler():
         "n.py": "def read(P):\n    masks = P.masks\n    return masks\n",
     }
     assert _mask_labelers(sources) == [("m.py", ""), ("m.py", "P.relabel")]
+
+
+CORE_IMPORTS = {"errors"}
+
+
+def _package_imports(source: str, name: str) -> list[tuple[str, str]]:
+    """("module:line", imported package module) for each import of an
+    omlkit module, at module level or inside a function, sorted."""
+    out = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.partition(".")[0] != "omlkit":
+                    continue
+                module = module.removeprefix("omlkit").lstrip(".")
+            modules = [module] if module else [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name.removeprefix("omlkit").lstrip(".") or "__init__"
+                       for alias in node.names if alias.name.partition(".")[0] == "omlkit"]
+        else:
+            continue
+        out += [(f"{name}:{node.lineno}", module) for module in modules]
+    return sorted(out)
+
+
+def test_the_lattice_core_imports_only_the_errors():
+    path = next(p for p in MODULES if p.name == "lattice_core.py")
+    found = _package_imports(path.read_text(encoding="utf-8"), path.name)
+    assert found and {module for _, module in found} <= CORE_IMPORTS
+
+
+def test_the_package_import_scan_finds_a_local_import():
+    source = (
+        "import re\n"
+        "from .errors import FlavorError\n"
+        "class L:\n"
+        "    def blocks(self):\n"
+        "        from .subalgebra_posets import bsub\n"
+        "        from . import fileio\n"
+        "        import omlkit.cli\n"
+        "        from omlkit import selftest\n"
+        "        return bsub(self)\n"
+    )
+    assert _package_imports(source, "m.py") == [
+        ("m.py:2", "errors"), ("m.py:5", "subalgebra_posets"), ("m.py:6", "fileio"),
+        ("m.py:7", "cli"), ("m.py:8", "selftest")]
