@@ -31,6 +31,7 @@ from .lattice_core import (
     Morphism,
     ORTHOMODULAR,
     _Record,
+    _induced,
     bits,
     find_isomorphism,
     morphism,
@@ -38,8 +39,10 @@ from .lattice_core import (
 from .subalgebra_posets import (
     AbstractPoset,
     SubalgebraPoset,
+    _partition_table,
     check_order_iso,
     enumerate_subalgebras,
+    inclusion_rows,
     poset_isomorphic,
 )
 from . import sachs_boolean
@@ -203,126 +206,109 @@ def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
 
 @lru_cache(maxsize=None)
 def _bell(k: int) -> int:
-    """Bell(k), the number of partitions of k points: B(k) = sum of
-    C(k-1, i) B(i) over i < k, choosing the block of the last point."""
+    """Bell(k), the number of partitions of k points and of nodes of
+    Sub(2^k): B(k) = sum of C(k-1, i) B(i) over i < k, choosing the block
+    of the last point.  B(k) >= 2^(k-1): each point after the first joins
+    the first point's block or stays alone."""
     return 1 if k == 0 else sum(comb(k - 1, i) * _bell(i) for i in range(k))
 
 
-def _boolean_rank(sub_l: SubalgebraPoset, x: int) -> Optional[int]:
+def _boolean_rank(sub_l: AbstractPoset, x: int) -> Optional[int]:
     """The k for which the interval below x could be Sub(2^k), else None.
 
-    Reads necessary invariants of the dual partition lattice off sub_l's own
-    rows, without building the interval: it has 2^(k-1) - 1 atoms,
-    Bell(k) nodes and its top at height k-1.  Heights in sub_l are heights
-    in the interval, since the interval is a down-set with a least element.
-    These are cheap rejections only: ``_sachs_certificate`` decides every
-    interval of Bell(k) nodes, so a finer invariant (such as the rank
-    profile) could not reject a node it accepts.
+    Sub(2^k) has Bell(k) nodes and its top at height k-1.  Heights in
+    sub_l are heights in the interval, since the interval is a down-set
+    with a least element, so k is height(x) + 1 and the node count is the
+    one cheap rejection: ``_sachs_certificate`` decides every interval of
+    Bell(k) nodes.  An interval of fewer than 2^(k-1) nodes is refused
+    before Bell(k) is computed, so a tall chain costs no big number.
     """
     dx = sub_l.down[x]
-    bottom = next((y for y in bits(dx) if sub_l.up[y] & dx == dx), None)
-    if bottom is None:
+    if not any(sub_l.up[y] & dx == dx for y in bits(dx)):
         raise NoLeastElement(f"the interval below node {x} has no least element")
-    a = (sub_l.cover_up[bottom] & dx).bit_count()
-    if (a + 1) & a:
-        return None  # atom count + 1 must be a power of two
-    k = (a + 1).bit_length()
-    return k if sub_l.heights[x] == k - 1 and dx.bit_count() == _bell(k) else None
-
-
-def _is_equivalence(k: int, pairs: Sequence[tuple[int, int]]) -> bool:
-    """Whether ``pairs`` is the set of pairs {i, j} related by some
-    equivalence relation on 0..k-1, for distinct pairs with i < j (as
-    ``_sachs_certificate`` hands in; repeated, reversed or self-pairs are
-    not refused here).  With row[i] holding i and its partners, that holds
-    exactly when row[j] == row[i] for every j in row[i]: the relation is
-    then reflexive, symmetric and transitive, and row[i] is the class of
-    i."""
-    row = [1 << i for i in range(k)]
-    for i, j in pairs:
-        row[i] |= 1 << j
-        row[j] |= 1 << i
-    return all(row[j] == r for r in row for j in bits(r))
+    k, size = sub_l.heights[x] + 1, dx.bit_count()
+    return k if size >> k - 1 and size == _bell(k) else None
 
 
 def _sachs_certificate(sub_l: AbstractPoset, x: int, k: int) -> bool:
     """Whether the interval below x, which has Bell(k) nodes, is isomorphic
-    to the dual of the partition lattice on k points, read off sub_l's rows
-    with no search.
+    to Sub(2^k), the dual of the partition lattice on k points (Sachs), read
+    off sub_l's heights and up/down rows with no search.
 
-    In that dual (Sachs: Sub(2^k)), the coatoms are the C(k,2) partitions
-    merging one pair {i, j}, and a node lies below such a coatom exactly
-    when its partition puts i and j together.  The k "points" are the
-    two-block partitions {i | rest}: the atoms with C(k-1,2) coatoms above
-    them (any other atom has fewer), and the coatom for {i, j} is above
-    every point but i and j.  So the certificate is: k points; every
-    coatom misses exactly two of them, each of the C(k,2) pairs once; the
-    coatoms above each node are the pairs of an equivalence relation;
-    nodes with the same coatoms are the same node; and y <= z exactly when
-    every coatom above z is above y.  The node map to partitions is then
-    an order embedding, and onto since there are Bell(k) nodes.
+    There a partition lies below another exactly when every pair of points
+    it splits the other splits too, so Sub(2^k) is the set of
+    ``_partition_table(k)``'s keys, the pairs each partition splits,
+    ordered by inclusion.  The certificate names a key for each node: the
+    coatoms are the nodes at height k-2; the k points are the nodes at
+    height 1 with C(k-1,2) coatoms above them; each coatom misses exactly
+    two points j < i, no two the same pair, and names key bit
+    i(i-1)/2 + j; a node's key is the pairs no coatom above it names.  It
+    accepts exactly when the node keys are the table's keys and y <= z
+    exactly when key(y) is a subset of key(z).
+
+    Acceptance makes the node -> key map a bijection onto the partitions
+    that preserves and reflects the order: an isomorphism onto Sub(2^k).
+    Conversely, Sub(2^k) is graded, a partition into b blocks at height
+    k-b, so its nodes at height k-2 are its coatoms, the partitions
+    merging one pair {i, j}.  A two-block partition {A | B} lies below the
+    C(|A|,2) + C(|B|,2) coatoms merging a pair on one side, which is
+    C(k-1,2) exactly for the k partitions {i | rest}, the points (for k = 3
+    every atom is one).  The coatom for {i, j} lies above every point but i
+    and j, and a node lies below it exactly when its partition puts i and j
+    together, so its key is the pairs its partition splits, with the
+    points numbered as found.  The table's keys are the same for every
+    numbering, so Sub(2^k) passes.
     """
     if k <= 2:
         return True  # one node, or a two-node chain: nothing else fits
-    up, down = sub_l.up, sub_l.down
+    up, down, heights = sub_l.up, sub_l.down, sub_l.heights
     dx = down[x]
-    coat = sub_l.cover_down[x]
-    if coat.bit_count() != k * (k - 1) // 2:
-        return False
-    heights = sub_l.heights
+    coat = sum(1 << c for c in bits(dx) if heights[c] == k - 2)
     points = [y for y in bits(dx)
               if heights[y] == 1 and (up[y] & coat).bit_count() == (k - 1) * (k - 2) // 2]
     if len(points) != k:
         return False
-    pair_of = {}
+    name = {}
     for c in bits(coat):
-        missed = tuple(i for i, p in enumerate(points) if not down[c] >> p & 1)
+        missed = [i for i, p in enumerate(points) if not down[c] >> p & 1]
         if len(missed) != 2:
             return False
-        pair_of[c] = missed
-    if len(set(pair_of.values())) != len(pair_of):
+        j, i = missed
+        name[c] = 1 << i * (i - 1) // 2 + j
+    if len(set(name.values())) != len(name):
         return False
-    below = {c: down[c] & dx for c in pair_of}
-    seen = set()
-    for y in bits(dx):
-        above = up[y] & coat
-        if above in seen or not _is_equivalence(k, [pair_of[c] for c in bits(above)]):
-            return False
-        seen.add(above)
-        # y <= z must hold exactly for the z below no coatom outside ``above``
-        outside = 0
-        for c in bits(coat & ~above):
-            outside |= below[c]
-        if up[y] & dx != dx & ~outside:
-            return False
-    return True
+    pairs = (1 << k * (k - 1) // 2) - 1
+    keys = [pairs ^ sum(name[c] for c in bits(up[y] & coat)) for y in bits(dx)]
+    return (sorted(keys) == sorted(key for _, key in _partition_table(k))
+            and _induced(up, dx) == inclusion_rows(keys)[0])
 
 
-def recognize_boolean_node(sub_l: SubalgebraPoset, x: int) -> bool:
+def recognize_boolean_node(sub_l: AbstractPoset, x: int) -> bool:
     """Order-theoretic Boolean recognition inside a full subalgebra lattice.
 
     The interval below a Boolean node with 2^k elements is the subalgebra
     lattice of 2^k, dual to the partition lattice on k points (Sachs); k
-    comes from the interval's atom count (2^(k-1) - 1 of them).  Nodes
-    failing the cheap invariants of ``_boolean_rank`` (atom count, Bell(k)
-    nodes, height k-1) are rejected first; the rest
-    get ``_sachs_certificate``, which reads an explicit isomorphism to the
-    dual partition lattice off sub_l's rows.  Together they decide: there
-    is no search and no interval or partition lattice is built.
+    is one more than the node's height.  Nodes whose interval does not
+    have Bell(k) nodes are rejected by ``_boolean_rank``; the rest get
+    ``_sachs_certificate``, which matches the interval with the
+    enumerator's partition table through its heights and up/down rows.
+    Together they decide: there is no search, no cover is read and no
+    interval or partition lattice is built.
     """
     k = _boolean_rank(sub_l, x)
     return k is not None and _sachs_certificate(sub_l, x, k)
 
 
-def boolean_nodes(sub_l: SubalgebraPoset) -> list[int]:
+def boolean_nodes(sub_l: AbstractPoset) -> list[int]:
     """The nodes ``recognize_boolean_node`` accepts, ascending.
 
     Walks the nodes bottom-up, in the poset's linear extension ``_ranked``
     (fewest nodes below first).  Acceptance is closed downward, as every
     interval below a node of the dual partition lattice is again one (in
     Sub(L): every subalgebra of a Boolean algebra is Boolean), so a node
-    with a rejected node below it is rejected untested.  Every other node is decided by one
-    ``recognize_boolean_node`` call.
+    with a rejected node below it is rejected untested.  Every other node
+    is decided by one ``recognize_boolean_node`` call, which reads the
+    heights, the up/down rows and the partition table, never a cover.
     """
     down = sub_l.down
     rejected = 0

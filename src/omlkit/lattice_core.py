@@ -369,7 +369,9 @@ class FiniteOrtholattice(_Order):
         """Close ``mask`` plus ``new`` under complement and meet.
 
         ``mask`` must already be closed, with ``members`` listing its
-        elements.  Semi-naive: each new element is combined only with the
+        elements, and ``new`` must lie outside ``earlier``: callers pass
+        ``earlier`` = 0, or one new element and the elements before it.
+        Semi-naive: each new element is combined only with the
         elements listed before it, so pairs of old members are never
         revisited.  Joins come for free, since a v b = (a' ^ b')' in an
         ortholattice.  Returns the closed mask and its member list or, as
@@ -383,8 +385,6 @@ class FiniteOrtholattice(_Order):
         i = len(members)
         for v in new:
             if v not in have:
-                if earlier >> v & 1:
-                    return v
                 have.add(v)
                 members.append(v)
                 mask |= 1 << v
@@ -798,17 +798,18 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 # -- isomorphism search (verification oracle) ------------------------------
 
 def _iso_signatures(L: FiniteOrtholattice) -> list[tuple]:
-    """Order signatures plus depth and the complement's down cone and covers."""
-    return [sig + (L.depths[a], L.down[o].bit_count(), L.cover_up[o].bit_count())
-            for a, (sig, o) in enumerate(zip(L._order_signatures(), L.ortho))]
+    """Order signatures plus depth.  The complement's cone and cover
+    counts would repeat the element's own, since ' reverses the order:
+    |down[a']| = |up[a]| and |cover_up[a']| = |cover_down[a]|."""
+    return [sig + (depth,) for sig, depth in zip(L._order_signatures(), L.depths)]
 
 
 def isomorphisms(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Iterator[Morphism]:
     """All isomorphisms L -> M, in a canonical order.
 
     Backtracking over element bijections that preserve order and complement,
-    pruned by per-element signatures (heights, cover degrees, the same data
-    for the complement).  Deterministic: elements are processed in a fixed
+    pruned by per-element signatures (cone sizes, height, depth and cover
+    degrees).  Deterministic: elements are processed in a fixed
     order and candidates tried ascending.
 
     The maps are not re-checked by ``morphism``: the search has tested each

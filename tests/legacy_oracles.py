@@ -10,7 +10,8 @@ is what an oracle should be.
 ``legacy_isomorphisms``, ``legacy_poset_isomorphisms`` and
 ``legacy_enumerate_homs`` are the three hand-written backtracking searches
 that one shared search replaced; the new ones must yield the same maps in
-the same order.
+the same order.  ``legacy_iso_signatures`` still holds the complement's
+cone and cover counts, which the library's signatures dropped.
 
 ``legacy_unique_bound`` found a meet or join by scanning the common lower
 (upper) cone for the element whose cone it is; the library now looks the
@@ -19,7 +20,14 @@ lattice's meet and join tables that way, pair by pair in the old order.
 
 ``legacy_recognize_boolean_node`` is the Boolean-node recognizer that built
 the interval and a fresh partition lattice for every node, with no cheap
-invariants in front of the isomorphism search.
+invariants in front of the isomorphism search.  ``legacy_certify_boolean_node``
+is the one that replaced it: ``legacy_boolean_rank`` read the atom count
+off the least element's upper covers, and ``legacy_sachs_certificate``
+named the pairs of points by x's lower covers, tested each node's pairs for
+an equivalence relation (``legacy_class_row_equivalence``, class rows) and
+checked the order node by node.  The library now takes k from the height
+and matches the node keys and the order with the enumerator's partition
+table, reading no cover.
 
 ``legacy_commuting`` tests every pair of elements for commutation, where
 the library's commutation rows set the cones of a and a' untested and
@@ -91,7 +99,7 @@ multiplied out and transposed whole, a larger one split into two groups
 whose orders were composed; the library takes one product of all the
 summands' orders.  ``legacy_is_equivalence``
 decides whether a pair set is an equivalence relation's by union-find and
-a pair count, where the library compares class rows.
+a pair count, where ``legacy_class_row_equivalence`` compares class rows.
 
 ``legacy_finite_ortholattice`` is the lattice constructor that checked
 each law pair by pair: the order axioms, every meet and join looked up
@@ -129,7 +137,7 @@ from omlkit.functorial import (
     enumerate_homs,
     image_subalgebra,
 )
-from omlkit.iso_lifting import MAX_FOUR_BLOCK_CHOICES
+from omlkit.iso_lifting import MAX_FOUR_BLOCK_CHOICES, _bell
 from omlkit.lattice_core import (
     MAX_ELEMENTS,
     ORTHOLATTICE,
@@ -450,7 +458,8 @@ def subset_scan_orthoclosed(frame):
     return closed, tuple(up), ortho
 
 
-def _iso_signatures(L):
+def legacy_iso_signatures(L):
+    """Order signatures plus depth and the complement's down cone and covers."""
     sig = []
     for a in range(L.n):
         o = L.ortho[a]
@@ -468,8 +477,8 @@ def legacy_isomorphisms(L, M):
     n = L.n
     if n != M.n or L.flavor != M.flavor:
         return
-    sig_l = _iso_signatures(L)
-    sig_m = _iso_signatures(M)
+    sig_l = legacy_iso_signatures(L)
+    sig_m = legacy_iso_signatures(M)
     if sorted(sig_l) != sorted(sig_m):
         return
     candidates = [[b for b in range(n) if sig_m[b] == sig_l[a]] for a in range(n)]
@@ -655,6 +664,81 @@ def legacy_recognize_boolean_node(sub_l, x):
     k = (a + 1).bit_length()
     lattice, _ = sachs_boolean.partition_lattice(k)
     return poset_isomorphic(interval, lattice.dual()) is not None
+
+
+def legacy_boolean_rank(sub_l, x):
+    """The k for which the interval below x could be Sub(2^k), else None:
+    its atom count (cover_up of its least element) must be 2^(k-1) - 1, its
+    top at height k-1 and its size Bell(k)."""
+    dx = sub_l.down[x]
+    bottom = next((y for y in bits(dx) if sub_l.up[y] & dx == dx), None)
+    if bottom is None:
+        raise NoLeastElement(f"the interval below node {x} has no least element")
+    a = (sub_l.cover_up[bottom] & dx).bit_count()
+    if (a + 1) & a:
+        return None  # atom count + 1 must be a power of two
+    k = (a + 1).bit_length()
+    return k if sub_l.heights[x] == k - 1 and dx.bit_count() == _bell(k) else None
+
+
+def legacy_class_row_equivalence(k, pairs):
+    """Whether distinct pairs i < j are the pairs related by some
+    equivalence relation on 0..k-1: with row[i] holding i and its
+    partners, exactly when row[j] == row[i] for every j in row[i]."""
+    row = [1 << i for i in range(k)]
+    for i, j in pairs:
+        row[i] |= 1 << j
+        row[j] |= 1 << i
+    return all(row[j] == r for r in row for j in bits(r))
+
+
+def legacy_sachs_certificate(sub_l, x, k):
+    """Whether the interval below x, with Bell(k) nodes, is the dual of the
+    partition lattice on k points: the coatoms (x's lower covers) name the
+    C(k,2) pairs of the k points, the coatoms above each node are the pairs
+    of an equivalence relation, distinct nodes have distinct coatom sets,
+    and y <= z exactly when every coatom above z is above y."""
+    if k <= 2:
+        return True  # one node, or a two-node chain: nothing else fits
+    up, down = sub_l.up, sub_l.down
+    dx = down[x]
+    coat = sub_l.cover_down[x]
+    if coat.bit_count() != k * (k - 1) // 2:
+        return False
+    heights = sub_l.heights
+    points = [y for y in bits(dx)
+              if heights[y] == 1 and (up[y] & coat).bit_count() == (k - 1) * (k - 2) // 2]
+    if len(points) != k:
+        return False
+    pair_of = {}
+    for c in bits(coat):
+        missed = tuple(i for i, p in enumerate(points) if not down[c] >> p & 1)
+        if len(missed) != 2:
+            return False
+        pair_of[c] = missed
+    if len(set(pair_of.values())) != len(pair_of):
+        return False
+    below = {c: down[c] & dx for c in pair_of}
+    seen = set()
+    for y in bits(dx):
+        above = up[y] & coat
+        if above in seen or not legacy_class_row_equivalence(
+                k, [pair_of[c] for c in bits(above)]):
+            return False
+        seen.add(above)
+        # y <= z must hold exactly for the z below no coatom outside ``above``
+        outside = 0
+        for c in bits(coat & ~above):
+            outside |= below[c]
+        if up[y] & dx != dx & ~outside:
+            return False
+    return True
+
+
+def legacy_certify_boolean_node(sub_l, x):
+    """``legacy_boolean_rank``, then ``legacy_sachs_certificate``."""
+    k = legacy_boolean_rank(sub_l, x)
+    return k is not None and legacy_sachs_certificate(sub_l, x, k)
 
 
 def legacy_lift_bsub_iso(L, M, phi, bsub_l=None, bsub_m=None, canonical_only=False):

@@ -127,6 +127,41 @@ def test_node_map_round_trip():
         fileio.parse_node_map(repeated, p, p)
 
 
+LATTICE_2 = '"size": 2, "leq": [[0, 0], [0, 1], [1, 1]], "ortho": [1, 0]'
+MO2_NODES = "[0, 5]", "[0, 1, 2, 5]", "[0, 3, 4, 5]"  # BSub(MO2)'s node labels
+
+
+def _node_map(*pairs):
+    return '{"pairs": [' + ", ".join(f"[{MO2_NODES[i]}, {MO2_NODES[v]}]"
+                                     for i, v in pairs) + "]}"
+
+
+# a malformed field of each file kind, and the text it is refused with
+@pytest.mark.parametrize("kind, text, message", [
+    ("lattice", '{"size": "2", "leq": [], "ortho": [1, 0]}', "field 'size' must be an integer"),
+    ("lattice", '{"size": 2, "leq": 5, "ortho": [1, 0]}', "field 'leq' must be a list of pairs"),
+    ("lattice", '{"size": 0, "leq": [], "ortho": []}', "size must be positive"),
+    ("lattice", "{" + LATTICE_2 + ', "name": 2}', "field 'name' must be a string"),
+    ("poset", '{"size": 1, "leq": [[0, 0]], "labels": [[0], [1]]}',
+     "field 'labels' must be one element list per node"),
+    ("poset", '{"size": 1, "leq": [[0, 0]], "labels": [5]}',
+     "field 'labels' must be one element list per node"),
+    ("morphism", '{"map": [0, 1, 2, 3, 4, "5"]}', "field 'map' must be a list of element indices"),
+    ("node map", '{"pairs": 5}', "field 'pairs' must be a list of label pairs"),
+    ("node map", '{"pairs": [[[0, 5]]]}', "bad label pair [[0, 5]]"),
+    ("node map", _node_map((0, 0), (0, 1)), "node [0, 5] mapped twice"),
+    ("node map", _node_map((0, 0), (1, 1), (2, 1)), "node map is not a bijection"),
+])
+def test_field_error_texts(kind, text, message):
+    L, p = mo(2), bsub(mo(2))
+    parse = {"lattice": fileio.parse_lattice, "poset": fileio.parse_poset,
+             "morphism": lambda t: fileio.parse_morphism(t, L, L),
+             "node map": lambda t: fileio.parse_node_map(t, p, p)}[kind]
+    with pytest.raises(MalformedInput) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_dot_export():
     p = bsub(catalog("example22"))
     dot = fileio.poset_to_dot(p)
@@ -152,6 +187,13 @@ def test_cli_validate_benzene(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", str(path))
     assert code == 0 and err == ""
     assert out == "name: benzene\nsize: 6\nflavor: ortholattice (NOT orthomodular)\n"
+
+
+def test_cli_validate_an_orthomodular_file(tmp_path, capsys):
+    path = tmp_path / "mo2.json"
+    path.write_text(fileio.dump_lattice(mo(2)))
+    assert run_cli(capsys, "validate", str(path)) == (
+        0, "name: MO2\nsize: 6\nflavor: orthomodular\n", "")
 
 
 def test_cli_catalog_and_bsub_pipeline(tmp_path, capsys, monkeypatch):

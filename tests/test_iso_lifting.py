@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from omlkit import (
+    BlockMismatch,
     GlueConflict,
     Inconsistent,
     NotAnIso,
@@ -38,7 +39,6 @@ from omlkit import iso_lifting, sachs_boolean
 from omlkit.errors import NoLeastElement
 from omlkit.iso_lifting import (
     _boolean_rank,
-    _is_equivalence,
     _realization_test,
     _sachs_certificate,
 )
@@ -46,6 +46,8 @@ from omlkit.lattice_core import Morphism, SubalgebraSet, _induced, bits
 from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset, check_order_iso
 
 from legacy_oracles import (
+    legacy_certify_boolean_node,
+    legacy_class_row_equivalence,
     legacy_covers,
     legacy_is_equivalence,
     legacy_lift_boolean_iso,
@@ -423,6 +425,59 @@ def test_blockwise_lifts_agree_on_overlaps():
             assert f1[shared] == f2[shared]
 
 
+def _relabeled_nodes(P, owner, masks):
+    """P's order with its nodes labeled ``masks``, subalgebras of ``owner``:
+    a hand-built poset whose order need not be their inclusion."""
+    return SubalgebraPoset(P.up, owner, [owner.subalgebra(m) for m in masks], P.flavor)
+
+
+def _swapped(P, a, b):
+    """P with the labels of the nodes ``a`` and ``b`` (bit sets) exchanged."""
+    masks = list(P.masks)
+    i, j = P.node_index(a), P.node_index(b)
+    masks[i], masks[j] = masks[j], masks[i]
+    return _relabeled_nodes(P, P.owner, masks)
+
+
+def test_a_four_element_block_mapped_to_a_larger_block():
+    L, M = boolean_algebra(2), boolean_algebra(3)
+    p = bsub(L)
+    q = _relabeled_nodes(p, M, [1 | 1 << 7, M.universe])  # 2^3 posing as a chain
+    with pytest.raises(BlockMismatch) as exc:
+        lift_bsub_iso(L, M, (0, 1), p, q)
+    assert str(exc.value) == "four-element block mapped to a larger block"
+
+
+def test_a_block_left_out_of_the_poset_leaves_elements_unassigned():
+    # MO2's BSub without the block {0, 3, 4, 5}: nothing lifts 3 and 4
+    L, M = mo(2), boolean_algebra(2)
+    p = _relabeled_nodes(bsub(M), L, [0b100001, 0b100111])
+    with pytest.raises(GlueConflict) as exc:
+        lift_bsub_iso(L, M, (0, 1), p, bsub(M))
+    assert str(exc.value) == "blockwise lifts leave element 3 unassigned"
+
+
+def test_a_principal_dual_node_mapped_to_a_node_that_is_not_dual():
+    # in 2^4, {0, a, a', 1} is principal dual and {0, ab, cd, 1} not dual
+    B = boolean_algebra(4)
+    s = sub(B)
+    t = _swapped(s, 0b1100000000000011, 0b1001000000001001)
+    with pytest.raises(Inconsistent) as exc:
+        lift_boolean_iso(B, B, range(s.size), s, t)
+    assert str(exc.value) == "image of a principal dual node is not dual"
+
+
+def test_a_principal_dual_node_mapped_out_of_its_block():
+    # {0, 7, 12, 13} lies in the other block of hsum(2^3,2^3): it splits as
+    # an ideal and its complements, but no element of the block spans it
+    L = catalog("hsum(2^3,2^3)")
+    p = bsub(L)
+    q = _swapped(p, 0b10000001000011, 0b11000010000001)
+    with pytest.raises(Inconsistent) as exc:
+        lift_bsub_iso(L, L, range(p.size), p, q)
+    assert str(exc.value) == "image of a principal dual node is not principal"
+
+
 def test_recognize_boolean_node_examples():
     sm = sub(mo(2))
     assert not recognize_boolean_node(sm, sm.top())        # 2 atoms below
@@ -430,6 +485,18 @@ def test_recognize_boolean_node_examples():
     assert not recognize_boolean_node(smx, smx.top())      # 5 atoms below
     s3 = sub(boolean_algebra(3))
     assert recognize_boolean_node(s3, s3.top())            # 3 atoms, dual to P_3
+
+
+def test_a_tall_chain_is_refused_before_its_bell_number(monkeypatch):
+    # the top of a 300-node chain would ask for Bell(300); an interval of
+    # fewer than 2^(k-1) nodes is refused first, so only small k are asked
+    asked = []
+    bell = iso_lifting._bell
+    monkeypatch.setattr(iso_lifting, "_bell", lambda k: asked.append(k) or bell(k))
+    chain = AbstractPoset([(1 << 300) - (1 << i) for i in range(300)])
+    assert not recognize_boolean_node(chain, 299)
+    assert boolean_nodes(chain) == [0, 1]
+    assert max(asked) <= 2
 
 
 RECOGNITION_CASES = [
@@ -465,6 +532,32 @@ def test_recognize_boolean_node_matches_is_boolean():
             assert boolean_nodes(s) == truth
             assert [i for i in range(s.size) if recognize_boolean_node(s, i)] == truth
             assert [i for i in range(s.size) if legacy_recognize_boolean_node(s, i)] == truth
+
+
+def _decisions(P, recognize):
+    """Each node's answer from ``recognize``, then the bottom-up walk's
+    answer with ``recognize`` in its place; a NoLeastElement is its text."""
+    def outcome(decide, *args):
+        try:
+            return decide(*args)
+        except NoLeastElement as exc:
+            return str(exc)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(iso_lifting, "recognize_boolean_node", recognize)
+        walk = outcome(boolean_nodes, P)
+    return [outcome(recognize, P, x) for x in range(P.size)], walk
+
+
+def _assert_replaced_recognizers_agree(P, search=True):
+    """The recognizer and the walk decide as the certificate they replaced
+    and, if ``search``, as the isomorphism search, raising NoLeastElement
+    at the same nodes; returns the accepted nodes."""
+    nodes, walk = _decisions(P, recognize_boolean_node)
+    assert (nodes, walk) == _decisions(P, legacy_certify_boolean_node)
+    if search:
+        assert (nodes, walk) == _decisions(P, legacy_recognize_boolean_node)
+    return [x for x, answer in enumerate(nodes) if answer is True]
 
 
 def _poset_from_covers(size, covers):
@@ -539,6 +632,64 @@ def test_certificate_rejects_the_dual_partition_lattice_without_a_cover(k):
     assert passed_rank  # some of these pass every invariant: the certificate decides
 
 
+def _fake_and_lame_posets():
+    """The fake of the dual partition lattice on four points, then the dual
+    partition lattices on three to five points, each as it is, with one
+    node dropped and with one cover dropped, as (poset, points)."""
+    rank2 = [(1, 2, 5), (1, 3, 5), (3, 4, 6), (2, 4, 6), (1, 4, 7), (2, 3, 7)]
+    covers = [(0, a) for a in range(1, 8)] + [(x, 14) for x in range(8, 14)]
+    covers += [(a, 8 + j) for j, trio in enumerate(rank2) for a in trio]
+    yield _poset_from_covers(15, covers), 4
+    for k in (3, 4, 5):
+        genuine = partition_lattice(k)[0].dual()
+        everything = (1 << genuine.size) - 1
+        yield genuine, k
+        for y in range(genuine.size):
+            yield AbstractPoset(_induced(genuine.up, everything & ~(1 << y))), k
+            for z in bits(genuine.cover_up[y]):
+                up = list(genuine.up)
+                up[y] &= ~(1 << z)
+                yield AbstractPoset(up), k
+
+
+def test_recognition_matches_the_replaced_certificate_on_fake_and_lame_posets():
+    # the isomorphism search joins in up to four points, where it is quick
+    tops = 0
+    for P, k in _fake_and_lame_posets():
+        found = _assert_replaced_recognizers_agree(P, search=k <= 4)
+        tops += P.top() in found
+    assert tops == 3  # the genuine ones: any drop costs the top its certificate
+
+
+def _random_poset(rng, size, with_bottom):
+    """A seeded random order on ``size`` nodes: relations along a shuffled
+    linear order at a random density, closed transitively; with a least
+    element if ``with_bottom``."""
+    line = list(range(size))
+    rng.shuffle(line)
+    density = rng.random()
+    up = [1 << x for x in range(size)]
+    for a in reversed(range(size)):
+        for b in range(a + 1, size):
+            if rng.random() < density:
+                up[line[a]] |= up[line[b]]
+    if with_bottom:
+        up[line[0]] = (1 << size) - 1
+    return AbstractPoset(up)
+
+
+def test_recognition_matches_the_replaced_certificate_on_random_posets():
+    rng = random.Random(29)
+    accepted = raised = 0
+    for trial in range(2000):
+        P = _random_poset(rng, 1 + trial % 12, with_bottom=trial % 2 == 0)
+        nodes, walk = _decisions(P, recognize_boolean_node)
+        _assert_replaced_recognizers_agree(P)
+        accepted += sum(1 for x in range(P.size) if nodes[x] is True and P.heights[x] >= 2)
+        raised += walk.__class__ is str
+    assert accepted and raised  # some certificates pass at k = 3, some walks raise
+
+
 def _equivalence_by_definition(k, pairs):
     """Whether the reflexive, symmetric closure of ``pairs`` is transitive."""
     rel = {(i, i) for i in range(k)} | set(pairs) | {(j, i) for i, j in pairs}
@@ -552,31 +703,32 @@ def test_equivalence_test_matches_the_definition_and_union_find(k):
     for chosen in range(1 << len(all_pairs)):
         pairs = [p for b, p in enumerate(all_pairs) if chosen >> b & 1]
         want = _equivalence_by_definition(k, pairs)
-        assert _is_equivalence(k, pairs) == want, pairs
+        assert legacy_class_row_equivalence(k, pairs) == want, pairs
         assert legacy_is_equivalence(k, pairs) == want, pairs
 
 
 def test_equivalence_pair_sets():
-    assert _is_equivalence(4, [])
-    assert _is_equivalence(4, [(0, 1), (2, 3)])
-    assert _is_equivalence(4, [(0, 1), (0, 2), (1, 2)])
-    assert not _is_equivalence(4, [(0, 1), (0, 2)])             # 1 ~ 2 missing
-    assert not _is_equivalence(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert _is_equivalence(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    assert legacy_class_row_equivalence(4, [])
+    assert legacy_class_row_equivalence(4, [(0, 1), (2, 3)])
+    assert legacy_class_row_equivalence(4, [(0, 1), (0, 2), (1, 2)])
+    assert not legacy_class_row_equivalence(4, [(0, 1), (0, 2)])  # 1 ~ 2 missing
+    assert not legacy_class_row_equivalence(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert legacy_class_row_equivalence(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 
 
 @pytest.mark.parametrize("name", RECOGNITION_CASES + ["hsum(2^4,2^4,2^3)"])
 def test_certificate_matches_the_search_on_relabeled_sub_posets(name):
     # node orders shuffled, so neither the walk nor the points follow
-    # the enumeration order; hsum(2^4,2^4,2^3) has 1,125 nodes
+    # the enumeration order; hsum(2^4,2^4,2^3) has 1,125 nodes.  The
+    # recognizer, the walk, the certificate they replaced and the search
+    # all agree
     s = sub(catalog(name))
     rng = random.Random(name)
     for _ in range(1 if s.size > 500 else 3):
         perm = list(range(s.size))
         rng.shuffle(perm)
         P = s.relabel(perm)
-        truth = [x for x in range(P.size) if legacy_recognize_boolean_node(P, x)]
-        assert [x for x in range(P.size) if recognize_boolean_node(P, x)] == truth
+        truth = _assert_replaced_recognizers_agree(P)
         assert boolean_nodes(P) == truth == sorted(perm[i] for i in boolean_nodes(s))
 
 

@@ -6,7 +6,8 @@ must produce the same maps in the same order.  The order searches test a
 candidate against bit sets kept as points are placed, and the lattice
 search yields its isos without re-checking them, so every iso is checked
 here instead; the heights their signatures read are checked against the
-cover walk they replaced.
+cover walk they replaced, and the lattice signatures, which dropped the
+complement's counts, against the old candidate lists.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import pytest
 from legacy_oracles import (
     legacy_enumerate_homs,
     legacy_heights,
+    legacy_iso_signatures,
     legacy_isomorphisms,
     legacy_poset_isomorphisms,
 )
@@ -35,7 +37,7 @@ from omlkit import (
     relabel,
     sub,
 )
-from omlkit.lattice_core import ISO
+from omlkit.lattice_core import ISO, _iso_signatures
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
            "MO2x2", "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
@@ -64,6 +66,18 @@ def test_isomorphisms_match_the_old_search(name):
         M = _inner_relabeling(L, seed)
         got = [f.mapping for f in isomorphisms(L, M)]
         assert got and got == [f.mapping for f in legacy_isomorphisms(L, M)]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_the_signatures_give_the_old_candidate_lists(name):
+    # the complement's cone and cover counts, which the signatures dropped,
+    # repeat the element's own, so every element keeps its candidates
+    L = catalog(name)
+    for M in (L, *(_inner_relabeling(L, seed) for seed in SEEDS)):
+        lists = [[[b for b in range(M.n) if t[b] == s[a]] for a in range(L.n)]
+                 for s, t in ((_iso_signatures(L), _iso_signatures(M)),
+                              (legacy_iso_signatures(L), legacy_iso_signatures(M)))]
+        assert lists[0] == lists[1]
 
 
 @pytest.mark.parametrize("name", CATALOG)

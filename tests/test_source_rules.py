@@ -18,6 +18,8 @@ derivations, whose rows are an order by construction; data read from
 outside is always checked.  A subalgebra poset's nodes are its bit sets
 (``masks``): the library reads no ``.nodes``, whose SubalgebraSets are
 built on first read for users of the public API such as ``selftest``.
+``iso_lifting`` recognizes Boolean nodes from heights, up/down rows and
+the enumerator's partition table, so it reads no cover row.
 Nodes are labeled unchecked only in ``enumerate_subalgebras``; every other
 labeling goes through the checking constructor.  The lattice core sits at
 the bottom of the package: it imports no module of it but ``errors``, not
@@ -311,11 +313,18 @@ def test_the_trusted_call_scan_finds_a_planted_caller():
 NODE_READERS = {"selftest.py", "subalgebra_posets.py"}
 
 
+def _attribute_reads(source: str, name: str, attrs) -> list[str]:
+    """"module:line: attribute" for each use of an attribute named in
+    ``attrs``, as ``ast.walk`` meets them."""
+    return [f"{name}:{node.lineno}: {node.attr}"
+            for node in ast.walk(ast.parse(source, filename=name))
+            if isinstance(node, ast.Attribute) and node.attr in attrs]
+
+
 def _node_readers(sources: dict[str, str]) -> list[str]:
     """The modules that read an attribute named ``nodes``, sorted."""
     return sorted(name for name, source in sources.items()
-                  if any(isinstance(node, ast.Attribute) and node.attr == "nodes"
-                         for node in ast.walk(ast.parse(source, filename=name))))
+                  if _attribute_reads(source, name, {"nodes"}))
 
 
 def test_the_library_reads_node_masks_not_node_objects():
@@ -329,6 +338,28 @@ def test_the_node_read_scan_finds_a_planted_reader():
         "n.py": "def g(P):\n    return P.masks\n",
     }
     assert _node_readers(sources) == ["m.py"]
+
+
+# Boolean nodes are recognized from heights, up/down rows and the
+# enumerator's partition table; the lift reads no covers either
+COVER_ROWS = {"cover_up", "cover_down"}
+
+
+def test_iso_lifting_reads_no_cover_row():
+    path = next(p for p in MODULES if p.name == "iso_lifting.py")
+    assert _attribute_reads(path.read_text(encoding="utf-8"), path.name, COVER_ROWS) == []
+
+
+def test_the_attribute_scan_finds_a_planted_cover_read():
+    source = (
+        "def rank(P, x):\n"
+        "    atoms = P.cover_up[P.bottom()]\n"
+        "    return P.heights[x], atoms, P.up[x]\n"
+        "def coatoms(P, x):\n"
+        "    return P.down[x] & P.cover_down[x]\n"
+    )
+    assert _attribute_reads(source, "m.py", COVER_ROWS) == [
+        "m.py:2: cover_up", "m.py:5: cover_down"]
 
 
 # Nodes get their masks in the checking constructor and, unchecked, in the
