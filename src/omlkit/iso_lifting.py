@@ -92,10 +92,10 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     shared element (impossible for genuine inputs) raises GlueConflict.  A
     maximal node that lies in no block of its lattice (``blocks``) is not
     Boolean and raises NotBoolean; a four-element one that is not itself a
-    block of L, or lacks a bound, raises GlueConflict.  Only the first lift
-    is checked; the others differ from it by automorphisms of L (see
-    below).  The maximal nodes need no check of their own: phi is an order
-    isomorphism, so it maps BSub(L)'s maximal nodes onto BSub(M)'s.
+    block of L raises GlueConflict.  Only the first lift is checked; the
+    others differ from it by automorphisms of L (see below).  The maximal
+    nodes need no check of their own: phi is an order isomorphism, so it
+    maps BSub(L)'s maximal nodes onto BSub(M)'s.
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -124,15 +124,9 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         if size == 4:
             if ymask.bit_count() != 4:
                 raise BlockMismatch("four-element block mapped to a larger block")
-            pairs = []
-            for X, mask in ((L, xmask), (M, ymask)):
-                inner = mask & ~(1 | 1 << X.n - 1)
-                if inner.bit_count() != 2:
-                    raise GlueConflict("four-element node {" + ",".join(map(str, bits(mask)))
-                                       + "} lacks a bound")
-                pairs.append(list(bits(inner)))
-            (p, q), image = pairs
-            global_map[p], global_map[q] = image
+            # a closed four-element node is {0, p, p', 1}
+            p, q = bits(xmask & ~(1 | 1 << L.n - 1))
+            global_map[p], global_map[q] = bits(ymask & ~(1 | 1 << M.n - 1))
             four_blocks.append((p, q, xmask))
             continue
         for mask, blocks in ((xmask, blocks_l), (ymask, blocks_m)):
@@ -327,13 +321,13 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
                  canonical_only: bool = False) -> list[Morphism]:
     """Lift a Sub(L) -> Sub(M) lattice isomorphism to lattice isomorphisms.
 
-    Boolean nodes are recognized order-theoretically on both sides with
-    ``boolean_nodes`` (a bottom-up walk).  Each recognized set is
-    cross-checked against the enumerated BSub; a mismatch raises
-    RestrictionMismatch.  ``boolean_nodes`` reads only the order, so the
-    order isomorphism phi maps one side's recognized nodes onto the
-    other's, and the restriction is lifted.  Every returned morphism
-    realizes phi on all subalgebras, Boolean or not.
+    Boolean nodes are recognized order-theoretically on the source with
+    ``boolean_nodes`` (a bottom-up walk).  It reads only the order, so on
+    the target it would accept the images of those nodes under the
+    checked order isomorphism phi, which are taken instead.  Each side's
+    set is cross-checked against its enumerated BSub; a mismatch raises
+    RestrictionMismatch.  Then the restriction is lifted.  Every returned
+    morphism realizes phi on all subalgebras, Boolean or not.
     """
     if sub_l is None:
         sub_l = enumerate_subalgebras(L)
@@ -341,7 +335,7 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         sub_m = enumerate_subalgebras(M)
     phi = check_order_iso(phi, sub_l, sub_m)
     bool_l = boolean_nodes(sub_l)
-    bool_m = boolean_nodes(sub_m)
+    bool_m = sorted(phi[i] for i in bool_l)
 
     bsub_l = enumerate_subalgebras(L, boolean_only=True)
     bsub_m = enumerate_subalgebras(M, boolean_only=True)

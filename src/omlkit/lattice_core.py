@@ -309,15 +309,9 @@ class FiniteOrtholattice(_Order):
 
     @cached_property
     def _atoms(self) -> int:
-        """The bit set of the atoms, the covers of 0, found as ``_covers``
-        finds one row's, without every element's covers."""
-        up = self.up
-        cov = rest = up[0] ^ 1
-        while rest:
-            low = rest & -rest
-            cov &= ~up[low.bit_length() - 1] | low
-            rest &= cov ^ low
-        return cov
+        """The bit set of the atoms, the covers of 0, without every
+        element's covers."""
+        return _cover_row(self.up, 0)
 
     def coatoms(self) -> tuple[int, ...]:
         return tuple(bits(self.cover_down[self.n - 1]))
@@ -591,19 +585,21 @@ def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _cover_row(up: Sequence[int], a: int) -> int:
+    """The bit set of the covers of a: the strict up-set of a minus the
+    strict up-sets of its members.  A member already removed lies above one
+    still kept, so its up-set is gone too and it need not be walked."""
+    cov = rest = up[a] ^ 1 << a
+    while rest:
+        low = rest & -rest
+        cov &= ~up[low.bit_length() - 1] | low
+        rest &= cov ^ low
+    return cov
+
+
 def _covers(up: Sequence[int]) -> tuple[int, ...]:
-    """Bit b of row a is set when b covers a: the strict up-set of a minus
-    the strict up-sets of its members.  A member already removed lies above
-    one still kept, so its up-set is gone too and it need not be walked."""
-    out = []
-    for a, row in enumerate(up):
-        cov = rest = row ^ 1 << a
-        while rest:
-            low = rest & -rest
-            cov &= ~up[low.bit_length() - 1] | low
-            rest &= cov ^ low
-        out.append(cov)
-    return tuple(out)
+    """Bit b of row a is set when b covers a."""
+    return tuple([_cover_row(up, a) for a in range(len(up))])
 
 
 def _heights(down: Sequence[int], ranked: Iterable[int]) -> tuple[int, ...]:
@@ -843,7 +839,7 @@ def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterato
     if sorted(sig_src) != sorted(sig_tgt):
         return iter(())
     n = len(sig_src)
-    candidates = [[y for y in range(n) if sig_tgt[y] == sig_src[x]] for x in range(n)]
+    candidates = _candidates(sig_src, sig_tgt)
     order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
     mapping = [-1] * n
     up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
@@ -862,6 +858,15 @@ def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterato
             below[x] ^= bit
 
     return _backtrack(order, candidates, consistent, mapping, partner, track=track)
+
+
+def _candidates(sig_src: list, sig_tgt: list) -> list[list[int]]:
+    """For each source point, the target points with its signature,
+    ascending: the targets grouped by signature in one pass."""
+    by_sig = {}
+    for y, sig in enumerate(sig_tgt):
+        by_sig.setdefault(sig, []).append(y)
+    return [by_sig.get(sig, []) for sig in sig_src]
 
 
 def _backtrack(order: Sequence[int], candidates: Sequence[Iterable[int]], consistent,
@@ -996,6 +1001,9 @@ def mo(k: int) -> FiniteOrtholattice:
     """Bounds plus k orthogonal atom pairs (horizontal sum of k diamonds)."""
     if k < 1:
         raise UnknownName("MO index must be at least 1")
+    # refused before k summands are listed
+    if 2 * k + 2 > MAX_ELEMENTS:
+        raise SizeCap(f"horizontal sum would have {2 * k + 2} elements")
     return horizontal_sum([boolean_algebra(2)] * k, name=f"MO{k}")
 
 
@@ -1050,10 +1058,12 @@ _HSUM_NAME = re.compile(r"hsum\((.*)\)")
 def catalog(name: str) -> FiniteOrtholattice:
     """Construct a lattice by name.
 
-    Accepted: ``2^n`` or ``B2^n`` (n <= 5), ``MOk`` (k <= 4), ``MO2x2``,
-    ``example22``, ``benzene``, and ``hsum(2^a,2^b,...)`` with Boolean
-    summands.  Raises UnknownName for anything else and SizeCap when a
-    horizontal sum would pass 64 elements.
+    Accepted: ``2^n`` or ``B2^n``, ``MOk``, ``MO2x2``, ``example22``,
+    ``benzene``, and ``hsum(2^a,2^b,...)`` with Boolean summands.  The
+    catalog keeps no ranges of its own: the constructors decide, so 2^1 ..
+    2^6 and MO1 .. MO31 build, and a name past the 64-element cap raises
+    SizeCap.  Raises UnknownName for a name of no accepted form, and as
+    ``mo`` does for MO0.
     """
     key = name.strip().lower().replace(" ", "")
     if key == "example22":
@@ -1064,16 +1074,10 @@ def catalog(name: str) -> FiniteOrtholattice:
         return product(mo(2), boolean_algebra(1), name="MO2x2")
     m = _BOOLEAN_NAME.fullmatch(key)
     if m:
-        k = int(m.group(1))
-        if not 1 <= k <= 5:
-            raise UnknownName(f"Boolean catalog covers 2^1 .. 2^5, not {name!r}")
-        return boolean_algebra(k)
+        return boolean_algebra(int(m.group(1)))
     m = _MO_NAME.fullmatch(key)
     if m:
-        k = int(m.group(1))
-        if not 1 <= k <= 4:
-            raise UnknownName(f"MO catalog covers MO1 .. MO4, not {name!r}")
-        return mo(k)
+        return mo(int(m.group(1)))
     m = _HSUM_NAME.fullmatch(key)
     if m:
         args = [a for a in m.group(1).split(",") if a]
@@ -1082,8 +1086,8 @@ def catalog(name: str) -> FiniteOrtholattice:
         summands = []
         for a in args:
             bm = _BOOLEAN_NAME.fullmatch(a)
-            if not bm or not 1 <= int(bm.group(1)) <= 5:
-                raise UnknownName(f"hsum summands must be 2^1 .. 2^5, got {a!r}")
+            if not bm:
+                raise UnknownName(f"hsum summands must be Boolean algebras 2^k, got {a!r}")
             summands.append(boolean_algebra(int(bm.group(1))))
         label = "hsum(" + ",".join(f"2^{s.n.bit_length() - 1}" for s in summands) + ")"
         return horizontal_sum(summands, name=label)

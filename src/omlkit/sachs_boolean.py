@@ -13,6 +13,7 @@ iterable of elements, closed.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional, Sequence
 
 from .errors import Inconsistent, MalformedInput, NotBoolean
@@ -232,22 +233,31 @@ def _pd_lift(L: FiniteOrtholattice, M: FiniteOrtholattice, X: int, Y: int,
              tgt: SubalgebraPoset) -> list[int]:
     """f(b) for each b of X ascending, f lifting phi: src -> tgt from the
     Boolean subalgebra X of L onto Y of M (bit sets, over four elements), on
-    L's and M's own rows: each b but the top and X's coatoms names the p.d.
-    node pd_mask(L, b) & X, whose image's ideal f(b) generates."""
-    top = L.n - 1
-    image = {}
-    for b in bits(X):
-        if b == top or L.up[b] & X == 1 << b | 1 << top:  # the top or a coatom
+    L's and M's own rows, read off X's atoms alone.  Each atom a names the
+    p.d. node pd_mask(L, a) & X = {0, a, a', 1}, whose image's ideal f(a)
+    generates.  Every element of X is the join of the atoms below it, so f
+    takes it to the join of their images (``_joins``, the same subset on
+    both sides).
+
+    The ideal I = {t in T : [0,t] within Y lies in T} of an image T has a
+    generator.  T is a node below Y, so a closed subset of Y (a poset's
+    order is its nodes' inclusion), and Y is Boolean (``lift_bsub_iso``
+    checks that it lies in a block).  I is a down-set of Y, and closed
+    under joins: for t, u in I, t v u is in T, and in a Boolean Y each
+    s <= t v u is (s ^ t) v (s ^ u), which is in T.  So I is an ideal of a
+    finite Boolean algebra, [0,c] within Y for its join c.  The nodes of
+    the other elements are not read, and need no check here: the caller's
+    realization test checks every node's image.
+    """
+    atoms, images = [], []
+    for a in bits(X & ~1):
+        if L.down[a] & X != 1 | 1 << a:
             continue
-        target = tgt.masks[phi[src.node_index(pd_mask(L, b) & X)]]
+        target = tgt.masks[phi[src.node_index(pd_mask(L, a) & X)]]
         ideal, filt = _dual_parts(M, Y, target)
         if ideal | filt != target:
             raise Inconsistent("image of a principal dual node is not dual")
-        c = next((e for e in bits(ideal) if M.down[e] & Y == ideal), None)
-        if c is None:
-            raise Inconsistent("image of a principal dual node is not principal")
-        image[b] = c
-    # in a Boolean X the top's and the coatoms' complements, 0 and the atoms, are lifted
-    if any(L.ortho[b] not in image for b in bits(X) if b not in image):
-        raise Inconsistent("complement of a coatom escaped the lift domain")
-    return [image[b] if b in image else M.ortho[image[L.ortho[b]]] for b in bits(X)]
+        atoms.append(a)
+        images.append(reduce(M.join, bits(ideal)))
+    # the joins come as one-bit masks, so they sort as their elements do
+    return [v.bit_length() - 1 for _, v in sorted(zip(_joins(L, atoms), _joins(M, images)))]

@@ -161,8 +161,11 @@ class SubalgebraPoset(AbstractPoset):
     Node i is the element set ``masks[i]`` of ``owner``, a bit set.  The
     constructor checks what it is handed: the rows are an order and the
     ``nodes`` distinct SubalgebraSets of ``owner``, one per row, the first
-    {0, n-1}.  ``enumerate_subalgebras`` labels the rows it built with its
-    masks unchecked; ``nodes`` wraps them as SubalgebraSets on first read.
+    {0, n-1}; then that each node is closed, and that the rows are the
+    nodes' inclusion order.  So {0, n-1} is the least node of every poset,
+    and a node below another is a subalgebra of it.  ``enumerate_subalgebras``
+    labels the rows it built with its masks unchecked; ``nodes`` wraps them
+    as SubalgebraSets on first read.
     """
 
     def __init__(self, up, owner: FiniteOrtholattice,
@@ -180,6 +183,10 @@ class SubalgebraPoset(AbstractPoset):
             raise MalformedInput("a node is listed twice")
         if not nodes or self.masks[0] != 1 | 1 << (owner.n - 1):
             raise MalformedInput("the first node must be the trivial subalgebra {0, n-1}")
+        if any(owner.closure_mask(m) != m for m in self.masks):
+            raise MalformedInput("a node is not a closed subalgebra")
+        if list(self.up) != inclusion_rows(self.masks)[0]:
+            raise MalformedInput("the order is not the nodes' inclusion")
 
     @cached_property
     def nodes(self) -> tuple[SubalgebraSet, ...]:

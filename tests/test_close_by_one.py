@@ -88,9 +88,8 @@ SEEDS = (1, 2, 3)
 
 
 def _lattice(name):
-    # the catalog stops at 2^5 and MO4; in the products blocks share atoms
-    beyond = {"2^6": lambda: boolean_algebra(6), "MO8": lambda: mo(8), "MO10": lambda: mo(10),
-              "hsum(2^4,2^4,2^3)": lambda: horizontal_sum(
+    # lattices the catalog does not name; in the products blocks share atoms
+    beyond = {"hsum(2^4,2^4,2^3)": lambda: horizontal_sum(
                   [boolean_algebra(4), boolean_algebra(4), boolean_algebra(3)]),
               "hsum(2^4,2^4,2^4)": lambda: horizontal_sum([boolean_algebra(4)] * 3),
               "hsum(2^5,2^2)": lambda: horizontal_sum([boolean_algebra(5), boolean_algebra(2)]),
@@ -112,8 +111,7 @@ def _lattice(name):
               "MO6x2^2": lambda: product(mo(6), boolean_algebra(2)),
               "example22x2^2": lambda: product(catalog("example22"), boolean_algebra(2)),
               "hsum(example22,MO2x2)": lambda: horizontal_sum(
-                  [catalog("example22"), catalog("MO2x2")]),
-              "MO31": lambda: mo(31)}
+                  [catalog("example22"), catalog("MO2x2")])}
     return beyond[name]() if name in beyond else catalog(name)
 
 

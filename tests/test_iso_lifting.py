@@ -10,6 +10,7 @@ from omlkit import (
     BlockMismatch,
     GlueConflict,
     Inconsistent,
+    MalformedInput,
     NotAnIso,
     NotBoolean,
     RestrictionMismatch,
@@ -18,6 +19,7 @@ from omlkit import (
     boolean_nodes,
     bsub,
     catalog,
+    compose,
     find_isomorphism,
     horizontal_sum,
     induced_node_map,
@@ -52,6 +54,7 @@ from legacy_oracles import (
     legacy_is_equivalence,
     legacy_lift_boolean_iso,
     legacy_lift_bsub_iso,
+    legacy_pd_lift,
     legacy_recognize_boolean_node,
 )
 
@@ -167,12 +170,13 @@ def test_lift_of_a_sub_poset_still_needs_boolean_blocks(name):
 
 
 def test_lift_of_a_block_that_is_not_closed():
-    # {0, atoms, 1} of 2^3 commutes pairwise but holds no complement of its atoms
+    # {0, atoms, 1} of 2^3 commutes pairwise but holds no complement of its
+    # atoms: the poset constructor refuses it before a lift can read it
     B = boolean_algebra(3)
     nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, 1 | 0b10110 | 1 << 7)]
-    poset = SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
-    with pytest.raises(Inconsistent, match="escaped the lift domain"):
-        lift_bsub_iso(B, B, (0, 1), poset, poset)
+    with pytest.raises(MalformedInput) as exc:
+        SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
+    assert str(exc.value) == "a node is not a closed subalgebra"
 
 
 def test_lift_of_four_element_nodes_that_are_not_blocks():
@@ -188,18 +192,15 @@ def test_lift_of_four_element_nodes_that_are_not_blocks():
 
 
 def test_lift_of_a_four_element_node_without_both_bounds():
-    # {1,2,3,7} of 2^3 lacks 0, {0,1,2,3} lacks 7: each side names its own node
+    # {1,2,3,7} of 2^3 lacks 0, {0,1,2,3} lacks 7: neither is closed, so
+    # no poset holds them, and every four-element node a lift reads has
+    # both bounds
     B = boolean_algebra(3)
-
-    def chain(mask):
+    for mask in (0b10001110, 0b1111):
         nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, mask)]
-        return SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
-
-    block, no_bottom, no_top = chain(0b11000011), chain(0b10001110), chain(0b1111)
-    for P, Q, text in ((no_bottom, block, r"\{1,2,3,7\}"), (block, no_top, r"\{0,1,2,3\}")):
-        for canonical in (False, True):
-            with pytest.raises(GlueConflict, match=rf"^four-element node {text} lacks a bound$"):
-                lift_bsub_iso(B, B, (0, 1), P, Q, canonical_only=canonical)
+        with pytest.raises(MalformedInput) as exc:
+            SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
+        assert str(exc.value) == "a node is not a closed subalgebra"
 
 
 def _realizes_node_by_node(f, phi, P, Q):
@@ -284,8 +285,6 @@ def _lattice(name):
     # coatom, such as (1, 0), has elements of other blocks below it
     if name == "MO2x2^2":
         return product(mo(2), boolean_algebra(2), name=name)
-    if name.startswith("MO") and name[2:].isdigit():
-        return mo(int(name[2:]))  # the catalog stops at MO4
     return catalog(name)
 
 
@@ -394,6 +393,42 @@ def test_boolean_lift_matches_on_a_relabeled_2_5():
     assert new == [psi.mapping]
 
 
+PD_LIFT_CASES = {
+    **{name: lambda name=name: catalog(name)
+       for name in ["2^2", "2^3", "2^4", "2^5", "MO2", "MO3", "MO4", "MO2x2", "example22",
+                    "hsum(2^3,2^3)", "hsum(2^5,2^5)"]},
+    "MO2x2^3": lambda: product(mo(2), boolean_algebra(3), name="MO2x2^3"),
+    "MO3x2^3": lambda: product(mo(3), boolean_algebra(3), name="MO3x2^3"),
+    "example22x2^2": lambda: product(catalog("example22"), boolean_algebra(2),
+                                     name="example22x2^2"),
+}
+
+
+@pytest.mark.parametrize("name", PD_LIFT_CASES)
+def test_pd_lift_matches_the_legacy_lift(name):
+    # the atoms' nodes and their joins give each block of more than four
+    # elements the lift every element's node gave, under three relabelings
+    # psi and node maps induced by psi after an automorphism g
+    L = PD_LIFT_CASES[name]()
+    bl = bsub(L)
+    automorphisms_l = _automorphisms(L, 2)
+    compared = 0
+    for psi in list(_relabeling_morphisms(L, 3, seed=17))[1:]:
+        M = psi.target
+        bm = bsub(M)
+        for g in automorphisms_l:
+            h = compose(psi, g)
+            phi = induced_node_map(h, bl, bm)
+            for x in bl.maximal_elements():
+                X, Y = bl.masks[x], bm.masks[phi[x]]
+                if X.bit_count() > 4:
+                    new = sachs_boolean._pd_lift(L, M, X, Y, phi, bl, bm)
+                    assert new == legacy_pd_lift(L, M, X, Y, phi, bl, bm)
+                    assert new == [h(b) for b in bits(X)]
+                    compared += 1
+    assert compared == 9 * sum(1 for b in L.blocks() if len(b) > 4)
+
+
 def test_blockwise_lifts_agree_on_overlaps():
     # recompute the per-block lifts independently and compare on intersections
     L = catalog("example22")
@@ -427,7 +462,8 @@ def test_blockwise_lifts_agree_on_overlaps():
 
 def _relabeled_nodes(P, owner, masks):
     """P's order with its nodes labeled ``masks``, subalgebras of ``owner``:
-    a hand-built poset whose order need not be their inclusion."""
+    a hand-built poset, which the constructor refuses unless the order is
+    their inclusion."""
     return SubalgebraPoset(P.up, owner, [owner.subalgebra(m) for m in masks], P.flavor)
 
 
@@ -458,24 +494,32 @@ def test_a_block_left_out_of_the_poset_leaves_elements_unassigned():
 
 
 def test_a_principal_dual_node_mapped_to_a_node_that_is_not_dual():
-    # in 2^4, {0, a, a', 1} is principal dual and {0, ab, cd, 1} not dual
+    # in 2^4, {0, a, a', 1} is principal dual and {0, ab, cd, 1} not dual:
+    # two chains through the four atom nodes, the second with {0, 1, 14, 15}
+    # replaced by {0, 3, 12, 15}, each ordered by inclusion
     B = boolean_algebra(4)
-    s = sub(B)
-    t = _swapped(s, 0b1100000000000011, 0b1001000000001001)
+    middle = [1 | 1 << a | 1 << 15 - a | 1 << 15 for a in (1, 2, 4, 8)]
+    up = [0b111111, 0b100010, 0b100100, 0b101000, 0b110000, 0b100000]
+
+    def chain(masks):
+        nodes = [SubalgebraSet(B, m) for m in (1 | 1 << 15, *masks, B.universe)]
+        return SubalgebraPoset(up, B, nodes, BSUB)
+
+    P, Q = chain(middle), chain([0b1001000000001001, *middle[1:]])
     with pytest.raises(Inconsistent) as exc:
-        lift_boolean_iso(B, B, range(s.size), s, t)
+        lift_boolean_iso(B, B, range(P.size), P, Q)
     assert str(exc.value) == "image of a principal dual node is not dual"
 
 
 def test_a_principal_dual_node_mapped_out_of_its_block():
-    # {0, 7, 12, 13} lies in the other block of hsum(2^3,2^3): it splits as
-    # an ideal and its complements, but no element of the block spans it
+    # {0, 7, 12, 13} lies in the other block of hsum(2^3,2^3): swapped with
+    # a node of the first, the labels leave the order, which the poset
+    # constructor refuses before a lift can map one into the other block
     L = catalog("hsum(2^3,2^3)")
     p = bsub(L)
-    q = _swapped(p, 0b10000001000011, 0b11000010000001)
-    with pytest.raises(Inconsistent) as exc:
-        lift_bsub_iso(L, L, range(p.size), p, q)
-    assert str(exc.value) == "image of a principal dual node is not principal"
+    with pytest.raises(MalformedInput) as exc:
+        _swapped(p, 0b10000001000011, 0b11000010000001)
+    assert str(exc.value) == "the order is not the nodes' inclusion"
 
 
 def test_recognize_boolean_node_examples():
@@ -762,19 +806,32 @@ def test_lift_sub_iso_on_2_5_and_2_6(k):
 
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_recognition_is_cross_checked_against_bsub(monkeypatch, side):
-    L = catalog("hsum(2^3,2^3)")
-    sub_l, sub_m = sub(L), sub(L)
-    victim = sub_l if side == "source" else sub_m
-    block = victim.node_index(L.blocks()[0].members)
-    real = iso_lifting.recognize_boolean_node
+    # the target's Boolean nodes are the images of the source's, not
+    # recognized again, so each side's fault is planted in its enumerated
+    # BSub: that lattice's Sub is handed over in its place
+    L, M = catalog("hsum(2^3,2^3)"), catalog("hsum(2^3,2^3)")
+    sub_l, sub_m = sub(L), sub(M)
+    victim = L if side == "source" else M
+    real = iso_lifting.enumerate_subalgebras
 
-    def flipped(poset, x):
-        answer = real(poset, x)
-        return not answer if poset is victim and x == block else answer
+    def faulty(X, boolean_only=False):
+        return real(X, boolean_only=boolean_only and X is not victim)
 
-    monkeypatch.setattr(iso_lifting, "recognize_boolean_node", flipped)
+    monkeypatch.setattr(iso_lifting, "enumerate_subalgebras", faulty)
     with pytest.raises(RestrictionMismatch, match=side):
-        lift_sub_iso(L, L, tuple(range(sub_l.size)), sub_l, sub_m)
+        lift_sub_iso(L, M, tuple(range(sub_l.size)), sub_l, sub_m)
+
+
+def test_lift_sub_iso_recognizes_one_side(monkeypatch):
+    # the order isomorphism carries the source's Boolean nodes to the target's
+    L = catalog("hsum(2^4,2^4)")
+    s = sub(L)
+    walked = []
+    real = iso_lifting.boolean_nodes
+    monkeypatch.setattr(iso_lifting, "boolean_nodes", lambda P: walked.append(P) or real(P))
+    assert [f.mapping for f in lift_sub_iso(L, L, tuple(range(s.size)), s, s)] == \
+        [tuple(range(L.n))]
+    assert walked == [s]
 
 
 def test_lift_sub_identity_examples():

@@ -610,12 +610,26 @@ def test_catalog_names_and_sizes():
 def test_catalog_rejections():
     with pytest.raises(UnknownName):
         catalog("nonsense")
-    with pytest.raises(UnknownName):
-        catalog("2^9")
-    with pytest.raises(UnknownName):
-        catalog("MO7")
-    with pytest.raises(SizeCap):
-        catalog("hsum(2^5,2^5,2^5)")
+    with pytest.raises(UnknownName, match="^MO index must be at least 1$"):
+        catalog("MO0")
+    assert catalog("MO7").n == 16
+    for name, text in (("2^9", "Boolean construction supports 1..6 atoms"),
+                       ("MO32", "horizontal sum would have 66 elements"),
+                       # refused before 10^30 summands are listed
+                       ("MO" + "9" * 30, f"horizontal sum would have {2 * 10 ** 30} elements"),
+                       ("hsum(2^5,2^5,2^5)", "horizontal sum would have 92 elements")):
+        with pytest.raises(SizeCap) as exc:
+            catalog(name)
+        assert str(exc.value) == text
+
+
+def test_catalog_keeps_no_ranges_of_its_own():
+    # what the constructors build within the 64-element cap, the catalog names
+    for name, L in [("2^6", boolean_algebra(6)), ("B2^6", boolean_algebra(6)),
+                    ("hsum(2^6)", horizontal_sum([boolean_algebra(6)]))] + \
+            [(f"MO{k}", mo(k)) for k in range(5, 32)]:
+        got = catalog(name)
+        assert (got.up, got.ortho) == (L.up, L.ortho)
 
 
 def test_horizontal_sum_structure():

@@ -37,7 +37,7 @@ from omlkit import (
     relabel,
     sub,
 )
-from omlkit.lattice_core import ISO, _iso_signatures
+from omlkit.lattice_core import ISO, _candidates, _iso_signatures
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
            "MO2x2", "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
@@ -72,12 +72,19 @@ def test_isomorphisms_match_the_old_search(name):
 def test_the_signatures_give_the_old_candidate_lists(name):
     # the complement's cone and cover counts, which the signatures dropped,
     # repeat the element's own, so every element keeps its candidates
+    # and the search, which groups the targets by signature in one pass,
+    # builds the lists the pairwise comparison of signatures built
     L = catalog(name)
     for M in (L, *(_inner_relabeling(L, seed) for seed in SEEDS)):
         lists = [[[b for b in range(M.n) if t[b] == s[a]] for a in range(L.n)]
                  for s, t in ((_iso_signatures(L), _iso_signatures(M)),
                               (legacy_iso_signatures(L), legacy_iso_signatures(M)))]
-        assert lists[0] == lists[1]
+        assert lists[0] == lists[1] == _candidates(_iso_signatures(L), _iso_signatures(M))
+    for P in (sub(L), bsub(L)):
+        Q = P.relabel(random.Random(name).sample(range(P.size), P.size))
+        s, t = P._order_signatures(), Q._order_signatures()
+        assert _candidates(s, t) == [[y for y in range(Q.size) if t[y] == s[x]]
+                                     for x in range(P.size)]
 
 
 @pytest.mark.parametrize("name", CATALOG)

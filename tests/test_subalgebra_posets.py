@@ -368,6 +368,55 @@ def test_subalgebra_poset_nodes_must_fit_the_rows(nodes, text):
     assert poset.node_index(0b1111) == 1
 
 
+def _inclusion(masks):
+    return [sum(1 << j for j, n in enumerate(masks) if not m & ~n) for m in masks]
+
+
+def test_subalgebra_poset_nodes_must_be_closed():
+    # {0, 1, 2, 4, 7} of 2^3 holds the atoms but none of their complements
+    B = boolean_algebra(3)
+    masks = [0b10000001, 0b10010111, B.universe]
+    nodes = [SubalgebraSet(B, m) for m in masks]
+    with pytest.raises(MalformedInput) as exc:
+        SubalgebraPoset(_inclusion(masks), B, nodes, "sub")
+    assert str(exc.value) == "a node is not a closed subalgebra"
+    # and only after every earlier refusal, in its order
+    for up, given, error, text in (
+            ([0b011, 0b110, 0b100], nodes, NotAPartialOrder, None),
+            (_inclusion(masks), nodes[:2], MalformedInput, "expected 3 nodes, got 2"),
+            (_inclusion(masks), nodes[:2] + [SubalgebraSet(mo(3), 0b11111111)],
+             MalformedInput, "a node is not an element set of this lattice"),
+            (_inclusion(masks), [nodes[0], nodes[1], nodes[1]], MalformedInput,
+             "a node is listed twice"),
+            ([0b111, 0b010, 0b110], [nodes[1], nodes[0], nodes[2]], MalformedInput,
+             "the first node must be the trivial subalgebra {0, n-1}")):
+        with pytest.raises(error) as exc:
+            SubalgebraPoset(up, B, given, "sub")
+        assert text is None or str(exc.value) == text
+    # a node that is not closed is named before an order that is not
+    # inclusion: here {0, 7} is not below the middle node
+    with pytest.raises(MalformedInput) as exc:
+        SubalgebraPoset([0b101, 0b110, 0b100], B, nodes, "sub")
+    assert str(exc.value) == "a node is not a closed subalgebra"
+
+
+def test_subalgebra_poset_order_must_be_the_nodes_inclusion():
+    # Sub(2^4) with the labels {0, 1, 14, 15} and {0, 3, 12, 15} swapped:
+    # an order and closed distinct nodes, but {0, 3, 12, 15} now lies below
+    # {0, 1, 4, 5, 10, 11, 14, 15} in the order, though not as a set
+    B = boolean_algebra(4)
+    s = sub(B)
+    masks = list(s.masks)
+    i, j = s.node_index(0b1100000000000011), s.node_index(0b1001000000001001)
+    masks[i], masks[j] = masks[j], masks[i]
+    with pytest.raises(MalformedInput) as exc:
+        SubalgebraPoset(s.up, B, [SubalgebraSet(B, m) for m in masks], "sub")
+    assert str(exc.value) == "the order is not the nodes' inclusion"
+    # the same labels under their own inclusion order are a poset
+    assert SubalgebraPoset(_inclusion(masks), B, [SubalgebraSet(B, m) for m in masks],
+                           "sub").masks == tuple(masks)
+
+
 @pytest.mark.parametrize("name", ["2^4", "MO3", "MO2x2", "example22", "benzene",
                                   "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)", "hsum(2^4,2^4)"])
 def test_enumerated_posets_equal_their_validated_copies(name):
@@ -376,6 +425,7 @@ def test_enumerated_posets_equal_their_validated_copies(name):
     for boolean_only in (False, True):
         poset = enumerate_subalgebras(L, boolean_only=boolean_only)
         checked = AbstractPoset(poset.up)
+        assert SubalgebraPoset(poset.up, L, poset.nodes, poset.flavor).masks == poset.masks
         assert poset.down == _order_down(poset.up) == checked.down
         assert poset.cover_up == checked.cover_up
         assert poset.heights == checked.heights
