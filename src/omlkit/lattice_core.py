@@ -11,10 +11,13 @@ pure functions of their inputs, so instances are safe to share freely.
 A lattice is validated row by row: its rows are spelled in binary once,
 the spelling's columns are the down rows, and each law is one test over
 whole rows.  Meets are looked up for the pairs a <= b (as numbers) and
-mirrored; joins come through the complement, a v b = (a' ^ b')', once the
-complement is known to reverse the order (a finite order with a top and
-all meets has all joins, so no join can be missing then).  The orthomodular
-law is tested in its zero-meet form: a <= b and a' ^ b = 0 imply a = b.
+mirrored, and they are the one table a lattice keeps: joins come through
+the complement, a v b = (a' ^ b')', which holds once the complement is
+known to reverse the order (a finite order with a top and all meets has
+all joins, so no join can be missing then).  The join table ``_join`` is
+built on first read, and only the commutation tests and the fault-naming
+scan of ``morphism`` read it.  The orthomodular law is tested in its
+zero-meet form: a <= b and a' ^ b = 0 imply a = b.
 When a row test fails, the pair scan it replaced names the first faulty
 pair, so the first fault and its message are those of a pair-by-pair
 check.  Posets are still checked pair by pair: their rows have no size
@@ -195,7 +198,8 @@ class FiniteOrtholattice(_Order):
         """The laws are tested in the order they always were, each on whole
         rows.  When a row test fails, the pair scan it replaced
         (``_check_rows``, ``_order_pairs``, ``_bound_pairs`` or
-        ``_reversal_pairs``) names the first fault."""
+        ``_reversal_pairs``) names the first fault.  The meet table is kept;
+        no join table is built here (see ``_join``)."""
         up = tuple(up)
         n = len(up)
         if n < 2:
@@ -265,8 +269,6 @@ class FiniteOrtholattice(_Order):
         self.ortho = ortho
         self.name = name
         self._meet = meet
-        # a v b = (a' ^ b')'
-        self._join = tuple(itemgetter(*renamed(meet[o]))(ortho) for o in ortho)
         orthomodular = _zero_meets_only_at_self(renamed(meet), rows)
         self.flavor = ORTHOMODULAR if orthomodular else ORTHOLATTICE
 
@@ -295,11 +297,18 @@ class FiniteOrtholattice(_Order):
         blocks (``_blocks``)."""
         return self.flavor == ORTHOMODULAR and len(_blocks(self)) == 1
 
+    @cached_property
+    def _join(self) -> tuple[tuple[int, ...], ...]:
+        """The join table, a v b = (a' ^ b')', built on first read."""
+        ortho, renamed = self.ortho, itemgetter(*self.ortho)
+        return tuple(itemgetter(*renamed(self._meet[o]))(ortho) for o in ortho)
+
     def meet(self, a: int, b: int) -> int:
         return self._meet[a][b]
 
     def join(self, a: int, b: int) -> int:
-        return self._join[a][b]
+        ortho = self.ortho
+        return ortho[self._meet[ortho[a]][ortho[b]]]
 
     def ocomp(self, a: int) -> int:
         return self.ortho[a]
@@ -454,15 +463,18 @@ def _joins(L: FiniteOrtholattice, parts: Sequence[int]) -> list[int]:
     """The joins of every subset of ``parts``, nonzero and pairwise
     orthogonal, as one-bit masks indexed by the subset (bit i for parts[i]),
     formed by doubling: each part is joined to every join found before it.
-    For the atoms of a Boolean subalgebra they are its elements.  A part a
-    orthogonal to a set B lies below (v B)', so a <= v B would make a = 0:
-    the joins are distinct, and a sum of them is their union."""
-    join = L._join
-    members = [0]
+    The doubling runs on complements, t v x = (t' ^ x')', so it reads the
+    meet row of t' and no join table: ``co`` holds the complements of the
+    joins found so far.  For the atoms of a Boolean subalgebra they are its
+    elements.  A part a orthogonal to a set B lies below (v B)', so
+    a <= v B would make a = 0: the joins are distinct, and a sum of them is
+    their union."""
+    meet, ortho = L._meet, L.ortho
+    co = [L.n - 1]
     for t in parts:
-        row = join[t]
-        members += [row[x] for x in members]
-    return [_POINTS[x] for x in members]
+        row = meet[ortho[t]]
+        co += [row[x] for x in co]
+    return [_POINTS[ortho[x]] for x in co]
 
 
 def _blocks(L: FiniteOrtholattice) -> list[int]:
@@ -755,6 +767,21 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
 
     Raises NotAMorphism unless 0, 1, complement, meet and join are all
     preserved.  The returned kind is the strongest that applies.
+
+    After the bounds and the complement, one test decides with the outcome
+    of a scan of every pair for meet and join, and cheaper:
+    - a bijection is accepted when it maps the elements above each a onto
+      those above its image (``up`` rows renamed).  It is then an order
+      isomorphism, which preserves meets and joins, as they are greatest
+      lower and least upper bounds.  Conversely a bijective homomorphism
+      preserves the order (a <= b gives f(a) = f(a ^ b) = f(a) ^ f(b)) and
+      reflects it (f(a) <= f(b) gives f(a ^ b) = f(a), so a ^ b = a), so
+      it maps the elements above a onto those above f(a);
+    - any other map is accepted when it preserves the meet of every pair
+      a <= b (as numbers).  With the complement it then preserves joins:
+      f(a v b) = f((a' ^ b')') = (f(a)' ^ f(b)')' = f(a) v f(b).
+    When the test fails, so does the pair scan: it runs, meet then join
+    for each pair in that order, and names the first pair that fails.
     """
     mapping = tuple(mapping)
     n, m = source.n, target.n
@@ -765,15 +792,23 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
     for a in range(n):
         if mapping[source.ortho[a]] != target.ortho[mapping[a]]:
             raise NotAMorphism(f"mapping does not preserve the complement of {a}")
-    for a in range(n):
-        for b in range(a, n):
-            fa, fb = mapping[a], mapping[b]
-            if mapping[source._meet[a][b]] != target._meet[fa][fb]:
-                raise NotAMorphism(f"mapping does not preserve meet({a},{b})")
-            if mapping[source._join[a][b]] != target._join[fa][fb]:
-                raise NotAMorphism(f"mapping does not preserve join({a},{b})")
+    injective = len(set(mapping)) == n
+    if injective and n == m:
+        preserved = _permuted(source.up, mapping) == list(target.up)
+    else:
+        meet = target._meet
+        preserved = ([mapping[c] for a, row in enumerate(source._meet) for c in row[a:]]
+                     == [meet[fa][fb] for a, fa in enumerate(mapping) for fb in mapping[a:]])
+    if not preserved:
+        for a in range(n):
+            for b in range(a, n):
+                fa, fb = mapping[a], mapping[b]
+                if mapping[source._meet[a][b]] != target._meet[fa][fb]:
+                    raise NotAMorphism(f"mapping does not preserve meet({a},{b})")
+                if mapping[source._join[a][b]] != target._join[fa][fb]:
+                    raise NotAMorphism(f"mapping does not preserve join({a},{b})")
     kind = HOM
-    if len(set(mapping)) == n:
+    if injective:
         # an injective lattice homomorphism reflects order: f(a) <= f(b)
         # gives f(a ^ b) = f(a), so a ^ b = a; a bijective one is an iso
         kind = ISO if n == m else EMBEDDING
@@ -1055,6 +1090,17 @@ _MO_NAME = re.compile(r"mo(\d+)")
 _HSUM_NAME = re.compile(r"hsum\((.*)\)")
 
 
+def _index(digits: str) -> int:
+    """The number a name's index spells.  An index of more digits (leading
+    zeros aside) than the cap has elements is past the cap whatever they
+    are, and raises SizeCap before ``int`` reads it: neither ``int`` nor a
+    message would take the text of a number thousands of digits long."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > MAX_ELEMENTS:
+        raise SizeCap(f"an index of {len(digits)} digits is past the {MAX_ELEMENTS}-element cap")
+    return int(digits)
+
+
 def catalog(name: str) -> FiniteOrtholattice:
     """Construct a lattice by name.
 
@@ -1063,7 +1109,7 @@ def catalog(name: str) -> FiniteOrtholattice:
     catalog keeps no ranges of its own: the constructors decide, so 2^1 ..
     2^6 and MO1 .. MO31 build, and a name past the 64-element cap raises
     SizeCap.  Raises UnknownName for a name of no accepted form, and as
-    ``mo`` does for MO0.
+    ``mo`` does for MO0.  An index is read by ``_index``.
     """
     key = name.strip().lower().replace(" ", "")
     if key == "example22":
@@ -1074,10 +1120,10 @@ def catalog(name: str) -> FiniteOrtholattice:
         return product(mo(2), boolean_algebra(1), name="MO2x2")
     m = _BOOLEAN_NAME.fullmatch(key)
     if m:
-        return boolean_algebra(int(m.group(1)))
+        return boolean_algebra(_index(m.group(1)))
     m = _MO_NAME.fullmatch(key)
     if m:
-        return mo(int(m.group(1)))
+        return mo(_index(m.group(1)))
     m = _HSUM_NAME.fullmatch(key)
     if m:
         args = [a for a in m.group(1).split(",") if a]
@@ -1088,7 +1134,7 @@ def catalog(name: str) -> FiniteOrtholattice:
             bm = _BOOLEAN_NAME.fullmatch(a)
             if not bm:
                 raise UnknownName(f"hsum summands must be Boolean algebras 2^k, got {a!r}")
-            summands.append(boolean_algebra(int(bm.group(1))))
+            summands.append(boolean_algebra(_index(bm.group(1))))
         label = "hsum(" + ",".join(f"2^{s.n.bit_length() - 1}" for s in summands) + ")"
         return horizontal_sum(summands, name=label)
     raise UnknownName(name)

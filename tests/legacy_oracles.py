@@ -104,6 +104,11 @@ summands' orders.  ``legacy_is_equivalence``
 decides whether a pair set is an equivalence relation's by union-find and
 a pair count, where ``legacy_class_row_equivalence`` compares class rows.
 
+``legacy_morphism`` validated a map by scanning every pair a <= b (as
+numbers) for meet and then join, after the bounds and the complement; the
+library decides a bijection by its renamed ``up`` rows and any other map
+by meets alone, and scans the pairs only to name the first fault.
+
 ``legacy_finite_ortholattice`` is the lattice constructor that checked
 each law pair by pair: the order axioms, every meet and join looked up
 pair by pair, order reversal pair by pair and the orthomodular law
@@ -142,11 +147,16 @@ from omlkit.functorial import (
 )
 from omlkit.iso_lifting import MAX_FOUR_BLOCK_CHOICES, _bell
 from omlkit.lattice_core import (
+    EMBEDDING,
+    HOM,
+    ISO,
     MAX_ELEMENTS,
     ORTHOLATTICE,
     ORTHOMODULAR,
     FiniteOrtholattice,
+    Morphism,
     SubalgebraSet,
+    _is_int,
     _joins,
     bits,
     mask_of,
@@ -591,6 +601,36 @@ def legacy_poset_isomorphisms(P, Q):
             used[y] = False
 
     yield from search(0)
+
+
+def legacy_morphism(source, target, mapping):
+    """Validate ``mapping`` as an ortholattice homomorphism and classify it.
+
+    Raises NotAMorphism unless 0, 1, complement, meet and join are all
+    preserved.  The returned kind is the strongest that applies.
+    """
+    mapping = tuple(mapping)
+    n, m = source.n, target.n
+    if len(mapping) != n or not all(_is_int(v) and 0 <= v < m for v in mapping):
+        raise NotAMorphism("mapping is not a total map into the target")
+    if mapping[0] != 0 or mapping[n - 1] != m - 1:
+        raise NotAMorphism("mapping does not preserve the bounds")
+    for a in range(n):
+        if mapping[source.ortho[a]] != target.ortho[mapping[a]]:
+            raise NotAMorphism(f"mapping does not preserve the complement of {a}")
+    for a in range(n):
+        for b in range(a, n):
+            fa, fb = mapping[a], mapping[b]
+            if mapping[source._meet[a][b]] != target._meet[fa][fb]:
+                raise NotAMorphism(f"mapping does not preserve meet({a},{b})")
+            if mapping[source._join[a][b]] != target._join[fa][fb]:
+                raise NotAMorphism(f"mapping does not preserve join({a},{b})")
+    kind = HOM
+    if len(set(mapping)) == n:
+        # an injective lattice homomorphism reflects order: f(a) <= f(b)
+        # gives f(a ^ b) = f(a), so a ^ b = a; a bijective one is an iso
+        kind = ISO if n == m else EMBEDDING
+    return Morphism(source, target, mapping, kind)
 
 
 def legacy_enumerate_homs(L, M):

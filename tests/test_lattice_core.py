@@ -27,6 +27,7 @@ from omlkit import (
     bsub,
     catalog,
     classify_recovery,
+    enumerate_homs,
     example22,
     find_isomorphism,
     horizontal_sum,
@@ -63,6 +64,7 @@ from legacy_oracles import (
     legacy_finite_ortholattice,
     legacy_horizontal_sum,
     legacy_is_boolean,
+    legacy_morphism,
     legacy_permuted,
     legacy_product,
     legacy_unique_bound,
@@ -172,6 +174,39 @@ def test_bound_tables_match_the_cone_scan(name):
         meet, join = legacy_bound_tables(M.up, M.down)
         assert M._meet == tuple(map(tuple, meet))
         assert M._join == tuple(map(tuple, join))
+
+
+JOIN_TABLE_LATTICES = TABLE_LATTICES + ["2^6", "MO31", "hsum(2^5,2^5)"]
+
+
+@pytest.mark.parametrize("name", JOIN_TABLE_LATTICES)
+def test_a_fresh_lattice_has_no_join_table(name):
+    L = catalog(name)
+    assert "_join" not in vars(L)
+    assert "_join" not in vars(relabel(L, range(L.n)))
+
+
+@pytest.mark.parametrize("name", JOIN_TABLE_LATTICES)
+def test_the_join_table_is_the_table_of_join(name):
+    # join reads (a' ^ b')' and _join is built on first read: they agree
+    L = catalog(name)
+    table = tuple(tuple(L.join(a, b) for b in range(L.n)) for a in range(L.n))
+    assert "_join" not in vars(L)
+    assert L._join == table and vars(L)["_join"] is L._join
+
+
+def test_the_hot_paths_build_no_join_table():
+    # Sub, BSub, a lift's final check, a recovery and a hom search read
+    # joins through meets, and every map they check passes without a scan
+    H, S = catalog("hsum(2^5,2^5)"), catalog("hsum(2^4,2^4)")
+    B3, B5 = catalog("2^3"), catalog("2^5")
+    P = bsub(H)
+    lift_bsub_iso(H, H, tuple(range(P.size)), P, P)
+    sub(S)
+    # atoms 0 and 1 to themselves, atom 2 to the join of atoms 2, 3 and 4
+    classify_recovery(morphism(B3, B5, [a & 3 | (a >> 2 & 1) * 28 for a in range(8)]))
+    enumerate_homs(B3, B5)
+    assert not any("_join" in vars(L) for L in (H, S, B3, B5))
 
 
 def _random_order(rng, n, bounded, levels=3):
@@ -623,6 +658,32 @@ def test_catalog_rejections():
         assert str(exc.value) == text
 
 
+def test_catalog_refuses_a_huge_index_by_its_digit_count(capsys):
+    # past 64 digits an index is refused unread, and its message does not
+    # spell it: int() and an f-string both refuse a text past 4,300 digits
+    for name, digits in (("MO" + "9" * 5000, 5000), ("2^" + "9" * 4301, 4301),
+                         ("MO" + "9" * 4300, 4300), ("B2^" + "1" * 65, 65),
+                         ("hsum(2^3," + "2^" + "9" * 4301 + ")", 4301),
+                         ("MO" + "0" * 5000 + "9" * 65, 65)):
+        with pytest.raises(SizeCap) as exc:
+            catalog(name)
+        assert str(exc.value) == f"an index of {digits} digits is past the 64-element cap"
+    assert main(["catalog", "MO" + "9" * 5000]) == 1
+    assert capsys.readouterr() == (
+        "", "error: an index of 5000 digits is past the 64-element cap\n")
+    # leading zeros are no digits of the index; up to 64 digits the
+    # constructors decide, with their own texts
+    assert catalog("MO" + "0" * 5000 + "3").up == mo(3).up
+    with pytest.raises(UnknownName, match="^MO index must be at least 1$"):
+        catalog("MO" + "0" * 5000)
+    for name, text in (("MO" + "9" * 64, f"horizontal sum would have {2 * 10 ** 64} elements"),
+                       ("2^" + "9" * 64, "Boolean construction supports 1..6 atoms"),
+                       ("hsum(2^" + "0" * 70 + "7)", "Boolean construction supports 1..6 atoms")):
+        with pytest.raises(SizeCap) as exc:
+            catalog(name)
+        assert str(exc.value) == text
+
+
 def test_catalog_keeps_no_ranges_of_its_own():
     # what the constructors build within the 64-element cap, the catalog names
     for name, L in [("2^6", boolean_algebra(6)), ("B2^6", boolean_algebra(6)),
@@ -744,6 +805,92 @@ def test_a_bijective_morphism_is_an_iso(name, count):
         if kinds[0]:
             accepted.add(f)
     assert accepted == {a.mapping for a in automorphisms(L)}
+
+
+def _verdict(check, source, target, mapping):
+    """(kind, mapping) of the morphism ``check`` returns, or the text of
+    the NotAMorphism it raises."""
+    try:
+        f = check(source, target, mapping)
+    except NotAMorphism as exc:
+        return str(exc)
+    return f.kind, f.mapping
+
+
+def _complement_respecting(rng, L, M):
+    """A random map L -> M that keeps the bounds and the complement."""
+    mapping = [-1] * L.n
+    mapping[0], mapping[-1] = 0, M.n - 1
+    for a in range(1, L.n - 1):
+        if mapping[a] < 0:
+            v = rng.randrange(M.n)
+            mapping[a], mapping[L.ortho[a]] = v, M.ortho[v]
+    return mapping
+
+
+def _swapped(rng, mapping):
+    """``mapping`` with the values at two random positions swapped."""
+    out = list(mapping)
+    i, j = rng.sample(range(len(out)), 2)
+    out[i], out[j] = out[j], out[i]
+    return out
+
+
+def _perturbed(rng, mapping, m):
+    """``mapping`` with one random entry set to a random element of 0..m-1."""
+    out = list(mapping)
+    out[rng.randrange(len(out))] = rng.randrange(m)
+    return out
+
+
+MORPHISM_LATTICES = ["2^1", "2^2", "2^3", "2^5", "MO1", "MO2", "MO3", "MO8", "MO2x2",
+                     "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^5,2^5)"]
+
+
+@pytest.mark.parametrize("name", MORPHISM_LATTICES)
+def test_morphism_matches_the_pair_scan_on_relabelings(name):
+    # isos onto a relabeled copy, alone, with two values swapped and with
+    # one value moved, and maps that keep the complement: the same kind and
+    # mapping, or the same first fault
+    rng = random.Random(f"morphism {name}")
+    L = catalog(name)
+    verdicts = set()
+    for _ in range(12):
+        perm = [0] + rng.sample(range(1, L.n - 1), L.n - 2) + [L.n - 1]
+        M = relabel(L, perm)
+        maps = [perm, _swapped(rng, perm), _swapped(rng, perm), _perturbed(rng, perm, L.n),
+                _complement_respecting(rng, L, M), _complement_respecting(rng, L, L)]
+        for target, mapping in zip([M] * 5 + [L], maps):
+            got = _verdict(morphism, L, target, mapping)
+            assert got == _verdict(legacy_morphism, L, target, mapping)
+            verdicts.add(got if isinstance(got, str) else got[0])
+    # the maps reach acceptance and each kind of fault; on four elements
+    # every map that keeps the bounds and the complement is a homomorphism
+    faults = {v.split("(")[0].split(" of ")[0] for v in verdicts - {"iso", "hom", "embedding"}}
+    assert "iso" in verdicts
+    assert L.n <= 4 or faults >= {"mapping does not preserve the complement",
+                                  "mapping does not preserve meet",
+                                  "mapping does not preserve join"}
+
+
+HOM_LATTICES = ["2^1", "2^2", "2^3", "2^4", "MO1", "MO2", "MO3", "MO4", "MO2x2",
+                "example22", "benzene", "hsum(2^3,2^3)"]
+HOM_PAIRS = [(a, b) for a in HOM_LATTICES for b in HOM_LATTICES
+             if catalog(a).n * catalog(b).n <= 256]
+
+
+@pytest.mark.parametrize("pair", HOM_PAIRS, ids=["->".join(p) for p in HOM_PAIRS])
+def test_homs_and_perturbed_homs_match_the_pair_scan(pair):
+    # the homs themselves are checked against the old search in
+    # test_shared_search; here they are the maps morphism must accept
+    L, M = (catalog(name) for name in pair)
+    homs = enumerate_homs(L, M)
+    rng = random.Random("->".join(pair))
+    maps = [f.mapping for f in rng.sample(homs, min(len(homs), 20))]
+    maps += [_swapped(rng, f) for f in maps] + [_perturbed(rng, f, M.n) for f in maps]
+    maps += [_complement_respecting(rng, L, M) for _ in range(20)]
+    for mapping in maps:
+        assert _verdict(morphism, L, M, mapping) == _verdict(legacy_morphism, L, M, mapping)
 
 
 def test_sublattice_of_a_block():

@@ -142,6 +142,18 @@ def test_reconstruct_round_trip(name):
     assert find_isomorphism(rebuilt, L) is not None
 
 
+@pytest.mark.parametrize("name,points", [("2^6", 6), ("MO31", 62)])
+def test_reconstruct_round_trip_at_the_caps(name, points):
+    # both rebuild 64 orthoclosed sets, the element cap, and MO31's frame
+    # has 62 points, the frame cap: a cap tested with >= would refuse them
+    L = catalog(name)
+    P = bsub(L).as_abstract()
+    assert build_frame(P, *classify_atoms(P)).size == points
+    rebuilt = reconstruct(P)
+    assert rebuilt.n == L.n == 64
+    assert find_isomorphism(rebuilt, L) is not None
+
+
 def test_reconstruct_one_point_poset():
     out = reconstruct(AbstractPoset((1,)))
     assert out.n == 2

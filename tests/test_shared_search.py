@@ -192,9 +192,11 @@ def test_poset_isomorphisms_match_the_old_search_on_the_pi5_dual():
     assert len(got) == 1 and got == _prefix(legacy_poset_isomorphisms(interval, dual), 1)
 
 
-HOM_PAIRS = [("2^2", "2^2"), ("2^3", "2^1"), ("MO2", "2^1"), ("2^3", "2^3"),
-             ("2^3", "2^2"), ("MO2", "MO2"), ("example22", "example22"),
-             ("2^1", "2^3"), ("2^2", "MO2"), ("MO3", "2^2")]
+# every pair of these catalog lattices within the hom search's cap
+HOM_LATTICES = ["2^1", "2^2", "2^3", "2^4", "MO1", "MO2", "MO3", "MO4", "MO2x2",
+                "example22", "benzene", "hsum(2^3,2^3)"]
+HOM_PAIRS = [(a, b) for a in HOM_LATTICES for b in HOM_LATTICES
+             if catalog(a).n * catalog(b).n <= 256]
 
 
 @pytest.mark.parametrize("pair", HOM_PAIRS, ids=["->".join(p) for p in HOM_PAIRS])

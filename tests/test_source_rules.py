@@ -21,7 +21,10 @@ built on first read for users of the public API such as ``selftest``.
 ``iso_lifting`` recognizes Boolean nodes from heights, up/down rows and
 the enumerator's partition table, so it reads no cover row.
 Nodes are labeled unchecked only in ``enumerate_subalgebras``; every other
-labeling goes through the checking constructor.  The lattice core sits at
+labeling goes through the checking constructor.  Joins come through the
+complement, so a lattice's join table ``_join`` is read only by the
+commutation tests and by the fault-naming scan of ``morphism``; a poset's
+``_join`` is a method, and calling it reads no table.  The lattice core sits at
 the bottom of the package: it imports no module of it but ``errors``, not
 even inside a function.
 """
@@ -456,3 +459,52 @@ def test_the_package_import_scan_finds_a_local_import():
     assert _package_imports(source, "m.py") == [
         ("m.py:2", "errors"), ("m.py:5", "subalgebra_posets"), ("m.py:6", "fileio"),
         ("m.py:7", "cli"), ("m.py:8", "selftest")]
+
+
+# a lattice's join table is built on first read; the hot paths read joins
+# as complements of meets of complements
+JOIN_TABLE_READERS = [("lattice_core.py", "FiniteOrtholattice.commutes"),
+                      ("lattice_core.py", "FiniteOrtholattice.is_boolean"),
+                      ("lattice_core.py", "morphism")]
+
+
+def _join_table_readers(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, qualified name of the innermost enclosing function) of each
+    read of an attribute named ``_join`` other than as the function of a
+    call (a poset's ``_join`` is a method), sorted and without repeats."""
+    out = set()
+
+    def visit(node, name, scope, function, called):
+        if isinstance(node, ast.Attribute) and node.attr == "_join" and node is not called:
+            out.add((name, function))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}{node.name}."
+            if not isinstance(node, ast.ClassDef):
+                function = scope[:-1]
+        callee = node.func if isinstance(node, ast.Call) else None
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, scope, function, callee)
+
+    for name, source in sources.items():
+        visit(ast.parse(source, filename=name), name, "", "", None)
+    return sorted(out)
+
+
+def test_only_the_commutation_tests_and_the_morphism_scan_read_the_join_table():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
+    assert _join_table_readers(sources) == JOIN_TABLE_READERS
+
+
+def test_the_join_table_scan_finds_a_planted_reader():
+    sources = {
+        "m.py": (
+            "class L:\n"
+            "    def join(self, a, b):\n"
+            "        return self._join[a][b]\n"
+            "def _joins(L, parts):\n"
+            "    join = L._join\n"
+            "    return [join[t] for t in parts]\n"
+        ),
+        "n.py": "def glue(P, x, y):\n    return P._join(x, y)\n",
+    }
+    assert _join_table_readers(sources) == [("m.py", "L.join"), ("m.py", "_joins")]
