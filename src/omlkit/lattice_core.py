@@ -10,18 +10,25 @@ pure functions of their inputs, so instances are safe to share freely.
 
 A lattice is validated row by row: its rows are spelled in binary once,
 the spelling's columns are the down rows, and each law is one test over
-whole rows.  Meets are looked up for the pairs a <= b (as numbers) and
+whole rows.  Transitivity needs no test of its own: a reflexive,
+antisymmetric relation in which every two down rows meet in a down row is
+transitive.  Meets are looked up for the pairs a <= b (as numbers) and
 mirrored, and they are the one table a lattice keeps: joins come through
 the complement, a v b = (a' ^ b')', which holds once the complement is
 known to reverse the order (a finite order with a top and all meets has
 all joins, so no join can be missing then).  The join table ``_join`` is
-built on first read, and only the commutation tests and the fault-naming
-scan of ``morphism`` read it.  The orthomodular law is tested in its
-zero-meet form: a <= b and a' ^ b = 0 imply a = b.
+built on first read, and only the fault-naming scan of ``morphism`` reads
+it.  The orthomodular law is tested in its zero-meet form: a <= b and
+a' ^ b = 0 imply a = b.
 When a row test fails, the pair scan it replaced names the first faulty
 pair, so the first fault and its message are those of a pair-by-pair
 check.  Posets are still checked pair by pair: their rows have no size
 cap, and a spelling costs n^2 even for an antichain.
+
+Renaming an order's points (``_permuted``: ``relabel``, ``morphism``'s
+test of a bijection, and the node maps of the lifts) is the same
+transposition: the renamed rows are the columns of the spelled transpose,
+placed along the renaming, read back in stripes of bounded size.
 
 The blocks of an orthomodular lattice are found here and nowhere else: the
 maximal sets of pairwise orthogonal atoms (``_blocks``), each joined out to
@@ -32,9 +39,9 @@ BSub and the lifts above this module.
 from __future__ import annotations
 
 import re
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, repeat, zip_longest
-from operator import and_, countOf, itemgetter, or_
+from operator import and_, countOf, itemgetter, lshift, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -199,7 +206,17 @@ class FiniteOrtholattice(_Order):
         rows.  When a row test fails, the pair scan it replaced
         (``_check_rows``, ``_order_pairs``, ``_bound_pairs`` or
         ``_reversal_pairs``) names the first fault.  The meet table is kept;
-        no join table is built here (see ``_join``)."""
+        no join table is built here (see ``_join``).
+
+        Transitivity has no test of its own.  A relation that is reflexive
+        and antisymmetric, and in which every two down rows meet in a down
+        row, is transitive: for a <= b <= c, down[b] & down[c] = down[x]
+        holds b, so b <= x, and x <= b as x is in down[b]; by antisymmetry
+        x = b, so down[b] lies in down[c], and a <= c.  So on every fault
+        path past reflexivity and antisymmetry (a bound that fails, or a
+        missing meet) ``_order_pairs`` runs first, and a relation that is
+        not transitive fails there, first, as it did when the order was
+        checked whole before the bounds."""
         up = tuple(up)
         n = len(up)
         if n < 2:
@@ -220,17 +237,17 @@ class FiniteOrtholattice(_Order):
         members = spelled[::-1].encode().translate(_DIGIT_BITS)
         rows = [members[i:i + n] for i in range(0, n * n, n)]
         # reflexive and antisymmetric: i is the one point both above and
-        # below i; transitive: the OR of the up rows of the points above i
-        # is up[i].  A row without its own point is named by _check_rows.
-        if (tuple(map(and_, up, down)) != _POINTS[:n]
-                or tuple(map(reduce, repeat(or_), map(compress, repeat(up), rows))) != up):
+        # below i.  A row without its own point is named by _check_rows.
+        # Transitivity follows from the meets (see above).
+        if tuple(map(and_, up, down)) != _POINTS[:n]:
             _check_rows(up)
             _order_pairs(up)
         self.up, self.size, self.down = up, n, tuple(down)
         universe = (1 << n) - 1
-        if up[0] != universe:
-            raise NoBoundedLattice("element 0 is not the least element")
-        if down[n - 1] != universe:
+        if up[0] != universe or down[n - 1] != universe:
+            _order_pairs(up)
+            if up[0] != universe:
+                raise NoBoundedLattice("element 0 is not the least element")
             raise NoBoundedLattice(f"element {n - 1} is not the greatest element")
 
         # rows are distinct, so meet(a, b) is the element whose down row is
@@ -242,6 +259,7 @@ class FiniteOrtholattice(_Order):
             # the meets of a with the elements up to a
             low = [[below[row & d] for d in down[:a + 1]] for a, row in enumerate(down)]
         except KeyError:
+            _order_pairs(up)
             _bound_pairs(up, down, below, self._above)
         # column a of that triangle holds the meets of a with those after it
         meet = tuple(tuple(row) + col[a + 1:]
@@ -295,7 +313,12 @@ class FiniteOrtholattice(_Order):
         """Whether the whole lattice is a Boolean algebra (checked once): an
         orthomodular lattice with one block, since it is the union of its
         blocks (``_blocks``)."""
-        return self.flavor == ORTHOMODULAR and len(_blocks(self)) == 1
+        return self.flavor == ORTHOMODULAR and len(self._block_atoms) == 1
+
+    @cached_property
+    def _block_atoms(self) -> tuple[int, ...]:
+        """The atom sets of the blocks (``_blocks``), searched once per lattice."""
+        return tuple(_blocks(self))
 
     @cached_property
     def _join(self) -> tuple[tuple[int, ...], ...]:
@@ -340,8 +363,11 @@ class FiniteOrtholattice(_Order):
         """Whether a = (a^b) v (a^b'); only meaningful on orthomodular lattices."""
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("commutation is only defined on orthomodular lattices")
-        row = self._meet[a]
-        return self._join[row[b]][row[self.ortho[b]]] == a
+        # (a ^ b) v (a ^ b') = a reads, through the complement, as
+        # (a ^ b)' ^ (a ^ b')' = a'
+        meet, ortho = self._meet, self.ortho
+        row = meet[a]
+        return meet[ortho[row[b]]][ortho[row[ortho[b]]]] == ortho[a]
 
     def _orthomodular_on(self, mask: int) -> bool:
         """Whether a <= b and a' ^ b = 0 imply a = b for a, b in ``mask``.
@@ -440,11 +466,12 @@ class FiniteOrtholattice(_Order):
         orthomodular, and Boolean by Foulis-Holland."""
         mask = s.members if isinstance(s, SubalgebraSet) else s
         els = [e for e in bits(mask) if e != 0 and e != self.n - 1]
-        meet, join, ortho = self._meet, self._join, self.ortho
+        meet, ortho = self._meet, self.ortho
+        # the join through the complement, as in ``commutes``
         for a in els:
-            row = meet[a]
+            row, co = meet[a], ortho[a]
             for b in els:
-                if join[row[b]][row[ortho[b]]] != a:
+                if meet[ortho[row[b]]][ortho[row[ortho[b]]]] != co:
                     return False
         return True
 
@@ -454,7 +481,7 @@ class FiniteOrtholattice(_Order):
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("blocks are defined for orthomodular lattices")
         return [SubalgebraSet(self, mask) for mask in
-                sorted(sum(_joins(self, list(bits(atoms)))) for atoms in _blocks(self))]
+                sorted(sum(_joins(self, list(bits(atoms)))) for atoms in self._block_atoms)]
 
 
 # -- blocks ----------------------------------------------------------------
@@ -646,17 +673,36 @@ def _induced(rows: Sequence[int], mask: int) -> list[int]:
     return out
 
 
-def _permuted(rows: Sequence[int], perm: Sequence[int]) -> list[int]:
-    """Rows of the same order with element i renamed perm[i]."""
-    out = [0] * len(rows)
-    for i, row in enumerate(rows):
-        renamed = 0
-        while row:
-            low = row & -row
-            renamed |= 1 << perm[low.bit_length() - 1]
-            row ^= low
-        out[perm[i]] = renamed
-    return out
+def _permuted(rows: Sequence[int], cols: Sequence[int], perm: Sequence[int]) -> list[int]:
+    """Rows of the same order with element i renamed perm[i], read off
+    ``cols``, the transpose of ``rows`` (``down`` for ``up``, ``up`` for
+    ``down``), by the constructor's transposition: column j is placed at
+    row perm[j], the placed rows are spelled in binary, and each column of
+    the spelling, read back with one strided slice and ``int(..., 2)``, is
+    row i renamed, put at perm[i].  That is O(n) Python steps and O(n^2)
+    digits handled in C, where a walk over the set bits takes a Python step
+    per bit.
+
+    The spelling is made in stripes of placed rows, by one rule: one stripe
+    up to 1024 rows, and stripes of an eighth of the rows (rounded up)
+    beyond, each stripe's columns shifted into place.  So the text is at
+    most 1024^2 digits, and beyond that at most n^2 / 8 + n: no more bytes
+    than the two tables' ints hold, as each row holds its own point, so
+    rows[i] and cols[i] are each at least i + 1 bits long, n^2 + n bits in
+    all, and each int has a header of its own."""
+    n = len(rows)
+    # inverse[k] is the point renamed k
+    inverse = sorted(range(n), key=perm.__getitem__)
+    width = f"0{n}b"
+    step = n if n <= 1024 else -(-n // 8)
+    renamed = None
+    for s in range(0, n, step):
+        # placed rows s.. spelled last first, most significant digit first:
+        # digit i of placed row s + r sits at (k-1-r)*n + n-1-i
+        spelled = "".join([format(cols[j], width) for j in reversed(inverse[s:s + step])])
+        stripe = [int(spelled[c::n], 2) for c in range(n - 1, -1, -1)]
+        renamed = stripe if s == 0 else list(map(or_, renamed, map(lshift, stripe, repeat(s))))
+    return [renamed[i] for i in inverse]
 
 
 class _Record:
@@ -794,7 +840,7 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
             raise NotAMorphism(f"mapping does not preserve the complement of {a}")
     injective = len(set(mapping)) == n
     if injective and n == m:
-        preserved = _permuted(source.up, mapping) == list(target.up)
+        preserved = _permuted(source.up, source.down, mapping) == list(target.up)
     else:
         meet = target._meet
         preserved = ([mapping[c] for a, row in enumerate(source._meet) for c in row[a:]]
@@ -1169,7 +1215,7 @@ def relabel(L: FiniteOrtholattice, perm: Sequence[int],
     ortho = [0] * L.n
     for i in range(L.n):
         ortho[perm[i]] = perm[L.ortho[i]]
-    return FiniteOrtholattice(_permuted(L.up, perm), ortho, name)
+    return FiniteOrtholattice(_permuted(L.up, L.down, perm), ortho, name)
 
 
 def sublattice(L: FiniteOrtholattice, members) -> tuple[FiniteOrtholattice, tuple[int, ...]]:

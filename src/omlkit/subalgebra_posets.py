@@ -43,7 +43,6 @@ from .errors import (
 from .lattice_core import (
     FiniteOrtholattice,
     SubalgebraSet,
-    _blocks,
     _DIGIT_BITS,
     _induced,
     _is_int,
@@ -147,7 +146,8 @@ class AbstractPoset(_Order):
         if not self._is_permutation(perm):
             raise MalformedInput("relabeling is not a permutation")
         # an order with its points renamed one-to-one is an order
-        return AbstractPoset._trusted(_permuted(self.up, perm), _permuted(self.down, perm))
+        return AbstractPoset._trusted(_permuted(self.up, self.down, perm),
+                                      _permuted(self.down, self.up, perm))
 
     def as_abstract(self) -> "AbstractPoset":
         """A plain copy with any subalgebra decoration dropped."""
@@ -513,7 +513,7 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
         budget = cap // count
         inner_atoms = part & L._atoms
         if boolean_only and L.is_orthomodular:
-            found, keys = _boolean_family(L, _blocks(L), budget)
+            found, keys = _boolean_family(L, L._block_atoms, budget)
         elif L.is_orthomodular and part.bit_count() + 2 == 1 << inner_atoms.bit_count():
             found, keys = _boolean_family(L, [inner_atoms], budget)
         else:
@@ -551,17 +551,19 @@ def check_order_iso(mapping, source: AbstractPoset, target: AbstractPoset) -> tu
 
     Returns the map as a tuple.  Order preservation is checked in both
     directions since callers hand in arbitrary data: source's rows, renamed
-    along the map, must equal target's.
+    along the map, must equal target's.  They are compared whole; only when
+    they differ does a walk over the nodes name the first that the map does
+    not preserve, if any.
     """
     mapping = tuple(mapping)
     if len(mapping) != source.size or not target._is_permutation(mapping):
         raise NotAnIso("node map is not a bijection between the posets")
-    renamed = _permuted(source.up, mapping)
-    for i, v in enumerate(mapping):
-        if renamed[v] & ~target.up[v]:
-            j = next(j for j in bits(source.up[i]) if not target.up[v] >> mapping[j] & 1)
-            raise NotAnIso(f"node map does not preserve node order at {i} <= {j}")
+    renamed = _permuted(source.up, source.down, mapping)
     if renamed != list(target.up):
+        for i, v in enumerate(mapping):
+            if renamed[v] & ~target.up[v]:
+                j = next(j for j in bits(source.up[i]) if not target.up[v] >> mapping[j] & 1)
+                raise NotAnIso(f"node map does not preserve node order at {i} <= {j}")
         raise NotAnIso("node map does not reflect node order")
     return mapping
 

@@ -39,7 +39,10 @@ orthomodular lattice that the blocks replaced: Close-by-One over that
 linear extension, each node kept as its atoms and split by every element
 that commutes with it (``legacy_split_closure``), where the library reads
 BSub off the set partitions of each block's atoms.  ``legacy_permuted``
-renamed each row through ``mask_of`` over ``bits``.
+renamed each row through ``mask_of`` over ``bits``, where the library reads
+the renamed rows off the spelled transpose; ``legacy_check_order_iso``
+walked every node for a preserved order before comparing the renamed rows
+whole, where the library compares first and walks only to name a fault.
 
 ``legacy_close_by_one``, ``legacy_inclusion_rows`` and ``legacy_transpose``
 are the enumerator and the inclusion rows before failed closures left
@@ -350,6 +353,21 @@ def legacy_permuted(rows, perm):
     for i, row in enumerate(rows):
         out[perm[i]] = mask_of(perm[j] for j in bits(row))
     return out
+
+
+def legacy_check_order_iso(mapping, source, target):
+    """Validate a node map as an order isomorphism; raises NotAnIso."""
+    mapping = tuple(mapping)
+    if len(mapping) != source.size or not target._is_permutation(mapping):
+        raise NotAnIso("node map is not a bijection between the posets")
+    renamed = legacy_permuted(source.up, mapping)
+    for i, v in enumerate(mapping):
+        if renamed[v] & ~target.up[v]:
+            j = next(j for j in bits(source.up[i]) if not target.up[v] >> mapping[j] & 1)
+            raise NotAnIso(f"node map does not preserve node order at {i} <= {j}")
+    if renamed != list(target.up):
+        raise NotAnIso("node map does not reflect node order")
+    return mapping
 
 
 def legacy_close_by_one(size, bottom, state, extend, cap):

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -41,7 +42,7 @@ from omlkit import (
     sub,
     sublattice,
 )
-from omlkit import fileio
+from omlkit import fileio, lattice_core
 from omlkit.cli import main
 from omlkit.lattice_core import (
     FiniteOrtholattice,
@@ -59,6 +60,7 @@ from legacy_oracles import (
     legacy_blocks,
     legacy_boolean_algebra,
     legacy_bound_tables,
+    legacy_check_order_iso,
     legacy_commuting,
     legacy_covers,
     legacy_finite_ortholattice,
@@ -209,6 +211,39 @@ def test_the_hot_paths_build_no_join_table():
     assert not any("_join" in vars(L) for L in (H, S, B3, B5))
 
 
+def test_the_commutation_tests_build_no_join_table():
+    # BSub of an ortholattice that is not orthomodular runs is_boolean on
+    # every closure; it and commutes read joins through the complement
+    L = product(benzene(), boolean_algebra(3))
+    P = bsub(L)
+    assert "_join" not in vars(L)
+    # every node is Boolean by the pairwise and distributive test, and so
+    # is no one-element extension of a maximal node that is closed
+    assert all(legacy_is_boolean(L, m) for m in P.masks)
+    for x in P.maximal_elements():
+        for e in bits(L.universe & ~P.masks[x]):
+            grown = L.closure_mask(P.masks[x] | 1 << e)
+            assert not legacy_is_boolean(L, grown) and not L.is_boolean(grown)
+    M = catalog("example22")
+    verdicts = {(a, b): M.commutes(a, b) for a in range(M.n) for b in range(M.n)}
+    assert "_join" not in vars(M)
+    join = M._join
+    assert verdicts == {(a, b): join[M.meet(a, b)][M.meet(a, M.ortho[b])] == a
+                        for a in range(M.n) for b in range(M.n)}
+
+
+def test_the_blocks_are_searched_once_per_lattice(monkeypatch):
+    # BSub, blocks(), Booleanness and a lift all read one search's cliques
+    calls = []
+    search = lattice_core._blocks
+    monkeypatch.setattr(lattice_core, "_blocks", lambda L: calls.append(L) or search(L))
+    L, M = catalog("hsum(2^5,2^5)"), catalog("hsum(2^5,2^5)")
+    P, Q = bsub(L), bsub(M)
+    assert not L.is_boolean_algebra and len(L.blocks()) == 2
+    lift_bsub_iso(L, M, tuple(range(P.size)), P, Q)
+    assert calls == [L, M]
+
+
 def _random_order(rng, n, bounded, levels=3):
     """A random partial order on 0..n-1 as up rows, on ``levels`` levels:
     i < j with probability 0.6 when j is on a higher level, closed
@@ -281,7 +316,136 @@ def test_permuted_matches_legacy_permuted_on_random_posets():
         n = rng.randrange(1, 14)
         up = _random_order(rng, n, bounded=rng.random() < 0.5, levels=rng.randrange(1, 7))
         perm = rng.sample(range(n), n)
-        assert _permuted(up, perm) == legacy_permuted(up, perm)
+        assert _permuted(up, _transpose(up), perm) == legacy_permuted(up, perm)
+
+
+def _dimension_order(rng, n, d):
+    """(up, down) rows of a random order of dimension d on 0..n-1: i <= j
+    when j comes at or after i in each of d random linear orders.  Built
+    from cumulative bit sets, so large orders cost no pair loop."""
+    up, down = [-1] * n, [-1] * n
+    for _ in range(d):
+        line, after, before = rng.sample(range(n), n), 0, 0
+        for p in reversed(line):
+            after |= 1 << p
+            up[p] &= after
+        for p in line:
+            before |= 1 << p
+            down[p] &= before
+    return up, down
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 14, 64, 225, 1024, 1025, 1030, 2100])
+def test_permuted_matches_legacy_permuted_across_the_stripe_rule(n):
+    # one stripe up to 1024 rows, eighths of the rows beyond: 1025 and
+    # 1030 leave a short last stripe, 2100 eight stripes of 263 rows or fewer
+    rng = random.Random(n)
+    for d in (2, 4):
+        up, down = _dimension_order(rng, n, d)
+        assert down == list(_transpose(up))
+        perm = rng.sample(range(n), n)
+        assert _permuted(up, down, perm) == legacy_permuted(up, perm)
+        assert _permuted(down, up, perm) == legacy_permuted(down, perm)
+    antichain = [1 << i for i in range(n)]
+    perm = rng.sample(range(n), n)
+    assert _permuted(antichain, antichain, perm) == antichain
+
+
+RENAMED = ["2^1", "2^3", "2^6", "MO3", "MO30", "example22", "benzene", "hsum(2^5,2^5)"]
+
+
+@pytest.mark.parametrize("name", RENAMED)
+def test_permuted_matches_legacy_permuted_on_relabeled_lattices(name):
+    L = catalog(name)
+    rng = random.Random(name)
+    for _ in range(5):
+        perm = rng.sample(range(L.n), L.n)
+        assert _permuted(L.up, L.down, perm) == legacy_permuted(L.up, perm)
+        assert _permuted(L.down, L.up, perm) == legacy_permuted(L.down, perm)
+        inner = [0] + rng.sample(range(1, L.n - 1), L.n - 2) + [L.n - 1]
+        assert relabel(L, inner).up == tuple(legacy_permuted(L.up, inner))
+
+
+def _traced_peak(call):
+    """The peak of the memory ``call`` allocates, in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, d", [(3000, 2), (3000, None)])
+def test_renaming_scratch_stays_within_the_stripe_rule(n, d):
+    # a stripe of an eighth of the rows spells n^2 / 8 + n digits, joined
+    # from as many again, and the result rows, at most n^2 / 8 bytes, are
+    # held twice while a stripe is merged in: about 4 n^2 / 8 bytes at the
+    # peak.  One spelling of all n rows would take 2 n^2 bytes (16 n^2 / 8)
+    rng = random.Random(n)
+    up, down = _dimension_order(rng, n, d) if d else ([1 << i for i in range(n)],) * 2
+    perm = rng.sample(range(n), n)
+    peak, renamed = _traced_peak(lambda: _permuted(up, down, perm))
+    assert renamed == legacy_permuted(up, perm)
+    assert peak < 6 * n * n // 8
+
+
+def test_a_poset_checks_a_large_antichain_in_linear_scratch():
+    # posets are checked pair by pair and transposed by their set bits, as
+    # their rows have no size cap: past the down rows it must return,
+    # checking an antichain allocates O(n), where spelling its rows, even
+    # in eighths, would take n^2 / 8 bytes at once
+    n = 20000
+    up = [1 << i for i in range(n)]
+    peak, poset = _traced_peak(lambda: AbstractPoset(up))
+    assert poset.down == tuple(up)
+    rows = sum(map(sys.getsizeof, poset.down)) + sys.getsizeof(poset.down)
+    assert peak - rows < 200 * n
+
+
+def _iso_outcome(check, mapping, source, target):
+    try:
+        return check(mapping, source, target)
+    except NotAnIso as exc:
+        return str(exc)
+
+
+def _chain_on_a_linear_extension(P):
+    """A chain on P's points in ``_ranked`` order, and the map placing each
+    point at its rank: it preserves P's order and reflects it only if P is a
+    chain."""
+    rank = [0] * P.size
+    for k, x in enumerate(P._ranked):
+        rank[x] = k
+    return AbstractPoset([((1 << P.size) - 1) >> k << k for k in range(P.size)]), rank
+
+
+@pytest.mark.parametrize("name, enumerate_", [
+    ("MO3", sub), ("2^4", sub), ("hsum(2^3,2^3)", sub), ("hsum(2^4,2^4)", bsub),
+    ("example22", bsub), ("hsum(2^5,2^5)", bsub)])
+def test_order_iso_faults_read_as_the_node_walk_named_them(name, enumerate_):
+    # isos onto a relabeled copy, and maps into a chain on a linear
+    # extension, each with two nodes swapped and with one node moved
+    P = enumerate_(catalog(name))
+    rng = random.Random(name)
+    perm = rng.sample(range(P.size), P.size)
+    chain, ranks = _chain_on_a_linear_extension(P)
+    seen = set()
+    for target, base in ((P.relabel(perm), perm), (chain, ranks), (P, list(range(P.size)))):
+        maps = [base]
+        for _ in range(30):
+            i, j = rng.sample(range(P.size), 2)
+            swapped = list(base)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            moved = list(base)
+            moved.insert(j, moved.pop(i))
+            maps += [swapped, moved]
+        for mapping in maps:
+            got = _iso_outcome(check_order_iso, mapping, P, target)
+            assert got == _iso_outcome(legacy_check_order_iso, mapping, P, target)
+            seen.add(re.sub(r"\d+", "#", got) if isinstance(got, str) else "iso")
+    assert seen == {"iso", "node map does not preserve node order at # <= #",
+                    "node map does not reflect node order"}
 
 
 # a negative mask once closed forever, growing until memory ran out, so
@@ -1065,6 +1229,65 @@ def test_faulty_inputs_fail_as_the_pair_by_pair_constructor_failed():
         seen.add(re.sub(r"\d+", "#", expected[1]) if len(expected) == 2 else expected[-1])
     # every fault is met first somewhere, and both flavors pass
     assert seen == FAULTS | {ORTHOLATTICE, ORTHOMODULAR}
+
+
+def _relations_mixing_faults(rng, count):
+    """(up, ortho) on 2-9 points, reflexive and antisymmetric, many of them
+    not transitive: random orders or their duals with one pair i < j added
+    or dropped, and random relations upward in number, each with its bounds
+    as drawn, made whole, or with one broken, and half of them with their
+    inner points renumbered."""
+    for k in range(count):
+        n = rng.randrange(2, 10)
+        if k % 2:
+            up = _random_order(rng, n, bounded=True, levels=rng.randrange(2, 5))
+            if rng.random() < 0.5:
+                # the dual, renumbered i -> n-1-i: missing joins become missing meets
+                up = [mask_of(n - 1 - j for j in bits(row)) for row in _transpose(up)[::-1]]
+            i, j = sorted(rng.sample(range(n), 2))
+            up[i] ^= 1 << j
+        else:
+            density = rng.random()
+            up = [1 << i | sum(1 << j for j in range(i + 1, n) if rng.random() < density)
+                  for i in range(n)]
+        bounds = rng.randrange(3)
+        if bounds == 1:
+            up = [row | 1 << (n - 1) for row in up]
+            up[0] = (1 << n) - 1
+        elif bounds == 2:
+            i = rng.randrange(n - 1)
+            up[i if rng.random() < 0.5 else 0] &= ~(1 << (n - 1) if i else 1 << rng.randrange(1, n))
+        if n > 3 and rng.random() < 0.5:
+            # inner points renumbered, so that a missing meet can come first
+            up = legacy_permuted(up, [0] + rng.sample(range(1, n - 1), n - 2) + [n - 1])
+        yield up, list(range(n))[::-1]
+
+
+def test_relations_mixing_transitivity_and_bound_faults_fail_as_before():
+    # transitivity is not tested on its own: it follows from the meets, and
+    # a relation that is not transitive must still fail on transitivity
+    # first, whether its bounds or its meets fail after it
+    paths = set()
+    for up, ortho in _relations_mixing_faults(random.Random(23), 3000):
+        expected = _outcome(legacy_finite_ortholattice, up, ortho)
+        assert _outcome(FiniteOrtholattice, up, ortho) == expected
+        n, universe = len(up), (1 << len(up)) - 1
+        transitive = all(up[j] & ~row == 0 for row in up for j in bits(row))
+        bounded = up[0] == universe and all(row >> (n - 1) & 1 for row in up)
+        fault = re.sub(r"\d+", "#", expected[1]) if len(expected) == 2 else "lattice"
+        paths.add((fault, transitive, bounded))
+    # a transitivity fault comes first past failing bounds and past whole
+    # bounds (then a meet is missing); on orders the bounds and meets fail
+    assert {("transitivity fails above # <= #", False, False),
+            ("transitivity fails above # <= #", False, True),
+            ("element # is not the least element", True, False),
+            ("element # is not the greatest element", True, False),
+            ("elements # and # have no meet", True, True),
+            ("elements # and # have no join", True, True),
+            ("lattice", True, True)} <= paths
+    assert not {path for path in paths if not path[1]} - {
+        ("transitivity fails above # <= #", False, False),
+        ("transitivity fails above # <= #", False, True)}
 
 
 @pytest.mark.parametrize("name", ["benzene", "example22", "MO2x2", "2^4"])

@@ -22,8 +22,8 @@ built on first read for users of the public API such as ``selftest``.
 the enumerator's partition table, so it reads no cover row.
 Nodes are labeled unchecked only in ``enumerate_subalgebras``; every other
 labeling goes through the checking constructor.  Joins come through the
-complement, so a lattice's join table ``_join`` is read only by the
-commutation tests and by the fault-naming scan of ``morphism``; a poset's
+complement, the commutation tests included, so a lattice's join table
+``_join`` is read only by the fault-naming scan of ``morphism``; a poset's
 ``_join`` is a method, and calling it reads no table.  The lattice core sits at
 the bottom of the package: it imports no module of it but ``errors``, not
 even inside a function.
@@ -461,11 +461,10 @@ def test_the_package_import_scan_finds_a_local_import():
         ("m.py:7", "cli"), ("m.py:8", "selftest")]
 
 
-# a lattice's join table is built on first read; the hot paths read joins
-# as complements of meets of complements
-JOIN_TABLE_READERS = [("lattice_core.py", "FiniteOrtholattice.commutes"),
-                      ("lattice_core.py", "FiniteOrtholattice.is_boolean"),
-                      ("lattice_core.py", "morphism")]
+# a lattice's join table is built on first read; every other path, the
+# commutation tests included, reads joins as complements of meets of
+# complements
+JOIN_TABLE_READERS = [("lattice_core.py", "morphism")]
 
 
 def _join_table_readers(sources: dict[str, str]) -> list[tuple[str, str]]:
