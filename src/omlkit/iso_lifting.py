@@ -208,7 +208,8 @@ def _bell(k: int) -> int:
 
 
 def _boolean_rank(sub_l: AbstractPoset, x: int) -> Optional[int]:
-    """The k for which the interval below x could be Sub(2^k), else None.
+    """The k for which the interval below x, which has a least element,
+    could be Sub(2^k), else None.
 
     Sub(2^k) has Bell(k) nodes and its top at height k-1.  Heights in
     sub_l are heights in the interval, since the interval is a down-set
@@ -217,10 +218,7 @@ def _boolean_rank(sub_l: AbstractPoset, x: int) -> Optional[int]:
     Bell(k) nodes.  An interval of fewer than 2^(k-1) nodes is refused
     before Bell(k) is computed, so a tall chain costs no big number.
     """
-    dx = sub_l.down[x]
-    if not any(sub_l.up[y] & dx == dx for y in bits(dx)):
-        raise NoLeastElement(f"the interval below node {x} has no least element")
-    k, size = sub_l.heights[x] + 1, dx.bit_count()
+    k, size = sub_l.heights[x] + 1, sub_l.down[x].bit_count()
     return k if size >> k - 1 and size == _bell(k) else None
 
 
@@ -287,32 +285,48 @@ def recognize_boolean_node(sub_l: AbstractPoset, x: int) -> bool:
     ``_sachs_certificate``, which matches the interval with the
     enumerator's partition table through its heights and up/down rows.
     Together they decide: there is no search, no cover is read and no
-    interval or partition lattice is built.
+    interval or partition lattice is built.  An interval with no least
+    element raises NoLeastElement first.
     """
+    dx = sub_l.down[x]
+    if not any(sub_l.up[y] & dx == dx for y in bits(dx)):
+        raise NoLeastElement(f"the interval below node {x} has no least element")
     k = _boolean_rank(sub_l, x)
     return k is not None and _sachs_certificate(sub_l, x, k)
 
 
 def boolean_nodes(sub_l: AbstractPoset) -> list[int]:
-    """The nodes ``recognize_boolean_node`` accepts, ascending.
+    """The nodes ``recognize_boolean_node`` accepts, ascending; for a
+    poset with no least element, NoLeastElement before any node is read.
 
-    Walks the nodes bottom-up, in the poset's linear extension ``_ranked``
-    (fewest nodes below first).  Acceptance is closed downward, as every
-    interval below a node of the dual partition lattice is again one (in
-    Sub(L): every subalgebra of a Boolean algebra is Boolean), so a node
-    with a rejected node below it is rejected untested.  Every other node
-    is decided by one ``recognize_boolean_node`` call, which reads the
-    heights, the up/down rows and the partition table, never a cover.
+    Acceptance is closed downward.  Below an accepted x the poset is the
+    dual of the partition lattice on k points, and the interval below a
+    node y <= x is dual to the partitions coarser than y's partition,
+    which form the partition lattice on its blocks: so y is accepted too.
+    (In Sub(L): every subalgebra of a Boolean algebra is Boolean.)  The
+    walk reads that twice.  Bottom-up, in the linear extension ``_ranked``,
+    a node passes the Bell-count filter of ``_boolean_rank`` when it and
+    every node below it do, reading heights and popcounts alone, since
+    every interval has the poset's least element.  Then top-down, a
+    passing node that no accepted node lies above gets one
+    ``_sachs_certificate``, and accepting it accepts its whole down row.
+    So on Sub(2^k) one certificate, the top's, decides every node.
     """
+    if sub_l.bottom() is None:
+        raise NoLeastElement("poset has no least element")
     down = sub_l.down
-    rejected = 0
-    found = []
+    failed = 0
+    passing = []
     for x in sub_l._ranked:
-        if down[x] & rejected or not recognize_boolean_node(sub_l, x):
-            rejected |= 1 << x
+        if down[x] & failed or _boolean_rank(sub_l, x) is None:
+            failed |= 1 << x
         else:
-            found.append(x)
-    return sorted(found)
+            passing.append(x)
+    accepted = 0
+    for x in reversed(passing):
+        if not accepted >> x & 1 and _sachs_certificate(sub_l, x, sub_l.heights[x] + 1):
+            accepted |= down[x]
+    return list(bits(accepted))
 
 
 def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
@@ -322,9 +336,9 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     """Lift a Sub(L) -> Sub(M) lattice isomorphism to lattice isomorphisms.
 
     Boolean nodes are recognized order-theoretically on the source with
-    ``boolean_nodes`` (a bottom-up walk).  It reads only the order, so on
-    the target it would accept the images of those nodes under the
-    checked order isomorphism phi, which are taken instead.  Each side's
+    ``boolean_nodes``, which reads only the order.  So on the target it
+    would accept the images of those nodes under the checked order
+    isomorphism phi, which are taken instead.  Each side's
     set is cross-checked against its enumerated BSub; a mismatch raises
     RestrictionMismatch.  Then the restriction is lifted.  Every returned
     morphism realizes phi on all subalgebras, Boolean or not.

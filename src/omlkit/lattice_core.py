@@ -127,9 +127,11 @@ class _Order:
         return rows
 
     def _is_permutation(self, perm: Sequence) -> bool:
-        """Whether ``perm`` lists each point 0..size-1 once, as integers."""
+        """Whether ``perm`` lists each point 0..size-1 once, as integers.
+        The entries' types are read in one pass first; only a list with
+        some other type than int has each entry tested."""
         return (len(perm) == self.size
-                and all(map(_is_int, perm))
+                and (set(map(type, perm)) == {int} or all(map(_is_int, perm)))
                 and sorted(perm) == list(range(self.size)))
 
     def __len__(self):
@@ -889,9 +891,8 @@ def isomorphisms(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Iterator[Morph
     degrees).  Deterministic: elements are processed in a fixed
     order and candidates tried ascending.
 
-    The maps are not re-checked by ``morphism``: the search has tested each
-    pair of elements in both directions when the later of the two was
-    placed, so a map it yields is an order isomorphism, and its partner
+    The maps are not re-checked by ``morphism``: a map the order search
+    yields is an order isomorphism (see ``_order_isos``), and its partner
     rule makes it commute with the complement.  Meets and joins are fixed
     by the order, so ``morphism`` could not reject the map, and would
     return this same iso.
@@ -907,15 +908,23 @@ def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterato
     """Bijections between two orders (``up``/``down`` rows) that preserve
     and reflect it and map each element to one with an equal signature.
 
-    Elements with the fewest candidates go first.  Yields the live mapping.
-    The candidate test takes constant time, as in VF2 (Cordella et al.,
-    IEEE TPAMI 26(10), 2004): ``image`` is the bit set of the targets in
-    use, and ``above[x]`` (``below[x]``) the images of the mapped points
-    above (below) x, so y fits x exactly when the mapped points above and
-    below y are those images.  A used y never fits, since y would need a
-    preimage both above and below the unmapped x, so the test also keeps
-    the map injective.  ``track`` keeps the three, in time linear in the
-    cones of the point placed or removed.
+    Elements with the fewest candidates go first, and each tries its
+    candidates ascending.  Yields the live mapping.  The search checks
+    forward (Haralick and Elliott, Artif. Intell. 14, 1980): each source
+    point x keeps a bit set ``domain[x]`` of targets, at first its
+    signature class.  Placing x -> y narrows the domain of every unmapped
+    point below x to the targets below y, and of every unmapped point
+    above x to those above y (a y comparable to every target narrows
+    nothing), and is refused when a point it narrows has no target left
+    that is not in use, since then no completion is left.  So y fits x
+    when it is in x's domain and not in use, and a complete map preserves
+    the order: each comparable pair was narrowed when its first point was
+    placed.  The signatures' equal cone sizes give both orders
+    as many comparable pairs, so the map, a bijection, reflects the order
+    too.  The search cuts only subtrees with no completion, so it yields
+    the maps, in the same order, that testing each candidate against the
+    mapped points would.  ``track`` narrows the domains on a placement and
+    restores them when it is undone.
     """
     if sorted(sig_src) != sorted(sig_tgt):
         return iter(())
@@ -924,19 +933,47 @@ def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterato
     order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
     mapping = [-1] * n
     up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
-    above, below, image = [0] * n, [0] * n, 0
+    # the points of one signature share one candidate list, so one mask
+    masks = {id(c): mask_of(c) for c in {id(c): c for c in candidates}.values()}
+    domain = [masks[id(c)] for c in candidates]
+    everything = (1 << n) - 1
+    free, unused = everything, everything   # unmapped points, targets not in use
+    narrowed = []   # the domains ``consistent`` computed for its last yes
+    trail = []      # per placed point, last placed last: (point, old domains)
 
     def consistent(x: int, y: int) -> bool:
-        return up_t[y] & image == above[x] and down_t[y] & image == below[x]
+        nonlocal narrowed
+        if not (domain[x] & unused) >> y & 1:
+            return False
+        left = unused ^ 1 << y
+        others = free ^ 1 << x
+        narrowed = []
+        for cone, row in ((down_s[x] & others, down_t[y]), (up_s[x] & others, up_t[y])):
+            if row == everything:
+                continue   # a target comparable to all narrows nothing
+            while cone:
+                low = cone & -cone
+                z = low.bit_length() - 1
+                cone ^= low
+                old = domain[z]
+                d = old & row
+                if not d & left:
+                    return False
+                if d != old:
+                    narrowed.append((z, d))
+        return True
 
-    def track(a: int, b: int):
-        nonlocal image
-        bit = 1 << b
-        image ^= bit
-        for x in bits(down_s[a]):
-            above[x] ^= bit
-        for x in bits(up_s[a]):
-            below[x] ^= bit
+    def track(x: int, y: int):
+        nonlocal free, unused
+        free ^= 1 << x
+        unused ^= 1 << y
+        if trail and trail[-1][0] == x:
+            for z, d in trail.pop()[1]:
+                domain[z] = d
+            return
+        trail.append((x, [(z, domain[z]) for z, _ in narrowed]))
+        for z, d in narrowed:
+            domain[z] = d
 
     return _backtrack(order, candidates, consistent, mapping, partner, track=track)
 
@@ -964,7 +1001,10 @@ def _backtrack(order: Sequence[int], candidates: Sequence[Iterable[int]], consis
     depth is not bounded by the recursion limit.  Yields the live
     ``mapping`` list at each complete assignment.  ``track(a, b)`` is
     called right after a -> b is placed and again when a is unmapped, so
-    a caller can keep its own state for ``consistent``.
+    a caller can keep its own state for ``consistent``.  Placements are
+    undone in last-in, first-out order, a forced partner before the
+    element that forced it, which ``track`` may rely on to restore its
+    state from a stack.
     """
     def place(a: int, b: int, placed: list[int]) -> bool:
         if not consistent(a, b):

@@ -13,6 +13,19 @@ that one shared search replaced; the new ones must yield the same maps in
 the same order.  ``legacy_iso_signatures`` still holds the complement's
 cone and cover counts, which the library's signatures dropped.
 
+``legacy_vf2_order_isos`` is the order search the shared search ran
+before it checked forward: a candidate was tested in constant time against
+the images of the mapped points above and below it, as in VF2, so a
+choice that left some unmapped point no target was found out only when
+the search reached that point.  ``legacy_vf2_isomorphisms`` and
+``legacy_vf2_poset_isomorphisms`` drive it as ``isomorphisms`` and
+``poset_isomorphisms`` did.
+
+``legacy_boolean_nodes`` is the bottom-up walk behind ``boolean_nodes``
+before it certified top-down: every node with no rejected node below it
+got its own recognizer call, which scanned the interval for a least
+element.
+
 ``legacy_unique_bound`` found a meet or join by scanning the common lower
 (upper) cone for the element whose cone it is; the library now looks the
 cone up in a ``{row: element}`` index.  ``legacy_bound_tables`` builds a
@@ -159,6 +172,9 @@ from omlkit.lattice_core import (
     FiniteOrtholattice,
     Morphism,
     SubalgebraSet,
+    _backtrack,
+    _candidates,
+    _iso_signatures,
     _is_int,
     _joins,
     bits,
@@ -571,6 +587,52 @@ def legacy_isomorphisms(L, M):
     yield from search(0)
 
 
+def legacy_vf2_order_isos(src, tgt, sig_src, sig_tgt, partner=None):
+    """Order isomorphisms by the shared search with a constant-time
+    candidate test: ``image`` is the bit set of the targets in use, and
+    ``above[x]`` (``below[x]``) the images of the mapped points above
+    (below) x, so y fits x exactly when the mapped points above and below
+    y are those images.  Yields the live mapping."""
+    if sorted(sig_src) != sorted(sig_tgt):
+        return iter(())
+    n = len(sig_src)
+    candidates = _candidates(sig_src, sig_tgt)
+    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
+    mapping = [-1] * n
+    up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
+    above, below, image = [0] * n, [0] * n, 0
+
+    def consistent(x, y):
+        return up_t[y] & image == above[x] and down_t[y] & image == below[x]
+
+    def track(a, b):
+        nonlocal image
+        bit = 1 << b
+        image ^= bit
+        for x in bits(down_s[a]):
+            above[x] ^= bit
+        for x in bits(up_s[a]):
+            below[x] ^= bit
+
+    return _backtrack(order, candidates, consistent, mapping, partner, track=track)
+
+
+def legacy_vf2_isomorphisms(L, M):
+    """The mappings of all isomorphisms L -> M, in the VF2 search's order."""
+    if L.n != M.n or L.flavor != M.flavor:
+        return []
+    return [tuple(m) for m in legacy_vf2_order_isos(
+        L, M, _iso_signatures(L), _iso_signatures(M), (L.ortho, M.ortho))]
+
+
+def legacy_vf2_poset_isomorphisms(P, Q):
+    """All order isomorphisms P -> Q, in the VF2 search's order."""
+    if P.size != Q.size:
+        return iter(())
+    return (tuple(m) for m in legacy_vf2_order_isos(
+        P, Q, P._order_signatures(), Q._order_signatures()))
+
+
 def _poset_signatures(P):
     return [(
         P.down[x].bit_count(), P.up[x].bit_count(),
@@ -725,6 +787,24 @@ def legacy_recognize_boolean_node(sub_l, x):
     k = (a + 1).bit_length()
     lattice, _ = sachs_boolean.partition_lattice(k)
     return poset_isomorphic(interval, lattice.dual()) is not None
+
+
+def legacy_boolean_nodes(sub_l, recognize=None):
+    """The nodes ``recognize`` (by default ``recognize_boolean_node``)
+    accepts, ascending, walking bottom-up in the linear extension
+    ``_ranked``: a node with a rejected node below it is rejected
+    untested, as acceptance is closed downward."""
+    if recognize is None:
+        from omlkit.iso_lifting import recognize_boolean_node as recognize
+    down = sub_l.down
+    rejected = 0
+    found = []
+    for x in sub_l._ranked:
+        if down[x] & rejected or not recognize(sub_l, x):
+            rejected |= 1 << x
+        else:
+            found.append(x)
+    return sorted(found)
 
 
 def legacy_boolean_rank(sub_l, x):

@@ -48,6 +48,7 @@ from omlkit.lattice_core import Morphism, SubalgebraSet, _induced, bits
 from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset, check_order_iso
 
 from legacy_oracles import (
+    legacy_boolean_nodes,
     legacy_certify_boolean_node,
     legacy_class_row_equivalence,
     legacy_covers,
@@ -580,27 +581,33 @@ def test_recognize_boolean_node_matches_is_boolean():
 
 def _decisions(P, recognize):
     """Each node's answer from ``recognize``, then the bottom-up walk's
-    answer with ``recognize`` in its place; a NoLeastElement is its text."""
+    answer with ``recognize`` as its recognizer; a NoLeastElement is its
+    text."""
     def outcome(decide, *args):
         try:
             return decide(*args)
         except NoLeastElement as exc:
             return str(exc)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(iso_lifting, "recognize_boolean_node", recognize)
-        walk = outcome(boolean_nodes, P)
-    return [outcome(recognize, P, x) for x in range(P.size)], walk
+    return [outcome(recognize, P, x) for x in range(P.size)], \
+        outcome(legacy_boolean_nodes, P, recognize)
 
 
 def _assert_replaced_recognizers_agree(P, search=True):
     """The recognizer and the walk decide as the certificate they replaced
     and, if ``search``, as the isomorphism search, raising NoLeastElement
-    at the same nodes; returns the accepted nodes."""
+    at the same nodes; ``boolean_nodes`` returns the walk's list where P
+    has a least element and raises NoLeastElement where it has none.
+    Returns the accepted nodes."""
     nodes, walk = _decisions(P, recognize_boolean_node)
     assert (nodes, walk) == _decisions(P, legacy_certify_boolean_node)
     if search:
         assert (nodes, walk) == _decisions(P, legacy_recognize_boolean_node)
+    if P.bottom() is None:
+        with pytest.raises(NoLeastElement, match="poset has no least element"):
+            boolean_nodes(P)
+    else:
+        assert boolean_nodes(P) == walk
     return [x for x, answer in enumerate(nodes) if answer is True]
 
 
@@ -732,6 +739,60 @@ def test_recognition_matches_the_replaced_certificate_on_random_posets():
         accepted += sum(1 for x in range(P.size) if nodes[x] is True and P.heights[x] >= 2)
         raised += walk.__class__ is str
     assert accepted and raised  # some certificates pass at k = 3, some walks raise
+
+
+def test_boolean_nodes_matches_the_bottom_up_walk_on_random_posets_with_a_bottom():
+    rng = random.Random(33)
+    certified = 0
+    for trial in range(2000):
+        P = _random_poset(rng, 1 + trial % 12, with_bottom=True)
+        got = boolean_nodes(P)
+        assert got == legacy_boolean_nodes(P)
+        certified += any(P.heights[x] >= 2 for x in got)
+    assert certified  # some certificates pass at k = 3
+
+
+SUB_WALK_CASES = {
+    **{name: lambda name=name: catalog(name)
+       for name in RECOGNITION_CASES + ["2^5", "2^6", "hsum(2^2,2^3,2^4)", "hsum(2^5,2^5)"]},
+    "MO3x2^3": lambda: product(mo(3), boolean_algebra(3)),
+}
+
+
+@pytest.mark.parametrize("name", SUB_WALK_CASES)
+def test_boolean_nodes_matches_the_bottom_up_walk_on_sub_posets(name):
+    s = sub(SUB_WALK_CASES[name]())
+    assert boolean_nodes(s) == legacy_boolean_nodes(s)
+
+
+@pytest.mark.parametrize("name, certificates", [("2^6", 1), ("hsum(2^4,2^4)", 2)])
+def test_boolean_nodes_certifies_only_the_maximal_boolean_nodes(name, certificates, monkeypatch):
+    # the top of Sub(2^6), and the two blocks 2^4 of hsum(2^4,2^4): every
+    # other Boolean node lies below one of them
+    s = sub(catalog(name))
+    walk = legacy_boolean_nodes(s)
+    calls = []
+    certify = iso_lifting._sachs_certificate
+    monkeypatch.setattr(iso_lifting, "_sachs_certificate",
+                        lambda *args: calls.append(args[1]) or certify(*args))
+    assert boolean_nodes(s) == walk
+    assert len(calls) == certificates
+
+
+def test_boolean_nodes_refuses_a_poset_with_no_least_element_before_its_walk(monkeypatch):
+    # the old walk accepted every node of an antichain (one-node intervals)
+    # and of two chains side by side; now both are refused at the boundary
+    antichain = AbstractPoset([1 << x for x in range(4)])
+    two_chains = AbstractPoset([0b0011, 0b0010, 0b1100, 0b1000])
+    assert legacy_boolean_nodes(antichain) == [0, 1, 2, 3]
+    assert legacy_boolean_nodes(two_chains) == [0, 1, 2, 3]
+    assert recognize_boolean_node(antichain, 0)  # the per-interval check stays
+    read = []
+    monkeypatch.setattr(iso_lifting, "_boolean_rank", lambda *args: read.append(args) or None)
+    for P in (antichain, two_chains):
+        with pytest.raises(NoLeastElement, match="poset has no least element"):
+            boolean_nodes(P)
+    assert read == []
 
 
 def _equivalence_by_definition(k, pairs):

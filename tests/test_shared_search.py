@@ -1,13 +1,17 @@
-"""The shared backtracking search against the three searches it replaced.
+"""The shared backtracking search against the searches it replaced.
 
 ``isomorphisms``, ``poset_isomorphisms`` and ``enumerate_homs`` now call
 one search; the old hand-written ones live on in ``legacy_oracles`` and
-must produce the same maps in the same order.  The order searches test a
-candidate against bit sets kept as points are placed, and the lattice
-search yields its isos without re-checking them, so every iso is checked
-here instead; the heights their signatures read are checked against the
-cover walk they replaced, and the lattice signatures, which dropped the
-complement's counts, against the old candidate lists.
+must produce the same maps in the same order.  The order searches check
+forward, narrowing the targets left to each unmapped point as points are
+placed; the VF2 search they replaced, which tested each candidate against
+bit sets of the images placed so far, must list the same maps, map for
+map.  Where that search does not finish in time, every map found is
+checked with ``check_order_iso``.  The lattice search yields its isos
+without re-checking them, so every iso is checked here instead; the
+heights their signatures read are checked against the cover walk they
+replaced, and the lattice signatures, which dropped the complement's
+counts, against the old candidate lists.
 """
 
 import itertools
@@ -20,6 +24,8 @@ from legacy_oracles import (
     legacy_iso_signatures,
     legacy_isomorphisms,
     legacy_poset_isomorphisms,
+    legacy_vf2_isomorphisms,
+    legacy_vf2_poset_isomorphisms,
 )
 
 from omlkit import (
@@ -33,11 +39,14 @@ from omlkit import (
     mo,
     morphism,
     partition_lattice,
+    poset_automorphisms,
     poset_isomorphisms,
+    product,
     relabel,
     sub,
 )
 from omlkit.lattice_core import ISO, _candidates, _iso_signatures
+from omlkit.subalgebra_posets import check_order_iso
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
            "MO2x2", "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
@@ -102,6 +111,17 @@ def test_all_automorphisms_of_mo5_match_the_old_search():
     got = [f.mapping for f in automorphisms(L)]
     assert len(got) == 3840  # 5! * 2^5
     assert got == [f.mapping for f in legacy_isomorphisms(L, L)]
+    assert got == legacy_vf2_isomorphisms(L, L)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_isomorphisms_match_the_vf2_search_map_for_map(name):
+    L = catalog(name)
+    assert [f.mapping for f in automorphisms(L)] == legacy_vf2_isomorphisms(L, L)
+    for seed in SEEDS:
+        M = _inner_relabeling(L, seed)
+        got = [f.mapping for f in isomorphisms(L, M)]
+        assert got and got == legacy_vf2_isomorphisms(L, M)
 
 
 def _node_relabeling(P, seed):
@@ -118,6 +138,58 @@ def test_poset_isomorphisms_onto_relabeled_nodes_match_the_old_search(P):
         Q = _node_relabeling(P, seed)
         got = _prefix(poset_isomorphisms(P, Q))
         assert got and got == _prefix(legacy_poset_isomorphisms(P, Q))
+
+
+@pytest.mark.parametrize("name", [n for n in CATALOG if n != "2^5"])
+def test_poset_isomorphisms_match_the_vf2_search_map_for_map(name):
+    # every map, on Sub and BSub, each against three renamings of its nodes;
+    # the VF2 search takes about 20 s per map of Sub(2^5) past the first
+    L = catalog(name)
+    for P in (sub(L), bsub(L)):
+        for seed in SEEDS:
+            Q = _node_relabeling(P, seed)
+            got = list(poset_isomorphisms(P, Q))
+            assert got and got == list(legacy_vf2_poset_isomorphisms(P, Q))
+
+
+def test_poset_automorphisms_of_bsub_hsum_2_4_2_4_match_the_vf2_search():
+    P = bsub(catalog("hsum(2^4,2^4)"))
+    got = poset_automorphisms(P)
+    assert len(got) == 2 * 24 ** 2
+    assert got == list(legacy_vf2_poset_isomorphisms(P, P))
+
+
+def test_every_poset_automorphism_of_sub_2_5_is_found_against_a_relabeling():
+    # the atom permutations of 2^5 act on Sub(2^5) as 120 automorphisms
+    P = sub(boolean_algebra(5))
+    for seed in SEEDS:
+        Q = _node_relabeling(P, seed)
+        got = list(poset_isomorphisms(P, Q))
+        assert len(set(got)) == len(got) == 120
+        for phi in got:
+            check_order_iso(phi, P, Q)
+
+
+SYMMETRIC = {
+    "Sub(2^5)": (boolean_algebra(5), sub),
+    "BSub(hsum(2^5,2^5))": (catalog("hsum(2^5,2^5)"), bsub),
+    "BSub(MO3x2^3)": (product(mo(3), boolean_algebra(3)), bsub),
+    "Sub(2^6)": (boolean_algebra(6), sub),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_the_first_maps_onto_a_relabeled_symmetric_poset_are_order_isomorphisms(name):
+    # the VF2 search found no first map here in tier-1 time: 7 s on Sub(2^5),
+    # 19 s on BSub(hsum(2^5,2^5)) and none in 30 s on BSub(MO3x2^3)
+    L, build = SYMMETRIC[name]
+    P = build(L)
+    for seed in SEEDS:
+        Q = build(_inner_relabeling(L, seed))
+        got = _prefix(poset_isomorphisms(P, Q), 3)
+        assert len(got) == 3
+        for phi in got:
+            check_order_iso(phi, P, Q)
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -151,7 +223,7 @@ def test_isomorphisms_between_different_lattices_match_the_old_search():
 
 @pytest.mark.parametrize("name", [n for n in CATALOG if n != "2^5"])
 def test_poset_isomorphisms_match_the_old_search_on_sub_and_bsub(name):
-    # Sub(2^5) against a relabeling takes minutes in either search; its
+    # Sub(2^5) against a relabeling takes the pairwise search minutes; its
     # Boolean-node intervals are covered by the partition test below
     L = catalog(name)
     for seed in SEEDS:
@@ -184,7 +256,7 @@ def test_poset_isomorphisms_match_the_old_search_on_partition_duals(name):
 
 
 def test_poset_isomorphisms_match_the_old_search_on_the_pi5_dual():
-    # only the first witness: the next two take the two searches minutes
+    # only the first witness: the next two take the pairwise search minutes
     s = sub(boolean_algebra(5))
     interval, _ = s.interval_below(s.top())
     dual = partition_lattice(5)[0].dual()
