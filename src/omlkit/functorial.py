@@ -22,6 +22,7 @@ from .lattice_core import (
     _backtrack,
     bits,
     boolean_algebra,
+    mask_of,
     morphism,
 )
 from .subalgebra_posets import SubalgebraPoset, enumerate_subalgebras
@@ -86,10 +87,12 @@ def preimage_functor(f: Morphism,
 def enumerate_homs(L: FiniteOrtholattice, M: FiniteOrtholattice) -> list[Morphism]:
     """All homomorphisms L -> M, sorted by their mapping tuples.
 
-    Backtracking over element assignments in height order, pruned by
-    monotonicity, forced complements, and meet consistency against
-    already-assigned elements; complete assignments are revalidated.  Only
-    for small inputs: |L| * |M| is capped at 256.
+    The shared search over element assignments in height order: the bounds
+    are pinned, complements forced, and each placement narrows the targets
+    left to the points above and below it, so every map is monotone; a
+    placement is tested for meets against the assigned elements, and
+    complete assignments are revalidated.  Only for small inputs: |L| * |M|
+    is capped at 256.
     """
     if L.n * M.n > HOM_SEARCH_CAP:
         raise SizeCap(f"hom search capped at |L|*|M| <= {HOM_SEARCH_CAP}")
@@ -99,35 +102,33 @@ def enumerate_homs(L: FiniteOrtholattice, M: FiniteOrtholattice) -> list[Morphis
 def _homs(L: FiniteOrtholattice, M: FiniteOrtholattice,
           candidates: Sequence[Iterable[int]]) -> list[Morphism]:
     """The homomorphisms f: L -> M with f(a) in ``candidates[a]`` for every
-    a, sorted by mapping.  The bounds are pinned, and a complement is forced
-    without consulting its own list, so the lists must be closed under
+    a, sorted by mapping.  The candidates are the domains of ``_backtrack``,
+    and the bounds are pinned by one-target domains.  A forced complement
+    must lie in its own domain, so the lists must be closed under
     complement: v in candidates[a] exactly when v' is in candidates[a'].
 
-    A placement is tested for order and meets alone.  Joins need no test:
-    the partner rule places a' right after a, and a v c = (a' ^ c')', so
-    the meet test at (a', c') cuts a join that fails at (a, c), one
-    placement later.  Every complete map is revalidated by ``morphism``."""
+    The engine's narrowing keeps every map monotone, so a placement is
+    tested for meets alone.  Joins need no test: the partner rule places a'
+    right after a, and a v c = (a' ^ c')', so the meet test at (a', c')
+    cuts a join that fails at (a, c), one placement later.  Every complete
+    map is revalidated by ``morphism``."""
     n = L.n
-    order = L._ranked
+    domain = [mask_of(c) for c in candidates]
+    domain[0], domain[n - 1] = 1, 1 << (M.n - 1)
     mapping = [-1] * n
-    mapping[0] = 0
-    mapping[n - 1] = M.n - 1
 
     def consistent(a: int, v: int) -> bool:
-        up_m, ua, da, uv = M.up, L.up[a], L.down[a], M.up[v]
         meet_a, meet_v = L._meet[a], M._meet[v]
         for c, w in enumerate(mapping):
-            if w < 0:
-                continue
-            if ua >> c & 1 and not uv >> w & 1 or da >> c & 1 and not up_m[w] >> v & 1:
-                return False
-            fm = mapping[meet_a[c]]
-            if fm >= 0 and meet_v[w] != fm:
-                return False
+            if w >= 0:
+                fm = mapping[meet_a[c]]
+                if fm >= 0 and meet_v[w] != fm:
+                    return False
         return True
 
     results = []
-    for found in _backtrack(order, candidates, consistent, mapping, (L.ortho, M.ortho)):
+    for found in _backtrack(L._ranked, domain, L, M, mapping, (L.ortho, M.ortho),
+                            consistent=consistent):
         try:
             results.append(morphism(L, M, tuple(found)))
         except NotAMorphism:

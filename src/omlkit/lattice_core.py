@@ -908,49 +908,69 @@ def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterato
     """Bijections between two orders (``up``/``down`` rows) that preserve
     and reflect it and map each element to one with an equal signature.
 
-    Elements with the fewest candidates go first, and each tries its
-    candidates ascending.  Yields the live mapping.  The search checks
-    forward (Haralick and Elliott, Artif. Intell. 14, 1980): each source
-    point x keeps a bit set ``domain[x]`` of targets, at first its
-    signature class.  Placing x -> y narrows the domain of every unmapped
-    point below x to the targets below y, and of every unmapped point
-    above x to those above y (a y comparable to every target narrows
-    nothing), and is refused when a point it narrows has no target left
-    that is not in use, since then no completion is left.  So y fits x
-    when it is in x's domain and not in use, and a complete map preserves
-    the order: each comparable pair was narrowed when its first point was
-    placed.  The signatures' equal cone sizes give both orders
+    Each point's domain is at first its signature class, the points with
+    the smallest classes go first, and ``_backtrack`` narrows the domains
+    along the order.  A complete map preserves the order (see
+    ``_backtrack``), and the signatures' equal cone sizes give both orders
     as many comparable pairs, so the map, a bijection, reflects the order
-    too.  The search cuts only subtrees with no completion, so it yields
-    the maps, in the same order, that testing each candidate against the
-    mapped points would.  ``track`` narrows the domains on a placement and
-    restores them when it is undone.
+    too.  Yields the live mapping.
     """
     if sorted(sig_src) != sorted(sig_tgt):
         return iter(())
-    n = len(sig_src)
-    candidates = _candidates(sig_src, sig_tgt)
-    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
-    mapping = [-1] * n
-    up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
-    # the points of one signature share one candidate list, so one mask
-    masks = {id(c): mask_of(c) for c in {id(c): c for c in candidates}.values()}
-    domain = [masks[id(c)] for c in candidates]
-    everything = (1 << n) - 1
-    free, unused = everything, everything   # unmapped points, targets not in use
-    narrowed = []   # the domains ``consistent`` computed for its last yes
-    trail = []      # per placed point, last placed last: (point, old domains)
+    domain = _classes(sig_src, sig_tgt)
+    order = sorted(range(len(domain)), key=[d.bit_count() for d in domain].__getitem__)
+    return _backtrack(order, domain, src, tgt, [-1] * len(domain), partner, distinct=True)
 
-    def consistent(x: int, y: int) -> bool:
-        nonlocal narrowed
-        if not (domain[x] & unused) >> y & 1:
+
+def _classes(sig_src: list, sig_tgt: list) -> list[int]:
+    """For each source point, the bit set of the target points with its
+    signature: the targets grouped by signature in one pass."""
+    by_sig = {}
+    for y, sig in enumerate(sig_tgt):
+        by_sig[sig] = by_sig.get(sig, 0) | 1 << y
+    return [by_sig.get(sig, 0) for sig in sig_src]
+
+
+def _backtrack(order: Sequence[int], domain: Sequence[int], src, tgt, mapping: list[int],
+               partner=None, distinct: bool = False, consistent=None) -> Iterator[list[int]]:
+    """Every map a -> b from ``src``'s points to ``tgt``'s with b in
+    ``domain[a]`` that preserves the order (``up``/``down`` rows), one to
+    one when ``distinct``, and passes ``consistent(a, b)`` at each
+    placement, if given.  ``mapping`` starts all -1 (unmapped) and is
+    yielded live at each complete map.
+
+    The one backtracking search behind the isomorphism and homomorphism
+    enumerators.  It checks forward (Haralick and Elliott, Artif. Intell.
+    14, 1980): placing a -> b narrows the domain of every unmapped point
+    below a to the targets below b, and of every unmapped point above a to
+    those above b (a b comparable to every target narrows nothing), and is
+    refused when a point it narrows has no target left (none unused, when
+    ``distinct``), since then no completion is left.  So a complete map
+    preserves the order: each comparable pair was narrowed when its first
+    point was placed.  The next unmapped point a in ``order`` tries the
+    targets of ``domain[a]`` not in use, ascending, read when it is
+    reached: placements are undone last in, first out, so every later try
+    there sees that same set.  ``partner = (src, tgt)`` forces
+    src[a] -> tgt[b] along with a -> b, which must lie in its domain and
+    is placed the same way; the orthocomplements on both sides are the
+    partners.  Iterative, so the depth is not bounded by the recursion
+    limit.
+    """
+    domain = list(domain)
+    up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
+    everything = (1 << len(up_t)) - 1
+    free, unused = (1 << len(up_s)) - 1, everything   # unmapped points, targets not in use
+
+    def place(a: int, b: int, placed: list) -> bool:
+        nonlocal free, unused
+        if consistent is not None and not consistent(a, b):
             return False
-        left = unused ^ 1 << y
-        others = free ^ 1 << x
-        narrowed = []
-        for cone, row in ((down_s[x] & others, down_t[y]), (up_s[x] & others, up_t[y])):
+        left = unused ^ 1 << b if distinct else everything
+        others = free ^ 1 << a
+        saved = []   # (point, its domain before this placement)
+        for cone, row in ((down_s[a] & others, down_t[b]), (up_s[a] & others, up_t[b])):
             if row == everything:
-                continue   # a target comparable to all narrows nothing
+                continue
             while cone:
                 low = cone & -cone
                 z = low.bit_length() - 1
@@ -958,71 +978,30 @@ def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterato
                 old = domain[z]
                 d = old & row
                 if not d & left:
+                    for z, old in saved:
+                        domain[z] = old
                     return False
                 if d != old:
-                    narrowed.append((z, d))
-        return True
-
-    def track(x: int, y: int):
-        nonlocal free, unused
-        free ^= 1 << x
-        unused ^= 1 << y
-        if trail and trail[-1][0] == x:
-            for z, d in trail.pop()[1]:
-                domain[z] = d
-            return
-        trail.append((x, [(z, domain[z]) for z, _ in narrowed]))
-        for z, d in narrowed:
-            domain[z] = d
-
-    return _backtrack(order, candidates, consistent, mapping, partner, track=track)
-
-
-def _candidates(sig_src: list, sig_tgt: list) -> list[list[int]]:
-    """For each source point, the target points with its signature,
-    ascending: the targets grouped by signature in one pass."""
-    by_sig = {}
-    for y, sig in enumerate(sig_tgt):
-        by_sig.setdefault(sig, []).append(y)
-    return [by_sig.get(sig, []) for sig in sig_src]
-
-
-def _backtrack(order: Sequence[int], candidates: Sequence[Iterable[int]], consistent,
-               mapping: list[int], partner=None, track=lambda a, b: None) -> Iterator[list[int]]:
-    """Every completion of ``mapping`` (-1 marks an unmapped element).
-
-    The one backtracking search behind the isomorphism and homomorphism
-    enumerators.  It takes the next unmapped element a in ``order`` and
-    tries each b of ``candidates[a]`` in turn, keeping a -> b when
-    ``consistent(a, b)`` holds for the assignments made so far.
-    ``partner = (src, tgt)`` forces
-    src[a] -> tgt[b] along with a -> b, checked the same way; the
-    orthocomplements on both sides are the partners.  Iterative, so the
-    depth is not bounded by the recursion limit.  Yields the live
-    ``mapping`` list at each complete assignment.  ``track(a, b)`` is
-    called right after a -> b is placed and again when a is unmapped, so
-    a caller can keep its own state for ``consistent``.  Placements are
-    undone in last-in, first-out order, a forced partner before the
-    element that forced it, which ``track`` may rely on to restore its
-    state from a stack.
-    """
-    def place(a: int, b: int, placed: list[int]) -> bool:
-        if not consistent(a, b):
-            return False
+                    domain[z] = d
+                    saved.append((z, old))
         mapping[a] = b
-        placed.append(a)
-        track(a, b)
+        free, unused = others, left
+        placed.append((a, saved))
         if partner is None:
             return True
         ao, bo = partner[0][a], partner[1][b]
-        if mapping[ao] < 0:
-            return place(ao, bo, placed)
-        return mapping[ao] == bo
+        if mapping[ao] >= 0:
+            return mapping[ao] == bo
+        return (domain[ao] & unused) >> bo & 1 and place(ao, bo, placed)
 
-    def undo(placed: list[int]):
+    def undo(placed: list):
+        nonlocal free, unused
         while placed:
-            a = placed.pop()
-            track(a, mapping[a])
+            a, saved = placed.pop()
+            for z, old in saved:
+                domain[z] = old
+            free |= 1 << a
+            unused |= 1 << mapping[a]
             mapping[a] = -1
 
     def next_free(pos: int) -> int:
@@ -1030,13 +1009,12 @@ def _backtrack(order: Sequence[int], candidates: Sequence[Iterable[int]], consis
             pos += 1
         return pos
 
-    pos = next_free(0)
-    if pos == len(order):
+    if not order:
         yield mapping
         return
-    # one frame per element being tried: its position in ``order``, the
-    # candidates left, and the elements its current choice has placed
-    stack = [(pos, iter(candidates[order[pos]]), [])]
+    # one frame per point being tried: its position in ``order``, the
+    # targets left to try, and the placements its current choice made
+    stack = [(0, bits(domain[order[0]] & unused), [])]
     while stack:
         pos, tries, placed = stack[-1]
         undo(placed)
@@ -1051,7 +1029,7 @@ def _backtrack(order: Sequence[int], candidates: Sequence[Iterable[int]], consis
         if nxt == len(order):
             yield mapping
         else:
-            stack.append((nxt, iter(candidates[order[nxt]]), []))
+            stack.append((nxt, bits(domain[order[nxt]] & unused), []))
 
 
 def find_isomorphism(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Optional[Morphism]:

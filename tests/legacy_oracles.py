@@ -13,12 +13,16 @@ that one shared search replaced; the new ones must yield the same maps in
 the same order.  ``legacy_iso_signatures`` still holds the complement's
 cone and cover counts, which the library's signatures dropped.
 
-``legacy_vf2_order_isos`` is the order search the shared search ran
-before it checked forward: a candidate was tested in constant time against
-the images of the mapped points above and below it, as in VF2, so a
-choice that left some unmapped point no target was found out only when
-the search reached that point.  ``legacy_vf2_isomorphisms`` and
-``legacy_vf2_poset_isomorphisms`` drive it as ``isomorphisms`` and
+``legacy_backtrack`` is the shared search before it owned the bit-set
+domains: it tried every member of a signature class (``legacy_candidates``,
+one list per class), and its callers kept their own state through
+``consistent`` and ``track`` hooks.  ``legacy_forward_order_isos`` is the
+order search that ran on it with forward checking in those hooks.
+``legacy_vf2_order_isos`` is the one before: a candidate was tested in
+constant time against the images of the mapped points above and below it,
+as in VF2, so a choice that left some unmapped point no target was found
+out only when the search reached that point.  ``legacy_vf2_isomorphisms``
+and ``legacy_vf2_poset_isomorphisms`` drive it as ``isomorphisms`` and
 ``poset_isomorphisms`` did.
 
 ``legacy_boolean_nodes`` is the bottom-up walk behind ``boolean_nodes``
@@ -172,8 +176,6 @@ from omlkit.lattice_core import (
     FiniteOrtholattice,
     Morphism,
     SubalgebraSet,
-    _backtrack,
-    _candidates,
     _iso_signatures,
     _is_int,
     _joins,
@@ -587,6 +589,150 @@ def legacy_isomorphisms(L, M):
     yield from search(0)
 
 
+def legacy_forward_order_isos(src, tgt, sig_src, sig_tgt, partner=None):
+    """Bijections between two orders (``up``/``down`` rows) that preserve
+    and reflect it and map each element to one with an equal signature.
+
+    Elements with the fewest candidates go first, and each tries its
+    candidates ascending.  Yields the live mapping.  The search checks
+    forward (Haralick and Elliott, Artif. Intell. 14, 1980): each source
+    point x keeps a bit set ``domain[x]`` of targets, at first its
+    signature class.  Placing x -> y narrows the domain of every unmapped
+    point below x to the targets below y, and of every unmapped point
+    above x to those above y (a y comparable to every target narrows
+    nothing), and is refused when a point it narrows has no target left
+    that is not in use, since then no completion is left.  So y fits x
+    when it is in x's domain and not in use, and a complete map preserves
+    the order: each comparable pair was narrowed when its first point was
+    placed.  The signatures' equal cone sizes give both orders
+    as many comparable pairs, so the map, a bijection, reflects the order
+    too.  ``consistent`` narrows the domains a placement would leave,
+    ``track`` applies them and restores them when the placement is undone,
+    and ``legacy_backtrack`` still tries every member of a signature class.
+    """
+    if sorted(sig_src) != sorted(sig_tgt):
+        return iter(())
+    n = len(sig_src)
+    candidates = legacy_candidates(sig_src, sig_tgt)
+    order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
+    mapping = [-1] * n
+    up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
+    # the points of one signature share one candidate list, so one mask
+    masks = {id(c): mask_of(c) for c in {id(c): c for c in candidates}.values()}
+    domain = [masks[id(c)] for c in candidates]
+    everything = (1 << n) - 1
+    free, unused = everything, everything   # unmapped points, targets not in use
+    narrowed = []   # the domains ``consistent`` computed for its last yes
+    trail = []      # per placed point, last placed last: (point, old domains)
+
+    def consistent(x, y):
+        nonlocal narrowed
+        if not (domain[x] & unused) >> y & 1:
+            return False
+        left = unused ^ 1 << y
+        others = free ^ 1 << x
+        narrowed = []
+        for cone, row in ((down_s[x] & others, down_t[y]), (up_s[x] & others, up_t[y])):
+            if row == everything:
+                continue   # a target comparable to all narrows nothing
+            while cone:
+                low = cone & -cone
+                z = low.bit_length() - 1
+                cone ^= low
+                old = domain[z]
+                d = old & row
+                if not d & left:
+                    return False
+                if d != old:
+                    narrowed.append((z, d))
+        return True
+
+    def track(x, y):
+        nonlocal free, unused
+        free ^= 1 << x
+        unused ^= 1 << y
+        if trail and trail[-1][0] == x:
+            for z, d in trail.pop()[1]:
+                domain[z] = d
+            return
+        trail.append((x, [(z, domain[z]) for z, _ in narrowed]))
+        for z, d in narrowed:
+            domain[z] = d
+
+    return legacy_backtrack(order, candidates, consistent, mapping, partner, track=track)
+
+
+def legacy_candidates(sig_src, sig_tgt):
+    """For each source point, the target points with its signature,
+    ascending: the targets grouped by signature in one pass."""
+    by_sig = {}
+    for y, sig in enumerate(sig_tgt):
+        by_sig.setdefault(sig, []).append(y)
+    return [by_sig.get(sig, []) for sig in sig_src]
+
+
+def legacy_backtrack(order, candidates, consistent, mapping, partner=None, track=lambda a, b: None):
+    """Every completion of ``mapping`` (-1 marks an unmapped element), as
+    the shared search found them while its callers kept their own state.
+
+    It takes the next unmapped element a in ``order`` and tries each b of
+    ``candidates[a]`` in turn, keeping a -> b when ``consistent(a, b)``
+    holds for the assignments made so far.  ``partner = (src, tgt)``
+    forces src[a] -> tgt[b] along with a -> b, checked the same way.
+    Yields the live ``mapping`` list at each complete assignment.
+    ``track(a, b)`` is called right after a -> b is placed and again when
+    a is unmapped.  Placements are undone in last-in, first-out order, a
+    forced partner before the element that forced it, which ``track`` may
+    rely on to restore its state from a stack.
+    """
+    def place(a, b, placed):
+        if not consistent(a, b):
+            return False
+        mapping[a] = b
+        placed.append(a)
+        track(a, b)
+        if partner is None:
+            return True
+        ao, bo = partner[0][a], partner[1][b]
+        if mapping[ao] < 0:
+            return place(ao, bo, placed)
+        return mapping[ao] == bo
+
+    def undo(placed):
+        while placed:
+            a = placed.pop()
+            track(a, mapping[a])
+            mapping[a] = -1
+
+    def next_free(pos):
+        while pos < len(order) and mapping[order[pos]] >= 0:
+            pos += 1
+        return pos
+
+    pos = next_free(0)
+    if pos == len(order):
+        yield mapping
+        return
+    # one frame per element being tried: its position in ``order``, the
+    # candidates left, and the elements its current choice has placed
+    stack = [(pos, iter(candidates[order[pos]]), [])]
+    while stack:
+        pos, tries, placed = stack[-1]
+        undo(placed)
+        for b in tries:
+            if place(order[pos], b, placed):
+                break
+            undo(placed)
+        else:
+            stack.pop()
+            continue
+        nxt = next_free(pos + 1)
+        if nxt == len(order):
+            yield mapping
+        else:
+            stack.append((nxt, iter(candidates[order[nxt]]), []))
+
+
 def legacy_vf2_order_isos(src, tgt, sig_src, sig_tgt, partner=None):
     """Order isomorphisms by the shared search with a constant-time
     candidate test: ``image`` is the bit set of the targets in use, and
@@ -596,7 +742,7 @@ def legacy_vf2_order_isos(src, tgt, sig_src, sig_tgt, partner=None):
     if sorted(sig_src) != sorted(sig_tgt):
         return iter(())
     n = len(sig_src)
-    candidates = _candidates(sig_src, sig_tgt)
+    candidates = legacy_candidates(sig_src, sig_tgt)
     order = sorted(range(n), key=lambda x: (len(candidates[x]), x))
     mapping = [-1] * n
     up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
@@ -614,7 +760,7 @@ def legacy_vf2_order_isos(src, tgt, sig_src, sig_tgt, partner=None):
         for x in bits(up_s[a]):
             below[x] ^= bit
 
-    return _backtrack(order, candidates, consistent, mapping, partner, track=track)
+    return legacy_backtrack(order, candidates, consistent, mapping, partner, track=track)
 
 
 def legacy_vf2_isomorphisms(L, M):

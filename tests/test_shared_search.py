@@ -2,16 +2,20 @@
 
 ``isomorphisms``, ``poset_isomorphisms`` and ``enumerate_homs`` now call
 one search; the old hand-written ones live on in ``legacy_oracles`` and
-must produce the same maps in the same order.  The order searches check
-forward, narrowing the targets left to each unmapped point as points are
-placed; the VF2 search they replaced, which tested each candidate against
-bit sets of the images placed so far, must list the same maps, map for
-map.  Where that search does not finish in time, every map found is
-checked with ``check_order_iso``.  The lattice search yields its isos
-without re-checking them, so every iso is checked here instead; the
-heights their signatures read are checked against the cover walk they
-replaced, and the lattice signatures, which dropped the complement's
-counts, against the old candidate lists.
+must produce the same maps in the same order.  That search now owns the
+bit-set domains, narrowing the targets left to each unmapped point as
+points are placed, and tries only the targets left; the forward-checking
+search that did so through its caller's hooks, trying every member of a
+signature class, and the VF2 search before it, which tested each
+candidate against bit sets of the images placed so far, must list the
+same maps, map for map.  The hom search, which now reads monotonicity off
+the narrowed domains, must list the homs the old search listed, also past
+the cap of ``enumerate_homs``.  Where a legacy search does not finish in
+time, every map found is checked with ``check_order_iso``.  The lattice
+search yields its isos without re-checking them, so every iso is checked
+here instead; the heights their signatures read are checked against the
+cover walk they replaced, and the lattice signatures, which dropped the
+complement's counts, against the old candidate lists.
 """
 
 import itertools
@@ -19,7 +23,9 @@ import random
 
 import pytest
 from legacy_oracles import (
+    legacy_candidates,
     legacy_enumerate_homs,
+    legacy_forward_order_isos,
     legacy_heights,
     legacy_iso_signatures,
     legacy_isomorphisms,
@@ -45,7 +51,8 @@ from omlkit import (
     relabel,
     sub,
 )
-from omlkit.lattice_core import ISO, _candidates, _iso_signatures
+from omlkit.functorial import _homs
+from omlkit.lattice_core import ISO, _backtrack, _classes, _iso_signatures, mask_of
 from omlkit.subalgebra_posets import check_order_iso
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
@@ -66,6 +73,16 @@ def _prefix(maps, count=PREFIX):
     return list(itertools.islice(maps, count))
 
 
+def _forward_isos(L, M):
+    return [tuple(m) for m in legacy_forward_order_isos(
+        L, M, _iso_signatures(L), _iso_signatures(M), (L.ortho, M.ortho))]
+
+
+def _forward_poset_isos(P, Q):
+    return [tuple(m) for m in legacy_forward_order_isos(
+        P, Q, P._order_signatures(), Q._order_signatures())]
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_isomorphisms_match_the_old_search(name):
     L = catalog(name)
@@ -80,20 +97,23 @@ def test_isomorphisms_match_the_old_search(name):
 @pytest.mark.parametrize("name", CATALOG)
 def test_the_signatures_give_the_old_candidate_lists(name):
     # the complement's cone and cover counts, which the signatures dropped,
-    # repeat the element's own, so every element keeps its candidates
-    # and the search, which groups the targets by signature in one pass,
-    # builds the lists the pairwise comparison of signatures built
+    # repeat the element's own, so every element keeps its candidates;
+    # the search, which groups the targets by signature in one pass, builds
+    # as bit sets the lists the pairwise comparison of signatures built,
+    # and the lists the search grouped into before it held bit sets
     L = catalog(name)
     for M in (L, *(_inner_relabeling(L, seed) for seed in SEEDS)):
         lists = [[[b for b in range(M.n) if t[b] == s[a]] for a in range(L.n)]
                  for s, t in ((_iso_signatures(L), _iso_signatures(M)),
                               (legacy_iso_signatures(L), legacy_iso_signatures(M)))]
-        assert lists[0] == lists[1] == _candidates(_iso_signatures(L), _iso_signatures(M))
+        s, t = _iso_signatures(L), _iso_signatures(M)
+        assert lists[0] == lists[1] == legacy_candidates(s, t)
+        assert _classes(s, t) == [mask_of(c) for c in lists[0]]
     for P in (sub(L), bsub(L)):
         Q = P.relabel(random.Random(name).sample(range(P.size), P.size))
         s, t = P._order_signatures(), Q._order_signatures()
-        assert _candidates(s, t) == [[y for y in range(Q.size) if t[y] == s[x]]
-                                     for x in range(P.size)]
+        assert _classes(s, t) == [mask_of(y for y in range(Q.size) if t[y] == s[x])
+                                  for x in range(P.size)]
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -112,16 +132,19 @@ def test_all_automorphisms_of_mo5_match_the_old_search():
     assert len(got) == 3840  # 5! * 2^5
     assert got == [f.mapping for f in legacy_isomorphisms(L, L)]
     assert got == legacy_vf2_isomorphisms(L, L)
+    assert got == _forward_isos(L, L)
 
 
 @pytest.mark.parametrize("name", CATALOG)
 def test_isomorphisms_match_the_vf2_search_map_for_map(name):
+    # and the forward-checking search that ran on the engine's hooks
     L = catalog(name)
-    assert [f.mapping for f in automorphisms(L)] == legacy_vf2_isomorphisms(L, L)
+    assert [f.mapping for f in automorphisms(L)] == legacy_vf2_isomorphisms(L, L) == \
+        _forward_isos(L, L)
     for seed in SEEDS:
         M = _inner_relabeling(L, seed)
         got = [f.mapping for f in isomorphisms(L, M)]
-        assert got and got == legacy_vf2_isomorphisms(L, M)
+        assert got and got == legacy_vf2_isomorphisms(L, M) == _forward_isos(L, M)
 
 
 def _node_relabeling(P, seed):
@@ -152,11 +175,24 @@ def test_poset_isomorphisms_match_the_vf2_search_map_for_map(name):
             assert got and got == list(legacy_vf2_poset_isomorphisms(P, Q))
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_poset_isomorphisms_match_the_hook_driven_forward_search_map_for_map(name):
+    # every map, on Sub and BSub, each against three renamings of its nodes,
+    # 2^5 included, which the VF2 search above cannot finish
+    L = catalog(name)
+    for P in (sub(L), bsub(L)):
+        for seed in SEEDS:
+            Q = _node_relabeling(P, seed)
+            got = list(poset_isomorphisms(P, Q))
+            assert got and got == _forward_poset_isos(P, Q)
+
+
 def test_poset_automorphisms_of_bsub_hsum_2_4_2_4_match_the_vf2_search():
     P = bsub(catalog("hsum(2^4,2^4)"))
     got = poset_automorphisms(P)
     assert len(got) == 2 * 24 ** 2
     assert got == list(legacy_vf2_poset_isomorphisms(P, P))
+    assert got == _forward_poset_isos(P, P)
 
 
 def test_every_poset_automorphism_of_sub_2_5_is_found_against_a_relabeling():
@@ -276,3 +312,38 @@ def test_enumerate_homs_matches_the_old_search(pair):
     L, M = (catalog(name) for name in pair)
     assert [f.mapping for f in enumerate_homs(L, M)] == \
         [f.mapping for f in legacy_enumerate_homs(L, M)]
+
+
+# past the cap of enumerate_homs: (source, target, number of homs)
+UNCAPPED_HOM_PAIRS = [("2^4", "2^5", 1024), ("2^5", "hsum(2^3,2^3)", 245),
+                      ("2^4", "hsum(2^4,2^4)", 508), ("hsum(2^3,2^3)", "2^5", 0)]
+
+
+@pytest.mark.parametrize("pair", UNCAPPED_HOM_PAIRS, ids=[f"{a}->{b}" for a, b, _ in UNCAPPED_HOM_PAIRS])
+def test_the_hom_search_past_the_cap_matches_the_old_search(pair):
+    a, b, count = pair
+    L, M = catalog(a), catalog(b)
+    got = [f.mapping for f in _homs(L, M, [range(M.n)] * L.n)]
+    assert len(got) == count
+    assert got == [f.mapping for f in legacy_enumerate_homs(L, M)]
+
+
+def test_the_search_tries_only_the_targets_left_in_a_domain():
+    # the search that tried every member of a signature class made 265,430
+    # placements for the 2,704 its forward check kept before this first map
+    P = sub(catalog("hsum(2^5,2^5)"))
+    Q = sub(_inner_relabeling(catalog("hsum(2^5,2^5)"), 1))
+    s, t = P._order_signatures(), Q._order_signatures()
+    domain = _classes(s, t)
+    order = sorted(range(P.size), key=lambda x: (domain[x].bit_count(), x))
+    tried = 0
+
+    def counted(a, b):
+        nonlocal tried
+        tried += 1
+        return True
+
+    first = next(_backtrack(order, domain, P, Q, [-1] * P.size, distinct=True, consistent=counted))
+    assert tried < 2 * 2704
+    check_order_iso(tuple(first), P, Q)
+    assert tuple(first) == next(poset_isomorphisms(P, Q))
