@@ -15,10 +15,11 @@ new set incrementally from its parent.  Its canonicity test asks whether a
 closure adds an element earlier in a linear extension of L (by down-cone
 size).  Posets come out with nodes sorted ascending by bit-set value, so
 identical inputs give identical output, byte for byte, whatever order they
-were found in.  Each summand's inclusion rows, and BSub's, are transposed in
-one pass from keys narrower than their masks: a node read off partitions
-is keyed by the atom pairs it separates in each block that holds it.  Sub
-of a horizontal sum takes one product of its summands' orders, with no
+were found in.  The inclusion rows of a family read off partitions are
+built from its blocks' covers, one OR per cover pair: by Sachs, Sub(2^k) is
+the dual of the partition lattice, whose covers split one block in two.  A
+searched family's rows are transposed from its masks in one pass.  Sub of
+a horizontal sum takes one product of its summands' orders, with no
 transpose of its own.  A poset's nodes are bit sets
 (``SubalgebraPoset.masks``): the enumerated posets are labeled with their
 sorted masks unchecked, and SubalgebraSets are built only when a caller
@@ -276,9 +277,10 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     The masks' fixed-width binary strings are transposed once into columns,
     the nodes containing each bit.  A node's up row is the AND of its bits'
     columns, its down row the AND of the other columns' complements.
-    ``enumerate_subalgebras`` calls it on the keys of each summand's nodes
-    and of BSub's; the rows of Sub's product are built from the summands'
-    rows (``_product_order``) without a transpose.
+    ``enumerate_subalgebras`` calls it on each searched family's sorted
+    masks only: a family read off partitions comes with its rows
+    (``_boolean_family``), and the rows of Sub's product are built from the
+    summands' rows (``_product_order``) without a transpose.
     """
     everything = (1 << len(masks)) - 1
     width = f"0{max(masks).bit_length()}b"
@@ -296,9 +298,12 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
 def _partition_table(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Every partition of k indices as (members, key), the one-block
     partition first.  The members are the unions of blocks as index masks,
-    block b being member 2^b.  Restricted growth (Knuth, TAOCP 4A, 7.2.1.5):
-    index i joins a block so far or opens one (block 0), which doubles the
-    members, and is split from each earlier j outside it: key bit i(i-1)/2 + j."""
+    block b being member 2^b, so a partition of b blocks has 2^b members.
+    Restricted growth (Knuth, TAOCP 4A, 7.2.1.5): index i joins a block so
+    far or opens one (block 0), which doubles the members, and is split
+    from each earlier j outside it: key bit i(i-1)/2 + j.  The keys name
+    the partitions for the Boolean-node certificate and the partition
+    lattice; Sub(2^k) is ordered by ``_partition_covers(k)``."""
     table = [((0,), 0)]
     for i in range(k):
         new, low = 1 << i, i * (i - 1) // 2
@@ -309,43 +314,100 @@ def _partition_table(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(table)
 
 
+@lru_cache
+def _partition_covers(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Hasse diagram of Sub(2^k) on ``_partition_table(k)``'s indices,
+    as two equally long tuples (lower, upper): partition upper[t] splits
+    one block of partition lower[t] in two, so its subalgebra covers
+    lower[t]'s.  The pairs run by the height of their lower node,
+    decreasing, where a partition of b blocks has height b - 1.  They are
+    found from the finer side, one pair per two blocks merged, so there are
+    the sum over b of S(k, b) C(b, 2): 856 for k = 6, two tuples of small
+    ints."""
+    table = _partition_table(k)
+    blocks = [[ms[1 << b] for b in range(len(ms).bit_length() - 1)] for ms, _ in table]
+    index = {frozenset(bs): i for i, bs in enumerate(blocks)}
+    pairs = sorted((-len(bs), index[frozenset(bs) - {x, y} | {x | y}], j)
+                   for j, bs in enumerate(blocks) for t, x in enumerate(bs) for y in bs[:t])
+    return tuple(i for _, i, _ in pairs), tuple(j for _, _, j in pairs)
+
+
+def _block_masks(L: FiniteOrtholattice, block: int, budget: int) -> list[int]:
+    """The subalgebras of the Boolean subalgebra whose atoms are ``block``,
+    in ``_partition_table`` order, at most budget + 1 of them: each
+    partition's subalgebra is the sum of the joins of its members' atoms."""
+    point = _joins(L, list(bits(block))).__getitem__
+    return [sum(map(point, ms)) for ms, _ in _partition_table(block.bit_count())[:budget + 1]]
+
+
 def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):
     """The subalgebras of the Boolean subalgebras whose atom sets are
     ``blocks`` (bit sets of pairwise orthogonal atoms joining to 1), as
-    masks and keys, the bottom first; at most budget + 1 distinct masks, and
-    no block reads more than budget + 1 partitions.
+    masks sorted ascending, with the up and down rows of their inclusion
+    order.  Past budget masks it returns budget + 1 of them and no rows
+    (None, None); no block reads more than budget + 1 partitions.
 
-    By Sachs the subalgebras of a Boolean algebra are those whose atoms are
-    the block joins of one set partition of its atoms, and distinct
-    partitions give distinct subalgebras, so nothing is searched and
-    nothing is rejected; a subalgebra that several blocks hold is listed
-    once.  Each block owns C(k,2) + 1 key bits: the atom pairs a partition
-    splits, and above them one bit for "outside this block".  A key starts
-    as all ones, and each block that holds the node ANDs its partition's
-    pair key into its own range.  So S <= T exactly when key(S) is a subset
-    of key(T): T lies in a block, whose outside bit T clears, so S clears
-    it too and lies there, where T's partition refines S's, so splits every
-    pair S's does; and a block holding S but not T leaves T's range all
-    ones.  With one block the key is the pair key.
+    By Sachs the subalgebras of a Boolean algebra B with k atoms are those
+    whose atoms are the block joins of one set partition of its atoms, and
+    distinct partitions give distinct subalgebras, so nothing is searched
+    and nothing is rejected; a subalgebra that several blocks hold is
+    listed once.  A finer partition gives a larger subalgebra, so Sub(B) is
+    the dual of the partition lattice, and its covers are known before any
+    row is built (``_partition_covers``): each node's up row is its own bit
+    and its upper covers' up rows, built in order of decreasing height, and
+    each down row its bit and its lower covers' down rows, built the other
+    way; one OR per cover pair, and a bit is a node's sorted position.
+
+    With several blocks the union's Hasse diagram is the blocks' together:
+    S is covered by T in the union exactly when S is covered by T in
+    Sub(B) for a block B that holds T, as any Boolean R with S < R < T
+    lies in T, so in B.  So the rows are built block by block.  A Boolean
+    T above S lies in some block, which holds S too: S's up row is the
+    union of its up rows in the blocks that hold it.  Every Boolean S
+    below T lies in each block that holds T: T's down row is the same in
+    each of them.
     """
-    family, low = {}, 0
-    for block in blocks:
-        k = block.bit_count()
-        point = _joins(L, list(bits(block))).__getitem__
-        table = _partition_table(k)[:budget + 1]
-        masks = [sum(map(point, ms)) for ms, _ in table]
-        if len(blocks) == 1:
-            # distinct partitions give distinct masks, and the outside bit stays 0
-            return masks, [key for _, key in table]
-        # what each node clears: its block's range but its pair key
-        span = ((1 << k * (k - 1) // 2 + 1) - 1) << low
-        read = dict(zip(masks, [span ^ key << low for _, key in table]))
-        for m in read.keys() & family.keys():
-            read[m] |= family[m]
-        family.update(read)
-        low = span.bit_length()
-    ones = (1 << low) - 1
-    return list(family)[:budget + 1], [ones ^ cleared for cleared in family.values()][:budget + 1]
+    if len(blocks) == 1:
+        found = _block_masks(L, blocks[0], budget)
+        reads = [(blocks[0].bit_count(), range(len(found)))]
+    else:
+        index, reads = {}, []
+        for block in blocks:
+            reads.append((block.bit_count(), [index.setdefault(m, len(index))
+                                              for m in _block_masks(L, block, budget)]))
+            if len(index) > budget:
+                break
+        found = list(index)[:budget + 1]
+    if len(found) > budget:
+        return sorted(found), None, None
+    order = sorted(range(len(found)), key=found.__getitem__)
+    place = [0] * len(found)
+    for r, x in enumerate(order):
+        place[x] = 1 << r
+    rows = [(ids, *_cover_rows(k, [place[x] for x in ids])) for k, ids in reads]
+    if len(rows) == 1:
+        [(_, up, down)] = rows
+    else:
+        up, down = [0] * len(found), [0] * len(found)
+        for ids, block_up, block_down in rows:
+            for x, row_up, row_down in zip(ids, block_up, block_down):
+                up[x] |= row_up
+                down[x] = row_down
+    return [found[x] for x in order], [up[x] for x in order], [down[x] for x in order]
+
+
+def _cover_rows(k: int, place: list[int]) -> tuple[list[int], list[int]]:
+    """Up and down rows of Sub(2^k) on ``_partition_table(k)``'s indices,
+    partition i's node being the bit place[i]: one OR per cover pair each
+    way, the up rows from the top down, the down rows from the bottom up
+    (``place`` itself becomes the down rows)."""
+    lower, upper = _partition_covers(k)
+    up, down = place[:], place
+    for i, j in zip(lower, upper):
+        up[i] |= up[j]
+    for i, j in zip(reversed(lower), reversed(upper)):
+        down[j] |= down[i]
+    return up, down
 
 
 def _search(L: FiniteOrtholattice, boolean_only: bool, bottom: int):
@@ -406,12 +468,14 @@ def _summands(L: FiniteOrtholattice) -> list[int]:
     return out
 
 
-def _product_order(parts: list[tuple[list[int], list[int]]]) -> tuple[list, list, list]:
+def _product_order(parts: list[tuple[list[int], Optional[list], Optional[list]]]
+                   ) -> tuple[list, list, list]:
     """Sorted node masks, up rows and down rows of the product of the
-    summands' Sub, ``parts`` holding each summand's node masks and keys.
+    summands' Sub, ``parts`` holding each summand's node masks and rows.
 
-    Each summand's masks are sorted in place, its keys carried along, and
-    its rows transposed from its keys; one summand is returned as it is.
+    A summand read off partitions comes sorted, with its rows; a searched
+    one comes with rows None, and its masks are sorted in place and
+    transposed (``inclusion_rows``).  One summand is returned as it is.
     The product's masks are multiplied out, one node of each summand ORed
     in that order, and sorted once, each node taking the one bit of its
     sorted position.  A node lies below another exactly when each of its
@@ -421,11 +485,11 @@ def _product_order(parts: list[tuple[list[int], list[int]]]) -> tuple[list, list
     rows; down rows likewise.
     """
     orders = []
-    for masks, keys in parts:
-        if keys is not masks:
-            keys = [k for _, k in sorted(zip(masks, keys))]
-        masks.sort()
-        orders.append((masks, *inclusion_rows(keys)))
+    for masks, up, down in parts:
+        if up is None:
+            masks.sort()
+            up, down = inclusion_rows(masks)
+        orders.append((masks, up, down))
     if len(orders) == 1:
         return orders[0]
     masks = [0]
@@ -492,12 +556,11 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     that rejects each closure ``is_boolean`` refuses.
 
     The inclusion order of Sub is the product of the summands' orders too,
-    since their masks share only the bottom: ``_product_order`` transposes
-    each summand's keys once and multiplies the orders out, a product node
-    below another exactly when each of its coordinates is.  BSub is one
-    family, transposed whole.  Keys order the nodes as their masks do, but
-    narrower: a node read off partitions is keyed by the atom pairs it
-    separates in each block that holds it, a searched one by its mask.
+    since their masks share only the bottom: ``_product_order`` multiplies
+    the orders out, a product node below another exactly when each of its
+    coordinates is.  A family read off partitions builds its rows from the
+    covers of the partition lattice; a searched one, and BSub of an
+    ortholattice that is not orthomodular, transposes its sorted masks.
 
     ``cap`` bounds the node count (default 100000, or the OMLKIT_NODE_CAP
     environment variable); going past it raises ExplosionCap, and no
@@ -513,20 +576,20 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
         budget = cap // count
         inner_atoms = part & L._atoms
         if boolean_only and L.is_orthomodular:
-            found, keys = _boolean_family(L, L._block_atoms, budget)
+            family = _boolean_family(L, L._block_atoms, budget)
         elif L.is_orthomodular and part.bit_count() + 2 == 1 << inner_atoms.bit_count():
-            found, keys = _boolean_family(L, [inner_atoms], budget)
+            family = _boolean_family(L, [inner_atoms], budget)
         else:
             search = search or _search(L, boolean_only, bottom)
-            found = keys = search(part, budget)
-        if len(found) > budget:
+            family = search(part, budget), None, None
+        if len(family[0]) > budget:
             raise ExplosionCap(
                 f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
                 f"raise the cap with {NODE_CAP_ENV}")
-        families.append((found, keys))
-        count *= len(found)
+        families.append(family)
+        count *= len(family[0])
     # 2^1 has no inner elements, so no summand: its Sub is the bottom alone
-    masks, up, down = _product_order(families or [([bottom], [bottom])])
+    masks, up, down = _product_order(families or [([bottom], [1], [1])])
     # the inclusion order of distinct sets is a partial order
     poset = SubalgebraPoset._trusted(up, down)
     # the masks are distinct closed sets in ascending order, so {0, n-1} comes first

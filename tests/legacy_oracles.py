@@ -116,6 +116,11 @@ doubling over the block joins, where the library sums the points of one
 partition table's members.  ``legacy_partition_lattice`` orders the
 partitions by a ``Partition.refines`` call on every pair, where the library
 transposes the pairs each partition keeps together.
+``legacy_boolean_keys`` is the partition reader that keyed every node by
+the atom pairs its partition splits in each block, C(k,2) + 1 key bits per
+block with one for "outside this block", and ``legacy_boolean_family``
+transposes those keys into the family's rows; the library now builds the
+rows from the covers of each block's partition lattice, with no keys.
 ``legacy_product_order`` built the rows of Sub of a horizontal sum from
 its summands' rows two ways, chosen by two timed cut-offs: a small product
 multiplied out and transposed whole, a larger one split into two groups
@@ -186,6 +191,7 @@ from omlkit.lattice_core import (
 )
 from omlkit.sachs_boolean import _dual_parts, _require_boolean, dual_decomposition, pd_mask
 from omlkit.subalgebra_posets import (
+    _partition_table,
     check_order_iso,
     close_by_one,
     enumerate_subalgebras,
@@ -1509,6 +1515,48 @@ def legacy_partition_lattice(n):
                 down[j] |= 1 << i
     return up, down, tuple(parts)
 
+
+
+def legacy_boolean_keys(L, blocks, budget):
+    """The subalgebras of the Boolean subalgebras whose atom sets are
+    ``blocks``, as masks and keys, the bottom first; at most budget + 1
+    distinct masks, and no block reads more than budget + 1 partitions.
+
+    Each block owns C(k,2) + 1 key bits: the atom pairs a partition splits,
+    and above them one bit for "outside this block".  A key starts as all
+    ones, and each block that holds the node ANDs its partition's pair key
+    into its own range.  So S <= T exactly when key(S) is a subset of
+    key(T): T lies in a block, whose outside bit T clears, so S clears it
+    too and lies there, where T's partition refines S's, so splits every
+    pair S's does; and a block holding S but not T leaves T's range all
+    ones.  With one block the key is the pair key.
+    """
+    family, low = {}, 0
+    for block in blocks:
+        k = block.bit_count()
+        point = _joins(L, list(bits(block))).__getitem__
+        table = _partition_table(k)[:budget + 1]
+        masks = [sum(map(point, ms)) for ms, _ in table]
+        if len(blocks) == 1:
+            # distinct partitions give distinct masks, and the outside bit stays 0
+            return masks, [key for _, key in table]
+        # what each node clears: its block's range but its pair key
+        span = ((1 << k * (k - 1) // 2 + 1) - 1) << low
+        read = dict(zip(masks, [span ^ key << low for _, key in table]))
+        for m in read.keys() & family.keys():
+            read[m] |= family[m]
+        family.update(read)
+        low = span.bit_length()
+    ones = (1 << low) - 1
+    return list(family)[:budget + 1], [ones ^ cleared for cleared in family.values()][:budget + 1]
+
+
+def legacy_boolean_family(L, blocks, budget):
+    """``legacy_boolean_keys``'s masks sorted, with the rows transposed
+    from their keys carried along: (masks, up rows, down rows)."""
+    masks, keys = legacy_boolean_keys(L, blocks, budget)
+    keys = [key for _, key in sorted(zip(masks, keys))]
+    return (sorted(masks), *inclusion_rows(keys))
 
 
 def legacy_product_order(parts):

@@ -21,11 +21,12 @@ pairwise relation, and the cap must stop the product, and BSub, with the
 legacy text, no call keeping more than cap + 1 masks.  Sub's rows are one
 product of the summands' orders: they must equal the transpose of the
 multiplied-out masks and the rows of the two-way build it replaced, each
-summand's keys must be transposed once and no product list at all.  What
-is transposed is the nodes' keys: a node read off partitions is keyed by
-the atom pairs its partition separates in each block that holds it, which
-must order the nodes as refinement and inclusion do and give the rows the
-legacy transpose of the masks gives.
+searched summand's masks must be transposed once and no product list at
+all.  A family read off partitions brings its rows, built from the covers
+of its blocks' partition lattices: they must be the rows the legacy reader
+transposed from its keys (the atom pairs a partition separates in each
+block that holds it), and the transpose of the family's masks, with no
+transpose at all.
 """
 
 import random
@@ -36,6 +37,8 @@ from types import SimpleNamespace
 import pytest
 from legacy_oracles import (
     frontier_subalgebras,
+    legacy_boolean_family,
+    legacy_boolean_keys,
     legacy_close_by_one,
     legacy_commuting,
     legacy_enumerate_subalgebras,
@@ -76,6 +79,7 @@ from omlkit import subalgebra_posets
 from omlkit.lattice_core import FiniteOrtholattice, bits, mask_of
 from omlkit.subalgebra_posets import (
     _boolean_family,
+    _partition_covers,
     _partition_table,
     _summands,
     close_by_one,
@@ -223,18 +227,24 @@ SEARCHED, PARTITIONS = "searched", "partitions"
 def _families(monkeypatch):
     """Each family's enumeration as it returned: how (partitions or a
     search), the elements it read (the blocks' atoms, or candidates), its
-    budget, the mask list returned and a copy of it as found, and the keys
-    as found (a search returns its masks alone: they are its keys)."""
+    budget, the mask list returned and a copy of it as found, its up and
+    down rows (None for a search, which returns its masks alone, and for a
+    family past its budget), and the keys of the masks as found: the legacy
+    partition reader's keys for a family read off partitions, the masks
+    themselves for a search."""
     found = []
 
-    def record(how, elements, budget, masks, keys):
-        found.append(SimpleNamespace(how=how, elements=elements, budget=budget,
-                                     masks=masks, as_found=list(masks), keys=list(keys)))
+    def record(how, elements, budget, masks, keys, up=None, down=None, blocks=None):
+        found.append(SimpleNamespace(how=how, elements=elements, budget=budget, masks=masks,
+                                     as_found=list(masks), keys=list(keys), up=up, down=down,
+                                     blocks=blocks))
 
     def partitions(L, blocks, budget):
-        masks, keys = _boolean_family(L, blocks, budget)
-        record(PARTITIONS, reduce(or_, blocks), budget, masks, keys)
-        return masks, keys
+        masks, up, down = _boolean_family(L, blocks, budget)
+        key_of = dict(zip(*legacy_boolean_keys(L, blocks, budget)))
+        record(PARTITIONS, reduce(or_, blocks), budget, masks, [key_of[m] for m in masks],
+               up=up, down=down, blocks=list(blocks))
+        return masks, up, down
 
     def searched(candidates, bottom, state, extend, budget):
         masks = close_by_one(candidates, bottom, state, extend, budget)
@@ -317,19 +327,122 @@ def test_partitions_are_ordered_by_the_atom_pairs_they_split(k):
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_partition_masks_match_the_per_partition_reader(k):
-    # the table-driven reader, given one block, gives the masks, in the
-    # same order and with the same stop, that folding each partition's
-    # block joins gave; its keys, of the C(k,2) atom pairs (the outside bit
-    # stays 0), order the masks as inclusion does
+    # the table-driven reader, given one block, gives the masks, sorted and
+    # with the same stop, that folding each partition's block joins gave;
+    # within its budget its up rows, of one bit per mask, order the masks
+    # as inclusion does, and past it there are no rows
     for L in (_inner_relabeling(boolean_algebra(k), seed) for seed in SEEDS):
         atoms = sorted(L.atoms())
         total = len(legacy_partition_masks(L, atoms, 10**6))
         for budget in (10**6, total - 1, 0):
-            masks, keys = _boolean_family(L, [mask_of(atoms)], budget)
-            assert masks == legacy_partition_masks(L, atoms, budget)
-            assert len(keys) == len(masks) and max(keys) >> k * (k - 1) // 2 == 0
-            for m, key in zip(masks, keys):
-                assert [not key & ~other for other in keys] == [not m & ~n for n in masks]
+            masks, up, down = _boolean_family(L, [mask_of(atoms)], budget)
+            assert masks == sorted(legacy_partition_masks(L, atoms, budget))
+            if len(masks) > budget:
+                assert up is None and down is None
+                continue
+            assert len(up) == len(masks) and max(up) >> len(masks) == 0
+            for m, row in zip(masks, up):
+                assert [row >> j & 1 == 1 for j in range(len(masks))] == [not m & ~n for n in masks]
+
+
+@pytest.mark.parametrize("k, pairs", [(1, 0), (2, 1), (3, 6), (4, 31), (5, 160), (6, 856)])
+def test_each_cover_splits_exactly_one_block(k, pairs):
+    # the sum over b of S(k, b) C(b, 2) cover pairs, each distinct; the
+    # upper partition is the lower one with one block split in two, and
+    # the pairs run by the lower partition's block count, never rising
+    lower, upper = _partition_covers(k)
+    assert len(lower) == len(upper) == pairs
+    assert len(set(zip(lower, upper))) == pairs
+    blocks = [{ms[1 << b] for b in range(len(ms).bit_length() - 1)}
+              for ms, _ in _partition_table(k)]
+    for i, j in zip(lower, upper):
+        [whole] = blocks[i] - blocks[j]
+        split = blocks[j] - blocks[i]
+        assert len(split) == 2 and reduce(or_, split) == whole
+        assert blocks[i] - {whole} == blocks[j] - split
+    counts = [len(blocks[i]) for i in lower]
+    assert counts == sorted(counts, reverse=True)
+
+
+# the catalog, 2^6, MO31, a large sum, and products whose blocks share nodes
+COVERED = CATALOG + ["2^6", "MO31", "hsum(2^5,2^5)", "MO3x2^3", "MO2xMO2", "MO2x2^2",
+                     "example22x2^2"]
+
+
+@pytest.mark.parametrize("boolean_only", [False, True], ids=["sub", "bsub"])
+@pytest.mark.parametrize("name", COVERED)
+def test_rows_from_covers_are_the_legacy_key_transpose(name, boolean_only, monkeypatch):
+    # each family read off partitions (a Boolean summand of Sub, all the
+    # blocks of BSub) gives the sorted masks and the rows the key-based
+    # reader gave, which are the transpose of its masks.  Sub(MO31) has
+    # 2^31 nodes: the families read before the cap stops it are compared
+    found = _families(monkeypatch)
+    base = _lattice(name)
+    for L in (_inner_relabeling(base, seed) for seed in SEEDS):
+        found.clear()
+        if name == "MO31" and not boolean_only:
+            with pytest.raises(ExplosionCap):
+                sub(L)
+            assert found[-1].up is None
+            found.pop()
+        else:
+            enumerate_subalgebras(L, boolean_only=boolean_only)
+        families = [family for family in found if family.how == PARTITIONS]
+        if boolean_only:
+            assert len(families) == L.is_orthomodular
+        for family in families:
+            masks, up, down = family.masks, family.up, family.down
+            assert (masks, up, down) == legacy_boolean_family(L, family.blocks, family.budget)
+            assert (up, down) == inclusion_rows(masks)
+
+
+@pytest.mark.parametrize("name", ["2^1", "2^2", "2^5", "2^6", "MO10", "hsum(2^5,2^5)",
+                                  "hsum(2^3,2^3,2^3,2^3,2^3)"])
+def test_families_read_off_partitions_transpose_nothing(name, monkeypatch):
+    # Sub of a lattice whose summands are all Boolean, and BSub of an
+    # orthomodular lattice, whose blocks share nodes or not, never call
+    # inclusion_rows; Sub of example22, searched, does
+    transposed = []
+
+    def transpose(masks):
+        transposed.append(masks)
+        return inclusion_rows(masks)
+
+    monkeypatch.setattr(subalgebra_posets, "inclusion_rows", transpose)
+    base = _lattice(name)
+    for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
+        sub(L)
+        bsub(L)
+    for shared in ("MO3x2^3", "example22x2^2", "MO31"):
+        bsub(_lattice(shared))
+    assert transposed == []
+    sub(catalog("example22"))
+    assert len(transposed) == 1
+
+
+@pytest.mark.parametrize("name, boolean_only", [
+    ("2^6", False), ("2^6", True), ("hsum(2^5,2^5)", True), ("MO3x2^3", True),
+    ("example22x2^2", True), ("MO2x2^2", True)])
+def test_a_cap_stops_the_cover_reader_where_the_key_reader_stopped(name, boolean_only):
+    # under every cap below the node count, the family read off partitions
+    # keeps the legacy reader's budget + 1 masks, sorted, and builds no
+    # rows, and the enumeration stops with the legacy text; at the node
+    # count it builds the rows
+    L = _inner_relabeling(_lattice(name), 1)
+    blocks = L._block_atoms if boolean_only else [L._atoms]
+    size = len(legacy_enumerate_subalgebras(L, boolean_only)[0])
+    for cap in range(1, size + 1):
+        masks, up, down = _boolean_family(L, blocks, cap)
+        assert masks == sorted(legacy_boolean_keys(L, blocks, cap)[0])
+        if cap == size:
+            assert len(masks) == size and up is not None and down is not None
+            assert enumerate_subalgebras(L, boolean_only=boolean_only, cap=cap).size == size
+            continue
+        assert len(masks) == cap + 1 and up is None and down is None
+        with pytest.raises(ExplosionCap) as exc:
+            enumerate_subalgebras(L, boolean_only=boolean_only, cap=cap)
+        assert str(exc.value) == (f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
+                                  "raise the cap with OMLKIT_NODE_CAP")
 
 
 # a lone 2^1 (no summand) and a lone 2^2; Boolean summands alone or with
@@ -359,8 +472,9 @@ def test_rows_from_keys_are_the_legacy_transpose_of_the_sorted_masks(name, boole
 def test_a_cap_running_out_inside_a_boolean_summand_stops_with_the_legacy_text(
         name, boolean_only, cap, runs_made, monkeypatch):
     # the last family read off partitions (a Boolean summand of Sub, or all
-    # of BSub's blocks at once) stops at budget + 1 masks and as many keys,
-    # with the text and stop count of the search over the whole lattice
+    # of BSub's blocks at once) stops at budget + 1 masks, as many as the
+    # legacy reader keyed, and builds no rows, with the text and stop count
+    # of the search over the whole lattice
     runs = _families(monkeypatch)
     base = _lattice(name)
     for L in (_inner_relabeling(base, seed) for seed in SEEDS):
@@ -373,6 +487,7 @@ def test_a_cap_running_out_inside_a_boolean_summand_stops_with_the_legacy_text(
         assert len(runs) == runs_made and all(run.how == PARTITIONS for run in runs)
         assert all(len(run.masks) <= run.budget for run in runs[:-1])
         assert len(runs[-1].masks) == len(runs[-1].keys) == runs[-1].budget + 1
+        assert runs[-1].up is None and runs[-1].down is None
 
 
 def test_the_partition_table_holds_one_entry_per_summand_size():
@@ -380,12 +495,14 @@ def test_the_partition_table_holds_one_entry_per_summand_size():
     # labeling: blocks and Boolean summands of 1 to 6 atoms (2^1's one block
     # has its top for its atom) leave at most 6 entries
     _partition_table.cache_clear()
+    _partition_covers.cache_clear()
     for name in CATALOG + ["2^6", "MO10", "hsum(2^5,2^5)", "hsum(example22,2^3,MO2)"]:
         base = _lattice(name)
         for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
             sub(L)
             bsub(L)
     assert _partition_table.cache_info().currsize <= 6
+    assert _partition_covers.cache_info().currsize <= 6
 
 
 @pytest.mark.parametrize("name", ["2^6", "MO8", "hsum(2^5,2^5)", "hsum(2^2,2^3,2^4)",
@@ -464,8 +581,9 @@ def test_cap_on_a_product_stops_with_the_legacy_text(name, cap, searches, monkey
 def test_bsub_cap_stops_with_the_legacy_text(name, monkeypatch):
     # BSub is one family, read off the blocks of an OML or searched over all
     # of another L, with the whole cap for its budget: under every cap below
-    # the node count it stops at cap + 1 distinct masks and as many keys,
-    # with the text and stop count of the search over the whole lattice
+    # the node count it stops at cap + 1 distinct masks, as many as the
+    # legacy reader keyed, and no rows, with the text and stop count of the
+    # search over the whole lattice
     L = _lattice(name)
     size = len(legacy_enumerate_subalgebras(L, True)[0])
     runs = _families(monkeypatch)
@@ -482,6 +600,7 @@ def test_bsub_cap_stops_with_the_legacy_text(name, monkeypatch):
         [run] = runs
         assert run.how == (PARTITIONS if L.is_orthomodular else SEARCHED) and run.budget == cap
         assert len(set(run.masks)) == len(run.masks) == len(run.keys) == cap + 1
+        assert run.up is None and run.down is None
 
 
 def _searched(monkeypatch):
@@ -524,8 +643,9 @@ PRODUCTS = ["hsum(2^5,2^5)", "hsum(2^4,2^4,2^4)", "hsum(2^3,2^3,2^3,2^3,2^3)",
 @pytest.mark.parametrize("name", ["2^1", "MO1", "2^2"] + SUMMED + PRODUCTS)
 def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monkeypatch):
     # the rows are the transpose of the multiplied-out masks, and the rows
-    # the two-way build gave; each summand's keys are transposed once, in
-    # its masks' sorted order, and no product list is transposed
+    # the two-way build gave (from the legacy keys); each searched summand's
+    # masks are transposed once, sorted, a summand read off partitions
+    # brings its rows, and no product list is transposed
     found, transposed = _searched(monkeypatch)
     base = _lattice(name)
     for L in (_inner_relabeling(base, seed) for seed in SEEDS):
@@ -540,10 +660,10 @@ def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monke
         nodes = [node.members for node in poset.nodes]
         assert nodes == masks
         assert (list(poset.up), list(poset.down)) == inclusion_rows(masks)
-        keys = [[k for _, k in sorted(zip(family.as_found, family.keys))] for family in found]
-        assert transposed == (keys or [[bottom]])
+        searched = [sorted(family.as_found) for family in found if family.how == SEARCHED]
+        assert transposed == searched
         if len(found) > 1:
-            assert max(map(len, transposed)) < len(masks)
+            assert max(map(len, transposed), default=0) < len(masks)
         legacy = legacy_product_order(_legacy_parts(found) or [([bottom], [bottom])])
         assert legacy == (nodes, list(poset.up), list(poset.down))
 
@@ -551,11 +671,11 @@ def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monke
 @pytest.mark.parametrize("name", ["2^5", "example22", "MO2x2^2", "example22x2^1"])
 def test_a_connected_lattice_transposes_the_search_result_itself(name, monkeypatch):
     # one family: the list its enumeration returns, partition-generated
-    # (Sub of 2^5, and BSub, read off the blocks) or searched, is sorted in
-    # place, with no product, copy or composition on the way.  A searched
-    # summand's keys are its masks, so that very list is transposed; a
-    # partition-generated one transposes its keys, carried along in mask
-    # order
+    # (Sub of 2^5, and BSub, read off the blocks) or searched, is sorted,
+    # with no product, copy or composition on the way.  A searched family
+    # is sorted in place and that very list is transposed; a
+    # partition-generated one comes sorted with its rows, the transpose of
+    # its masks, and nothing is transposed
     found, transposed = _searched(monkeypatch)
     for boolean_only in (False, True):
         found.clear()
@@ -565,8 +685,8 @@ def test_a_connected_lattice_transposes_the_search_result_itself(name, monkeypat
         assert family.masks == sorted(family.as_found)
         if name == "2^5" or boolean_only:
             assert family.how == PARTITIONS
-            key_of = dict(zip(family.as_found, family.keys))
-            assert transposed == [[key_of[m] for m in family.masks]]
+            assert (family.up, family.down) == inclusion_rows(family.masks)
+            assert transposed == []
         else:
             assert family.how == SEARCHED
             assert transposed == [family.masks] and transposed[0] is family.masks
