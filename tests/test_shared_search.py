@@ -50,7 +50,9 @@ from omlkit import (
     product,
     relabel,
     sub,
+    verify_determination,
 )
+from omlkit import iso_lifting
 from omlkit.functorial import _homs
 from omlkit.lattice_core import ISO, _backtrack, _classes, _iso_signatures, mask_of
 from omlkit.subalgebra_posets import check_order_iso
@@ -211,6 +213,8 @@ SYMMETRIC = {
     "BSub(hsum(2^5,2^5))": (catalog("hsum(2^5,2^5)"), bsub),
     "BSub(MO3x2^3)": (product(mo(3), boolean_algebra(3)), bsub),
     "Sub(2^6)": (boolean_algebra(6), sub),
+    "BSub(2^5)": (boolean_algebra(5), bsub),
+    "Sub(MO3x2^3)": (product(mo(3), boolean_algebra(3)), sub),
 }
 
 
@@ -226,6 +230,22 @@ def test_the_first_maps_onto_a_relabeled_symmetric_poset_are_order_isomorphisms(
         assert len(got) == 3
         for phi in got:
             check_order_iso(phi, P, Q)
+
+
+@pytest.mark.parametrize("name", [name for name in SYMMETRIC if name.startswith("BSub")])
+def test_verify_determination_lifts_an_order_isomorphism(name, monkeypatch):
+    # its witness is the first map between the two BSub posets
+    L, _ = SYMMETRIC[name]
+    found = []
+    search = iso_lifting.poset_isomorphic
+    monkeypatch.setattr(iso_lifting, "poset_isomorphic",
+                        lambda P, Q: found.append((search(P, Q), P, Q)) or found[-1][0])
+    for seed in SEEDS:
+        found.clear()
+        report = verify_determination(L, _inner_relabeling(L, seed))
+        [(phi, P, Q)] = found
+        check_order_iso(phi, P, Q)
+        assert report.consistent and report.lifted_count
 
 
 @pytest.mark.parametrize("name", CATALOG)

@@ -26,11 +26,14 @@ complement, the commutation tests included, so a lattice's join table
 ``_join`` is read only by the fault-naming scan of ``morphism``; a poset's
 ``_join`` is a method, and calling it reads no table.  The lattice core sits at
 the bottom of the package: it imports no module of it but ``errors``, not
-even inside a function.
+even inside a function.  The CI workflow runs no inline Python (no heredoc,
+no ``python -c``): its reports live in ``tests/reports.py``, whose every
+report the suite runs.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -507,3 +510,32 @@ def test_the_join_table_scan_finds_a_planted_reader():
         "n.py": "def glue(P, x, y):\n    return P._join(x, y)\n",
     }
     assert _join_table_readers(sources) == [("m.py", "L.join"), ("m.py", "_joins")]
+
+
+WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+INLINE_PYTHON = re.compile(r"<<|\bpython[\d.]*\s(?:.*\s)?-c\b")
+
+
+def _inline_python(text: str, name: str) -> list[str]:
+    """"name:line" of each line that hands a shell code inline: a heredoc
+    or a ``python -c``."""
+    return [f"{name}:{number}" for number, line in enumerate(text.splitlines(), 1)
+            if INLINE_PYTHON.search(line)]
+
+
+def test_the_workflow_runs_no_inline_python():
+    text = WORKFLOW.read_text(encoding="utf-8")
+    assert _inline_python(text, WORKFLOW.name) == []
+    assert "python tests/reports.py" in text
+
+
+def test_the_inline_python_scan_finds_each_kind():
+    text = (
+        "run: python - <<'EOF'\n"
+        "run: python3 -c 'import omlkit'\n"
+        "run: python -O -c pass\n"
+        "run: python -O -m omlkit.cli selftest\n"
+        "run: python -m pytest -q --continue-on-collection-errors\n"
+        "run: cat <<EOF >> summary.md\n"
+    )
+    assert _inline_python(text, "w.yml") == ["w.yml:1", "w.yml:2", "w.yml:3", "w.yml:6"]

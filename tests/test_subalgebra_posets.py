@@ -23,6 +23,7 @@ from omlkit import (
     partition_lattice,
     poset_automorphisms,
     poset_isomorphic,
+    poset_isomorphisms,
     product,
     relabel,
     sub,
@@ -236,7 +237,7 @@ def _node_lattice(name):
     return products[name]() if name in products else catalog(name)
 
 
-@pytest.mark.parametrize("name", NODE_LATTICES)
+@pytest.mark.parametrize("name", NODE_LATTICES + ["2^6", "hsum(2^4,2^4,2^4)"])
 def test_enumeration_builds_no_node_objects(name, monkeypatch):
     L = _node_lattice(name)
     built = []
@@ -292,8 +293,11 @@ def test_poset_automorphisms_count():
 
 
 def test_poset_iso_cap():
+    # an antichain of 5,000 nodes is searched, one of 5,001 refused
+    at_cap = AbstractPoset([1 << i for i in range(5000)])
+    assert next(poset_isomorphisms(at_cap, at_cap)) == tuple(range(5000))
     big = AbstractPoset([1 << i for i in range(5001)])
-    with pytest.raises(Unsupported):
+    with pytest.raises(Unsupported, match="capped at 5000 nodes"):
         poset_isomorphic(big, big)
 
 
