@@ -178,10 +178,10 @@ def parse_node_map(text: str, source: SubalgebraPoset,
 
 # -- DOT export ----------------------------------------------------------------
 
-def poset_to_dot(P: AbstractPoset, labels: Optional[Sequence] = None) -> str:
-    """Hasse diagram of P: cover edges only, bottom ranked lowest."""
-    if labels is None and isinstance(P, SubalgebraPoset):
-        labels = P.labels()
+def poset_to_dot(P: AbstractPoset) -> str:
+    """Hasse diagram of P: cover edges only, bottom ranked lowest.  The
+    nodes of a SubalgebraPoset are labeled by their element sets."""
+    labels = P.labels() if isinstance(P, SubalgebraPoset) else None
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for i in range(P.size):
         if labels is not None:

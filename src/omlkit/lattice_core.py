@@ -13,13 +13,11 @@ the spelling's columns are the down rows, and each law is one test over
 whole rows.  Transitivity needs no test of its own: a reflexive,
 antisymmetric relation in which every two down rows meet in a down row is
 transitive.  Meets are looked up for the pairs a <= b (as numbers) and
-mirrored, and they are the one table a lattice keeps: joins come through
-the complement, a v b = (a' ^ b')', which holds once the complement is
-known to reverse the order (a finite order with a top and all meets has
-all joins, so no join can be missing then).  The join table ``_join`` is
-built on first read, and only the fault-naming scan of ``morphism`` reads
-it.  The orthomodular law is tested in its zero-meet form: a <= b and
-a' ^ b = 0 imply a = b.
+mirrored, and they are the one table a lattice keeps: every join comes
+through the complement, a v b = (a' ^ b')', which holds once the
+complement is known to reverse the order (a finite order with a top and
+all meets has all joins, so no join can be missing then).  The orthomodular
+law is tested in its zero-meet form: a <= b and a' ^ b = 0 imply a = b.
 When a row test fails, the pair scan it replaced names the first faulty
 pair, so the first fault and its message are those of a pair-by-pair
 check.  Posets are still checked pair by pair: their rows have no size
@@ -207,8 +205,8 @@ class FiniteOrtholattice(_Order):
         """The laws are tested in the order they always were, each on whole
         rows.  When a row test fails, the pair scan it replaced
         (``_check_rows``, ``_order_pairs``, ``_bound_pairs`` or
-        ``_reversal_pairs``) names the first fault.  The meet table is kept;
-        no join table is built here (see ``_join``).
+        ``_reversal_pairs``) names the first fault.  The meet table is the
+        one table kept; ``join`` reads (a' ^ b')' through it.
 
         Transitivity has no test of its own.  A relation that is reflexive
         and antisymmetric, and in which every two down rows meet in a down
@@ -321,12 +319,6 @@ class FiniteOrtholattice(_Order):
     def _block_atoms(self) -> tuple[int, ...]:
         """The atom sets of the blocks (``_blocks``), searched once per lattice."""
         return tuple(_blocks(self))
-
-    @cached_property
-    def _join(self) -> tuple[tuple[int, ...], ...]:
-        """The join table, a v b = (a' ^ b')', built on first read."""
-        ortho, renamed = self.ortho, itemgetter(*self.ortho)
-        return tuple(itemgetter(*renamed(self._meet[o]))(ortho) for o in ortho)
 
     def meet(self, a: int, b: int) -> int:
         return self._meet[a][b]
@@ -828,8 +820,8 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
     - any other map is accepted when it preserves the meet of every pair
       a <= b (as numbers).  With the complement it then preserves joins:
       f(a v b) = f((a' ^ b')') = (f(a)' ^ f(b)')' = f(a) v f(b).
-    When the test fails, so does the pair scan: it runs, meet then join
-    for each pair in that order, and names the first pair that fails.
+    When the test fails, so does the pair scan (``_first_fault``), which
+    then names the first pair that fails.
     """
     mapping = tuple(mapping)
     n, m = source.n, target.n
@@ -848,19 +840,26 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
         preserved = ([mapping[c] for a, row in enumerate(source._meet) for c in row[a:]]
                      == [meet[fa][fb] for a, fa in enumerate(mapping) for fb in mapping[a:]])
     if not preserved:
-        for a in range(n):
-            for b in range(a, n):
-                fa, fb = mapping[a], mapping[b]
-                if mapping[source._meet[a][b]] != target._meet[fa][fb]:
-                    raise NotAMorphism(f"mapping does not preserve meet({a},{b})")
-                if mapping[source._join[a][b]] != target._join[fa][fb]:
-                    raise NotAMorphism(f"mapping does not preserve join({a},{b})")
+        _first_fault(source, target, mapping)
     kind = HOM
     if injective:
         # an injective lattice homomorphism reflects order: f(a) <= f(b)
         # gives f(a ^ b) = f(a), so a ^ b = a; a bijective one is an iso
         kind = ISO if n == m else EMBEDDING
     return Morphism(source, target, mapping, kind)
+
+
+def _first_fault(source: FiniteOrtholattice, target: FiniteOrtholattice,
+                 mapping: tuple[int, ...]) -> None:
+    """Raise NotAMorphism naming the first pair a <= b (as numbers) whose
+    meet, then join, ``mapping`` does not preserve.  Only ``morphism`` calls
+    it, once its test has failed, so some pair fails."""
+    for a, fa in enumerate(mapping):
+        for b, fb in enumerate(mapping[a:], a):
+            if mapping[source._meet[a][b]] != target._meet[fa][fb]:
+                raise NotAMorphism(f"mapping does not preserve meet({a},{b})")
+            if mapping[source.join(a, b)] != target.join(fa, fb):
+                raise NotAMorphism(f"mapping does not preserve join({a},{b})")
 
 
 def identity_morphism(L: FiniteOrtholattice) -> Morphism:

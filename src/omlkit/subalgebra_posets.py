@@ -58,9 +58,6 @@ DEFAULT_NODE_CAP = 100000
 NODE_CAP_ENV = "OMLKIT_NODE_CAP"
 POSET_ISO_CAP = 5000
 
-SUB = "sub"
-BSUB = "bsub"
-
 
 class AbstractPoset(_Order):
     """A bare finite partial order on 0..size-1, rows as bit sets."""
@@ -170,7 +167,7 @@ class SubalgebraPoset(AbstractPoset):
     """
 
     def __init__(self, up, owner: FiniteOrtholattice,
-                 nodes: Sequence[SubalgebraSet], flavor: str):
+                 nodes: Sequence[SubalgebraSet]):
         super().__init__(up)
         nodes = tuple(nodes)
         if len(nodes) != self.size:
@@ -179,7 +176,7 @@ class SubalgebraPoset(AbstractPoset):
         # them: their element numbers mean other elements
         if not all(isinstance(s, SubalgebraSet) and s.owner is owner for s in nodes):
             raise MalformedInput("a node is not an element set of this lattice")
-        self.owner, self.masks, self.flavor = owner, tuple(s.members for s in nodes), flavor
+        self.owner, self.masks = owner, tuple(s.members for s in nodes)
         if len(self._index) != self.size:
             raise MalformedInput("a node is listed twice")
         if not nodes or self.masks[0] != 1 | 1 << (owner.n - 1):
@@ -593,7 +590,7 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     # the inclusion order of distinct sets is a partial order
     poset = SubalgebraPoset._trusted(up, down)
     # the masks are distinct closed sets in ascending order, so {0, n-1} comes first
-    poset.owner, poset.masks, poset.flavor = L, tuple(masks), BSUB if boolean_only else SUB
+    poset.owner, poset.masks = L, tuple(masks)
     return poset
 
 

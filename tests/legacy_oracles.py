@@ -34,6 +34,8 @@ element.
 (upper) cone for the element whose cone it is; the library now looks the
 cone up in a ``{row: element}`` index.  ``legacy_bound_tables`` builds a
 lattice's meet and join tables that way, pair by pair in the old order.
+The oracles read joins from its join table (``cone_scan_joins``, kept per
+order), not from the library's meets.
 
 ``legacy_recognize_boolean_node`` is the Boolean-node recognizer that built
 the interval and a fresh partition lattice for every node, with no cheap
@@ -143,6 +145,7 @@ give the same tables and flavor, or the same first fault.
 """
 
 import itertools
+from functools import lru_cache
 from types import SimpleNamespace
 
 from omlkit import sachs_boolean
@@ -204,7 +207,7 @@ def _close_from_scratch(L, mask):
     # the closure as it was before it became incremental: re-closed in full
     mask |= 1 | 1 << (L.n - 1)
     members = list(bits(mask))
-    meet, join, ortho = L._meet, L._join, L.ortho
+    meet, join, ortho = L._meet, cone_scan_joins(L.up, L.down), L.ortho
     i = 0
     while i < len(members):
         e = members[i]
@@ -254,6 +257,15 @@ def legacy_bound_tables(up, down):
     return meet, join
 
 
+@lru_cache(maxsize=128)
+def cone_scan_joins(up, down):
+    """The join table of the lattice order ``up``/``down`` as
+    ``legacy_bound_tables`` scans it, kept per order: the oracles read
+    joins from here, not from the library that they judge, and the
+    frontier search closes thousands of sets of one lattice."""
+    return tuple(map(tuple, legacy_bound_tables(up, down)[1]))
+
+
 def frontier_subalgebras(L, boolean_only=False):
     """(sorted node masks, inclusion up rows) of Sub(L) or BSub(L)."""
     bottom = _close_from_scratch(L, 0)
@@ -284,7 +296,7 @@ def legacy_commuting(L):
     """commuting[a] is the bit set of elements b with a = (a ^ b) v (a ^ b')."""
     if L.flavor != ORTHOMODULAR:
         raise FlavorError("commutation is only defined on orthomodular lattices")
-    meet, join, ortho = L._meet, L._join, L.ortho
+    meet, join, ortho = L._meet, cone_scan_joins(L.up, L.down), L.ortho
     out = [0] * L.n
     for a in range(L.n):
         for b in range(a, L.n):
@@ -850,12 +862,14 @@ def legacy_morphism(source, target, mapping):
     for a in range(n):
         if mapping[source.ortho[a]] != target.ortho[mapping[a]]:
             raise NotAMorphism(f"mapping does not preserve the complement of {a}")
+    join = cone_scan_joins(source.up, source.down)
+    target_join = cone_scan_joins(target.up, target.down)
     for a in range(n):
         for b in range(a, n):
             fa, fb = mapping[a], mapping[b]
             if mapping[source._meet[a][b]] != target._meet[fa][fb]:
                 raise NotAMorphism(f"mapping does not preserve meet({a},{b})")
-            if mapping[source._join[a][b]] != target._join[fa][fb]:
+            if mapping[join[a][b]] != target_join[fa][fb]:
                 raise NotAMorphism(f"mapping does not preserve join({a},{b})")
     kind = HOM
     if len(set(mapping)) == n:
@@ -1305,7 +1319,7 @@ def legacy_is_boolean(L, mask):
     """Whether the closed set ``mask`` is a Boolean subalgebra: pairwise
     commutation, then distributivity on all triples (bounds skipped)."""
     els = [e for e in bits(mask) if e != 0 and e != L.n - 1]
-    meet, join, ortho = L._meet, L._join, L.ortho
+    meet, join, ortho = L._meet, cone_scan_joins(L.up, L.down), L.ortho
     for a in els:
         row = meet[a]
         for b in els:
@@ -1484,7 +1498,7 @@ def legacy_set_partitions(items):
 def legacy_partition_masks(L, atoms, budget):
     """The masks of the subalgebras of a Boolean summand with atoms
     ``atoms``, one per set partition, at most budget + 1 of them."""
-    join = L._join
+    join = cone_scan_joins(L.up, L.down)
     found = []
     for blocks in legacy_set_partitions(atoms):
         parts = []
@@ -1650,7 +1664,7 @@ def _legacy_order_down(up):
 
 def _legacy_orthomodular_on(L, mask):
     """Whether a <= b implies b = a v (a' ^ b) for a, b in ``mask``."""
-    up, meet, join, ortho = L.up, L._meet, L._join, L.ortho
+    up, meet, join, ortho = L.up, L._meet, cone_scan_joins(L.up, L.down), L.ortho
     for a in bits(mask):
         row, co_row = join[a], meet[ortho[a]]
         for b in bits(up[a] & mask):
@@ -1660,7 +1674,7 @@ def _legacy_orthomodular_on(L, mask):
 
 
 def legacy_finite_ortholattice(up, ortho, name=None):
-    """The tables (``up``, ``down``, ``_meet``, ``_join``, ``ortho``) and
+    """The tables (``up``, ``down``, ``_meet``, ``ortho``), ``join`` and
     ``flavor`` of a lattice, validated pair by pair; raises the first fault."""
     up = tuple(up)
     n = len(up)
@@ -1706,6 +1720,6 @@ def legacy_finite_ortholattice(up, ortho, name=None):
             raise BadOrthocomplement(f"element {a} and its image are not complements")
 
     L = SimpleNamespace(n=n, up=up, down=down, ortho=ortho, name=name,
-                        _meet=tuple(map(tuple, meet)), _join=tuple(map(tuple, join)))
+                        _meet=tuple(map(tuple, meet)), join=lambda a, b: join[a][b])
     L.flavor = ORTHOMODULAR if _legacy_orthomodular_on(L, universe) else ORTHOLATTICE
     return L

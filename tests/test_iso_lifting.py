@@ -45,7 +45,7 @@ from omlkit.iso_lifting import (
     _sachs_certificate,
 )
 from omlkit.lattice_core import Morphism, SubalgebraSet, _induced, bits
-from omlkit.subalgebra_posets import BSUB, AbstractPoset, SubalgebraPoset, check_order_iso
+from omlkit.subalgebra_posets import AbstractPoset, SubalgebraPoset, check_order_iso
 
 from legacy_oracles import (
     legacy_boolean_nodes,
@@ -160,10 +160,10 @@ def test_lift_requires_orthomodular():
 
 @pytest.mark.parametrize("name", ["MO2", "example22", "hsum(2^3,2^3)", "MO2x2"])
 def test_lift_of_a_sub_poset_still_needs_boolean_blocks(name):
-    # the non-Boolean top node is caught whatever flavor the poset is labeled
+    # the non-Boolean top node is caught in Sub(L) and in a checked copy of it
     L = catalog(name)
     s = sub(L)
-    for poset in (s, SubalgebraPoset(s.up, L, s.nodes, BSUB)):
+    for poset in (s, SubalgebraPoset(s.up, L, s.nodes)):
         for canonical in (False, True):
             with pytest.raises(NotBoolean):
                 lift_bsub_iso(L, L, tuple(range(s.size)), poset, poset,
@@ -176,7 +176,7 @@ def test_lift_of_a_block_that_is_not_closed():
     B = boolean_algebra(3)
     nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, 1 | 0b10110 | 1 << 7)]
     with pytest.raises(MalformedInput) as exc:
-        SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
+        SubalgebraPoset([0b11, 0b10], B, nodes)
     assert str(exc.value) == "a node is not a closed subalgebra"
 
 
@@ -186,7 +186,7 @@ def test_lift_of_four_element_nodes_that_are_not_blocks():
     B = boolean_algebra(3)
     masks = [1 | 1 << 7] + sorted(1 | 1 << a | 1 << (7 - a) | 1 << 7 for a in (1, 2, 4))
     poset = SubalgebraPoset([0b1111, 0b10, 0b100, 0b1000], B,
-                            [SubalgebraSet(B, m) for m in masks], BSUB)
+                            [SubalgebraSet(B, m) for m in masks])
     for canonical in (False, True):
         with pytest.raises(GlueConflict, match=r"^four-element block \{0,3,4,7\} overlaps"):
             lift_bsub_iso(B, B, (0, 1, 2, 3), poset, poset, canonical_only=canonical)
@@ -200,7 +200,7 @@ def test_lift_of_a_four_element_node_without_both_bounds():
     for mask in (0b10001110, 0b1111):
         nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, mask)]
         with pytest.raises(MalformedInput) as exc:
-            SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
+            SubalgebraPoset([0b11, 0b10], B, nodes)
         assert str(exc.value) == "a node is not a closed subalgebra"
 
 
@@ -246,7 +246,7 @@ def test_realization_test_on_a_poset_without_element_nodes():
     # nodes {0, 7} and 2^3 itself: no {0, e, e', 1} to read a row from
     B = boolean_algebra(3)
     nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, B.universe)]
-    poset = SubalgebraPoset([0b11, 0b10], B, nodes, BSUB)
+    poset = SubalgebraPoset([0b11, 0b10], B, nodes)
     realizes = _realization_test((0, 1), poset, poset)
     for mapping in [tuple(range(8)), (0, 2, 1, 3, 4, 5, 6, 7), (3, 1, 2, 0, 4, 5, 6, 7)]:
         f = Morphism(B, B, mapping, "iso")
@@ -262,7 +262,7 @@ def test_lift_through_a_poset_without_element_nodes():
         sachs_boolean.pd_mask(B, b) for b in range(15) if b not in B.coatoms()})
     nodes = [SubalgebraSet(B, m) for m in masks]
     up = [sum(1 << j for j, n in enumerate(masks) if not m & ~n) for m in masks]
-    poset = SubalgebraPoset(up, B, nodes, BSUB)
+    poset = SubalgebraPoset(up, B, nodes)
     assert poset.size == 12
     for psi in automorphisms(B)[::5]:
         phi = induced_node_map(psi, poset, poset)
@@ -465,7 +465,7 @@ def _relabeled_nodes(P, owner, masks):
     """P's order with its nodes labeled ``masks``, subalgebras of ``owner``:
     a hand-built poset, which the constructor refuses unless the order is
     their inclusion."""
-    return SubalgebraPoset(P.up, owner, [owner.subalgebra(m) for m in masks], P.flavor)
+    return SubalgebraPoset(P.up, owner, [owner.subalgebra(m) for m in masks])
 
 
 def _swapped(P, a, b):
@@ -504,7 +504,7 @@ def test_a_principal_dual_node_mapped_to_a_node_that_is_not_dual():
 
     def chain(masks):
         nodes = [SubalgebraSet(B, m) for m in (1 | 1 << 15, *masks, B.universe)]
-        return SubalgebraPoset(up, B, nodes, BSUB)
+        return SubalgebraPoset(up, B, nodes)
 
     P, Q = chain(middle), chain([0b1001000000001001, *middle[1:]])
     with pytest.raises(Inconsistent) as exc:

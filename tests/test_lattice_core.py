@@ -57,6 +57,7 @@ from omlkit.lattice_core import (
 from omlkit.subalgebra_posets import AbstractPoset, check_order_iso
 
 from legacy_oracles import (
+    cone_scan_joins,
     legacy_blocks,
     legacy_boolean_algebra,
     legacy_bound_tables,
@@ -164,6 +165,11 @@ def test_meet_join_match_hand_table_on_mo2():
     assert L.ocomp(0) == 5
 
 
+def _join_table(L):
+    """The table of ``L.join``, row by row."""
+    return tuple(tuple(L.join(a, b) for b in range(L.n)) for a in range(L.n))
+
+
 TABLE_LATTICES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO2x2",
                   "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
 
@@ -175,31 +181,16 @@ def test_bound_tables_match_the_cone_scan(name):
                          + [L.n - 1])):
         meet, join = legacy_bound_tables(M.up, M.down)
         assert M._meet == tuple(map(tuple, meet))
-        assert M._join == tuple(map(tuple, join))
+        assert _join_table(M) == tuple(map(tuple, join))
 
 
-JOIN_TABLE_LATTICES = TABLE_LATTICES + ["2^6", "MO31", "hsum(2^5,2^5)"]
-
-
-@pytest.mark.parametrize("name", JOIN_TABLE_LATTICES)
-def test_a_fresh_lattice_has_no_join_table(name):
-    L = catalog(name)
-    assert "_join" not in vars(L)
-    assert "_join" not in vars(relabel(L, range(L.n)))
-
-
-@pytest.mark.parametrize("name", JOIN_TABLE_LATTICES)
-def test_the_join_table_is_the_table_of_join(name):
-    # join reads (a' ^ b')' and _join is built on first read: they agree
-    L = catalog(name)
-    table = tuple(tuple(L.join(a, b) for b in range(L.n)) for a in range(L.n))
-    assert "_join" not in vars(L)
-    assert L._join == table and vars(L)["_join"] is L._join
-
-
-def test_the_hot_paths_build_no_join_table():
-    # Sub, BSub, a lift's final check, a recovery and a hom search read
-    # joins through meets, and every map they check passes without a scan
+def test_the_hot_paths_never_enter_the_fault_scan(monkeypatch):
+    # Sub, BSub, a lift's final check, a recovery and a hom search check
+    # maps through morphism, and every map they check passes its test
+    calls = []
+    scan = lattice_core._first_fault
+    monkeypatch.setattr(lattice_core, "_first_fault",
+                        lambda *args: calls.append(args) or scan(*args))
     H, S = catalog("hsum(2^5,2^5)"), catalog("hsum(2^4,2^4)")
     B3, B5, B6 = catalog("2^3"), catalog("2^5"), catalog("2^6")
     P = bsub(H)
@@ -209,15 +200,19 @@ def test_the_hot_paths_build_no_join_table():
     # atoms 0 and 1 to themselves, atom 2 to the join of atoms 2, 3 and 4
     classify_recovery(morphism(B3, B5, [a & 3 | (a >> 2 & 1) * 28 for a in range(8)]))
     enumerate_homs(B3, B5)
-    assert not any("_join" in vars(L) for L in (H, S, B3, B5, B6))
+    assert calls == []
+    # a map that fails the test enters it: atoms 1 and 2 to themselves,
+    # their join 3 to the atom 4
+    with pytest.raises(NotAMorphism, match=r"^mapping does not preserve join\(1,2\)$"):
+        morphism(B3, B5, [0, 1, 2, 4, 27, 29, 30, 31])
+    assert len(calls) == 1
 
 
-def test_the_commutation_tests_build_no_join_table():
+def test_the_commutation_tests_match_the_cone_scan_joins():
     # BSub of an ortholattice that is not orthomodular runs is_boolean on
     # every closure; it and commutes read joins through the complement
     L = product(benzene(), boolean_algebra(3))
     P = bsub(L)
-    assert "_join" not in vars(L)
     # every node is Boolean by the pairwise and distributive test, and so
     # is no one-element extension of a maximal node that is closed
     assert all(legacy_is_boolean(L, m) for m in P.masks)
@@ -227,8 +222,7 @@ def test_the_commutation_tests_build_no_join_table():
             assert not legacy_is_boolean(L, grown) and not L.is_boolean(grown)
     M = catalog("example22")
     verdicts = {(a, b): M.commutes(a, b) for a in range(M.n) for b in range(M.n)}
-    assert "_join" not in vars(M)
-    join = M._join
+    join = cone_scan_joins(M.up, M.down)
     assert verdicts == {(a, b): join[M.meet(a, b)][M.meet(a, M.ortho[b])] == a
                         for a in range(M.n) for b in range(M.n)}
 
@@ -282,7 +276,7 @@ def test_a_non_lattice_fails_on_the_same_first_pair():
         except BadOrthocomplement:
             continue
         lattices += 1
-        assert L._meet == tuple(map(tuple, meet)) and L._join == tuple(map(tuple, join))
+        assert L._meet == tuple(map(tuple, meet)) and _join_table(L) == tuple(map(tuple, join))
     assert non_lattices > 50 and lattices > 50
     with pytest.raises(NoBoundedLattice, match="^elements 1 and 2 have no join$"):
         FiniteOrtholattice(full_relation(6, [(1, 3), (1, 4), (2, 3), (2, 4)]), range(6)[::-1])
@@ -1156,7 +1150,7 @@ def _outcome(build, up, ortho):
         L = build(up, ortho)
     except OmlkitError as exc:
         return type(exc), str(exc)
-    return L.up, L.down, L._meet, L._join, L.flavor
+    return L.up, L.down, L._meet, _join_table(L), L.flavor
 
 
 @pytest.mark.parametrize("name", VALIDATED + list(BENZENE_BUILT))

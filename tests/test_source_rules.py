@@ -6,8 +6,9 @@ A bare ``assert`` vanishes under -O, and ``except Exception`` (or a bare
 module of the package is parsed and scanned for both.  An imported name
 that its module never mentions is what a deletion leaves behind; the
 package's ``__init__`` re-exports names and is exempt.  So is a
-module-level private function or constant that no module of the package
-mentions outside its own definition.  Lattices and posets share one order
+module-level private function or constant, or a private method or cached
+property of a class, that no module of the package mentions outside its
+own definition.  Lattices and posets share one order
 core, so each of its methods is defined once in the package.  Element sets
 are read through ``FiniteOrtholattice.subalgebra``, so one ``raise``
 refuses a set that is not closed.  The lattice constructor tests whole rows
@@ -21,10 +22,7 @@ built on first read for users of the public API such as ``selftest``.
 ``iso_lifting`` recognizes Boolean nodes from heights, up/down rows and
 the enumerator's partition table, so it reads no cover row.
 Nodes are labeled unchecked only in ``enumerate_subalgebras``; every other
-labeling goes through the checking constructor.  Joins come through the
-complement, the commutation tests included, so a lattice's join table
-``_join`` is read only by the fault-naming scan of ``morphism``; a poset's
-``_join`` is a method, and calling it reads no table.  The lattice core sits at
+labeling goes through the checking constructor.  The lattice core sits at
 the bottom of the package: it imports no module of it but ``errors``, not
 even inside a function.  The CI workflow runs no inline Python (no heredoc,
 no ``python -c``): its reports live in ``tests/reports.py``, whose every
@@ -114,10 +112,25 @@ def test_the_unused_import_scan_finds_what_a_deletion_leaves():
         "m.py:6: c imported, never used"]
 
 
+def _definitions_in(body, prefix=""):
+    """(qualified name, node) of each function and constant defined in
+    ``body``, and of each member of a class defined there."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions_in(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef):
+            yield f"{prefix}{node.name}", node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                if isinstance(t, ast.Name):
+                    yield f"{prefix}{t.id}", node
+
+
 def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
-    """Module-level private functions and constants (one leading underscore)
-    that no module in ``sources`` mentions, as a name or an attribute,
-    outside their own definition."""
+    """Private functions, constants and class members (one leading
+    underscore) that no module in ``sources`` mentions, as a name or an
+    attribute, outside their own definition."""
     trees = {name: ast.parse(source, filename=name) for name, source in sources.items()}
     mentions = []
     for name, tree in trees.items():
@@ -128,20 +141,14 @@ def _unreferenced_private_names(sources: dict[str, str]) -> list[str]:
                 mentions.append((name, node, node.attr))
     out = []
     for name, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                defined = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
+        for qualified, node in _definitions_in(tree.body):
+            private = qualified.rpartition(".")[2]
+            if not private.startswith("_") or private.startswith("__"):
                 continue
             inside = set(map(id, ast.walk(node)))
-            for private in defined:
-                if private.startswith("_") and not private.startswith("__") and not any(
-                        word == private and not (where == name and id(m) in inside)
-                        for where, m, word in mentions):
-                    out.append(f"{name}:{node.lineno}: {private} is never used")
+            if not any(word == private and not (where == name and id(m) in inside)
+                       for where, m, word in mentions):
+                out.append(f"{name}:{node.lineno}: {qualified} is never used")
     return out
 
 
@@ -171,6 +178,32 @@ def test_the_private_name_scan_finds_what_a_deletion_leaves():
     }
     assert _unreferenced_private_names(sources) == [
         "m.py:2: _LIMIT is never used", "m.py:4: _walk is never used"]
+
+
+def test_the_private_name_scan_finds_an_unread_member():
+    sources = {
+        "m.py": (
+            "from functools import cached_property\n"
+            "class Order:\n"
+            "    _CAP = 64\n"
+            "    def __init__(self, up):\n"
+            "        self.up = self._read(up)\n"
+            "    def _read(self, up):\n"
+            "        return tuple(up)\n"
+            "    @cached_property\n"
+            "    def _rank(self):\n"
+            "        return sorted(self._rank)\n"
+            "    @staticmethod\n"
+            "    def _check(rows):\n"
+            "        return rows\n"
+            "    def _shared(self):\n"
+            "        return 1\n"
+        ),
+        "n.py": "def count(P):\n    return P._shared()\n",
+    }
+    assert _unreferenced_private_names(sources) == [
+        "m.py:3: Order._CAP is never used", "m.py:9: Order._rank is never used",
+        "m.py:12: Order._check is never used"]
 
 
 ORDER_CORE = ("leq", "pairs", "cover_up", "cover_down", "heights", "depths")
@@ -462,54 +495,6 @@ def test_the_package_import_scan_finds_a_local_import():
     assert _package_imports(source, "m.py") == [
         ("m.py:2", "errors"), ("m.py:5", "subalgebra_posets"), ("m.py:6", "fileio"),
         ("m.py:7", "cli"), ("m.py:8", "selftest")]
-
-
-# a lattice's join table is built on first read; every other path, the
-# commutation tests included, reads joins as complements of meets of
-# complements
-JOIN_TABLE_READERS = [("lattice_core.py", "morphism")]
-
-
-def _join_table_readers(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """(module, qualified name of the innermost enclosing function) of each
-    read of an attribute named ``_join`` other than as the function of a
-    call (a poset's ``_join`` is a method), sorted and without repeats."""
-    out = set()
-
-    def visit(node, name, scope, function, called):
-        if isinstance(node, ast.Attribute) and node.attr == "_join" and node is not called:
-            out.add((name, function))
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = f"{scope}{node.name}."
-            if not isinstance(node, ast.ClassDef):
-                function = scope[:-1]
-        callee = node.func if isinstance(node, ast.Call) else None
-        for child in ast.iter_child_nodes(node):
-            visit(child, name, scope, function, callee)
-
-    for name, source in sources.items():
-        visit(ast.parse(source, filename=name), name, "", "", None)
-    return sorted(out)
-
-
-def test_only_the_commutation_tests_and_the_morphism_scan_read_the_join_table():
-    sources = {path.name: path.read_text(encoding="utf-8") for path in MODULES}
-    assert _join_table_readers(sources) == JOIN_TABLE_READERS
-
-
-def test_the_join_table_scan_finds_a_planted_reader():
-    sources = {
-        "m.py": (
-            "class L:\n"
-            "    def join(self, a, b):\n"
-            "        return self._join[a][b]\n"
-            "def _joins(L, parts):\n"
-            "    join = L._join\n"
-            "    return [join[t] for t in parts]\n"
-        ),
-        "n.py": "def glue(P, x, y):\n    return P._join(x, y)\n",
-    }
-    assert _join_table_readers(sources) == [("m.py", "L.join"), ("m.py", "_joins")]
 
 
 WORKFLOW = pathlib.Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"

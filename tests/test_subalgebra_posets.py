@@ -350,7 +350,7 @@ def test_subalgebra_poset_needs_the_trivial_subalgebra_first():
     L = boolean_algebra(2)
     nodes = [SubalgebraSet(L, 0b1111), SubalgebraSet(L, 0b1001)]
     with pytest.raises(MalformedInput, match="trivial subalgebra"):
-        SubalgebraPoset([0b01, 0b11], L, nodes, "sub")
+        SubalgebraPoset([0b01, 0b11], L, nodes)
 
 
 @pytest.mark.parametrize("nodes, text", [
@@ -367,10 +367,9 @@ def test_subalgebra_poset_nodes_must_fit_the_rows(nodes, text):
     # no node, a node dropped from the index, or another lattice's elements
     L = boolean_algebra(2)
     with pytest.raises(MalformedInput) as exc:
-        SubalgebraPoset([0b11, 0b10], L, nodes(L), "sub")
+        SubalgebraPoset([0b11, 0b10], L, nodes(L))
     assert str(exc.value) == text
-    poset = SubalgebraPoset([0b11, 0b10], L, [SubalgebraSet(L, 0b1001), SubalgebraSet(L, 0b1111)],
-                            "sub")
+    poset = SubalgebraPoset([0b11, 0b10], L, [SubalgebraSet(L, 0b1001), SubalgebraSet(L, 0b1111)])
     assert poset.node_index(0b1111) == 1
 
 
@@ -384,7 +383,7 @@ def test_subalgebra_poset_nodes_must_be_closed():
     masks = [0b10000001, 0b10010111, B.universe]
     nodes = [SubalgebraSet(B, m) for m in masks]
     with pytest.raises(MalformedInput) as exc:
-        SubalgebraPoset(_inclusion(masks), B, nodes, "sub")
+        SubalgebraPoset(_inclusion(masks), B, nodes)
     assert str(exc.value) == "a node is not a closed subalgebra"
     # and only after every earlier refusal, in its order
     for up, given, error, text in (
@@ -397,12 +396,12 @@ def test_subalgebra_poset_nodes_must_be_closed():
             ([0b111, 0b010, 0b110], [nodes[1], nodes[0], nodes[2]], MalformedInput,
              "the first node must be the trivial subalgebra {0, n-1}")):
         with pytest.raises(error) as exc:
-            SubalgebraPoset(up, B, given, "sub")
+            SubalgebraPoset(up, B, given)
         assert text is None or str(exc.value) == text
     # a node that is not closed is named before an order that is not
     # inclusion: here {0, 7} is not below the middle node
     with pytest.raises(MalformedInput) as exc:
-        SubalgebraPoset([0b101, 0b110, 0b100], B, nodes, "sub")
+        SubalgebraPoset([0b101, 0b110, 0b100], B, nodes)
     assert str(exc.value) == "a node is not a closed subalgebra"
 
 
@@ -415,12 +414,12 @@ def test_subalgebra_poset_order_must_be_the_nodes_inclusion():
     masks = list(s.masks)
     i, j = s.node_index(0b1100000000000011), s.node_index(0b1001000000001001)
     masks[i], masks[j] = masks[j], masks[i]
+    nodes = [SubalgebraSet(B, m) for m in masks]
     with pytest.raises(MalformedInput) as exc:
-        SubalgebraPoset(s.up, B, [SubalgebraSet(B, m) for m in masks], "sub")
+        SubalgebraPoset(s.up, B, nodes)
     assert str(exc.value) == "the order is not the nodes' inclusion"
     # the same labels under their own inclusion order are a poset
-    assert SubalgebraPoset(_inclusion(masks), B, [SubalgebraSet(B, m) for m in masks],
-                           "sub").masks == tuple(masks)
+    assert SubalgebraPoset(_inclusion(masks), B, nodes).masks == tuple(masks)
 
 
 @pytest.mark.parametrize("name", ["2^4", "MO3", "MO2x2", "example22", "benzene",
@@ -431,7 +430,7 @@ def test_enumerated_posets_equal_their_validated_copies(name):
     for boolean_only in (False, True):
         poset = enumerate_subalgebras(L, boolean_only=boolean_only)
         checked = AbstractPoset(poset.up)
-        assert SubalgebraPoset(poset.up, L, poset.nodes, poset.flavor).masks == poset.masks
+        assert SubalgebraPoset(poset.up, L, poset.nodes).masks == poset.masks
         assert poset.down == _order_down(poset.up) == checked.down
         assert poset.cover_up == checked.cover_up
         assert poset.heights == checked.heights
@@ -441,7 +440,7 @@ def test_public_subalgebra_poset_still_validates_the_order():
     L = boolean_algebra(2)
     nodes = [SubalgebraSet(L, 0b1001), SubalgebraSet(L, 0b1111), SubalgebraSet(L, 0b1111)]
     with pytest.raises(NotAPartialOrder, match="transitivity"):
-        SubalgebraPoset([0b011, 0b110, 0b100], L, nodes, "sub")  # 0 <= 1 <= 2, not 0 <= 2
+        SubalgebraPoset([0b011, 0b110, 0b100], L, nodes)  # 0 <= 1 <= 2, not 0 <= 2
 
 
 def test_abstract_poset_validation():
