@@ -184,6 +184,54 @@ def test_bound_tables_match_the_cone_scan(name):
         assert _join_table(M) == tuple(map(tuple, join))
 
 
+JOIN_LATTICES = TABLE_LATTICES + ["2^6", "MO31", "hsum(2^5,2^5)"]
+
+
+def _relabeled(L):
+    """L with its inner elements shuffled, seeded by its name."""
+    inner = random.Random(L.name).sample(range(1, L.n - 1), L.n - 2)
+    return relabel(L, [0, *inner, L.n - 1])
+
+
+@pytest.mark.parametrize("name", JOIN_LATTICES)
+def test_join_is_the_least_upper_bound(name):
+    # join reads (a' ^ b')': its up row is the common up rows of a and b
+    L = catalog(name)
+    for M in (L, _relabeled(L)):
+        up = M.up
+        assert all(up[M.join(a, b)] == up[a] & up[b] for a in range(M.n) for b in range(M.n))
+
+
+@pytest.mark.parametrize("name", JOIN_LATTICES)
+def test_the_fault_scan_names_the_pair_scans_first_fault(name):
+    # maps that fail morphism's test, fed to the scan alone: it raises the
+    # first fault of the pair scan on cone-scan joins; a map that keeps
+    # every bound reaches no fault
+    rng = random.Random(f"fault scan {name}")
+    L = catalog(name)
+    M = _relabeled(L)
+    assert lattice_core._first_fault(L, L, tuple(range(L.n))) is None
+    for _ in range(6):
+        mapping = tuple(_complement_respecting(rng, L, M))
+        expected = _verdict(legacy_morphism, L, M, mapping)
+        if isinstance(expected, str):
+            assert expected.startswith(("mapping does not preserve meet",
+                                        "mapping does not preserve join"))
+            with pytest.raises(NotAMorphism) as exc:
+                lattice_core._first_fault(L, M, mapping)
+            assert str(exc.value) == expected
+
+
+def test_the_cone_scan_joins_are_kept_per_order():
+    # the oracles' join table is scanned once per order, not once per read
+    L = catalog("hsum(2^3,2^3)")
+    M = _relabeled(L)
+    joins = cone_scan_joins(L.up, L.down)
+    assert cone_scan_joins(tuple(L.up), tuple(L.down)) is joins
+    assert joins == _join_table(L) and cone_scan_joins(M.up, M.down) == _join_table(M)
+    assert cone_scan_joins(M.up, M.down) != joins
+
+
 def test_the_hot_paths_never_enter_the_fault_scan(monkeypatch):
     # Sub, BSub, a lift's final check, a recovery and a hom search check
     # maps through morphism, and every map they check passes its test
