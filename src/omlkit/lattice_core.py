@@ -12,16 +12,20 @@ A lattice is validated row by row: its rows are spelled in binary once,
 the spelling's columns are the down rows, and each law is one test over
 whole rows.  Transitivity needs no test of its own: a reflexive,
 antisymmetric relation in which every two down rows meet in a down row is
-transitive.  Meets are looked up for the pairs a <= b (as numbers) and
-mirrored, and they are the one table a lattice keeps: every join comes
-through the complement, a v b = (a' ^ b')', which holds once the
-complement is known to reverse the order (a finite order with a top and
-all meets has all joins, so no join can be missing then).  The orthomodular
-law is tested in its zero-meet form: a <= b and a' ^ b = 0 imply a = b.
-When a row test fails, the pair scan it replaced names the first faulty
-pair, so the first fault and its message are those of a pair-by-pair
-check.  Posets are still checked pair by pair: their rows have no size
-cap, and a spelling costs n^2 even for an antichain.
+transitive.  That is also the test that every meet exists: the AND of
+each two down rows is looked up among the down rows, in one set, and no
+table is kept.  A meet is read where it is needed, as the point whose down
+row is that AND (``_below``), and every join through the complement,
+a v b = (a' ^ b')', which holds once the complement is known to reverse
+the order (a finite order with a top and all meets has all joins, so no
+join can be missing then).  Only the searches that read meets pair by pair
+build the meet table, once per lattice (``_meet``).  The orthomodular law
+is tested in its zero-meet form, a <= b and a' ^ b = 0 imply a = b, with
+the zero meets read off the atoms.  When a row test fails, the pair scan
+it replaced names the first faulty pair, so the first fault and its
+message are those of a pair-by-pair check.  Posets are still checked pair
+by pair: their rows have no size cap, and a spelling costs n^2 even for an
+antichain.
 
 Renaming an order's points (``_permuted``: ``relabel``, ``morphism``'s
 test of a bijection, and the node maps of the lifts) is the same
@@ -38,8 +42,8 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from itertools import compress, repeat, zip_longest
-from operator import and_, countOf, itemgetter, lshift, or_
+from itertools import combinations, compress, repeat, starmap
+from operator import and_, itemgetter, lshift, or_
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -205,8 +209,13 @@ class FiniteOrtholattice(_Order):
         """The laws are tested in the order they always were, each on whole
         rows.  When a row test fails, the pair scan it replaced
         (``_check_rows``, ``_order_pairs``, ``_bound_pairs`` or
-        ``_reversal_pairs``) names the first fault.  The meet table is the
-        one table kept; ``join`` reads (a' ^ b')' through it.
+        ``_reversal_pairs``) names the first fault.  No meet table is
+        built: every meet exists when the ANDs of all pairs of down rows,
+        gathered in one set, are down rows; a and a' are complements when
+        their down rows share 0 alone; and the orthomodular law is tested
+        by atoms (``_orthomodular_on``).  ``meet`` and ``join`` read
+        ``_below`` at an AND of down rows, and ``_meet`` builds the table
+        for the searches that read it pair by pair.
 
         Transitivity has no test of its own.  A relation that is reflexive
         and antisymmetric, and in which every two down rows meet in a down
@@ -251,19 +260,14 @@ class FiniteOrtholattice(_Order):
             raise NoBoundedLattice(f"element {n - 1} is not the greatest element")
 
         # rows are distinct, so meet(a, b) is the element whose down row is
-        # down[a] & down[b], if there is one.  A finite order with a top and
-        # all meets has all joins, so only a missing meet can leave a join
-        # missing, and the pairs are scanned only then.
+        # down[a] & down[b], if there is one: every meet exists when each
+        # AND of two down rows is a down row, one set built in C.  A finite
+        # order with a top and all meets has all joins, so only a missing
+        # meet can leave a join missing, and the pairs are scanned only then.
         below = self._below
-        try:
-            # the meets of a with the elements up to a
-            low = [[below[row & d] for d in down[:a + 1]] for a, row in enumerate(down)]
-        except KeyError:
+        if not below.keys() >= set(starmap(and_, combinations(down, 2))):
             _order_pairs(up)
             _bound_pairs(up, down, below, self._above)
-        # column a of that triangle holds the meets of a with those after it
-        meet = tuple(tuple(row) + col[a + 1:]
-                     for a, (row, col) in enumerate(zip(low, zip_longest(*low))))
 
         ortho = tuple(ortho)
         if not self._is_permutation(ortho):
@@ -278,17 +282,26 @@ class FiniteOrtholattice(_Order):
         image = renamed(_POINTS)
         if tuple(map(sum, map(compress, repeat(image), rows))) != renamed(down):
             _reversal_pairs(up, ortho)
-        # 0' is the top now, and a v a' = (a' ^ a)', so a' ^ a = 0 suffices
-        for a, row in enumerate(meet):
-            if row[ortho[a]]:
+        # 0' is the top now, and a v a' = (a' ^ a)', so a' ^ a = 0 suffices:
+        # the down rows of a and a' share 0 alone
+        for a, row in enumerate(map(and_, down, renamed(down))):
+            if row != 1:
                 raise BadOrthocomplement(f"element {a} and its image are not complements")
 
         self.n = n
         self.ortho = ortho
         self.name = name
-        self._meet = meet
-        orthomodular = _zero_meets_only_at_self(renamed(meet), rows)
-        self.flavor = ORTHOMODULAR if orthomodular else ORTHOLATTICE
+        self.flavor = ORTHOMODULAR if self._orthomodular_on(universe) else ORTHOLATTICE
+
+    @cached_property
+    def _meet(self) -> tuple[tuple[int, ...], ...]:
+        """The meet table, built on first read for the searches that read
+        meets pair by pair (``_extend``, ``is_boolean``, the hom search and
+        the pair scan of ``morphism``).  The constructor builds none:
+        ``meet``, ``join`` and ``commutes`` read ``_below`` at the AND of
+        two down rows, as each entry here does."""
+        below, down = self._below, self.down
+        return tuple([tuple([below[row & d] for d in down]) for row in down])
 
     # -- basic queries ----------------------------------------------------
 
@@ -321,11 +334,11 @@ class FiniteOrtholattice(_Order):
         return tuple(_blocks(self))
 
     def meet(self, a: int, b: int) -> int:
-        return self._meet[a][b]
+        return self._below[self.down[a] & self.down[b]]
 
     def join(self, a: int, b: int) -> int:
-        ortho = self.ortho
-        return ortho[self._meet[ortho[a]][ortho[b]]]
+        down, ortho = self.down, self.ortho
+        return ortho[self._below[down[ortho[a]] & down[ortho[b]]]]
 
     def ocomp(self, a: int) -> int:
         return self.ortho[a]
@@ -357,14 +370,11 @@ class FiniteOrtholattice(_Order):
         """Whether a = (a^b) v (a^b'); only meaningful on orthomodular lattices."""
         if self.flavor != ORTHOMODULAR:
             raise FlavorError("commutation is only defined on orthomodular lattices")
-        # (a ^ b) v (a ^ b') = a reads, through the complement, as
-        # (a ^ b)' ^ (a ^ b')' = a'
-        meet, ortho = self._meet, self.ortho
-        row = meet[a]
-        return meet[ortho[row[b]]][ortho[row[ortho[b]]]] == ortho[a]
+        return self.join(self.meet(a, b), self.meet(a, self.ortho[b])) == a
 
     def _orthomodular_on(self, mask: int) -> bool:
-        """Whether a <= b and a' ^ b = 0 imply a = b for a, b in ``mask``.
+        """Whether a <= b and a' ^ b = 0 imply a = b for a, b in ``mask``;
+        the constructor's test of the whole lattice too.
 
         ``mask`` must be closed (a subalgebra), for there this zero-meet form
         is the orthomodular law a <= b implies b = a v (a' ^ b).  The law
@@ -372,12 +382,21 @@ class FiniteOrtholattice(_Order):
         c = a v (a' ^ b) lies in it too, with c <= b and
         c' ^ b = (a' ^ b) ^ (a' ^ b)' = 0, so c = b.  On a set that is not
         closed, c may lie outside it and the two forms differ.
+
+        The zero meets are read off the atoms, with no meet table: in a
+        finite lattice a' ^ b = 0 exactly when no atom lies under both, so
+        the b >= a with a' ^ b = 0 are those outside ``reach[a']``, the
+        elements above some atom under a'.  a ^ a' = 0, so each a must be
+        the one such b.  The meet of two elements of the mask is L's, so
+        L's atoms serve for any closed mask.
         """
-        inside = list(bits(mask))
-        width = f"0{self.n}b"
-        above = [format(self.up[a] & mask, width)[::-1].encode().translate(_DIGIT_BITS)
-                 for a in inside]
-        return _zero_meets_only_at_self([self._meet[self.ortho[a]] for a in inside], above)
+        up, ortho = self.up, self.ortho
+        reach = [0] * self.n
+        for p in bits(self._atoms):
+            row = up[p]
+            for x in bits(row):
+                reach[x] |= row
+        return all(up[a] & mask & ~reach[ortho[a]] == 1 << a for a in bits(mask))
 
     def closure_mask(self, mask: int) -> int:
         """Close ``mask`` under complement, meet and join, plus the bounds."""
@@ -484,18 +503,18 @@ def _joins(L: FiniteOrtholattice, parts: Sequence[int]) -> list[int]:
     """The joins of every subset of ``parts``, nonzero and pairwise
     orthogonal, as one-bit masks indexed by the subset (bit i for parts[i]),
     formed by doubling: each part is joined to every join found before it.
-    The doubling runs on complements, t v x = (t' ^ x')', so it reads the
-    meet row of t' and no join table: ``co`` holds the complements of the
-    joins found so far.  For the atoms of a Boolean subalgebra they are its
-    elements.  A part a orthogonal to a set B lies below (v B)', so
-    a <= v B would make a = 0: the joins are distinct, and a sum of them is
-    their union."""
-    meet, ortho = L._meet, L.ortho
-    co = [L.n - 1]
+    The doubling runs on complements, t v x = (t' ^ x')', so it ANDs down
+    rows and reads no table: ``co`` holds the down rows of the complements
+    of the joins found so far, as down[t' ^ y] = down[t'] & down[y].  For
+    the atoms of a Boolean subalgebra they are its elements.  A part a
+    orthogonal to a set B lies below (v B)', so a <= v B would make a = 0:
+    the joins are distinct, and a sum of them is their union."""
+    down, below, ortho = L.down, L._below, L.ortho
+    co = [down[L.n - 1]]
     for t in parts:
-        row = meet[ortho[t]]
-        co += [row[x] for x in co]
-    return [_POINTS[ortho[x]] for x in co]
+        row = down[ortho[t]]
+        co += [row & x for x in co]
+    return [_POINTS[ortho[below[x]]] for x in co]
 
 
 def _blocks(L: FiniteOrtholattice) -> list[int]:
@@ -580,14 +599,6 @@ def _order_pairs(up: Sequence[int]) -> None:
                     raise NotAPartialOrder(f"antisymmetry fails on {i}, {j}")
                 if up[j] & outside:
                     raise NotAPartialOrder(f"transitivity fails above {i} <= {j}")
-
-
-def _zero_meets_only_at_self(co_meets: Sequence[Sequence[int]], above: Sequence[bytes]) -> bool:
-    """The zero-meet form of the orthomodular law, one row per element a:
-    ``co_meets[k]`` is the meet row of a', and ``above[k]`` the compress
-    selector of the b >= a to test.  a' ^ a = 0, so each selection must
-    hold exactly one 0."""
-    return sum(map(countOf, map(compress, co_meets, above), repeat(0))) == len(above)
 
 
 def _bound_pairs(up: Sequence[int], down: Sequence[int], below: dict, above: dict) -> None:
@@ -876,10 +887,15 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 # -- isomorphism search (verification oracle) ------------------------------
 
 def _iso_signatures(L: FiniteOrtholattice) -> list[tuple]:
-    """Order signatures plus depth.  The complement's cone and cover
-    counts would repeat the element's own, since ' reverses the order:
-    |down[a']| = |up[a]| and |cover_up[a']| = |cover_down[a]|."""
-    return [sig + (depth,) for sig, depth in zip(L._order_signatures(), L.depths)]
+    """Order signatures plus depth, read without ``cover_down`` or
+    ``depths``: since ' reverses the order, the lower covers of a are the
+    complements of the upper covers of a', and the depth of a is the height
+    of a'.  So the complement's cone and cover counts would repeat the
+    element's own."""
+    heights, ortho = L.heights, L.ortho
+    ups = [row.bit_count() for row in L.cover_up]
+    return [(L.down[x].bit_count(), L.up[x].bit_count(), heights[x], ups[x], ups[ortho[x]],
+             heights[ortho[x]]) for x in range(L.n)]
 
 
 def isomorphisms(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Iterator[Morphism]:

@@ -11,7 +11,9 @@ is what an oracle should be.
 ``legacy_enumerate_homs`` are the three hand-written backtracking searches
 that one shared search replaced; the new ones must yield the same maps in
 the same order.  ``legacy_iso_signatures`` still holds the complement's
-cone and cover counts, which the library's signatures dropped.
+cone and cover counts, which the library's signatures dropped, and
+``legacy_depth_signatures`` reads depths and lower covers off the order,
+where the library reads them off the complement.
 
 ``legacy_backtrack`` is the shared search before it owned the bit-set
 domains: it tried every member of a signature class (``legacy_candidates``,
@@ -537,6 +539,13 @@ def legacy_iso_signatures(L):
             L.down[o].bit_count(), L.cover_up[o].bit_count(),
         ))
     return sig
+
+
+def legacy_depth_signatures(L):
+    """The lattice signatures as the order signatures plus depth, read off
+    the transposed cover rows and the walk of depths, as ``_iso_signatures``
+    read them before it took both from the complement."""
+    return [sig + (depth,) for sig, depth in zip(L._order_signatures(), L.depths)]
 
 
 def legacy_isomorphisms(L, M):

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from functools import cached_property
 
 import pytest
 
@@ -37,10 +38,15 @@ from omlkit import (
     lift_sub_iso,
     mo,
     morphism,
+    orthoclosed_lattice,
+    OrthoFrame,
+    poset_isomorphic,
     product,
+    reconstruct,
     relabel,
     sub,
     sublattice,
+    verify_determination,
 )
 from omlkit import fileio, lattice_core
 from omlkit.cli import main
@@ -174,17 +180,21 @@ TABLE_LATTICES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
                   "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^2,2^3,2^4)"]
 
 
-@pytest.mark.parametrize("name", TABLE_LATTICES)
+JOIN_LATTICES = TABLE_LATTICES + ["2^6", "MO31", "hsum(2^5,2^5)"]
+
+
+@pytest.mark.parametrize("name", JOIN_LATTICES)
 def test_bound_tables_match_the_cone_scan(name):
+    # the constructor keeps no meet table: meet reads the row index, and
+    # _meet, built on first read, holds the same meets as the cone scan
     L = catalog(name)
     for M in (L, relabel(L, [0] + random.Random(name).sample(range(1, L.n - 1), L.n - 2)
                          + [L.n - 1])):
+        table = tuple(tuple(M.meet(a, b) for b in range(M.n)) for a in range(M.n))
+        assert "_meet" not in vars(M)
         meet, join = legacy_bound_tables(M.up, M.down)
-        assert M._meet == tuple(map(tuple, meet))
+        assert M._meet == table == tuple(map(tuple, meet))
         assert _join_table(M) == tuple(map(tuple, join))
-
-
-JOIN_LATTICES = TABLE_LATTICES + ["2^6", "MO31", "hsum(2^5,2^5)"]
 
 
 def _relabeled(L):
@@ -220,6 +230,65 @@ def test_the_fault_scan_names_the_pair_scans_first_fault(name):
             with pytest.raises(NotAMorphism) as exc:
                 lattice_core._first_fault(L, M, mapping)
             assert str(exc.value) == expected
+
+
+def _counting_meet_tables(monkeypatch):
+    """The lattices whose meet table is built from now on, one entry a build."""
+    built = []
+    build = FiniteOrtholattice._meet.func
+    counted = cached_property(lambda L: built.append(L) or build(L))
+    counted.__set_name__(FiniteOrtholattice, "_meet")
+    monkeypatch.setattr(FiniteOrtholattice, "_meet", counted)
+    return built
+
+
+NO_TABLE_LATTICES = ["2^6", "hsum(2^5,2^5)", "MO3x2^3", "example22"]
+
+
+@pytest.mark.parametrize("name", NO_TABLE_LATTICES)
+def test_only_a_search_of_a_summand_builds_a_meet_table(name, monkeypatch):
+    # BSub, reconstruct, the lift of a BSub iso and the determination check
+    # build no meet table, nor does Sub where every summand is read off
+    # partitions (2^6, hsum(2^5,2^5)).  Sub of MO3 x 2^3 and of example22
+    # searches their one summand, closing by meets read pair by pair: it
+    # builds its lattice's table once, and lift_sub_iso, which enumerates
+    # Sub of both sides, builds both
+    built = _counting_meet_tables(monkeypatch)
+    searched = name in ("MO3x2^3", "example22")
+    base = (product(mo(3), boolean_algebra(3), name) if name == "MO3x2^3" else catalog(name))
+    for call in ("sub", "bsub", "reconstruct", "lift_bsub_iso", "lift_sub_iso",
+                 "verify_determination"):
+        L, M = FiniteOrtholattice(base.up, base.ortho), _relabeled(base)
+        built.clear()
+        if call == "sub":
+            sub(L)
+        elif call == "bsub":
+            bsub(L)
+        elif call == "reconstruct":
+            assert "_meet" not in vars(reconstruct(bsub(L)))
+        elif call == "verify_determination":
+            assert verify_determination(L, M).consistent
+        else:
+            enumerate_ = sub if call == "lift_sub_iso" else bsub
+            P, Q = enumerate_(L), enumerate_(M)
+            lift = lift_sub_iso if call == "lift_sub_iso" else lift_bsub_iso
+            assert lift(L, M, poset_isomorphic(P, Q), P, Q)
+        expected = {"sub": [L], "lift_sub_iso": [L, M]}.get(call, []) if searched else []
+        assert built == expected, call
+        assert [X for X in (L, M) if "_meet" in vars(X)] == expected
+
+
+def test_the_pair_by_pair_readers_build_the_meet_table_once(monkeypatch):
+    built = _counting_meet_tables(monkeypatch)
+    L = catalog("example22")
+    assert L.closure_mask(1 << 1) == L.closure_mask(1 << 1 | 1 << 6) and built == [L]
+    # in MO3, 1 and 2 are a complement pair, 1 and 3 are not and do not commute
+    M = catalog("MO3")
+    assert M.is_boolean(0b10000111) and not M.is_boolean(0b10001011)
+    assert built == [L, M]
+    B3, B5 = catalog("2^3"), catalog("2^5")
+    assert len(enumerate_homs(B3, B5)) == len(enumerate_homs(B3, B5))
+    assert built == [L, M, B3, B5]
 
 
 def test_the_cone_scan_joins_are_kept_per_order():
@@ -1184,8 +1253,42 @@ BENZENE_BUILT = {
 }
 
 
+# the 64-element lattices, more products and sums with benzene, and
+# lattices built as the orthoclosed sets of a frame: the loops of 3 and 4
+# blocks are ortholattices that are not orthomodular, the loop of 5 is an OML
+MORE_BUILT = {
+    "MO3 x 2^3": lambda: product(mo(3), boolean_algebra(3)),
+    "benzene x MO2": lambda: product(benzene(), mo(2)),
+    "MO2 x benzene": lambda: product(mo(2), benzene()),
+    "hsum(benzene,benzene)": lambda: horizontal_sum([benzene(), benzene()]),
+    "hsum(benzene,example22)": lambda: horizontal_sum([benzene(), example22()]),
+    "3-loop": lambda: _loop(3),
+    "4-loop": lambda: _loop(4),
+    "5-loop": lambda: _loop(5),
+}
+NOT_ORTHOMODULAR = {"3-loop", "4-loop"}
+
+
+def _loop(k):
+    """The lattice of k blocks of three atoms in a cycle, each sharing one
+    atom with the next, built as the orthoclosed sets of its atoms'
+    orthogonality frame: block i holds atoms 2i, 2i+1 and 2i+2 (mod 2k).
+    Loops of 3 and 4 blocks are ortholattices that are not orthomodular."""
+    size = 2 * k
+    perp = [0] * size
+    for i in range(k):
+        block = [2 * i, 2 * i + 1, (2 * i + 2) % size]
+        for a in block:
+            perp[a] |= mask_of(block) ^ 1 << a
+    return orthoclosed_lattice(OrthoFrame(size, tuple(perp), tuple(map(str, range(size)))),
+                               name=f"{k}-loop")
+
+
 def _validated(name):
-    return BENZENE_BUILT[name]() if name in BENZENE_BUILT else catalog(name)
+    for built in (BENZENE_BUILT, MORE_BUILT):
+        if name in built:
+            return built[name]()
+    return catalog(name)
 
 
 def _inner_relabeled(L, rng):
@@ -1201,14 +1304,18 @@ def _outcome(build, up, ortho):
     return L.up, L.down, L._meet, _join_table(L), L.flavor
 
 
-@pytest.mark.parametrize("name", VALIDATED + list(BENZENE_BUILT))
+@pytest.mark.parametrize("name", VALIDATED + list(BENZENE_BUILT)
+                         + ["2^6", "MO31", "hsum(2^5,2^5)"] + list(MORE_BUILT))
 def test_lattices_validate_as_the_pair_by_pair_constructor_did(name):
+    # the flavor read off the atoms is the one the pair-by-pair constructor
+    # read off its meet and join tables
     L = _validated(name)
     rng = random.Random(name)
     for M in [L] + [_inner_relabeled(L, rng) for _ in range(3)]:
         built = _outcome(FiniteOrtholattice, M.up, M.ortho)
         assert built == _outcome(legacy_finite_ortholattice, M.up, M.ortho)
-        assert built[-1] == (ORTHOLATTICE if "benzene" in name else ORTHOMODULAR)
+        assert built[-1] == (ORTHOLATTICE if "benzene" in name or name in NOT_ORTHOMODULAR
+                             else ORTHOMODULAR)
 
 
 def _faulty_inputs(rng, count):
@@ -1334,13 +1441,14 @@ def test_relations_mixing_transitivity_and_bound_faults_fail_as_before():
         ("transitivity fails above # <= #", False, True)}
 
 
-@pytest.mark.parametrize("name", ["benzene", "example22", "MO2x2", "2^4"])
+@pytest.mark.parametrize("name", ["benzene", "example22", "MO2x2", "2^4", "3-loop", "4-loop"])
 def test_the_zero_meet_form_is_the_orthomodular_law_on_subalgebras(name):
-    L = catalog(name)
+    L = _validated(name)
     verdicts = set()
     for node in sub(L).nodes:
         law = all(L.join(a, L.meet(L.ortho[a], b)) == b
                   for a in node.elements for b in node.elements if L.leq(a, b))
         assert L._orthomodular_on(node.members) == law
         verdicts.add(law)
-    assert verdicts == ({True, False} if name == "benzene" else {True})
+    assert verdicts == ({True, False} if name == "benzene" or name in NOT_ORTHOMODULAR else {True})
+

@@ -15,7 +15,8 @@ time, every map found is checked with ``check_order_iso``.  The lattice
 search yields its isos without re-checking them, so every iso is checked
 here instead; the heights their signatures read are checked against the
 cover walk they replaced, and the lattice signatures, which dropped the
-complement's counts, against the old candidate lists.
+complement's counts and read depths and lower covers off the complement,
+against the old candidate lists and the signatures read off the order.
 """
 
 import itertools
@@ -24,6 +25,7 @@ import random
 import pytest
 from legacy_oracles import (
     legacy_candidates,
+    legacy_depth_signatures,
     legacy_enumerate_homs,
     legacy_forward_order_isos,
     legacy_heights,
@@ -41,6 +43,7 @@ from omlkit import (
     bsub,
     catalog,
     enumerate_homs,
+    find_isomorphism,
     isomorphisms,
     mo,
     morphism,
@@ -94,6 +97,19 @@ def test_isomorphisms_match_the_old_search(name):
         M = _inner_relabeling(L, seed)
         got = [f.mapping for f in isomorphisms(L, M)]
         assert got and got == [f.mapping for f in legacy_isomorphisms(L, M)]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_the_signatures_read_off_the_complement_are_those_read_off_the_order(name):
+    # ' reverses the order, so the depth of a is the height of a', and a has
+    # as many lower covers as a' has upper covers: the signatures are equal
+    # element for element, so the maps and their order stay the same, and
+    # the lattice search neither transposes cover rows nor walks depths
+    L = catalog(name)
+    for M in (L, *(_inner_relabeling(L, seed) for seed in SEEDS)):
+        assert find_isomorphism(L, M) is not None
+        assert "cover_down" not in vars(M) and "depths" not in vars(M)
+        assert _iso_signatures(M) == legacy_depth_signatures(M)
 
 
 @pytest.mark.parametrize("name", CATALOG)
