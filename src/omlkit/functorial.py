@@ -117,12 +117,14 @@ def _homs(L: FiniteOrtholattice, M: FiniteOrtholattice,
     domain[0], domain[n - 1] = 1, 1 << (M.n - 1)
     mapping = [-1] * n
 
+    below_l, down_l, below_m, down_m = L._below, L.down, M._below, M.down
+
     def consistent(a: int, v: int) -> bool:
-        meet_a, meet_v = L._meet[a], M._meet[v]
+        row_a, row_v = down_l[a], down_m[v]
         for c, w in enumerate(mapping):
             if w >= 0:
-                fm = mapping[meet_a[c]]
-                if fm >= 0 and meet_v[w] != fm:
+                fm = mapping[below_l[row_a & down_l[c]]]
+                if fm >= 0 and below_m[row_v & down_m[w]] != fm:
                     return False
         return True
 

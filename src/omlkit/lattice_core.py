@@ -18,8 +18,9 @@ table is kept.  A meet is read where it is needed, as the point whose down
 row is that AND (``_below``), and every join through the complement,
 a v b = (a' ^ b')', which holds once the complement is known to reverse
 the order (a finite order with a top and all meets has all joins, so no
-join can be missing then).  Only the searches that read meets pair by pair
-build the meet table, once per lattice (``_meet``).  The orthomodular law
+join can be missing then).  The searches that read meets pair by pair
+(the closure, Booleanness, the hom search and ``morphism``) read them the
+same way.  The orthomodular law
 is tested in its zero-meet form, a <= b and a' ^ b = 0 imply a = b, with
 the zero meets read off the atoms.  When a row test fails, the pair scan
 it replaced names the first faulty pair, so the first fault and its
@@ -186,13 +187,14 @@ class _Order:
         """{down row: point}, for greatest lower bounds likewise."""
         return {row: x for x, row in enumerate(self.down)}
 
-    def _order_signatures(self) -> list[tuple]:
-        """Per point: cone sizes, height and cover degrees (order invariants)."""
-        return [(
-            self.down[x].bit_count(), self.up[x].bit_count(),
-            self.heights[x],
-            self.cover_up[x].bit_count(), self.cover_down[x].bit_count(),
-        ) for x in range(self.size)]
+    def _order_signatures(self, lower: Optional[Iterable[int]] = None, *extra) -> list[tuple]:
+        """Per point: cone sizes, height and cover degrees (order invariants),
+        then one entry of each of ``extra``.  ``lower`` gives the lower-cover
+        counts, read off ``cover_down`` when it is None."""
+        if lower is None:
+            lower = map(int.bit_count, self.cover_down)
+        return list(zip(map(int.bit_count, self.down), map(int.bit_count, self.up),
+                        self.heights, map(int.bit_count, self.cover_up), lower, *extra))
 
 
 class FiniteOrtholattice(_Order):
@@ -213,9 +215,8 @@ class FiniteOrtholattice(_Order):
         built: every meet exists when the ANDs of all pairs of down rows,
         gathered in one set, are down rows; a and a' are complements when
         their down rows share 0 alone; and the orthomodular law is tested
-        by atoms (``_orthomodular_on``).  ``meet`` and ``join`` read
-        ``_below`` at an AND of down rows, and ``_meet`` builds the table
-        for the searches that read it pair by pair.
+        by atoms (``_orthomodular_on``).  Every meet, here and after, is
+        read off ``_below`` at an AND of down rows.
 
         Transitivity has no test of its own.  A relation that is reflexive
         and antisymmetric, and in which every two down rows meet in a down
@@ -292,16 +293,6 @@ class FiniteOrtholattice(_Order):
         self.ortho = ortho
         self.name = name
         self.flavor = ORTHOMODULAR if self._orthomodular_on(universe) else ORTHOLATTICE
-
-    @cached_property
-    def _meet(self) -> tuple[tuple[int, ...], ...]:
-        """The meet table, built on first read for the searches that read
-        meets pair by pair (``_extend``, ``is_boolean``, the hom search and
-        the pair scan of ``morphism``).  The constructor builds none:
-        ``meet``, ``join`` and ``commutes`` read ``_below`` at the AND of
-        two down rows, as each entry here does."""
-        below, down = self._below, self.down
-        return tuple([tuple([below[row & d] for d in down]) for row in down])
 
     # -- basic queries ----------------------------------------------------
 
@@ -421,7 +412,7 @@ class FiniteOrtholattice(_Order):
         appears, that element (the Close-by-One canonicity test fails: the
         closure adds an element earlier in the order, which witnesses it).
         """
-        meet, ortho = self._meet, self.ortho
+        below, down, ortho = self._below, self.down, self.ortho
         members = list(members)
         have = set(members)
         i = len(members)
@@ -432,7 +423,8 @@ class FiniteOrtholattice(_Order):
                 mask |= 1 << v
         while i < len(members):
             x = members[i]
-            fresh = set(map(meet[x].__getitem__, members[:i]))
+            row = down[x]
+            fresh = {below[row & down[y]] for y in members[:i]}
             fresh.add(ortho[x])
             fresh -= have
             if fresh:
@@ -479,12 +471,14 @@ class FiniteOrtholattice(_Order):
         orthomodular, and Boolean by Foulis-Holland."""
         mask = s.members if isinstance(s, SubalgebraSet) else s
         els = [e for e in bits(mask) if e != 0 and e != self.n - 1]
-        meet, ortho = self._meet, self.ortho
-        # the join through the complement, as in ``commutes``
+        below, down, ortho = self._below, self.down, self.ortho
+        # the join through the complement, as in ``commutes``: with down
+        # rows, (a ^ b)' ^ (a ^ b')' = a'
         for a in els:
-            row, co = meet[a], ortho[a]
+            row, co = down[a], ortho[a]
             for b in els:
-                if meet[ortho[row[b]]][ortho[row[ortho[b]]]] != co:
+                if below[down[ortho[below[row & down[b]]]]
+                         & down[ortho[below[row & down[ortho[b]]]]]] != co:
                     return False
         return True
 
@@ -847,9 +841,9 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
     if injective and n == m:
         preserved = _permuted(source.up, source.down, mapping) == list(target.up)
     else:
-        meet = target._meet
-        preserved = ([mapping[c] for a, row in enumerate(source._meet) for c in row[a:]]
-                     == [meet[fa][fb] for a, fa in enumerate(mapping) for fb in mapping[a:]])
+        images = [target.down[v] for v in mapping]
+        preserved = ([mapping[c] for c in _pair_meets(source._below, source.down)]
+                     == _pair_meets(target._below, images))
     if not preserved:
         _first_fault(source, target, mapping)
     kind = HOM
@@ -860,6 +854,12 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
     return Morphism(source, target, mapping, kind)
 
 
+def _pair_meets(below: dict, rows: Sequence[int]) -> list[int]:
+    """The meet of every pair a <= b (as indices) of the down rows
+    ``rows``, a before b, read off ``below``."""
+    return [below[row & other] for a, row in enumerate(rows) for other in rows[a:]]
+
+
 def _first_fault(source: FiniteOrtholattice, target: FiniteOrtholattice,
                  mapping: tuple[int, ...]) -> None:
     """Raise NotAMorphism naming the first pair a <= b (as numbers) whose
@@ -867,7 +867,7 @@ def _first_fault(source: FiniteOrtholattice, target: FiniteOrtholattice,
     it, once its test has failed, so some pair fails."""
     for a, fa in enumerate(mapping):
         for b, fb in enumerate(mapping[a:], a):
-            if mapping[source._meet[a][b]] != target._meet[fa][fb]:
+            if mapping[source.meet(a, b)] != target.meet(fa, fb):
                 raise NotAMorphism(f"mapping does not preserve meet({a},{b})")
             if mapping[source.join(a, b)] != target.join(fa, fb):
                 raise NotAMorphism(f"mapping does not preserve join({a},{b})")
@@ -892,10 +892,9 @@ def _iso_signatures(L: FiniteOrtholattice) -> list[tuple]:
     complements of the upper covers of a', and the depth of a is the height
     of a'.  So the complement's cone and cover counts would repeat the
     element's own."""
-    heights, ortho = L.heights, L.ortho
-    ups = [row.bit_count() for row in L.cover_up]
-    return [(L.down[x].bit_count(), L.up[x].bit_count(), heights[x], ups[x], ups[ortho[x]],
-             heights[ortho[x]]) for x in range(L.n)]
+    renamed = itemgetter(*L.ortho)
+    return L._order_signatures(renamed([row.bit_count() for row in L.cover_up]),
+                               renamed(L.heights))
 
 
 def isomorphisms(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Iterator[Morphism]:

@@ -564,8 +564,7 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     summand or block reads more than cap + 1 masks on the way.
     """
     cap = _node_cap(cap)
-    # the least subalgebra is {0, 1}: 0' = 1 and 0 ^ 1 = 0
-    bottom = 1 | 1 << (L.n - 1)
+    bottom = L.closure_mask(0)
     search = None
     families, count = [], 1
     # BSub is one family over all the inner elements

@@ -717,7 +717,7 @@ def _counting_extend(L, run):
         del L._extend
 
 
-# every summand Boolean: read off partitions, with no closure at all
+# every summand Boolean: read off partitions, with no closure past the bottom's
 PRUNED = [("hsum(2^4,2^4)", False), ("2^6", True)]
 # Sub of a lattice that is not a Boolean algebra closes through L._extend
 MEET_CLOSED = [("MO2xMO2", False), ("example22x2^1", False)]
@@ -736,23 +736,23 @@ def test_enumeration_closes_at_most_half_as_often_as_legacy(name, boolean_only, 
     (masks, _, _), legacy_calls = _counting_extend(
         L, lambda: legacy_enumerate_subalgebras(L, boolean_only))
     assert [node.members for node in poset.nodes] == masks
-    # the bottom {0, 1} is taken as it is, with no closure: Sub of Boolean
-    # summands and BSub of an OML close nothing, and a search closes one
-    # new element at a time
+    assert calls[0] == (0, L.n - 1)
     read_off = (name, boolean_only) not in MEET_CLOSED
-    assert (calls == []) == read_off
+    # past the bottom, Sub of Boolean summands and BSub of an OML close nothing
+    assert (calls == [(0, L.n - 1)]) == read_off
     assert found and all(family.how == (PARTITIONS if read_off else SEARCHED) for family in found)
     assert len(calls) <= len(legacy_calls) // 2
-    # no element later than its complement in L's linear extension is tried
+    # past the closure of the bottom, no element later than its complement
+    # in L's linear extension is tried
     earlier = earlier_sets(rank_order(L))
-    assert all(not earlier[e] >> L.ortho[e] & 1 for e, in calls)
+    assert all(not earlier[e] >> L.ortho[e] & 1 for e, in calls[1:])
 
 
 def test_a_horizontal_sum_closes_once_per_summand(monkeypatch):
-    # Sub(hsum(example22,example22)) makes just the closures of two
-    # searches of Sub(example22); one search over the whole sum closes
-    # mixed sets.  Sub(hsum(2^4,2^4)) is two families of Sub(2^4), read off
-    # partitions with no closure at all
+    # past the bottom, Sub(hsum(example22,example22)) makes just the
+    # closures of two searches of Sub(example22); one search over the whole
+    # sum closes mixed sets.  Sub(hsum(2^4,2^4)) is two families of
+    # Sub(2^4), read off partitions with no closure past the bottom
     found = _families(monkeypatch)
     for summand in (catalog("example22"), boolean_algebra(4)):
         L = horizontal_sum([summand, summand])
@@ -761,8 +761,9 @@ def test_a_horizontal_sum_closes_once_per_summand(monkeypatch):
         twice = [len(family.as_found) for family in found]
         _, one = _counting_extend(summand, lambda: sub(summand))
         assert twice == [len(found[-1].as_found)] * 2
-        assert len(calls) == 2 * len(one)
-        assert bool(calls) == (summand.n == 12)
+        assert calls[0] == (0, L.n - 1) and one[0] == (0, summand.n - 1)
+        assert len(calls) - 1 == 2 * (len(one) - 1)
+        assert (len(calls) > 1) == (summand.n == 12)
 
 
 @pytest.mark.parametrize("name", OMLS + ["MO10", "MO2xMO2", "example22x2^1",
@@ -773,7 +774,7 @@ def test_sub_splits_atoms_exactly_in_the_summands_that_commute(name, monkeypatch
     # such a summand's nodes off the partitions of its atoms, and closes
     # every other summand on its own with L._extend.  BSub reads all its
     # nodes off the blocks in one call, of all the atoms, and closes
-    # nothing
+    # nothing past the bottom
     found = _families(monkeypatch)
     base = _lattice(name)
     for L in (base, *(_inner_relabeling(base, seed) for seed in SEEDS)):
@@ -783,10 +784,10 @@ def test_sub_splits_atoms_exactly_in_the_summands_that_commute(name, monkeypatch
         _, calls = _counting_extend(L, lambda: bsub(L))
         [family] = found
         assert family.how == PARTITIONS and family.elements == mask_of(L.atoms())
-        assert calls == []
+        assert calls == [(0, L.n - 1)]
         found.clear()
         _, calls = _counting_extend(L, lambda: sub(L))
-        closed = mask_of(e for e, in calls)
+        closed = mask_of(e for e, *_ in calls[1:])
         # one family per summand, each reading its own elements only
         parts = [next(p for p in summands if family.elements & p) for family in found]
         assert sorted(parts) == summands

@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from functools import cached_property
 
 import pytest
 
@@ -63,7 +62,7 @@ from omlkit.lattice_core import (
 from omlkit.subalgebra_posets import AbstractPoset, check_order_iso
 
 from legacy_oracles import (
-    cone_scan_joins,
+    cone_scan_tables,
     legacy_blocks,
     legacy_boolean_algebra,
     legacy_bound_tables,
@@ -171,9 +170,10 @@ def test_meet_join_match_hand_table_on_mo2():
     assert L.ocomp(0) == 5
 
 
-def _join_table(L):
-    """The table of ``L.join``, row by row."""
-    return tuple(tuple(L.join(a, b) for b in range(L.n)) for a in range(L.n))
+def _bound_tables(L):
+    """The tables of ``L.meet`` and ``L.join``, row by row."""
+    return tuple(tuple(tuple(bound(a, b) for b in range(L.n)) for a in range(L.n))
+                 for bound in (L.meet, L.join))
 
 
 TABLE_LATTICES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO2x2",
@@ -185,16 +185,12 @@ JOIN_LATTICES = TABLE_LATTICES + ["2^6", "MO31", "hsum(2^5,2^5)"]
 
 @pytest.mark.parametrize("name", JOIN_LATTICES)
 def test_bound_tables_match_the_cone_scan(name):
-    # the constructor keeps no meet table: meet reads the row index, and
-    # _meet, built on first read, holds the same meets as the cone scan
+    # the lattice keeps no meet table: meet reads the row index at an AND
+    # of down rows, and join reads it through the complement
     L = catalog(name)
     for M in (L, relabel(L, [0] + random.Random(name).sample(range(1, L.n - 1), L.n - 2)
                          + [L.n - 1])):
-        table = tuple(tuple(M.meet(a, b) for b in range(M.n)) for a in range(M.n))
-        assert "_meet" not in vars(M)
-        meet, join = legacy_bound_tables(M.up, M.down)
-        assert M._meet == table == tuple(map(tuple, meet))
-        assert _join_table(M) == tuple(map(tuple, join))
+        assert _bound_tables(M) == cone_scan_tables(M.up, M.down)
 
 
 def _relabeled(L):
@@ -232,73 +228,14 @@ def test_the_fault_scan_names_the_pair_scans_first_fault(name):
             assert str(exc.value) == expected
 
 
-def _counting_meet_tables(monkeypatch):
-    """The lattices whose meet table is built from now on, one entry a build."""
-    built = []
-    build = FiniteOrtholattice._meet.func
-    counted = cached_property(lambda L: built.append(L) or build(L))
-    counted.__set_name__(FiniteOrtholattice, "_meet")
-    monkeypatch.setattr(FiniteOrtholattice, "_meet", counted)
-    return built
-
-
-NO_TABLE_LATTICES = ["2^6", "hsum(2^5,2^5)", "MO3x2^3", "example22"]
-
-
-@pytest.mark.parametrize("name", NO_TABLE_LATTICES)
-def test_only_a_search_of_a_summand_builds_a_meet_table(name, monkeypatch):
-    # BSub, reconstruct, the lift of a BSub iso and the determination check
-    # build no meet table, nor does Sub where every summand is read off
-    # partitions (2^6, hsum(2^5,2^5)).  Sub of MO3 x 2^3 and of example22
-    # searches their one summand, closing by meets read pair by pair: it
-    # builds its lattice's table once, and lift_sub_iso, which enumerates
-    # Sub of both sides, builds both
-    built = _counting_meet_tables(monkeypatch)
-    searched = name in ("MO3x2^3", "example22")
-    base = (product(mo(3), boolean_algebra(3), name) if name == "MO3x2^3" else catalog(name))
-    for call in ("sub", "bsub", "reconstruct", "lift_bsub_iso", "lift_sub_iso",
-                 "verify_determination"):
-        L, M = FiniteOrtholattice(base.up, base.ortho), _relabeled(base)
-        built.clear()
-        if call == "sub":
-            sub(L)
-        elif call == "bsub":
-            bsub(L)
-        elif call == "reconstruct":
-            assert "_meet" not in vars(reconstruct(bsub(L)))
-        elif call == "verify_determination":
-            assert verify_determination(L, M).consistent
-        else:
-            enumerate_ = sub if call == "lift_sub_iso" else bsub
-            P, Q = enumerate_(L), enumerate_(M)
-            lift = lift_sub_iso if call == "lift_sub_iso" else lift_bsub_iso
-            assert lift(L, M, poset_isomorphic(P, Q), P, Q)
-        expected = {"sub": [L], "lift_sub_iso": [L, M]}.get(call, []) if searched else []
-        assert built == expected, call
-        assert [X for X in (L, M) if "_meet" in vars(X)] == expected
-
-
-def test_the_pair_by_pair_readers_build_the_meet_table_once(monkeypatch):
-    built = _counting_meet_tables(monkeypatch)
-    L = catalog("example22")
-    assert L.closure_mask(1 << 1) == L.closure_mask(1 << 1 | 1 << 6) and built == [L]
-    # in MO3, 1 and 2 are a complement pair, 1 and 3 are not and do not commute
-    M = catalog("MO3")
-    assert M.is_boolean(0b10000111) and not M.is_boolean(0b10001011)
-    assert built == [L, M]
-    B3, B5 = catalog("2^3"), catalog("2^5")
-    assert len(enumerate_homs(B3, B5)) == len(enumerate_homs(B3, B5))
-    assert built == [L, M, B3, B5]
-
-
-def test_the_cone_scan_joins_are_kept_per_order():
-    # the oracles' join table is scanned once per order, not once per read
+def test_the_cone_scan_tables_are_kept_per_order():
+    # the oracles' tables are scanned once per order, not once per read
     L = catalog("hsum(2^3,2^3)")
     M = _relabeled(L)
-    joins = cone_scan_joins(L.up, L.down)
-    assert cone_scan_joins(tuple(L.up), tuple(L.down)) is joins
-    assert joins == _join_table(L) and cone_scan_joins(M.up, M.down) == _join_table(M)
-    assert cone_scan_joins(M.up, M.down) != joins
+    tables = cone_scan_tables(L.up, L.down)
+    assert cone_scan_tables(tuple(L.up), tuple(L.down)) is tables
+    assert tables == _bound_tables(L) and cone_scan_tables(M.up, M.down) == _bound_tables(M)
+    assert cone_scan_tables(M.up, M.down) != tables
 
 
 def test_the_hot_paths_never_enter_the_fault_scan(monkeypatch):
@@ -325,7 +262,7 @@ def test_the_hot_paths_never_enter_the_fault_scan(monkeypatch):
     assert len(calls) == 1
 
 
-def test_the_commutation_tests_match_the_cone_scan_joins():
+def test_the_commutation_tests_match_the_cone_scan_tables():
     # BSub of an ortholattice that is not orthomodular runs is_boolean on
     # every closure; it and commutes read joins through the complement
     L = product(benzene(), boolean_algebra(3))
@@ -339,8 +276,8 @@ def test_the_commutation_tests_match_the_cone_scan_joins():
             assert not legacy_is_boolean(L, grown) and not L.is_boolean(grown)
     M = catalog("example22")
     verdicts = {(a, b): M.commutes(a, b) for a in range(M.n) for b in range(M.n)}
-    join = cone_scan_joins(M.up, M.down)
-    assert verdicts == {(a, b): join[M.meet(a, b)][M.meet(a, M.ortho[b])] == a
+    meet, join = cone_scan_tables(M.up, M.down)
+    assert verdicts == {(a, b): join[meet[a][b]][meet[a][M.ortho[b]]] == a
                         for a in range(M.n) for b in range(M.n)}
 
 
@@ -393,7 +330,7 @@ def test_a_non_lattice_fails_on_the_same_first_pair():
         except BadOrthocomplement:
             continue
         lattices += 1
-        assert L._meet == tuple(map(tuple, meet)) and _join_table(L) == tuple(map(tuple, join))
+        assert _bound_tables(L) == (tuple(map(tuple, meet)), tuple(map(tuple, join)))
     assert non_lattices > 50 and lattices > 50
     with pytest.raises(NoBoundedLattice, match="^elements 1 and 2 have no join$"):
         FiniteOrtholattice(full_relation(6, [(1, 3), (1, 4), (2, 3), (2, 4)]), range(6)[::-1])
@@ -1301,7 +1238,7 @@ def _outcome(build, up, ortho):
         L = build(up, ortho)
     except OmlkitError as exc:
         return type(exc), str(exc)
-    return L.up, L.down, L._meet, _join_table(L), L.flavor
+    return L.up, L.down, _bound_tables(L), L.flavor
 
 
 @pytest.mark.parametrize("name", VALIDATED + list(BENZENE_BUILT)

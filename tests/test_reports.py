@@ -42,12 +42,3 @@ def test_the_name_check_finds_a_function_left_patched():
     with reports.patched(lattice_core, "_backtrack", lambda search: lambda *args: search(*args)):
         assert _replaced(before) == [(lattice_core, "_backtrack")]
     assert _replaced(before) == []
-
-
-def test_the_construction_report_names_the_calls_that_build_a_meet_table():
-    # Sub of example22 searches its one summand, closing by meets read pair
-    # by pair; Sub of 2^6 is read off partitions, and BSub and reconstruct
-    # read no meets anywhere
-    rows = reports.construction(["example22", "2^6"])
-    assert [(label, built) for label, _, built in rows] == [("example22", "sub"), ("2^6", "none")]
-    assert all(ms > 0 for _, ms, _ in rows)
