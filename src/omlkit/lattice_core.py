@@ -20,13 +20,12 @@ a v b = (a' ^ b')', which holds once the complement is known to reverse
 the order (a finite order with a top and all meets has all joins, so no
 join can be missing then).  The searches that read meets pair by pair
 (the closure, Booleanness, the hom search and ``morphism``) read them the
-same way.  The orthomodular law
-is tested in its zero-meet form, a <= b and a' ^ b = 0 imply a = b, with
-the zero meets read off the atoms.  When a row test fails, the pair scan
-it replaced names the first faulty pair, so the first fault and its
-message are those of a pair-by-pair check.  Posets are still checked pair
-by pair: their rows have no size cap, and a spelling costs n^2 even for an
-antichain.
+same way.  The orthomodular law is tested in its zero-meet form, a <= b
+and a' ^ b = 0 imply a = b, with the zero meets read off the atoms.  When
+a row test fails, the pair scan it replaced names the first faulty pair,
+so the first fault and its message are those of a pair-by-pair check.
+Posets are still checked pair by pair: their rows have no size cap, and a
+spelling costs n^2 even for an antichain.
 
 Renaming an order's points (``_permuted``: ``relabel``, ``morphism``'s
 test of a bijection, and the node maps of the lifts) is the same
