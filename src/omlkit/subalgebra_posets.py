@@ -19,8 +19,11 @@ were found in.  The inclusion rows of a family read off partitions are
 built from its blocks' covers, one OR per cover pair: by Sachs, Sub(2^k) is
 the dual of the partition lattice, whose covers split one block in two.  A
 searched family's rows are transposed from its masks in one pass.  Sub of
-a horizontal sum takes one product of its summands' orders, with no
-transpose of its own.  A poset's nodes are bit sets
+a horizontal sum builds no summand's rows: each summand spreads its Hasse
+diagram (its partitions' covers, or the covers of a searched summand's
+transposed rows) across the product's columns by the same one OR per
+cover pair, and a product node's rows are the ANDs of its coordinates'
+spread rows, with no transpose of the product.  A poset's nodes are bit sets
 (``SubalgebraPoset.masks``): the enumerated posets are labeled with their
 sorted masks unchecked, and SubalgebraSets are built only when a caller
 reads ``nodes``.
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import os
 from functools import cached_property, lru_cache, reduce
-from itertools import compress
+from itertools import chain, combinations, compress
 from operator import and_
 from typing import Iterator, Optional, Sequence
 
@@ -44,7 +47,7 @@ from .errors import (
 from .lattice_core import (
     FiniteOrtholattice,
     SubalgebraSet,
-    _DIGIT_BITS,
+    _cover_row,
     _induced,
     _is_int,
     _joins,
@@ -276,8 +279,9 @@ def inclusion_rows(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     columns, its down row the AND of the other columns' complements.
     ``enumerate_subalgebras`` calls it on each searched family's sorted
     masks only: a family read off partitions comes with its rows
-    (``_boolean_family``), and the rows of Sub's product are built from the
-    summands' rows (``_product_order``) without a transpose.
+    (``_boolean_family``) or, inside a product, with its Hasse diagram, and
+    the rows of Sub's product are spread from the summands' diagrams
+    (``_product_order``) without a transpose.
     """
     everything = (1 << len(masks)) - 1
     width = f"0{max(masks).bit_length()}b"
@@ -317,24 +321,32 @@ def _partition_covers(k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     as two equally long tuples (lower, upper): partition upper[t] splits
     one block of partition lower[t] in two, so its subalgebra covers
     lower[t]'s.  The pairs run by the height of their lower node,
-    decreasing, where a partition of b blocks has height b - 1.  They are
-    found from the finer side, one pair per two blocks merged, so there are
-    the sum over b of S(k, b) C(b, 2): 856 for k = 6, two tuples of small
-    ints."""
-    table = _partition_table(k)
-    blocks = [[ms[1 << b] for b in range(len(ms).bit_length() - 1)] for ms, _ in table]
-    index = {frozenset(bs): i for i, bs in enumerate(blocks)}
-    pairs = sorted((-len(bs), index[frozenset(bs) - {x, y} | {x | y}], j)
-                   for j, bs in enumerate(blocks) for t, x in enumerate(bs) for y in bs[:t])
-    return tuple(i for _, i, _ in pairs), tuple(j for _, _, j in pairs)
+    decreasing, where a partition of b blocks has height b - 1; pairs of
+    one height come in no particular order.  They are found from the finer
+    side, one pair per two blocks merged, each partition named by an
+    integer code with bit x set for each of its blocks x, and bucketed by
+    the finer side's block count.  There are the sum over b of S(k, b)
+    C(b, 2): 856 for k = 6, two tuples of small ints."""
+    blocks = [[ms[1 << b] for b in range(len(ms).bit_length() - 1)]
+              for ms, _ in _partition_table(k)]
+    index = {sum([1 << x for x in bs]): j for j, bs in enumerate(blocks)}
+    pairs = [[] for _ in range(k + 1)]
+    for code, j in index.items():
+        bs = blocks[j]
+        pairs[len(bs)] += [(index[code ^ 1 << x ^ 1 << y | 1 << (x | y)], j)
+                           for x, y in combinations(bs, 2)]
+    return tuple(zip(*chain(*reversed(pairs)))) or ((), ())
 
 
-def _block_masks(L: FiniteOrtholattice, block: int, budget: int) -> list[int]:
+def _block_masks(L: FiniteOrtholattice, block: int, budget: int):
     """The subalgebras of the Boolean subalgebra whose atoms are ``block``,
-    in ``_partition_table`` order, at most budget + 1 of them: each
-    partition's subalgebra is the sum of the joins of its members' atoms."""
+    in ``_partition_table`` order, at most budget + 1 of them, and the
+    Hasse diagram of their inclusion order on that order's indices
+    (``_partition_covers``): each partition's subalgebra is the sum of the
+    joins of its members' atoms."""
+    k = block.bit_count()
     point = _joins(L, list(bits(block))).__getitem__
-    return [sum(map(point, ms)) for ms, _ in _partition_table(block.bit_count())[:budget + 1]]
+    return [sum(map(point, ms)) for ms, _ in _partition_table(k)[:budget + 1]], _partition_covers(k)
 
 
 def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):
@@ -342,7 +354,10 @@ def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):
     ``blocks`` (bit sets of pairwise orthogonal atoms joining to 1), as
     masks sorted ascending, with the up and down rows of their inclusion
     order.  Past budget masks it returns budget + 1 of them and no rows
-    (None, None); no block reads more than budget + 1 partitions.
+    (None, None); no block reads more than budget + 1 partitions.  It
+    reads BSub of an orthomodular L and the Sub of a Boolean summand that
+    stands alone; a Boolean summand inside a product hands its masks and
+    Hasse diagram (``_block_masks``) to ``_product_order`` instead.
 
     By Sachs the subalgebras of a Boolean algebra B with k atoms are those
     whose atoms are the block joins of one set partition of its atoms, and
@@ -350,10 +365,11 @@ def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):
     and nothing is rejected; a subalgebra that several blocks hold is
     listed once.  A finer partition gives a larger subalgebra, so Sub(B) is
     the dual of the partition lattice, and its covers are known before any
-    row is built (``_partition_covers``): each node's up row is its own bit
-    and its upper covers' up rows, built in order of decreasing height, and
-    each down row its bit and its lower covers' down rows, built the other
-    way; one OR per cover pair, and a bit is a node's sorted position.
+    row is built (``_partition_covers``), and ``_cover_rows`` builds them:
+    each node's up row is its own bit and its upper covers' up rows, built
+    in order of decreasing height, and each down row its bit and its lower
+    covers' down rows, built the other way; one OR per cover pair, and a
+    bit is a node's sorted position.
 
     With several blocks the union's Hasse diagram is the blocks' together:
     S is covered by T in the union exactly when S is covered by T in
@@ -365,13 +381,13 @@ def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):
     each of them.
     """
     if len(blocks) == 1:
-        found = _block_masks(L, blocks[0], budget)
-        reads = [(blocks[0].bit_count(), range(len(found)))]
+        found, covers = _block_masks(L, blocks[0], budget)
+        reads = [(covers, range(len(found)))]
     else:
         index, reads = {}, []
         for block in blocks:
-            reads.append((block.bit_count(), [index.setdefault(m, len(index))
-                                              for m in _block_masks(L, block, budget)]))
+            masks, covers = _block_masks(L, block, budget)
+            reads.append((covers, [index.setdefault(m, len(index)) for m in masks]))
             if len(index) > budget:
                 break
         found = list(index)[:budget + 1]
@@ -381,7 +397,7 @@ def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):
     place = [0] * len(found)
     for r, x in enumerate(order):
         place[x] = 1 << r
-    rows = [(ids, *_cover_rows(k, [place[x] for x in ids])) for k, ids in reads]
+    rows = [(ids, *_cover_rows(*covers, [place[x] for x in ids])) for covers, ids in reads]
     if len(rows) == 1:
         [(_, up, down)] = rows
     else:
@@ -393,12 +409,19 @@ def _boolean_family(L: FiniteOrtholattice, blocks: Sequence[int], budget: int):
     return [found[x] for x in order], [up[x] for x in order], [down[x] for x in order]
 
 
-def _cover_rows(k: int, place: list[int]) -> tuple[list[int], list[int]]:
-    """Up and down rows of Sub(2^k) on ``_partition_table(k)``'s indices,
-    partition i's node being the bit place[i]: one OR per cover pair each
-    way, the up rows from the top down, the down rows from the bottom up
-    (``place`` itself becomes the down rows)."""
-    lower, upper = _partition_covers(k)
+def _cover_rows(lower, upper, place: list) -> tuple[list, list]:
+    """Up and down rows of an order from its Hasse diagram, the equally
+    long sequences ``lower`` and ``upper`` (upper[t] covers lower[t]),
+    node i standing for the bit set place[i]: node i's up row is the OR of
+    place[j] over the j >= i, its down row over the j <= i.  The pairs run
+    by their lower node down a linear extension (by height, or by index
+    where indices are one), so every pair whose lower node is j comes
+    before every pair whose upper node is j.  One OR per cover pair each
+    way, the up rows from the top down, the down rows from the bottom up,
+    so each row read is complete (``place`` itself becomes the down rows).
+    With place[i] the bit of node i these are the order's own rows; with
+    place[i] the bits of the product nodes whose coordinate is i, the
+    rows spread across a product."""
     up, down = place[:], place
     for i, j in zip(lower, upper):
         up[i] |= up[j]
@@ -465,54 +488,58 @@ def _summands(L: FiniteOrtholattice) -> list[int]:
     return out
 
 
-def _product_order(parts: list[tuple[list[int], Optional[list], Optional[list]]]
-                   ) -> tuple[list, list, list]:
+def _product_order(parts: list) -> tuple[list, list, list]:
     """Sorted node masks, up rows and down rows of the product of the
-    summands' Sub, ``parts`` holding each summand's node masks and rows.
+    summands' Sub, ``parts`` holding each summand's node masks and its
+    Hasse diagram as two sequences (lower, upper), or None for a searched
+    summand.
 
-    A summand read off partitions comes sorted, with its rows; a searched
-    one comes with rows None, and its masks are sorted in place and
-    transposed (``inclusion_rows``).  One summand is returned as it is.
-    The product's masks are multiplied out, one node of each summand ORed
-    in that order, and sorted once, each node taking the one bit of its
-    sorted position.  A node lies below another exactly when each of its
-    coordinates does.  So with col[j] of a summand the bits of the nodes
-    whose coordinate there is j, and a row spread through the columns of
-    its nodes, a node's up row is the AND of its coordinates' spread up
-    rows; down rows likewise.
+    A Boolean summand comes with its masks in ``_partition_table`` order
+    and its partitions' covers (``_block_masks``).  A searched one's masks
+    are sorted in place and transposed (``inclusion_rows``), and its
+    diagram is read off its up rows: ascending masks are a linear
+    extension of inclusion, so its pairs run by their lower node from the
+    last down.  One searched summand alone is returned with its transposed
+    rows; a Boolean one alone never comes here, as ``_boolean_family``
+    builds its rows.  The product's masks are multiplied out, one node of
+    each summand ORed in that order, and sorted once, each node taking the
+    one bit of its sorted position.  A node lies below another exactly when
+    each of its coordinates does.  So with col[j] of a summand the bits of
+    the nodes whose coordinate there is j, and a summand's up row spread
+    across the product the OR of the columns of the nodes above it,
+    ``_cover_rows`` on the columns gives a summand's spread rows with one
+    OR per cover pair each way, and a node's up row is the AND of its
+    coordinates' spread up rows; down rows likewise.  A summand's columns
+    partition the N nodes, so its last is the complement of the others.
     """
-    orders = []
-    for masks, up, down in parts:
-        if up is None:
-            masks.sort()
-            up, down = inclusion_rows(masks)
-        orders.append((masks, up, down))
-    if len(orders) == 1:
-        return orders[0]
     masks = [0]
-    for found, _, _ in orders:
+    for found, covers in parts:
+        if covers is None:
+            found.sort()
         masks = [m | f for m in masks for f in found]
+    if len(parts) == 1:
+        return found, *inclusion_rows(found)
     order = sorted(range(len(masks)), key=masks.__getitem__)
     runs = [0] * len(masks)
     for r, p in enumerate(order):
         runs[p] = 1 << r
-    # columns from runs of nodes, last summand first: a summand's runs hold
-    # the nodes that agree on its coordinate and on all before it, at first
-    # each node alone as its bit.  Run t of a summand of n nodes has
-    # coordinate t % n there, and n of its runs in a row make one run of the
-    # summand before.  The bits are freed before any row is built
-    columns = []
-    for found, _, _ in reversed(orders):
-        n = len(found)
-        columns.append([sum(runs[j::n]) for j in range(n)])
-        runs = [sum(runs[t:t + n]) for t in range(0, len(runs), n)]
+    # columns from runs of nodes, first summand first: the runs hold the
+    # nodes that agree on the coordinates of all the summands left, at
+    # first each node alone as its bit.  Coordinate j of a summand is runs
+    # j * step to (j + 1) * step, and runs q, q + step, ... make one run of
+    # the summands after it
+    everything = (1 << len(masks)) - 1
     up = down = [-1]  # every bit set: the AND of no rows
-    for (_, up_s, down_s), cols in zip(orders, reversed(columns)):
-        # a row's binary digits, lowest first ("0b" dropped, its 0 selecting
-        # past the last column), select its columns; they are disjoint, so
-        # their union is their sum
-        U, D = [[sum(compress(cols, reversed(bin(row).encode().translate(_DIGIT_BITS, b"b"))))
-                 for row in rows] for rows in (up_s, down_s)]
+    for found, covers in parts:
+        step = len(runs) // len(found)
+        cols = [sum(runs[t:t + step]) for t in range(0, len(runs) - step, step)]
+        runs = [sum(runs[q::step]) for q in range(step)]
+        if covers is None:
+            rows = inclusion_rows(found)[0]
+            # ascending masks are a linear extension of inclusion
+            covers = zip(*[(i, j) for i in reversed(range(len(rows)))
+                           for j in bits(_cover_row(rows, i))])
+        U, D = _cover_rows(*covers, cols + [everything ^ sum(cols)])
         up = [x & y for x in up for y in U]
         down = [x & y for x in down for y in D]
     return [masks[p] for p in order], [up[p] for p in order], [down[p] for p in order]
@@ -555,9 +582,14 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     The inclusion order of Sub is the product of the summands' orders too,
     since their masks share only the bottom: ``_product_order`` multiplies
     the orders out, a product node below another exactly when each of its
-    coordinates is.  A family read off partitions builds its rows from the
-    covers of the partition lattice; a searched one, and BSub of an
-    ortholattice that is not orthomodular, transposes its sorted masks.
+    coordinates is.  A family that stands alone (Sub of a connected L, and
+    BSub) comes with its rows: read off partitions, it builds them from the
+    covers of the partition lattice; searched, and BSub of an ortholattice
+    that is not orthomodular, it transposes its sorted masks.  Inside a
+    product a Boolean summand builds no rows: it hands over its masks in
+    partition table order with its partitions' covers (``_block_masks``),
+    and ``_product_order`` spreads each summand's covers across the
+    product's columns, a searched summand's read off its transposed rows.
 
     ``cap`` bounds the node count (default 100000, or the OMLKIT_NODE_CAP
     environment variable); going past it raises ExplosionCap, and no
@@ -566,27 +598,31 @@ def enumerate_subalgebras(L: FiniteOrtholattice, boolean_only: bool = False,
     cap = _node_cap(cap)
     bottom = L.closure_mask(0)
     search = None
-    families, count = [], 1
+    # 2^1 has no inner elements, so no summand: its Sub is the bottom alone
+    family, families, count = ([bottom], [1], [1]), [], 1
     # BSub is one family over all the inner elements
-    for part in [L.universe ^ bottom] if boolean_only else _summands(L):
+    parts = [L.universe ^ bottom] if boolean_only else _summands(L)
+    for part in parts:
         # the count so far times this family's stays within cap
         budget = cap // count
         inner_atoms = part & L._atoms
         if boolean_only and L.is_orthomodular:
             family = _boolean_family(L, L._block_atoms, budget)
         elif L.is_orthomodular and part.bit_count() + 2 == 1 << inner_atoms.bit_count():
-            family = _boolean_family(L, [inner_atoms], budget)
+            # alone it brings its rows, inside a product its diagram
+            family = (_boolean_family(L, [inner_atoms], budget) if len(parts) == 1
+                      else _block_masks(L, inner_atoms, budget))
         else:
             search = search or _search(L, boolean_only, bottom)
-            family = search(part, budget), None, None
+            family = search(part, budget), None
         if len(family[0]) > budget:
             raise ExplosionCap(
                 f"more than {cap} subalgebras (stopped at {cap + 1} nodes); "
                 f"raise the cap with {NODE_CAP_ENV}")
         families.append(family)
         count *= len(family[0])
-    # 2^1 has no inner elements, so no summand: its Sub is the bottom alone
-    masks, up, down = _product_order(families or [([bottom], [1], [1])])
+    # a family alone read off partitions, and 2^1's bottom, come with rows
+    masks, up, down = family if len(family) == 3 else _product_order(families)
     # the inclusion order of distinct sets is a partial order
     poset = SubalgebraPoset._trusted(up, down)
     # the masks are distinct closed sets in ascending order, so {0, n-1} comes first

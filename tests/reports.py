@@ -24,14 +24,14 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 
-from legacy_oracles import legacy_boolean_family, legacy_permuted
+from legacy_oracles import legacy_boolean_family, legacy_permuted, legacy_product_order
 
 import omlkit
 from omlkit import (FiniteOrtholattice, SubalgebraPoset, boolean_nodes, bsub, catalog,
                     classify_recovery, enumerate_homs, enumerate_subalgebras, lift_bsub_iso,
                     morphism, poset_isomorphic, product, relabel, sub, verify_determination)
 from omlkit import lattice_core, sachs_boolean, subalgebra_posets
-from omlkit.subalgebra_posets import _boolean_family, _partition_covers, check_order_iso
+from omlkit.subalgebra_posets import _boolean_family, check_order_iso
 
 BUDGET = 10**6
 
@@ -138,12 +138,37 @@ def row_building(labels):
         L, boolean_only = poset_of(label)
         blocks = L._block_atoms if boolean_only else [L._atoms]
         counts = Counter()
-        walked = tally(counts, "walked", lambda k, place: len(_partition_covers(k)[0]))
+        walked = tally(counts, "walked", lambda lower, upper, place: len(lower))
         with patched(subalgebra_posets, "_cover_rows", walked):
             masks, _, _ = _boolean_family(L, blocks, BUDGET)
         rows.append((label, len(masks), counts["walked"],
                      best_ms(partial(_boolean_family, L, blocks, BUDGET)),
                      best_ms(partial(legacy_boolean_family, L, blocks, BUDGET))))
+    return rows
+
+
+def two_way(product_order):
+    """A wrapper for ``patched`` that swaps ``_product_order`` for the
+    two-way build it replaced, each summand's masks its own keys."""
+    return lambda parts: legacy_product_order([(list(found), list(found)) for found, _ in parts])
+
+
+def product_rows(labels):
+    """Nodes of each Sub of a horizontal sum and cover pairs walked to
+    spread its summands' rows across the product, and the time of ``sub``
+    with its summands spread through their covers, as the library does,
+    and with the product built by ``two_way``."""
+    rows = []
+    for label in labels:
+        L, _ = poset_of(label)
+        counts = Counter()
+        walked = tally(counts, "walked", lambda lower, upper, place: len(lower))
+        with patched(subalgebra_posets, "_cover_rows", walked):
+            nodes = sub(L).size
+        covers = best_ms(partial(sub, L))
+        with patched(subalgebra_posets, "_product_order", two_way):
+            legacy = best_ms(partial(sub, L))
+        rows.append((label, nodes, counts["walked"], covers, legacy))
     return rows
 
 
@@ -286,6 +311,10 @@ REPORTS = [
     ("Row building",
      ("family", "nodes", "cover pairs walked", "best of 5, covers (ms)", "best of 5, keys (ms)"),
      row_building, ["BSub(hsum(2^5,2^5))", "BSub(MO3 x 2^3)", "BSub(2^6)", "Sub(2^6)"]),
+    ("Product rows",
+     ("poset", "nodes", "cover pairs walked", "best of 5, covers (ms)",
+      "best of 5, two-way build (ms)"),
+     product_rows, ["Sub(hsum(2^4,2^4))", "Sub(MO8)", "Sub(hsum(2^4,2^4,2^2))", "Sub(hsum(2^5,2^5))"]),
     ("Lift reads", ("call", "node reads in `_pd_lift`"), lift_reads,
      ["BSub(hsum(2^5,2^5))", "BSub(2^6)"]),
     ("Lattices built", ("call", "lattices built"), lattices_built,

@@ -78,7 +78,9 @@ from omlkit import (
 from omlkit import subalgebra_posets
 from omlkit.lattice_core import FiniteOrtholattice, bits, mask_of
 from omlkit.subalgebra_posets import (
+    _block_masks,
     _boolean_family,
+    _cover_rows,
     _partition_covers,
     _partition_table,
     _summands,
@@ -228,23 +230,40 @@ def _families(monkeypatch):
     """Each family's enumeration as it returned: how (partitions or a
     search), the elements it read (the blocks' atoms, or candidates), its
     budget, the mask list returned and a copy of it as found, its up and
-    down rows (None for a search, which returns its masks alone, and for a
-    family past its budget), and the keys of the masks as found: the legacy
+    down rows (None for a search, which returns its masks alone, for a
+    Boolean summand of a product, which brings its Hasse diagram in their
+    place, and for a family past its budget), that diagram (None for any
+    other family), and the keys of the masks as found: the legacy
     partition reader's keys for a family read off partitions, the masks
-    themselves for a search."""
-    found = []
+    themselves for a search.  A family read off partitions is recorded
+    once, by the reader enumeration called: ``_boolean_family``, or
+    ``_block_masks`` for a summand of a product."""
+    found, reading = [], []
 
-    def record(how, elements, budget, masks, keys, up=None, down=None, blocks=None):
+    def record(how, elements, budget, masks, keys, up=None, down=None, blocks=None,
+               covers=None):
         found.append(SimpleNamespace(how=how, elements=elements, budget=budget, masks=masks,
                                      as_found=list(masks), keys=list(keys), up=up, down=down,
-                                     blocks=blocks))
+                                     blocks=blocks, covers=covers))
+
+    def keys(L, blocks, budget, masks):
+        key_of = dict(zip(*legacy_boolean_keys(L, blocks, budget)))
+        return [key_of[m] for m in masks]
 
     def partitions(L, blocks, budget):
+        reading.append(blocks)
         masks, up, down = _boolean_family(L, blocks, budget)
-        key_of = dict(zip(*legacy_boolean_keys(L, blocks, budget)))
-        record(PARTITIONS, reduce(or_, blocks), budget, masks, [key_of[m] for m in masks],
+        reading.pop()
+        record(PARTITIONS, reduce(or_, blocks), budget, masks, keys(L, blocks, budget, masks),
                up=up, down=down, blocks=list(blocks))
         return masks, up, down
+
+    def summand(L, block, budget):
+        masks, covers = _block_masks(L, block, budget)
+        if not reading:
+            record(PARTITIONS, block, budget, masks, keys(L, [block], budget, masks),
+                   blocks=[block], covers=covers)
+        return masks, covers
 
     def searched(candidates, bottom, state, extend, budget):
         masks = close_by_one(candidates, bottom, state, extend, budget)
@@ -252,8 +271,24 @@ def _families(monkeypatch):
         return masks
 
     monkeypatch.setattr(subalgebra_posets, "_boolean_family", partitions)
+    monkeypatch.setattr(subalgebra_posets, "_block_masks", summand)
     monkeypatch.setattr(subalgebra_posets, "close_by_one", searched)
     return found
+
+
+def _family_rows(family):
+    """A family's sorted masks with its up and down rows: as its reader
+    returned them, or, for a Boolean summand of a product, built from the
+    diagram it brought, each node the bit of its sorted position."""
+    if family.covers is None:
+        return family.masks, family.up, family.down
+    order = sorted(range(len(family.masks)), key=family.masks.__getitem__)
+    place = [0] * len(order)
+    for r, x in enumerate(order):
+        place[x] = 1 << r
+    up, down = _cover_rows(*family.covers, place)
+    return ([family.masks[x] for x in order], [up[x] for x in order],
+            [down[x] for x in order])
 
 
 # Boolean algebras, many Boolean summands, and sums mixing Boolean summands
@@ -374,8 +409,10 @@ COVERED = CATALOG + ["2^6", "MO31", "hsum(2^5,2^5)", "MO3x2^3", "MO2xMO2", "MO2x
 def test_rows_from_covers_are_the_legacy_key_transpose(name, boolean_only, monkeypatch):
     # each family read off partitions (a Boolean summand of Sub, all the
     # blocks of BSub) gives the sorted masks and the rows the key-based
-    # reader gave, which are the transpose of its masks.  Sub(MO31) has
-    # 2^31 nodes: the families read before the cap stops it are compared
+    # reader gave, which are the transpose of its masks; a summand of a
+    # product gives its masks in table order and a diagram with those rows.
+    # Sub(MO31) has 2^31 nodes: the families read before the cap stops it
+    # are compared
     found = _families(monkeypatch)
     base = _lattice(name)
     for L in (_inner_relabeling(base, seed) for seed in SEEDS):
@@ -391,7 +428,7 @@ def test_rows_from_covers_are_the_legacy_key_transpose(name, boolean_only, monke
         if boolean_only:
             assert len(families) == L.is_orthomodular
         for family in families:
-            masks, up, down = family.masks, family.up, family.down
+            masks, up, down = _family_rows(family)
             assert (masks, up, down) == legacy_boolean_family(L, family.blocks, family.budget)
             assert (up, down) == inclusion_rows(masks)
 
@@ -645,7 +682,8 @@ def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monke
     # the rows are the transpose of the multiplied-out masks, and the rows
     # the two-way build gave (from the legacy keys); each searched summand's
     # masks are transposed once, sorted, a summand read off partitions
-    # brings its rows, and no product list is transposed
+    # brings its rows alone and, in a product, its masks in table order
+    # with its partitions' Hasse diagram, and no product list is transposed
     found, transposed = _searched(monkeypatch)
     base = _lattice(name)
     for L in (_inner_relabeling(base, seed) for seed in SEEDS):
@@ -666,6 +704,67 @@ def test_composed_rows_are_the_transpose_of_the_multiplied_out_masks(name, monke
             assert max(map(len, transposed), default=0) < len(masks)
         legacy = legacy_product_order(_legacy_parts(found) or [([bottom], [bottom])])
         assert legacy == (nodes, list(poset.up), list(poset.down))
+        for family in found:
+            if family.how == PARTITIONS:
+                assert (family.up is None) == (len(found) > 1)
+                if len(found) > 1:
+                    assert family.covers == _partition_covers(family.elements.bit_count())
+
+
+# sums of Boolean summands of 2 to 52 nodes, and sums with searched
+# summands, orthomodular or not
+BOOLEAN_SUMS = ["MO6", "MO8", "MO10", "hsum(2^4,2^4)", "hsum(2^4,2^4,2^2)",
+                "hsum(2^3,2^3,2^3)", "hsum(2^5,2^5)"]
+SPREAD = BOOLEAN_SUMS + ["hsum(example22,2^3,MO2)", "hsum(benzene,2^2,benzene)",
+                         "hsum(example22,MO2x2)"]
+
+
+@pytest.mark.parametrize("name", SPREAD)
+def test_a_product_spreads_each_summand_through_its_covers_once(name, monkeypatch):
+    # Sub's masks and rows are the transpose of its masks and the two-way
+    # build's.  Each summand's rows are spread by one _cover_rows call on
+    # the product's N-bit columns, one column per node of the summand,
+    # which partition the N nodes; a sum of Boolean summands never spreads
+    # a row with itertools.compress, which only the transpose uses
+    found = _families(monkeypatch)
+    spread = []
+
+    def counted(lower, upper, place):
+        spread.append(list(place))
+        return _cover_rows(lower, upper, place)
+
+    def refused(*args):
+        raise AssertionError("a row spread by compress")
+
+    monkeypatch.setattr(subalgebra_posets, "_cover_rows", counted)
+    base = _lattice(name)
+    for L in (_inner_relabeling(base, seed) for seed in SEEDS):
+        found.clear()
+        spread.clear()
+        with monkeypatch.context() as guard:
+            if name in BOOLEAN_SUMS:
+                guard.setattr(subalgebra_posets, "compress", refused)
+            poset = sub(L)
+        assert all(family.how == PARTITIONS for family in found) == (name in BOOLEAN_SUMS)
+        masks = list(poset.masks)
+        assert (list(poset.up), list(poset.down)) == inclusion_rows(masks)
+        legacy = legacy_product_order(_legacy_parts(found))
+        assert legacy == (masks, list(poset.up), list(poset.down))
+        everything = (1 << len(masks)) - 1
+        assert [len(cols) for cols in spread] == [len(family.masks) for family in found]
+        for cols in spread:
+            assert sum(cols) == reduce(or_, cols) == everything and all(cols)
+
+
+def test_the_cap_stops_a_product_of_two_node_summands_at_the_cap():
+    # Sub(MO8) has 2^8 nodes, each of its eight summands two: cap 255
+    # stops at the eighth with the text it always had, cap 256 passes
+    L = mo(8)
+    with pytest.raises(ExplosionCap) as exc:
+        sub(L, cap=255)
+    assert str(exc.value) == ("more than 255 subalgebras (stopped at 256 nodes); "
+                              "raise the cap with OMLKIT_NODE_CAP")
+    assert sub(L, cap=256).size == 256
 
 
 @pytest.mark.parametrize("name", ["2^5", "example22", "MO2x2^2", "example22x2^1"])
