@@ -288,10 +288,15 @@ class FiniteOrtholattice(_Order):
             if row != 1:
                 raise BadOrthocomplement(f"element {a} and its image are not complements")
 
-        self.n = n
-        self.ortho = ortho
-        self.name = name
-        self.flavor = ORTHOMODULAR if self._orthomodular_on(universe) else ORTHOLATTICE
+        self._with_complement(ortho, name)
+
+    def _with_complement(self, ortho, name):
+        """Set the complement ``ortho``, the name and the flavor, and return
+        the lattice: the constructor's last step, and the whole check of a
+        derivation that builds an ortholattice (``_trusted`` rows)."""
+        self.n, self.ortho, self.name = self.size, ortho, name
+        self.flavor = ORTHOMODULAR if self._orthomodular_on(self.universe) else ORTHOLATTICE
+        return self
 
     # -- basic queries ----------------------------------------------------
 

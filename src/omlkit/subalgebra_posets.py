@@ -510,7 +510,9 @@ def _product_order(parts: list) -> tuple[list, list, list]:
     ``_cover_rows`` on the columns gives a summand's spread rows with one
     OR per cover pair each way, and a node's up row is the AND of its
     coordinates' spread up rows; down rows likewise.  A summand's columns
-    partition the N nodes, so its last is the complement of the others.
+    partition the N nodes, so its last is the complement of the others;
+    the last summand's columns are the runs themselves, each node of it
+    one run of the nodes that agree on it alone.
     """
     masks = [0]
     for found, covers in parts:
@@ -532,14 +534,18 @@ def _product_order(parts: list) -> tuple[list, list, list]:
     up = down = [-1]  # every bit set: the AND of no rows
     for found, covers in parts:
         step = len(runs) // len(found)
-        cols = [sum(runs[t:t + step]) for t in range(0, len(runs) - step, step)]
-        runs = [sum(runs[q::step]) for q in range(step)]
+        if step == 1:
+            cols = runs
+        else:
+            cols = [sum(runs[t:t + step]) for t in range(0, len(runs) - step, step)]
+            cols.append(everything ^ sum(cols))
+            runs = [sum(runs[q::step]) for q in range(step)]
         if covers is None:
             rows = inclusion_rows(found)[0]
             # ascending masks are a linear extension of inclusion
             covers = zip(*[(i, j) for i in reversed(range(len(rows)))
                            for j in bits(_cover_row(rows, i))])
-        U, D = _cover_rows(*covers, cols + [everything ^ sum(cols)])
+        U, D = _cover_rows(*covers, cols)
         up = [x & y for x in up for y in U]
         down = [x & y for x in down for y in D]
     return [masks[p] for p in order], [up[p] for p in order], [down[p] for p in order]

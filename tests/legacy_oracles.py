@@ -138,6 +138,14 @@ numbers) for meet and then join, after the bounds and the complement; the
 library decides a bijection by its renamed ``up`` rows and any other map
 by meets alone, and scans the pairs only to name the first fault.
 
+``legacy_classify_atoms`` and ``legacy_build_frame`` read the poset atoms
+off every node's covers and each pair's join through ``_join``, one call a
+pair; the library reads the atoms off one cover row of the bottom and an
+atom's joins by mapping its up row's ANDs through the ``{row: node}``
+index.  ``orthoclosed_lattice`` no longer searches: it takes the
+intersection closure of the frame's perp rows, and the closed sets must
+be those of ``legacy_orthoclosed`` and ``subset_scan_orthoclosed``.
+
 ``legacy_finite_ortholattice`` is the lattice constructor that checked
 each law pair by pair: the order axioms, every meet and join looked up
 pair by pair, order reversal pair by pair and the orthomodular law
@@ -194,6 +202,7 @@ from omlkit.lattice_core import (
     morphism,
     sublattice,
 )
+from omlkit.reconstruction import OrthoFrame
 from omlkit.sachs_boolean import _dual_parts, _require_boolean, dual_decomposition, pd_mask
 from omlkit.subalgebra_posets import (
     _partition_table,
@@ -526,6 +535,39 @@ def subset_scan_orthoclosed(frame):
         up.append(row)
     ortho = tuple(index[perp_of(s)] for s in closed)
     return closed, tuple(up), ortho
+
+
+def legacy_classify_atoms(P):
+    """(U, V) of a poset's atoms, as ``classify_atoms`` split them."""
+    if P.bottom() is None:
+        raise NoLeastElement("classification needs a least element")
+    atoms = P.atoms()
+    maximal = set(P.maximal_elements())
+    u, v = [], []
+    for x in atoms:
+        joins = (P._join(x, y) for y in atoms)
+        if all(j is None or P.heights[j] <= 2 for j in joins):
+            (v if x in maximal else u).append(x)
+    return tuple(u), tuple(v)
+
+
+def legacy_build_frame(P, u, v):
+    """The frame ``build_frame`` built on the atoms (U, V)."""
+    labels = [f"u{x}" for x in u]
+    for x in v:
+        labels.extend((f"v{x}.1", f"v{x}.2"))
+    size = len(labels)
+    perp = [0] * size
+    for i, x in enumerate(u):
+        for k in range(i + 1, len(u)):
+            if P._join(x, u[k]) is not None:
+                perp[i] |= 1 << k
+                perp[k] |= 1 << i
+    for k in range(len(v)):
+        i = len(u) + 2 * k
+        perp[i] |= 1 << (i + 1)
+        perp[i + 1] |= 1 << i
+    return OrthoFrame(size, tuple(perp), tuple(labels))
 
 
 def legacy_iso_signatures(L):

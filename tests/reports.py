@@ -24,12 +24,14 @@ from collections import Counter
 from contextlib import contextmanager
 from functools import partial
 
-from legacy_oracles import legacy_boolean_family, legacy_permuted, legacy_product_order
+from legacy_oracles import (legacy_boolean_family, legacy_orthoclosed, legacy_permuted,
+                            legacy_product_order)
 
 import omlkit
-from omlkit import (FiniteOrtholattice, SubalgebraPoset, boolean_nodes, bsub, catalog,
-                    classify_recovery, enumerate_homs, enumerate_subalgebras, lift_bsub_iso,
-                    morphism, poset_isomorphic, product, relabel, sub, verify_determination)
+from omlkit import (FiniteOrtholattice, SubalgebraPoset, boolean_nodes, bsub, build_frame,
+                    catalog, classify_atoms, classify_recovery, enumerate_homs,
+                    enumerate_subalgebras, lift_bsub_iso, morphism, orthoclosed_lattice,
+                    poset_isomorphic, product, relabel, sub, verify_determination)
 from omlkit import lattice_core, sachs_boolean, subalgebra_posets
 from omlkit.subalgebra_posets import _boolean_family, check_order_iso
 
@@ -228,6 +230,28 @@ def construction(labels):
     return rows
 
 
+def frame_of(P):
+    """The frame of a fresh copy of P, which keeps none of P's cached rows."""
+    Q = P.as_abstract()
+    return build_frame(Q, *classify_atoms(Q))
+
+
+def reconstruction(labels):
+    """Frame points and closed sets of each BSub's rebuild, and the time of
+    its atom classification and frame, of ``orthoclosed_lattice``, and of
+    the Close-by-One search and the validating constructor it replaced."""
+    rows = []
+    for label in labels:
+        L, _ = poset_of(label)
+        P = bsub(L).as_abstract()
+        frame = frame_of(P)
+        rows.append((label, frame.size, orthoclosed_lattice(frame).n,
+                     best_ms(partial(frame_of, P)),
+                     best_ms(partial(orthoclosed_lattice, frame)),
+                     best_ms(lambda: FiniteOrtholattice(*legacy_orthoclosed(frame)[1:]))))
+    return rows
+
+
 def bit_walk(permuted):
     """A wrapper for ``patched`` that swaps ``_permuted`` for the walk over
     every set bit that it replaced."""
@@ -327,6 +351,13 @@ REPORTS = [
       ("bsub on benzene x 2^3", lambda: bsub(lattice("benzene x 2^3")))]),
     ("Construction", ("lattice", "best of 5, constructor (ms)", "best of 5, constructor and sub (ms)"),
      construction, ["example22", "hsum(2^5,2^5)", "2^6", "MO3 x 2^3"]),
+    ("Reconstruction",
+     ("poset", "frame points", "closed sets", "best of 5, classify and frame (ms)",
+      "best of 5, `orthoclosed_lattice` (ms)",
+      "best of 5, `legacy_orthoclosed` and constructor (ms)"),
+     reconstruction,
+     ["BSub(hsum(2^3,2^3,2^3,2^2,2^2,2^2))", "BSub(MO31)",
+      "BSub(hsum(2^3,2^3,2^3,2^3,2^3,2^3,2^3,2^3,2^3,2^3))"]),
     ("Order renaming",
      ("call", "rows", "set bits", "best of 5, spelled (ms)", "best of 5, bit walk (ms)"),
      order_renaming,

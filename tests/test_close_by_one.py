@@ -26,7 +26,9 @@ all.  A family read off partitions brings its rows, built from the covers
 of its blocks' partition lattices: they must be the rows the legacy reader
 transposed from its keys (the atom pairs a partition separates in each
 block that holds it), and the transpose of the family's masks, with no
-transpose at all.
+transpose at all.  The orthoclosed sets of a frame are no longer searched
+(they are the intersections of its perp rows), and must still be those of
+the subset scan and of the legacy Close-by-One.
 """
 
 import random

@@ -15,8 +15,9 @@ refuses a set that is not closed.  The lattice constructor tests whole rows
 and leaves naming a fault to the pair scans, so each validation message is
 raised from one place: a fast path must not grow its own copy.  Orders
 skip the partial-order check (``_Order._trusted``) only in the listed
-derivations, whose rows are an order by construction; data read from
-outside is always checked.  A subalgebra poset's nodes are its bit sets
+derivations, whose rows are an order by construction (and, for the
+orthoclosed sets of a frame, an ortholattice); data read from outside is
+always checked.  A subalgebra poset's nodes are its bit sets
 (``masks``): the library reads no ``.nodes``, whose SubalgebraSets are
 built on first read for users of the public API such as ``selftest``.
 ``iso_lifting`` recognizes Boolean nodes from heights, up/down rows and
@@ -299,8 +300,10 @@ def test_the_raise_scan_finds_a_planted_validation_message():
 
 
 # Rows built as an order, or derived from one already checked, skip the
-# check; everything read from outside goes through the constructor
-TRUSTED_CALLERS = [("sachs_boolean.py", "partition_lattice"),
+# check; everything read from outside goes through the constructor.  The
+# orthoclosed sets of a checked frame are an ortholattice by construction
+TRUSTED_CALLERS = [("reconstruction.py", "orthoclosed_lattice"),
+                   ("sachs_boolean.py", "partition_lattice"),
                    ("subalgebra_posets.py", "as_abstract"),
                    ("subalgebra_posets.py", "dual"),
                    ("subalgebra_posets.py", "enumerate_subalgebras"),
