@@ -20,14 +20,18 @@ _HOME = {name: module for module, names in (
     )),
     ("lattice_core", (
         "FiniteOrtholattice", "Morphism", "ORTHOLATTICE", "ORTHOMODULAR",
-        "SubalgebraSet", "automorphisms", "benzene", "bits", "boolean_algebra",
-        "catalog", "compose", "example22", "find_isomorphism", "horizontal_sum",
-        "identity_morphism", "isomorphisms", "mask_of", "mo", "morphism", "product",
-        "relabel", "sublattice",
+        "SubalgebraSet", "bits", "compose", "identity_morphism", "mask_of", "morphism",
     )),
     ("subalgebra_posets", (
-        "AbstractPoset", "SubalgebraPoset", "bsub", "enumerate_subalgebras",
-        "poset_automorphisms", "poset_isomorphic", "poset_isomorphisms", "sub",
+        "AbstractPoset", "SubalgebraPoset", "bsub", "enumerate_subalgebras", "sub",
+    )),
+    ("constructions", (
+        "benzene", "boolean_algebra", "catalog", "example22", "horizontal_sum", "mo",
+        "product", "relabel", "sublattice",
+    )),
+    ("search", (
+        "automorphisms", "find_isomorphism", "isomorphisms", "poset_automorphisms",
+        "poset_isomorphic", "poset_isomorphisms",
     )),
     ("sachs_boolean", (
         "DualDecomposition", "Partition", "dual_decomposition", "dual_order_test",

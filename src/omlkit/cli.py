@@ -14,12 +14,12 @@ from typing import Optional, Sequence
 
 from . import fileio
 from .errors import MalformedInput, OmlkitError
-from .lattice_core import ORTHOMODULAR, catalog
+from .lattice_core import ORTHOMODULAR
 from .subalgebra_posets import enumerate_subalgebras
 
 # The layers above the core (reconstruction, lifting, the Sachs duality, the
-# preimage functor) and the selftest are imported inside the verbs that run
-# them, so a process pays only for what its verb uses.
+# preimage functor), the constructions and the selftest are imported inside
+# the verbs that run them, so a process pays only for what its verb uses.
 
 
 def _read(path: str) -> str:
@@ -135,6 +135,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from .constructions import catalog
+
     _write(fileio.dump_lattice(catalog(args.name)), args.output)
     return 0
 

@@ -19,12 +19,11 @@ from .lattice_core import (
     Morphism,
     SubalgebraSet,
     _Record,
-    _backtrack,
     bits,
-    boolean_algebra,
     mask_of,
     morphism,
 )
+from .search import _backtrack
 from .subalgebra_posets import SubalgebraPoset, enumerate_subalgebras
 
 HOM_SEARCH_CAP = 256
@@ -228,6 +227,8 @@ def unrealized_meet_preserving_map() -> MeetMapReport:
     the 8-element Boolean algebra: collapsing that node would force the
     endomorphism to be simultaneously one-one and not onto.
     """
+    from .constructions import boolean_algebra
+
     B = boolean_algebra(3)
     s = enumerate_subalgebras(B)
     collapsed = s.atoms()[-1]

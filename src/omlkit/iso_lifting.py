@@ -33,7 +33,6 @@ from .lattice_core import (
     _Record,
     _induced,
     bits,
-    find_isomorphism,
     morphism,
 )
 from .subalgebra_posets import (
@@ -43,7 +42,6 @@ from .subalgebra_posets import (
     check_order_iso,
     enumerate_subalgebras,
     inclusion_rows,
-    poset_isomorphic,
 )
 from . import sachs_boolean
 
@@ -400,6 +398,8 @@ def verify_determination(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Determ
     isomorphism.  Non-orthomodular inputs are reported as outside the
     hypothesis (the hexagon shows the posets alone cannot decide those).
     """
+    from .search import find_isomorphism, poset_isomorphic
+
     bsub_l = enumerate_subalgebras(L, boolean_only=True)
     bsub_m = enumerate_subalgebras(M, boolean_only=True)
     witness = poset_isomorphic(bsub_l, bsub_m)

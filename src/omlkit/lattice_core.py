@@ -36,11 +36,15 @@ The blocks of an orthomodular lattice are found here and nowhere else: the
 maximal sets of pairwise orthogonal atoms (``_blocks``), each joined out to
 its block (``_joins``).  ``blocks()`` and Booleanness read them, as do
 BSub and the lifts above this module.
+
+The constructions and the catalog live in ``constructions``, and the
+isomorphism search in ``search``, so that a verb compiles them only when
+it builds a lattice by name or searches.  ``validate`` stays here, as
+every lattice file is read through it.
 """
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import combinations, compress, repeat, starmap
 from operator import and_, itemgetter, lshift, or_
@@ -54,7 +58,6 @@ from .errors import (
     NotAMorphism,
     NotAPartialOrder,
     SizeCap,
-    UnknownName,
 )
 
 MAX_ELEMENTS = 64
@@ -393,12 +396,18 @@ class FiniteOrtholattice(_Order):
                 reach[x] |= row
         return all(up[a] & mask & ~reach[ortho[a]] == 1 << a for a in bits(mask))
 
-    def closure_mask(self, mask: int) -> int:
-        """Close ``mask`` under complement, meet and join, plus the bounds."""
+    def _checked_mask(self, mask) -> int:
+        """``mask`` if it is an integer bit set of elements, else
+        MalformedInput: a negative int has no end of set bits to walk."""
         if not _is_int(mask):
             raise MalformedInput(f"element set must be an integer bit set, got {mask!r}")
         if mask & ~self.universe:
             raise MalformedInput(f"element set mentions elements outside 0..{self.n - 1}")
+        return mask
+
+    def closure_mask(self, mask: int) -> int:
+        """Close ``mask`` under complement, meet and join, plus the bounds."""
+        mask = self._checked_mask(mask)
         return self._extend(0, (), tuple(bits(mask | 1 | 1 << (self.n - 1))))[0]
 
     def _extend(self, mask: int, members: Sequence[int], new: Sequence[int],
@@ -473,7 +482,7 @@ class FiniteOrtholattice(_Order):
         elements pairwise commute, a = (a ^ b) v (a ^ b'), bounds skipped.
         For a <= b, b commuting with a reads b = a v (a' ^ b), so s is then
         orthomodular, and Boolean by Foulis-Holland."""
-        mask = s.members if isinstance(s, SubalgebraSet) else s
+        mask = self._checked_mask(s.members if isinstance(s, SubalgebraSet) else s)
         els = [e for e in bits(mask) if e != 0 and e != self.n - 1]
         below, down, ortho = self._below, self.down, self.ortho
         # the join through the complement, as in ``commutes``: with down
@@ -799,7 +808,7 @@ class Morphism(_Record):
 
     def apply_mask(self, mask: int) -> int:
         out = 0
-        for e in bits(mask):
+        for e in bits(self.source._checked_mask(mask)):
             out |= 1 << self.mapping[e]
         return out
 
@@ -888,341 +897,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     return morphism(f.source, g.target, tuple(g.mapping[v] for v in f.mapping))
 
 
-# -- isomorphism search (verification oracle) ------------------------------
-
-def _iso_signatures(L: FiniteOrtholattice) -> list[tuple]:
-    """Order signatures plus depth, read without ``cover_down`` or
-    ``depths``: since ' reverses the order, the lower covers of a are the
-    complements of the upper covers of a', and the depth of a is the height
-    of a'.  So the complement's cone and cover counts would repeat the
-    element's own."""
-    renamed = itemgetter(*L.ortho)
-    return L._order_signatures(renamed([row.bit_count() for row in L.cover_up]),
-                               renamed(L.heights))
-
-
-def isomorphisms(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Iterator[Morphism]:
-    """All isomorphisms L -> M, in a canonical order.
-
-    Backtracking over element bijections that preserve order and complement,
-    pruned by per-element signatures (cone sizes, height, depth and cover
-    degrees).  Deterministic: elements are processed in a fixed
-    order and candidates tried ascending.
-
-    The maps are not re-checked by ``morphism``: a map the order search
-    yields is an order isomorphism (see ``_order_isos``), and its partner
-    rule makes it commute with the complement.  Meets and joins are fixed
-    by the order, so ``morphism`` could not reject the map, and would
-    return this same iso.
-    """
-    if L.n != M.n or L.flavor != M.flavor:
-        return
-    for mapping in _order_isos(L, M, _iso_signatures(L), _iso_signatures(M),
-                               (L.ortho, M.ortho)):
-        yield Morphism(L, M, tuple(mapping), ISO)
-
-
-def _order_isos(src, tgt, sig_src: list, sig_tgt: list, partner=None) -> Iterator[list[int]]:
-    """Bijections between two orders (``up``/``down`` rows) that preserve
-    and reflect it and map each element to one with an equal signature.
-
-    Each point's domain is at first its signature class, the points with
-    the smallest classes go first, and ``_backtrack`` narrows the domains
-    along the order.  A complete map preserves the order (see
-    ``_backtrack``), and the signatures' equal cone sizes give both orders
-    as many comparable pairs, so the map, a bijection, reflects the order
-    too.  Yields the live mapping.
-    """
-    if sorted(sig_src) != sorted(sig_tgt):
-        return iter(())
-    domain = _classes(sig_src, sig_tgt)
-    order = sorted(range(len(domain)), key=[d.bit_count() for d in domain].__getitem__)
-    return _backtrack(order, domain, src, tgt, [-1] * len(domain), partner, distinct=True)
-
-
-def _classes(sig_src: list, sig_tgt: list) -> list[int]:
-    """For each source point, the bit set of the target points with its
-    signature: the targets grouped by signature in one pass."""
-    by_sig = {}
-    for y, sig in enumerate(sig_tgt):
-        by_sig[sig] = by_sig.get(sig, 0) | 1 << y
-    return [by_sig.get(sig, 0) for sig in sig_src]
-
-
-def _backtrack(order: Sequence[int], domain: Sequence[int], src, tgt, mapping: list[int],
-               partner=None, distinct: bool = False, consistent=None) -> Iterator[list[int]]:
-    """Every map a -> b from ``src``'s points to ``tgt``'s with b in
-    ``domain[a]`` that preserves the order (``up``/``down`` rows), one to
-    one when ``distinct``, and passes ``consistent(a, b)`` at each
-    placement, if given.  ``mapping`` starts all -1 (unmapped) and is
-    yielded live at each complete map.
-
-    The one backtracking search behind the isomorphism and homomorphism
-    enumerators.  It checks forward (Haralick and Elliott, Artif. Intell.
-    14, 1980): placing a -> b narrows the domain of every unmapped point
-    below a to the targets below b, and of every unmapped point above a to
-    those above b (a b comparable to every target narrows nothing), and is
-    refused when a point it narrows has no target left (none unused, when
-    ``distinct``), since then no completion is left.  So a complete map
-    preserves the order: each comparable pair was narrowed when its first
-    point was placed.  The next unmapped point a in ``order`` tries the
-    targets of ``domain[a]`` not in use, ascending, read when it is
-    reached: placements are undone last in, first out, so every later try
-    there sees that same set.  ``partner = (src, tgt)`` forces
-    src[a] -> tgt[b] along with a -> b, which must lie in its domain and
-    is placed the same way; the orthocomplements on both sides are the
-    partners.  Iterative, so the depth is not bounded by the recursion
-    limit.
-    """
-    domain = list(domain)
-    up_s, down_s, up_t, down_t = src.up, src.down, tgt.up, tgt.down
-    everything = (1 << len(up_t)) - 1
-    free, unused = (1 << len(up_s)) - 1, everything   # unmapped points, targets not in use
-
-    def place(a: int, b: int, placed: list) -> bool:
-        nonlocal free, unused
-        if consistent is not None and not consistent(a, b):
-            return False
-        left = unused ^ 1 << b if distinct else everything
-        others = free ^ 1 << a
-        saved = []   # (point, its domain before this placement)
-        for cone, row in ((down_s[a] & others, down_t[b]), (up_s[a] & others, up_t[b])):
-            if row == everything:
-                continue
-            while cone:
-                low = cone & -cone
-                z = low.bit_length() - 1
-                cone ^= low
-                old = domain[z]
-                d = old & row
-                if not d & left:
-                    for z, old in saved:
-                        domain[z] = old
-                    return False
-                if d != old:
-                    domain[z] = d
-                    saved.append((z, old))
-        mapping[a] = b
-        free, unused = others, left
-        placed.append((a, saved))
-        if partner is None:
-            return True
-        ao, bo = partner[0][a], partner[1][b]
-        if mapping[ao] >= 0:
-            return mapping[ao] == bo
-        return (domain[ao] & unused) >> bo & 1 and place(ao, bo, placed)
-
-    def undo(placed: list):
-        nonlocal free, unused
-        while placed:
-            a, saved = placed.pop()
-            for z, old in saved:
-                domain[z] = old
-            free |= 1 << a
-            unused |= 1 << mapping[a]
-            mapping[a] = -1
-
-    def next_free(pos: int) -> int:
-        while pos < len(order) and mapping[order[pos]] >= 0:
-            pos += 1
-        return pos
-
-    if not order:
-        yield mapping
-        return
-    # one frame per point being tried: its position in ``order``, the
-    # targets left to try, and the placements its current choice made
-    stack = [(0, bits(domain[order[0]] & unused), [])]
-    while stack:
-        pos, tries, placed = stack[-1]
-        undo(placed)
-        for b in tries:
-            if place(order[pos], b, placed):
-                break
-            undo(placed)
-        else:
-            stack.pop()
-            continue
-        nxt = next_free(pos + 1)
-        if nxt == len(order):
-            yield mapping
-        else:
-            stack.append((nxt, bits(domain[order[nxt]] & unused), []))
-
-
-def find_isomorphism(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Optional[Morphism]:
-    """Some isomorphism L -> M if one exists, else None (brute-force oracle)."""
-    return next(isomorphisms(L, M), None)
-
-
-def automorphisms(L: FiniteOrtholattice) -> list[Morphism]:
-    return list(isomorphisms(L, L))
-
-
-# -- constructions and the catalog -----------------------------------------
-
-def boolean_algebra(num_atoms: int, name: Optional[str] = None) -> FiniteOrtholattice:
-    """Power-set lattice on ``num_atoms`` atoms; element i is the subset i."""
-    if not 1 <= num_atoms <= 6:
-        raise SizeCap("Boolean construction supports 1..6 atoms")
-    # 2^k is 2^(k-1) x 2: the subsets without atom k-1, then those with it
-    up = [1]
-    for k in range(num_atoms):
-        half = 1 << k
-        up = [r | r << half for r in up] + [r << half for r in up]
-    full = len(up) - 1
-    return FiniteOrtholattice(up, [full ^ i for i in range(full + 1)], name or f"2^{num_atoms}")
-
-
-def product(L: FiniteOrtholattice, M: FiniteOrtholattice,
-            name: Optional[str] = None) -> FiniteOrtholattice:
-    """Direct product with componentwise order and complement."""
-    if L.n * M.n > MAX_ELEMENTS:
-        raise SizeCap(f"product would have {L.n * M.n} elements")
-    # (x, y) is element x * m + y, so the row of (x, y) holds one copy of
-    # M.up[y] shifted to each x2 above x; the copies are disjoint, so sum is OR
-    m = M.n
-    up = [sum(M.up[y] << x2 * m for x2 in bits(L.up[x])) for x in range(L.n) for y in range(m)]
-    ortho = [L.ortho[x] * m + M.ortho[y] for x in range(L.n) for y in range(m)]
-    return FiniteOrtholattice(up, ortho, name)
-
-
-def horizontal_sum(summands: Sequence[FiniteOrtholattice],
-                   name: Optional[str] = None) -> FiniteOrtholattice:
-    """Glue the summands at their bounds; everything else stays incomparable.
-
-    Each summand needs at least 4 elements (a 2-element summand would
-    contribute nothing).  For Boolean summands the result is orthomodular
-    with the summands as its blocks.  Each summand's inner elements keep
-    their order and follow the previous summand's, so its inner rows are
-    its own, shifted, plus the top.
-    """
-    if not summands:
-        raise MalformedInput("horizontal sum of nothing")
-    if any(s.n < 4 for s in summands):
-        raise MalformedInput("horizontal sum needs summands with at least 4 elements")
-    n = sum(s.n - 2 for s in summands) + 2
-    if n > MAX_ELEMENTS:
-        raise SizeCap(f"horizontal sum would have {n} elements")
-    top = 1 << n - 1
-    up, ortho = [(1 << n) - 1], [n - 1]
-    for s in summands:
-        # inner element e lands on e + shift; its row drops s's top for L's
-        shift, inner = len(up) - 1, (1 << s.n - 1) - 1
-        up += [(s.up[e] & inner) << shift | top for e in range(1, s.n - 1)]
-        ortho += [s.ortho[e] + shift for e in range(1, s.n - 1)]
-    return FiniteOrtholattice(up + [top], ortho + [0], name)
-
-
-def mo(k: int) -> FiniteOrtholattice:
-    """Bounds plus k orthogonal atom pairs (horizontal sum of k diamonds)."""
-    if k < 1:
-        raise UnknownName("MO index must be at least 1")
-    # refused before k summands are listed
-    if 2 * k + 2 > MAX_ELEMENTS:
-        raise SizeCap(f"horizontal sum would have {2 * k + 2} elements")
-    return horizontal_sum([boolean_algebra(2)] * k, name=f"MO{k}")
-
-
-def benzene() -> FiniteOrtholattice:
-    """The 6-element hexagon 0 < x < y < 1, 0 < y' < x' < 1.
-
-    An ortholattice that is not orthomodular; useful as a counterexample
-    input only.
-    """
-    up = [
-        0b111111,        # 0
-        0b100110,        # x
-        0b100100,        # y
-        0b111000,        # y'
-        0b110000,        # x'
-        0b100000,        # 1
-    ]
-    ortho = [5, 4, 3, 2, 1, 0]
-    return FiniteOrtholattice(up, ortho, "benzene")
-
-
-def example22() -> FiniteOrtholattice:
-    """Two 8-element Boolean blocks pasted along a shared atom pair.
-
-    Elements: 0; atoms a,b,c,d,e = 1..5; coatoms a'..e' = 6..10; 1 = 11.
-    The blocks are {0,a,a',b,b',c,c',1} and {0,c,c',d,d',e,e',1}.
-    """
-    n = 12
-    pairs = [
-        (1, 7), (1, 8),
-        (2, 6), (2, 8),
-        (3, 6), (3, 7), (3, 9), (3, 10),
-        (4, 8), (4, 10),
-        (5, 8), (5, 9),
-    ]
-    up = [0] * n
-    up[0] = (1 << n) - 1
-    for e in range(1, n - 1):
-        up[e] = (1 << e) | (1 << (n - 1))
-    up[n - 1] = 1 << (n - 1)
-    for a, b in pairs:
-        up[a] |= 1 << b
-    ortho = [11, 6, 7, 8, 9, 10, 1, 2, 3, 4, 5, 0]
-    return FiniteOrtholattice(up, ortho, "example22")
-
-
-_BOOLEAN_NAME = re.compile(r"b?2\^(\d+)")
-_MO_NAME = re.compile(r"mo(\d+)")
-_HSUM_NAME = re.compile(r"hsum\((.*)\)")
-
-
-def _index(digits: str) -> int:
-    """The number a name's index spells.  An index of more digits (leading
-    zeros aside) than the cap has elements is past the cap whatever they
-    are, and raises SizeCap before ``int`` reads it: neither ``int`` nor a
-    message would take the text of a number thousands of digits long."""
-    digits = digits.lstrip("0") or "0"
-    if len(digits) > MAX_ELEMENTS:
-        raise SizeCap(f"an index of {len(digits)} digits is past the {MAX_ELEMENTS}-element cap")
-    return int(digits)
-
-
-def catalog(name: str) -> FiniteOrtholattice:
-    """Construct a lattice by name.
-
-    Accepted: ``2^n`` or ``B2^n``, ``MOk``, ``MO2x2``, ``example22``,
-    ``benzene``, and ``hsum(2^a,2^b,...)`` with Boolean summands.  The
-    catalog keeps no ranges of its own: the constructors decide, so 2^1 ..
-    2^6 and MO1 .. MO31 build, and a name past the 64-element cap raises
-    SizeCap.  Raises UnknownName for a name of no accepted form, and as
-    ``mo`` does for MO0.  An index is read by ``_index``.
-    """
-    key = name.strip().lower().replace(" ", "")
-    if key == "example22":
-        return example22()
-    if key == "benzene":
-        return benzene()
-    if key == "mo2x2":
-        return product(mo(2), boolean_algebra(1), name="MO2x2")
-    m = _BOOLEAN_NAME.fullmatch(key)
-    if m:
-        return boolean_algebra(_index(m.group(1)))
-    m = _MO_NAME.fullmatch(key)
-    if m:
-        return mo(_index(m.group(1)))
-    m = _HSUM_NAME.fullmatch(key)
-    if m:
-        args = [a for a in m.group(1).split(",") if a]
-        if not args:
-            raise UnknownName("hsum needs at least one summand")
-        summands = []
-        for a in args:
-            bm = _BOOLEAN_NAME.fullmatch(a)
-            if not bm:
-                raise UnknownName(f"hsum summands must be Boolean algebras 2^k, got {a!r}")
-            summands.append(boolean_algebra(_index(bm.group(1))))
-        label = "hsum(" + ",".join(f"2^{s.n.bit_length() - 1}" for s in summands) + ")"
-        return horizontal_sum(summands, name=label)
-    raise UnknownName(name)
-
-
-# -- structural helpers -----------------------------------------------------
+# -- lattices from raw pairs -------------------------------------------------
 
 def validate(size: int, leq: Iterable[tuple[int, int]], ortho: Sequence[int],
              name: Optional[str] = None) -> FiniteOrtholattice:
@@ -1238,31 +913,3 @@ def validate(size: int, leq: Iterable[tuple[int, int]], ortho: Sequence[int],
     if size > MAX_ELEMENTS:
         raise SizeCap(f"{size} elements exceed the bit-set cap of {MAX_ELEMENTS}")
     return FiniteOrtholattice(_Order._read_pairs(size, leq, "elements"), ortho, name)
-
-
-def relabel(L: FiniteOrtholattice, perm: Sequence[int],
-            name: Optional[str] = None) -> FiniteOrtholattice:
-    """Copy of L with element i renamed perm[i]; bounds must stay pinned."""
-    perm = tuple(perm)
-    if not L._is_permutation(perm):
-        raise MalformedInput("relabeling is not a permutation")
-    if perm[0] != 0 or perm[L.n - 1] != L.n - 1:
-        raise MalformedInput("relabeling must fix the bounds 0 and n-1")
-    ortho = [0] * L.n
-    for i in range(L.n):
-        ortho[perm[i]] = perm[L.ortho[i]]
-    return FiniteOrtholattice(_permuted(L.up, L.down, perm), ortho, name)
-
-
-def sublattice(L: FiniteOrtholattice, members) -> tuple[FiniteOrtholattice, tuple[int, ...]]:
-    """Standalone copy of a closed subalgebra.
-
-    Returns (lattice, backmap) where backmap[local] is the element of L the
-    local index came from.  Local indices keep the ambient ascending order,
-    so 0 and the local top stay pinned.
-    """
-    mask = L.subalgebra(members).members
-    backmap = tuple(bits(mask))
-    # the local index of an element is the number of members below it
-    ortho = [(mask & (1 << L.ortho[g]) - 1).bit_count() for g in backmap]
-    return FiniteOrtholattice(_induced(L.up, mask), ortho), backmap

@@ -19,15 +19,12 @@ from .functorial import (
     preimage_functor,
     unrealized_meet_preserving_map,
 )
+from .constructions import boolean_algebra, catalog
 from .iso_lifting import induced_node_map, lift_boolean_iso, lift_bsub_iso
 from .lattice_core import (
     ORTHOMODULAR,
-    automorphisms,
     bits,
-    boolean_algebra,
-    catalog,
     compose,
-    find_isomorphism,
     identity_morphism,
     mask_of,
     morphism,
@@ -41,12 +38,8 @@ from .sachs_boolean import (
     principal_element,
     subalgebra_to_partition,
 )
-from .subalgebra_posets import (
-    bsub,
-    poset_automorphisms,
-    poset_isomorphic,
-    sub,
-)
+from .search import automorphisms, find_isomorphism, poset_automorphisms, poset_isomorphic
+from .subalgebra_posets import bsub, sub
 
 ROUND_TRIP_ROSTER = ["2^2", "2^3", "2^4", "MO2", "MO3", "MO4",
                      "MO2x2", "example22", "hsum(2^3,2^3)"]

@@ -183,6 +183,7 @@ from omlkit.functorial import (
     enumerate_homs,
     image_subalgebra,
 )
+from omlkit.constructions import sublattice
 from omlkit.iso_lifting import MAX_FOUR_BLOCK_CHOICES, _bell
 from omlkit.lattice_core import (
     EMBEDDING,
@@ -194,23 +195,21 @@ from omlkit.lattice_core import (
     FiniteOrtholattice,
     Morphism,
     SubalgebraSet,
-    _iso_signatures,
     _is_int,
     _joins,
     bits,
     mask_of,
     morphism,
-    sublattice,
 )
 from omlkit.reconstruction import OrthoFrame
 from omlkit.sachs_boolean import _dual_parts, _require_boolean, dual_decomposition, pd_mask
+from omlkit.search import _iso_signatures, poset_isomorphic
 from omlkit.subalgebra_posets import (
     _partition_table,
     check_order_iso,
     close_by_one,
     enumerate_subalgebras,
     inclusion_rows,
-    poset_isomorphic,
 )
 
 

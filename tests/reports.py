@@ -32,7 +32,7 @@ from omlkit import (FiniteOrtholattice, SubalgebraPoset, boolean_nodes, bsub, bu
                     catalog, classify_atoms, classify_recovery, enumerate_homs,
                     enumerate_subalgebras, lift_bsub_iso, morphism, orthoclosed_lattice,
                     poset_isomorphic, product, relabel, sub, verify_determination)
-from omlkit import lattice_core, sachs_boolean, subalgebra_posets
+from omlkit import lattice_core, sachs_boolean, search, subalgebra_posets
 from omlkit.subalgebra_posets import _boolean_family, check_order_iso
 
 BUDGET = 10**6
@@ -105,6 +105,24 @@ def code_lines(paths):
                 code.update(range(tok.start[0], tok.end[0] + 1))
         rows.append((path.name, source.count("\n"), len(code - docs)))
     return rows + [("total", sum(row[1] for row in rows), sum(row[2] for row in rows))]
+
+
+TOKEN_STEP = 8192
+
+
+def module_tokens(paths):
+    """Parser tokens of each module (comments and non-logical line breaks
+    dropped), and how far the count is below the next multiple of
+    ``TOKEN_STEP``.  A process that compiles a module from source, as every
+    process does without a bytecode cache, grows the parser's token array
+    in such steps: a module past one raises the peak memory of each."""
+    rows = []
+    for path in paths:
+        with path.open(encoding="utf-8") as source:
+            count = sum(tok.type not in (tokenize.COMMENT, tokenize.NL)
+                        for tok in tokenize.generate_tokens(source.readline))
+        rows.append((path.name, count, TOKEN_STEP - count % TOKEN_STEP))
+    return rows
 
 
 def closure_counts(labels):
@@ -290,12 +308,12 @@ def placements(counts):
     """A wrapper for ``patched`` around ``_backtrack`` that counts the
     placements it tries: each target left in a point's domain, and each
     forced partner left in its own."""
-    def wrap(search):
+    def wrap(backtrack):
         def counted(*args, consistent=None, **kwargs):
             def tried(a, b):
                 counts["placed"] += 1
                 return consistent is None or consistent(a, b)
-            return search(*args, consistent=tried, **kwargs)
+            return backtrack(*args, consistent=tried, **kwargs)
         return counted
     return wrap
 
@@ -317,7 +335,7 @@ def searches(labels):
             run = {"boolean_nodes": partial(boolean_nodes, P),
                    "poset_isomorphic": partial(poset_isomorphic, P, Q)}[call]
         counts = Counter()
-        with patched(lattice_core, "_backtrack", placements(counts)):
+        with patched(search, "_backtrack", placements(counts)):
             run()
         rows.append((label, best_ms(run), counts["placed"]))
     return rows
@@ -326,6 +344,8 @@ def searches(labels):
 # (title, columns, report, its inputs smallest first)
 REPORTS = [
     ("Source lines", ("module", "lines", "code lines"), code_lines,
+     sorted(pathlib.Path(omlkit.__file__).parent.glob("*.py"))),
+    ("Parser tokens", ("module", "tokens", f"below the next {TOKEN_STEP:,} step"), module_tokens,
      sorted(pathlib.Path(omlkit.__file__).parent.glob("*.py"))),
     ("Closure counts",
      ("poset", "nodes", "blocks read", "nodes from partitions", "meet closures"),

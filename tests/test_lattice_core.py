@@ -498,17 +498,22 @@ def test_order_iso_faults_read_as_the_node_walk_named_them(name, enumerate_):
                     "node map does not reflect node order"}
 
 
-# a negative mask once closed forever, growing until memory ran out, so
-# the calls run in a child interpreter with a deadline and a capped heap
+# a negative mask once closed forever, growing until memory ran out, and
+# the bit walk of ``is_boolean`` and ``apply_mask`` never ended on one, so
+# the calls run in a child interpreter with a deadline and a capped heap;
+# a mask past the top raised a bare IndexError there
 OUT_OF_RANGE_MASKS = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
 import omlkit
 from omlkit import sachs_boolean
-L, B = omlkit.mo(2), omlkit.boolean_algebra(2)
+L, B, C = omlkit.mo(2), omlkit.boolean_algebra(2), omlkit.boolean_algebra(3)
+f = omlkit.identity_morphism(L)
 for call in (lambda: L.subalgebra(-1), lambda: omlkit.sublattice(L, -1),
              lambda: sachs_boolean.dual_decomposition(B, -1),
-             lambda: L.subalgebra(1 << 6), lambda: L.closure_mask(-1 << 7 | 5)):
+             lambda: L.subalgebra(1 << 6), lambda: L.closure_mask(-1 << 7 | 5),
+             lambda: L.is_boolean(-3), lambda: C.is_boolean(1 << 20),
+             lambda: f.apply_mask(-1), lambda: f.apply_mask(1 << 6)):
     try:
         call()
     except omlkit.MalformedInput as exc:
@@ -522,7 +527,7 @@ def test_masks_outside_the_universe_are_malformed_input(subprocess_env):
     assert out.returncode == 0, out.stderr[-2000:]
     assert out.stdout.splitlines() == [
         f"MalformedInput element set mentions elements outside 0..{top}"
-        for top in (5, 5, 3, 5, 5)]
+        for top in (5, 5, 3, 5, 5, 5, 7, 5, 5)]
 
 
 def test_negative_members_are_malformed_input():
@@ -550,11 +555,15 @@ def test_a_map_entry_that_is_no_integer_is_not_a_morphism(entry):
     (lambda L: L.subalgebra(2.0), "element set must be an integer bit set, got 2.0"),
     (lambda L: L.subalgebra(True), "element set must be an integer bit set, got True"),
     (lambda L: L.closure_mask(0.5), "element set must be an integer bit set, got 0.5"),
+    (lambda L: L.is_boolean(0.5), "element set must be an integer bit set, got 0.5"),
+    (lambda L: identity_morphism(L).apply_mask("a"),
+     "element set must be an integer bit set, got 'a'"),
     (lambda L: sub(L).interval_below(1.5), "node 1.5 out of range"),
     (lambda L: sub(L).interval_below(-1), "node -1 out of range"),
     (lambda L: sub(L).interval_below(4), "node 4 out of range"),
 ], ids=["generated-float", "generated-str", "generated-bool", "subalgebra-float",
         "subalgebra-float-mask", "subalgebra-bool-mask", "closure-float",
+        "is-boolean-float", "apply-mask-str",
         "interval-float", "interval-negative", "interval-past-end"])
 def test_elements_and_nodes_that_are_no_valid_index_are_malformed_input(call, text):
     with pytest.raises(MalformedInput) as exc:

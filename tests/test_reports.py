@@ -8,7 +8,7 @@ import sys
 import pytest
 import reports
 
-from omlkit import lattice_core
+from omlkit import search
 
 
 def _names():
@@ -39,6 +39,6 @@ def test_each_report_runs_on_its_smallest_input_and_puts_back_what_it_patched(re
 
 def test_the_name_check_finds_a_function_left_patched():
     before = _names()
-    with reports.patched(lattice_core, "_backtrack", lambda search: lambda *args: search(*args)):
-        assert _replaced(before) == [(lattice_core, "_backtrack")]
+    with reports.patched(search, "_backtrack", lambda found: lambda *args: found(*args)):
+        assert _replaced(before) == [(search, "_backtrack")]
     assert _replaced(before) == []

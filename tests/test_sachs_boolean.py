@@ -27,7 +27,8 @@ from omlkit import (
     sub,
     subalgebra_to_partition,
 )
-from omlkit.lattice_core import SubalgebraSet, bits, mask_of, sublattice
+from omlkit.constructions import sublattice
+from omlkit.lattice_core import SubalgebraSet, bits, mask_of
 
 from legacy_oracles import legacy_partition_lattice, legacy_partition_to_subalgebra
 

@@ -55,9 +55,10 @@ from omlkit import (
     sub,
     verify_determination,
 )
-from omlkit import iso_lifting
+from omlkit import search as order_search
 from omlkit.functorial import _homs
-from omlkit.lattice_core import ISO, _backtrack, _classes, _iso_signatures, mask_of
+from omlkit.lattice_core import ISO, mask_of
+from omlkit.search import _backtrack, _classes, _iso_signatures
 from omlkit.subalgebra_posets import check_order_iso
 
 CATALOG = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4",
@@ -253,8 +254,8 @@ def test_verify_determination_lifts_an_order_isomorphism(name, monkeypatch):
     # its witness is the first map between the two BSub posets
     L, _ = SYMMETRIC[name]
     found = []
-    search = iso_lifting.poset_isomorphic
-    monkeypatch.setattr(iso_lifting, "poset_isomorphic",
+    search = order_search.poset_isomorphic
+    monkeypatch.setattr(order_search, "poset_isomorphic",
                         lambda P, Q: found.append((search(P, Q), P, Q)) or found[-1][0])
     for seed in SEEDS:
         found.clear()
