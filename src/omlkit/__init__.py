@@ -23,16 +23,14 @@ _HOME = {name: module for module, names in (
         "SubalgebraSet", "bits", "compose", "identity_morphism", "mask_of", "morphism",
     )),
     ("subalgebra_posets", (
-        "AbstractPoset", "SubalgebraPoset", "bsub", "enumerate_subalgebras", "sub",
+        "AbstractPoset", "SubalgebraPoset", "bsub", "enumerate_subalgebras",
+        "poset_automorphisms", "poset_isomorphic", "poset_isomorphisms", "sub",
     )),
     ("constructions", (
         "benzene", "boolean_algebra", "catalog", "example22", "horizontal_sum", "mo",
         "product", "relabel", "sublattice",
     )),
-    ("search", (
-        "automorphisms", "find_isomorphism", "isomorphisms", "poset_automorphisms",
-        "poset_isomorphic", "poset_isomorphisms",
-    )),
+    ("search", ("automorphisms", "find_isomorphism", "isomorphisms")),
     ("sachs_boolean", (
         "DualDecomposition", "Partition", "dual_decomposition", "dual_order_test",
         "is_boolean_algebra", "partition_lattice", "partition_to_subalgebra",

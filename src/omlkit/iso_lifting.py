@@ -42,6 +42,7 @@ from .subalgebra_posets import (
     check_order_iso,
     enumerate_subalgebras,
     inclusion_rows,
+    poset_isomorphic,
 )
 from . import sachs_boolean
 
@@ -398,7 +399,7 @@ def verify_determination(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Determ
     isomorphism.  Non-orthomodular inputs are reported as outside the
     hypothesis (the hexagon shows the posets alone cannot decide those).
     """
-    from .search import find_isomorphism, poset_isomorphic
+    from .search import find_isomorphism
 
     bsub_l = enumerate_subalgebras(L, boolean_only=True)
     bsub_m = enumerate_subalgebras(M, boolean_only=True)

@@ -482,7 +482,11 @@ class FiniteOrtholattice(_Order):
         elements pairwise commute, a = (a ^ b) v (a ^ b'), bounds skipped.
         For a <= b, b commuting with a reads b = a v (a' ^ b), so s is then
         orthomodular, and Boolean by Foulis-Holland."""
-        mask = self._checked_mask(s.members if isinstance(s, SubalgebraSet) else s)
+        mask = s.members if isinstance(s, SubalgebraSet) else s
+        if mask.__class__ is not int or mask >> self.n:
+            # only a mask that may be malformed pays for the check: BSub's
+            # search passes plain ints inside the universe
+            mask = self._checked_mask(mask)
         els = [e for e in bits(mask) if e != 0 and e != self.n - 1]
         below, down, ortho = self._below, self.down, self.ortho
         # the join through the complement, as in ``commutes``: with down

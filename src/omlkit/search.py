@@ -2,13 +2,14 @@
 
 ``_backtrack`` maps the points of one order into another, preserving the
 order and narrowing the domains left to the unmapped points as it places
-each one.  Order isomorphisms of lattices (``isomorphisms``, with the
-complement as a partner) and of bare posets (``poset_isomorphisms``) list
-the bijections among those maps whose points agree on per-point
-signatures; the homomorphism search of ``functorial`` passes its own
-domains and a consistency test.  The lattice search is the brute-force
-oracle of the determination check.  Only the verbs that search load this
-module: the lifts check a node map with
+each one.  ``_order_isos`` lists the bijections among those maps whose
+points agree on per-point signatures: the lattice isomorphisms here
+(``isomorphisms``, with the complement as a partner), the brute-force
+oracle of the determination check, and the poset isomorphisms of
+``subalgebra_posets.poset_isomorphisms``, which imports this module when
+it first runs.  The homomorphism search of ``functorial`` passes
+``_backtrack`` its own domains and a consistency test.  Only the verbs
+that search load this module: the lifts check a node map with
 ``subalgebra_posets.check_order_iso`` and search nothing.
 """
 
@@ -17,11 +18,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
-from .errors import Unsupported
 from .lattice_core import ISO, FiniteOrtholattice, Morphism, bits
-from .subalgebra_posets import AbstractPoset
-
-POSET_ISO_CAP = 5000
 
 
 def _iso_signatures(L: FiniteOrtholattice) -> list[tuple]:
@@ -191,28 +188,3 @@ def find_isomorphism(L: FiniteOrtholattice, M: FiniteOrtholattice) -> Optional[M
 
 def automorphisms(L: FiniteOrtholattice) -> list[Morphism]:
     return list(isomorphisms(L, L))
-
-
-# -- poset isomorphism -------------------------------------------------------
-
-def poset_isomorphisms(P: AbstractPoset, Q: AbstractPoset) -> Iterator[tuple[int, ...]]:
-    """All order isomorphisms P -> Q as node maps, canonically ordered.
-
-    Backtracking pruned by (cone sizes, height, cover degrees) signatures.
-    Limited to posets of at most 5000 nodes; beyond that raises Unsupported.
-    """
-    if max(P.size, Q.size) > POSET_ISO_CAP:
-        raise Unsupported(f"poset isomorphism search capped at {POSET_ISO_CAP} nodes")
-    if P.size != Q.size:
-        return
-    for mapping in _order_isos(P, Q, P._order_signatures(), Q._order_signatures()):
-        yield tuple(mapping)
-
-
-def poset_isomorphic(P: AbstractPoset, Q: AbstractPoset) -> Optional[tuple[int, ...]]:
-    """A witness node bijection preserving order both ways, or None."""
-    return next(poset_isomorphisms(P, Q), None)
-
-
-def poset_automorphisms(P: AbstractPoset) -> list[tuple[int, ...]]:
-    return list(poset_isomorphisms(P, P))

@@ -38,8 +38,13 @@ from .sachs_boolean import (
     principal_element,
     subalgebra_to_partition,
 )
-from .search import automorphisms, find_isomorphism, poset_automorphisms, poset_isomorphic
-from .subalgebra_posets import bsub, sub
+from .search import automorphisms, find_isomorphism
+from .subalgebra_posets import (
+    bsub,
+    poset_automorphisms,
+    poset_isomorphic,
+    sub,
+)
 
 ROUND_TRIP_ROSTER = ["2^2", "2^3", "2^4", "MO2", "MO3", "MO4",
                      "MO2x2", "example22", "hsum(2^3,2^3)"]

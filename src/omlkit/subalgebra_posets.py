@@ -35,13 +35,14 @@ import os
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress
 from operator import and_
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     ExplosionCap,
     MalformedInput,
     NoLeastElement,
     NotAnIso,
+    Unsupported,
 )
 from .lattice_core import (
     FiniteOrtholattice,
@@ -57,6 +58,7 @@ from .lattice_core import (
 
 DEFAULT_NODE_CAP = 100000
 NODE_CAP_ENV = "OMLKIT_NODE_CAP"
+POSET_ISO_CAP = 5000
 
 
 class AbstractPoset(_Order):
@@ -643,7 +645,7 @@ def bsub(L: FiniteOrtholattice, **kw) -> SubalgebraPoset:
     return enumerate_subalgebras(L, boolean_only=True, **kw)
 
 
-# -- order isomorphism check ------------------------------------------------
+# -- poset isomorphism -------------------------------------------------------
 
 def check_order_iso(mapping, source: AbstractPoset, target: AbstractPoset) -> tuple[int, ...]:
     """Validate a node map as an order isomorphism; raises NotAnIso.
@@ -665,3 +667,28 @@ def check_order_iso(mapping, source: AbstractPoset, target: AbstractPoset) -> tu
                 raise NotAnIso(f"node map does not preserve node order at {i} <= {j}")
         raise NotAnIso("node map does not reflect node order")
     return mapping
+
+
+def poset_isomorphisms(P: AbstractPoset, Q: AbstractPoset) -> Iterator[tuple[int, ...]]:
+    """All order isomorphisms P -> Q as node maps, canonically ordered.
+
+    Backtracking pruned by (cone sizes, height, cover degrees) signatures.
+    Limited to posets of at most 5000 nodes; beyond that raises Unsupported.
+    """
+    from .search import _order_isos
+
+    if max(P.size, Q.size) > POSET_ISO_CAP:
+        raise Unsupported(f"poset isomorphism search capped at {POSET_ISO_CAP} nodes")
+    if P.size != Q.size:
+        return
+    for mapping in _order_isos(P, Q, P._order_signatures(), Q._order_signatures()):
+        yield tuple(mapping)
+
+
+def poset_isomorphic(P: AbstractPoset, Q: AbstractPoset) -> Optional[tuple[int, ...]]:
+    """A witness node bijection preserving order both ways, or None."""
+    return next(poset_isomorphisms(P, Q), None)
+
+
+def poset_automorphisms(P: AbstractPoset) -> list[tuple[int, ...]]:
+    return list(poset_isomorphisms(P, P))

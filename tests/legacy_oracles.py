@@ -203,13 +203,14 @@ from omlkit.lattice_core import (
 )
 from omlkit.reconstruction import OrthoFrame
 from omlkit.sachs_boolean import _dual_parts, _require_boolean, dual_decomposition, pd_mask
-from omlkit.search import _iso_signatures, poset_isomorphic
+from omlkit.search import _iso_signatures
 from omlkit.subalgebra_posets import (
     _partition_table,
     check_order_iso,
     close_by_one,
     enumerate_subalgebras,
     inclusion_rows,
+    poset_isomorphic,
 )
 
 

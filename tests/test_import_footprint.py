@@ -4,8 +4,9 @@ exports.
 A command-line verb starts a fresh interpreter, so every module on the
 import path of ``omlkit.cli`` is compiled and run once per verb.  The
 layers above the core, the constructions and the search load on first use
-of one of their names; these checks run in a child interpreter, where
-nothing has touched them yet.
+of one of their names (the poset isomorphisms load the search when they
+first run); these checks run in a child interpreter, where nothing has
+touched them yet.
 """
 
 import json
@@ -30,16 +31,14 @@ PUBLIC = {
         "SubalgebraSet", "bits", "compose", "identity_morphism", "mask_of", "morphism",
     ],
     "subalgebra_posets": [
-        "AbstractPoset", "SubalgebraPoset", "bsub", "enumerate_subalgebras", "sub",
+        "AbstractPoset", "SubalgebraPoset", "bsub", "enumerate_subalgebras",
+        "poset_automorphisms", "poset_isomorphic", "poset_isomorphisms", "sub",
     ],
     "constructions": [
         "benzene", "boolean_algebra", "catalog", "example22", "horizontal_sum", "mo",
         "product", "relabel", "sublattice",
     ],
-    "search": [
-        "automorphisms", "find_isomorphism", "isomorphisms", "poset_automorphisms",
-        "poset_isomorphic", "poset_isomorphisms",
-    ],
+    "search": ["automorphisms", "find_isomorphism", "isomorphisms"],
     "sachs_boolean": [
         "DualDecomposition", "Partition", "dual_decomposition", "dual_order_test",
         "is_boolean_algebra", "partition_lattice", "partition_to_subalgebra",

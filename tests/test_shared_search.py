@@ -55,7 +55,7 @@ from omlkit import (
     sub,
     verify_determination,
 )
-from omlkit import search as order_search
+from omlkit import iso_lifting
 from omlkit.functorial import _homs
 from omlkit.lattice_core import ISO, mask_of
 from omlkit.search import _backtrack, _classes, _iso_signatures
@@ -254,8 +254,8 @@ def test_verify_determination_lifts_an_order_isomorphism(name, monkeypatch):
     # its witness is the first map between the two BSub posets
     L, _ = SYMMETRIC[name]
     found = []
-    search = order_search.poset_isomorphic
-    monkeypatch.setattr(order_search, "poset_isomorphic",
+    search = iso_lifting.poset_isomorphic
+    monkeypatch.setattr(iso_lifting, "poset_isomorphic",
                         lambda P, Q: found.append((search(P, Q), P, Q)) or found[-1][0])
     for seed in SEEDS:
         found.clear()
