@@ -71,7 +71,9 @@ class Inconsistent(OmlkitError):
 
 
 class GlueConflict(OmlkitError):
-    """Blockwise lifts disagreed on a shared element (bug signal)."""
+    """A node map lifts to no element map: a four-element node is no block,
+    an element is left without an image, or the map built is not an
+    isomorphism realizing it."""
 
 
 class BlockMismatch(OmlkitError):

@@ -1,12 +1,12 @@
 """Lifting subalgebra-poset isomorphisms to lattice isomorphisms.
 
 A poset isomorphism between the Boolean-subalgebra posets of two
-orthomodular lattices is realized by element isomorphisms: every block with
-more than four elements lifts uniquely through the Boolean machinery, the
-lifts glue because they agree on intersections, and each four-element block
-leaves an independent two-way choice.  The same works from the full
-subalgebra lattices once the Boolean nodes are recognized order-
-theoretically.
+orthomodular lattices is realized by element isomorphisms, read through
+the atom frame: it maps each atom's node {0, p, p', 1} to a node holding
+the atom p goes to, a finite orthomodular lattice is atomistic, so the
+atoms fix every other element, and each four-element block leaves an
+independent two-way choice.  The same works from the full subalgebra
+lattices once the Boolean nodes are recognized order-theoretically.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 from .errors import (
     BlockMismatch,
     GlueConflict,
+    Inconsistent,
     NoLeastElement,
     NotAMorphism,
     NotAnIso,
@@ -44,7 +45,6 @@ from .subalgebra_posets import (
     inclusion_rows,
     poset_isomorphic,
 )
-from . import sachs_boolean
 
 MAX_FOUR_BLOCK_CHOICES = 6
 
@@ -86,15 +86,30 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     has exactly one.  ``canonical_only`` keeps just the first combination.
     The full list is refused above 6 four-element blocks.
 
-    Blocks larger than four elements are lifted on L's and M's own rows
-    through their principal dual subalgebras and glued; a disagreement on a
-    shared element (impossible for genuine inputs) raises GlueConflict.  A
-    maximal node that lies in no block of its lattice (``blocks``) is not
-    Boolean and raises NotBoolean; a four-element one that is not itself a
-    block of L raises GlueConflict.  Only the first lift is checked; the
-    others differ from it by automorphisms of L (see below).  The maximal
-    nodes need no check of their own: phi is an order isomorphism, so it
-    maps BSub(L)'s maximal nodes onto BSub(M)'s.
+    The lift is read through the atom frame.  phi is an order isomorphism,
+    so it maps the atoms of BSub(L), the nodes {0, e, e', 1}, onto those of
+    BSub(M).  For an atom p of L a lift f maps p's node {0, p, p', 1} onto
+    phi's image {0, f(p), f(p)', 1}, and f(p) is an atom of M.  Unless the
+    node is a four-element block, p' is no atom (a block {0, p, p', 1} is
+    an atom-coatom pair, see below), so neither is f(p)': the image holds
+    exactly one atom of M, which is f(p).  A finite OML is atomistic, each
+    element the join of the atoms below it, so an isomorphism is fixed by
+    its atoms: f(e) is the element of M whose atoms are the images of e's.
+    A four-element block leaves both matchings open.  So the lifts are at
+    most the 2^k maps built here, and the closing checks say they are
+    lifts: one ``morphism`` call and one realization test on the first,
+    the swaps below for the rest.
+
+    Refusals, for node maps no lift realizes: a maximal node of more than
+    four elements that lies in no block of its lattice (``blocks``) is not
+    Boolean and raises NotBoolean; a four-element one mapped to a larger
+    one raises BlockMismatch, and one that is not itself a block of L
+    raises GlueConflict.  An atom's node whose image does not hold exactly
+    one atom of M raises Inconsistent.  An element left without an image,
+    because its atoms' nodes are missing or their images' atoms are no
+    element's, raises GlueConflict, as does a map the closing checks
+    refuse.  The maximal nodes need no check of their own: phi is an
+    order isomorphism, so it maps BSub(L)'s maximal nodes onto BSub(M)'s.
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -110,32 +125,25 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     # lies in a maximal one.  So, by Foulis-Holland, a node is Boolean
     # exactly when it lies in a block.
     blocks_l, blocks_m = ([b.members for b in X.blocks()] for X in (L, M))
+    top = L.n - 1
     global_map = [-1] * L.n
-    global_map[0] = 0
-    global_map[L.n - 1] = M.n - 1
+    global_map[0], global_map[top] = 0, M.n - 1
     four_blocks = []
     for x in bsub_l.maximal_elements():
         xmask = bsub_l.masks[x]
         ymask = bsub_m.masks[phi[x]]
         size = xmask.bit_count()
-        if size == 2:
-            continue
         if size == 4:
             if ymask.bit_count() != 4:
                 raise BlockMismatch("four-element block mapped to a larger block")
             # a closed four-element node is {0, p, p', 1}
-            p, q = bits(xmask & ~(1 | 1 << L.n - 1))
+            p, q = bits(xmask & ~(1 | 1 << top))
             global_map[p], global_map[q] = bits(ymask & ~(1 | 1 << M.n - 1))
-            four_blocks.append((p, q, xmask))
-            continue
-        for mask, blocks in ((xmask, blocks_l), (ymask, blocks_m)):
-            if all(mask & ~block for block in blocks):
-                raise NotBoolean("operation needs a Boolean algebra")
-        images = sachs_boolean._pd_lift(L, M, xmask, ymask, phi, bsub_l, bsub_m)
-        for e, value in zip(bits(xmask), images):
-            if global_map[e] not in (-1, value):
-                raise GlueConflict(f"blockwise lifts disagree on element {e}")
-            global_map[e] = value
+            four_blocks.append((p, q))
+        elif size > 4:
+            for mask, blocks in ((xmask, blocks_l), (ymask, blocks_m)):
+                if all(mask & ~block for block in blocks):
+                    raise NotBoolean("operation needs a Boolean algebra")
 
     # {0, p, p', 1} is a block of an orthomodular L exactly when p is an atom
     # and a coatom, and exactly when the elements that commute with p are its
@@ -145,15 +153,35 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     # is 0, p, p' or 1.  And when only its own elements commute with p, no
     # Boolean subalgebra holds more, so it is a block.  For such p, swapping
     # p and p' is an automorphism of L that fixes every subalgebra.  So once
-    # the node is a block, the lowest-to-lowest glued map f is the one map to
+    # the node is a block, the lowest-to-lowest map f is the one map to
     # check, and the other lifts are f after the swaps.
-    for p, q, xmask in four_blocks:
-        if xmask not in blocks_l:
+    for p, q in four_blocks:
+        if (1 << p | 1 << q) & ~L._atoms:
             raise GlueConflict(
-                f"four-element block {{0,{p},{q},{L.n - 1}}} overlaps a larger block")
+                f"four-element block {{0,{p},{q},{top}}} overlaps a larger block")
     if not canonical_only and len(four_blocks) > MAX_FOUR_BLOCK_CHOICES:
         raise Unsupported(
             f"{len(four_blocks)} four-element blocks; request the canonical lift")
+
+    # images[e] collects the images of the atoms below e, and the elements
+    # above an atom whose node is missing are left unassigned
+    atoms_l, atoms_m = L._atoms, M._atoms
+    images, unassigned = [0] * L.n, 0
+    for p in bits(atoms_l):
+        if global_map[p] == -1:
+            node = bsub_l._index.get(1 | 1 << p | 1 << L.ortho[p] | 1 << top)
+            if node is None:
+                unassigned |= L.up[p]
+                continue
+            image = bsub_m.masks[phi[node]] & atoms_m
+            if image.bit_count() != 1:
+                raise Inconsistent("image of a principal dual node is not dual")
+            global_map[p] = image.bit_length() - 1
+        for e in bits(L.up[p]):
+            images[e] |= 1 << global_map[p]
+    by_atoms = {row & atoms_m: y for y, row in enumerate(M.down)}
+    for e in bits(L.universe & ~atoms_l & ~unassigned & ~(1 | 1 << top)):
+        global_map[e] = by_atoms.get(images[e], -1)
     if -1 in global_map:
         raise GlueConflict(
             f"blockwise lifts leave element {global_map.index(-1)} unassigned")
@@ -170,7 +198,7 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     out = []
     for combo in itertools.product((False, True), repeat=len(four_blocks)):
         mapping = list(f.mapping)
-        for (p, q, _), swap in zip(four_blocks, combo):
+        for (p, q), swap in zip(four_blocks, combo):
             if swap:
                 mapping[p], mapping[q] = mapping[q], mapping[p]
         out.append(Morphism(L, M, tuple(mapping), f.kind))
@@ -192,8 +220,8 @@ def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
     This is the one-block case of ``lift_bsub_iso``: for a Boolean B,
     BSub(B) = Sub(B) with the same node order, and B is its only block.
     """
-    sachs_boolean._require_boolean(B)
-    sachs_boolean._require_boolean(C)
+    if not (B.is_boolean_algebra and C.is_boolean_algebra):
+        raise NotBoolean("operation needs a Boolean algebra")
     return lift_bsub_iso(B, C, phi, sub_b, sub_c)
 
 

@@ -3,20 +3,19 @@
 A dual subalgebra is an ideal together with its complementary filter; it is
 principal dual (p.d.) when the ideal is [0,a] for a single element a.  Both
 kinds admit purely order-theoretic descriptions inside the subalgebra
-lattice, and the p.d. ones carry enough information to rebuild an element
-isomorphism from a subalgebra-lattice isomorphism.  This module also holds
-the partition side of the classical duality between Sub(2^n) and the
-partition lattice.  A subalgebra argument x may be anything
-``FiniteOrtholattice.subalgebra`` takes: a bit set, a SubalgebraSet or an
-iterable of elements, closed.
+lattice.  Lifting a subalgebra-lattice isomorphism needs neither: the atoms'
+nodes {0, a, a', 1} alone fix it (``iso_lifting.lift_bsub_iso``).  This
+module also holds the partition side of the classical duality between
+Sub(2^n) and the partition lattice.  A subalgebra argument x may be
+anything ``FiniteOrtholattice.subalgebra`` takes: a bit set, a
+SubalgebraSet or an iterable of elements, closed.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import Inconsistent, MalformedInput, NotBoolean
+from .errors import MalformedInput, NotBoolean
 from .lattice_core import FiniteOrtholattice, SubalgebraSet, _joins, _Record, bits
 from .subalgebra_posets import AbstractPoset, SubalgebraPoset, _partition_table, inclusion_rows
 
@@ -224,40 +223,3 @@ def partition_lattice(n: int) -> tuple[AbstractPoset, tuple[Partition, ...]]:
     # refinement is a partial order on partitions
     return (AbstractPoset._trusted(*inclusion_rows([key for _, key in nodes])),
             tuple(Partition(blocks) for blocks, _ in nodes))
-
-
-# -- lifting a subalgebra-lattice isomorphism --------------------------------
-
-def _pd_lift(L: FiniteOrtholattice, M: FiniteOrtholattice, X: int, Y: int,
-             phi: Sequence[int], src: SubalgebraPoset,
-             tgt: SubalgebraPoset) -> list[int]:
-    """f(b) for each b of X ascending, f lifting phi: src -> tgt from the
-    Boolean subalgebra X of L onto Y of M (bit sets, over four elements), on
-    L's and M's own rows, read off X's atoms alone.  Each atom a names the
-    p.d. node pd_mask(L, a) & X = {0, a, a', 1}, whose image's ideal f(a)
-    generates.  Every element of X is the join of the atoms below it, so f
-    takes it to the join of their images (``_joins``, the same subset on
-    both sides).
-
-    The ideal I = {t in T : [0,t] within Y lies in T} of an image T has a
-    generator.  T is a node below Y, so a closed subset of Y (a poset's
-    order is its nodes' inclusion), and Y is Boolean (``lift_bsub_iso``
-    checks that it lies in a block).  I is a down-set of Y, and closed
-    under joins: for t, u in I, t v u is in T, and in a Boolean Y each
-    s <= t v u is (s ^ t) v (s ^ u), which is in T.  So I is an ideal of a
-    finite Boolean algebra, [0,c] within Y for its join c.  The nodes of
-    the other elements are not read, and need no check here: the caller's
-    realization test checks every node's image.
-    """
-    atoms, images = [], []
-    for a in bits(X & ~1):
-        if L.down[a] & X != 1 | 1 << a:
-            continue
-        target = tgt.masks[phi[src.node_index(pd_mask(L, a) & X)]]
-        ideal, filt = _dual_parts(M, Y, target)
-        if ideal | filt != target:
-            raise Inconsistent("image of a principal dual node is not dual")
-        atoms.append(a)
-        images.append(reduce(M.join, bits(ideal)))
-    # the joins come as one-bit masks, so they sort as their elements do
-    return [v.bit_length() - 1 for _, v in sorted(zip(_joins(L, atoms), _joins(M, images)))]

@@ -91,13 +91,11 @@ Boolean subalgebra.
 
 ``legacy_lift_bsub_iso`` and ``legacy_lift_boolean_iso`` lift each block of
 more than four elements through a standalone copy (``sublattice``), its
-own Sub enumeration and a Boolean check, where the library now reads the
-principal duals off the ambient rows.  ``legacy_pd_lift`` is the in-place lift of one block that read the p.d.
-node of every element but the top and the coatoms, and completed the
-coatoms by complements; the library reads the atoms' nodes alone and joins
-their images.  ``legacy_preimage_functor`` scans
-every source element for every node, and ``legacy_classify_recovery``
-counts matches through it.  ``legacy_pinned_classify_recovery`` enumerated
+own Sub enumeration and a Boolean check, and glue the block lifts; the
+library now reads phi at the atoms' nodes {0, p, p', 1} alone and takes
+every other element to the one whose atoms are the images of its own.
+``legacy_preimage_functor`` scans every source element for every node,
+and ``legacy_classify_recovery`` counts matches through it.  ``legacy_pinned_classify_recovery`` enumerated
 Sub(M) to read which nodes hold each element, and searched only the
 homomorphisms sending each a to an element in the same nodes as f(a); the
 library now takes those to be f(a) and f(a)' without enumerating Sub(M).
@@ -202,7 +200,7 @@ from omlkit.lattice_core import (
     morphism,
 )
 from omlkit.reconstruction import OrthoFrame
-from omlkit.sachs_boolean import _dual_parts, _require_boolean, dual_decomposition, pd_mask
+from omlkit.sachs_boolean import _require_boolean, dual_decomposition, pd_mask
 from omlkit.search import _iso_signatures
 from omlkit.subalgebra_posets import (
     _partition_table,
@@ -1187,29 +1185,6 @@ def legacy_lift_bsub_iso(L, M, phi, bsub_l=None, bsub_m=None, canonical_only=Fal
                 raise GlueConflict("glued map does not realize the node map")
         out.append(f)
     return out
-
-
-def legacy_pd_lift(L, M, X, Y, phi, src, tgt):
-    """f(b) for each b of X ascending, each b but the top and X's coatoms
-    read through its p.d. node pd_mask(L, b) & X, whose image's ideal f(b)
-    generates; the rest are the complements of the images of their
-    complements."""
-    top = L.n - 1
-    image = {}
-    for b in bits(X):
-        if b == top or L.up[b] & X == 1 << b | 1 << top:  # the top or a coatom
-            continue
-        target = tgt.masks[phi[src.node_index(pd_mask(L, b) & X)]]
-        ideal, filt = _dual_parts(M, Y, target)
-        if ideal | filt != target:
-            raise Inconsistent("image of a principal dual node is not dual")
-        c = next((e for e in bits(ideal) if M.down[e] & Y == ideal), None)
-        if c is None:
-            raise Inconsistent("image of a principal dual node is not principal")
-        image[b] = c
-    if any(L.ortho[b] not in image for b in bits(X) if b not in image):
-        raise Inconsistent("complement of a coatom escaped the lift domain")
-    return [image[b] if b in image else M.ortho[image[L.ortho[b]]] for b in bits(X)]
 
 
 def legacy_lift_boolean_iso(B, C, phi, sub_b=None, sub_c=None):

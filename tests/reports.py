@@ -28,11 +28,11 @@ from legacy_oracles import (legacy_boolean_family, legacy_orthoclosed, legacy_pe
                             legacy_product_order)
 
 import omlkit
-from omlkit import (FiniteOrtholattice, SubalgebraPoset, boolean_nodes, bsub, build_frame,
-                    catalog, classify_atoms, classify_recovery, enumerate_homs,
-                    enumerate_subalgebras, lift_bsub_iso, morphism, orthoclosed_lattice,
-                    poset_isomorphic, product, relabel, sub, verify_determination)
-from omlkit import lattice_core, sachs_boolean, search, subalgebra_posets
+from omlkit import (FiniteOrtholattice, boolean_nodes, bsub, build_frame, catalog,
+                    classify_atoms, classify_recovery, enumerate_homs, enumerate_subalgebras,
+                    lift_bsub_iso, morphism, orthoclosed_lattice, poset_isomorphic, product,
+                    relabel, sub, verify_determination)
+from omlkit import lattice_core, search, subalgebra_posets
 from omlkit.subalgebra_posets import _boolean_family, check_order_iso
 
 BUDGET = 10**6
@@ -192,27 +192,6 @@ def product_rows(labels):
     return rows
 
 
-def lift_reads(labels):
-    """Node reads inside ``_pd_lift``, which reads one node per atom of a
-    block, in the identity lift of each BSub."""
-    rows = []
-    for label in labels:
-        L, _ = poset_of(label)
-        P = bsub(L)
-        counts = Counter()
-
-        def reading(pd_lift):
-            def counted(*args):
-                with patched(SubalgebraPoset, "node_index", tally(counts, "reads")):
-                    return pd_lift(*args)
-            return counted
-
-        with patched(sachs_boolean, "_pd_lift", reading):
-            lift_bsub_iso(L, L, tuple(range(P.size)), P, P)
-        rows.append((f"lift_bsub_iso on {label}", counts["reads"]))
-    return rows
-
-
 def classify_embedding():
     L, M = catalog("2^3"), catalog("2^5")
     # atoms 0 and 1 to themselves, atom 2 to the join of atoms 2, 3 and 4
@@ -359,8 +338,6 @@ REPORTS = [
      ("poset", "nodes", "cover pairs walked", "best of 5, covers (ms)",
       "best of 5, two-way build (ms)"),
      product_rows, ["Sub(hsum(2^4,2^4))", "Sub(MO8)", "Sub(hsum(2^4,2^4,2^2))", "Sub(hsum(2^5,2^5))"]),
-    ("Lift reads", ("call", "node reads in `_pd_lift`"), lift_reads,
-     ["BSub(hsum(2^5,2^5))", "BSub(2^6)"]),
     ("Lattices built", ("call", "lattices built"), lattices_built,
      [("enumerate_homs on 2^3, 2^5", lambda: enumerate_homs(catalog("2^3"), catalog("2^5"))),
       ("classify_recovery on an embedding 2^3 -> 2^5", classify_embedding),

@@ -13,13 +13,13 @@ from omlkit import (
     MalformedInput,
     NotAnIso,
     NotBoolean,
+    OmlkitError,
     RestrictionMismatch,
     automorphisms,
     boolean_algebra,
     boolean_nodes,
     bsub,
     catalog,
-    compose,
     find_isomorphism,
     horizontal_sum,
     induced_node_map,
@@ -30,6 +30,7 @@ from omlkit import (
     morphism,
     partition_lattice,
     poset_isomorphic,
+    poset_isomorphisms,
     product,
     recognize_boolean_node,
     relabel,
@@ -55,7 +56,6 @@ from legacy_oracles import (
     legacy_is_equivalence,
     legacy_lift_boolean_iso,
     legacy_lift_bsub_iso,
-    legacy_pd_lift,
     legacy_recognize_boolean_node,
 )
 
@@ -282,11 +282,11 @@ LIFT_CASES = ["2^1", "2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO
 
 
 def _lattice(name):
-    # MO2 x 2^2 has 16-element blocks in which an element that is not a
-    # coatom, such as (1, 0), has elements of other blocks below it
-    if name == "MO2x2^2":
-        return product(mo(2), boolean_algebra(2), name=name)
-    return catalog(name)
+    """A catalog lattice, or ``Ax2^k``, the product of one with 2^k.  MO2 x
+    2^2 has 16-element blocks in which an element that is not a coatom,
+    such as (1, 0), has elements of other blocks below it."""
+    base, _, k = name.partition("x2^")
+    return product(catalog(base), boolean_algebra(int(k)), name=name) if k else catalog(name)
 
 
 @pytest.mark.parametrize("name", LIFT_CASES)
@@ -358,7 +358,8 @@ def _same_lifts(L, M, phi, bl, bm):
         assert new == old
 
 
-@pytest.mark.parametrize("name", LIFT_CASES + ["MO2x2^2", "hsum(2^5,2^5)"])
+@pytest.mark.parametrize("name", LIFT_CASES + ["MO2x2^2", "MO2x2^3", "MO3x2^3", "example22x2^2",
+                                  "hsum(2^5,2^5)"])
 def test_lift_bsub_matches_the_sublattice_lift(name):
     L = _lattice(name)
     count = 1 if name == "hsum(2^5,2^5)" else 3
@@ -392,42 +393,6 @@ def test_boolean_lift_matches_on_a_relabeled_2_5():
     new = [f.mapping for f in lift_boolean_iso(B, C, phi, sb, sc)]
     assert new == [f.mapping for f in legacy_lift_boolean_iso(B, C, phi, sb, sc)]
     assert new == [psi.mapping]
-
-
-PD_LIFT_CASES = {
-    **{name: lambda name=name: catalog(name)
-       for name in ["2^2", "2^3", "2^4", "2^5", "MO2", "MO3", "MO4", "MO2x2", "example22",
-                    "hsum(2^3,2^3)", "hsum(2^5,2^5)"]},
-    "MO2x2^3": lambda: product(mo(2), boolean_algebra(3), name="MO2x2^3"),
-    "MO3x2^3": lambda: product(mo(3), boolean_algebra(3), name="MO3x2^3"),
-    "example22x2^2": lambda: product(catalog("example22"), boolean_algebra(2),
-                                     name="example22x2^2"),
-}
-
-
-@pytest.mark.parametrize("name", PD_LIFT_CASES)
-def test_pd_lift_matches_the_legacy_lift(name):
-    # the atoms' nodes and their joins give each block of more than four
-    # elements the lift every element's node gave, under three relabelings
-    # psi and node maps induced by psi after an automorphism g
-    L = PD_LIFT_CASES[name]()
-    bl = bsub(L)
-    automorphisms_l = _automorphisms(L, 2)
-    compared = 0
-    for psi in list(_relabeling_morphisms(L, 3, seed=17))[1:]:
-        M = psi.target
-        bm = bsub(M)
-        for g in automorphisms_l:
-            h = compose(psi, g)
-            phi = induced_node_map(h, bl, bm)
-            for x in bl.maximal_elements():
-                X, Y = bl.masks[x], bm.masks[phi[x]]
-                if X.bit_count() > 4:
-                    new = sachs_boolean._pd_lift(L, M, X, Y, phi, bl, bm)
-                    assert new == legacy_pd_lift(L, M, X, Y, phi, bl, bm)
-                    assert new == [h(b) for b in bits(X)]
-                    compared += 1
-    assert compared == 9 * sum(1 for b in L.blocks() if len(b) > 4)
 
 
 def test_blockwise_lifts_agree_on_overlaps():
@@ -521,6 +486,52 @@ def test_a_principal_dual_node_mapped_out_of_its_block():
     with pytest.raises(MalformedInput) as exc:
         _swapped(p, 0b10000001000011, 0b11000010000001)
     assert str(exc.value) == "the order is not the nodes' inclusion"
+
+
+SUBFAMILY_CASES = ["2^3", "2^4", "2^5", "MO2", "MO3", "MO4", "MO6", "MO2x2", "MO2x2^2",
+                   "example22", "hsum(2^3,2^3)", "hsum(2^4,2^4)", "hsum(2^2,2^3,2^4)"]
+
+
+def _subfamily(P, owner, keep, rename=lambda m: m):
+    """The nodes of P in the bit set ``keep``, their masks renamed by
+    ``rename`` into subalgebras of ``owner``: a hand-built poset, ordered
+    as in P, which the constructor accepts as the order is inclusion."""
+    return SubalgebraPoset(_induced(P.up, keep), owner,
+                           [owner.subalgebra(rename(P.masks[i])) for i in bits(keep)])
+
+
+@pytest.mark.parametrize("name", SUBFAMILY_CASES)
+def test_lifts_between_subfamilies_realize_or_refuse_with_a_typed_error(name):
+    # seeded subfamilies of BSub(L) that hold the bottom, each against its
+    # image under a relabeling and against a subfamily of the same size:
+    # every order isomorphism between them either lifts to isomorphisms
+    # that realize it node by node or raises an OmlkitError, whichever of
+    # the atoms' nodes, blocks and maximal nodes the subfamily leaves out
+    L = _lattice(name)
+    bl = bsub(L)
+    rng = random.Random(name)
+    outcomes = set()
+    for psi in list(_relabeling_morphisms(L, 2, seed=29))[1:]:
+        M = psi.target
+        bm = bsub(M)
+        for _ in range(12):
+            keep = 1 << bl.bottom() | sum(1 << i for i in range(bl.size) if rng.random() < 0.8)
+            other = 1 << bm.bottom() | sum(1 << i for i in rng.sample(
+                [i for i in range(bm.size) if i != bm.bottom()], keep.bit_count() - 1))
+            P = _subfamily(bl, L, keep)
+            for Q in (_subfamily(bl, M, keep, psi.apply_mask), _subfamily(bm, M, other)):
+                for phi in itertools.islice(poset_isomorphisms(P, Q), 6):
+                    for canonical in (False, True):
+                        try:
+                            lifts = lift_bsub_iso(L, M, phi, P, Q, canonical_only=canonical)
+                        except OmlkitError as exc:
+                            outcomes.add(type(exc).__name__)
+                            continue
+                        outcomes.add("lifted")
+                        assert lifts
+                        for f in lifts:
+                            assert f.kind == "iso" and _realizes_node_by_node(f, phi, P, Q)
+    assert "lifted" in outcomes and len(outcomes) > 1, outcomes
 
 
 def test_recognize_boolean_node_examples():
