@@ -162,13 +162,11 @@ def _cmd_reconstruct(args) -> int:
     from .reconstruction import build_frame, classify_atoms, reconstruct
 
     poset, _ = fileio.parse_poset(_read(args.poset))
-    lines = []
-    if args.frame:
-        lines = fileio.frame_lines(build_frame(poset, *classify_atoms(poset)))
+    # the rebuild runs first, so --frame changes no error
     out = reconstruct(poset)
-    if lines:
+    if args.frame:
         # the frame is informational; the output target gets a clean document
-        print("\n".join(lines))
+        print("\n".join(fileio.frame_lines(build_frame(poset, *classify_atoms(poset)))))
     _write(fileio.dump_lattice(out), args.output)
     return 0
 

@@ -77,8 +77,12 @@ class GlueConflict(OmlkitError):
 
 
 class BlockMismatch(OmlkitError):
-    """A poset map sent a maximal node somewhere no maximal node can go."""
+    """A poset map sent a maximal node, or a four-element block, somewhere
+    no lift can send it."""
 
 
 class RestrictionMismatch(OmlkitError):
-    """Boolean-recognized nodes of the two subalgebra lattices do not correspond."""
+    """Boolean-recognized nodes of the two subalgebra lattices do not
+    correspond.  Nothing raises it: ``lift_sub_iso`` lifts Sub(L) through
+    its atoms with no Boolean nodes to compare.  It stays exported, so
+    that code importing it keeps working."""

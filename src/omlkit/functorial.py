@@ -187,8 +187,9 @@ def classify_recovery(f: Morphism) -> RecoveryReport:
     if not M._orthomodular_on(mask):
         raise FlavorError("blocks are defined for orthomodular lattices")
     # the image's four-element blocks are its atom-coatom pairs {0, p, q, 1}
-    # (see lift_bsub_iso); the least has the least q.  Swapping p and q after
-    # f gives a homomorphism g != f with each g(a) equal to f(a) or f(a)'
+    # (see iso_lifting._lift_through_atoms); the least has the least q.
+    # Swapping p and q after f gives a homomorphism g != f with each g(a)
+    # equal to f(a) or f(a)'
     ortho, top = M.ortho, 1 << (M.n - 1)
     for q in bits(mask):
         p = ortho[q]

@@ -5,8 +5,11 @@ orthomodular lattices is realized by element isomorphisms, read through
 the atom frame: it maps each atom's node {0, p, p', 1} to a node holding
 the atom p goes to, a finite orthomodular lattice is atomistic, so the
 atoms fix every other element, and each four-element block leaves an
-independent two-way choice.  The same works from the full subalgebra
-lattices once the Boolean nodes are recognized order-theoretically.
+independent two-way choice.  The full subalgebra lattices have the same
+nodes {0, e, e', 1} for atoms, so one lift (``_lift_through_atoms``)
+serves both; BSub adds only its refusals on maximal nodes.  Boolean
+nodes are recognized order-theoretically too (``boolean_nodes``), in any
+poset, with no lattice at hand; no lift needs them.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .errors import (
     NotAMorphism,
     NotAnIso,
     NotBoolean,
-    RestrictionMismatch,
     Unsupported,
 )
 from .lattice_core import (
@@ -86,30 +88,16 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     has exactly one.  ``canonical_only`` keeps just the first combination.
     The full list is refused above 6 four-element blocks.
 
-    The lift is read through the atom frame.  phi is an order isomorphism,
-    so it maps the atoms of BSub(L), the nodes {0, e, e', 1}, onto those of
-    BSub(M).  For an atom p of L a lift f maps p's node {0, p, p', 1} onto
-    phi's image {0, f(p), f(p)', 1}, and f(p) is an atom of M.  Unless the
-    node is a four-element block, p' is no atom (a block {0, p, p', 1} is
-    an atom-coatom pair, see below), so neither is f(p)': the image holds
-    exactly one atom of M, which is f(p).  A finite OML is atomistic, each
-    element the join of the atoms below it, so an isomorphism is fixed by
-    its atoms: f(e) is the element of M whose atoms are the images of e's.
-    A four-element block leaves both matchings open.  So the lifts are at
-    most the 2^k maps built here, and the closing checks say they are
-    lifts: one ``morphism`` call and one realization test on the first,
-    the swaps below for the rest.
-
-    Refusals, for node maps no lift realizes: a maximal node of more than
-    four elements that lies in no block of its lattice (``blocks``) is not
-    Boolean and raises NotBoolean; a four-element one mapped to a larger
-    one raises BlockMismatch, and one that is not itself a block of L
-    raises GlueConflict.  An atom's node whose image does not hold exactly
-    one atom of M raises Inconsistent.  An element left without an image,
-    because its atoms' nodes are missing or their images' atoms are no
-    element's, raises GlueConflict, as does a map the closing checks
-    refuse.  The maximal nodes need no check of their own: phi is an
-    order isomorphism, so it maps BSub(L)'s maximal nodes onto BSub(M)'s.
+    The lift is ``_lift_through_atoms``.  Before it, the maximal nodes are
+    refused where no lift realizes the node map: a maximal node of more
+    than four elements that is not Boolean (``is_boolean``, on either side)
+    raises NotBoolean; a four-element one mapped to a larger one raises
+    BlockMismatch, and one that is not itself a block of L raises
+    GlueConflict, once every maximal node has been read.  phi is an order
+    isomorphism, so it maps the maximal nodes onto the maximal nodes.  Past
+    these refusals every node is Boolean, so a node {0, p, p', 1} with p
+    and p' both atoms, a block, is maximal, and the four-element blocks the
+    lift reads are the four-element maximal nodes.
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -119,16 +107,8 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         bsub_m = enumerate_subalgebras(M, boolean_only=True)
     phi = check_order_iso(phi, bsub_l, bsub_m)
 
-    # A set of elements lies in a block exactly when they pairwise commute:
-    # a block is Boolean, and pairwise commuting elements of an OML generate
-    # a Boolean subalgebra (Kalmbach, Orthomodular Lattices, 1983), which
-    # lies in a maximal one.  So, by Foulis-Holland, a node is Boolean
-    # exactly when it lies in a block.
-    blocks_l, blocks_m = ([b.members for b in X.blocks()] for X in (L, M))
     top = L.n - 1
-    global_map = [-1] * L.n
-    global_map[0], global_map[top] = 0, M.n - 1
-    four_blocks = []
+    overlaps = []
     for x in bsub_l.maximal_elements():
         xmask = bsub_l.masks[x]
         ymask = bsub_m.masks[phi[x]]
@@ -136,44 +116,75 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         if size == 4:
             if ymask.bit_count() != 4:
                 raise BlockMismatch("four-element block mapped to a larger block")
-            # a closed four-element node is {0, p, p', 1}
-            p, q = bits(xmask & ~(1 | 1 << top))
-            global_map[p], global_map[q] = bits(ymask & ~(1 | 1 << M.n - 1))
-            four_blocks.append((p, q))
-        elif size > 4:
-            for mask, blocks in ((xmask, blocks_l), (ymask, blocks_m)):
-                if all(mask & ~block for block in blocks):
-                    raise NotBoolean("operation needs a Boolean algebra")
+            # a closed four-element node is {0, p, p', 1}, a block exactly
+            # when p and p' are atoms (see _lift_through_atoms)
+            if xmask & ~(1 | 1 << top) & ~L._atoms:
+                overlaps.append(xmask)
+        elif size > 4 and not (L.is_boolean(xmask) and M.is_boolean(ymask)):
+            raise NotBoolean("operation needs a Boolean algebra")
+    if overlaps:
+        p, q = bits(overlaps[0] & ~(1 | 1 << top))
+        raise GlueConflict(f"four-element block {{0,{p},{q},{top}}} overlaps a larger block")
+    return _lift_through_atoms(L, M, phi, bsub_l, bsub_m, canonical_only)
 
-    # {0, p, p', 1} is a block of an orthomodular L exactly when p is an atom
-    # and a coatom, and exactly when the elements that commute with p are its
-    # own.  Everything below or above p commutes with p, so a block, being
-    # maximal, has nothing strictly between p and 0 or 1.  If p and p' are
-    # atoms and coatoms and b commutes with p, then b = (b ^ p) v (b ^ p')
-    # is 0, p, p' or 1.  And when only its own elements commute with p, no
-    # Boolean subalgebra holds more, so it is a block.  For such p, swapping
-    # p and p' is an automorphism of L that fixes every subalgebra.  So once
-    # the node is a block, the lowest-to-lowest map f is the one map to
-    # check, and the other lifts are f after the swaps.
-    for p, q in four_blocks:
-        if (1 << p | 1 << q) & ~L._atoms:
-            raise GlueConflict(
-                f"four-element block {{0,{p},{q},{top}}} overlaps a larger block")
+
+def _lift_through_atoms(L: FiniteOrtholattice, M: FiniteOrtholattice,
+                        phi: Sequence[int], P: SubalgebraPoset, Q: SubalgebraPoset,
+                        canonical_only: bool) -> list[Morphism]:
+    """The lifts of the checked order isomorphism phi: P -> Q between
+    families of subalgebras of the OMLs L and M, BSub or Sub or part of one,
+    read through the atom frame.
+
+    A lift f maps the node {0, e, e', 1} of each element e to phi's image
+    {0, f(e), f(e)', 1}.  For an atom p of L, f(p) is an atom of M.  Unless
+    p' is an atom too, neither is f(p)' = f(p'), so the image holds exactly
+    one atom of M, f(p).  A finite OML is atomistic, each element the
+    join of the atoms below it, so an isomorphism is fixed by its atoms:
+    f(e) is the element of M whose atoms are the images of e's.  That is
+    one dict read per element, keyed by ``down[x] & _atoms``.
+
+    {0, p, p', 1} with p and p' both atoms is a four-element block of L:
+    everything below or above p commutes with p, and if p and p' are atoms
+    and coatoms and b commutes with p, then b = (b ^ p) v (b ^ p') is 0, p,
+    p' or 1.  Swapping p and p' is then an automorphism of L that fixes
+    every subalgebra.  So each four-element block node maps lowest to
+    lowest, and the lowest-to-lowest map f is the one map to check, by one
+    ``morphism`` call and one realization test; the other lifts are f after
+    the swaps, the blocks taken in the poset's node order.  These are all
+    the lifts: they are at most the 2^k maps built here.
+
+    Refusals: above 6 four-element blocks the full list raises Unsupported;
+    a four-element block mapped to a larger node raises BlockMismatch; an
+    atom's node whose image does not hold exactly one atom of M raises
+    Inconsistent.  An element left without an image, because its atoms'
+    nodes are missing or their images' atoms are no element's, raises
+    GlueConflict, as does a map the closing checks refuse.
+    """
+    top, ortho = L.n - 1, L.ortho
+    atoms_l, atoms_m = L._atoms, M._atoms
+    nodes = {p: P._index.get(1 | 1 << p | 1 << ortho[p] | 1 << top) for p in bits(atoms_l)}
+    four_blocks = sorted((x, p) for p, x in nodes.items()
+                         if x is not None and p < ortho[p] and atoms_l >> ortho[p] & 1)
     if not canonical_only and len(four_blocks) > MAX_FOUR_BLOCK_CHOICES:
         raise Unsupported(
             f"{len(four_blocks)} four-element blocks; request the canonical lift")
+    global_map = [-1] * L.n
+    global_map[0], global_map[top] = 0, M.n - 1
+    for x, p in four_blocks:
+        ymask = Q.masks[phi[x]]
+        if ymask.bit_count() != 4:
+            raise BlockMismatch("four-element block mapped to a larger block")
+        global_map[p], global_map[ortho[p]] = bits(ymask & ~(1 | 1 << M.n - 1))
 
     # images[e] collects the images of the atoms below e, and the elements
     # above an atom whose node is missing are left unassigned
-    atoms_l, atoms_m = L._atoms, M._atoms
     images, unassigned = [0] * L.n, 0
-    for p in bits(atoms_l):
+    for p, x in nodes.items():
+        if x is None:
+            unassigned |= L.up[p]
+            continue
         if global_map[p] == -1:
-            node = bsub_l._index.get(1 | 1 << p | 1 << L.ortho[p] | 1 << top)
-            if node is None:
-                unassigned |= L.up[p]
-                continue
-            image = bsub_m.masks[phi[node]] & atoms_m
+            image = Q.masks[phi[x]] & atoms_m
             if image.bit_count() != 1:
                 raise Inconsistent("image of a principal dual node is not dual")
             global_map[p] = image.bit_length() - 1
@@ -191,15 +202,16 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         raise GlueConflict(f"glued map is not a homomorphism: {exc}") from exc
     if f.kind != "iso":
         raise GlueConflict("glued map is not an isomorphism")
-    if not _realization_test(phi, bsub_l, bsub_m)(f):
+    if not _realization_test(phi, P, Q)(f):
         raise GlueConflict("glued map does not realize the node map")
     if canonical_only:
         return [f]
     out = []
     for combo in itertools.product((False, True), repeat=len(four_blocks)):
         mapping = list(f.mapping)
-        for (p, q), swap in zip(four_blocks, combo):
+        for (_, p), swap in zip(four_blocks, combo):
             if swap:
+                q = ortho[p]
                 mapping[p], mapping[q] = mapping[q], mapping[p]
         out.append(Morphism(L, M, tuple(mapping), f.kind))
     return out
@@ -362,34 +374,22 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
                  canonical_only: bool = False) -> list[Morphism]:
     """Lift a Sub(L) -> Sub(M) lattice isomorphism to lattice isomorphisms.
 
-    Boolean nodes are recognized order-theoretically on the source with
-    ``boolean_nodes``, which reads only the order.  So on the target it
-    would accept the images of those nodes under the checked order
-    isomorphism phi, which are taken instead.  Each side's
-    set is cross-checked against its enumerated BSub; a mismatch raises
-    RestrictionMismatch.  Then the restriction is lifted.  Every returned
-    morphism realizes phi on all subalgebras, Boolean or not.
+    The same lift as ``lift_bsub_iso``'s, ``_lift_through_atoms``, read
+    on Sub(L) and Sub(M) themselves: the nodes {0, e, e', 1} are the atoms
+    of Sub(L) as of BSub(L), so phi maps them onto those of Sub(M), and the
+    lift reads phi there alone.  Sub(L) is atomistic too, each subalgebra
+    the join of the nodes {0, e, e', 1} of its elements, so the lift's
+    realization test, which reads those nodes, certifies every node,
+    Boolean or not.  No Boolean node is recognized and no BSub enumerated.
     """
     if sub_l is None:
         sub_l = enumerate_subalgebras(L)
     if sub_m is None:
         sub_m = enumerate_subalgebras(M)
     phi = check_order_iso(phi, sub_l, sub_m)
-    bool_l = boolean_nodes(sub_l)
-    bool_m = sorted(phi[i] for i in bool_l)
-
-    bsub_l = enumerate_subalgebras(L, boolean_only=True)
-    bsub_m = enumerate_subalgebras(M, boolean_only=True)
-    for side, sub_x, bool_x, bsub_x in (("source", sub_l, bool_l, bsub_l),
-                                        ("target", sub_m, bool_m, bsub_m)):
-        if tuple(sub_x.masks[i] for i in bool_x) != bsub_x.masks:
-            raise RestrictionMismatch(
-                f"recognized Boolean nodes of the {side} differ from its enumerated BSub")
-    restricted = tuple(bsub_m.node_index(sub_m.masks[phi[i]]) for i in bool_l)
-    # the Boolean nodes are BSub's in the same order, so the lift's test on
-    # the element nodes {0, e, e', 1} is also _realization_test(phi, sub_l, sub_m)
-    return lift_bsub_iso(L, M, restricted, bsub_l, bsub_m,
-                         canonical_only=canonical_only)
+    if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
+        raise NotAnIso("lifting is defined between orthomodular lattices")
+    return _lift_through_atoms(L, M, phi, sub_l, sub_m, canonical_only)
 
 
 class DeterminationReport(_Record):

@@ -19,11 +19,14 @@ row is that AND (``_below``), and every join through the complement,
 a v b = (a' ^ b')', which holds once the complement is known to reverse
 the order (a finite order with a top and all meets has all joins, so no
 join can be missing then).  The searches that read meets pair by pair
-(the closure, Booleanness, the hom search and ``morphism``) read them the
-same way.  The orthomodular law is tested in its zero-meet form, a <= b
-and a' ^ b = 0 imply a = b, with the zero meets read off the atoms.  When
-a row test fails, the pair scan it replaced names the first faulty pair,
-so the first fault and its message are those of a pair-by-pair check.
+(the closure, the hom search and ``morphism``) read them the same way.
+Booleanness reads no meet pair and no block: a closed set is Boolean
+exactly when it is orthomodular and has 2^k elements for its k atoms
+(``is_boolean``).  The orthomodular law is tested in its zero-meet form,
+a <= b and a' ^ b = 0 imply a = b, with the zero meets read off the
+atoms.  When a row test fails, the pair scan it replaced names the first
+faulty pair, so the first fault and its message are those of a
+pair-by-pair check.
 Posets are still checked pair by pair: their rows have no size cap, and a
 spelling costs n^2 even for an antichain.
 
@@ -34,8 +37,7 @@ placed along the renaming, read back in stripes of bounded size.
 
 The blocks of an orthomodular lattice are found here and nowhere else: the
 maximal sets of pairwise orthogonal atoms (``_blocks``), each joined out to
-its block (``_joins``).  ``blocks()`` and Booleanness read them, as do
-BSub and the lifts above this module.
+its block (``_joins``).  ``blocks()`` and BSub read them.
 
 The constructions and the catalog live in ``constructions``, and the
 isomorphism search in ``search``, so that a verb compiles them only when
@@ -321,10 +323,10 @@ class FiniteOrtholattice(_Order):
 
     @cached_property
     def is_boolean_algebra(self) -> bool:
-        """Whether the whole lattice is a Boolean algebra (checked once): an
-        orthomodular lattice with one block, since it is the union of its
-        blocks (``_blocks``)."""
-        return self.flavor == ORTHOMODULAR and len(self._block_atoms) == 1
+        """Whether the whole lattice is a Boolean algebra (checked once), by
+        the atom rule of ``is_boolean``: 2^k elements for k atoms, and
+        orthomodular."""
+        return self.is_boolean(self.universe)
 
     @cached_property
     def _block_atoms(self) -> tuple[int, ...]:
@@ -383,18 +385,25 @@ class FiniteOrtholattice(_Order):
 
         The zero meets are read off the atoms, with no meet table: in a
         finite lattice a' ^ b = 0 exactly when no atom lies under both, so
-        the b >= a with a' ^ b = 0 are those outside ``reach[a']``, the
+        the b >= a with a' ^ b = 0 are those outside ``_reach[a']``, the
         elements above some atom under a'.  a ^ a' = 0, so each a must be
         the one such b.  The meet of two elements of the mask is L's, so
         L's atoms serve for any closed mask.
         """
-        up, ortho = self.up, self.ortho
+        up, ortho, reach = self.up, self.ortho, self._reach
+        return all(up[a] & mask & ~reach[ortho[a]] == 1 << a for a in bits(mask))
+
+    @cached_property
+    def _reach(self) -> tuple[int, ...]:
+        """_reach[x] is the bit set of the elements above some atom under x,
+        built once, as ``is_boolean`` tests subalgebras one at a time."""
+        up = self.up
         reach = [0] * self.n
         for p in bits(self._atoms):
             row = up[p]
             for x in bits(row):
                 reach[x] |= row
-        return all(up[a] & mask & ~reach[ortho[a]] == 1 << a for a in bits(mask))
+        return tuple(reach)
 
     def _checked_mask(self, mask) -> int:
         """``mask`` if it is an integer bit set of elements, else
@@ -478,26 +487,31 @@ class FiniteOrtholattice(_Order):
         return SubalgebraSet(self, mask)
 
     def is_boolean(self, s) -> bool:
-        """Whether the closed set ``s`` is a Boolean subalgebra: whether its
-        elements pairwise commute, a = (a ^ b) v (a ^ b'), bounds skipped.
-        For a <= b, b commuting with a reads b = a v (a' ^ b), so s is then
-        orthomodular, and Boolean by Foulis-Holland."""
+        """Whether the closed set ``s`` is a Boolean subalgebra: whether it
+        is orthomodular and has 2^k elements for its k atoms, the minimal
+        nonzero elements of s.  Orthomodularity is free when L is an OML, as
+        the law holds for all of L; otherwise it is ``_orthomodular_on``.
+
+        s is closed, so its meets and joins are L's and s is an ortholattice.
+        An orthomodular s is atomistic: if y, the join of the atoms of s
+        below x, were below x and not x, then x ^ y', which is in s, would not
+        be 0 (x = y v (x ^ y') by the law), so an atom a of s would lie under
+        it, under x and so under y, and a <= y ^ y' = 0.  So x -> the atoms
+        below x is one to one, and x <= z exactly when x's atoms are among
+        z's: s has at most 2^k elements, and exactly 2^k when every set of
+        atoms is some element's, that is when s is ordered as the subsets of
+        k points.  s is then distributive, where a complement is unique, so
+        x' is x's Boolean complement and s is Boolean.  A Boolean s with k
+        atoms has 2^k elements and is orthomodular."""
         mask = s.members if isinstance(s, SubalgebraSet) else s
         if mask.__class__ is not int or mask >> self.n:
             # only a mask that may be malformed pays for the check: BSub's
             # search passes plain ints inside the universe
             mask = self._checked_mask(mask)
-        els = [e for e in bits(mask) if e != 0 and e != self.n - 1]
-        below, down, ortho = self._below, self.down, self.ortho
-        # the join through the complement, as in ``commutes``: with down
-        # rows, (a ^ b)' ^ (a ^ b')' = a'
-        for a in els:
-            row, co = down[a], ortho[a]
-            for b in els:
-                if below[down[ortho[below[row & down[b]]]]
-                         & down[ortho[below[row & down[ortho[b]]]]]] != co:
-                    return False
-        return True
+        down = self.down
+        atoms = sum(1 for x in bits(mask & ~1) if down[x] & mask == 1 | 1 << x)
+        return (mask.bit_count() == 1 << atoms
+                and (self.flavor == ORTHOMODULAR or self._orthomodular_on(mask)))
 
     def blocks(self) -> list["SubalgebraSet"]:
         """All maximal Boolean subalgebras, ascending by bit-set value: the

@@ -18,6 +18,7 @@ from omlkit import (
     catalog,
     identity_morphism,
     mo,
+    relabel,
     sub,
 )
 from omlkit import fileio
@@ -252,6 +253,16 @@ def test_cli_reconstruct_frame_of_the_one_node_poset(tmp_path, capsys):
     assert lattice == '{\n  "leq": [[0, 0], [0, 1], [1, 1]],\n  "ortho": [1, 0],\n  "size": 2\n}\n'
 
 
+def test_cli_reconstruct_frame_keeps_the_error(tmp_path, capsys):
+    # the two-node antichain has no least element: the rebuild's refusal,
+    # with or without the frame
+    poset_path = tmp_path / "antichain.json"
+    poset_path.write_text('{"leq": [[0, 0], [1, 1]], "size": 2}')
+    plain = run_cli(capsys, "reconstruct", str(poset_path))
+    assert plain == (1, "", "error: reconstruction needs a least element\n")
+    assert run_cli(capsys, "reconstruct", str(poset_path), "--frame") == plain
+
+
 def test_cli_lift_bsub(tmp_path, capsys):
     lat = tmp_path / "mo2.json"
     lat.write_text(fileio.dump_lattice(mo(2)))
@@ -276,6 +287,23 @@ def test_cli_lift_sub(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "lift-sub", str(lat), str(lat), str(iso))
     assert code == 0
     assert json.loads(out) == [{"kind": "iso", "map": list(range(8))}]
+
+
+def test_cli_lifts_where_four_element_blocks_cross(tmp_path, capsys):
+    # MO2 with the complement pairs (1, 4) and (2, 3): both verbs list the
+    # swaps in the poset's node order
+    L = relabel(mo(2), [0, 1, 4, 2, 3, 5])
+    lat = tmp_path / "mo2.json"
+    lat.write_text(fileio.dump_lattice(L))
+    expected = ('[\n  {"kind": "iso", "map": [0, 1, 2, 3, 4, 5]},\n'
+                '  {"kind": "iso", "map": [0, 4, 2, 3, 1, 5]},\n'
+                '  {"kind": "iso", "map": [0, 1, 3, 2, 4, 5]},\n'
+                '  {"kind": "iso", "map": [0, 4, 3, 2, 1, 5]}\n]\n')
+    for verb, family in (("lift-bsub", bsub), ("lift-sub", sub)):
+        P = family(L)
+        iso = tmp_path / "iso.json"
+        iso.write_text(fileio.dump_node_map_labels(P, P, tuple(range(P.size))))
+        assert run_cli(capsys, verb, str(lat), str(lat), str(iso)) == (0, expected, "")
 
 
 def test_cli_check_sachs(tmp_path, capsys):

@@ -14,7 +14,6 @@ from omlkit import (
     NotAnIso,
     NotBoolean,
     OmlkitError,
-    RestrictionMismatch,
     automorphisms,
     boolean_algebra,
     boolean_nodes,
@@ -102,6 +101,16 @@ def test_identity_lift_on_mo2_gives_four():
     assert {f.mapping for f in result} == expected
     canonical = lift_bsub_iso(L, L, tuple(range(p.size)), p, p, canonical_only=True)
     assert [f.mapping for f in canonical] == [tuple(range(6))]
+
+
+def test_lift_order_where_four_element_blocks_cross():
+    # MO2 with the complement pairs (1, 4) and (2, 3): the swaps follow the
+    # poset's node order, where {0,2,3,5} comes before {0,1,4,5}, not the
+    # order of the blocks' lower atoms, 1 before 2
+    L = relabel(mo(2), [0, 1, 4, 2, 3, 5])
+    for P, lift in ((bsub(L), lift_bsub_iso), (sub(L), lift_sub_iso)):
+        assert [f.mapping for f in lift(L, L, tuple(range(P.size)), P, P)] == [
+            (0, 1, 2, 3, 4, 5), (0, 4, 2, 3, 1, 5), (0, 1, 3, 2, 4, 5), (0, 4, 3, 2, 1, 5)]
 
 
 def test_mo4_identity_lift_count():
@@ -327,8 +336,8 @@ def test_every_lift_is_a_realizing_iso(name):
 
 
 def test_one_glued_map_is_checked(monkeypatch):
-    # MO6 has six four-element blocks: 64 lifts from one morphism() check,
-    # and lift_sub_iso leaves the realization test to lift_bsub_iso
+    # MO6 has six four-element blocks: 64 lifts from one morphism() check
+    # and one realization test, through BSub and through Sub alike
     L = mo(6)
     bl, sl = bsub(L), sub(L)
     calls = {"morphism": 0, "_realization_test": 0}
@@ -361,13 +370,21 @@ def _same_lifts(L, M, phi, bl, bm):
 @pytest.mark.parametrize("name", LIFT_CASES + ["MO2x2^2", "MO2x2^3", "MO3x2^3", "example22x2^2",
                                   "hsum(2^5,2^5)"])
 def test_lift_bsub_matches_the_sublattice_lift(name):
+    # and the lift of the induced Sub node map, map for map, matches the
+    # legacy lift of its restriction to BSub
     L = _lattice(name)
     count = 1 if name == "hsum(2^5,2^5)" else 3
-    bl = bsub(L)
+    bl, sl = bsub(L), sub(L)
     for psi in _relabeling_morphisms(L, count, seed=11):
         M = psi.target
-        bm = bl if M is L else bsub(M)
+        bm, sm = (bl, sl) if M is L else (bsub(M), sub(M))
         _same_lifts(L, M, induced_node_map(psi, bl, bm), bl, bm)
+        phi = induced_node_map(psi, sl, sm)
+        restricted = tuple(bm.node_index(sm.masks[phi[sl.node_index(m)]]) for m in bl.masks)
+        for canonical in (False, True):
+            new = lift_sub_iso(L, M, phi, sl, sm, canonical_only=canonical)
+            old = legacy_lift_bsub_iso(L, M, restricted, bl, bm, canonical_only=canonical)
+            assert [f.mapping for f in new] == [f.mapping for f in old]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -445,9 +462,10 @@ def test_a_four_element_block_mapped_to_a_larger_block():
     L, M = boolean_algebra(2), boolean_algebra(3)
     p = bsub(L)
     q = _relabeled_nodes(p, M, [1 | 1 << 7, M.universe])  # 2^3 posing as a chain
-    with pytest.raises(BlockMismatch) as exc:
-        lift_bsub_iso(L, M, (0, 1), p, q)
-    assert str(exc.value) == "four-element block mapped to a larger block"
+    for lift in (lift_bsub_iso, lift_sub_iso):  # p is Sub(2^2) too
+        with pytest.raises(BlockMismatch) as exc:
+            lift(L, M, (0, 1), p, q)
+        assert str(exc.value) == "four-element block mapped to a larger block"
 
 
 def test_a_block_left_out_of_the_poset_leaves_elements_unassigned():
@@ -502,36 +520,39 @@ def _subfamily(P, owner, keep, rename=lambda m: m):
 
 @pytest.mark.parametrize("name", SUBFAMILY_CASES)
 def test_lifts_between_subfamilies_realize_or_refuse_with_a_typed_error(name):
-    # seeded subfamilies of BSub(L) that hold the bottom, each against its
-    # image under a relabeling and against a subfamily of the same size:
-    # every order isomorphism between them either lifts to isomorphisms
-    # that realize it node by node or raises an OmlkitError, whichever of
-    # the atoms' nodes, blocks and maximal nodes the subfamily leaves out
+    # seeded subfamilies of BSub(L), lifted by lift_bsub_iso, and of Sub(L),
+    # lifted by lift_sub_iso, that hold the bottom, each against its image
+    # under a relabeling and against a subfamily of the same size: every
+    # order isomorphism between them either lifts to isomorphisms that
+    # realize it node by node or raises an OmlkitError, whichever of the
+    # atoms' nodes, blocks and maximal nodes the subfamily leaves out
     L = _lattice(name)
-    bl = bsub(L)
     rng = random.Random(name)
-    outcomes = set()
-    for psi in list(_relabeling_morphisms(L, 2, seed=29))[1:]:
-        M = psi.target
-        bm = bsub(M)
-        for _ in range(12):
-            keep = 1 << bl.bottom() | sum(1 << i for i in range(bl.size) if rng.random() < 0.8)
-            other = 1 << bm.bottom() | sum(1 << i for i in rng.sample(
-                [i for i in range(bm.size) if i != bm.bottom()], keep.bit_count() - 1))
-            P = _subfamily(bl, L, keep)
-            for Q in (_subfamily(bl, M, keep, psi.apply_mask), _subfamily(bm, M, other)):
-                for phi in itertools.islice(poset_isomorphisms(P, Q), 6):
-                    for canonical in (False, True):
-                        try:
-                            lifts = lift_bsub_iso(L, M, phi, P, Q, canonical_only=canonical)
-                        except OmlkitError as exc:
-                            outcomes.add(type(exc).__name__)
-                            continue
-                        outcomes.add("lifted")
-                        assert lifts
-                        for f in lifts:
-                            assert f.kind == "iso" and _realizes_node_by_node(f, phi, P, Q)
-    assert "lifted" in outcomes and len(outcomes) > 1, outcomes
+    for family, lift in ((bsub, lift_bsub_iso), (sub, lift_sub_iso)):
+        bl = family(L)
+        outcomes = set()
+        for psi in list(_relabeling_morphisms(L, 2, seed=29))[1:]:
+            M = psi.target
+            bm = family(M)
+            for _ in range(12):
+                keep = 1 << bl.bottom() | sum(1 << i for i in range(bl.size)
+                                              if rng.random() < 0.8)
+                other = 1 << bm.bottom() | sum(1 << i for i in rng.sample(
+                    [i for i in range(bm.size) if i != bm.bottom()], keep.bit_count() - 1))
+                P = _subfamily(bl, L, keep)
+                for Q in (_subfamily(bl, M, keep, psi.apply_mask), _subfamily(bm, M, other)):
+                    for phi in itertools.islice(poset_isomorphisms(P, Q), 6):
+                        for canonical in (False, True):
+                            try:
+                                lifts = lift(L, M, phi, P, Q, canonical_only=canonical)
+                            except OmlkitError as exc:
+                                outcomes.add(type(exc).__name__)
+                                continue
+                            outcomes.add("lifted")
+                            assert lifts
+                            for f in lifts:
+                                assert f.kind == "iso" and _realizes_node_by_node(f, phi, P, Q)
+        assert "lifted" in outcomes and len(outcomes) > 1, (lift.__name__, outcomes)
 
 
 def test_recognize_boolean_node_examples():
@@ -874,36 +895,6 @@ def test_lift_sub_iso_on_2_5_and_2_6(k):
     psi = _atom_permutation(k, sigma)
     lifted = lift_sub_iso(B, B, induced_node_map(psi, s, s), s, s)
     assert [f.mapping for f in lifted] == [psi.mapping]
-
-
-@pytest.mark.parametrize("side", ["source", "target"])
-def test_recognition_is_cross_checked_against_bsub(monkeypatch, side):
-    # the target's Boolean nodes are the images of the source's, not
-    # recognized again, so each side's fault is planted in its enumerated
-    # BSub: that lattice's Sub is handed over in its place
-    L, M = catalog("hsum(2^3,2^3)"), catalog("hsum(2^3,2^3)")
-    sub_l, sub_m = sub(L), sub(M)
-    victim = L if side == "source" else M
-    real = iso_lifting.enumerate_subalgebras
-
-    def faulty(X, boolean_only=False):
-        return real(X, boolean_only=boolean_only and X is not victim)
-
-    monkeypatch.setattr(iso_lifting, "enumerate_subalgebras", faulty)
-    with pytest.raises(RestrictionMismatch, match=side):
-        lift_sub_iso(L, M, tuple(range(sub_l.size)), sub_l, sub_m)
-
-
-def test_lift_sub_iso_recognizes_one_side(monkeypatch):
-    # the order isomorphism carries the source's Boolean nodes to the target's
-    L = catalog("hsum(2^4,2^4)")
-    s = sub(L)
-    walked = []
-    real = iso_lifting.boolean_nodes
-    monkeypatch.setattr(iso_lifting, "boolean_nodes", lambda P: walked.append(P) or real(P))
-    assert [f.mapping for f in lift_sub_iso(L, L, tuple(range(s.size)), s, s)] == \
-        [tuple(range(L.n))]
-    assert walked == [s]
 
 
 def test_lift_sub_identity_examples():

@@ -34,7 +34,6 @@ from omlkit import (
     horizontal_sum,
     identity_morphism,
     lift_bsub_iso,
-    lift_sub_iso,
     mo,
     morphism,
     orthoclosed_lattice,
@@ -47,7 +46,7 @@ from omlkit import (
     sublattice,
     verify_determination,
 )
-from omlkit import fileio, lattice_core
+from omlkit import lattice_core
 from omlkit.cli import main
 from omlkit.lattice_core import (
     FiniteOrtholattice,
@@ -647,14 +646,20 @@ def test_is_boolean_examples():
     assert not m.is_boolean(m.universe)
 
 
-@pytest.mark.parametrize("name", CATALOG_OMLS + ["benzene", "benzene x 2^2"])
+BENZENE_LATTICES = {
+    "benzene x 2^2": lambda: product(benzene(), boolean_algebra(2)),
+    "benzene x 2^3": lambda: product(benzene(), boolean_algebra(3)),
+    "hsum(benzene,2^3)": lambda: horizontal_sum([benzene(), boolean_algebra(3)]),
+    "hsum(benzene,benzene)": lambda: horizontal_sum([benzene(), benzene()]),
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_OMLS + ["benzene", *BENZENE_LATTICES])
 def test_is_boolean_matches_the_distributivity_check(name):
-    # pairwise commutation alone decides, as the triple loop it dropped
-    # agrees on every subalgebra, orthomodular or not, relabeled or not
-    if name == "benzene x 2^2":
-        L = product(benzene(), boolean_algebra(2), name=name)
-    else:
-        L = catalog(name)
+    # the atom count, with orthomodularity, decides as the pairwise
+    # commutation and distributivity loops of the oracle do, on every
+    # subalgebra, orthomodular or not, relabeled or not
+    L = BENZENE_LATTICES[name]() if name in BENZENE_LATTICES else catalog(name)
     verdicts = set()
     for seed in (None, 1, 2):
         M = L
@@ -781,44 +786,6 @@ def test_maximal_orthogonal_atom_sets_generate_the_blocks(name):
         generated = sorted(L.closure_mask(clique) for clique in cliques)
         assert generated == [b.members for b in L.blocks()]
         assert generated == [b.members for b in legacy_blocks(L)]
-
-
-class _CubicCheckCalled(Exception):
-    pass
-
-
-def _boolean_answers(name, tmp_path, capsys):
-    L = catalog(name)
-    p, s = bsub(L), sub(L)
-    path = tmp_path / "L.json"
-    path.write_text(fileio.dump_lattice(L))
-    capsys.readouterr()
-    code = main(["check-sachs", str(path)])
-    printed = capsys.readouterr()
-    return (
-        [b.members for b in L.blocks()],
-        L.is_boolean_algebra,
-        [node.members for node in p.nodes],
-        [f.mapping for f in lift_bsub_iso(L, L, tuple(range(p.size)), p, p)],
-        [f.mapping for f in lift_sub_iso(L, L, tuple(range(s.size)), s, s)],
-        classify_recovery(identity_morphism(L)).lines(),
-        (code, printed.out, printed.err),
-    )
-
-
-def test_oml_paths_never_run_the_cubic_boolean_check(monkeypatch, tmp_path, capsys):
-    # by Foulis-Holland, pairwise commutation decides Booleanness on an OML
-    expected = {name: _boolean_answers(name, tmp_path, capsys) for name in CATALOG_OMLS}
-
-    def refuse(self, s):
-        raise _CubicCheckCalled(f"is_boolean called on {self!r}")
-
-    monkeypatch.setattr(FiniteOrtholattice, "is_boolean", refuse)
-    for name in CATALOG_OMLS:
-        assert _boolean_answers(name, tmp_path, capsys) == expected[name]
-    # BSub of a lattice that is not orthomodular still tests each closure
-    with pytest.raises(_CubicCheckCalled):
-        bsub(benzene())
 
 
 def test_find_isomorphism_examples():

@@ -392,6 +392,13 @@ def test_iso_lifting_reads_no_cover_row():
     assert _attribute_reads(path.read_text(encoding="utf-8"), path.name, COVER_ROWS) == []
 
 
+def test_iso_lifting_reads_no_blocks():
+    # the lifts decide Booleanness by ``is_boolean``'s atom count, and
+    # find the four-element blocks as the nodes {0, p, p', 1} of two atoms
+    path = next(p for p in MODULES if p.name == "iso_lifting.py")
+    assert _attribute_reads(path.read_text(encoding="utf-8"), path.name, {"blocks"}) == []
+
+
 def test_the_attribute_scan_finds_a_planted_cover_read():
     source = (
         "def rank(P, x):\n"
