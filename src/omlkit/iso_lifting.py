@@ -23,6 +23,7 @@ from .errors import (
     BlockMismatch,
     GlueConflict,
     Inconsistent,
+    MalformedInput,
     NoLeastElement,
     NotAMorphism,
     NotAnIso,
@@ -86,7 +87,9 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     k four-element blocks the list has 2^k entries (one per combination of
     atom-pair matchings, the lowest-to-lowest choice first); with none it
     has exactly one.  ``canonical_only`` keeps just the first combination.
-    The full list is refused above 6 four-element blocks.
+    The full list is refused above 6 four-element blocks.  Posets handed
+    in must be BSub of L and of M, their ``owner``; a poset of another
+    lattice raises MalformedInput (``_check_owners``).
 
     The lift is ``_lift_through_atoms``.  Before it, the maximal nodes are
     refused where no lift realizes the node map: a maximal node of more
@@ -105,6 +108,7 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         bsub_l = enumerate_subalgebras(L, boolean_only=True)
     if bsub_m is None:
         bsub_m = enumerate_subalgebras(M, boolean_only=True)
+    _check_owners(L, M, bsub_l, bsub_m)
     phi = check_order_iso(phi, bsub_l, bsub_m)
 
     top = L.n - 1
@@ -126,6 +130,16 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
         p, q = bits(overlaps[0] & ~(1 | 1 << top))
         raise GlueConflict(f"four-element block {{0,{p},{q},{top}}} overlaps a larger block")
     return _lift_through_atoms(L, M, phi, bsub_l, bsub_m, canonical_only)
+
+
+def _check_owners(L: FiniteOrtholattice, M: FiniteOrtholattice, P, Q) -> None:
+    """Refuse, with MalformedInput, a source poset that is not a family of
+    subalgebras of L, or a target poset not one of M: the lift reads their
+    nodes as element sets of L and M."""
+    if getattr(P, "owner", None) is not L:
+        raise MalformedInput("source poset belongs to another lattice")
+    if getattr(Q, "owner", None) is not M:
+        raise MalformedInput("target poset belongs to another lattice")
 
 
 def _lift_through_atoms(L: FiniteOrtholattice, M: FiniteOrtholattice,
@@ -381,6 +395,9 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     the join of the nodes {0, e, e', 1} of its elements, so the lift's
     realization test, which reads those nodes, certifies every node,
     Boolean or not.  No Boolean node is recognized and no BSub enumerated.
+    Posets handed in must be Sub of L and of M, or part of one, their
+    ``owner``: one of another lattice raises MalformedInput, after the
+    order and flavor refusals.
     """
     if sub_l is None:
         sub_l = enumerate_subalgebras(L)
@@ -389,6 +406,7 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     phi = check_order_iso(phi, sub_l, sub_m)
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
+    _check_owners(L, M, sub_l, sub_m)
     return _lift_through_atoms(L, M, phi, sub_l, sub_m, canonical_only)
 
 

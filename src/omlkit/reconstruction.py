@@ -22,8 +22,8 @@ from operator import and_
 from typing import Optional
 
 from .errors import FrameCap, MalformedInput, NoLeastElement
-from .lattice_core import (MAX_ELEMENTS, ORTHOMODULAR, FiniteOrtholattice, _cover_row, _is_int,
-                           _Record, bits)
+from .lattice_core import (MAX_ELEMENTS, ORTHOMODULAR, FiniteOrtholattice, _closed_sets,
+                           _cover_row, _is_int, _Record, bits)
 from .subalgebra_posets import AbstractPoset, inclusion_rows
 
 MAX_FRAME_POINTS = MAX_ELEMENTS - 2
@@ -126,9 +126,10 @@ def orthoclosed_lattice(frame: OrthoFrame, name: Optional[str] = None) -> Finite
     S-perp; conversely an intersection over a set Q is Q-perp, and
     Q-perp-perp-perp = Q-perp.  So the family is built from the whole set
     by adding, point by point, the AND of the point's row with every set
-    found so far, and the work grows with the number of closed sets rather
-    than with 2^points.  One point at most doubles the family, so no step
-    holds more than twice the cap.  A frame built from a genuine
+    found so far (``_closed_sets``, which the lattice constructor's frame
+    certificate shares), and the work grows with the number of closed sets
+    rather than with 2^points.  One point at most doubles the family, so
+    no step holds more than twice the cap.  A frame built from a genuine
     Boolean-subalgebra poset has one point per atom of the lattice, and a
     lattice of at most 64 elements has at most 62 atoms, so frames above 62
     points, or with more than 64 orthoclosed sets, raise FrameCap.
@@ -158,12 +159,10 @@ def orthoclosed_lattice(frame: OrthoFrame, name: Optional[str] = None) -> Finite
                        f"fit a lattice of {MAX_ELEMENTS} elements")
     universe = (1 << frame.size) - 1
     perp = frame.perp
-    closed = {universe}
-    for row in perp:
-        closed |= {row & s for s in closed}
-        if len(closed) > MAX_ELEMENTS:
-            raise FrameCap(f"frame has more than {MAX_ELEMENTS} orthoclosed sets "
-                           f"(stopped at {MAX_ELEMENTS + 1}, {frame.size} points)")
+    closed = _closed_sets(perp, universe, MAX_ELEMENTS)
+    if len(closed) > MAX_ELEMENTS:
+        raise FrameCap(f"frame has more than {MAX_ELEMENTS} orthoclosed sets "
+                       f"(stopped at {MAX_ELEMENTS + 1}, {frame.size} points)")
     if len(closed) < 2:
         raise MalformedInput("orthoclosed family is trivial; not a lattice")
     closed = sorted(closed)

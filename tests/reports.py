@@ -215,14 +215,33 @@ def lattices_built(calls):
     return rows
 
 
+def answers(kept):
+    """A wrapper for ``patched`` that appends each answer of the wrapped
+    function to ``kept``."""
+    def wrap(original):
+        def recorded(*args):
+            kept.append(original(*args))
+            return kept[-1]
+        return recorded
+    return wrap
+
+
 def construction(labels):
-    """The constructor's time on each lattice's rows, and that of Sub of a
-    fresh copy, its construction included: the lattice keeps no meet table,
-    and Sub reads each meet it needs at an AND of two down rows."""
+    """Each lattice's atoms, the path its rows are validated on (``frame``
+    when the atom-frame certificate holds, which the constructor tries on
+    lattices of n elements with at most n/4 atoms, else ``rows``), the
+    constructor's time on its rows, and that of Sub of a fresh copy, its
+    construction included: the lattice keeps no meet table, and Sub reads
+    each meet it needs at an AND of two down rows."""
     rows = []
     for label in labels:
         L = lattice(label)
-        rows.append((label, best_ms(partial(FiniteOrtholattice, L.up, L.ortho)),
+        certified = []
+        with patched(lattice_core, "_frame_down", answers(certified)):
+            FiniteOrtholattice(L.up, L.ortho)
+        path = "frame" if certified and certified[0] is not None else "rows"
+        rows.append((label, L._atoms.bit_count(), path,
+                     best_ms(partial(FiniteOrtholattice, L.up, L.ortho)),
                      best_ms(lambda: sub(FiniteOrtholattice(L.up, L.ortho)))))
     return rows
 
@@ -346,8 +365,11 @@ REPORTS = [
       ("sub on hsum(2^4,2^4)", lambda: sub(catalog("hsum(2^4,2^4)"))),
       ("lift_bsub_iso on BSub(hsum(2^5,2^5)), identity", lift_identity),
       ("bsub on benzene x 2^3", lambda: bsub(lattice("benzene x 2^3")))]),
-    ("Construction", ("lattice", "best of 5, constructor (ms)", "best of 5, constructor and sub (ms)"),
-     construction, ["example22", "hsum(2^5,2^5)", "2^6", "MO3 x 2^3"]),
+    ("Construction",
+     ("lattice", "atoms", "path", "best of 5, constructor (ms)",
+      "best of 5, constructor and sub (ms)"),
+     construction,
+     ["example22", "MO8", "hsum(2^4,2^4)", "2^5", "hsum(2^5,2^5)", "2^6", "MO3 x 2^3"]),
     ("Reconstruction",
      ("poset", "frame points", "closed sets", "best of 5, classify and frame (ms)",
       "best of 5, `orthoclosed_lattice` (ms)",

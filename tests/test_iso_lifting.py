@@ -160,6 +160,23 @@ def test_lift_rejects_bad_node_maps():
         check_order_iso((0, 1), antichain, chain)
 
 
+def test_lifts_refuse_posets_of_another_lattice():
+    # BSub(MO2) and Sub(MO2) handed in for 2^3: the BSub lift raised a bare
+    # ValueError, and the Sub lift a GlueConflict that named another cause
+    B, M = boolean_algebra(3), mo(2)
+    text = "^source poset belongs to another lattice$"
+    with pytest.raises(MalformedInput, match=text):
+        lift_bsub_iso(B, B, range(3), bsub(M), bsub(M))
+    with pytest.raises(MalformedInput, match=text):
+        lift_sub_iso(B, B, range(4), sub(M), sub(M))
+    # a target of an equal but distinct lattice, and a bare poset, as well
+    copy = relabel(B, range(B.n))
+    with pytest.raises(MalformedInput, match="^target poset belongs to another lattice$"):
+        lift_bsub_iso(B, copy, range(5), bsub(B), bsub(B))
+    with pytest.raises(MalformedInput, match=text):
+        lift_sub_iso(B, B, range(5), sub(B).as_abstract(), sub(B))
+
+
 def test_lift_requires_orthomodular():
     hexagon = catalog("benzene")
     p = bsub(hexagon)

@@ -1,5 +1,6 @@
 """Core lattice validation, operations, and the brute-force iso oracle."""
 
+import functools
 import itertools
 import random
 import re
@@ -51,6 +52,7 @@ from omlkit.cli import main
 from omlkit.lattice_core import (
     FiniteOrtholattice,
     _blocks,
+    _cover_row,
     _covers,
     _permuted,
     _transpose,
@@ -1136,9 +1138,13 @@ def test_poset_relabel_and_node_maps_reject_non_indices():
     assert check_order_iso([0, 1], chain, chain) == (0, 1)
 
 
-def test_an_ortho_of_non_indices_is_no_permutation():
+@pytest.mark.parametrize("up, ortho", [
+    ([0b11, 0b10], [1.0, 0]), ([0b11, 0b10], None), (catalog("2^5").up, None)])
+def test_an_ortho_of_non_indices_is_no_permutation(up, ortho):
+    # an ortho that is no sequence raised a bare TypeError, on the row path
+    # and on the frame path (2^5) alike
     with pytest.raises(BadOrthocomplement, match="^ortho is not a permutation of the elements$"):
-        FiniteOrtholattice([0b11, 0b10], [1.0, 0])
+        FiniteOrtholattice(up, ortho)
 
 
 @pytest.mark.parametrize("row", [3.0, "3", None, True])
@@ -1150,6 +1156,12 @@ def test_rows_that_are_not_integers_are_malformed_input(row):
     with pytest.raises(MalformedInput) as poset:
         AbstractPoset([1, row])
     assert str(lattice.value) == str(poset.value) == text
+
+
+def test_lattice_rows_that_are_no_sequence_are_malformed_input():
+    # they raised a bare TypeError, as poset rows did
+    with pytest.raises(MalformedInput, match="^rows are not a sequence of integer bit sets$"):
+        FiniteOrtholattice(None, [1, 0])
 
 
 # -- row validation against the pair-by-pair constructor ----------------------
@@ -1182,15 +1194,16 @@ MORE_BUILT = {
 NOT_ORTHOMODULAR = {"3-loop", "4-loop"}
 
 
-def _loop(k):
-    """The lattice of k blocks of three atoms in a cycle, each sharing one
-    atom with the next, built as the orthoclosed sets of its atoms'
-    orthogonality frame: block i holds atoms 2i, 2i+1 and 2i+2 (mod 2k).
-    Loops of 3 and 4 blocks are ortholattices that are not orthomodular."""
-    size = 2 * k
+def _loop(k, atoms=3):
+    """The lattice of k blocks of ``atoms`` atoms in a cycle, each sharing
+    one atom with the next, built as the orthoclosed sets of its atoms'
+    orthogonality frame: block i holds atoms (atoms-1)i to (atoms-1)(i+1)
+    (mod (atoms-1)k).  Loops of 3 and 4 blocks are ortholattices that are
+    not orthomodular."""
+    size = (atoms - 1) * k
     perp = [0] * size
     for i in range(k):
-        block = [2 * i, 2 * i + 1, (2 * i + 2) % size]
+        block = [((atoms - 1) * i + t) % size for t in range(atoms)]
         for a in block:
             perp[a] |= mask_of(block) ^ 1 << a
     return orthoclosed_lattice(OrthoFrame(size, tuple(perp), tuple(map(str, range(size)))),
@@ -1365,3 +1378,113 @@ def test_the_zero_meet_form_is_the_orthomodular_law_on_subalgebras(name):
         verdicts.add(law)
     assert verdicts == ({True, False} if name == "benzene" or name in NOT_ORTHOMODULAR else {True})
 
+
+
+# -- validation through the atom frame -----------------------------------------
+
+FRAME_CATALOG = ([f"2^{k}" for k in range(1, 7)] + [f"MO{k}" for k in range(1, 32)]
+                 + ["MO2x2", "example22", "benzene", "hsum(2^3,2^3)", "hsum(2^4,2^4)",
+                    "hsum(2^5,2^5)", "hsum(2^3,2^3,2^3)", "hsum(2^2,2^3,2^4)"])
+FRAME_BUILT = {
+    "MO2 x 2^2": lambda: product(mo(2), boolean_algebra(2)),
+    "MO3 x 2^3": lambda: product(mo(3), boolean_algebra(3)),
+    "example22 x 2^2": lambda: product(example22(), boolean_algebra(2)),
+    "2^2 x 2^3": lambda: product(boolean_algebra(2), boolean_algebra(3)),
+    "benzene x 2^1": lambda: product(benzene(), boolean_algebra(1)),
+    "benzene x 2^3": lambda: product(benzene(), boolean_algebra(3)),
+    "hsum(benzene,2^3)": lambda: horizontal_sum([benzene(), boolean_algebra(3)]),
+    "5-loop": lambda: _loop(5),
+    "6-loop": lambda: _loop(6),
+    "7-loop": lambda: _loop(7),
+    "5-loop of 4-atom blocks": lambda: _loop(5, atoms=4),
+}
+# 4k <= n and atomistic: the lattices the constructor certifies by frame
+FRAME_PATH = {"2^4", "2^5", "2^6", "hsum(2^5,2^5)", "MO2 x 2^2", "MO3 x 2^3", "example22 x 2^2",
+              "2^2 x 2^3", "5-loop of 4-atom blocks"}
+
+
+def _kept(up, ortho):
+    """The rows, complement, flavor and atoms the constructor keeps, or its
+    exception type and text."""
+    try:
+        L = FiniteOrtholattice(up, ortho)
+    except OmlkitError as exc:
+        return type(exc), str(exc)
+    return L.up, L.down, L.ortho, L.flavor, vars(L)["_atoms"]
+
+
+def _built_and_path(monkeypatch, up, ortho):
+    """``_kept``, and "frame" when the certificate gave the rows, else
+    "rows"; then ``_kept`` with the certificate refusing, the row tests
+    alone."""
+    answers = []
+    certificate = lattice_core._frame_down
+
+    def recorded(*args):
+        answers.append(certificate(*args))
+        return answers[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice_core, "_frame_down", recorded)
+        built = _kept(up, ortho)
+        patch.setattr(lattice_core, "_frame_down", lambda *args: None)
+        rows_only = _kept(up, ortho)
+    return built, "frame" if answers and answers[0] is not None else "rows", rows_only
+
+
+def _atomistic(L):
+    """Whether every element is the join of the atoms below it."""
+    return all(functools.reduce(L.join, (p for p in L.atoms() if L.leq(p, x)), 0) == x
+               for x in range(L.n))
+
+
+def _mutated(rng, L):
+    """L's rows with one or two bits flipped, then its complement with two
+    entries swapped, and with one entry overwritten by an index in 0..n."""
+    n = L.n
+    for flips in (1, 1, 2, 2):
+        up = list(L.up)
+        for _ in range(flips):
+            up[rng.randrange(n)] ^= 1 << rng.randrange(n)
+        yield tuple(up), L.ortho
+    ortho = list(L.ortho)
+    i, j = rng.sample(range(n), 2)
+    ortho[i], ortho[j] = ortho[j], ortho[i]
+    yield L.up, tuple(ortho)
+    ortho = list(L.ortho)
+    ortho[rng.randrange(n)] = rng.randrange(n + 1)
+    yield L.up, tuple(ortho)
+
+
+@pytest.mark.parametrize("name", FRAME_CATALOG + list(FRAME_BUILT))
+def test_the_frame_certificate_accepts_exactly_the_atomistic_lattices(name, monkeypatch):
+    base = FRAME_BUILT[name]() if name in FRAME_BUILT else catalog(name)
+    rng = random.Random(name)
+    refused = 0
+    for L in [base] + [_inner_relabeled(base, rng) for _ in range(3)]:
+        k = L._atoms.bit_count()
+        built, path, rows_only = _built_and_path(monkeypatch, L.up, L.ortho)
+        assert built == rows_only == (L.up, L.down, L.ortho, L.flavor, L._atoms)
+        assert path == ("frame" if name in FRAME_PATH else "rows")
+        assert (name in FRAME_PATH) == (4 * k <= L.n and _atomistic(L))
+        # the certificate itself holds on every atomistic lattice, whatever k
+        down = lattice_core._frame_down(L.up, L.ortho, L._atoms)
+        assert down == (L.down if _atomistic(L) else None)
+        for up, ortho in _mutated(rng, L):
+            built, path, rows_only = _built_and_path(monkeypatch, up, ortho)
+            assert built == rows_only
+            down = lattice_core._frame_down(up, ortho, _cover_row(up, 0))
+            if len(built) == 2:
+                refused += 1
+                assert down is None and path == "rows"
+            else:
+                M = FiniteOrtholattice(up, ortho)
+                assert down == (M.down if _atomistic(M) else None)
+    assert refused >= 12
+
+
+def test_a_non_atomistic_lattice_with_few_atoms_ends_on_the_row_path(monkeypatch):
+    # benzene x 2^3: 48 elements and 5 atoms, so 4k <= n, but not atomistic
+    L = FRAME_BUILT["benzene x 2^3"]()
+    built, path, _ = _built_and_path(monkeypatch, L.up, L.ortho)
+    assert (L.n, L._atoms.bit_count(), path, built[3]) == (48, 5, "rows", ORTHOLATTICE)

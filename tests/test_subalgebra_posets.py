@@ -450,6 +450,9 @@ def test_abstract_poset_validation():
         AbstractPoset.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)])
     with pytest.raises(MalformedInput):
         AbstractPoset.from_pairs(2, [(0, 0), (0, 0), (1, 1)])
+    # rows that are no sequence raised a bare TypeError
+    with pytest.raises(MalformedInput, match="^rows are not a sequence of integer bit sets$"):
+        AbstractPoset(None)
     chain = AbstractPoset.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2), (0, 2)])
     assert chain.bottom() == 0 and chain.top() == 2
     assert chain.height(2) == 2
