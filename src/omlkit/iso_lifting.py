@@ -7,9 +7,20 @@ the atom p goes to, a finite orthomodular lattice is atomistic, so the
 atoms fix every other element, and each four-element block leaves an
 independent two-way choice.  The full subalgebra lattices have the same
 nodes {0, e, e', 1} for atoms, so one lift (``_lift_through_atoms``)
-serves both; BSub adds only its refusals on maximal nodes.  Boolean
-nodes are recognized order-theoretically too (``boolean_nodes``), in any
-poset, with no lattice at hand; no lift needs them.
+serves both; BSub adds only its refusals on maximal nodes.
+
+Each lift is certified once, by the images of its nodes: the glued
+isomorphism f of L onto M must map every node of the source poset onto
+the node the node map names (``_realization_test``).  f preserves and
+reflects inclusion, so the certificate proves the node map, tested up
+front only as a bijection (``_node_bijection``), an order isomorphism.
+The node order is checked whole (``check_order_iso``) only when a lift is
+refused: before any refusal that follows the bijection test is raised, so
+a node map that is no order isomorphism is refused as one, whatever
+refused it first, and the refusals come as they did when the order was
+checked first.  Boolean nodes are recognized order-theoretically too
+(``boolean_nodes``), in any poset, with no lattice at hand; no lift needs
+them.
 """
 
 from __future__ import annotations
@@ -28,12 +39,14 @@ from .errors import (
     NotAMorphism,
     NotAnIso,
     NotBoolean,
+    OmlkitError,
     Unsupported,
 )
 from .lattice_core import (
     FiniteOrtholattice,
     Morphism,
     ORTHOMODULAR,
+    _columns,
     _Record,
     _induced,
     bits,
@@ -42,6 +55,7 @@ from .lattice_core import (
 from .subalgebra_posets import (
     AbstractPoset,
     SubalgebraPoset,
+    _node_bijection,
     _partition_table,
     check_order_iso,
     enumerate_subalgebras,
@@ -54,27 +68,43 @@ MAX_FOUR_BLOCK_CHOICES = 6
 
 def induced_node_map(psi: Morphism, source_poset: SubalgebraPoset,
                      target_poset: SubalgebraPoset) -> tuple[int, ...]:
-    """The node map x -> psi[x] a lattice isomorphism induces on subalgebra posets."""
-    return tuple(target_poset.node_index(psi.apply_mask(m)) for m in source_poset.masks)
+    """The node map x -> psi[x] a lattice isomorphism induces on subalgebra
+    posets, the images read as the certificate reads them (``_node_images``)."""
+    masks = source_poset.masks
+    psi.source._checked_mask(max(masks))  # a set of another lattice, as apply_mask refuses it
+    return tuple(map(target_poset.node_index,
+                     _node_images(psi.mapping, masks, psi.source.n, psi.target.n)))
 
 
-def _realization_test(phi: Sequence[int], P: SubalgebraPoset, Q: SubalgebraPoset):
-    """A test of f[y] = phi(y) for every node y of P, for bijections f.
+def _node_images(mapping: Sequence[int], masks: Sequence[int], n: int, m: int) -> list[int]:
+    """The image of each element set in ``masks`` under ``mapping``, a map
+    of an n-element lattice into an m-element one, by one spelled
+    transposition each way (``_columns``): the masks turn into the sets of
+    masks holding each element, which are ORed in at the element's image,
+    and those turn back into masks."""
+    placed = [0] * m
+    for v, col in zip(mapping, _columns(masks, n)):
+        placed[v] |= col
+    return _columns(placed, len(masks))
 
-    As phi is a bijection too, that holds exactly when phi maps the nodes
-    containing e onto those containing f(e), for every element e.  Those
-    are the up rows of the nodes {0, e, e', 1} and {0, f(e), f(e)', 1}, and
-    phi is an order isomorphism, so it must map the one node to the other.
-    Hand-built posets without these nodes are checked node by node.
+
+def _realization_test(f: Morphism, phi: Sequence[int], P: SubalgebraPoset,
+                      Q: SubalgebraPoset) -> bool:
+    """Whether f[y] is the node phi(y) of Q for every node y of P, the
+    certificate of a lift: the images of all the nodes at once
+    (``_node_images``), looked up in Q's index.
+
+    With f an isomorphism of L onto M, and P and Q families of
+    subalgebras of L and M ordered by inclusion, it proves the bijection
+    phi an order isomorphism: f preserves and reflects inclusion, so y <= z
+    in P exactly when f[y] <= f[z], that is phi(y) <= phi(z) in Q.  For an
+    order isomorphism phi it says no more than phi's values at the nodes
+    {0, e, e', 1} of the elements e, when P and Q hold all of those: a node
+    z holds e exactly when it lies above e's node, so phi(z) holds f(e)
+    exactly when z holds e once phi maps e's node to f(e)'s.
     """
-    def element_nodes(R: SubalgebraPoset) -> list[Optional[int]]:
-        top = 1 << (R.owner.n - 1)
-        return [R._index.get(1 | 1 << e | 1 << o | top) for e, o in enumerate(R.owner.ortho)]
-
-    x, y = element_nodes(P), element_nodes(Q)
-    if None in x or None in y:
-        return lambda f: all(f.apply_mask(m) == Q.masks[phi[i]] for i, m in enumerate(P.masks))
-    return lambda f: all(phi[x[e]] == y[v] for e, v in enumerate(f.mapping))
+    images = _node_images(f.mapping, P.masks, P.owner.n, Q.owner.n)
+    return tuple(map(Q._index.get, images)) == tuple(phi)
 
 
 def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
@@ -91,16 +121,13 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     in must be BSub of L and of M, their ``owner``; a poset of another
     lattice raises MalformedInput (``_check_owners``).
 
-    The lift is ``_lift_through_atoms``.  Before it, the maximal nodes are
-    refused where no lift realizes the node map: a maximal node of more
-    than four elements that is not Boolean (``is_boolean``, on either side)
-    raises NotBoolean; a four-element one mapped to a larger one raises
-    BlockMismatch, and one that is not itself a block of L raises
-    GlueConflict, once every maximal node has been read.  phi is an order
-    isomorphism, so it maps the maximal nodes onto the maximal nodes.  Past
-    these refusals every node is Boolean, so a node {0, p, p', 1} with p
-    and p' both atoms, a block, is maximal, and the four-element blocks the
-    lift reads are the four-element maximal nodes.
+    The lift is ``_lift_through_atoms``, which certifies it by the images
+    of its nodes.  Refusals come in this order: the flavor, the owners,
+    the bijection test of phi (``_node_bijection``), then the maximal nodes
+    (``_refuse_maximal_nodes``) and the lift's own.  Those after the
+    bijection test are raised only once ``check_order_iso`` has passed, so
+    a phi that is no order isomorphism raises its NotAnIso, as when the
+    node order was checked first.
     """
     if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
         raise NotAnIso("lifting is defined between orthomodular lattices")
@@ -109,13 +136,42 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     if bsub_m is None:
         bsub_m = enumerate_subalgebras(M, boolean_only=True)
     _check_owners(L, M, bsub_l, bsub_m)
-    phi = check_order_iso(phi, bsub_l, bsub_m)
+    phi = _node_bijection(phi, bsub_l, bsub_m)
+    try:
+        _refuse_maximal_nodes(L, M, phi, bsub_l, bsub_m)
+        return _lift_through_atoms(L, M, phi, bsub_l, bsub_m, canonical_only)
+    except OmlkitError:
+        check_order_iso(phi, bsub_l, bsub_m)
+        raise
 
+
+def _check_owners(L: FiniteOrtholattice, M: FiniteOrtholattice, P, Q) -> None:
+    """Refuse, with MalformedInput, a source poset that is not a family of
+    subalgebras of L, or a target poset not one of M: the lift reads their
+    nodes as element sets of L and M."""
+    if getattr(P, "owner", None) is not L:
+        raise MalformedInput("source poset belongs to another lattice")
+    if getattr(Q, "owner", None) is not M:
+        raise MalformedInput("target poset belongs to another lattice")
+
+
+def _refuse_maximal_nodes(L: FiniteOrtholattice, M: FiniteOrtholattice, phi: Sequence[int],
+                          P: SubalgebraPoset, Q: SubalgebraPoset) -> None:
+    """BSub's refusals, where no lift realizes the node map: a maximal node
+    of more than four elements that is not Boolean (``is_boolean``, on
+    either side) raises NotBoolean; a four-element one mapped to a larger
+    one raises BlockMismatch, and one that is not itself a block of L
+    raises GlueConflict, once every maximal node has been read.  Each is
+    raised for an order isomorphism phi alone (see ``lift_bsub_iso``),
+    which maps the maximal nodes onto the maximal nodes.  Past these
+    refusals every node is Boolean, so a node {0, p, p', 1} with p and p'
+    both atoms, a block, is maximal, and the four-element blocks the lift
+    reads are the four-element maximal nodes."""
     top = L.n - 1
     overlaps = []
-    for x in bsub_l.maximal_elements():
-        xmask = bsub_l.masks[x]
-        ymask = bsub_m.masks[phi[x]]
+    for x in P.maximal_elements():
+        xmask = P.masks[x]
+        ymask = Q.masks[phi[x]]
         size = xmask.bit_count()
         if size == 4:
             if ymask.bit_count() != 4:
@@ -129,25 +185,47 @@ def lift_bsub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     if overlaps:
         p, q = bits(overlaps[0] & ~(1 | 1 << top))
         raise GlueConflict(f"four-element block {{0,{p},{q},{top}}} overlaps a larger block")
-    return _lift_through_atoms(L, M, phi, bsub_l, bsub_m, canonical_only)
-
-
-def _check_owners(L: FiniteOrtholattice, M: FiniteOrtholattice, P, Q) -> None:
-    """Refuse, with MalformedInput, a source poset that is not a family of
-    subalgebras of L, or a target poset not one of M: the lift reads their
-    nodes as element sets of L and M."""
-    if getattr(P, "owner", None) is not L:
-        raise MalformedInput("source poset belongs to another lattice")
-    if getattr(Q, "owner", None) is not M:
-        raise MalformedInput("target poset belongs to another lattice")
 
 
 def _lift_through_atoms(L: FiniteOrtholattice, M: FiniteOrtholattice,
                         phi: Sequence[int], P: SubalgebraPoset, Q: SubalgebraPoset,
                         canonical_only: bool) -> list[Morphism]:
-    """The lifts of the checked order isomorphism phi: P -> Q between
-    families of subalgebras of the OMLs L and M, BSub or Sub or part of one,
-    read through the atom frame.
+    """The lifts of phi: P -> Q, a bijection between families of
+    subalgebras of the OMLs L and M, BSub or Sub or part of one, read
+    through the atom frame (``_glue``) and certified by the images of the
+    nodes (``_realization_test``), which proves phi an order isomorphism.
+
+    The lowest-to-lowest map f that ``_glue`` returns is the one map
+    checked; the other lifts are f after swaps of the atom pairs of the
+    four-element blocks, each block taken in the poset's node order.  A
+    swap is an automorphism of L that fixes every subalgebra (see
+    ``_glue``), so each is an isomorphism realizing phi as f does, and
+    these are all the lifts.  A map the certificate refuses raises
+    GlueConflict.
+    """
+    f, four_blocks = _glue(L, M, phi, P, Q, canonical_only)
+    if not _realization_test(f, phi, P, Q):
+        raise GlueConflict("glued map does not realize the node map")
+    if canonical_only:
+        return [f]
+    out = []
+    for combo in itertools.product((False, True), repeat=len(four_blocks)):
+        mapping = list(f.mapping)
+        for (_, p), swap in zip(four_blocks, combo):
+            if swap:
+                q = L.ortho[p]
+                mapping[p], mapping[q] = mapping[q], mapping[p]
+        out.append(Morphism(L, M, tuple(mapping), f.kind))
+    return out
+
+
+def _glue(L: FiniteOrtholattice, M: FiniteOrtholattice, phi: Sequence[int],
+          P: SubalgebraPoset, Q: SubalgebraPoset,
+          canonical_only: bool) -> tuple[Morphism, list[tuple[int, int]]]:
+    """The lowest-to-lowest isomorphism f: L -> M that phi's values at the
+    atoms' nodes fix, checked by one ``morphism`` call, and the
+    four-element blocks of L in P as (node, lower atom) pairs in node
+    order.
 
     A lift f maps the node {0, e, e', 1} of each element e to phi's image
     {0, f(e), f(e)', 1}.  For an atom p of L, f(p) is an atom of M.  Unless
@@ -162,17 +240,15 @@ def _lift_through_atoms(L: FiniteOrtholattice, M: FiniteOrtholattice,
     and coatoms and b commutes with p, then b = (b ^ p) v (b ^ p') is 0, p,
     p' or 1.  Swapping p and p' is then an automorphism of L that fixes
     every subalgebra.  So each four-element block node maps lowest to
-    lowest, and the lowest-to-lowest map f is the one map to check, by one
-    ``morphism`` call and one realization test; the other lifts are f after
-    the swaps, the blocks taken in the poset's node order.  These are all
-    the lifts: they are at most the 2^k maps built here.
+    lowest here, and the lifts are f after the swaps: at most 2^k maps.
 
     Refusals: above 6 four-element blocks the full list raises Unsupported;
     a four-element block mapped to a larger node raises BlockMismatch; an
     atom's node whose image does not hold exactly one atom of M raises
     Inconsistent.  An element left without an image, because its atoms'
     nodes are missing or their images' atoms are no element's, raises
-    GlueConflict, as does a map the closing checks refuse.
+    GlueConflict, as does a map ``morphism`` refuses or that is no
+    isomorphism.
     """
     top, ortho = L.n - 1, L.ortho
     atoms_l, atoms_m = L._atoms, M._atoms
@@ -216,19 +292,7 @@ def _lift_through_atoms(L: FiniteOrtholattice, M: FiniteOrtholattice,
         raise GlueConflict(f"glued map is not a homomorphism: {exc}") from exc
     if f.kind != "iso":
         raise GlueConflict("glued map is not an isomorphism")
-    if not _realization_test(phi, P, Q)(f):
-        raise GlueConflict("glued map does not realize the node map")
-    if canonical_only:
-        return [f]
-    out = []
-    for combo in itertools.product((False, True), repeat=len(four_blocks)):
-        mapping = list(f.mapping)
-        for (_, p), swap in zip(four_blocks, combo):
-            if swap:
-                q = ortho[p]
-                mapping[p], mapping[q] = mapping[q], mapping[p]
-        out.append(Morphism(L, M, tuple(mapping), f.kind))
-    return out
+    return f, four_blocks
 
 
 def lift_boolean_iso(B: FiniteOrtholattice, C: FiniteOrtholattice,
@@ -391,23 +455,29 @@ def lift_sub_iso(L: FiniteOrtholattice, M: FiniteOrtholattice, phi,
     The same lift as ``lift_bsub_iso``'s, ``_lift_through_atoms``, read
     on Sub(L) and Sub(M) themselves: the nodes {0, e, e', 1} are the atoms
     of Sub(L) as of BSub(L), so phi maps them onto those of Sub(M), and the
-    lift reads phi there alone.  Sub(L) is atomistic too, each subalgebra
-    the join of the nodes {0, e, e', 1} of its elements, so the lift's
-    realization test, which reads those nodes, certifies every node,
-    Boolean or not.  No Boolean node is recognized and no BSub enumerated.
-    Posets handed in must be Sub of L and of M, or part of one, their
-    ``owner``: one of another lattice raises MalformedInput, after the
-    order and flavor refusals.
+    lift reads phi there alone.  Its certificate maps every node, Boolean
+    or not.  No Boolean node is recognized and no BSub enumerated.  Posets
+    handed in must be Sub of L and of M, or part of one, their ``owner``.
+    Refusals come in this order: the bijection test of phi
+    (``_node_bijection``), the flavor, the owners (MalformedInput for a
+    poset of another lattice), then the lift's own.  Those after the
+    bijection test are raised only once ``check_order_iso`` has passed,
+    so a phi that is no order isomorphism raises its NotAnIso, as when the
+    node order was checked first.
     """
     if sub_l is None:
         sub_l = enumerate_subalgebras(L)
     if sub_m is None:
         sub_m = enumerate_subalgebras(M)
-    phi = check_order_iso(phi, sub_l, sub_m)
-    if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
-        raise NotAnIso("lifting is defined between orthomodular lattices")
-    _check_owners(L, M, sub_l, sub_m)
-    return _lift_through_atoms(L, M, phi, sub_l, sub_m, canonical_only)
+    phi = _node_bijection(phi, sub_l, sub_m)
+    try:
+        if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
+            raise NotAnIso("lifting is defined between orthomodular lattices")
+        _check_owners(L, M, sub_l, sub_m)
+        return _lift_through_atoms(L, M, phi, sub_l, sub_m, canonical_only)
+    except OmlkitError:
+        check_order_iso(phi, sub_l, sub_m)
+        raise
 
 
 class DeterminationReport(_Record):

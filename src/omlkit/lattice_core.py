@@ -13,7 +13,8 @@ certificate through its atom frame, the atoms with p orthogonal to q when
 q <= p' (``_frame_down``): when x -> {atoms below x} carries the order
 and the complement onto inclusion and perp among the frame's n closed
 sets, L is the lattice of orthoclosed sets of the frame, an ortholattice,
-and no law needs a test of its own.  The certificate holds exactly on the
+and no law needs a test of its own; the certificate also gives the rows
+that the orthomodular test reads.  The certificate holds exactly on the
 atomistic ortholattices, every finite OML among them, in O(n k) steps done
 in C.  Every other input, and every lattice with more atoms, is validated
 row by row: its rows are spelled in binary once,
@@ -39,9 +40,10 @@ Posets are still checked pair by pair: their rows have no size cap, and a
 spelling costs n^2 even for an antichain.
 
 Renaming an order's points (``_permuted``: ``relabel``, ``morphism``'s
-test of a bijection, and the node maps of the lifts) is the same
-transposition: the renamed rows are the columns of the spelled transpose,
-placed along the renaming, read back in stripes of bounded size.
+test of a bijection, and ``check_order_iso``) is the same transposition
+(``_columns``): the renamed rows are the columns of the spelled transpose,
+placed along the renaming, read back in stripes of bounded size.  The
+lifts rename the element sets of a subalgebra poset by it, each way.
 
 The blocks of an orthomodular lattice are found here and nowhere else: the
 maximal sets of pairwise orthogonal atoms (``_blocks``), each joined out to
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 from itertools import combinations, compress, repeat, starmap
-from operator import and_, itemgetter, lshift, or_, rshift
+from operator import and_, invert, itemgetter, lshift, or_, rshift
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -98,6 +100,15 @@ def _row_tuple(up) -> tuple:
         return tuple(up)
     except TypeError:
         raise MalformedInput("rows are not a sequence of integer bit sets") from None
+
+
+def _as_tuple(values) -> Optional[tuple]:
+    """``values`` as a tuple, or None when they are no sequence, so that a
+    map handed in that is no sequence is refused as no map."""
+    try:
+        return tuple(values)
+    except TypeError:
+        return None
 
 
 def _is_int(v) -> bool:
@@ -246,7 +257,9 @@ class FiniteOrtholattice(_Order):
         either path, and kept as ``_atoms``.  An ``ortho`` that is no
         sequence is read as empty, and refused where the permutation is
         checked.  The orthomodular law is tested after either path, by
-        atoms (``_orthomodular_on``)."""
+        atoms (``_orthomodular_on``'s test, a row at a time), on the
+        ``_reach`` rows the certificate returns, or on the row path on
+        rows walked from the atoms."""
         up = _row_tuple(up)
         n = len(up)
         if n < 2:
@@ -256,16 +269,14 @@ class FiniteOrtholattice(_Order):
         # only integers in range can be spelled in n binary digits
         if set(map(type, up)) != {int} or min(up) < 0 or max(up) >> n:
             _check_rows(up)
-        try:
-            ortho = tuple(ortho)
-        except TypeError:
-            ortho = ()
+        ortho = _as_tuple(ortho) or ()
         atoms = _cover_row(up, 0)
-        down = _frame_down(up, ortho, atoms) if 4 * atoms.bit_count() <= n else None
-        if down is None:
+        certified = _frame_down(up, ortho, atoms) if _FRAME_RULE * atoms.bit_count() <= n else None
+        if certified is None:
             self._test_rows(up, ortho)
         else:
-            self.up, self.size, self.down = up, n, down
+            self.up, self.size = up, n
+            self.down, self._reach = certified
         self._atoms = atoms
         self._with_complement(ortho, name)
 
@@ -292,16 +303,14 @@ class FiniteOrtholattice(_Order):
         not transitive fails there, first, as it did when the order was
         checked whole before the bounds."""
         n = len(up)
-        # the rows spelled in binary, last row first and most significant
-        # digit first: digit j of row i sits at (n-1-i)*n + n-1-j.  Column
-        # n-1-j spells down[j]; read backwards, row i is at [i*n, i*n+n).
-        width = f"0{n}b"
-        spelled = "".join([format(row, width) for row in reversed(up)])
-        down = [int(spelled[c::n], 2) for c in range(n)]
-        down.reverse()
+        # the rows spelled in binary (``_spelled``): digit j of row i sits
+        # at (n-1-i)*d + d-1-j.  Column d-1-j spells down[j]; read
+        # backwards, row i starts at i*d, with digit j at i*d + j.
+        spelled, d = _spelled(up, n)
+        down = [int(spelled[c::d], 2) for c in range(d - 1, d - 1 - n, -1)]
         # compress selectors of the members of each up row
         members = spelled[::-1].encode().translate(_DIGIT_BITS)
-        rows = [members[i:i + n] for i in range(0, n * n, n)]
+        rows = [members[i:i + n] for i in range(0, n * d, d)]
         # reflexive and antisymmetric: i is the one point both above and
         # below i.  A row without its own point is named by _check_rows.
         # Transitivity follows from the meets (see above).
@@ -349,7 +358,11 @@ class FiniteOrtholattice(_Order):
         the lattice: the constructor's last step, and the whole check of a
         derivation that builds an ortholattice (``_trusted`` rows)."""
         self.n, self.ortho, self.name = self.size, ortho, name
-        self.flavor = ORTHOMODULAR if self._orthomodular_on(self.universe) else ORTHOLATTICE
+        # ``_orthomodular_on`` the whole lattice, a row at a time in C:
+        # up[a] & ~_reach[a'] is a alone for every a
+        co_reach = map(self._reach.__getitem__, ortho)
+        orthomodular = tuple(map(and_, self.up, map(invert, co_reach))) == _POINTS[:self.n]
+        self.flavor = ORTHOMODULAR if orthomodular else ORTHOLATTICE
         return self
 
     # -- basic queries ----------------------------------------------------
@@ -423,7 +436,8 @@ class FiniteOrtholattice(_Order):
 
     def _orthomodular_on(self, mask: int) -> bool:
         """Whether a <= b and a' ^ b = 0 imply a = b for a, b in ``mask``;
-        the constructor's test of the whole lattice too.
+        the constructor runs the same test on the whole lattice, a row at a
+        time (``_with_complement``).
 
         ``mask`` must be closed (a subalgebra), for there this zero-meet form
         is the orthomodular law a <= b implies b = a v (a' ^ b).  The law
@@ -445,7 +459,9 @@ class FiniteOrtholattice(_Order):
     @cached_property
     def _reach(self) -> tuple[int, ...]:
         """_reach[x] is the bit set of the elements above some atom under x,
-        built once, as ``is_boolean`` tests subalgebras one at a time."""
+        built once, as ``is_boolean`` tests subalgebras one at a time.  A
+        lattice the atom-frame certificate validates has it from the
+        certificate (``_frame_down``); any other walks the atoms' up rows."""
         up = self.up
         reach = [0] * self.n
         for p in bits(self._atoms):
@@ -635,14 +651,19 @@ def _blocks(L: FiniteOrtholattice) -> list[int]:
 # binary digits to compress selectors, by bytes.translate
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 _POINTS = tuple(1 << i for i in range(MAX_ELEMENTS))
+# a lattice of n elements with k atoms, _FRAME_RULE * k <= n, is offered to
+# the atom-frame certificate first (see the constructor)
+_FRAME_RULE = 4
 
 
-def _frame_down(up: tuple[int, ...], ortho: tuple, atoms: int) -> Optional[tuple[int, ...]]:
-    """The down rows of (L, <=, ') when a certificate through the atom
-    frame shows it an ortholattice with bounds 0 and n-1, else None; never
-    raises.  ``up`` holds n integers in range, ``ortho`` is a tuple, and
-    ``atoms`` is a bit set of points, the atoms for the constructor.  The frame has these points, p orthogonal to q when
-    q <= p'.  With A(x) the set of points below x, it checks:
+def _frame_down(up: tuple[int, ...], ortho: tuple,
+                atoms: int) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The down rows and the ``_reach`` rows of (L, <=, ') when a
+    certificate through the atom frame shows it an ortholattice with bounds
+    0 and n-1, else None; never raises.  ``up`` holds n integers in range,
+    ``ortho`` is a tuple, and ``atoms`` is a bit set of points, the atoms
+    for the constructor.  The frame has these points, p orthogonal to q
+    when q <= p'.  With A(x) the set of points below x, it checks:
     - x -> A(x) is one to one, and ``up[x]`` is the AND of the up rows of
       the points in A(x), so y >= x exactly when A(y) holds A(x): ``up`` is
       the inclusion order of the A(x);
@@ -665,11 +686,14 @@ def _frame_down(up: tuple[int, ...], ortho: tuple, atoms: int) -> Optional[tuple
     Each step is a C call over the n elements or the k points: the
     points' up rows and their complements are spelled in binary, and
     column x of the spelling, as compress selectors, picks the rows whose
-    AND is up[x] and the down row of x.  The column of p' is A(p'), the
-    perp of p: those columns make the orthogonality matrix, compared with
-    its transpose.  A(x') = A(x)-perp is read a point at a time: q lies in
-    A(x') for the x in the image under ' of up[q], and in A(x)-perp for the
-    x below no point outside perp[q]."""
+    AND is up[x] and the down row of x, and whose complements' AND is the
+    complement of ``_reach[x]``, the elements above some point below x,
+    which the orthomodular test reads: one AND a point, over three fields.
+    The column of p' is A(p'), the perp of p: those columns make the
+    orthogonality matrix, compared with its transpose.  A(x') = A(x)-perp
+    is read a point at a time: q lies in A(x') for the x in the image
+    under ' of up[q], and in A(x)-perp for the x below no point outside
+    perp[q]."""
     n, k = len(up), atoms.bit_count()
     universe = (1 << n) - 1
     if (up[0] != universe or set(map(type, ortho)) != {int}
@@ -684,11 +708,14 @@ def _frame_down(up: tuple[int, ...], ortho: tuple, atoms: int) -> Optional[tuple
     selectors = [digits[c::n] for c in range(n - 1, -1, -1)]
     if len(set(selectors)) != n:
         return None
-    # one AND a point: up[x] in the high n bits, down[x] in the low
-    halves = [row << n | universe for row in rows] + [universe << n | row for row in others]
-    both = list(map(reduce, repeat(and_), map(compress, repeat(halves), selectors),
-                    repeat(universe << n | universe)))
-    if tuple(map(rshift, both, repeat(n))) != up:
+    # one AND a point, in three fields of n bits: up[x] in the high field,
+    # the AND of the complements of the up rows of A(x) in the middle, and
+    # down[x] in the low field
+    parts = ([(row << n | universe ^ row) << n | universe for row in rows]
+             + [(universe << n | universe) << n | row for row in others])
+    fields = list(map(reduce, repeat(and_), map(compress, repeat(parts), selectors),
+                      repeat((1 << 3 * n) - 1)))
+    if tuple(map(rshift, fields, repeat(2 * n))) != up:
         return None
     # the selectors of A(p'), p-perp, and of the points outside it; byte j
     # of row i of the matrix is whether point j is orthogonal to point i
@@ -702,8 +729,11 @@ def _frame_down(up: tuple[int, ...], ortho: tuple, atoms: int) -> Optional[tuple
             != [reduce(and_, compress(others, col[k:]), universe) for col in perps]
             or len(_closed_sets(perp, int.from_bytes(b"\1" * k, "big"), n)) != n):
         return None
-    down = tuple(map(and_, both, repeat(universe)))
-    return down if down[n - 1] == universe else None
+    down = tuple(map(and_, fields, repeat(universe)))
+    if down[n - 1] != universe:
+        return None
+    # the OR of the up rows of A(x) is the complement of the middle field
+    return down, tuple([universe ^ (x >> n & universe) for x in fields])
 
 
 def _closed_sets(perp: Sequence[int], universe: int, cap: int) -> set[int]:
@@ -838,40 +868,60 @@ def _induced(rows: Sequence[int], mask: int) -> list[int]:
 def _permuted(rows: Sequence[int], cols: Sequence[int], perm: Sequence[int]) -> list[int]:
     """Rows of the same order with element i renamed perm[i], read off
     ``cols``, the transpose of ``rows`` (``down`` for ``up``, ``up`` for
-    ``down``), by the constructor's transposition: column j is placed at
-    row perm[j], the placed rows are spelled in binary, and each column of
-    the spelling, read back with one strided slice and ``int(..., 2)``, is
-    row i renamed, put at perm[i].  That is O(n) Python steps and O(n^2)
-    digits handled in C, where a walk over the set bits takes a Python step
-    per bit.
+    ``down``), by the constructor's transposition (``_columns``): column j
+    is placed at row perm[j], the placed rows are spelled in binary, and
+    each column of the spelling, read back with one strided slice and
+    ``int(..., 2)``, is row i renamed, put at perm[i].  That is O(n) Python
+    steps and O(n^2) digits handled in C, where a walk over the set bits
+    takes a Python step per bit.
 
     The spelling is made in stripes of placed rows, by one rule: one stripe
     up to 1024 rows, and stripes of an eighth of the rows (rounded up)
-    beyond, each stripe's columns shifted into place.  So the text is at
-    most 1024^2 digits, and beyond that at most n^2 / 8 + n: no more bytes
-    than the two tables' ints hold, as each row holds its own point, so
-    rows[i] and cols[i] are each at least i + 1 bits long, n^2 + n bits in
-    all, and each int has a header of its own."""
+    beyond, each stripe's columns shifted into place.  A row takes n digits
+    rounded up to whole bytes, so the text is at most 1024^2 digits, and
+    beyond that at most n^2 / 8 + 2n + 7: about as many bytes as the
+    two tables' ints hold, as each row holds its own point, so rows[i] and
+    cols[i] are each at least i + 1 bits long, n^2 + n bits in all, and
+    each int has a header of its own."""
     n = len(rows)
     # inverse[k] is the point renamed k
     inverse = sorted(range(n), key=perm.__getitem__)
-    width = f"0{n}b"
     step = n if n <= 1024 else -(-n // 8)
     renamed = None
     for s in range(0, n, step):
-        # placed rows s.. spelled last first, most significant digit first:
-        # digit i of placed row s + r sits at (k-1-r)*n + n-1-i
-        spelled = "".join([format(cols[j], width) for j in reversed(inverse[s:s + step])])
-        stripe = [int(spelled[c::n], 2) for c in range(n - 1, -1, -1)]
+        stripe = _columns([cols[j] for j in inverse[s:s + step]], n)
         renamed = stripe if s == 0 else list(map(or_, renamed, map(lshift, stripe, repeat(s))))
     return [renamed[i] for i in inverse]
+
+
+def _spelled(rows: Sequence[int], width: int) -> tuple[str, int]:
+    """The bit rows ``rows``, each ``width`` bits wide, spelled in binary,
+    last row first and most significant digit first, each row in d digits,
+    the whole bytes ``width`` fills; and d.  Digit j of row r sits at
+    (len(rows)-1-r)*d + d-1-j.  The rows' bytes are joined, read as one
+    integer and formatted once: a few C calls, where a format call a row
+    costs a Python step each."""
+    size = -(-width // 8)
+    joined = b"".join(map(int.to_bytes, reversed(rows), repeat(size), repeat("big")))
+    return format(int.from_bytes(joined, "big"), f"0{len(rows) * 8 * size}b"), 8 * size
+
+
+def _columns(rows: Sequence[int], width: int) -> list[int]:
+    """The transpose of the bit matrix ``rows``, each row ``width`` bits
+    wide: entry j is the bit set of the rows holding bit j.  Column d-1-j
+    of the spelling (``_spelled``), read back with one strided slice and
+    ``int(..., 2)``, is entry j: O(width) Python steps, the digits handled
+    in C."""
+    spelled, d = _spelled(rows, width)
+    return [int(spelled[c::d], 2) for c in range(d - 1, d - 1 - width, -1)]
 
 
 class _Record:
     """Value semantics for a slotted class, as a frozen dataclass has them.
 
     A subclass names its fields in ``__slots__``, in ``__init__`` order, and
-    sets them with ``object.__setattr__``.  Equal fields mean equal objects
+    sets them with ``object.__setattr__``, or, where many are built, through
+    the slots' member descriptors.  Equal fields mean equal objects
     with equal hashes; assigning or deleting a field raises AttributeError.
     Unlike ``dataclasses``, nothing is generated at class creation.
     """
@@ -914,8 +964,8 @@ class SubalgebraSet(_Record):
     __slots__ = ("owner", "members")
 
     def __init__(self, owner: FiniteOrtholattice, members: int):
-        object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "members", members)
+        _set_owner(self, owner)
+        _set_members(self, members)
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -934,6 +984,10 @@ class SubalgebraSet(_Record):
         return f"SubalgebraSet({{{','.join(map(str, self.elements))}}})"
 
 
+# the slots' member descriptors set a field in one C call
+_set_owner, _set_members = SubalgebraSet.owner.__set__, SubalgebraSet.members.__set__
+
+
 # -- morphisms -------------------------------------------------------------
 
 HOM = "hom"
@@ -948,10 +1002,10 @@ class Morphism(_Record):
 
     def __init__(self, source: FiniteOrtholattice, target: FiniteOrtholattice,
                  mapping: tuple[int, ...], kind: str):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "mapping", mapping)
-        object.__setattr__(self, "kind", kind)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_mapping(self, mapping)
+        _set_kind(self, kind)
 
     def __call__(self, a: int) -> int:
         return self.mapping[a]
@@ -967,6 +1021,11 @@ class Morphism(_Record):
 
     def __repr__(self):
         return f"Morphism({self.kind}: {list(self.mapping)})"
+
+
+_set_source, _set_target, _set_mapping, _set_kind = (
+    Morphism.source.__set__, Morphism.target.__set__, Morphism.mapping.__set__,
+    Morphism.kind.__set__)
 
 
 def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
@@ -991,9 +1050,9 @@ def morphism(source: FiniteOrtholattice, target: FiniteOrtholattice,
     When the test fails, so does the pair scan (``_first_fault``), which
     then names the first pair that fails.
     """
-    mapping = tuple(mapping)
+    mapping = _as_tuple(mapping)
     n, m = source.n, target.n
-    if len(mapping) != n or not all(_is_int(v) and 0 <= v < m for v in mapping):
+    if mapping is None or len(mapping) != n or not all(_is_int(v) and 0 <= v < m for v in mapping):
         raise NotAMorphism("mapping is not a total map into the target")
     if mapping[0] != 0 or mapping[n - 1] != m - 1:
         raise NotAMorphism("mapping does not preserve the bounds")

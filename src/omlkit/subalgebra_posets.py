@@ -47,6 +47,7 @@ from .errors import (
 from .lattice_core import (
     FiniteOrtholattice,
     SubalgebraSet,
+    _as_tuple,
     _cover_row,
     _induced,
     _is_int,
@@ -142,8 +143,8 @@ class AbstractPoset(_Order):
         return AbstractPoset._trusted(self.down, self.up)
 
     def relabel(self, perm: Sequence[int]) -> "AbstractPoset":
-        perm = tuple(perm)
-        if not self._is_permutation(perm):
+        perm = _as_tuple(perm)
+        if perm is None or not self._is_permutation(perm):
             raise MalformedInput("relabeling is not a permutation")
         # an order with its points renamed one-to-one is an order
         return AbstractPoset._trusted(_permuted(self.up, self.down, perm),
@@ -198,7 +199,12 @@ class SubalgebraPoset(AbstractPoset):
 
     def node_index(self, members) -> int:
         """The index of the node whose element set is ``members``, a bit set
-        or a SubalgebraSet of ``owner``; MalformedInput for anything else."""
+        or a SubalgebraSet of ``owner``; MalformedInput for anything else.
+        A plain int that is a node's is read with one lookup, before any
+        type test."""
+        i = self._index.get(members) if members.__class__ is int else None
+        if i is not None:
+            return i
         if isinstance(members, SubalgebraSet):
             if members.owner is not self.owner:
                 raise MalformedInput("element set belongs to another lattice")
@@ -647,18 +653,27 @@ def bsub(L: FiniteOrtholattice, **kw) -> SubalgebraPoset:
 
 # -- poset isomorphism -------------------------------------------------------
 
+def _node_bijection(mapping, source: AbstractPoset, target: AbstractPoset) -> tuple[int, ...]:
+    """``mapping`` as a tuple if it is a bijection from source's nodes onto
+    target's, else NotAnIso: ``check_order_iso``'s first test, which the
+    lifts run alone before their certificate."""
+    mapping = _as_tuple(mapping)
+    if mapping is None or len(mapping) != source.size or not target._is_permutation(mapping):
+        raise NotAnIso("node map is not a bijection between the posets")
+    return mapping
+
+
 def check_order_iso(mapping, source: AbstractPoset, target: AbstractPoset) -> tuple[int, ...]:
     """Validate a node map as an order isomorphism; raises NotAnIso.
 
-    Returns the map as a tuple.  Order preservation is checked in both
-    directions since callers hand in arbitrary data: source's rows, renamed
-    along the map, must equal target's.  They are compared whole; only when
-    they differ does a walk over the nodes name the first that the map does
-    not preserve, if any.
+    Returns the map as a tuple.  After the bijection test
+    (``_node_bijection``), order preservation is checked in both directions
+    since callers hand in arbitrary data: source's rows, renamed along the
+    map, must equal target's.  They are compared whole; only when they
+    differ does a walk over the nodes name the first that the map does not
+    preserve, if any.
     """
-    mapping = tuple(mapping)
-    if len(mapping) != source.size or not target._is_permutation(mapping):
-        raise NotAnIso("node map is not a bijection between the posets")
+    mapping = _node_bijection(mapping, source, target)
     renamed = _permuted(source.up, source.down, mapping)
     if renamed != list(target.up):
         for i, v in enumerate(mapping):

@@ -94,6 +94,14 @@ more than four elements through a standalone copy (``sublattice``), its
 own Sub enumeration and a Boolean check, and glue the block lifts; the
 library now reads phi at the atoms' nodes {0, p, p', 1} alone and takes
 every other element to the one whose atoms are the images of its own.
+``legacy_checked_lift_bsub_iso`` and ``legacy_checked_lift_sub_iso`` are
+the lifts through the atoms with the refusal order they had before each
+lift was certified by the images of its nodes: ``check_order_iso`` first,
+then the lift, then ``legacy_realization_test``, which read phi at the
+nodes {0, e, e', 1} of the elements alone (node by node in a poset
+without them).  The library tests phi only as a bijection first, checks
+the node order only when the lift is refused, and certifies a lift by the
+images of all its nodes; the maps and the refusals must be the same.
 ``legacy_preimage_functor`` scans every source element for every node,
 and ``legacy_classify_recovery`` counts matches through it.  ``legacy_pinned_classify_recovery`` enumerated
 Sub(M) to read which nodes hold each element, and searched only the
@@ -156,7 +164,7 @@ import itertools
 from functools import lru_cache
 from types import SimpleNamespace
 
-from omlkit import sachs_boolean
+from omlkit import iso_lifting, sachs_boolean
 from omlkit.errors import (
     BadOrthocomplement,
     BlockMismatch,
@@ -1254,6 +1262,70 @@ def legacy_lift_boolean_iso(B, C, phi, sub_b=None, sub_c=None):
         raise Inconsistent("lifted map is not bijective")
     check_node_images(f)
     return [f]
+
+
+def legacy_realization_test(phi, P, Q):
+    """A test of f[y] = phi(y) for every node y of P, for bijections f.
+
+    As phi is a bijection too, that holds exactly when phi maps the nodes
+    containing e onto those containing f(e), for every element e.  Those
+    are the up rows of the nodes {0, e, e', 1} and {0, f(e), f(e)', 1}, and
+    phi is an order isomorphism, so it must map the one node to the other.
+    Hand-built posets without these nodes are checked node by node.
+    """
+    def element_nodes(R):
+        top = 1 << (R.owner.n - 1)
+        return [R._index.get(1 | 1 << e | 1 << o | top) for e, o in enumerate(R.owner.ortho)]
+
+    x, y = element_nodes(P), element_nodes(Q)
+    if None in x or None in y:
+        return lambda f: all(f.apply_mask(m) == Q.masks[phi[i]] for i, m in enumerate(P.masks))
+    return lambda f: all(phi[x[e]] == y[v] for e, v in enumerate(f.mapping))
+
+
+def _legacy_lift_through_atoms(L, M, phi, P, Q, canonical_only):
+    """The lift through the atom frame with its element-node test after it."""
+    f, four_blocks = iso_lifting._glue(L, M, phi, P, Q, canonical_only)
+    if not legacy_realization_test(phi, P, Q)(f):
+        raise GlueConflict("glued map does not realize the node map")
+    if canonical_only:
+        return [f]
+    out = []
+    for combo in itertools.product((False, True), repeat=len(four_blocks)):
+        mapping = list(f.mapping)
+        for (_, p), swap in zip(four_blocks, combo):
+            if swap:
+                q = L.ortho[p]
+                mapping[p], mapping[q] = mapping[q], mapping[p]
+        out.append(Morphism(L, M, tuple(mapping), f.kind))
+    return out
+
+
+def legacy_checked_lift_bsub_iso(L, M, phi, bsub_l=None, bsub_m=None, canonical_only=False):
+    """``lift_bsub_iso`` with the node order checked before the lift."""
+    if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
+        raise NotAnIso("lifting is defined between orthomodular lattices")
+    if bsub_l is None:
+        bsub_l = enumerate_subalgebras(L, boolean_only=True)
+    if bsub_m is None:
+        bsub_m = enumerate_subalgebras(M, boolean_only=True)
+    iso_lifting._check_owners(L, M, bsub_l, bsub_m)
+    phi = check_order_iso(phi, bsub_l, bsub_m)
+    iso_lifting._refuse_maximal_nodes(L, M, phi, bsub_l, bsub_m)
+    return _legacy_lift_through_atoms(L, M, phi, bsub_l, bsub_m, canonical_only)
+
+
+def legacy_checked_lift_sub_iso(L, M, phi, sub_l=None, sub_m=None, canonical_only=False):
+    """``lift_sub_iso`` with the node order checked before the lift."""
+    if sub_l is None:
+        sub_l = enumerate_subalgebras(L)
+    if sub_m is None:
+        sub_m = enumerate_subalgebras(M)
+    phi = check_order_iso(phi, sub_l, sub_m)
+    if L.flavor != ORTHOMODULAR or M.flavor != ORTHOMODULAR:
+        raise NotAnIso("lifting is defined between orthomodular lattices")
+    iso_lifting._check_owners(L, M, sub_l, sub_m)
+    return _legacy_lift_through_atoms(L, M, phi, sub_l, sub_m, canonical_only)
 
 
 def legacy_preimage_functor(f, sub_m=None, sub_l=None):

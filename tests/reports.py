@@ -25,14 +25,15 @@ from contextlib import contextmanager
 from functools import partial
 
 from legacy_oracles import (legacy_boolean_family, legacy_orthoclosed, legacy_permuted,
-                            legacy_product_order)
+                            legacy_product_order, legacy_realization_test)
 
 import omlkit
 from omlkit import (FiniteOrtholattice, boolean_nodes, bsub, build_frame, catalog,
                     classify_atoms, classify_recovery, enumerate_homs, enumerate_subalgebras,
-                    lift_bsub_iso, morphism, orthoclosed_lattice, poset_isomorphic, product,
-                    relabel, sub, verify_determination)
+                    induced_node_map, lift_bsub_iso, lift_sub_iso, morphism, orthoclosed_lattice,
+                    poset_isomorphic, product, relabel, sub, verify_determination)
 from omlkit import lattice_core, search, subalgebra_posets
+from omlkit.iso_lifting import _realization_test
 from omlkit.subalgebra_posets import _boolean_family, check_order_iso
 
 BUDGET = 10**6
@@ -79,11 +80,17 @@ def poset_of(label):
     return lattice(name), kind == "BSub"
 
 
-def relabeled(L):
-    """L with its inner elements shuffled."""
+def relabeling(L):
+    """An isomorphism of L onto a copy with its inner elements shuffled."""
     inner = list(range(1, L.n - 1))
     random.Random(1).shuffle(inner)
-    return relabel(L, [0, *inner, L.n - 1])
+    perm = [0, *inner, L.n - 1]
+    return morphism(L, relabel(L, perm), perm)
+
+
+def relabeled(L):
+    """L with its inner elements shuffled."""
+    return relabeling(L).target
 
 
 def code_lines(paths):
@@ -230,9 +237,11 @@ def construction(labels):
     """Each lattice's atoms, the path its rows are validated on (``frame``
     when the atom-frame certificate holds, which the constructor tries on
     lattices of n elements with at most n/4 atoms, else ``rows``), the
-    constructor's time on its rows, and that of Sub of a fresh copy, its
-    construction included: the lattice keeps no meet table, and Sub reads
-    each meet it needs at an AND of two down rows."""
+    constructor's time on its rows, and with the certificate tried whatever
+    the atoms (the rule's factor patched to 0), so both sides of the rule
+    show, and the time of Sub of a fresh copy, its construction included:
+    the lattice keeps no meet table, and Sub reads each meet it needs at an
+    AND of two down rows."""
     rows = []
     for label in labels:
         L = lattice(label)
@@ -240,9 +249,38 @@ def construction(labels):
         with patched(lattice_core, "_frame_down", answers(certified)):
             FiniteOrtholattice(L.up, L.ortho)
         path = "frame" if certified and certified[0] is not None else "rows"
-        rows.append((label, L._atoms.bit_count(), path,
-                     best_ms(partial(FiniteOrtholattice, L.up, L.ortho)),
+        build = partial(FiniteOrtholattice, L.up, L.ortho)
+        own = best_ms(build)
+        with patched(lattice_core, "_FRAME_RULE", lambda rule: 0):
+            forced = best_ms(build)
+        rows.append((label, L._atoms.bit_count(), path, own, forced,
                      best_ms(lambda: sub(FiniteOrtholattice(L.up, L.ortho)))))
+    return rows
+
+
+LIFTS = {"lift_bsub_iso": lift_bsub_iso, "lift_sub_iso": lift_sub_iso}
+
+
+def lift_checks(labels):
+    """Nodes and elements of each lift's posets, for the node map an inner
+    relabeling induces, and the time of the lift, of its certificate by the
+    images of the nodes, and of the node-order check and the element-node
+    test that the certificate replaced."""
+    rows = []
+    for label in labels:
+        call, _, what = label.partition(" on ")
+        L, boolean_only = poset_of(what)
+        psi = relabeling(L)
+        M = psi.target
+        P = enumerate_subalgebras(L, boolean_only=boolean_only)
+        Q = enumerate_subalgebras(M, boolean_only=boolean_only)
+        phi = induced_node_map(psi, P, Q)
+        lift = LIFTS[call]
+        f = lift(L, M, phi, P, Q, canonical_only=True)[0]
+        rows.append((label, P.size, L.n, best_ms(partial(lift, L, M, phi, P, Q)),
+                     best_ms(partial(_realization_test, f, phi, P, Q)),
+                     best_ms(lambda: (check_order_iso(phi, P, Q),
+                                      legacy_realization_test(phi, P, Q)(f)))))
     return rows
 
 
@@ -367,9 +405,16 @@ REPORTS = [
       ("bsub on benzene x 2^3", lambda: bsub(lattice("benzene x 2^3")))]),
     ("Construction",
      ("lattice", "atoms", "path", "best of 5, constructor (ms)",
-      "best of 5, constructor and sub (ms)"),
+      "best of 5, constructor, certificate forced (ms)", "best of 5, constructor and sub (ms)"),
      construction,
-     ["example22", "MO8", "hsum(2^4,2^4)", "2^5", "hsum(2^5,2^5)", "2^6", "MO3 x 2^3"]),
+     ["example22", "2^4", "MO8", "hsum(2^4,2^4)", "2^5", "hsum(2^5,2^5)", "2^6", "MO3 x 2^3"]),
+    ("Lift checks",
+     ("call", "nodes", "elements", "best of 5, lift (ms)",
+      "best of 5, node-image certificate (ms)",
+      "best of 5, `check_order_iso` and element-node test (ms)"),
+     lift_checks,
+     ["lift_sub_iso on Sub(MO6)", "lift_bsub_iso on BSub(hsum(2^5,2^5))",
+      "lift_sub_iso on Sub(hsum(2^4,2^4))"]),
     ("Reconstruction",
      ("poset", "frame points", "closed sets", "best of 5, classify and frame (ms)",
       "best of 5, `orthoclosed_lattice` (ms)",

@@ -50,11 +50,14 @@ from omlkit.subalgebra_posets import AbstractPoset, SubalgebraPoset, check_order
 from legacy_oracles import (
     legacy_boolean_nodes,
     legacy_certify_boolean_node,
+    legacy_checked_lift_bsub_iso,
+    legacy_checked_lift_sub_iso,
     legacy_class_row_equivalence,
     legacy_covers,
     legacy_is_equivalence,
     legacy_lift_boolean_iso,
     legacy_lift_bsub_iso,
+    legacy_realization_test,
     legacy_recognize_boolean_node,
 )
 
@@ -154,6 +157,13 @@ def test_lift_rejects_bad_node_maps():
         lift_bsub_iso(L, L, (0, 0, 1), p, p)
     with pytest.raises(NotAnIso, match=r"does not preserve node order at 0 <= 1$"):
         lift_bsub_iso(L, L, (1, 0, 2), p, p)  # moves the bottom
+    # maps that are no sequence raised a bare TypeError
+    s = sub(L)
+    for call in (lambda: lift_sub_iso(L, L, None, s, s), lambda: lift_bsub_iso(L, L, 5, p, p),
+                 lambda: lift_boolean_iso(boolean_algebra(2), boolean_algebra(2), None),
+                 lambda: check_order_iso(None, p, p)):
+        with pytest.raises(NotAnIso, match="^node map is not a bijection between the posets$"):
+            call()
     # a bijection from a 2-antichain onto a 2-chain preserves order, not back
     antichain, chain = AbstractPoset([0b01, 0b10]), AbstractPoset([0b11, 0b10])
     with pytest.raises(NotAnIso, match="does not reflect node order"):
@@ -254,17 +264,19 @@ def _bijections(L, rng):
 
 @pytest.mark.parametrize("name", ["2^4", "MO3", "MO2x2", "example22", "hsum(2^3,2^3)"])
 def test_realization_test_matches_the_node_by_node_check(name):
+    # and, for the order isomorphisms induced here, the element-node test
+    # it replaced
     L = catalog(name)
     rng = random.Random(name)
     for P in (sub(L), bsub(L)):
         for psi in automorphisms(L)[:4]:
             phi = induced_node_map(psi, P, P)
-            realizes = _realization_test(phi, P, P)
+            legacy = legacy_realization_test(phi, P, P)
             verdicts = []
             for mapping in _bijections(L, rng):
                 f = Morphism(L, L, mapping, "iso")
-                verdicts.append(realizes(f))
-                assert verdicts[-1] == _realizes_node_by_node(f, phi, P, P)
+                verdicts.append(_realization_test(f, phi, P, P))
+                assert verdicts[-1] == _realizes_node_by_node(f, phi, P, P) == legacy(f)
             assert True in verdicts and False in verdicts
 
 
@@ -273,11 +285,10 @@ def test_realization_test_on_a_poset_without_element_nodes():
     B = boolean_algebra(3)
     nodes = [SubalgebraSet(B, 1 | 1 << 7), SubalgebraSet(B, B.universe)]
     poset = SubalgebraPoset([0b11, 0b10], B, nodes)
-    realizes = _realization_test((0, 1), poset, poset)
     for mapping in [tuple(range(8)), (0, 2, 1, 3, 4, 5, 6, 7), (3, 1, 2, 0, 4, 5, 6, 7)]:
         f = Morphism(B, B, mapping, "iso")
-        assert realizes(f) == _realizes_node_by_node(f, (0, 1), poset, poset) \
-            == (mapping[0] == 0)
+        assert _realization_test(f, (0, 1), poset, poset) \
+            == _realizes_node_by_node(f, (0, 1), poset, poset) == (mapping[0] == 0)
 
 
 def test_lift_through_a_poset_without_element_nodes():
@@ -354,10 +365,11 @@ def test_every_lift_is_a_realizing_iso(name):
 
 def test_one_glued_map_is_checked(monkeypatch):
     # MO6 has six four-element blocks: 64 lifts from one morphism() check
-    # and one realization test, through BSub and through Sub alike
+    # and one realization test, through BSub and through Sub alike, and the
+    # node order is checked only for a refused node map
     L = mo(6)
     bl, sl = bsub(L), sub(L)
-    calls = {"morphism": 0, "_realization_test": 0}
+    calls = {"morphism": 0, "_realization_test": 0, "check_order_iso": 0}
 
     def counted(name):
         real = getattr(iso_lifting, name)
@@ -369,11 +381,17 @@ def test_one_glued_map_is_checked(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(iso_lifting, name, counted(name))
-    assert len(lift_bsub_iso(L, L, tuple(range(bl.size)), bl, bl)) == 64
-    assert calls == {"morphism": 1, "_realization_test": 1}
-    calls.update(morphism=0, _realization_test=0)
-    assert len(lift_sub_iso(L, L, tuple(range(sl.size)), sl, sl)) == 64
-    assert calls == {"morphism": 1, "_realization_test": 1}
+    for lift, P in ((lift_bsub_iso, bl), (lift_sub_iso, sl)):
+        calls.update(morphism=0, _realization_test=0, check_order_iso=0)
+        assert len(lift(L, L, tuple(range(P.size)), P, P)) == 64
+        assert calls == {"morphism": 1, "_realization_test": 1, "check_order_iso": 0}
+        # the bottom and a four-element block swapped: no order isomorphism
+        phi = list(range(P.size))
+        phi[0], phi[1] = phi[1], phi[0]
+        calls.update(morphism=0, _realization_test=0, check_order_iso=0)
+        with pytest.raises(NotAnIso, match="^node map does not preserve node order at 0 <= 1$"):
+            lift(L, L, phi, P, P)
+        assert calls["check_order_iso"] == 1
 
 
 def _same_lifts(L, M, phi, bl, bm):
@@ -535,19 +553,15 @@ def _subfamily(P, owner, keep, rename=lambda m: m):
                            [owner.subalgebra(rename(P.masks[i])) for i in bits(keep)])
 
 
-@pytest.mark.parametrize("name", SUBFAMILY_CASES)
-def test_lifts_between_subfamilies_realize_or_refuse_with_a_typed_error(name):
-    # seeded subfamilies of BSub(L), lifted by lift_bsub_iso, and of Sub(L),
-    # lifted by lift_sub_iso, that hold the bottom, each against its image
-    # under a relabeling and against a subfamily of the same size: every
-    # order isomorphism between them either lifts to isomorphisms that
-    # realize it node by node or raises an OmlkitError, whichever of the
-    # atoms' nodes, blocks and maximal nodes the subfamily leaves out
+def _subfamily_lifts(name):
+    """Seeded subfamilies of BSub(L), for lift_bsub_iso, and of Sub(L), for
+    lift_sub_iso, that hold the bottom, each against its image under a
+    relabeling and against a subfamily of the same size, with up to six
+    order isomorphisms between them: (lift, L, M, P, Q, phi) tuples."""
     L = _lattice(name)
     rng = random.Random(name)
     for family, lift in ((bsub, lift_bsub_iso), (sub, lift_sub_iso)):
         bl = family(L)
-        outcomes = set()
         for psi in list(_relabeling_morphisms(L, 2, seed=29))[1:]:
             M = psi.target
             bm = family(M)
@@ -559,17 +573,99 @@ def test_lifts_between_subfamilies_realize_or_refuse_with_a_typed_error(name):
                 P = _subfamily(bl, L, keep)
                 for Q in (_subfamily(bl, M, keep, psi.apply_mask), _subfamily(bm, M, other)):
                     for phi in itertools.islice(poset_isomorphisms(P, Q), 6):
-                        for canonical in (False, True):
-                            try:
-                                lifts = lift(L, M, phi, P, Q, canonical_only=canonical)
-                            except OmlkitError as exc:
-                                outcomes.add(type(exc).__name__)
-                                continue
-                            outcomes.add("lifted")
-                            assert lifts
-                            for f in lifts:
-                                assert f.kind == "iso" and _realizes_node_by_node(f, phi, P, Q)
-        assert "lifted" in outcomes and len(outcomes) > 1, (lift.__name__, outcomes)
+                        yield lift, L, M, P, Q, phi
+
+
+@pytest.mark.parametrize("name", SUBFAMILY_CASES)
+def test_lifts_between_subfamilies_realize_or_refuse_with_a_typed_error(name):
+    # every order isomorphism between the subfamilies either lifts to
+    # isomorphisms that realize it node by node or raises an OmlkitError,
+    # whichever of the atoms' nodes, blocks and maximal nodes the subfamily
+    # leaves out
+    outcomes = {lift_bsub_iso: set(), lift_sub_iso: set()}
+    for lift, L, M, P, Q, phi in _subfamily_lifts(name):
+        for canonical in (False, True):
+            try:
+                lifts = lift(L, M, phi, P, Q, canonical_only=canonical)
+            except OmlkitError as exc:
+                outcomes[lift].add(type(exc).__name__)
+                continue
+            outcomes[lift].add("lifted")
+            assert lifts
+            for f in lifts:
+                assert f.kind == "iso" and _realizes_node_by_node(f, phi, P, Q)
+    for lift, seen in outcomes.items():
+        assert "lifted" in seen and len(seen) > 1, (lift.__name__, seen)
+
+
+# -- the refusal order, against the lifts that checked the node order first ----
+
+LEGACY_CHECKED = {lift_bsub_iso: legacy_checked_lift_bsub_iso,
+                  lift_sub_iso: legacy_checked_lift_sub_iso}
+REFUSAL_CASES = ["2^2", "2^3", "2^4", "2^5", "MO1", "MO2", "MO3", "MO4", "MO6", "MO7", "MO2x2",
+                 "example22", "hsum(2^3,2^3)", "benzene", "hsum(2^2,2^3,2^4)", "hsum(2^4,2^4)",
+                 "MO2x2^2", "MO3x2^3"]
+
+
+def _outcome(lift, *args, **kwargs):
+    """The lifts' maps, or the type and text of the OmlkitError raised;
+    any other exception fails the test."""
+    try:
+        return [f.mapping for f in lift(*args, **kwargs)]
+    except OmlkitError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcomes(lift, L, M, phi, P, Q):
+    """lift and the lift that checked the node order first agree, canonical
+    and full; returns the outcomes."""
+    seen = []
+    for canonical in (False, True):
+        seen.append(_outcome(lift, L, M, phi, P, Q, canonical_only=canonical))
+        assert seen[-1] == _outcome(LEGACY_CHECKED[lift], L, M, phi, P, Q,
+                                    canonical_only=canonical), (lift.__name__, phi)
+    return seen
+
+
+def _two_swapped(phi, rng):
+    """phi with the images of two seeded nodes exchanged."""
+    phi = list(phi)
+    if len(phi) > 1:
+        a, b = rng.sample(range(len(phi)), 2)
+        phi[a], phi[b] = phi[b], phi[a]
+    return tuple(phi)
+
+
+@pytest.mark.parametrize("name", REFUSAL_CASES)
+def test_lifts_refuse_as_when_the_node_order_was_checked_first(name):
+    # both lifts on BSub and on Sub of L against L and three relabelings M:
+    # induced maps of found isomorphisms, each also with two nodes swapped,
+    # seeded random bijections, and the posets or the lattices swapped
+    L = _lattice(name)
+    rng = random.Random(name)
+    seen = set()
+    for psi in _relabeling_morphisms(L, 3, seed=7):
+        M = psi.target
+        found = find_isomorphism(L, M)
+        for family in (bsub, sub):
+            P, Q = family(L), family(M)
+            maps = [induced_node_map(h, P, Q) for h in (psi, found)]
+            maps += [_two_swapped(phi, rng) for phi in maps]
+            maps += [tuple(rng.sample(range(P.size), P.size)) for _ in range(4)]
+            for lift in LEGACY_CHECKED:
+                for phi in maps:
+                    seen.update(map(repr, _assert_same_outcomes(lift, L, M, phi, P, Q)))
+                _assert_same_outcomes(lift, L, M, maps[0], Q, P)
+                _assert_same_outcomes(lift, M, L, maps[0], P, Q)
+    assert len(seen) > 1
+
+
+@pytest.mark.parametrize("name", SUBFAMILY_CASES)
+def test_lifts_between_subfamilies_refuse_as_when_the_node_order_was_checked_first(name):
+    rng = random.Random(name)
+    for lift, L, M, P, Q, phi in _subfamily_lifts(name):
+        for phi in (phi, _two_swapped(phi, rng)):
+            _assert_same_outcomes(lift, L, M, phi, P, Q)
 
 
 def test_recognize_boolean_node_examples():

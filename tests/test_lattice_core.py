@@ -546,6 +546,9 @@ def test_a_map_entry_that_is_no_integer_is_not_a_morphism(entry):
     L = mo(2)
     with pytest.raises(NotAMorphism, match="not a total map"):
         morphism(L, L, [0, entry, 2, 3, 4, 5])
+    # the entry as the whole map: a non-sequence raised a bare TypeError
+    with pytest.raises(NotAMorphism, match="^mapping is not a total map into the target$"):
+        morphism(L, L, entry)
 
 
 @pytest.mark.parametrize("call, text", [
@@ -1134,6 +1137,11 @@ def test_poset_relabel_and_node_maps_reject_non_indices():
         chain.relabel([1.0, 0])
     with pytest.raises(NotAnIso, match="^node map is not a bijection between the posets$"):
         check_order_iso([0, "a"], chain, chain)
+    # maps that are no sequence raised a bare TypeError
+    with pytest.raises(MalformedInput, match="^relabeling is not a permutation$"):
+        chain.relabel(None)
+    with pytest.raises(NotAnIso, match="^node map is not a bijection between the posets$"):
+        check_order_iso(None, chain, chain)
     assert chain.relabel([0, 1]).up == chain.up
     assert check_order_iso([0, 1], chain, chain) == (0, 1)
 
@@ -1404,13 +1412,18 @@ FRAME_PATH = {"2^4", "2^5", "2^6", "hsum(2^5,2^5)", "MO2 x 2^2", "MO3 x 2^3", "e
 
 
 def _kept(up, ortho):
-    """The rows, complement, flavor and atoms the constructor keeps, or its
-    exception type and text."""
+    """The rows, complement, flavor, atoms and reach rows the constructor
+    keeps, or its exception type and text."""
     try:
         L = FiniteOrtholattice(up, ortho)
     except OmlkitError as exc:
         return type(exc), str(exc)
-    return L.up, L.down, L.ortho, L.flavor, vars(L)["_atoms"]
+    return L.up, L.down, L.ortho, L.flavor, vars(L)["_atoms"], vars(L)["_reach"]
+
+
+def _walked_reach(L):
+    """``_reach`` as the row path builds it, walking the atoms' up rows."""
+    return FiniteOrtholattice._reach.func(L)
 
 
 def _built_and_path(monkeypatch, up, ortho):
@@ -1464,22 +1477,23 @@ def test_the_frame_certificate_accepts_exactly_the_atomistic_lattices(name, monk
     for L in [base] + [_inner_relabeled(base, rng) for _ in range(3)]:
         k = L._atoms.bit_count()
         built, path, rows_only = _built_and_path(monkeypatch, L.up, L.ortho)
-        assert built == rows_only == (L.up, L.down, L.ortho, L.flavor, L._atoms)
+        assert built == rows_only == (L.up, L.down, L.ortho, L.flavor, L._atoms, _walked_reach(L))
         assert path == ("frame" if name in FRAME_PATH else "rows")
         assert (name in FRAME_PATH) == (4 * k <= L.n and _atomistic(L))
-        # the certificate itself holds on every atomistic lattice, whatever k
-        down = lattice_core._frame_down(L.up, L.ortho, L._atoms)
-        assert down == (L.down if _atomistic(L) else None)
+        # the certificate itself holds on every atomistic lattice, whatever
+        # k, and returns the down rows and the reach rows the walk builds
+        certified = lattice_core._frame_down(L.up, L.ortho, L._atoms)
+        assert certified == ((L.down, _walked_reach(L)) if _atomistic(L) else None)
         for up, ortho in _mutated(rng, L):
             built, path, rows_only = _built_and_path(monkeypatch, up, ortho)
             assert built == rows_only
-            down = lattice_core._frame_down(up, ortho, _cover_row(up, 0))
+            certified = lattice_core._frame_down(up, ortho, _cover_row(up, 0))
             if len(built) == 2:
                 refused += 1
-                assert down is None and path == "rows"
+                assert certified is None and path == "rows"
             else:
                 M = FiniteOrtholattice(up, ortho)
-                assert down == (M.down if _atomistic(M) else None)
+                assert certified == ((M.down, _walked_reach(M)) if _atomistic(M) else None)
     assert refused >= 12
 
 
